@@ -2,12 +2,13 @@
 //! worker count × registered-query count on the gMark workload.
 //!
 //! Each grid point drives the same tuple stream through a
-//! `ParallelMultiEngine` with the first `n_queries` gMark smoke queries
-//! registered, batched ingestion, results discarded (the engine is the
-//! bottleneck under measurement, not a sink). `workers = 0` rows are
-//! the sequential `MultiQueryEngine` baseline; `speedup` is relative to
-//! the 1-worker parallel engine (which isolates coordination overhead:
-//! sequential-vs-1-worker is the hand-off tax, 1-vs-N is scaling).
+//! `MultiQueryEngine` at that worker count with the first `n_queries`
+//! gMark smoke queries registered, batched ingestion, results discarded
+//! (the engine is the bottleneck under measurement, not a sink).
+//! `workers = 0` rows are the inline-schedule baseline; `speedup` is
+//! relative to the 1-worker pooled schedule (which isolates
+//! coordination overhead: inline-vs-1-worker is the hand-off tax,
+//! 1-vs-N is scaling).
 //!
 //! ```text
 //! cargo run --release -p srpq_bench --bin multi_scaling [scale] [--json OUT]
@@ -18,7 +19,7 @@
 
 use srpq_bench::{compile_query, gmark_fixture, jsonout, print_csv, scale_from_args};
 use srpq_core::multi::{MultiQueryEngine, NullMultiSink};
-use srpq_core::{ParallelMultiEngine, PathSemantics};
+use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
 use std::fmt;
 use std::time::Instant;
@@ -27,7 +28,7 @@ const BATCH: usize = 256;
 
 struct Row {
     queries: usize,
-    workers: usize, // 0 = sequential MultiQueryEngine
+    workers: usize, // 0 = the inline schedule
     tuples: u64,
     tps: f64,
     speedup_vs_1: f64,
@@ -62,39 +63,29 @@ fn main() {
     for &nq in &[4usize, 8, 16] {
         let exprs: Vec<String> = queries[..nq].iter().map(|q| q.expr.clone()).collect();
 
-        // Sequential baseline.
-        let mut seq = MultiQueryEngine::new(window);
-        for (i, e) in exprs.iter().enumerate() {
-            seq.register(
-                format!("g{i}"),
-                compile_query(e, &ds.labels),
-                PathSemantics::Arbitrary,
-            )
-            .unwrap();
-        }
-        let t0 = Instant::now();
-        let mut sink = NullMultiSink;
-        for chunk in tuples.chunks(BATCH) {
-            seq.process_batch(chunk, &mut sink);
-        }
-        let seq_tps = tuples.len() as f64 / t0.elapsed().as_secs_f64();
-
-        let mut one_worker_tps = f64::NAN;
-        for &workers in &[1usize, 2, 4, 8] {
-            let mut par = ParallelMultiEngine::new(window, workers);
+        let measure = |workers: usize| {
+            let mut engine = MultiQueryEngine::new(window);
+            engine.set_workers(workers);
             for (i, e) in exprs.iter().enumerate() {
-                par.register(
-                    format!("g{i}"),
-                    compile_query(e, &ds.labels),
-                    PathSemantics::Arbitrary,
-                )
-                .unwrap();
+                engine
+                    .register(
+                        format!("g{i}"),
+                        compile_query(e, &ds.labels),
+                        PathSemantics::Arbitrary,
+                    )
+                    .unwrap();
             }
             let t0 = Instant::now();
             for chunk in tuples.chunks(BATCH) {
-                par.process_batch(chunk, &mut sink);
+                engine.process_batch(chunk, &mut NullMultiSink);
             }
-            let tps = tuples.len() as f64 / t0.elapsed().as_secs_f64();
+            tuples.len() as f64 / t0.elapsed().as_secs_f64()
+        };
+        let seq_tps = measure(0);
+
+        let mut one_worker_tps = f64::NAN;
+        for &workers in &[1usize, 2, 4, 8] {
+            let tps = measure(workers);
             if workers == 1 {
                 one_worker_tps = tps;
             }

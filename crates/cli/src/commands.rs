@@ -5,8 +5,9 @@ use crate::streamfile;
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, LatencyHistogram, StreamTuple};
 use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::multi::MultiQueryEngine;
 use srpq_core::sink::{CollectSink, CountSink};
-use srpq_core::{EngineConfig, ParallelMultiEngine, QueryId};
+use srpq_core::{EngineConfig, QueryId};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset};
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
@@ -260,8 +261,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let workers: usize = args.get_num("workers", 0usize)?;
     let mut host = if workers > 0 {
         // Worker-pool evaluation: the single query rides a
-        // ParallelMultiEngine (byte-identical output, see README).
-        let mut multi = ParallelMultiEngine::with_config(config, workers);
+        // MultiQueryEngine on the pooled schedule (byte-identical
+        // output, see README).
+        let mut multi = MultiQueryEngine::with_config(config);
+        multi.set_workers(workers);
         let id = multi
             .register("cli", query, semantics)
             .expect("fresh engine has no duplicate names");
@@ -318,14 +321,14 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     let workers: usize = args.get_num("workers", 0usize)?;
     let (mut host, report) = if workers > 0 {
         // A directory written by `run --workers` holds multi-host state
-        // (same format as `serve`); replay fans out per query.
-        let (mut durable, report) = Durable::<ParallelMultiEngine>::recover(
+        // (same format as `serve`).
+        let (mut durable, report) = Durable::<MultiQueryEngine>::recover(
             Path::new(&wal_dir),
             &mut labels,
             durability_config(args)?,
         )
         .map_err(|e| e.to_string())?;
-        durable.inner_mut().resize_workers(workers);
+        durable.inner_mut().set_workers(workers);
         // Offline recover drives exactly one query (results print
         // untagged); a multi-query directory — e.g. one written by
         // `serve` — must be refused, not silently merged.
@@ -454,14 +457,15 @@ fn cmd_wal_info(args: &Args) -> Result<(), String> {
 /// A plain or durability-wrapped engine behind one ingestion interface.
 /// (The durable variant is much bigger; exactly one host exists per
 /// process, so boxing would buy nothing.) `--workers N` swaps in a
-/// [`ParallelMultiEngine`] carrying the single query — the worker-pool
-/// evaluation path — with the query's id kept for the summary.
+/// [`MultiQueryEngine`] with `N` workers carrying the single query —
+/// the worker-pool evaluation path — with the query's id kept for the
+/// summary.
 #[allow(clippy::large_enum_variant)]
 enum EngineHost {
     Plain(Engine),
     Durable(Durable<Engine>),
-    Parallel(ParallelMultiEngine, QueryId),
-    ParallelDurable(Durable<ParallelMultiEngine>, QueryId),
+    Parallel(MultiQueryEngine, QueryId),
+    ParallelDurable(Durable<MultiQueryEngine>, QueryId),
 }
 
 /// Drops the query tag off a single-query multi engine's events so the
@@ -1051,7 +1055,7 @@ mod tests {
 
     #[test]
     fn parallel_run_and_recover_round_trip() {
-        // `run --workers N` rides the ParallelMultiEngine end to end,
+        // `run --workers N` rides the pooled MultiQueryEngine end to end,
         // durable included, and `recover --workers N` resumes it.
         let dir = std::env::temp_dir().join(format!("srpq-cli-par-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

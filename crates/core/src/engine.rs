@@ -117,9 +117,9 @@ impl Engine {
     /// mutations (for this tuple, and possibly its whole micro-batch)
     /// were already applied by a coordinator: extends/expires this
     /// engine's Δ without touching the graph. `vis` hides in-batch
-    /// edges a sequential per-tuple run would not have seen yet —
-    /// [`crate::parallel_multi::ParallelMultiEngine`] workers traverse
-    /// one `&WindowGraph` concurrently through this.
+    /// edges a sequential per-tuple run would not have seen yet — the
+    /// pooled schedule's workers of [`crate::multi::MultiQueryEngine`]
+    /// traverse one `&WindowGraph` concurrently through this.
     pub fn extend_with_graph<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,

@@ -53,7 +53,7 @@ pub mod delta;
 pub mod engine;
 pub mod multi;
 pub mod parallel;
-pub mod parallel_multi;
+mod parallel_multi;
 pub mod rapq;
 pub mod reorder;
 pub mod rspq;
@@ -66,7 +66,6 @@ pub use multi::{
     MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId,
 };
 pub use parallel::ParallelRapqEngine;
-pub use parallel_multi::ParallelMultiEngine;
 pub use reorder::ReorderBuffer;
 pub use sink::{CollectSink, CountSink, NullSink, ResultSink};
 pub use stats::{DeltaProfile, EngineStats, IndexSize, StageTotals};

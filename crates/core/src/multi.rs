@@ -59,6 +59,58 @@
 //! window of its consumers, so heterogeneous windows would forfeit the
 //! storage sharing this module exists for.
 //!
+//! # The two schedules
+//!
+//! One engine type runs both evaluation schedules; the worker count —
+//! [`set_workers`], `--workers N` on the hosts — selects between them,
+//! and the tagged event stream is **byte-identical** either way, also
+//! across a mid-stream switch (pinned by
+//! `tests/parallel_equivalence.rs` at {0, 1, 2, 4, 8} workers,
+//! including mid-stream `register_backfilled`/`deregister`).
+//!
+//! * **Inline** (no workers, the default): every tuple is routed and
+//!   evaluated on the calling thread, group by group, exactly as
+//!   described above.
+//! * **Pooled** (`n ≥ 1` long-lived worker threads; §5.1 of the paper,
+//!   lifted from trees-within-one-query to groups-within-one-host): the
+//!   unit of parallelism is the evaluation group — one Δ forest is never
+//!   touched by two threads. Live groups are hash-partitioned over the
+//!   workers (group id modulo worker count, re-derived every batch, so
+//!   registration changes rebalance automatically) and each caller
+//!   batch runs as a sequence of **micro-batches** in two phases:
+//!
+//!   1. **Plan + apply** (single-threaded): the batch is cut at slide
+//!      boundaries, explicit deletions, and timestamp-changing edge
+//!      refreshes; the coordinator purges the shared graph at each
+//!      crossed boundary and applies the micro-batch's inserts once,
+//!      stamping every *new* edge with its batch position
+//!      ([`WindowGraph::insert_visible_from`]).
+//!   2. **Extend/expire** (parallel): each worker receives its groups
+//!      plus a handle on the (now read-only) graph and drives the
+//!      engines' read-only traversal path
+//!      ([`Engine::extend_with_graph`]) tuple by tuple. A
+//!      [`Visibility`] horizon per tuple hides in-batch edges a
+//!      per-tuple run would not have seen yet — and makes each group's
+//!      slide-expiry run against the pre-mutation graph — so each group
+//!      computes *exactly* what it would inline.
+//!
+//!   Per-worker outboxes are merged in deterministic `(arrival
+//!   position, group)` order and each group's event run is fanned out
+//!   to its subscribers in ascending slot order — the inline fan-out
+//!   order. The two-phase plan-then-execute shape mirrors deterministic
+//!   batch execution in BOHM (Faleiro & Abadi, VLDB 2015).
+//!
+//! # Panic safety
+//!
+//! A panic mid-batch — in a group engine, a worker thread, or the
+//! caller's sink — leaves the engine **poisoned**: some group's Δ index
+//! may be half-applied, so every later processing *and* registry call
+//! (`process`, `process_batch`, `expire_now`, `register`,
+//! `register_backfilled`, `deregister`, `set_workers`) panics with a
+//! poisoned-engine message instead of silently computing on, or
+//! mutating, half-applied state. Rebuild the engine after catching an
+//! unwind out of it.
+//!
 //! # Registration lifecycle
 //!
 //! Queries come and go at runtime (the `srpq_server` serving layer
@@ -77,10 +129,12 @@
 //! [`register`]: MultiQueryEngine::register
 //! [`register_backfilled`]: MultiQueryEngine::register_backfilled
 //! [`deregister`]: MultiQueryEngine::deregister
+//! [`set_workers`]: MultiQueryEngine::set_workers
 
 use crate::bitset::DenseBitSet;
 use crate::config::EngineConfig;
 use crate::engine::{Engine, PathSemantics};
+use crate::parallel_multi::Pool;
 use crate::sink::ResultSink;
 use crate::stats::{EngineStats, IndexSize, StageTotals};
 use srpq_automata::{CompiledQuery, DfaSignature};
@@ -153,9 +207,9 @@ impl MultiSink for MultiCollectSink {
 }
 
 /// Adapts a per-query [`ResultSink`] view onto a [`MultiSink`].
-pub(crate) struct TagSink<'a, S: MultiSink> {
-    pub(crate) id: QueryId,
-    pub(crate) inner: &'a mut S,
+struct TagSink<'a, S: MultiSink> {
+    id: QueryId,
+    inner: &'a mut S,
 }
 
 impl<S: MultiSink> ResultSink for TagSink<'_, S> {
@@ -187,7 +241,7 @@ impl ResultSink for BufSink<'_> {
 /// The group-key discriminant for path semantics ([`PathSemantics`]
 /// carries no `Hash` impl; the tag also doubles as the checkpoint
 /// encoding).
-pub(crate) fn semantics_tag(semantics: PathSemantics) -> u8 {
+fn semantics_tag(semantics: PathSemantics) -> u8 {
     match semantics {
         PathSemantics::Arbitrary => 0,
         PathSemantics::Simple => 1,
@@ -203,12 +257,15 @@ struct Slot {
 
 /// One shared evaluation group: a single engine (Δ forest, emitted-pair
 /// set, statistics) serving every subscriber whose automaton is
-/// language-equivalent to its query.
-struct Group {
-    engine: Engine,
+/// language-equivalent to its query. Under the pooled schedule the
+/// whole entry travels to a worker thread and back every micro-batch;
+/// the subscriber tags ride along so the registry entry is whole
+/// wherever it is.
+pub(crate) struct Group {
+    pub(crate) engine: Engine,
     /// Live subscriber slots, ascending (slots are allocated
     /// monotonically and pushed in order).
-    subscribers: Vec<u32>,
+    pub(crate) subscribers: Vec<u32>,
     /// Whether the group's Δ forest covers the whole current window —
     /// true for groups founded at stream start or by backfilled
     /// registration. Only complete groups are signature-indexed and
@@ -217,8 +274,9 @@ struct Group {
     complete: bool,
     /// The canonical signature of the group's automaton.
     signature: DfaSignature,
-    /// Per-tuple event buffer, fanned out to `subscribers` after each
-    /// dispatch (retained across tuples to avoid allocation).
+    /// Per-tuple event buffer of the inline schedule, fanned out to
+    /// `subscribers` after each dispatch (retained across tuples to
+    /// avoid allocation).
     buffer: Vec<(bool, ResultPair, Timestamp)>,
 }
 
@@ -234,17 +292,24 @@ impl MultiSink for NullMultiSink {
 
 /// A set of persistent RPQs evaluated together over one shared window
 /// graph, with language-equivalent registrations collapsed into shared
-/// evaluation groups.
+/// evaluation groups, on the calling thread or over a worker pool (see
+/// the module docs). The fields the pooled schedule in
+/// `crate::parallel_multi` drives are crate-visible; the registry
+/// indexes stay private to this module.
 pub struct MultiQueryEngine {
     config: EngineConfig,
     window: WindowPolicy,
-    graph: WindowGraph,
+    /// The shared window graph, held plainly: the inline schedule pays
+    /// no reference count. The pooled schedule moves it into an `Arc`
+    /// for the duration of one micro-batch and back.
+    pub(crate) graph: WindowGraph,
     /// Registration slots; `None` marks a deregistered query. Slot
     /// indexes are query ids and are never reused.
     slots: Vec<Option<Slot>>,
     /// Evaluation groups; `None` marks a freed group whose id waits on
-    /// `free_groups` for reuse.
-    groups: Vec<Option<Group>>,
+    /// `free_groups` for reuse (or, mid-micro-batch under the pooled
+    /// schedule, one currently shipped to a worker).
+    pub(crate) groups: Vec<Option<Group>>,
     /// Freed group ids, reused LIFO — the group table stays bounded by
     /// the peak number of distinct live queries.
     free_groups: Vec<u32>,
@@ -255,22 +320,29 @@ pub struct MultiQueryEngine {
     /// registered queries).
     by_name: FxHashMap<String, u32>,
     /// label → set of group ids whose alphabet contains it.
-    routing: FxHashMap<Label, DenseBitSet>,
-    now: Timestamp,
-    tuples_seen: u64,
-    tuples_routed: u64,
+    pub(crate) routing: FxHashMap<Label, DenseBitSet>,
+    pub(crate) now: Timestamp,
+    pub(crate) tuples_seen: u64,
+    pub(crate) tuples_routed: u64,
+    /// The worker threads of the pooled schedule; empty selects the
+    /// inline schedule.
+    pub(crate) pool: Pool,
     /// Reusable routing-target buffer: dispatch must release the borrow
     /// of `routing` before touching the groups, and copying into a
     /// retained buffer beats a fresh `Vec` per tuple.
-    route_scratch: Vec<u32>,
+    pub(crate) route_scratch: Vec<u32>,
     /// Reusable `(slot, group)` fan-out schedule per tuple.
     fanout_scratch: Vec<(u32, u32)>,
-    /// A previous `process_batch` panicked mid-batch: engine state may
-    /// be half-applied, so further processing is refused (see
-    /// [`Self::process_batch`]).
+    /// A previous call panicked mid-batch: engine state may be
+    /// half-applied, so further use is refused (see the module docs).
     poisoned: bool,
-    /// Cumulative stage timings of the batch path (see
-    /// [`Self::stage_totals`]).
+    /// `(eval_ns, expiry_ns)` spent inside group engines on the calling
+    /// thread: the inline batch path, the pooled schedule's singleton
+    /// stage A, backfill replay, and the folded ledgers of retired
+    /// pools (see [`Self::coord_totals`]).
+    pub(crate) coord_ns: (u64, u64),
+    /// Batch count and routing time of the batch path; the evaluation
+    /// fields are derived from the ledgers (see [`Self::stage_totals`]).
     stage: StageTotals,
     /// Optional stage beacon published for the sampling profiler (see
     /// [`Self::set_beacon`]). `None` (the default) costs one branch.
@@ -285,7 +357,8 @@ impl MultiQueryEngine {
     }
 
     /// Creates an empty multi-query engine whose registered queries all
-    /// share `config` (the window comes from `config.window`).
+    /// share `config` (the window comes from `config.window`). It
+    /// starts on the inline schedule; see [`Self::set_workers`].
     pub fn with_config(config: EngineConfig) -> MultiQueryEngine {
         MultiQueryEngine {
             config,
@@ -300,9 +373,11 @@ impl MultiQueryEngine {
             now: Timestamp::NEG_INFINITY,
             tuples_seen: 0,
             tuples_routed: 0,
+            pool: Pool::default(),
             route_scratch: Vec::new(),
             fanout_scratch: Vec::new(),
             poisoned: false,
+            coord_ns: (0, 0),
             stage: StageTotals::default(),
             beacon: None,
         }
@@ -312,25 +387,77 @@ impl MultiQueryEngine {
     /// the calling thread is in (route/extend/expiry) through relaxed
     /// atomic stores, read by an external ~1 kHz sampling profiler.
     /// The engine stays free of any metrics dependency — the beacon is
-    /// a vocabulary type from `srpq_common`.
+    /// a vocabulary type from `srpq_common`. Worker threads publish
+    /// their own beacons — see [`Self::worker_beacons`].
     pub fn set_beacon(&mut self, beacon: std::sync::Arc<srpq_common::StageBeacon>) {
         self.beacon = Some(beacon);
     }
 
-    /// Worker-thread beacons — none; the sequential engine evaluates
-    /// on the calling thread (API parity with
-    /// `ParallelMultiEngine::worker_beacons`).
+    /// The per-worker stage beacons, index-aligned with the pool
+    /// (thread `srpq-multi-worker-{i}`); empty under the inline
+    /// schedule. Refreshed by [`Self::set_workers`] — re-fetch after it.
     pub fn worker_beacons(&self) -> Vec<std::sync::Arc<srpq_common::StageBeacon>> {
-        Vec::new()
+        self.pool.beacons()
+    }
+
+    /// Number of worker threads; `0` is the inline schedule.
+    pub fn n_workers(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Replaces the worker pool with `n_workers` fresh threads; `0`
+    /// returns to the inline schedule. Cheap and safe at any point
+    /// between batches: workers hold no query state (groups live in
+    /// the registry and only travel out per micro-batch), so the
+    /// partition re-derives itself on the next batch and the event
+    /// stream is unaffected.
+    pub fn set_workers(&mut self, n_workers: usize) {
+        self.assert_usable();
+        // The outgoing pool's evaluation ledger folds into the
+        // coordinator's, conserving total attributed time across the
+        // switch; the new workers start from zero.
+        let (eval, expiry) = self.pool.respawn(n_workers);
+        self.coord_ns.0 += eval;
+        self.coord_ns.1 += expiry;
+    }
+
+    /// Per-worker `(eval_ns, expiry_ns)` totals: the wall-clock each
+    /// worker thread spent inside per-group evaluation calls, and the
+    /// expiry slice thereof. Together with [`Self::coord_totals`] this
+    /// partitions the batch path's evaluation time by the thread that
+    /// actually spent it: summing `eval_ns` over the *group* engines
+    /// equals worker totals plus coordinator totals (while no group has
+    /// been freed — dropping a group drops its side of the ledger — and
+    /// no tuple went through the unmetered per-tuple inline
+    /// [`Self::process`]).
+    pub fn worker_totals(&self) -> &[(u64, u64)] {
+        self.pool.ledger()
+    }
+
+    /// `(eval_ns, expiry_ns)` spent inside group engines on the calling
+    /// thread (inline batches, mutating-singleton stage A, backfill
+    /// replay) plus the ledgers of pools retired by
+    /// [`Self::set_workers`].
+    pub fn coord_totals(&self) -> (u64, u64) {
+        self.coord_ns
     }
 
     /// Cumulative time spent in the batch path ([`Self::process_batch`]),
-    /// split into routing (everything outside per-group evaluation) and
-    /// evaluation (with its expiry slice). Monotone counters — an
-    /// observability layer turns per-batch deltas into stage latency
-    /// histograms without the engine depending on any metrics crate.
+    /// split into routing and evaluation (with its expiry slice).
+    /// `route_ns` is coordinator-exclusive time (label lookup, planning,
+    /// graph application, merge — worker-wait excluded);
+    /// `eval_ns`/`expiry_ns` are the sum of the coordinator and worker
+    /// ledgers, so they keep counting evaluation wall-clock even when
+    /// workers overlap. Monotone counters — an observability layer
+    /// turns per-batch deltas into stage latency histograms without the
+    /// engine depending on any metrics crate.
     pub fn stage_totals(&self) -> StageTotals {
-        self.stage
+        let workers = self.pool.ledger();
+        StageTotals {
+            eval_ns: self.coord_ns.0 + workers.iter().map(|w| w.0).sum::<u64>(),
+            expiry_ns: self.coord_ns.1 + workers.iter().map(|w| w.1).sum::<u64>(),
+            ..self.stage
+        }
     }
 
     /// Allocates a group for `query` (free-listed id, routing bits,
@@ -417,6 +544,7 @@ impl MultiQueryEngine {
         query: CompiledQuery,
         semantics: PathSemantics,
     ) -> Result<QueryId, QueryError> {
+        self.assert_usable();
         let name = name.into();
         if self.by_name.contains_key(&name) {
             return Err(QueryError::DuplicateName(name));
@@ -452,7 +580,9 @@ impl MultiQueryEngine {
     /// through a throwaway scratch engine, and the shared forest is not
     /// touched. Otherwise a new complete group is founded and the
     /// window is replayed into it for real — and it becomes the join
-    /// target for future equivalent registrations.
+    /// target for future equivalent registrations. Either replay runs
+    /// on the calling thread under both schedules: registration is a
+    /// control-plane operation.
     ///
     /// Name uniqueness follows [`Self::register`]: a duplicate live name
     /// is refused with [`QueryError::DuplicateName`] *before* any state
@@ -471,6 +601,7 @@ impl MultiQueryEngine {
         semantics: PathSemantics,
         sink: &mut S,
     ) -> Result<QueryId, QueryError> {
+        self.assert_usable();
         let name = name.into();
         if self.by_name.contains_key(&name) {
             return Err(QueryError::DuplicateName(name));
@@ -504,12 +635,14 @@ impl MultiQueryEngine {
                         &mut tagged,
                     );
                 }
+                let elapsed = t0.elapsed().as_nanos() as u64;
                 self.groups[g as usize]
                     .as_mut()
                     .expect("joined group is live")
                     .engine
                     .stats_mut()
-                    .eval_ns += t0.elapsed().as_nanos() as u64;
+                    .eval_ns += elapsed;
+                self.coord_ns.0 += elapsed;
                 return Ok(id);
             }
             let g = self.alloc_group(query, semantics, true);
@@ -537,6 +670,7 @@ impl MultiQueryEngine {
         let id = self.attach(name, g);
         let grp = self.groups[g as usize].as_mut().expect("just founded");
         let mut tagged = TagSink { id, inner: sink };
+        let expiry0 = grp.engine.stats().expiry_nanos;
         let t0 = std::time::Instant::now();
         for (u, v, label, ts) in replay {
             grp.engine.process_with_graph(
@@ -546,8 +680,13 @@ impl MultiQueryEngine {
             );
         }
         // Attribute the replay to the group's evaluation time, like any
-        // other dispatch into its engine.
-        grp.engine.stats_mut().eval_ns += t0.elapsed().as_nanos() as u64;
+        // other dispatch into its engine, and to the coordinator's
+        // ledger.
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        let stats = grp.engine.stats_mut();
+        stats.eval_ns += elapsed;
+        self.coord_ns.0 += elapsed;
+        self.coord_ns.1 += stats.expiry_nanos - expiry0;
         id
     }
 
@@ -562,6 +701,7 @@ impl MultiQueryEngine {
     /// [`Self::routing_table_size`]) return to what they were before
     /// the query was registered.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), QueryError> {
+        self.assert_usable();
         let slot = self
             .slots
             .get_mut(id.0 as usize)
@@ -940,10 +1080,14 @@ impl MultiQueryEngine {
     }
 
     /// Processes one tuple: route to the groups that speak its label.
-    /// Shares [`Self::process_batch`]'s panic contract: a panic
-    /// mid-tuple poisons the engine (some group's Δ index may be
-    /// half-applied) and further processing is refused.
+    /// Shares [`Self::process_batch`]'s panic contract. Under the
+    /// pooled schedule this is a singleton batch — prefer
+    /// [`Self::process_batch`] there, per-tuple fan-out cannot amortize
+    /// the worker hand-off.
     pub fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
+        if !self.pool.is_empty() {
+            return self.process_batch(std::slice::from_ref(&tuple), sink);
+        }
         self.assert_usable();
         self.poisoned = true; // cleared on orderly completion
         self.tuples_seen += 1;
@@ -960,17 +1104,15 @@ impl MultiQueryEngine {
         self.poisoned = false;
     }
 
-    /// Processes a batch of tuples: shared window maintenance (the
-    /// slide-boundary check and graph purge) runs once per slide
-    /// interval covered instead of once per tuple. Group engines still
-    /// see their tuples in stream order, so the tagged result stream is
-    /// byte-identical to per-tuple processing.
+    /// Processes a batch of tuples on the schedule [`Self::n_workers`]
+    /// selects: shared window maintenance (the slide-boundary check and
+    /// graph purge) runs once per slide interval covered instead of
+    /// once per tuple, and group engines still see their tuples in
+    /// stream order, so the tagged result stream is byte-identical to
+    /// per-tuple processing — inline or pooled.
     ///
-    /// A panic from an engine or sink mid-batch **poisons** this
-    /// engine: the panicking group's Δ index is half-applied, so every
-    /// subsequent `process`/`process_batch` call panics with a
-    /// poisoned-engine message instead of silently dropping tuples.
-    /// Rebuild the engine after catching an unwind out of it (pinned by
+    /// A panic from an engine, worker or sink mid-batch **poisons**
+    /// this engine (see the module docs; pinned by
     /// `tests/parallel_equivalence.rs`).
     pub fn process_batch<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
         self.assert_usable();
@@ -978,8 +1120,29 @@ impl MultiQueryEngine {
         if let Some(b) = &self.beacon {
             b.set(srpq_common::beacon::stage::ROUTE);
         }
-        let window = self.window;
         let t_batch = std::time::Instant::now();
+        // Batch time the coordinator did not spend routing: inline
+        // evaluation, or blocked on worker replies (whose time the
+        // worker ledgers own).
+        let off_route = if self.pool.is_empty() {
+            self.run_inline(batch, sink)
+        } else {
+            self.run_pooled(batch, sink)
+        };
+        self.poisoned = false;
+        let total = t_batch.elapsed().as_nanos() as u64;
+        self.stage.batches += 1;
+        self.stage.route_ns += total.saturating_sub(off_route);
+        if let Some(b) = &self.beacon {
+            b.set(srpq_common::beacon::stage::IDLE);
+            b.advance();
+        }
+    }
+
+    /// The inline schedule of [`Self::process_batch`]; returns the time
+    /// spent inside group engines.
+    fn run_inline<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) -> u64 {
+        let window = self.window;
         let mut batch_eval = 0u64;
         let mut batch_expiry = 0u64;
         let mut i = 0;
@@ -999,40 +1162,51 @@ impl MultiQueryEngine {
             }
             i += len;
         }
+        self.coord_ns.0 += batch_eval;
+        self.coord_ns.1 += batch_expiry;
+        batch_eval
+    }
+
+    fn assert_usable(&self) {
+        assert!(
+            !self.poisoned,
+            "MultiQueryEngine is poisoned: a previous batch panicked \
+             (engine, worker or sink) and engine state may be \
+             half-applied; rebuild the engine instead of reusing it"
+        );
+    }
+
+    /// Forces an expiry pass for every live group (and a shared graph
+    /// purge) at the current eager watermark — across the workers under
+    /// the pooled schedule; expiry events fan out to every subscriber
+    /// in ascending slot order either way.
+    pub fn expire_now<S: MultiSink>(&mut self, sink: &mut S) {
+        self.assert_usable();
+        self.poisoned = true; // cleared on orderly completion
+        if let Some(b) = &self.beacon {
+            b.set(srpq_common::beacon::stage::EXPIRY);
+        }
+        self.graph.purge_expired(self.window.watermark(self.now));
+        if self.pool.is_empty() {
+            self.expire_inline(sink);
+        } else {
+            self.expire_pooled(sink);
+        }
         self.poisoned = false;
-        let total = t_batch.elapsed().as_nanos() as u64;
-        self.stage.batches += 1;
-        self.stage.eval_ns += batch_eval;
-        self.stage.expiry_ns += batch_expiry;
-        self.stage.route_ns += total.saturating_sub(batch_eval);
         if let Some(b) = &self.beacon {
             b.set(srpq_common::beacon::stage::IDLE);
             b.advance();
         }
     }
 
-    fn assert_usable(&self) {
-        assert!(
-            !self.poisoned,
-            "MultiQueryEngine is poisoned: a previous process_batch \
-             panicked mid-batch and engine state may be half-applied; \
-             rebuild the engine instead of reusing it"
-        );
-    }
-
-    /// Forces an expiry pass for every live group (and a shared graph
-    /// purge) at the current eager watermark; expiry events fan out to
-    /// every subscriber in ascending slot order.
-    pub fn expire_now<S: MultiSink>(&mut self, sink: &mut S) {
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::EXPIRY);
-        }
-        self.graph.purge_expired(self.window.watermark(self.now));
+    fn expire_inline<S: MultiSink>(&mut self, sink: &mut S) {
         let mut fan = std::mem::take(&mut self.fanout_scratch);
         fan.clear();
         for (g, entry) in self.groups.iter_mut().enumerate() {
             let Some(grp) = entry.as_mut() else { continue };
             grp.buffer.clear();
+            let expiry0 = grp.engine.stats().expiry_nanos;
+            let t0 = std::time::Instant::now();
             grp.engine.expire_delta_with_graph(
                 &self.graph,
                 Visibility::ALL,
@@ -1040,6 +1214,13 @@ impl MultiQueryEngine {
                     buf: &mut grp.buffer,
                 },
             );
+            // Metered like the pooled schedule's expiry jobs, so the
+            // ledger invariant of `worker_totals` holds either way.
+            let elapsed = t0.elapsed().as_nanos() as u64;
+            let stats = grp.engine.stats_mut();
+            stats.eval_ns += elapsed;
+            self.coord_ns.0 += elapsed;
+            self.coord_ns.1 += stats.expiry_nanos - expiry0;
             if !grp.buffer.is_empty() {
                 fan.extend(grp.subscribers.iter().map(|&slot| (slot, g as u32)));
             }
@@ -1056,10 +1237,6 @@ impl MultiQueryEngine {
             }
         }
         self.fanout_scratch = fan;
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::IDLE);
-            b.advance();
-        }
     }
 }
 

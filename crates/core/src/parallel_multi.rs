@@ -1,90 +1,18 @@
-//! Inter-query parallel evaluation: a [`MultiQueryEngine`] whose
-//! per-group work fans out over a long-lived worker pool (§5.1 of the
-//! paper, lifted from trees-within-one-query to queries-within-one-host).
-//!
-//! The unit of parallelism is the **shared evaluation group** (see
-//! [`crate::multi`]): language-equivalent registrations share one Δ
-//! forest, one emitted-pair set, and one statistics block, so the group
-//! — not the registration slot — is the thing that must never be
-//! touched by two threads. [`ParallelMultiEngine`] hash-partitions live
-//! groups over `n_workers` long-lived threads (group id modulo worker
-//! count, re-derived every batch, so registration changes rebalance
-//! automatically) and processes each caller batch as a sequence of
-//! **micro-batches** in two phases:
-//!
-//! 1. **Plan + apply** (single-threaded): the batch is cut at slide
-//!    boundaries, explicit deletions, and timestamp-changing edge
-//!    refreshes; the coordinator then purges the shared graph at each
-//!    crossed boundary and applies the micro-batch's inserts once,
-//!    stamping every *new* edge with its batch position
-//!    ([`WindowGraph::insert_visible_from`]).
-//! 2. **Extend/expire** (parallel): each worker receives its groups'
-//!    engines plus an `Arc` of the (now read-only) graph and drives the
-//!    engines' read-only traversal path
-//!    ([`Engine::extend_with_graph`]) tuple by tuple. A [`Visibility`]
-//!    horizon per tuple hides in-batch edges a sequential per-tuple run
-//!    would not have seen yet — and makes each group's slide-expiry run
-//!    against the pre-mutation graph, exactly like the sequential
-//!    engine — so each group computes *exactly* what it would under
-//!    [`MultiQueryEngine`].
-//!
-//! Per-worker outboxes are then merged in deterministic
-//! `(arrival position, group)` order and each group's event run is
-//! fanned out to its subscribers in ascending slot order — the same
-//! order the sequential engine's fan-out stage uses — so the tagged
-//! event stream is **byte-identical** to [`MultiQueryEngine`] (pinned
-//! by `tests/parallel_equivalence.rs`, including mid-stream
-//! `register_backfilled`/`deregister`).
-//!
-//! # Panic safety
-//!
-//! A panic in a worker (or in the caller's sink during the merge)
-//! leaves the engine **poisoned**: every subsequent call panics with a
-//! poisoned-engine message instead of silently computing on
-//! half-applied state. Rebuild the engine after catching an unwind.
-//!
-//! The two-phase plan-then-execute shape mirrors deterministic batch
-//! execution in BOHM (Faleiro & Abadi, VLDB 2015); because recovery
-//! replay funnels through [`ParallelMultiEngine::process_batch`], WAL
-//! replay after a crash is parallel per group for free, as in
-//! multicore fast failure recovery (Wu et al.).
+//! The pooled schedule of [`MultiQueryEngine`]: the long-lived worker
+//! threads, the micro-batch planner, and the deterministic merge. What
+//! the schedule computes, why its event stream is byte-identical to the
+//! inline one, and the panic contract are documented once, in
+//! [`crate::multi`]; this module is the machinery behind
+//! `MultiQueryEngine::{process_batch, expire_now}` when
+//! `n_workers() ≥ 1`.
 
-use crate::bitset::DenseBitSet;
-use crate::config::EngineConfig;
-use crate::engine::{Engine, PathSemantics};
-#[cfg(doc)]
-use crate::multi::MultiQueryEngine;
-use crate::multi::{semantics_tag, MultiSink, QueryError, QueryId, TagSink};
+use crate::multi::{Group, MultiQueryEngine, MultiSink, QueryId};
 use crate::sink::ResultSink;
-use crate::stats::{EngineStats, IndexSize, StageTotals};
-use srpq_automata::{CompiledQuery, DfaSignature};
-use srpq_common::{FxHashMap, Label, Op, ResultPair, StreamTuple, Timestamp};
-use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
+use srpq_common::{FxHashMap, Op, ResultPair, StreamTuple, Timestamp};
+use srpq_graph::{Visibility, WindowGraph};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// One registration slot: the subscriber's name and the evaluation
-/// group it rides (mirrors `MultiQueryEngine`'s).
-struct Slot {
-    name: String,
-    group: u32,
-}
-
-/// One shared evaluation group (engines travel to worker threads and
-/// back every micro-batch; the subscriber tags ride along so the
-/// registry entry is whole wherever it is).
-struct ParGroup {
-    engine: Engine,
-    /// Live subscriber slots, ascending.
-    subscribers: Vec<u32>,
-    /// Whether the group's Δ forest covers the whole current window
-    /// (see `crate::multi`: only complete groups are signature-indexed
-    /// and joinable).
-    complete: bool,
-    /// The canonical signature of the group's automaton.
-    signature: DfaSignature,
-}
 
 /// One untagged result event staged in a worker outbox, keyed for the
 /// deterministic merge. Fan-out to subscriber tags happens on the
@@ -134,12 +62,12 @@ enum Job {
     Batch {
         graph: Arc<WindowGraph>,
         tuples: Arc<Vec<StreamTuple>>,
-        groups: Vec<(u32, ParGroup)>,
+        groups: Vec<(u32, Group)>,
     },
     /// Run an explicit eager expiry pass over the shipped groups.
     Expire {
         graph: Arc<WindowGraph>,
-        groups: Vec<(u32, ParGroup)>,
+        groups: Vec<(u32, Group)>,
     },
 }
 
@@ -149,7 +77,7 @@ enum Job {
 /// honest per-worker totals (mirroring every `eval_ns` increment the
 /// job applied to per-group stats).
 struct JobOut {
-    groups: Vec<(u32, ParGroup)>,
+    groups: Vec<(u32, Group)>,
     events: Vec<Ev>,
     eval_ns: u64,
     expiry_ns: u64,
@@ -196,7 +124,7 @@ fn worker_loop(
                         };
                         // `extend` = advance at `upto(pos).before()` —
                         // slide-expiry against the pre-mutation graph,
-                        // as the sequential engine runs it — then
+                        // as the inline schedule runs it — then
                         // dispatch at `upto(pos)`, which admits the
                         // tuple's own edge.
                         grp.engine
@@ -210,7 +138,7 @@ fn worker_loop(
                     }
                 }
                 // Release the graph before replying: the coordinator
-                // regains exclusive `Arc` access once every worker has
+                // takes it back out of the `Arc` once every worker has
                 // answered.
                 drop(graph);
                 drop(tuples);
@@ -262,425 +190,103 @@ fn worker_loop(
     beacon.set(stage::IDLE);
 }
 
-/// A multi-query engine whose evaluation stage scales across worker
-/// threads (see the module docs). API-compatible with
-/// [`MultiQueryEngine`]; the event stream is byte-identical.
-pub struct ParallelMultiEngine {
-    config: EngineConfig,
-    window: WindowPolicy,
-    /// The shared window graph. Workers hold clones only while a
-    /// micro-batch is in flight; between batches the coordinator has
-    /// exclusive access (`Arc::get_mut`).
-    graph: Arc<WindowGraph>,
-    /// Registration slots; `None` marks a deregistered query. Slot
-    /// indexes are query ids and are never reused.
-    slots: Vec<Option<Slot>>,
-    /// Evaluation groups; `None` marks a freed group (or one currently
-    /// shipped to a worker, mid-batch).
-    groups: Vec<Option<ParGroup>>,
-    /// Freed group ids, reused LIFO.
-    free_groups: Vec<u32>,
-    /// `(signature, semantics)` → joinable group. Only complete groups
-    /// under `config.shared_groups` are indexed.
-    sig_index: FxHashMap<(DfaSignature, u8), u32>,
-    /// Live query name → slot (O(1) name lookups).
-    by_name: FxHashMap<String, u32>,
-    /// label → set of group ids whose alphabet contains it.
-    routing: FxHashMap<Label, DenseBitSet>,
-    now: Timestamp,
-    tuples_seen: u64,
-    tuples_routed: u64,
-    pool: Vec<Worker>,
-    /// Per-group `(src, dst, label) → ts` planning map (retained
+/// The worker threads of the pooled schedule plus its retained
+/// scratch. Empty (the default) selects the inline schedule; workers
+/// hold no query state between micro-batches.
+#[derive(Default)]
+pub(crate) struct Pool {
+    workers: Vec<Worker>,
+    /// Per-worker `(eval_ns, expiry_ns)` totals, index-aligned with
+    /// `workers`.
+    ledger: Vec<(u64, u64)>,
+    /// Per-micro-batch `(src, dst, label) → ts` planning map (retained
     /// scratch).
     group_edges: FxHashMap<(u32, u32, u32), Timestamp>,
     /// Retained merge buffer.
     events_scratch: Vec<Ev>,
-    /// Reusable routing-target buffer (singleton path).
-    route_scratch: Vec<u32>,
     /// Reusable `(slot, run start, run end)` fan-out schedule per
     /// merged position segment.
     fan_scratch: Vec<(u32, usize, usize)>,
-    poisoned: bool,
-    /// Per-worker `(eval_ns, expiry_ns)` totals, index-aligned with
-    /// `pool` (see [`Self::worker_totals`]).
-    worker_ns: Vec<(u64, u64)>,
-    /// Evaluation/expiry time spent inline on the coordinator
-    /// (singleton stage A, backfill replay).
-    coord_ns: (u64, u64),
     /// Worker-wait time of the batch in flight (reset per batch; what
     /// the coordinator spends blocked on worker replies, excluded from
     /// `route_ns`).
-    wait_scratch_ns: u64,
-    /// Cumulative batch counters (see [`Self::stage_totals`]).
-    stage: StageTotals,
-    /// Optional coordinator-thread stage beacon (see
-    /// [`Self::set_beacon`]).
-    beacon: Option<Arc<srpq_common::StageBeacon>>,
+    wait_ns: u64,
 }
 
-impl ParallelMultiEngine {
-    /// Creates an empty engine over `window` with `n_workers` threads
-    /// and paper-default per-query configuration (sharing enabled).
-    pub fn new(window: WindowPolicy, n_workers: usize) -> ParallelMultiEngine {
-        Self::with_config(EngineConfig::with_window(window), n_workers)
+impl Pool {
+    pub(crate) fn len(&self) -> usize {
+        self.workers.len()
     }
 
-    /// Creates an empty engine whose registered queries all share
-    /// `config`, evaluated over `n_workers` long-lived threads.
-    pub fn with_config(config: EngineConfig, n_workers: usize) -> ParallelMultiEngine {
-        ParallelMultiEngine {
-            config,
-            window: config.window,
-            graph: Arc::new(WindowGraph::new()),
-            slots: Vec::new(),
-            groups: Vec::new(),
-            free_groups: Vec::new(),
-            sig_index: FxHashMap::default(),
-            by_name: FxHashMap::default(),
-            routing: FxHashMap::default(),
-            now: Timestamp::NEG_INFINITY,
-            tuples_seen: 0,
-            tuples_routed: 0,
-            pool: spawn_pool(n_workers.max(1)),
-            group_edges: FxHashMap::default(),
-            events_scratch: Vec::new(),
-            route_scratch: Vec::new(),
-            fan_scratch: Vec::new(),
-            poisoned: false,
-            worker_ns: vec![(0, 0); n_workers.max(1)],
-            coord_ns: (0, 0),
-            wait_scratch_ns: 0,
-            stage: StageTotals::default(),
-            beacon: None,
-        }
+    pub(crate) fn is_empty(&self) -> bool {
+        self.workers.is_empty()
     }
 
-    /// Attaches a coordinator-thread stage beacon (mirrors
-    /// [`MultiQueryEngine::set_beacon`]): the batch path publishes
-    /// route/expiry stages through relaxed atomic stores for the
-    /// sampling profiler. Worker threads publish their own beacons —
-    /// see [`Self::worker_beacons`].
-    pub fn set_beacon(&mut self, beacon: Arc<srpq_common::StageBeacon>) {
-        self.beacon = Some(beacon);
+    pub(crate) fn beacons(&self) -> Vec<Arc<srpq_common::StageBeacon>> {
+        self.workers.iter().map(|w| Arc::clone(&w.beacon)).collect()
     }
 
-    /// The per-worker stage beacons, index-aligned with the pool
-    /// (thread `srpq-multi-worker-{i}`). Refreshed by
-    /// [`Self::resize_workers`] — re-fetch after a resize.
-    pub fn worker_beacons(&self) -> Vec<Arc<srpq_common::StageBeacon>> {
-        self.pool.iter().map(|w| Arc::clone(&w.beacon)).collect()
+    pub(crate) fn ledger(&self) -> &[(u64, u64)] {
+        &self.ledger
     }
 
-    /// Per-worker `(eval_ns, expiry_ns)` totals: the wall-clock each
-    /// worker thread spent inside per-group evaluation calls, and the
-    /// expiry slice thereof. Together with [`Self::coord_totals`] this
-    /// partitions the cluster's evaluation time by the thread that
-    /// actually spent it: summing `eval_ns` over the *group* engines
-    /// equals worker totals plus coordinator totals (while no group has
-    /// been freed — dropping a group drops its side of the ledger).
-    pub fn worker_totals(&self) -> &[(u64, u64)] {
-        &self.worker_ns
-    }
-
-    /// `(eval_ns, expiry_ns)` spent inline on the coordinator thread
-    /// (mutating-singleton stage A and backfill replay).
-    pub fn coord_totals(&self) -> (u64, u64) {
-        self.coord_ns
-    }
-
-    /// Cumulative stage timings of the batch path. `route_ns` is
-    /// coordinator-exclusive time (planning, graph application, merge —
-    /// worker-wait excluded); `eval_ns`/`expiry_ns` are derived from
-    /// the per-worker and coordinator ledgers, so they keep counting
-    /// evaluation wall-clock even when workers overlap.
-    pub fn stage_totals(&self) -> StageTotals {
-        let mut totals = self.stage;
-        totals.eval_ns = self.coord_ns.0 + self.worker_ns.iter().map(|w| w.0).sum::<u64>();
-        totals.expiry_ns = self.coord_ns.1 + self.worker_ns.iter().map(|w| w.1).sum::<u64>();
-        totals
-    }
-
-    /// Number of worker threads.
-    pub fn n_workers(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Replaces the worker pool with `n_workers` fresh threads. Cheap
-    /// and safe at any point between batches: workers hold no query
-    /// state (groups live in the coordinator and only travel out per
-    /// micro-batch), so the partition re-derives itself on the next
-    /// batch.
-    pub fn resize_workers(&mut self, n_workers: usize) {
-        self.assert_usable();
-        shutdown_pool(&mut self.pool);
-        self.pool = spawn_pool(n_workers.max(1));
-        // The outgoing pool's evaluation ledger folds into the
-        // coordinator's, conserving total attributed time across the
-        // resize; the new workers start from zero.
-        for &(eval, expiry) in &self.worker_ns {
-            self.coord_ns.0 += eval;
-            self.coord_ns.1 += expiry;
-        }
-        self.worker_ns = vec![(0, 0); self.pool.len()];
-    }
-
-    fn assert_usable(&self) {
-        assert!(
-            !self.poisoned,
-            "ParallelMultiEngine is poisoned: a previous batch panicked \
-             (worker or sink) and engine state may be half-applied; \
-             rebuild the engine instead of reusing it"
-        );
-    }
-
-    /// Allocates a group for `query` (free-listed id, routing bits,
-    /// fresh engine). The caller decides whether to signature-index it.
-    fn alloc_group(
-        &mut self,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-        complete: bool,
-    ) -> u32 {
-        let signature = query.signature();
-        let g = match self.free_groups.pop() {
-            Some(g) => g,
-            None => {
-                self.groups.push(None);
-                (self.groups.len() - 1) as u32
-            }
-        };
-        for &label in query.dfa().alphabet() {
-            self.routing.entry(label).or_default().insert(g);
-        }
-        self.groups[g as usize] = Some(ParGroup {
-            engine: Engine::new(query, self.config, semantics),
-            subscribers: Vec::new(),
-            complete,
-            signature,
-        });
-        g
-    }
-
-    /// Frees group `g`: unthreads its routing bits, drops its signature
-    /// index entry if it owns one, and recycles the id (mirrors
-    /// `MultiQueryEngine`).
-    fn free_group(&mut self, g: u32) {
-        let grp = self.groups[g as usize]
-            .take()
-            .expect("freeing a live group");
-        for &label in grp.engine.query().dfa().alphabet() {
-            if let Some(set) = self.routing.get_mut(&label) {
-                set.remove(g);
-                if set.is_empty() {
-                    self.routing.remove(&label);
+    /// Joins the current workers and starts `n_workers` fresh ones;
+    /// returns the retired workers' summed `(eval_ns, expiry_ns)`
+    /// ledger for the caller to keep.
+    pub(crate) fn respawn(&mut self, n_workers: usize) -> (u64, u64) {
+        self.shutdown();
+        let retired = self
+            .ledger
+            .iter()
+            .fold((0, 0), |acc, w| (acc.0 + w.0, acc.1 + w.1));
+        self.workers = (0..n_workers)
+            .map(|i| {
+                let (job_tx, job_rx) = channel::<Job>();
+                let (res_tx, res_rx) = channel::<JobOut>();
+                let beacon = Arc::new(srpq_common::StageBeacon::new());
+                let worker_beacon = Arc::clone(&beacon);
+                let handle = std::thread::Builder::new()
+                    .name(format!("srpq-multi-worker-{i}"))
+                    .spawn(move || worker_loop(job_rx, res_tx, worker_beacon))
+                    .expect("spawn worker thread");
+                Worker {
+                    jobs: Some(job_tx),
+                    results: res_rx,
+                    handle: Some(handle),
+                    beacon,
                 }
+            })
+            .collect();
+        self.ledger = vec![(0, 0); n_workers];
+        retired
+    }
+
+    fn shutdown(&mut self) {
+        for w in self.workers.iter_mut() {
+            w.jobs.take(); // closing the channel ends the worker loop
+        }
+        for w in self.workers.iter_mut() {
+            if let Some(h) = w.handle.take() {
+                let _ = h.join();
             }
         }
-        let key = (grp.signature, semantics_tag(grp.engine.semantics()));
-        if self.sig_index.get(&key) == Some(&g) {
-            self.sig_index.remove(&key);
-        }
-        self.free_groups.push(g);
+        self.workers.clear();
     }
+}
 
-    /// Appends a slot subscribed to group `g` under `name`.
-    fn attach(&mut self, name: String, g: u32) -> QueryId {
-        let id = QueryId(self.slots.len() as u32);
-        self.by_name.insert(name.clone(), id.0);
-        self.slots.push(Some(Slot { name, group: g }));
-        self.groups[g as usize]
-            .as_mut()
-            .expect("attaching to a live group")
-            .subscribers
-            .push(id.0);
-        id
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shutdown();
     }
+}
 
-    /// Registers a query (see [`MultiQueryEngine::register`]): at
-    /// stream start under [`EngineConfig::shared_groups`], a
-    /// language-equivalent registration joins the existing shared
-    /// group; mid-stream plain registrations found private groups.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-    ) -> Result<QueryId, QueryError> {
-        self.assert_usable();
-        let name = name.into();
-        if self.by_name.contains_key(&name) {
-            return Err(QueryError::DuplicateName(name));
-        }
-        let at_start = self.now == Timestamp::NEG_INFINITY;
-        let g = if self.config.shared_groups && at_start {
-            let key = (query.signature(), semantics_tag(semantics));
-            match self.sig_index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = self.alloc_group(query, semantics, true);
-                    self.sig_index.insert(key, g);
-                    g
-                }
-            }
-        } else {
-            self.alloc_group(query, semantics, at_start)
-        };
-        Ok(self.attach(name, g))
-    }
-
-    /// Registers a query and backfills it from the live window content
-    /// (see [`MultiQueryEngine::register_backfilled`], including its
-    /// coverage caveat). Joining an existing complete group replays
-    /// only the backfill *events* through a throwaway scratch engine —
-    /// the shared forest is untouched. The replay is single-threaded —
-    /// registration is a control-plane operation — and produces the
-    /// exact sequential event stream.
-    pub fn register_backfilled<S: MultiSink>(
-        &mut self,
-        name: impl Into<String>,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-        sink: &mut S,
-    ) -> Result<QueryId, QueryError> {
-        self.assert_usable();
-        let name = name.into();
-        if self.by_name.contains_key(&name) {
-            return Err(QueryError::DuplicateName(name));
-        }
-        if self.now == Timestamp::NEG_INFINITY {
-            // Nothing to replay yet — identical to plain registration
-            // (and joinable under sharing).
-            return self.register(name, query, semantics);
-        }
-        let wm = self.window.watermark(self.now);
-        let mut replay = {
-            let graph = Arc::get_mut(&mut self.graph).expect("workers idle between batches");
-            graph.edges(wm)
-        };
-        replay.sort_by_key(|&(.., ts)| ts);
-
-        if self.config.shared_groups {
-            let key = (query.signature(), semantics_tag(semantics));
-            if let Some(&g) = self.sig_index.get(&key) {
-                // Join: the shared forest already covers the window.
-                // Replay through a scratch engine for the backfill
-                // events only (graph mutations are idempotent
-                // re-inserts at identical timestamps).
-                let id = self.attach(name, g);
-                let mut scratch = Engine::new(query, self.config, semantics);
-                let mut tagged = TagSink { id, inner: sink };
-                let t0 = std::time::Instant::now();
-                {
-                    let graph =
-                        Arc::get_mut(&mut self.graph).expect("workers idle between batches");
-                    for (u, v, label, ts) in replay {
-                        scratch.process_with_graph(
-                            graph,
-                            StreamTuple::insert(ts, u, v, label),
-                            &mut tagged,
-                        );
-                    }
-                }
-                let elapsed = t0.elapsed().as_nanos() as u64;
-                self.groups[g as usize]
-                    .as_mut()
-                    .expect("joined group is live")
-                    .engine
-                    .stats_mut()
-                    .eval_ns += elapsed;
-                self.coord_ns.0 += elapsed;
-                return Ok(id);
-            }
-            let g = self.alloc_group(query, semantics, true);
-            self.sig_index.insert(key, g);
-            return Ok(self.replay_into(name, g, replay, sink));
-        }
-        let g = self.alloc_group(query, semantics, true);
-        Ok(self.replay_into(name, g, replay, sink))
-    }
-
-    /// Attaches `name` to freshly founded group `g` and replays the
-    /// window content into its engine.
-    fn replay_into<S: MultiSink>(
-        &mut self,
-        name: String,
-        g: u32,
-        replay: Vec<(
-            srpq_common::VertexId,
-            srpq_common::VertexId,
-            Label,
-            Timestamp,
-        )>,
-        sink: &mut S,
-    ) -> QueryId {
-        let id = self.attach(name, g);
-        let grp = self.groups[g as usize].as_mut().expect("just founded");
-        let graph = Arc::get_mut(&mut self.graph).expect("workers idle between batches");
-        let mut tagged = TagSink { id, inner: sink };
-        let expiry0 = grp.engine.stats().expiry_nanos;
-        let t0 = std::time::Instant::now();
-        for (u, v, label, ts) in replay {
-            grp.engine
-                .process_with_graph(graph, StreamTuple::insert(ts, u, v, label), &mut tagged);
-        }
-        // Attribute the replay to the group's evaluation time (as the
-        // sequential engine does) and to the coordinator's ledger.
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        let stats = grp.engine.stats_mut();
-        stats.eval_ns += elapsed;
-        self.coord_ns.0 += elapsed;
-        self.coord_ns.1 += stats.expiry_nanos - expiry0;
-        id
-    }
-
-    /// Deregisters query `id` (see [`MultiQueryEngine::deregister`]):
-    /// the group's engine is dropped only when the last subscriber
-    /// leaves.
-    pub fn deregister(&mut self, id: QueryId) -> Result<(), QueryError> {
-        self.assert_usable();
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .ok_or(QueryError::UnknownQuery(id))?;
-        let s = slot.take().ok_or(QueryError::UnknownQuery(id))?;
-        self.by_name.remove(&s.name);
-        let grp = self.groups[s.group as usize]
-            .as_mut()
-            .expect("slot points at a live group");
-        grp.subscribers.retain(|&qi| qi != id.0);
-        if grp.subscribers.is_empty() {
-            self.free_group(s.group);
-        }
-        Ok(())
-    }
-
-    /// Processes one tuple (a singleton batch; prefer
-    /// [`Self::process_batch`] — per-tuple fan-out cannot amortize the
-    /// worker hand-off).
-    pub fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        self.process_batch(std::slice::from_ref(&tuple), sink);
-    }
-
-    /// Processes a batch: split into micro-batches (cut at slide
-    /// boundaries, deletions, and timestamp-changing refreshes), each
-    /// run in the two-phase parallel scheme. The tagged event stream
-    /// delivered to `sink` is byte-identical to
-    /// [`MultiQueryEngine::process_batch`] over the same tuples.
-    ///
-    /// A panic from a worker or from `sink` poisons the engine: any
-    /// later call panics instead of computing on half-applied state.
-    pub fn process_batch<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
-        self.assert_usable();
-        if batch.is_empty() {
-            return;
-        }
-        self.poisoned = true; // cleared on orderly completion
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::ROUTE);
-        }
-        let t_batch = std::time::Instant::now();
-        self.wait_scratch_ns = 0;
+impl MultiQueryEngine {
+    /// The pooled schedule of `process_batch`: split into micro-batches
+    /// (cut at slide boundaries, deletions, and timestamp-changing
+    /// refreshes), each run in the two-phase scheme. Returns the time
+    /// spent blocked on worker replies.
+    pub(crate) fn run_pooled<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) -> u64 {
+        self.pool.wait_ns = 0;
         let mut i = 0;
         while i < batch.len() {
             let (len, two_stage) = self.plan_group(&batch[i..]);
@@ -692,57 +298,16 @@ impl ParallelMultiEngine {
             }
             i += len;
         }
-        self.poisoned = false;
-        // Coordinator-exclusive routing time: planning, graph
-        // application, and merge — the blocked-on-workers span (whose
-        // time the worker ledgers own) subtracted out.
-        let total = t_batch.elapsed().as_nanos() as u64;
-        self.stage.batches += 1;
-        self.stage.route_ns += total.saturating_sub(self.wait_scratch_ns);
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::IDLE);
-            b.advance();
-        }
+        self.pool.wait_ns
     }
 
-    /// Forces an expiry pass for every live group (and a shared graph
-    /// purge) at the current eager watermark, in parallel. Event order
-    /// matches [`MultiQueryEngine::expire_now`] (subscriber slots
-    /// ascending).
-    pub fn expire_now<S: MultiSink>(&mut self, sink: &mut S) {
-        self.assert_usable();
-        self.poisoned = true;
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::EXPIRY);
-        }
-        Arc::get_mut(&mut self.graph)
-            .expect("workers idle between batches")
-            .purge_expired(self.window.watermark(self.now));
-        let n = self.pool.len();
-        let mut pending = Vec::new();
-        for w in 0..n {
-            let groups = self.take_partition(w, n);
-            if groups.is_empty() {
-                continue;
-            }
-            self.pool[w]
-                .jobs
-                .as_ref()
-                .expect("pool is live")
-                .send(Job::Expire {
-                    graph: self.graph.clone(),
-                    groups,
-                })
-                .expect("worker thread alive");
-            pending.push(w);
-        }
-        let events = std::mem::take(&mut self.events_scratch);
-        self.collect_and_emit(pending, events, sink);
-        self.poisoned = false;
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::IDLE);
-            b.advance();
-        }
+    /// The pooled schedule of `expire_now` (the caller already purged
+    /// the graph): every worker runs the eager expiry pass over its
+    /// partition.
+    pub(crate) fn expire_pooled<S: MultiSink>(&mut self, sink: &mut S) {
+        let (pending, graph) = self.ship(|graph, groups| Job::Expire { graph, groups });
+        let events = std::mem::take(&mut self.pool.events_scratch);
+        self.collect_and_emit(pending, graph, events, sink);
     }
 
     /// Cuts the leading micro-batch out of `rest`: within one slide
@@ -752,8 +317,8 @@ impl ParallelMultiEngine {
     /// would retroactively change what earlier positions observe).
     /// Those run alone through the two-stage [`Self::run_singleton`]
     /// path (`true` in the return), which sequences every routed
-    /// group's slide-expiry *before* the mutation, as the sequential
-    /// engine does.
+    /// group's slide-expiry *before* the mutation, as the inline
+    /// schedule does.
     fn plan_group(&mut self, rest: &[StreamTuple]) -> (usize, bool) {
         let t0 = &rest[0];
         if self.routing.contains_key(&t0.label) {
@@ -766,8 +331,8 @@ impl ParallelMultiEngine {
                 return (1, true);
             }
         }
-        let (slide_len, _) = self.window.slide_group(self.now, rest, |t| t.ts);
-        let mut edges = std::mem::take(&mut self.group_edges);
+        let (slide_len, _) = self.window().slide_group(self.now, rest, |t| t.ts);
+        let mut edges = std::mem::take(&mut self.pool.group_edges);
         edges.clear();
         let mut len = slide_len;
         for (j, t) in rest[..slide_len].iter().enumerate() {
@@ -793,12 +358,12 @@ impl ParallelMultiEngine {
                 }
             }
         }
-        self.group_edges = edges;
+        self.pool.group_edges = edges;
         (len, false)
     }
 
     /// Runs one mutating singleton (explicit deletion or ts-changing
-    /// refresh) in two stages, reproducing the sequential interleaving
+    /// refresh) in two stages, reproducing the inline interleaving
     /// exactly: (A) **every** routed group advances its clock and runs
     /// any due slide-expiry against the **pre-mutation** graph, inline
     /// on the coordinator; the mutation is then applied; (B) the tuple
@@ -809,11 +374,10 @@ impl ParallelMultiEngine {
     fn run_singleton<S: MultiSink>(&mut self, t: StreamTuple, sink: &mut S) {
         let entry_now = t.ts.max(self.now);
         let crossing =
-            self.now != Timestamp::NEG_INFINITY && self.window.crosses_slide(self.now, entry_now);
+            self.now != Timestamp::NEG_INFINITY && self.window().crosses_slide(self.now, entry_now);
         if crossing {
-            Arc::get_mut(&mut self.graph)
-                .expect("workers idle between batches")
-                .purge_expired(self.window.lazy_watermark(entry_now));
+            self.graph
+                .purge_expired(self.window().lazy_watermark(entry_now));
         }
         self.tuples_seen += 1;
         let mut targets = std::mem::take(&mut self.route_scratch);
@@ -827,7 +391,7 @@ impl ParallelMultiEngine {
         // inline (ascending group order; events carry pos 0, and the
         // stable merge keeps them ahead of the same group's stage-B
         // events).
-        let mut events = std::mem::take(&mut self.events_scratch);
+        let mut events = std::mem::take(&mut self.pool.events_scratch);
         events.clear();
         for &g in &targets {
             let grp = self.groups[g as usize]
@@ -851,15 +415,12 @@ impl ParallelMultiEngine {
         }
 
         // Apply the mutation.
-        {
-            let graph = Arc::get_mut(&mut self.graph).expect("workers idle between batches");
-            match t.op {
-                Op::Insert => {
-                    graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
-                }
-                Op::Delete => {
-                    graph.remove(t.edge.src, t.edge.dst, t.label);
-                }
+        match t.op {
+            Op::Insert => {
+                self.graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
+            }
+            Op::Delete => {
+                self.graph.remove(t.edge.src, t.edge.dst, t.label);
             }
         }
         if t.ts > self.now {
@@ -870,80 +431,91 @@ impl ParallelMultiEngine {
         // Stage B — normal fan-out of the singleton (the mutation is
         // unstamped, so every visibility admits it; the routed groups'
         // clocks already advanced, so their expiry does not re-run).
-        let pending = self.fan_out(&[t]);
-        self.collect_and_emit(pending, events, sink);
+        let (pending, graph) = self.fan_out(&[t]);
+        self.collect_and_emit(pending, graph, events, sink);
     }
 
     /// Runs one insert-only micro-batch through the two-phase scheme.
     fn run_group<S: MultiSink>(&mut self, group: &[StreamTuple], sink: &mut S) {
         // Phase 1 — shared window maintenance and graph application,
-        // once, single-threaded (exactly what `MultiQueryEngine` does
+        // once, single-threaded (exactly what the inline schedule does
         // per slide group, with position stamps added).
         let entry_now = group[0].ts.max(self.now);
         let crossing =
-            self.now != Timestamp::NEG_INFINITY && self.window.crosses_slide(self.now, entry_now);
-        {
-            let graph = Arc::get_mut(&mut self.graph).expect("workers idle between batches");
-            if crossing {
-                graph.purge_expired(self.window.lazy_watermark(entry_now));
+            self.now != Timestamp::NEG_INFINITY && self.window().crosses_slide(self.now, entry_now);
+        if crossing {
+            self.graph
+                .purge_expired(self.window().lazy_watermark(entry_now));
+        }
+        for (pos, t) in group.iter().enumerate() {
+            self.tuples_seen += 1;
+            if t.ts > self.now {
+                self.now = t.ts;
             }
-            for (pos, t) in group.iter().enumerate() {
-                self.tuples_seen += 1;
-                if t.ts > self.now {
-                    self.now = t.ts;
-                }
-                let Some(set) = self.routing.get(&t.label) else {
-                    continue;
-                };
-                for g in set.iter_ones() {
-                    self.tuples_routed += self.groups[g as usize]
-                        .as_ref()
-                        .expect("routed groups are live")
-                        .subscribers
-                        .len() as u64;
-                }
-                debug_assert_eq!(t.op, Op::Insert, "mutating tuples run as singletons");
-                graph.insert_visible_from(t.edge.src, t.edge.dst, t.label, t.ts, pos);
+            let Some(set) = self.routing.get(&t.label) else {
+                continue;
+            };
+            for g in set.iter_ones() {
+                self.tuples_routed += self.groups[g as usize]
+                    .as_ref()
+                    .expect("routed groups are live")
+                    .subscribers
+                    .len() as u64;
             }
+            debug_assert_eq!(t.op, Op::Insert, "mutating tuples run as singletons");
+            self.graph
+                .insert_visible_from(t.edge.src, t.edge.dst, t.label, t.ts, pos);
         }
 
         // Phases 2 + 3 — fan out to the long-lived workers; collect,
         // merge deterministically, deliver.
-        let pending = self.fan_out(group);
-        let events = std::mem::take(&mut self.events_scratch);
-        self.collect_and_emit(pending, events, sink);
+        let (pending, graph) = self.fan_out(group);
+        let events = std::mem::take(&mut self.pool.events_scratch);
+        self.collect_and_emit(pending, graph, events, sink);
     }
 
-    /// Ships `group` plus each worker's group partition to the pool;
-    /// returns the workers owed a reply.
-    fn fan_out(&mut self, group: &[StreamTuple]) -> Vec<usize> {
-        let n = self.pool.len();
+    /// Ships `group` plus each worker's group partition to the pool.
+    fn fan_out(&mut self, group: &[StreamTuple]) -> (Vec<usize>, Arc<WindowGraph>) {
         let tuples = Arc::new(group.to_vec());
+        self.ship(|graph, groups| Job::Batch {
+            graph,
+            tuples: tuples.clone(),
+            groups,
+        })
+    }
+
+    /// Moves the shared graph into an `Arc` — read-only for the
+    /// duration of the micro-batch — and sends every worker with a
+    /// non-empty partition the job `make` builds for it. Returns the
+    /// workers owed a reply and the coordinator's graph handle, which
+    /// [`Self::collect_and_emit`] turns back into the plain graph.
+    fn ship(
+        &mut self,
+        make: impl Fn(Arc<WindowGraph>, Vec<(u32, Group)>) -> Job,
+    ) -> (Vec<usize>, Arc<WindowGraph>) {
+        let graph = Arc::new(std::mem::take(&mut self.graph));
+        let n = self.pool.workers.len();
         let mut pending = Vec::new();
         for w in 0..n {
             let groups = self.take_partition(w, n);
             if groups.is_empty() {
                 continue;
             }
-            self.pool[w]
+            self.pool.workers[w]
                 .jobs
                 .as_ref()
                 .expect("pool is live")
-                .send(Job::Batch {
-                    graph: self.graph.clone(),
-                    tuples: tuples.clone(),
-                    groups,
-                })
+                .send(make(graph.clone(), groups))
                 .expect("worker thread alive");
             pending.push(w);
         }
-        pending
+        (pending, graph)
     }
 
     /// Takes worker `w`'s partition (`group id % n == w`, ascending)
     /// out of the registry for shipment — a shared Δ forest is owned by
     /// exactly one worker per batch.
-    fn take_partition(&mut self, w: usize, n: usize) -> Vec<(u32, ParGroup)> {
+    fn take_partition(&mut self, w: usize, n: usize) -> Vec<(u32, Group)> {
         let mut out = Vec::new();
         let mut g = w;
         while g < self.groups.len() {
@@ -955,29 +527,30 @@ impl ParallelMultiEngine {
         out
     }
 
-    /// Receives every pending worker's reply, restores the groups,
-    /// merges the outboxes in `(arrival, group)` order (appending to
-    /// `events`, which may carry a singleton's stage-A events — the
-    /// stable sort keeps them ahead of the same group's stage-B
-    /// events), clears the batch's visibility stamps, and fans each
-    /// group's event run out to its subscribers in ascending slot
-    /// order — the sequential engine's fan-out order.
+    /// Receives every pending worker's reply, restores the groups and
+    /// the plain graph, merges the outboxes in `(arrival, group)` order
+    /// (appending to `events`, which may carry a singleton's stage-A
+    /// events — the stable sort keeps them ahead of the same group's
+    /// stage-B events), clears the batch's visibility stamps, and fans
+    /// each group's event run out to its subscribers in ascending slot
+    /// order — the inline schedule's fan-out order.
     fn collect_and_emit<S: MultiSink>(
         &mut self,
         pending: Vec<usize>,
+        graph: Arc<WindowGraph>,
         mut events: Vec<Ev>,
         sink: &mut S,
     ) {
         for w in pending {
             let t_wait = std::time::Instant::now();
-            let Ok(out) = self.pool[w].results.recv() else {
+            let Ok(out) = self.pool.workers[w].results.recv() else {
                 // The worker unwound mid-batch; its groups are gone and
                 // `poisoned` stays set — surface it loudly.
-                panic!("ParallelMultiEngine worker {w} panicked; engine is poisoned");
+                panic!("MultiQueryEngine worker {w} panicked; engine is poisoned");
             };
-            self.wait_scratch_ns += t_wait.elapsed().as_nanos() as u64;
-            self.worker_ns[w].0 += out.eval_ns;
-            self.worker_ns[w].1 += out.expiry_ns;
+            self.pool.wait_ns += t_wait.elapsed().as_nanos() as u64;
+            self.pool.ledger[w].0 += out.eval_ns;
+            self.pool.ledger[w].1 += out.expiry_ns;
             for (g, grp) in out.groups {
                 self.groups[g as usize] = Some(grp);
             }
@@ -987,15 +560,14 @@ impl ParallelMultiEngine {
         // the stable sort is a k-way merge that preserves per-(pos,
         // group) generation order.
         events.sort_by_key(|e| (e.pos, e.group));
-        Arc::get_mut(&mut self.graph)
-            .expect("workers idle after collection")
-            .clear_stamps();
-        // Fan-out: within each position, the sequential engine emits
+        self.graph = Arc::into_inner(graph).expect("workers release the graph before replying");
+        self.graph.clear_stamps();
+        // Fan-out: within each position, the inline schedule emits
         // group buffers per subscriber in ascending *slot* order (a
         // group with several subscribers appears once per subscriber,
         // interleaved by slot) — reproduce that by scheduling each
         // group's contiguous event run under each of its subscribers.
-        let mut fan = std::mem::take(&mut self.fan_scratch);
+        let mut fan = std::mem::take(&mut self.pool.fan_scratch);
         let mut i = 0;
         while i < events.len() {
             let pos = events[i].pos;
@@ -1031,298 +603,31 @@ impl ParallelMultiEngine {
             i = seg_end;
         }
         events.clear();
-        self.events_scratch = events;
-        self.fan_scratch = fan;
+        self.pool.events_scratch = events;
+        self.pool.fan_scratch = fan;
     }
-
-    // ---- registry accessors (mirror `MultiQueryEngine`) -------------
-
-    fn slot(&self, id: QueryId) -> Option<&Slot> {
-        self.slots.get(id.0 as usize).and_then(Option::as_ref)
-    }
-
-    fn group(&self, g: u32) -> Option<&ParGroup> {
-        self.groups.get(g as usize).and_then(Option::as_ref)
-    }
-
-    fn group_for(&self, id: QueryId) -> Option<&ParGroup> {
-        self.slot(id).and_then(|s| self.group(s.group))
-    }
-
-    /// Number of live (registered, not deregistered) queries.
-    pub fn n_queries(&self) -> usize {
-        self.slots.iter().filter(|q| q.is_some()).count()
-    }
-
-    /// Number of registration slots ever allocated (ids are
-    /// `0..n_slots`; persistence support).
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of live evaluation groups — at most [`Self::n_queries`];
-    /// the gap is the sharing win.
-    pub fn groups_live(&self) -> usize {
-        self.groups.iter().filter(|g| g.is_some()).count()
-    }
-
-    /// Number of group table entries, freed ones included (persistence
-    /// support).
-    pub fn n_group_slots(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Appends a vacant slot, burning one query id (persistence
-    /// support; see [`MultiQueryEngine::push_vacant_slot`]).
-    pub fn push_vacant_slot(&mut self) {
-        self.slots.push(None);
-    }
-
-    /// Appends a vacant (freed) group entry and free-lists its id
-    /// (persistence support).
-    pub fn push_vacant_group(&mut self) {
-        let g = self.groups.len() as u32;
-        self.groups.push(None);
-        self.free_groups.push(g);
-    }
-
-    /// Appends group `n_group_slots` holding a fresh engine for
-    /// `query`, re-wiring routing and (for complete groups under
-    /// sharing) the signature index; returns its id (persistence
-    /// support; see [`MultiQueryEngine::restore_push_group`]).
-    pub fn restore_push_group(
-        &mut self,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-        complete: bool,
-    ) -> u32 {
-        let signature = query.signature();
-        let g = self.groups.len() as u32;
-        for &label in query.dfa().alphabet() {
-            self.routing.entry(label).or_default().insert(g);
-        }
-        if complete && self.config.shared_groups {
-            self.sig_index
-                .entry((signature.clone(), semantics_tag(semantics)))
-                .or_insert(g);
-        }
-        self.groups.push(Some(ParGroup {
-            engine: Engine::new(query, self.config, semantics),
-            subscribers: Vec::new(),
-            complete,
-            signature,
-        }));
-        g
-    }
-
-    /// Appends a slot subscribed to (already restored) group `group`
-    /// under `name` (persistence support).
-    pub fn restore_subscriber(&mut self, name: impl Into<String>, group: u32) -> QueryId {
-        self.attach(name.into(), group)
-    }
-
-    /// Ids of all live queries, ascending.
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.as_ref().map(|_| QueryId(i as u32)))
-            .collect()
-    }
-
-    /// Ids of all live groups, ascending.
-    pub fn group_ids(&self) -> Vec<u32> {
-        self.groups
-            .iter()
-            .enumerate()
-            .filter_map(|(g, s)| s.as_ref().map(|_| g as u32))
-            .collect()
-    }
-
-    /// The id of the live query registered under `name` (O(1)).
-    pub fn query_id(&self, name: &str) -> Option<QueryId> {
-        self.by_name.get(name).map(|&slot| QueryId(slot))
-    }
-
-    /// The name a query was registered under.
-    pub fn name(&self, id: QueryId) -> Option<&str> {
-        self.slot(id).map(|s| s.name.as_str())
-    }
-
-    /// The evaluation group query `id` rides.
-    pub fn group_of(&self, id: QueryId) -> Option<u32> {
-        self.slot(id).map(|s| s.group)
-    }
-
-    /// Live subscriber slots of group `g`, ascending.
-    pub fn group_subscribers(&self, g: u32) -> Option<&[u32]> {
-        self.group(g).map(|grp| grp.subscribers.as_slice())
-    }
-
-    /// The canonical automaton signature of group `g`.
-    pub fn group_signature(&self, g: u32) -> Option<&DfaSignature> {
-        self.group(g).map(|grp| &grp.signature)
-    }
-
-    /// Whether group `g`'s Δ forest covers the whole window (joinable
-    /// by backfilled registrations).
-    pub fn group_is_complete(&self, g: u32) -> Option<bool> {
-        self.group(g).map(|grp| grp.complete)
-    }
-
-    /// Per-query engine statistics (shared with any co-subscribers —
-    /// aggregate over [`Self::group_ids`] to avoid double counting).
-    pub fn stats(&self, id: QueryId) -> Option<&EngineStats> {
-        self.group_for(id).map(|grp| grp.engine.stats())
-    }
-
-    /// Per-query Δ index size (shared with any co-subscribers).
-    pub fn index_size(&self, id: QueryId) -> Option<IndexSize> {
-        self.group_for(id).map(|grp| grp.engine.index_size())
-    }
-
-    /// Aggregate Δ index size over all live groups.
-    pub fn total_index_size(&self) -> IndexSize {
-        let mut total = IndexSize::default();
-        for grp in self.groups.iter().flatten() {
-            let s = grp.engine.index_size();
-            total.trees += s.trees;
-            total.nodes += s.nodes;
-            total.arena_bytes += s.arena_bytes;
-        }
-        total
-    }
-
-    /// Routing-table footprint as `(labels, entries)`.
-    pub fn routing_table_size(&self) -> (usize, usize) {
-        (
-            self.routing.len(),
-            self.routing.values().map(DenseBitSet::count).sum(),
-        )
-    }
-
-    /// Whether query `id` currently reports `pair`.
-    pub fn has_result(&self, id: QueryId, pair: ResultPair) -> bool {
-        self.group_for(id)
-            .map(|grp| grp.engine.has_result(pair))
-            .unwrap_or(false)
-    }
-
-    /// The shared window graph.
-    pub fn graph(&self) -> &WindowGraph {
-        &self.graph
-    }
-
-    /// Mutable shared window graph (persistence support).
-    pub fn graph_mut(&mut self) -> &mut WindowGraph {
-        Arc::get_mut(&mut self.graph).expect("workers idle between batches")
-    }
-
-    /// The shared per-query configuration template.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The shared window policy.
-    pub fn window(&self) -> WindowPolicy {
-        self.window
-    }
-
-    /// Stream time of the last processed tuple.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// The group engine behind query `id` (shared with any
-    /// co-subscribers).
-    pub fn engine(&self, id: QueryId) -> Option<&Engine> {
-        self.group_for(id).map(|grp| &grp.engine)
-    }
-
-    /// Mutable access to the group engine behind query `id`
-    /// (persistence support).
-    pub fn engine_mut(&mut self, id: QueryId) -> Option<&mut Engine> {
-        let g = self.group_of(id)?;
-        self.group_engine_mut(g)
-    }
-
-    /// The engine of group `g`.
-    pub fn group_engine(&self, g: u32) -> Option<&Engine> {
-        self.group(g).map(|grp| &grp.engine)
-    }
-
-    /// Mutable engine of group `g` (persistence support).
-    pub fn group_engine_mut(&mut self, g: u32) -> Option<&mut Engine> {
-        self.groups
-            .get_mut(g as usize)
-            .and_then(Option::as_mut)
-            .map(|grp| &mut grp.engine)
-    }
-
-    /// Overwrites the shared clock and routing counters with
-    /// checkpointed values (persistence support).
-    pub fn restore_cursor(&mut self, now: Timestamp, tuples_seen: u64, tuples_routed: u64) {
-        self.now = now;
-        self.tuples_seen = tuples_seen;
-        self.tuples_routed = tuples_routed;
-    }
-
-    /// Tuples seen and logical per-subscriber dispatches performed.
-    pub fn routing_stats(&self) -> (u64, u64) {
-        (self.tuples_seen, self.tuples_routed)
-    }
-}
-
-impl Drop for ParallelMultiEngine {
-    fn drop(&mut self) {
-        shutdown_pool(&mut self.pool);
-    }
-}
-
-fn spawn_pool(n_workers: usize) -> Vec<Worker> {
-    (0..n_workers)
-        .map(|i| {
-            let (job_tx, job_rx) = channel::<Job>();
-            let (res_tx, res_rx) = channel::<JobOut>();
-            let beacon = Arc::new(srpq_common::StageBeacon::new());
-            let worker_beacon = Arc::clone(&beacon);
-            let handle = std::thread::Builder::new()
-                .name(format!("srpq-multi-worker-{i}"))
-                .spawn(move || worker_loop(job_rx, res_tx, worker_beacon))
-                .expect("spawn worker thread");
-            Worker {
-                jobs: Some(job_tx),
-                results: res_rx,
-                handle: Some(handle),
-                beacon,
-            }
-        })
-        .collect()
-}
-
-fn shutdown_pool(pool: &mut Vec<Worker>) {
-    for w in pool.iter_mut() {
-        w.jobs.take(); // closing the channel ends the worker loop
-    }
-    for w in pool.iter_mut() {
-        if let Some(h) = w.handle.take() {
-            let _ = h.join();
-        }
-    }
-    pool.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::{MultiCollectSink, MultiQueryEngine};
+    use crate::engine::PathSemantics;
+    use crate::multi::MultiCollectSink;
+    use srpq_automata::CompiledQuery;
     use srpq_common::{LabelInterner, VertexId};
+    use srpq_graph::WindowPolicy;
 
-    fn setup(n_workers: usize) -> (ParallelMultiEngine, LabelInterner, QueryId, QueryId) {
+    fn pooled(window: WindowPolicy, n_workers: usize) -> MultiQueryEngine {
+        let mut multi = MultiQueryEngine::new(window);
+        multi.set_workers(n_workers);
+        multi
+    }
+
+    fn setup(n_workers: usize) -> (MultiQueryEngine, LabelInterner, QueryId, QueryId) {
         let mut labels = LabelInterner::new();
         let q1 = CompiledQuery::compile("a b", &mut labels).unwrap();
         let q2 = CompiledQuery::compile("b+", &mut labels).unwrap();
-        let mut multi = ParallelMultiEngine::new(WindowPolicy::new(100, 10), n_workers);
+        let mut multi = pooled(WindowPolicy::new(100, 10), n_workers);
         let id1 = multi.register("ab", q1, PathSemantics::Arbitrary).unwrap();
         let id2 = multi
             .register("bplus", q2, PathSemantics::Arbitrary)
@@ -1331,92 +636,10 @@ mod tests {
     }
 
     #[test]
-    fn routes_by_label_and_tags_results() {
-        for n_workers in [1, 2, 4] {
-            let (mut multi, labels, id1, id2) = setup(n_workers);
-            let a = labels.get("a").unwrap();
-            let b = labels.get("b").unwrap();
-            let v = VertexId;
-            let mut sink = MultiCollectSink::default();
-            multi.process_batch(
-                &[
-                    StreamTuple::insert(Timestamp(1), v(0), v(1), a),
-                    StreamTuple::insert(Timestamp(2), v(1), v(2), b),
-                    StreamTuple::insert(Timestamp(3), v(2), v(3), b),
-                ],
-                &mut sink,
-            );
-            assert!(multi.has_result(id1, ResultPair::new(v(0), v(2))));
-            assert!(multi.has_result(id2, ResultPair::new(v(1), v(3))));
-            assert!(!multi.has_result(id1, ResultPair::new(v(1), v(3))));
-            for &(id, pair, _) in &sink.emitted {
-                assert!(multi.has_result(id, pair));
-            }
-            let (seen, routed) = multi.routing_stats();
-            assert_eq!(seen, 3);
-            // a → {ab}; each b → {ab, bplus}.
-            assert_eq!(routed, 5);
-            assert_eq!(multi.graph().n_edges(), 3);
-        }
-    }
-
-    #[test]
-    fn matches_sequential_multi_event_stream() {
-        // The headline guarantee in miniature (the full pinned suite
-        // lives in tests/parallel_equivalence.rs): identical tagged
-        // event streams, any worker count.
-        let mut labels = LabelInterner::new();
-        let qa = CompiledQuery::compile("a b*", &mut labels).unwrap();
-        let qb = CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
-        let window = WindowPolicy::new(20, 4);
-        let a = labels.get("a").unwrap();
-        let b = labels.get("b").unwrap();
-        let v = VertexId;
-        let stream: Vec<StreamTuple> = (0..120)
-            .map(|i| {
-                let src = v(i % 7);
-                let dst = v((i * 3 + 1) % 7);
-                let label = if i % 2 == 0 { a } else { b };
-                StreamTuple::insert(Timestamp(i as i64 / 2), src, dst, label)
-            })
-            .collect();
-
-        let mut seq = MultiQueryEngine::new(window);
-        seq.register("qa", qa.clone(), PathSemantics::Arbitrary)
-            .unwrap();
-        seq.register("qb", qb.clone(), PathSemantics::Arbitrary)
-            .unwrap();
-        let mut seq_sink = MultiCollectSink::default();
-        for chunk in stream.chunks(16) {
-            seq.process_batch(chunk, &mut seq_sink);
-        }
-        seq.expire_now(&mut seq_sink);
-
-        for n_workers in [1, 2, 3, 8] {
-            let mut par = ParallelMultiEngine::new(window, n_workers);
-            par.register("qa", qa.clone(), PathSemantics::Arbitrary)
-                .unwrap();
-            par.register("qb", qb.clone(), PathSemantics::Arbitrary)
-                .unwrap();
-            let mut par_sink = MultiCollectSink::default();
-            for chunk in stream.chunks(16) {
-                par.process_batch(chunk, &mut par_sink);
-            }
-            par.expire_now(&mut par_sink);
-            assert_eq!(
-                seq_sink.emitted, par_sink.emitted,
-                "{n_workers} workers: emission stream diverged"
-            );
-            assert_eq!(seq_sink.invalidated, par_sink.invalidated);
-            assert_eq!(par.graph().n_edges(), seq.graph().n_edges());
-        }
-    }
-
-    #[test]
     fn shared_groups_fan_out_across_workers() {
         // Language-equivalent registrations share one group; the
-        // parallel fan-out must still deliver per-subscriber streams
-        // identical to the sequential engine's, at any worker count.
+        // pooled fan-out must still deliver per-subscriber streams
+        // identical to the inline schedule's, at any worker count.
         let mut labels = LabelInterner::new();
         let window = WindowPolicy::new(20, 4);
         let exprs = ["(a | b)+", "(b | a)+", "(a | b) (a | b)*", "a b"];
@@ -1444,7 +667,7 @@ mod tests {
         seq.expire_now(&mut seq_sink);
 
         for n_workers in [1, 2, 4] {
-            let mut par = ParallelMultiEngine::new(window, n_workers);
+            let mut par = pooled(window, n_workers);
             for (i, e) in exprs.iter().enumerate() {
                 let q = CompiledQuery::compile(e, &mut labels).unwrap();
                 par.register(format!("q{i}"), q, PathSemantics::Arbitrary)
@@ -1474,7 +697,7 @@ mod tests {
         let mut sink = MultiCollectSink::default();
         // Insert, refresh (same edge, later ts), and delete all in one
         // caller batch: the planner must cut so the stream still equals
-        // the sequential engine's.
+        // the inline schedule's.
         let batch = [
             StreamTuple::insert(Timestamp(1), v(0), v(1), a),
             StreamTuple::insert(Timestamp(2), v(1), v(2), b),
@@ -1504,7 +727,7 @@ mod tests {
         let q1 = CompiledQuery::compile("a", &mut labels).unwrap();
         let a = labels.get("a").unwrap();
         let v = VertexId;
-        let mut multi = ParallelMultiEngine::new(WindowPolicy::new(100, 10), 3);
+        let mut multi = pooled(WindowPolicy::new(100, 10), 3);
         let id1 = multi
             .register("first", q1, PathSemantics::Arbitrary)
             .unwrap();
@@ -1548,7 +771,7 @@ mod tests {
             &mut sink,
         );
         assert!(multi.has_result(id1, ResultPair::new(v(0), v(2))));
-        multi.resize_workers(4);
+        multi.set_workers(4);
         assert_eq!(multi.n_workers(), 4);
         multi.process_batch(
             &[StreamTuple::insert(Timestamp(3), v(2), v(3), b)],
@@ -1556,6 +779,47 @@ mod tests {
         );
         assert!(multi.has_result(id1, ResultPair::new(v(0), v(2))));
         assert_eq!(multi.n_queries(), 2);
+
+        // Switching schedules mid-stream, 0 → 3 → 0 workers, with a
+        // deletion and a ts-changing refresh after each switch (and a
+        // slide crossing in between): the event stream stays
+        // byte-identical to an engine that never left the inline
+        // schedule.
+        let phases = [
+            vec![
+                StreamTuple::insert(Timestamp(1), v(0), v(1), a),
+                StreamTuple::insert(Timestamp(2), v(1), v(2), b),
+                StreamTuple::insert(Timestamp(3), v(2), v(3), b),
+            ],
+            vec![
+                StreamTuple::delete(Timestamp(11), v(1), v(2), b),
+                StreamTuple::insert(Timestamp(12), v(2), v(3), b), // refresh
+                StreamTuple::insert(Timestamp(13), v(1), v(2), b),
+                StreamTuple::insert(Timestamp(14), v(3), v(4), b),
+            ],
+            vec![
+                StreamTuple::delete(Timestamp(21), v(2), v(3), b),
+                StreamTuple::insert(Timestamp(22), v(1), v(2), b), // refresh
+                StreamTuple::insert(Timestamp(23), v(2), v(3), b),
+            ],
+        ];
+        let (mut switching, ..) = setup(0);
+        let (mut inline, ..) = setup(0);
+        let mut got = MultiCollectSink::default();
+        let mut want = MultiCollectSink::default();
+        for (phase, n_workers) in phases.iter().zip([0, 3, 0]) {
+            switching.set_workers(n_workers);
+            assert_eq!(switching.n_workers(), n_workers);
+            switching.process_batch(phase, &mut got);
+            inline.process_batch(phase, &mut want);
+        }
+        switching.expire_now(&mut got);
+        inline.expire_now(&mut want);
+        assert!(!want.invalidated.is_empty(), "vacuous fixture");
+        assert_eq!(got.emitted, want.emitted);
+        assert_eq!(got.invalidated, want.invalidated);
+        assert_eq!(switching.graph().n_edges(), inline.graph().n_edges());
+        assert_eq!(switching.routing_stats(), inline.routing_stats());
     }
 
     #[test]
@@ -1563,16 +827,17 @@ mod tests {
         // Per-group `eval_ns` must sum to exactly what the per-worker
         // and coordinator ledgers recorded: every increment applied to
         // a group's stats is mirrored into whichever thread spent it
-        // (worker batch/expire jobs, coordinator singleton stage A and
-        // backfill replay).
-        for n_workers in [1, 2, 3] {
+        // (worker batch/expire jobs, coordinator inline batches,
+        // singleton stage A and backfill replay) — under both
+        // schedules.
+        for n_workers in [0, 1, 2, 3] {
             let mut labels = LabelInterner::new();
             let qa = CompiledQuery::compile("a b*", &mut labels).unwrap();
             let qb = CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
             let a = labels.get("a").unwrap();
             let b = labels.get("b").unwrap();
             let v = VertexId;
-            let mut multi = ParallelMultiEngine::new(WindowPolicy::new(20, 4), n_workers);
+            let mut multi = pooled(WindowPolicy::new(20, 4), n_workers);
             multi.register("qa", qa, PathSemantics::Arbitrary).unwrap();
             multi.register("qb", qb, PathSemantics::Arbitrary).unwrap();
             let mut sink = MultiCollectSink::default();
@@ -1592,7 +857,10 @@ mod tests {
             }
             // Exercise every eval site: deletion singleton, explicit
             // expiry, and a backfilled registration.
-            multi.process(StreamTuple::delete(Timestamp(49), v(0), v(1), a), &mut sink);
+            multi.process_batch(
+                &[StreamTuple::delete(Timestamp(49), v(0), v(1), a)],
+                &mut sink,
+            );
             multi.expire_now(&mut sink);
             let qc = CompiledQuery::compile("b a", &mut labels).unwrap();
             multi
@@ -1627,13 +895,15 @@ mod tests {
             assert_eq!(stage.expiry_ns, ledger_expiry);
             assert!(stage.batches > 0);
 
-            // Resizing folds worker ledgers into the coordinator's —
-            // the total is conserved.
-            multi.resize_workers(2);
-            assert_eq!(
-                multi.coord_totals().0 + multi.worker_totals().iter().map(|w| w.0).sum::<u64>(),
-                ledger_eval
-            );
+            // Replacing the pool folds worker ledgers into the
+            // coordinator's — the total is conserved, also on the way
+            // back to the inline schedule.
+            for next in [2, 0] {
+                multi.set_workers(next);
+                assert_eq!(multi.worker_totals(), vec![(0, 0); next]);
+                assert_eq!(multi.coord_totals(), (ledger_eval, ledger_expiry));
+                assert_eq!(multi.stage_totals().eval_ns, ledger_eval);
+            }
         }
     }
 

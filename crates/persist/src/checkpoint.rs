@@ -26,7 +26,7 @@
 //!
 //! ```text
 //! file   := body crc32(body)
-//! body   := magic "SRPQCKP1" | u32 version = 3 | u8 kind | u8 strategy
+//! body   := magic "SRPQCKP1" | u32 version = 4 | u8 kind | u8 strategy
 //!           | u64 seq | payload (engine-kind specific, see
 //!           `srpq_persist::durable::PersistEngine`)
 //! ```

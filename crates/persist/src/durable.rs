@@ -46,7 +46,7 @@ use srpq_core::delta::Forest;
 use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::multi::{MultiQueryEngine, MultiSink, NullMultiSink};
 use srpq_core::sink::{NullSink, ResultSink};
-use srpq_core::{EngineStats, ParallelMultiEngine, ParallelRapqEngine, QueryId};
+use srpq_core::{EngineStats, ParallelRapqEngine, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_obs::{Counter, EventKind, Gauge, Histogram, Obs};
 use std::path::{Path, PathBuf};
@@ -541,24 +541,8 @@ impl Durable<ParallelRapqEngine> {
 }
 
 impl Durable<MultiQueryEngine> {
-    /// WAL-append then process: the durable ingestion entry point.
-    pub fn process_batch<S: MultiSink>(
-        &mut self,
-        batch: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.log_batch(batch)?;
-        self.inner.process_batch(batch, sink);
-        self.after_batch()
-    }
-}
-
-impl Durable<ParallelMultiEngine> {
     /// WAL-append then process: the durable ingestion entry point
-    /// (evaluation fans out over the engine's worker pool).
+    /// (evaluation runs on whichever schedule the engine is set to).
     pub fn process_batch<S: MultiSink>(
         &mut self,
         batch: &[StreamTuple],
@@ -675,208 +659,189 @@ impl PersistEngine for Engine {
     }
 }
 
-/// Worker-pool size for a [`ParallelMultiEngine`] rebuilt from a
-/// checkpoint: the checkpoint format is shared with the sequential
-/// engine and deliberately stores no worker count (parallelism is
-/// runtime configuration, not logical state) — recovery defaults to the
-/// machine's parallelism and hosts resize afterwards
-/// (`ParallelMultiEngine::resize_workers`).
-fn default_pool_size() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
+/// KIND 2 is the multi-query host's logical state, independent of the
+/// evaluation schedule: a durable directory written at any worker count
+/// recovers at any other (switch `--workers` freely across restarts).
+impl PersistEngine for MultiQueryEngine {
+    const KIND: u8 = 2;
 
-/// [`MultiQueryEngine`] and [`ParallelMultiEngine`] carry the same
-/// logical state behind the same API, so they share `KIND` and byte
-/// layout: a durable directory written under either host recovers as
-/// either (switch `--workers` freely across restarts).
-macro_rules! impl_multi_persist {
-    ($ty:ty, $new:expr) => {
-        impl PersistEngine for $ty {
-            const KIND: u8 = 2;
+    fn clock(&self) -> Timestamp {
+        self.now()
+    }
 
-            fn clock(&self) -> Timestamp {
-                self.now()
-            }
+    fn window_policy(&self) -> WindowPolicy {
+        self.window()
+    }
 
-            fn window_policy(&self) -> WindowPolicy {
-                self.window()
-            }
-
-            fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter) {
-                checkpoint::encode_config(w, self.config());
-                w.i64(self.now().0);
-                let (seen, routed) = self.routing_stats();
-                w.u64(seen);
-                w.u64(routed);
-                checkpoint::encode_graph(w, self.graph());
-                // Registration slots, vacated ones included: query ids are slot
-                // indexes and subscribers hold them across restarts, so a
-                // deregistered slot is checkpointed as an explicit tombstone
-                // rather than compacted away. A slot stores only its name and
-                // its group id — evaluation state lives in the group table.
-                w.u32(self.n_slots() as u32);
-                for qi in 0..self.n_slots() as u32 {
-                    let id = QueryId(qi);
-                    let Some(g) = self.group_of(id) else {
-                        w.u8(0); // vacant slot
-                        continue;
-                    };
-                    w.u8(1);
-                    w.str(self.name(id).unwrap_or(""));
-                    w.u32(g);
+    fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter) {
+        checkpoint::encode_config(w, self.config());
+        w.i64(self.now().0);
+        let (seen, routed) = self.routing_stats();
+        w.u64(seen);
+        w.u64(routed);
+        checkpoint::encode_graph(w, self.graph());
+        // Registration slots, vacated ones included: query ids are slot
+        // indexes and subscribers hold them across restarts, so a
+        // deregistered slot is checkpointed as an explicit tombstone
+        // rather than compacted away. A slot stores only its name and
+        // its group id — evaluation state lives in the group table.
+        w.u32(self.n_slots() as u32);
+        for qi in 0..self.n_slots() as u32 {
+            let id = QueryId(qi);
+            let Some(g) = self.group_of(id) else {
+                w.u8(0); // vacant slot
+                continue;
+            };
+            w.u8(1);
+            w.str(self.name(id).unwrap_or(""));
+            w.u32(g);
+        }
+        // Evaluation groups, freed ones included (group ids in the
+        // slot entries above are positional). Shared state — the Δ
+        // forest, emitted-pair set, statistics — is checkpointed once
+        // per group, not once per subscriber; recovery re-attaches
+        // subscribers from the encoded membership, never by signature
+        // re-matching.
+        w.u32(self.n_group_slots() as u32);
+        for g in 0..self.n_group_slots() as u32 {
+            let Some(engine) = self.group_engine(g) else {
+                w.u8(0); // freed group
+                continue;
+            };
+            w.u8(1);
+            encode_semantics(w, engine.semantics());
+            w.str(&engine.query().regex().to_string());
+            w.u8(self.group_is_complete(g).unwrap_or(false) as u8);
+            w.i64(engine.now().0);
+            checkpoint::encode_pairs(w, &engine.emitted_pairs());
+            checkpoint::encode_stats(w, engine.stats());
+            if strategy == CheckpointStrategy::Full {
+                match engine {
+                    Engine::Arbitrary(e) => checkpoint::encode_forest(w, e.delta()),
+                    Engine::Simple(e) => checkpoint::encode_forest(w, e.delta()),
                 }
-                // Evaluation groups, freed ones included (group ids in the
-                // slot entries above are positional). Shared state — the Δ
-                // forest, emitted-pair set, statistics — is checkpointed once
-                // per group, not once per subscriber; recovery re-attaches
-                // subscribers from the encoded membership, never by signature
-                // re-matching.
-                w.u32(self.n_group_slots() as u32);
-                for g in 0..self.n_group_slots() as u32 {
-                    let Some(engine) = self.group_engine(g) else {
-                        w.u8(0); // freed group
-                        continue;
-                    };
-                    w.u8(1);
-                    encode_semantics(w, engine.semantics());
-                    w.str(&engine.query().regex().to_string());
-                    w.u8(self.group_is_complete(g).unwrap_or(false) as u8);
-                    w.i64(engine.now().0);
-                    checkpoint::encode_pairs(w, &engine.emitted_pairs());
-                    checkpoint::encode_stats(w, engine.stats());
-                    if strategy == CheckpointStrategy::Full {
-                        match engine {
-                            Engine::Arbitrary(e) => checkpoint::encode_forest(w, e.delta()),
-                            Engine::Simple(e) => checkpoint::encode_forest(w, e.delta()),
-                        }
-                    }
-                }
-            }
-
-            fn decode_state(
-                r: &mut ByteReader,
-                strategy: CheckpointStrategy,
-                labels: &mut LabelInterner,
-            ) -> Result<$ty> {
-                let config = checkpoint::decode_config(r)?;
-                let now = Timestamp(r.i64()?);
-                let seen = r.u64()?;
-                let routed = r.u64()?;
-                let edges = checkpoint::decode_graph(r)?;
-
-                // Slot table first (membership), then the group table
-                // (evaluation state), then attach subscribers in slot order
-                // so ids keep their meaning.
-                let n_slots = r.count(1)?;
-                let mut slot_meta: Vec<Option<(String, u32)>> = Vec::with_capacity(n_slots);
-                for _ in 0..n_slots {
-                    if r.u8()? == 0 {
-                        slot_meta.push(None);
-                        continue;
-                    }
-                    let name = r.str()?;
-                    let group = r.u32()?;
-                    slot_meta.push(Some((name, group)));
-                }
-
-                struct GroupState {
-                    g: u32,
-                    now: Timestamp,
-                    emitted: Vec<srpq_common::ResultPair>,
-                    stats: EngineStats,
-                }
-                #[allow(clippy::redundant_closure_call)]
-                let mut multi: $ty = ($new)(config);
-                let n_groups = r.count(1)?;
-                let mut cursors = Vec::with_capacity(n_groups);
-                for slot in 0..n_groups as u32 {
-                    if r.u8()? == 0 {
-                        // Tombstone of a freed group: burn the id so the slot
-                        // entries above keep their meaning.
-                        multi.push_vacant_group();
-                        continue;
-                    }
-                    let semantics = decode_semantics(r)?;
-                    let regex = r.str()?;
-                    let complete = r.u8()? != 0;
-                    let gnow = Timestamp(r.i64()?);
-                    let emitted = checkpoint::decode_pairs(r)?;
-                    let stats = checkpoint::decode_stats(r)?;
-                    let query = compile(&regex, labels)?;
-                    let g = multi.restore_push_group(query, semantics, complete);
-                    if g != slot {
-                        return Err(corrupt(format!(
-                            "checkpoint group {slot} restored as group id {g}"
-                        )));
-                    }
-                    if strategy == CheckpointStrategy::Full {
-                        let engine = multi.group_engine_mut(g).expect("just restored");
-                        match engine {
-                            Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                            Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                        }
-                    }
-                    cursors.push(GroupState {
-                        g,
-                        now: gnow,
-                        emitted,
-                        stats,
-                    });
-                }
-                for (slot, meta) in slot_meta.into_iter().enumerate() {
-                    match meta {
-                        None => multi.push_vacant_slot(),
-                        Some((name, group)) => {
-                            if multi.group_engine(group).is_none() {
-                                return Err(corrupt(format!(
-                                    "checkpoint slot {slot} rides missing group {group}"
-                                )));
-                            }
-                            let id = multi.restore_subscriber(name, group);
-                            if id.0 as usize != slot {
-                                return Err(corrupt(format!(
-                                    "checkpoint slot {slot} restored as query id {id}"
-                                )));
-                            }
-                        }
-                    }
-                }
-                match strategy {
-                    CheckpointStrategy::Logical => {
-                        multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
-                    }
-                    CheckpointStrategy::Full => {
-                        let graph = multi.graph_mut();
-                        for &(u, v, l, ts) in &edges {
-                            graph.insert(u, v, l, ts);
-                        }
-                    }
-                }
-                for cur in cursors {
-                    let engine = multi.group_engine_mut(cur.g).expect("restored above");
-                    engine.restore_cursor(cur.now, cur.emitted, cur.stats);
-                }
-                multi.restore_cursor(now, seen, routed);
-                Ok(multi)
-            }
-
-            fn replay(&mut self, batch: &[StreamTuple]) {
-                self.process_batch(batch, &mut NullMultiSink);
-            }
-
-            fn durability_stats_mut(&mut self) -> Option<&mut EngineStats> {
-                None
             }
         }
-    };
-}
+    }
 
-impl_multi_persist!(MultiQueryEngine, MultiQueryEngine::with_config);
-impl_multi_persist!(ParallelMultiEngine, |config| {
-    ParallelMultiEngine::with_config(config, default_pool_size())
-});
+    fn decode_state(
+        r: &mut ByteReader,
+        strategy: CheckpointStrategy,
+        labels: &mut LabelInterner,
+    ) -> Result<MultiQueryEngine> {
+        let config = checkpoint::decode_config(r)?;
+        let now = Timestamp(r.i64()?);
+        let seen = r.u64()?;
+        let routed = r.u64()?;
+        let edges = checkpoint::decode_graph(r)?;
+
+        // Slot table first (membership), then the group table
+        // (evaluation state), then attach subscribers in slot order
+        // so ids keep their meaning.
+        let n_slots = r.count(1)?;
+        let mut slot_meta: Vec<Option<(String, u32)>> = Vec::with_capacity(n_slots);
+        for _ in 0..n_slots {
+            if r.u8()? == 0 {
+                slot_meta.push(None);
+                continue;
+            }
+            let name = r.str()?;
+            let group = r.u32()?;
+            slot_meta.push(Some((name, group)));
+        }
+
+        struct GroupState {
+            g: u32,
+            now: Timestamp,
+            emitted: Vec<srpq_common::ResultPair>,
+            stats: EngineStats,
+        }
+        // The checkpoint deliberately stores no worker count —
+        // parallelism is runtime configuration, not logical state — so
+        // the rebuilt engine starts on the inline schedule and hosts
+        // call `set_workers` once after recovery.
+        let mut multi = MultiQueryEngine::with_config(config);
+        let n_groups = r.count(1)?;
+        let mut cursors = Vec::with_capacity(n_groups);
+        for slot in 0..n_groups as u32 {
+            if r.u8()? == 0 {
+                // Tombstone of a freed group: burn the id so the slot
+                // entries above keep their meaning.
+                multi.push_vacant_group();
+                continue;
+            }
+            let semantics = decode_semantics(r)?;
+            let regex = r.str()?;
+            let complete = r.u8()? != 0;
+            let gnow = Timestamp(r.i64()?);
+            let emitted = checkpoint::decode_pairs(r)?;
+            let stats = checkpoint::decode_stats(r)?;
+            let query = compile(&regex, labels)?;
+            let g = multi.restore_push_group(query, semantics, complete);
+            if g != slot {
+                return Err(corrupt(format!(
+                    "checkpoint group {slot} restored as group id {g}"
+                )));
+            }
+            if strategy == CheckpointStrategy::Full {
+                let engine = multi.group_engine_mut(g).expect("just restored");
+                match engine {
+                    Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
+                    Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
+                }
+            }
+            cursors.push(GroupState {
+                g,
+                now: gnow,
+                emitted,
+                stats,
+            });
+        }
+        for (slot, meta) in slot_meta.into_iter().enumerate() {
+            match meta {
+                None => multi.push_vacant_slot(),
+                Some((name, group)) => {
+                    if multi.group_engine(group).is_none() {
+                        return Err(corrupt(format!(
+                            "checkpoint slot {slot} rides missing group {group}"
+                        )));
+                    }
+                    let id = multi.restore_subscriber(name, group);
+                    if id.0 as usize != slot {
+                        return Err(corrupt(format!(
+                            "checkpoint slot {slot} restored as query id {id}"
+                        )));
+                    }
+                }
+            }
+        }
+        match strategy {
+            CheckpointStrategy::Logical => {
+                multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
+            }
+            CheckpointStrategy::Full => {
+                let graph = multi.graph_mut();
+                for &(u, v, l, ts) in &edges {
+                    graph.insert(u, v, l, ts);
+                }
+            }
+        }
+        for cur in cursors {
+            let engine = multi.group_engine_mut(cur.g).expect("restored above");
+            engine.restore_cursor(cur.now, cur.emitted, cur.stats);
+        }
+        multi.restore_cursor(now, seen, routed);
+        Ok(multi)
+    }
+
+    fn replay(&mut self, batch: &[StreamTuple]) {
+        self.process_batch(batch, &mut NullMultiSink);
+    }
+
+    fn durability_stats_mut(&mut self) -> Option<&mut EngineStats> {
+        None
+    }
+}
 
 impl PersistEngine for ParallelRapqEngine {
     const KIND: u8 = 3;

@@ -308,13 +308,12 @@ fn deregistered_slots_survive_recovery() {
 
 #[test]
 fn parallel_multi_host_shares_checkpoint_format() {
-    // A durable directory written under the parallel multi host must
-    // recover (a) as a ParallelMultiEngine with parallel per-query
-    // replay, and (b) as a plain MultiQueryEngine — worker count is
-    // runtime configuration, not logical state, so the two hosts share
-    // one checkpoint format and are interchangeable across restarts.
+    // A durable directory written under the pooled schedule must
+    // recover onto (a) a worker pool again and (b) the inline schedule
+    // — worker count is runtime configuration, not logical state, so
+    // checkpoints store none and hosts are interchangeable across
+    // restarts.
     use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
-    use srpq_core::ParallelMultiEngine;
 
     let dir = tmpdir("parallel-multi");
     let mut labels = make_labels();
@@ -323,7 +322,8 @@ fn parallel_multi_host_shares_checkpoint_format() {
     let qa = srpq_automata::CompiledQuery::compile("a b*", &mut labels).unwrap();
     let qb = srpq_automata::CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
     let mut par =
-        ParallelMultiEngine::with_config(EngineConfig::with_window(WindowPolicy::new(40, 5)), 3);
+        MultiQueryEngine::with_config(EngineConfig::with_window(WindowPolicy::new(40, 5)));
+    par.set_workers(3);
     let ida = par.register("qa", qa, PathSemantics::Arbitrary).unwrap();
     let idb = par.register("qb", qb, PathSemantics::Arbitrary).unwrap();
 
@@ -331,7 +331,7 @@ fn parallel_multi_host_shares_checkpoint_format() {
         sync: SyncPolicy::None,
         strategy: CheckpointStrategy::Logical,
         // Only the initial manifest checkpoint: recovery must replay
-        // the whole WAL suffix (through the parallel workers).
+        // the whole WAL suffix.
         checkpoint_every: 0,
         segment_bytes: 4 << 20,
     };
@@ -350,17 +350,21 @@ fn parallel_multi_host_shares_checkpoint_format() {
     let (seen, routed) = durable.inner().routing_stats();
     drop(durable);
 
-    // (a) Recover as the parallel host: WAL replay fans out per query.
-    let (rec_par, report) =
-        Durable::<ParallelMultiEngine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
+    // (a) Recover for a pooled host: recovery itself spawns no
+    // threads — the engine comes back inline and the host sizes the
+    // pool once, afterwards.
+    let (mut rec_par, report) =
+        Durable::<MultiQueryEngine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
     assert_eq!(report.resume_seq, tuples.len() as u64);
     assert!(report.replayed_tuples > 0, "suffix replay expected");
-    assert!(rec_par.inner().n_workers() >= 1);
+    assert_eq!(rec_par.inner().n_workers(), 0);
+    rec_par.inner_mut().set_workers(3);
+    assert_eq!(rec_par.inner().n_workers(), 3);
     assert_eq!(rec_par.inner().graph().n_edges(), n_edges);
     assert_eq!(rec_par.inner().routing_stats(), (seen, routed));
     let _ = pairs_a;
 
-    // (b) Recover the same directory as the sequential host.
+    // (b) Recover the same directory and stay on the inline schedule.
     let (rec_seq, _) =
         Durable::<MultiQueryEngine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
     assert_eq!(rec_seq.inner().n_slots(), 2);
@@ -375,6 +379,34 @@ fn parallel_multi_host_shares_checkpoint_format() {
         assert_eq!(
             rec_par.inner().index_size(id).unwrap(),
             rec_seq.inner().index_size(id).unwrap()
+        );
+    }
+
+    // Every later `set_workers` — across, and back to inline — folds
+    // the outgoing pool's eval/expiry ledger into the coordinator's:
+    // attributed time is conserved while the stream continues.
+    let ledger = |e: &MultiQueryEngine| {
+        let (eval, expiry) = e.coord_totals();
+        let workers = e.worker_totals();
+        (
+            eval + workers.iter().map(|w| w.0).sum::<u64>(),
+            expiry + workers.iter().map(|w| w.1).sum::<u64>(),
+        )
+    };
+    let more = stream(200);
+    let mut post = MultiCollectSink::default();
+    for (chunk, next) in more[tuples.len()..].chunks(16).zip([2usize, 0, 4]) {
+        let before = ledger(rec_par.inner());
+        rec_par.process_batch(chunk, &mut post).unwrap();
+        let busy = ledger(rec_par.inner());
+        assert!(busy.0 > before.0, "the outgoing pool has time on its books");
+        rec_par.inner_mut().set_workers(next);
+        assert_eq!(rec_par.inner().n_workers(), next);
+        assert_eq!(rec_par.inner().worker_totals(), vec![(0, 0); next]);
+        assert_eq!(
+            rec_par.inner().coord_totals(),
+            busy,
+            "ledger across → {next}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -16,10 +16,10 @@ use crate::protocol::{
 use crate::subscriber::{push_to_msg, BatchStamp, FanoutSink, Push, Subscriber};
 use srpq_automata::CompiledQuery;
 use srpq_common::beacon::stage;
-use srpq_common::{FxHashSet, LabelInterner, ResultPair, StageBeacon, StreamTuple, Timestamp};
-use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryError, QueryId};
-use srpq_core::{EngineStats, ParallelMultiEngine, StageTotals};
+use srpq_common::{FxHashSet, LabelInterner, StageBeacon, StreamTuple, Timestamp};
+use srpq_core::engine::PathSemantics;
+use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryId};
+use srpq_core::StageTotals;
 use srpq_obs::{Counter, EventKind, Gauge, Histogram, Obs, StageTracker};
 use srpq_persist::Durable;
 use std::collections::HashMap;
@@ -34,208 +34,33 @@ use std::time::{Duration, Instant};
 /// the control plane forever).
 const DRAIN_ACK_TIMEOUT: Duration = Duration::from_secs(3);
 
-/// The uniform registry surface over the sequential and parallel multi
-/// engines — both expose the identical API, so the engine thread stays
-/// engine-agnostic (only ingestion and checkpointing dispatch
-/// concretely).
-pub(crate) trait MultiRegistry {
-    fn n_queries(&self) -> usize;
-    fn n_slots(&self) -> usize;
-    fn query_ids(&self) -> Vec<QueryId>;
-    fn query_id(&self, name: &str) -> Option<QueryId>;
-    fn name(&self, id: QueryId) -> Option<&str>;
-    fn engine(&self, id: QueryId) -> Option<&Engine>;
-    fn stats(&self, id: QueryId) -> Option<&EngineStats>;
-    /// Live shared-evaluation groups (each owns one Δ forest).
-    fn groups_live(&self) -> usize;
-    /// Ids of the live groups, ascending.
-    fn group_ids(&self) -> Vec<u32>;
-    /// The group a live query subscribes to.
-    fn group_of(&self, id: QueryId) -> Option<u32>;
-    /// Slot ids subscribed to a group, ascending.
-    fn group_subscribers(&self, g: u32) -> Option<&[u32]>;
-    /// Hash of the group's canonical DFA signature.
-    fn group_signature_hash(&self, g: u32) -> Option<u64>;
-    /// The group's shared evaluation engine. Aggregations over
-    /// engine state (Δ sizes, eval time) must run over groups, not
-    /// query ids — per-id stats alias the group's and would count a
-    /// shared forest once per subscriber.
-    fn group_engine(&self, g: u32) -> Option<&Engine>;
-    /// Evaluation threads (1 = the sequential engine).
-    fn workers(&self) -> usize;
-    /// Cumulative batch-path stage counters (route / eval / expiry).
-    fn stage_totals(&self) -> StageTotals;
-    /// Per-worker `(eval_ns, expiry_ns)` ledgers with the coordinator's
-    /// inline time as one final synthetic entry; empty for the
-    /// sequential engine (its whole ledger is `stage_totals`).
-    fn worker_ns(&self) -> Vec<(u64, u64)>;
-    /// Installs the stage beacon the batch path publishes on (the
-    /// profiler samples it).
-    fn set_beacon(&mut self, beacon: Arc<StageBeacon>);
-    /// The evaluation workers' beacons (empty for the sequential
-    /// engine, whose only beacon is the coordinator's).
-    fn worker_beacons(&self) -> Vec<Arc<StageBeacon>>;
-    fn register(
-        &mut self,
-        name: &str,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-    ) -> Result<QueryId, QueryError>;
-    fn register_backfilled_dyn(
-        &mut self,
-        name: &str,
-        query: CompiledQuery,
-        semantics: PathSemantics,
-        sink: &mut dyn MultiSink,
-    ) -> Result<QueryId, QueryError>;
-    fn deregister(&mut self, id: QueryId) -> Result<(), QueryError>;
-}
-
-/// Forwards a `&mut dyn MultiSink` into the engines' generic sink
-/// parameter.
-struct DynSink<'a>(&'a mut dyn MultiSink);
-
-impl MultiSink for DynSink<'_> {
-    fn emit(&mut self, id: QueryId, pair: ResultPair, ts: Timestamp) {
-        self.0.emit(id, pair, ts);
-    }
-
-    fn invalidate(&mut self, id: QueryId, pair: ResultPair, ts: Timestamp) {
-        self.0.invalidate(id, pair, ts);
-    }
-}
-
-macro_rules! impl_multi_registry {
-    ($ty:ty, $workers:expr, $worker_ns:expr) => {
-        impl MultiRegistry for $ty {
-            fn n_queries(&self) -> usize {
-                <$ty>::n_queries(self)
-            }
-            fn n_slots(&self) -> usize {
-                <$ty>::n_slots(self)
-            }
-            fn query_ids(&self) -> Vec<QueryId> {
-                <$ty>::query_ids(self)
-            }
-            fn query_id(&self, name: &str) -> Option<QueryId> {
-                <$ty>::query_id(self, name)
-            }
-            fn name(&self, id: QueryId) -> Option<&str> {
-                <$ty>::name(self, id)
-            }
-            fn engine(&self, id: QueryId) -> Option<&Engine> {
-                <$ty>::engine(self, id)
-            }
-            fn stats(&self, id: QueryId) -> Option<&EngineStats> {
-                <$ty>::stats(self, id)
-            }
-            fn groups_live(&self) -> usize {
-                <$ty>::groups_live(self)
-            }
-            fn group_ids(&self) -> Vec<u32> {
-                <$ty>::group_ids(self)
-            }
-            fn group_of(&self, id: QueryId) -> Option<u32> {
-                <$ty>::group_of(self, id)
-            }
-            fn group_subscribers(&self, g: u32) -> Option<&[u32]> {
-                <$ty>::group_subscribers(self, g)
-            }
-            fn group_signature_hash(&self, g: u32) -> Option<u64> {
-                <$ty>::group_signature(self, g).map(|s| s.hash64())
-            }
-            fn group_engine(&self, g: u32) -> Option<&Engine> {
-                <$ty>::group_engine(self, g)
-            }
-            fn workers(&self) -> usize {
-                #[allow(clippy::redundant_closure_call)]
-                ($workers)(self)
-            }
-            fn stage_totals(&self) -> StageTotals {
-                <$ty>::stage_totals(self)
-            }
-            fn worker_ns(&self) -> Vec<(u64, u64)> {
-                #[allow(clippy::redundant_closure_call)]
-                ($worker_ns)(self)
-            }
-            fn set_beacon(&mut self, beacon: Arc<StageBeacon>) {
-                <$ty>::set_beacon(self, beacon)
-            }
-            fn worker_beacons(&self) -> Vec<Arc<StageBeacon>> {
-                <$ty>::worker_beacons(self)
-            }
-            fn register(
-                &mut self,
-                name: &str,
-                query: CompiledQuery,
-                semantics: PathSemantics,
-            ) -> Result<QueryId, QueryError> {
-                <$ty>::register(self, name, query, semantics)
-            }
-            fn register_backfilled_dyn(
-                &mut self,
-                name: &str,
-                query: CompiledQuery,
-                semantics: PathSemantics,
-                sink: &mut dyn MultiSink,
-            ) -> Result<QueryId, QueryError> {
-                <$ty>::register_backfilled(self, name, query, semantics, &mut DynSink(sink))
-            }
-            fn deregister(&mut self, id: QueryId) -> Result<(), QueryError> {
-                <$ty>::deregister(self, id)
-            }
-        }
-    };
-}
-
-impl_multi_registry!(
-    MultiQueryEngine,
-    |_e: &MultiQueryEngine| 1usize,
-    |_e: &MultiQueryEngine| Vec::new()
-);
-impl_multi_registry!(
-    ParallelMultiEngine,
-    |e: &ParallelMultiEngine| e.n_workers(),
-    |e: &ParallelMultiEngine| {
-        let mut v = e.worker_totals().to_vec();
-        v.push(e.coord_totals());
-        v
-    }
-);
-
 /// The evaluation state behind the command channel.
 pub(crate) enum Host {
-    /// In-memory only (no `--wal-dir`), single evaluation thread.
+    /// In-memory only (no `--wal-dir`).
     Plain(Box<MultiQueryEngine>),
-    /// WAL + checkpoints, single evaluation thread.
+    /// WAL + checkpoints.
     Durable(Box<Durable<MultiQueryEngine>>),
-    /// In-memory, worker-pool evaluation (`--workers N`).
-    Parallel(Box<ParallelMultiEngine>),
-    /// WAL + checkpoints over the worker-pool engine.
-    DurableParallel(Box<Durable<ParallelMultiEngine>>),
 }
 
 impl Host {
-    fn registry(&self) -> &dyn MultiRegistry {
+    fn engine(&self) -> &MultiQueryEngine {
         match self {
-            Host::Plain(e) => &**e,
+            Host::Plain(e) => e,
             Host::Durable(d) => d.inner(),
-            Host::Parallel(e) => &**e,
-            Host::DurableParallel(d) => d.inner(),
         }
     }
 
-    fn registry_mut(&mut self) -> &mut dyn MultiRegistry {
+    /// The engine, for registry calls and `set_workers` — ingestion
+    /// goes through [`Self::process_batch`] so durable hosts log first.
+    pub(crate) fn engine_mut(&mut self) -> &mut MultiQueryEngine {
         match self {
-            Host::Plain(e) => &mut **e,
+            Host::Plain(e) => e,
             Host::Durable(d) => d.inner_mut(),
-            Host::Parallel(e) => &mut **e,
-            Host::DurableParallel(d) => d.inner_mut(),
         }
     }
 
     fn is_durable(&self) -> bool {
-        matches!(self, Host::Durable(_) | Host::DurableParallel(_))
+        matches!(self, Host::Durable(_))
     }
 
     fn process_batch<S: MultiSink>(
@@ -249,22 +74,28 @@ impl Host {
                 Ok(())
             }
             Host::Durable(d) => d.process_batch(batch, sink).map_err(|e| e.to_string()),
-            Host::Parallel(e) => {
-                e.process_batch(batch, sink);
-                Ok(())
-            }
-            Host::DurableParallel(d) => d.process_batch(batch, sink).map_err(|e| e.to_string()),
         }
     }
 
     /// Checkpoints durable state; `None` when the host is in-memory.
     fn checkpoint(&mut self) -> Option<Result<u64, String>> {
         match self {
-            Host::Plain(_) | Host::Parallel(_) => None,
+            Host::Plain(_) => None,
             Host::Durable(d) => Some(d.checkpoint().map_err(|e| e.to_string())),
-            Host::DurableParallel(d) => Some(d.checkpoint().map_err(|e| e.to_string())),
         }
     }
+}
+
+/// Per-worker `(eval_ns, expiry_ns)` ledgers with the coordinator's
+/// inline time as one final synthetic entry; empty under the inline
+/// schedule (its whole ledger is `stage_totals`).
+fn worker_ledger(engine: &MultiQueryEngine) -> Vec<(u64, u64)> {
+    if engine.n_workers() == 0 {
+        return Vec::new();
+    }
+    let mut ledger = engine.worker_totals().to_vec();
+    ledger.push(engine.coord_totals());
+    ledger
 }
 
 /// One request to the engine thread. Every command carries a reply
@@ -447,22 +278,22 @@ impl EngineCore {
         // Recovered hosts come up with live queries and non-zero stage
         // ledgers; seed the gauges and watermarks so the first batch
         // reports deltas, not lifetime totals.
-        core.last_stage = core.host.registry().stage_totals();
+        core.last_stage = core.host.engine().stage_totals();
         core.refresh_gauges();
         core.tracker.seed(core.sum_expiry_runs(), 0);
-        for id in core.host.registry().query_ids() {
-            let stats = *core.host.registry().stats(id).expect("live id");
-            let name = core.host.registry().name(id).unwrap_or("").to_string();
+        for id in core.host.engine().query_ids() {
+            let stats = *core.host.engine().stats(id).expect("live id");
+            let name = core.host.engine().name(id).unwrap_or("").to_string();
             core.tracker.seed_query(&name, stats.compactions);
         }
         // Hand the batch path its beacon and register every evaluation
-        // thread with the profiler (the sequential engine has only the
-        // coordinator; the parallel host adds one beacon per worker).
-        core.host.registry_mut().set_beacon(core.beacon.clone());
+        // thread with the profiler (the coordinator, plus one beacon
+        // per pool worker).
+        core.host.engine_mut().set_beacon(core.beacon.clone());
         core.obs
             .profiler()
             .register("srpq-engine", core.beacon.clone());
-        for (i, b) in core.host.registry().worker_beacons().iter().enumerate() {
+        for (i, b) in core.host.engine().worker_beacons().iter().enumerate() {
             core.obs
                 .profiler()
                 .register(format!("srpq-multi-worker-{i}"), b.clone());
@@ -474,7 +305,7 @@ impl EngineCore {
     /// alias the owning group's, so a per-id sum would count a shared
     /// forest once per subscriber.
     fn sum_expiry_runs(&self) -> u64 {
-        let engine = self.host.registry();
+        let engine = self.host.engine();
         engine
             .group_ids()
             .iter()
@@ -489,7 +320,7 @@ impl EngineCore {
     /// the last published state without touching the engine thread.
     fn refresh_gauges(&mut self) {
         let host = &self.host;
-        let engine = host.registry();
+        let engine = host.engine();
         for id in engine.query_ids() {
             let Some(stats) = engine.stats(id) else {
                 continue;
@@ -507,7 +338,7 @@ impl EngineCore {
             g.eval_ns.set(stats.eval_ns);
             g.results.set(stats.results_emitted);
         }
-        let ledger = engine.worker_ns();
+        let ledger = worker_ledger(engine);
         for (i, &(eval, expiry)) in ledger.iter().enumerate() {
             if self.worker_gauges.len() <= i {
                 // The final ledger entry is the coordinator's inline time.
@@ -545,7 +376,7 @@ impl EngineCore {
     /// Journals slide boundaries and compactions detected since the
     /// last batch, and records the per-batch stage histograms.
     fn observe_batch(&mut self, emit_ns: u64) {
-        let stage = self.host.registry().stage_totals();
+        let stage = self.host.engine().stage_totals();
         if stage.batches > self.last_stage.batches {
             let route = stage.route_ns.saturating_sub(self.last_stage.route_ns);
             let eval = stage.eval_ns.saturating_sub(self.last_stage.eval_ns);
@@ -560,7 +391,7 @@ impl EngineCore {
         let at = format!("seq={}", self.seq);
         self.tracker.slide(self.obs.journal(), &at, expiry_runs);
         let per_query: Vec<(String, u64)> = {
-            let engine = self.host.registry();
+            let engine = self.host.engine();
             engine
                 .query_ids()
                 .into_iter()
@@ -638,7 +469,7 @@ impl EngineCore {
                 let _ = reply.send(self.remove_query(name));
             }
             Cmd::ListQueries { reply } => {
-                let engine = self.host.registry();
+                let engine = self.host.engine();
                 let queries = engine
                     .query_ids()
                     .into_iter()
@@ -666,7 +497,7 @@ impl EngineCore {
                 pending,
                 reply,
             } => {
-                let engine = self.host.registry();
+                let engine = self.host.engine();
                 let all = queries.is_empty();
                 let mut resolved = FxHashSet::default();
                 for name in &queries {
@@ -708,7 +539,7 @@ impl EngineCore {
                 let _ = reply.send(msg);
             }
             Cmd::Stats { reply } => {
-                let engine = self.host.registry();
+                let engine = self.host.engine();
                 let (mut eval_ns, mut delta_nodes_live, mut delta_capacity, mut compactions) =
                     (0u64, 0u64, 0u64, 0u64);
                 // Sum over groups, not query ids: a shared Δ forest
@@ -729,12 +560,13 @@ impl EngineCore {
                     labels: self.labels.len() as u32,
                     results_pushed: self.results_pushed,
                     results_dropped: self.results_dropped,
-                    workers: engine.workers() as u32,
+                    // The inline schedule evaluates on this thread: one worker.
+                    workers: engine.n_workers().max(1) as u32,
                     eval_ns,
                     delta_nodes_live,
                     delta_capacity,
                     compactions,
-                    worker_ns: engine.worker_ns(),
+                    worker_ns: worker_ledger(engine),
                     groups_live: engine.groups_live() as u32,
                 }));
             }
@@ -799,7 +631,7 @@ impl EngineCore {
         // `+N` tally when others ride the same forest).
         let trace = stamp.and_then(|s| s.trace);
         let pre = trace.map(|_| {
-            let engine = self.host.registry();
+            let engine = self.host.engine();
             let groups: Vec<(u32, String, u64, u64, u64)> = engine
                 .group_ids()
                 .into_iter()
@@ -904,7 +736,7 @@ impl EngineCore {
         } else {
             PathSemantics::Arbitrary
         };
-        let engine = self.host.registry_mut();
+        let engine = self.host.engine_mut();
         let registered = if backfill {
             let mut sink = FanoutSink {
                 subscribers: &mut self.subscribers,
@@ -921,7 +753,7 @@ impl EngineCore {
                     sub.queries.insert(id_next);
                 }
             }
-            let r = engine.register_backfilled_dyn(&name, query, semantics, &mut sink);
+            let r = engine.register_backfilled(&name, query, semantics, &mut sink);
             sink.finish();
             if r.is_err() {
                 // Nothing was registered (duplicate name), so the
@@ -962,7 +794,7 @@ impl EngineCore {
     }
 
     fn remove_query(&mut self, name: String) -> Msg {
-        let engine = self.host.registry_mut();
+        let engine = self.host.engine_mut();
         let Some(id) = engine.query_id(&name) else {
             return Msg::Error {
                 msg: format!("no live query named {name:?}"),
@@ -1015,7 +847,7 @@ impl EngineCore {
     /// group (labeled by its first subscriber, `+N` when shared), the
     /// pooled expiry slice, and the emit hand-off. Stage slices are
     /// laid out sequentially from the batch start — exact for the
-    /// sequential host; for the worker pool they are CPU-time
+    /// inline schedule; for the worker pool they are CPU-time
     /// attribution and may overrun the batch's wall clock.
     fn record_batch_spans(
         &self,
@@ -1028,7 +860,7 @@ impl EngineCore {
         const THREAD: &str = "srpq-engine";
         let (t_b0, t_b1, t_emit, emit_ns) = timing;
         let tb = self.obs.trace();
-        let engine = self.host.registry();
+        let engine = self.host.engine();
         let stage_now = engine.stage_totals();
         let route_ns = stage_now.route_ns.saturating_sub(stage_pre.route_ns);
         let eval_ns = stage_now.eval_ns.saturating_sub(stage_pre.eval_ns);
@@ -1084,7 +916,7 @@ impl EngineCore {
     /// co-subscribers riding the same Δ forest), and the group's share
     /// of evaluation time.
     fn explain(&self, name: &str) -> Msg {
-        let engine = self.host.registry();
+        let engine = self.host.engine();
         let Some(id) = engine.query_id(name) else {
             return Msg::Error {
                 msg: format!("no live query named {name:?}"),
@@ -1151,7 +983,7 @@ impl EngineCore {
             total_eval_ns,
             results_emitted: stats.results_emitted,
             group,
-            signature_hash: engine.group_signature_hash(group).unwrap_or(0),
+            signature_hash: engine.group_signature(group).map_or(0, |s| s.hash64()),
             co_subscribers,
         })
     }

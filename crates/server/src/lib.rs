@@ -65,4 +65,4 @@ pub mod protocol;
 mod server;
 mod subscriber;
 
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{accept_session, start, ServerConfig, ServerHandle};

@@ -244,7 +244,8 @@ pub struct StatsSnapshot {
     pub results_pushed: u64,
     /// Result entries dropped across all drop-policy subscribers.
     pub results_dropped: u64,
-    /// Evaluation worker threads (1 = sequential engine).
+    /// Evaluation threads (1 = the inline schedule on the engine
+    /// thread, otherwise the pool size).
     pub workers: u32,
     /// Total nanoseconds spent in per-query evaluation across all live
     /// queries.
@@ -258,8 +259,8 @@ pub struct StatsSnapshot {
     pub compactions: u64,
     /// Per-worker `(eval_ns, expiry_ns)`: the wall-clock each
     /// evaluation worker thread spent inside per-query evaluation calls
-    /// and the expiry slice thereof. Empty for sequential hosts; the
-    /// parallel host's coordinator-inline time rides as one final
+    /// and the expiry slice thereof. Empty under the inline schedule;
+    /// with a pool, the coordinator's inline time rides as one final
     /// synthetic entry, so the entries sum to the per-query `eval_ns`
     /// total (while no query has been deregistered).
     pub worker_ns: Vec<(u64, u64)>,

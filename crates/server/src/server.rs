@@ -14,7 +14,7 @@ use crate::protocol::{Msg, SpanWire, PROTO_VERSION};
 use crate::subscriber::{BatchStamp, Push, DEFAULT_CAPACITY};
 use srpq_common::LabelInterner;
 use srpq_core::multi::MultiQueryEngine;
-use srpq_core::{EngineConfig, ParallelMultiEngine};
+use srpq_core::EngineConfig;
 use srpq_obs::{Counter, EventKind, Histogram, MetricsServer, Obs};
 use srpq_persist::{checkpoint, DurabilityConfig, Durable, RecoveryReport};
 use std::io::{BufReader, BufWriter, Write};
@@ -43,10 +43,11 @@ pub struct ServerConfig {
     /// Bound of the command pipeline: how many decoded batches may wait
     /// for the engine before ingest sessions block.
     pub pipeline_depth: usize,
-    /// Evaluation worker threads: `0` = the single-threaded
-    /// [`MultiQueryEngine`]; `n ≥ 1` = a `ParallelMultiEngine` with `n`
-    /// workers (inter-query parallel evaluation). Durable state is
-    /// host-agnostic — the same `wal_dir` may restart under any value.
+    /// Evaluation worker threads of the [`MultiQueryEngine`]: `0` =
+    /// the inline schedule on the engine thread; `n ≥ 1` = the pooled
+    /// schedule over `n` workers (inter-group parallel evaluation).
+    /// Durable state is schedule-agnostic — the same `wal_dir` may
+    /// restart under any value.
     pub workers: usize,
     /// Address for the plain-HTTP Prometheus `/metrics` listener;
     /// `None` disables it (`ctl metrics` still works over the frame
@@ -208,72 +209,40 @@ impl Drop for ServerHandle {
 
 /// Builds the host (fresh or recovered) and starts the server.
 pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
-    let workers = config.workers;
     let obs = Obs::new();
-    let (host, interner, seq, recovery) = match &config.wal_dir {
+    let (mut host, interner, seq, recovery) = match &config.wal_dir {
         None => {
-            let host = if workers == 0 {
-                Host::Plain(Box::new(MultiQueryEngine::with_config(config.engine)))
-            } else {
-                Host::Parallel(Box::new(ParallelMultiEngine::with_config(
-                    config.engine,
-                    workers,
-                )))
-            };
-            (host, LabelInterner::new(), 0, None)
+            let engine = MultiQueryEngine::with_config(config.engine);
+            (Host::Plain(Box::new(engine)), LabelInterner::new(), 0, None)
         }
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             let has_state = checkpoint::load_latest(dir)
                 .map_err(|e| e.to_string())?
                 .is_some();
-            if has_state {
+            let (mut durable, interner, report) = if has_state {
                 let mut interner = labels::load(dir)?;
-                // The two multi hosts share one checkpoint format, so
-                // `--workers` may change freely across restarts.
-                let (host, report) = if workers == 0 {
-                    let (mut durable, report) =
-                        Durable::<MultiQueryEngine>::recover(dir, &mut interner, config.durability)
-                            .map_err(|e| e.to_string())?;
-                    durable.set_obs(obs.clone());
-                    (Host::Durable(Box::new(durable)), report)
-                } else {
-                    let (mut durable, report) = Durable::<ParallelMultiEngine>::recover(
-                        dir,
-                        &mut interner,
-                        config.durability,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    durable.inner_mut().resize_workers(workers);
-                    durable.set_obs(obs.clone());
-                    (Host::DurableParallel(Box::new(durable)), report)
-                };
-                let seq = report.resume_seq;
-                (host, interner, seq, Some(report))
+                let (durable, report) =
+                    Durable::<MultiQueryEngine>::recover(dir, &mut interner, config.durability)
+                        .map_err(|e| e.to_string())?;
+                (durable, interner, Some(report))
             } else {
-                let host = if workers == 0 {
-                    let mut durable = Durable::create(
-                        MultiQueryEngine::with_config(config.engine),
-                        dir,
-                        config.durability,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    durable.set_obs(obs.clone());
-                    Host::Durable(Box::new(durable))
-                } else {
-                    let mut durable = Durable::create(
-                        ParallelMultiEngine::with_config(config.engine, workers),
-                        dir,
-                        config.durability,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    durable.set_obs(obs.clone());
-                    Host::DurableParallel(Box::new(durable))
-                };
-                (host, LabelInterner::new(), 0, None)
-            }
+                let durable = Durable::create(
+                    MultiQueryEngine::with_config(config.engine),
+                    dir,
+                    config.durability,
+                )
+                .map_err(|e| e.to_string())?;
+                (durable, LabelInterner::new(), None)
+            };
+            durable.set_obs(obs.clone());
+            let seq = report.map_or(0, |r| r.resume_seq);
+            (Host::Durable(Box::new(durable)), interner, seq, report)
         }
     };
+    // Checkpoints store no worker count, so fresh and recovered engines
+    // alike start inline; `--workers` may change freely across restarts.
+    host.engine_mut().set_workers(config.workers);
 
     let listener =
         TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
@@ -309,7 +278,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     let accept_thread = std::thread::Builder::new()
         .name("srpq-accept".into())
         .spawn(move || {
-            for conn in listener.incoming() {
+            loop {
+                let conn = accept_session(&listener);
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -345,6 +315,19 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         obs,
         recovery,
     })
+}
+
+/// Accepts one connection and configures it as a session stream.
+///
+/// `TCP_NODELAY` is set: every reply and push is a whole frame flushed
+/// through a `BufWriter`, so Nagle's algorithm can merge nothing — it
+/// only holds a small frame (an 18-byte ack) behind the peer's delayed
+/// ACK of the previous one. Public so the end-to-end suite can assert
+/// the socket options an accepted session gets.
+pub fn accept_session(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Sends one command and waits for the engine's reply. `None` means the

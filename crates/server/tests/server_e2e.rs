@@ -351,11 +351,11 @@ fn drop_policy_subscriber_reports_losses() {
 
 #[test]
 fn parallel_workers_server_matches_sequential_server() {
-    // The same session driven against a sequential host and a
-    // `workers: 3` parallel host must push identical result streams —
-    // the serving-layer face of the ParallelMultiEngine equivalence
-    // guarantee. Stats must also report the worker count and per-query
-    // routing counters.
+    // The same session driven against an inline-schedule host and a
+    // `workers: 3` pooled host must push identical result streams —
+    // the serving-layer face of the schedule equivalence guarantee.
+    // Stats must also report the worker count and per-query routing
+    // counters.
     fn run(workers: usize) -> Vec<(u32, u32, u32, i64, bool)> {
         let mut config =
             ServerConfig::in_memory(EngineConfig::with_window(WindowPolicy::new(1000, 100)));
@@ -407,6 +407,18 @@ fn parallel_workers_server_matches_sequential_server() {
     for workers in [1, 3] {
         assert_eq!(run(workers), sequential, "{workers} workers diverged");
     }
+}
+
+#[test]
+fn accepted_session_sockets_disable_nagle() {
+    // Replies and pushes are whole frames flushed through a
+    // `BufWriter`; with Nagle on, an 18-byte ack waits out the peer's
+    // delayed ACK of the previous frame. `accept_session` is the
+    // server's accept path (the accept loop calls nothing else).
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let session = srpq_server::accept_session(&listener).unwrap();
+    assert!(session.nodelay().unwrap());
 }
 
 /// Reads the `NAME_count` line of a Prometheus histogram out of an

@@ -6,9 +6,9 @@
 //! subscriber observes*. Every test here compares tagged per-subscriber
 //! event streams — `(QueryId, pair, ts)` emissions and invalidations in
 //! order — between the unshared engine (`shared_groups = false`, the
-//! pre-sharing baseline) and shared engines, sequential and parallel,
-//! over mixed duplicate/unique query sets, mid-stream registration
-//! churn, and durable kill/recover.
+//! pre-sharing baseline) and shared engines, on the inline and pooled
+//! schedules, over mixed duplicate/unique query sets, mid-stream
+//! registration churn, and durable kill/recover.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +17,7 @@ use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, QueryId};
-use srpq_core::{EngineConfig, ParallelMultiEngine};
+use srpq_core::EngineConfig;
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
 use std::path::PathBuf;
@@ -100,12 +100,16 @@ fn unshared_config(window: WindowPolicy) -> EngineConfig {
     c
 }
 
-fn run_sequential(
+/// Runs the whole stream through an engine on `workers` pool threads
+/// (`0` = the inline schedule, the reference of every sweep below).
+fn run(
     config: EngineConfig,
+    workers: usize,
     stream: &[StreamTuple],
 ) -> (MultiQueryEngine, MultiCollectSink) {
     let labels = labels_abcd();
     let mut engine = MultiQueryEngine::with_config(config);
+    engine.set_workers(workers);
     register_all(
         &mut |name, q, sem| {
             engine.register(name, q, sem).unwrap();
@@ -120,38 +124,17 @@ fn run_sequential(
     (engine, sink)
 }
 
-fn run_parallel(
-    config: EngineConfig,
-    workers: usize,
-    stream: &[StreamTuple],
-) -> (ParallelMultiEngine, MultiCollectSink) {
-    let labels = labels_abcd();
-    let mut engine = ParallelMultiEngine::with_config(config, workers);
-    register_all(
-        &mut |name, q, sem| {
-            engine.register(name, q, sem).unwrap();
-        },
-        &labels,
-    );
-    let mut sink = MultiCollectSink::default();
-    for chunk in stream.chunks(64) {
-        engine.process_batch(chunk, &mut sink);
-    }
-    engine.expire_now(&mut sink);
-    (engine, sink)
-}
-
-/// Byte-identical per-subscriber streams: unshared sequential is the
-/// reference; shared sequential and shared/unshared parallel engines at
-/// {1, 2, 4} workers must reproduce it event-for-event — while the
-/// shared engines actually collapse 8 registrations to 5 forests.
+/// Byte-identical per-subscriber streams: the unshared inline run is
+/// the reference; the shared inline run and shared/unshared pooled runs
+/// at {1, 2, 4} workers must reproduce it event-for-event — while
+/// the shared engines actually collapse 8 registrations to 5 forests.
 #[test]
 fn shared_collapses_registrations_and_streams_match_unshared() {
     for seed in 0..2u64 {
         let stream = random_stream(1_200, 20, 4, 0x51A5 + seed);
         let window = WindowPolicy::new(100, 20);
 
-        let (unshared, reference) = run_sequential(unshared_config(window), &stream);
+        let (unshared, reference) = run(unshared_config(window), 0, &stream);
         assert!(!reference.emitted.is_empty(), "vacuous fixture");
         assert_eq!(
             unshared.groups_live(),
@@ -159,7 +142,7 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
             "unshared mode must keep one forest per registration"
         );
 
-        let (shared, got) = run_sequential(shared_config(window), &stream);
+        let (shared, got) = run(shared_config(window), 0, &stream);
         assert_eq!(shared.n_queries(), QUERIES.len());
         assert_eq!(
             shared.groups_live(),
@@ -195,7 +178,7 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
                 (shared_config(window), "shared"),
                 (unshared_config(window), "unshared"),
             ] {
-                let (par, got) = run_parallel(cfg, workers, &stream);
+                let (par, got) = run(cfg, workers, &stream);
                 if mode == "shared" {
                     assert_eq!(par.groups_live(), DISTINCT_GROUPS);
                 }
@@ -232,7 +215,7 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
 ///    different trajectory than the group forest's true incremental
 ///    history, so post-attach streams are compared within shared mode.)
 ///
-/// The parallel engine must match the sequential shared engine on the
+/// The pooled schedule must match the inline shared run on the
 /// *whole* stream, attached query included, at every worker count.
 #[test]
 fn midstream_attach_and_deregister_churn() {
@@ -243,60 +226,54 @@ fn midstream_attach_and_deregister_churn() {
         c
     };
 
-    // The scripted session, identical over both engine shapes: a
+    // The scripted session, identical at every worker count: a
     // backfilled duplicate at chunk 3, a departure from the shared
     // group at 5, a backfilled unique at 7, a private-group free at 9.
-    // Returns the sink plus the index ranges (emitted, invalidated)
-    // covering the duplicate's backfill events.
-    macro_rules! drive {
-        ($engine:ident, $labels:ident) => {{
-            let mut sink = MultiCollectSink::default();
-            let mut dup_mark = (0usize..0usize, 0usize..0usize);
-            for (i, chunk) in stream.chunks(80).enumerate() {
-                $engine.process_batch(chunk, &mut sink);
-                if i == 3 || i == 7 {
-                    let expr = if i == 3 { "(a | b)+" } else { "b (c | d)" };
-                    let name = if i == 3 { "late_dup" } else { "late_uniq" };
-                    let q = CompiledQuery::compile(expr, &mut $labels).unwrap();
-                    let before = (sink.emitted.len(), sink.invalidated.len());
-                    $engine
-                        .register_backfilled(name, q, PathSemantics::Arbitrary, &mut sink)
-                        .unwrap();
-                    if i == 3 {
-                        dup_mark = (
-                            before.0..sink.emitted.len(),
-                            before.1..sink.invalidated.len(),
-                        );
-                    }
-                }
-                if i == 5 || i == 9 {
-                    let name = if i == 5 { "alert_1" } else { "uniq_c" };
-                    let id = $engine.query_id(name).unwrap();
-                    $engine.deregister(id).unwrap();
-                }
-            }
-            $engine.expire_now(&mut sink);
-            (sink, dup_mark)
-        }};
-    }
-
-    let run_seq = |config: EngineConfig| {
+    // Returns the engine, the sink, and the index ranges (emitted,
+    // invalidated) covering the duplicate's backfill events.
+    let run_churn = |config: EngineConfig, workers: usize| {
         let mut labels = labels_abcd();
         let mut engine = MultiQueryEngine::with_config(config);
+        engine.set_workers(workers);
         register_all(
             &mut |name, q, sem| {
                 engine.register(name, q, sem).unwrap();
             },
             &labels,
         );
-        let (sink, mark) = drive!(engine, labels);
-        (engine, sink, mark)
+        let mut sink = MultiCollectSink::default();
+        let mut dup_mark = (0usize..0usize, 0usize..0usize);
+        for (i, chunk) in stream.chunks(80).enumerate() {
+            engine.process_batch(chunk, &mut sink);
+            if i == 3 || i == 7 {
+                let expr = if i == 3 { "(a | b)+" } else { "b (c | d)" };
+                let name = if i == 3 { "late_dup" } else { "late_uniq" };
+                let q = CompiledQuery::compile(expr, &mut labels).unwrap();
+                let before = (sink.emitted.len(), sink.invalidated.len());
+                engine
+                    .register_backfilled(name, q, PathSemantics::Arbitrary, &mut sink)
+                    .unwrap();
+                if i == 3 {
+                    dup_mark = (
+                        before.0..sink.emitted.len(),
+                        before.1..sink.invalidated.len(),
+                    );
+                }
+            }
+            if i == 5 || i == 9 {
+                let name = if i == 5 { "alert_1" } else { "uniq_c" };
+                let id = engine.query_id(name).unwrap();
+                engine.deregister(id).unwrap();
+            }
+        }
+        engine.expire_now(&mut sink);
+        (engine, sink, dup_mark)
     };
 
-    let (_, reference, ref_mark) = run_seq(subtree(unshared_config(window)));
+    let (_, reference, ref_mark) = run_churn(subtree(unshared_config(window)), 0);
     assert!(!reference.emitted.is_empty(), "vacuous fixture");
 
-    let (shared, got, got_mark) = run_seq(subtree(shared_config(window)));
+    let (shared, got, got_mark) = run_churn(subtree(shared_config(window)), 0);
     // The backfilled duplicate attached to the live alert group...
     let g = |name: &str| shared.group_of(shared.query_id(name).unwrap()).unwrap();
     assert_eq!(
@@ -367,18 +344,10 @@ fn midstream_attach_and_deregister_churn() {
         "attached subscriber must ride the shared stream (invalidated)"
     );
 
-    // The parallel engine reproduces the shared sequential stream in
+    // The pooled schedule reproduces the shared inline stream in
     // full — attach, departures, and backfills included.
     for workers in [1usize, 2, 4] {
-        let mut labels = labels_abcd();
-        let mut engine = ParallelMultiEngine::with_config(subtree(shared_config(window)), workers);
-        register_all(
-            &mut |name, q, sem| {
-                engine.register(name, q, sem).unwrap();
-            },
-            &labels,
-        );
-        let (par, par_mark) = drive!(engine, labels);
+        let (engine, par, par_mark) = run_churn(subtree(shared_config(window)), workers);
         assert_eq!(engine.groups_live(), DISTINCT_GROUPS);
         assert_eq!(par_mark, got_mark, "{workers} workers: backfill extent");
         assert_eq!(par.emitted, got.emitted, "{workers} workers: emitted");
@@ -499,9 +468,9 @@ fn durable_kill_recover_preserves_group_membership() {
     }
 }
 
-/// The checkpoint layout is engine-agnostic: state written by the
-/// sequential engine recovers under the worker-pool engine (a restart
-/// may change `--workers` freely) with groups intact.
+/// The checkpoint layout is schedule-agnostic: state written on the
+/// inline schedule recovers onto the worker pool (a restart may change
+/// `--workers` freely) with groups intact.
 #[test]
 fn recovery_switches_engine_shape_with_groups_intact() {
     let dir = tmpdir("engine-switch");
@@ -533,12 +502,13 @@ fn recovery_switches_engine_shape_with_groups_intact() {
     drop(durable);
 
     let mut labels = labels_abcd();
-    let (mut recovered, report) = Durable::<ParallelMultiEngine>::recover(
+    let (mut recovered, report) = Durable::<MultiQueryEngine>::recover(
         &dir,
         &mut labels,
         durability(CheckpointStrategy::Full),
     )
     .unwrap();
+    recovered.inner_mut().set_workers(3);
     assert_eq!(report.resume_seq, cut as u64);
     let r = recovered.inner();
     assert_eq!(r.groups_live(), DISTINCT_GROUPS);

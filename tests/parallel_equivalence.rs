@@ -1,13 +1,14 @@
-//! `ParallelMultiEngine` ⇔ `MultiQueryEngine` equivalence suite.
+//! Pooled ⇔ inline schedule equivalence suite for `MultiQueryEngine`.
 //!
-//! The tentpole guarantee: the parallel engine's **tagged event
+//! The tentpole guarantee: the pooled schedule's **tagged event
 //! stream** — every `(QueryId, pair, ts)` emission and invalidation, in
-//! order — is byte-identical to the sequential engine's, for any worker
+//! order — is byte-identical to the inline schedule's, for any worker
 //! count, any refresh policy, under deletions, window churn, and
 //! mid-stream registration changes (`register_backfilled` /
-//! `deregister`, which also rebalance the query partition). Plus the
-//! panic-safety contract both engines share: a batch that panics
-//! poisons the engine, and a poisoned engine refuses reuse loudly.
+//! `deregister`, which also rebalance the group partition). Plus the
+//! panic-safety contract both schedules share: a batch that panics
+//! poisons the engine, and a poisoned engine refuses reuse — processing
+//! and registry calls alike — loudly.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +17,7 @@ use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, Vert
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, MultiSink, QueryId};
-use srpq_core::{EngineConfig, ParallelMultiEngine};
+use srpq_core::EngineConfig;
 use srpq_graph::WindowPolicy;
 
 /// A random stream over `n_labels` labels with ~10% explicit deletions
@@ -69,10 +70,26 @@ const QUERIES: &[(&str, &str, PathSemantics)] = &[
     ("q_any", "(a | b | c | d)+", PathSemantics::Arbitrary),
 ];
 
+/// An engine over `config` evaluating on `workers` pool threads (`0` =
+/// the inline schedule, the reference of every sweep below) with
+/// [`QUERIES`] registered.
+fn engine_with_queries(
+    config: EngineConfig,
+    workers: usize,
+    labels: &mut LabelInterner,
+) -> MultiQueryEngine {
+    let mut engine = MultiQueryEngine::with_config(config);
+    engine.set_workers(workers);
+    for &(name, expr, sem) in QUERIES {
+        let q = CompiledQuery::compile(expr, labels).unwrap();
+        engine.register(name, q, sem).unwrap();
+    }
+    engine
+}
+
 /// Drives one engine through the scripted session: chunked batches with
 /// a backfilled registration, a deregistration, and a name-reusing
 /// re-registration at fixed chunk positions, then a final expiry pass.
-/// Generic over the two engine types via the closure arguments.
 struct Script<'a> {
     stream: &'a [StreamTuple],
     chunk: usize,
@@ -80,19 +97,27 @@ struct Script<'a> {
 }
 
 impl Script<'_> {
-    fn run_sequential(&self, config: EngineConfig) -> MultiCollectSink {
+    /// A backfilled query joins after chunk 3, `q_c` leaves after chunk
+    /// 6, and after chunk 8 the vacated name "q_c" is re-registered
+    /// (fresh slot id, rebalanced partition).
+    fn run(&self, config: EngineConfig, workers: usize) -> MultiCollectSink {
         let mut labels = self.labels.clone();
-        let mut engine = MultiQueryEngine::with_config(config);
-        for &(name, expr, sem) in QUERIES {
-            let q = CompiledQuery::compile(expr, &mut labels).unwrap();
-            engine.register(name, q, sem).unwrap();
-        }
+        let mut engine = engine_with_queries(config, workers, &mut labels);
         let mut sink = MultiCollectSink::default();
         for (i, chunk) in self.stream.chunks(self.chunk).enumerate() {
             engine.process_batch(chunk, &mut sink);
-            self.control(i, &mut labels, &mut sink, |name, q, sem, sink| {
-                engine.register_backfilled(name, q, sem, sink).map(|_| ())
-            });
+            if i == 3 {
+                let q = CompiledQuery::compile("b (c | d)", &mut labels).unwrap();
+                engine
+                    .register_backfilled("late", q, PathSemantics::Arbitrary, &mut sink)
+                    .unwrap();
+            }
+            if i == 8 {
+                let q = CompiledQuery::compile("c a*", &mut labels).unwrap();
+                engine
+                    .register_backfilled("q_c", q, PathSemantics::Arbitrary, &mut sink)
+                    .unwrap();
+            }
             if i == 6 {
                 let id = engine.query_id("q_c").expect("q_c is live");
                 engine.deregister(id).unwrap();
@@ -100,53 +125,6 @@ impl Script<'_> {
         }
         engine.expire_now(&mut sink);
         sink
-    }
-
-    fn run_parallel(&self, config: EngineConfig, workers: usize) -> MultiCollectSink {
-        let mut labels = self.labels.clone();
-        let mut engine = ParallelMultiEngine::with_config(config, workers);
-        for &(name, expr, sem) in QUERIES {
-            let q = CompiledQuery::compile(expr, &mut labels).unwrap();
-            engine.register(name, q, sem).unwrap();
-        }
-        let mut sink = MultiCollectSink::default();
-        for (i, chunk) in self.stream.chunks(self.chunk).enumerate() {
-            engine.process_batch(chunk, &mut sink);
-            self.control(i, &mut labels, &mut sink, |name, q, sem, sink| {
-                engine.register_backfilled(name, q, sem, sink).map(|_| ())
-            });
-            if i == 6 {
-                let id = engine.query_id("q_c").expect("q_c is live");
-                engine.deregister(id).unwrap();
-            }
-        }
-        engine.expire_now(&mut sink);
-        sink
-    }
-
-    /// Shared mid-stream registration script: a backfilled query joins
-    /// after chunk 3, and after chunk 8 the vacated name "q_c" is
-    /// re-registered (fresh slot id, rebalanced partition).
-    fn control(
-        &self,
-        i: usize,
-        labels: &mut LabelInterner,
-        sink: &mut MultiCollectSink,
-        mut register_backfilled: impl FnMut(
-            &str,
-            CompiledQuery,
-            PathSemantics,
-            &mut MultiCollectSink,
-        ) -> Result<(), srpq_core::multi::QueryError>,
-    ) {
-        if i == 3 {
-            let q = CompiledQuery::compile("b (c | d)", labels).unwrap();
-            register_backfilled("late", q, PathSemantics::Arbitrary, sink).unwrap();
-        }
-        if i == 8 {
-            let q = CompiledQuery::compile("c a*", labels).unwrap();
-            register_backfilled("q_c", q, PathSemantics::Arbitrary, sink).unwrap();
-        }
     }
 }
 
@@ -162,7 +140,7 @@ fn byte_identical_stream_under_midstream_registration_changes() {
     let window = WindowPolicy::new(120, 20);
     let mut config = EngineConfig::with_window(window);
     config.rspq_extend_budget = Some(20_000);
-    let reference = script.run_sequential(config);
+    let reference = script.run(config, 0);
     assert!(
         !reference.emitted.is_empty(),
         "vacuous fixture: no results emitted"
@@ -172,7 +150,7 @@ fn byte_identical_stream_under_midstream_registration_changes() {
         "the backfilled query never emitted"
     );
     for workers in [1usize, 2, 4, 8] {
-        let got = script.run_parallel(config, workers);
+        let got = script.run(config, workers);
         assert_eq!(
             got.emitted, reference.emitted,
             "{workers} workers: emission stream diverged"
@@ -186,9 +164,10 @@ fn byte_identical_stream_under_midstream_registration_changes() {
 
 #[test]
 fn seeded_sweep_workers_by_refresh_policy() {
-    // Satellite pin: {1, 2, 4, 8} workers × all refresh policies ×
-    // seeds, exact stream equality (no registration churn — this sweep
-    // isolates the evaluation path itself).
+    // Satellite pin: {0, 1, 2, 4, 8} workers × all refresh policies ×
+    // seeds, exact stream equality against the inline run (no
+    // registration churn — this sweep isolates the evaluation path
+    // itself).
     for &refresh in &[
         RefreshPolicy::None,
         RefreshPolicy::Node,
@@ -196,17 +175,12 @@ fn seeded_sweep_workers_by_refresh_policy() {
     ] {
         for seed in 0..2u64 {
             let stream = random_stream(700, 16, 4, 0xA0 + seed);
-            let mut labels = labels_abcd();
             let window = WindowPolicy::new(60, 10);
             let mut config = EngineConfig::with_window(window);
             config.refresh = refresh;
             config.rspq_extend_budget = Some(20_000);
 
-            let mut seq = MultiQueryEngine::with_config(config);
-            for &(name, expr, sem) in QUERIES {
-                let q = CompiledQuery::compile(expr, &mut labels).unwrap();
-                seq.register(name, q, sem).unwrap();
-            }
+            let mut seq = engine_with_queries(config, 0, &mut labels_abcd());
             let mut seq_sink = MultiCollectSink::default();
             for chunk in stream.chunks(64) {
                 seq.process_batch(chunk, &mut seq_sink);
@@ -214,12 +188,7 @@ fn seeded_sweep_workers_by_refresh_policy() {
             seq.expire_now(&mut seq_sink);
 
             for workers in [1usize, 2, 4, 8] {
-                let mut labels2 = labels_abcd();
-                let mut par = ParallelMultiEngine::with_config(config, workers);
-                for &(name, expr, sem) in QUERIES {
-                    let q = CompiledQuery::compile(expr, &mut labels2).unwrap();
-                    par.register(name, q, sem).unwrap();
-                }
+                let mut par = engine_with_queries(config, workers, &mut labels_abcd());
                 let mut par_sink = MultiCollectSink::default();
                 for chunk in stream.chunks(64) {
                     par.process_batch(chunk, &mut par_sink);
@@ -233,8 +202,11 @@ fn seeded_sweep_workers_by_refresh_policy() {
                     par_sink.invalidated, seq_sink.invalidated,
                     "refresh {refresh:?}, seed {seed}, {workers} workers: invalidated"
                 );
-                // Shared-graph state also agrees (purges + stamps reset).
+                // Shared-graph state also agrees (purges + stamps reset),
+                // and so does label routing: tuples seen and logical
+                // per-subscriber dispatches.
                 assert_eq!(par.graph().n_edges(), seq.graph().n_edges());
+                assert_eq!(par.routing_stats(), seq.routing_stats());
                 for id in seq.query_ids() {
                     assert_eq!(
                         par.engine(id).unwrap().emitted_pairs(),
@@ -269,17 +241,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-#[test]
-fn sequential_multi_poisoned_by_midbatch_panic_refuses_reuse() {
-    // Satellite pin (documented on `MultiQueryEngine::process_batch`):
-    // a panic mid-batch leaves half-applied state, so the engine
-    // poisons itself and refuses reuse instead of silently dropping
-    // every subsequent tuple (the routing table was parked for the
-    // batch).
+/// The poison contract, identical under both schedules (documented in
+/// the `srpq_core::multi` module docs): a panic mid-batch leaves
+/// half-applied state, so the engine poisons itself and refuses reuse —
+/// processing and registry mutation alike — instead of silently
+/// computing on, or mutating, that state.
+fn poisoned_by_midbatch_panic_refuses_reuse(workers: usize) {
     let mut labels = labels_abcd();
     let q = CompiledQuery::compile("a+", &mut labels).unwrap();
     let mut engine = MultiQueryEngine::new(WindowPolicy::new(100, 10));
-    engine.register("q", q, PathSemantics::Arbitrary).unwrap();
+    engine.set_workers(workers);
+    let id = engine
+        .register("q", q.clone(), PathSemantics::Arbitrary)
+        .unwrap();
     let a = labels.get("a").unwrap();
     let batch: Vec<StreamTuple> = (0..8)
         .map(|i| StreamTuple::insert(Timestamp(i), VertexId(i as u32), VertexId(i as u32 + 1), a))
@@ -303,28 +277,41 @@ fn sequential_multi_poisoned_by_midbatch_panic_refuses_reuse() {
         engine.process(batch[0], &mut MultiCollectSink::default());
     }));
     assert!(panic_message(reuse.expect_err("refuse").as_ref()).contains("poisoned"));
+    // And so is every registry mutation: none may touch the
+    // half-applied state.
+    let slots = engine.n_slots();
+    type RegistryCall<'a> = (&'a str, &'a dyn Fn(&mut MultiQueryEngine));
+    let registry_calls: [RegistryCall; 4] = [
+        ("register", &|e| {
+            let _ = e.register("r", q.clone(), PathSemantics::Arbitrary);
+        }),
+        ("register_backfilled", &|e| {
+            let mut sink = MultiCollectSink::default();
+            let _ = e.register_backfilled("rb", q.clone(), PathSemantics::Arbitrary, &mut sink);
+        }),
+        ("deregister", &|e| {
+            let _ = e.deregister(id);
+        }),
+        ("set_workers", &|e| e.set_workers(1)),
+    ];
+    for (what, call) in registry_calls {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut engine)));
+        assert!(
+            panic_message(refused.expect_err(what).as_ref()).contains("poisoned"),
+            "{workers} workers: {what} on a poisoned engine must refuse"
+        );
+    }
+    assert_eq!(engine.n_slots(), slots);
+    assert_eq!(engine.query_id("q"), Some(id));
+    assert_eq!(engine.n_workers(), workers);
+}
+
+#[test]
+fn sequential_multi_poisoned_by_midbatch_panic_refuses_reuse() {
+    poisoned_by_midbatch_panic_refuses_reuse(0);
 }
 
 #[test]
 fn parallel_multi_poisoned_by_midbatch_panic_refuses_reuse() {
-    let mut labels = labels_abcd();
-    let q = CompiledQuery::compile("a+", &mut labels).unwrap();
-    let mut engine = ParallelMultiEngine::new(WindowPolicy::new(100, 10), 2);
-    engine.register("q", q, PathSemantics::Arbitrary).unwrap();
-    let a = labels.get("a").unwrap();
-    let batch: Vec<StreamTuple> = (0..8)
-        .map(|i| StreamTuple::insert(Timestamp(i), VertexId(i as u32), VertexId(i as u32 + 1), a))
-        .collect();
-
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.process_batch(&batch, &mut FuseSink { left: 2 });
-    }));
-    assert!(unwound.is_err(), "the sink panic must propagate");
-    let reuse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.process_batch(&batch, &mut MultiCollectSink::default());
-    }));
-    assert!(
-        panic_message(reuse.expect_err("refuse").as_ref()).contains("poisoned"),
-        "expected a poisoned-engine refusal"
-    );
+    poisoned_by_midbatch_panic_refuses_reuse(2);
 }
