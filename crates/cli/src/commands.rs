@@ -5,12 +5,12 @@ use crate::streamfile;
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, LatencyHistogram, StreamTuple};
 use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::multi::MultiQueryEngine;
-use srpq_core::sink::{CollectSink, CountSink};
+use srpq_core::multi::{MultiQueryEngine, UntagSink};
+use srpq_core::sink::{CollectSink, CountSink, ResultSink};
 use srpq_core::{EngineConfig, QueryId};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset};
 use srpq_graph::WindowPolicy;
-use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
+use srpq_persist::{CheckpointStrategy, DurabilityConfig, DurabilityCounters, Durable, SyncPolicy};
 use std::path::Path;
 use std::time::Instant;
 
@@ -258,33 +258,21 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "subtree" => srpq_core::config::RefreshPolicy::Subtree,
         other => return Err(format!("unknown refresh policy {other:?}")),
     };
-    let workers: usize = args.get_num("workers", 0usize)?;
-    let mut host = if workers > 0 {
-        // Worker-pool evaluation: the single query rides a
-        // MultiQueryEngine on the pooled schedule (byte-identical
-        // output, see README).
-        let mut multi = MultiQueryEngine::with_config(config);
-        multi.set_workers(workers);
-        let id = multi
-            .register("cli", query, semantics)
-            .expect("fresh engine has no duplicate names");
-        match args.get("wal-dir") {
-            Some(dir) => EngineHost::ParallelDurable(
-                Durable::create(multi, Path::new(dir), durability_config(args)?)
-                    .map_err(|e| e.to_string())?,
-                id,
-            ),
-            None => EngineHost::Parallel(multi, id),
-        }
-    } else {
-        let engine = Engine::new(query, config, semantics);
-        match args.get("wal-dir") {
-            Some(dir) => EngineHost::Durable(
-                Durable::create(engine, Path::new(dir), durability_config(args)?)
-                    .map_err(|e| e.to_string())?,
-            ),
-            None => EngineHost::Plain(engine),
-        }
+    // The single query rides the one engine every host runs; `--workers`
+    // only picks its schedule (0 = inline; byte-identical output either
+    // way, see README).
+    let mut multi = MultiQueryEngine::with_config(config);
+    multi.set_workers(args.get_num("workers", 0usize)?);
+    let id = multi
+        .register("cli", query, semantics)
+        .expect("fresh engine has no duplicate names");
+    let mut host = match args.get("wal-dir") {
+        Some(dir) => EngineHost::Durable(
+            Durable::create(multi, Path::new(dir), durability_config(args)?)
+                .map_err(|e| e.to_string())?,
+            id,
+        ),
+        None => EngineHost::Plain(multi, id),
     };
     let journal = args.flag("trace").then(srpq_obs::Journal::default);
     let outcome = drive_stream(
@@ -318,39 +306,30 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be at least 1".to_string());
     }
-    let workers: usize = args.get_num("workers", 0usize)?;
-    let (mut host, report) = if workers > 0 {
-        // A directory written by `run --workers` holds multi-host state
-        // (same format as `serve`).
-        let (mut durable, report) = Durable::<MultiQueryEngine>::recover(
-            Path::new(&wal_dir),
-            &mut labels,
-            durability_config(args)?,
-        )
-        .map_err(|e| e.to_string())?;
-        durable.inner_mut().set_workers(workers);
-        // Offline recover drives exactly one query (results print
-        // untagged); a multi-query directory — e.g. one written by
-        // `serve` — must be refused, not silently merged.
-        let ids = durable.inner().query_ids();
-        let id = match ids.as_slice() {
-            [] => return Err("recovered multi-host state holds no live query".into()),
-            [id] => *id,
-            many => {
-                return Err(format!(
-                    "recovered state holds {} live queries; `recover` drives exactly one \
-                     (untagged output) — restart this directory with `serve --workers N` instead",
-                    many.len()
-                ))
-            }
-        };
-        (EngineHost::ParallelDurable(durable, id), report)
-    } else {
-        let (durable, report) =
-            Durable::<Engine>::recover(Path::new(&wal_dir), &mut labels, durability_config(args)?)
-                .map_err(|e| e.to_string())?;
-        (EngineHost::Durable(durable), report)
+    // The directory holds the same state `serve` writes, whatever
+    // `--workers` wrote it; the worker count is this run's choice.
+    let (mut durable, report) =
+        Durable::recover(Path::new(&wal_dir), &mut labels, durability_config(args)?)
+            .map_err(|e| e.to_string())?;
+    durable
+        .inner_mut()
+        .set_workers(args.get_num("workers", 0usize)?);
+    // Offline recover drives exactly one query (results print
+    // untagged); a multi-query directory — e.g. one written by
+    // `serve` — must be refused, not silently merged.
+    let ids = durable.inner().query_ids();
+    let id = match ids.as_slice() {
+        [] => return Err("recovered multi-host state holds no live query".into()),
+        [id] => *id,
+        many => {
+            return Err(format!(
+                "recovered state holds {} live queries; `recover` drives exactly one \
+                 (untagged output) — restart this directory with `serve --workers N` instead",
+                many.len()
+            ))
+        }
     };
+    let mut host = EngineHost::Durable(durable, id);
     eprintln!(
         "recovered:    checkpoint @{} ({}), {} WAL tuples replayed in {} ms",
         report.checkpoint_seq, report.strategy, report.replayed_tuples, report.elapsed_ms
@@ -434,10 +413,9 @@ fn cmd_wal_info(args: &Args) -> Result<(), String> {
     match srpq_persist::checkpoint::load_latest(dir).map_err(|e| e.to_string())? {
         Some((header, payload)) => {
             println!(
-                "checkpoint:  seq {} ({}, engine kind {}, {} bytes)",
+                "checkpoint:  seq {} ({}, {} bytes)",
                 header.seq,
                 header.strategy,
-                header.kind,
                 payload.len()
             );
             if header.seq < info.seq_range.1 {
@@ -454,65 +432,56 @@ fn cmd_wal_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A plain or durability-wrapped engine behind one ingestion interface.
+/// The one-query [`MultiQueryEngine`] behind `run` / `recover`, plain
+/// or durability-wrapped, with the query's id kept for the summary.
 /// (The durable variant is much bigger; exactly one host exists per
-/// process, so boxing would buy nothing.) `--workers N` swaps in a
-/// [`MultiQueryEngine`] with `N` workers carrying the single query —
-/// the worker-pool evaluation path — with the query's id kept for the
-/// summary.
+/// process, so boxing would buy nothing.)
 #[allow(clippy::large_enum_variant)]
 enum EngineHost {
-    Plain(Engine),
-    Durable(Durable<Engine>),
-    Parallel(MultiQueryEngine, QueryId),
-    ParallelDurable(Durable<MultiQueryEngine>, QueryId),
-}
-
-/// Drops the query tag off a single-query multi engine's events so the
-/// `run` output stays byte-identical to the plain engine's.
-struct UntagSink<'a, S: srpq_core::sink::ResultSink>(&'a mut S);
-
-impl<S: srpq_core::sink::ResultSink> srpq_core::multi::MultiSink for UntagSink<'_, S> {
-    fn emit(&mut self, _id: QueryId, pair: srpq_common::ResultPair, ts: srpq_common::Timestamp) {
-        self.0.emit(pair, ts);
-    }
-
-    fn invalidate(
-        &mut self,
-        _id: QueryId,
-        pair: srpq_common::ResultPair,
-        ts: srpq_common::Timestamp,
-    ) {
-        self.0.invalidate(pair, ts);
-    }
+    Plain(MultiQueryEngine, QueryId),
+    Durable(Durable, QueryId),
 }
 
 impl EngineHost {
-    fn engine(&self) -> &Engine {
+    fn multi(&self) -> &MultiQueryEngine {
         match self {
-            EngineHost::Plain(e) => e,
-            EngineHost::Durable(d) => d.inner(),
-            EngineHost::Parallel(m, id) => m.engine(*id).expect("query registered"),
-            EngineHost::ParallelDurable(d, id) => d.inner().engine(*id).expect("query registered"),
+            EngineHost::Plain(m, _) => m,
+            EngineHost::Durable(d, _) => d.inner(),
         }
     }
 
-    fn process_batch<S: srpq_core::sink::ResultSink>(
+    /// The group engine evaluating the query.
+    fn engine(&self) -> &Engine {
+        let (EngineHost::Plain(_, id) | EngineHost::Durable(_, id)) = self;
+        self.multi().engine(*id).expect("query registered")
+    }
+
+    /// Tuples no query spoke the label of (never routed, never stored).
+    fn discarded(&self) -> u64 {
+        let (seen, routed) = self.multi().routing_stats();
+        seen - routed
+    }
+
+    /// WAL/checkpoint totals; all zero for an undurable run.
+    fn durability(&self) -> DurabilityCounters {
+        match self {
+            EngineHost::Plain(..) => DurabilityCounters::default(),
+            EngineHost::Durable(d, _) => d.counters(),
+        }
+    }
+
+    fn process_batch<S: ResultSink>(
         &mut self,
-        chunk: &[srpq_common::StreamTuple],
+        chunk: &[StreamTuple],
         sink: &mut S,
     ) -> Result<(), String> {
+        // One query: drop its tag so the output is a private engine's.
         match self {
-            EngineHost::Plain(e) => {
-                e.process_batch(chunk, sink);
-                Ok(())
-            }
-            EngineHost::Durable(d) => d.process_batch(chunk, sink).map_err(|e| e.to_string()),
-            EngineHost::Parallel(m, _) => {
+            EngineHost::Plain(m, _) => {
                 m.process_batch(chunk, &mut UntagSink(sink));
                 Ok(())
             }
-            EngineHost::ParallelDurable(d, _) => d
+            EngineHost::Durable(d, _) => d
                 .process_batch(chunk, &mut UntagSink(sink))
                 .map_err(|e| e.to_string()),
         }
@@ -549,7 +518,7 @@ fn drive_stream(
     let mut relevant = 0u64;
     let started = Instant::now();
     #[allow(clippy::too_many_arguments)]
-    fn chunk_loop<S: srpq_core::sink::ResultSink>(
+    fn chunk_loop<S: ResultSink>(
         host: &mut EngineHost,
         slice: &[StreamTuple],
         start: usize,
@@ -566,14 +535,12 @@ fn drive_stream(
         let mut tracker = srpq_obs::StageTracker::new();
         {
             let stats = host.engine().stats();
-            tracker.seed(stats.expiry_runs, stats.checkpoints_written);
+            tracker.seed(stats.expiry_runs, host.durability().checkpoints_written);
             tracker.seed_query("cli", stats.compactions);
         }
         for chunk in slice.chunks(batch.max(1)) {
-            let chunk_relevant = chunk
-                .iter()
-                .filter(|t| host.engine().query().dfa().knows_label(t.label))
-                .count() as u64;
+            let dfa = host.engine().query().dfa();
+            let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
             *relevant += chunk_relevant;
             let t0 = Instant::now();
             host.process_batch(chunk, sink)?;
@@ -586,7 +553,7 @@ fn drive_stream(
                 let at = format!("pos={pos}");
                 tracker.slide(journal, &at, now.expiry_runs);
                 tracker.compaction(journal, "cli", now.compactions);
-                tracker.checkpoint(journal, &at, now.checkpoints_written);
+                tracker.checkpoint(journal, &at, host.durability().checkpoints_written);
             }
         }
         Ok(())
@@ -639,10 +606,11 @@ fn print_trace(journal: &srpq_obs::Journal) {
 /// escaping is needed).
 fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Result<(), String> {
     let stats = host.engine().stats();
+    let wal = host.durability();
     let index = host.engine().index_size();
     let mut fields: Vec<(&str, u64)> = vec![
         ("tuples_processed", stats.tuples_processed),
-        ("tuples_discarded", stats.tuples_discarded),
+        ("tuples_discarded", host.discarded()),
         ("deletions_processed", stats.deletions_processed),
         ("insert_calls", stats.insert_calls),
         ("results_emitted", stats.results_emitted),
@@ -655,11 +623,11 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
         ("budget_exhausted", stats.budget_exhausted),
         ("tuples_routed", stats.tuples_routed),
         ("eval_ns", stats.eval_ns),
-        ("wal_bytes", stats.wal_bytes),
-        ("wal_appends", stats.wal_appends),
-        ("fsyncs", stats.fsyncs),
-        ("checkpoints_written", stats.checkpoints_written),
-        ("last_recovery_ms", stats.last_recovery_ms),
+        ("wal_bytes", wal.wal_bytes),
+        ("wal_appends", wal.wal_appends),
+        ("fsyncs", wal.fsyncs),
+        ("checkpoints_written", wal.checkpoints_written),
+        ("last_recovery_ms", wal.last_recovery_ms),
         ("delta_nodes_live", stats.delta_nodes_live),
         ("delta_capacity", stats.delta_capacity),
         ("compactions", stats.compactions),
@@ -700,7 +668,9 @@ fn print_summary(
     eprintln!("semantics:    {semantics:?}  window |W|={window} slide β={slide}  batch={batch}",);
     eprintln!(
         "tuples:       {} total, {} relevant, {} discarded",
-        outcome.processed, outcome.relevant, stats.tuples_discarded
+        outcome.processed,
+        outcome.relevant,
+        host.discarded()
     );
     eprintln!("results:      {}", engine.result_count());
     eprintln!(
@@ -717,40 +687,30 @@ fn print_summary(
         "conflicts:    {} detected, {} unmarked",
         stats.conflicts_detected, stats.nodes_unmarked
     );
-    let workers = match host {
-        EngineHost::Parallel(m, _) => Some(m.n_workers()),
-        EngineHost::ParallelDurable(d, _) => Some(d.inner().n_workers()),
-        _ => None,
-    };
-    if let Some(n) = workers {
-        eprintln!("workers:      {n} evaluation threads");
+    match host.multi().n_workers() {
+        0 => {}
+        n => eprintln!("workers:      {n} evaluation threads"),
     }
-    let (wal, dir, ckpt, written) = match host {
-        EngineHost::Durable(d) => (
-            Some(d.wal_info()),
-            d.dir().display().to_string(),
-            d.last_checkpoint_seq(),
-            d.counters().checkpoints_written,
-        ),
-        EngineHost::ParallelDurable(d, _) => (
-            Some(d.wal_info()),
-            d.dir().display().to_string(),
-            d.last_checkpoint_seq(),
-            d.counters().checkpoints_written,
-        ),
-        _ => (None, String::new(), 0, 0),
-    };
-    if let Some(info) = wal {
+    let wal = host.durability();
+    if let EngineHost::Durable(d, _) = host {
+        let info = d.wal_info();
         eprintln!(
-            "wal:          {} records / {} bytes in {} segments under {dir}",
-            info.records, info.bytes, info.segments,
+            "wal:          {} records / {} bytes in {} segments under {}",
+            info.records,
+            info.bytes,
+            info.segments,
+            d.dir().display(),
         );
-        eprintln!("checkpoint:   latest @{ckpt} ({written} written this run)");
+        eprintln!(
+            "checkpoint:   latest @{} ({} written this run)",
+            d.last_checkpoint_seq(),
+            wal.checkpoints_written
+        );
     }
     if args.flag("stats") {
         eprintln!("stats:");
         eprintln!("  tuples_processed     {}", stats.tuples_processed);
-        eprintln!("  tuples_discarded     {}", stats.tuples_discarded);
+        eprintln!("  tuples_discarded     {}", host.discarded());
         eprintln!("  deletions_processed  {}", stats.deletions_processed);
         eprintln!("  insert_calls         {}", stats.insert_calls);
         eprintln!("  results_emitted      {}", stats.results_emitted);
@@ -764,11 +724,11 @@ fn print_summary(
         eprintln!("  delta_nodes_live     {}", stats.delta_nodes_live);
         eprintln!("  delta_capacity       {}", stats.delta_capacity);
         eprintln!("  compactions          {}", stats.compactions);
-        eprintln!("  wal_bytes            {}", stats.wal_bytes);
-        eprintln!("  wal_appends          {}", stats.wal_appends);
-        eprintln!("  fsyncs               {}", stats.fsyncs);
-        eprintln!("  checkpoints_written  {}", stats.checkpoints_written);
-        eprintln!("  last_recovery_ms     {}", stats.last_recovery_ms);
+        eprintln!("  wal_bytes            {}", wal.wal_bytes);
+        eprintln!("  wal_appends          {}", wal.wal_appends);
+        eprintln!("  fsyncs               {}", wal.fsyncs);
+        eprintln!("  checkpoints_written  {}", wal.checkpoints_written);
+        eprintln!("  last_recovery_ms     {}", wal.last_recovery_ms);
     }
 }
 
@@ -1055,15 +1015,14 @@ mod tests {
 
     #[test]
     fn parallel_run_and_recover_round_trip() {
-        // `run --workers N` rides the pooled MultiQueryEngine end to end,
-        // durable included, and `recover --workers N` resumes it.
+        // `run --workers N` rides the one MultiQueryEngine end to end,
+        // durable included, on either schedule, and `recover --workers N`
+        // resumes it — reporting real durability numbers both ways.
         let dir = std::env::temp_dir().join(format!("srpq-cli-par-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let stream = dir.join("s.srpq");
         let stream_s = stream.to_str().unwrap().to_string();
-        let wal = dir.join("wal");
-        let wal_s = wal.to_str().unwrap().to_string();
         dispatch(&argv(&[
             "gen",
             "--dataset",
@@ -1090,37 +1049,62 @@ mod tests {
             "900",
         ]))
         .unwrap();
-        dispatch(&argv(&[
-            "run",
-            "--query",
-            "a2q c2a*",
-            "--stream",
-            &stream_s,
-            "--workers",
-            "2",
-            "--batch",
-            "64",
-            "--limit",
-            "700",
-            "--wal-dir",
-            &wal_s,
-            "--checkpoint-every",
-            "2",
-            "--stats",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "recover",
-            "--wal-dir",
-            &wal_s,
-            "--stream",
-            &stream_s,
-            "--workers",
-            "2",
-            "--batch",
-            "64",
-        ]))
-        .unwrap();
+        for workers in ["0", "2"] {
+            let wal = dir.join(format!("wal-{workers}"));
+            let wal_s = wal.to_str().unwrap().to_string();
+            let json = dir.join(format!("stats-{workers}.json"));
+            let json_s = json.to_str().unwrap().to_string();
+            dispatch(&argv(&[
+                "run",
+                "--query",
+                "a2q c2a*",
+                "--stream",
+                &stream_s,
+                "--workers",
+                workers,
+                "--batch",
+                "64",
+                "--limit",
+                "700",
+                "--wal-dir",
+                &wal_s,
+                "--checkpoint-every",
+                "2",
+                "--stats",
+                "--stats-json",
+                &json_s,
+                "--trace",
+            ]))
+            .unwrap();
+            let dumped = std::fs::read_to_string(&json).unwrap();
+            let field = |key: &str| -> u64 {
+                let at = dumped.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+                let digits: String = dumped[at..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
+                digits.parse().unwrap()
+            };
+            for key in ["wal_bytes", "wal_appends", "fsyncs"] {
+                assert!(field(key) > 0, "--workers {workers}: {key} is 0");
+            }
+            assert!(
+                field("checkpoints_written") >= 2,
+                "--workers {workers}: the cadence wrote no checkpoint"
+            );
+            dispatch(&argv(&[
+                "recover",
+                "--wal-dir",
+                &wal_s,
+                "--stream",
+                &stream_s,
+                "--workers",
+                workers,
+                "--batch",
+                "64",
+            ]))
+            .unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -206,8 +206,8 @@ impl Engine {
         }
     }
 
-    /// Mutable statistics (persistence support: `srpq_persist` maintains
-    /// the durability counters here).
+    /// Mutable statistics (a multi-query host attributes routing hits
+    /// and evaluation time here).
     pub fn stats_mut(&mut self) -> &mut EngineStats {
         match self {
             Engine::Arbitrary(e) => e.stats_mut(),
@@ -228,14 +228,6 @@ impl Engine {
         match self {
             Engine::Arbitrary(e) => e.emitted_pairs(),
             Engine::Simple(e) => e.emitted_pairs(),
-        }
-    }
-
-    /// Mutable window graph (persistence support).
-    pub fn graph_mut(&mut self) -> &mut WindowGraph {
-        match self {
-            Engine::Arbitrary(e) => e.graph_mut(),
-            Engine::Simple(e) => e.graph_mut(),
         }
     }
 

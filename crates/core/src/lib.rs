@@ -52,7 +52,6 @@ pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod multi;
-pub mod parallel;
 mod parallel_multi;
 pub mod rapq;
 pub mod reorder;
@@ -63,9 +62,8 @@ pub mod stats;
 pub use config::EngineConfig;
 pub use engine::{Engine, PathSemantics};
 pub use multi::{
-    MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId,
+    MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId, UntagSink,
 };
-pub use parallel::ParallelRapqEngine;
 pub use reorder::ReorderBuffer;
 pub use sink::{CollectSink, CountSink, NullSink, ResultSink};
 pub use stats::{DeltaProfile, EngineStats, IndexSize, StageTotals};

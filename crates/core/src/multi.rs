@@ -222,6 +222,22 @@ impl<S: MultiSink> ResultSink for TagSink<'_, S> {
     }
 }
 
+/// The inverse of the engine's tagging: drops the query tag off a
+/// **one-query** engine's events, so a host driving a single query
+/// (`srpq run`, the equivalence suites) sees exactly the untagged
+/// stream a private [`Engine`] would have produced.
+pub struct UntagSink<'a, S: ResultSink>(pub &'a mut S);
+
+impl<S: ResultSink> MultiSink for UntagSink<'_, S> {
+    fn emit(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
+        self.0.emit(pair, ts);
+    }
+
+    fn invalidate(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
+        self.0.invalidate(pair, ts);
+    }
+}
+
 /// Buffers a group engine's untagged events so they can be fanned out
 /// to every subscriber afterwards. The `bool` marks invalidations.
 struct BufSink<'a> {

@@ -36,11 +36,11 @@ pub type Delta = Forest<Unique>;
 /// once at push time — so the drain loop re-validates it with one
 /// column read instead of a hash lookup.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkItem {
-    pub(crate) parent_id: NodeId,
-    pub(crate) child: NodeKey,
-    pub(crate) via: Label,
-    pub(crate) edge_ts: Timestamp,
+struct WorkItem {
+    parent_id: NodeId,
+    child: NodeKey,
+    via: Label,
+    edge_ts: Timestamp,
 }
 
 /// The streaming RAPQ engine (Algorithm RAPQ + Insert + ExpiryRAPQ +
@@ -119,8 +119,8 @@ impl RapqEngine {
         &self.config
     }
 
-    /// Mutable statistics (persistence support: `srpq_persist` maintains
-    /// the durability counters here).
+    /// Mutable statistics (a multi-query host attributes routing hits
+    /// and evaluation time here).
     pub fn stats_mut(&mut self) -> &mut EngineStats {
         &mut self.stats
     }
@@ -131,12 +131,6 @@ impl RapqEngine {
         let mut out: Vec<ResultPair> = self.emitted.iter().copied().collect();
         out.sort_unstable();
         out
-    }
-
-    /// Mutable window graph (persistence support: `Full` recovery
-    /// rebuilds the graph by direct insertion instead of replay).
-    pub fn graph_mut(&mut self) -> &mut WindowGraph {
-        &mut self.graph
     }
 
     /// Overwrites the engine cursor — clock, result-deduplication set,
@@ -680,7 +674,7 @@ impl RapqEngine {
 /// Free function (rather than a method) so the engine can hold disjoint
 /// borrows of the tree, the reverse index, and the graph.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_insert<S: ResultSink>(
+fn run_insert<S: ResultSink>(
     tree: &mut Tree,
     idx: &mut RevIndex,
     work: &mut Vec<WorkItem>,

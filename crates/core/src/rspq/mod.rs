@@ -144,8 +144,8 @@ impl RspqEngine {
         &self.config
     }
 
-    /// Mutable statistics (persistence support: `srpq_persist` maintains
-    /// the durability counters here).
+    /// Mutable statistics (a multi-query host attributes routing hits
+    /// and evaluation time here).
     pub fn stats_mut(&mut self) -> &mut EngineStats {
         &mut self.stats
     }
@@ -156,12 +156,6 @@ impl RspqEngine {
         let mut out: Vec<ResultPair> = self.emitted.iter().copied().collect();
         out.sort_unstable();
         out
-    }
-
-    /// Mutable window graph (persistence support: `Full` recovery
-    /// rebuilds the graph by direct insertion instead of replay).
-    pub fn graph_mut(&mut self) -> &mut WindowGraph {
-        &mut self.graph
     }
 
     /// Overwrites the engine cursor — clock, result-deduplication set,

@@ -59,18 +59,6 @@ pub struct EngineStats {
     /// operators compare queries within one run (`srpq query list`) to
     /// find the hot one; never compare across runs or recoveries.
     pub eval_ns: u64,
-    /// Bytes appended to the write-ahead log (maintained by
-    /// `srpq_persist::Durable`; zero for undurable engines).
-    pub wal_bytes: u64,
-    /// Records appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// `fsync` calls issued by the WAL (see `srpq_persist::SyncPolicy`).
-    pub fsyncs: u64,
-    /// Checkpoints written.
-    pub checkpoints_written: u64,
-    /// Wall-clock milliseconds the most recent recovery took (zero if
-    /// this engine was never recovered).
-    pub last_recovery_ms: u64,
     /// Live Δ nodes (gauge, refreshed after deletions and expiry).
     pub delta_nodes_live: u64,
     /// Total Δ arena slots, live + free-listed (gauge). The gap to

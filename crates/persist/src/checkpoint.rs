@@ -26,9 +26,9 @@
 //!
 //! ```text
 //! file   := body crc32(body)
-//! body   := magic "SRPQCKP1" | u32 version = 4 | u8 kind | u8 strategy
-//!           | u64 seq | payload (engine-kind specific, see
-//!           `srpq_persist::durable::PersistEngine`)
+//! body   := magic "SRPQCKP1" | u32 version = 5 | u8 strategy | u64 seq
+//!           | payload (durability counters, then the engine's logical
+//!           state; see `srpq_persist::durable`)
 //! ```
 
 use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
@@ -41,14 +41,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: &[u8; 8] = b"SRPQCKP1";
-// v2: `EngineStats` gained `tuples_routed`/`eval_ns` mid-record, so v1
-// checkpoints must be refused rather than misdecoded.
-// v3: `EngineStats` gained the Δ occupancy gauges
-// (`delta_nodes_live`/`delta_capacity`) and `compactions`.
-// v4: `EngineConfig` gained `shared_groups`, and the multi-engine
-// payload (KIND=2) switched from per-slot engines to shared evaluation
-// groups plus subscriber tags.
-const CKPT_VERSION: u32 = 4;
+// v5: one layout — no engine-kind byte, `Durable`'s counters lead the
+// payload instead of riding in every `EngineStats`. Any other version
+// is refused rather than misdecoded.
+const CKPT_VERSION: u32 = 5;
+
+/// Bytes of `body` ahead of the payload: magic, version, strategy, seq.
+const HEADER_LEN: usize = 8 + 4 + 1 + 8;
 
 /// What a checkpoint stores beyond the engine cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,8 +99,6 @@ impl std::fmt::Display for CheckpointStrategy {
 /// Parsed checkpoint header.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointHeader {
-    /// Engine-kind discriminant (see `PersistEngine::KIND`).
-    pub kind: u8,
     /// Strategy the payload was written under.
     pub strategy: CheckpointStrategy,
     /// WAL sequence number the checkpoint covers (tuples `0..seq` are
@@ -113,16 +110,14 @@ pub struct CheckpointHeader {
 /// checkpoint files on success. Returns the final path.
 pub fn write(
     dir: &Path,
-    kind: u8,
     strategy: CheckpointStrategy,
     seq: u64,
     payload: &[u8],
 ) -> Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let mut body = Vec::with_capacity(8 + 4 + 1 + 1 + 8 + payload.len() + 4);
+    let mut body = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
     body.extend_from_slice(CKPT_MAGIC);
     body.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    body.push(kind);
     body.push(strategy.to_u8());
     body.extend_from_slice(&seq.to_le_bytes());
     body.extend_from_slice(payload);
@@ -197,7 +192,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<(CheckpointHeader, Vec<u8>)>> {
 fn load_one(path: &Path) -> Result<(CheckpointHeader, Vec<u8>)> {
     let data = fs::read(path)?;
     let name = path.display();
-    if data.len() < 8 + 4 + 1 + 1 + 8 + 4 {
+    if data.len() < HEADER_LEN + 4 {
         return Err(corrupt(format!("checkpoint {name}: truncated")));
     }
     let (body, crc_bytes) = data.split_at(data.len() - 4);
@@ -214,21 +209,16 @@ fn load_one(path: &Path) -> Result<(CheckpointHeader, Vec<u8>)> {
             "checkpoint {name}: unknown version {version}"
         )));
     }
-    let kind = body[12];
-    let strategy = CheckpointStrategy::from_u8(body[13])?;
-    let seq = u64::from_le_bytes(body[14..22].try_into().unwrap());
+    let strategy = CheckpointStrategy::from_u8(body[12])?;
+    let seq = u64::from_le_bytes(body[13..HEADER_LEN].try_into().unwrap());
     Ok((
-        CheckpointHeader {
-            kind,
-            strategy,
-            seq,
-        },
-        body[22..].to_vec(),
+        CheckpointHeader { strategy, seq },
+        body[HEADER_LEN..].to_vec(),
     ))
 }
 
 // ---------------------------------------------------------------------
-// Shared sub-structure codecs used by the per-engine state encoders.
+// Sub-structure codecs used by the engine-state encoder in `durable`.
 // ---------------------------------------------------------------------
 
 /// Encodes an [`EngineConfig`].
@@ -300,11 +290,6 @@ pub(crate) fn encode_stats(w: &mut ByteWriter, s: &EngineStats) {
         s.budget_exhausted,
         s.tuples_routed,
         s.eval_ns,
-        s.wal_bytes,
-        s.wal_appends,
-        s.fsyncs,
-        s.checkpoints_written,
-        s.last_recovery_ms,
         s.delta_nodes_live,
         s.delta_capacity,
         s.compactions,
@@ -330,11 +315,6 @@ pub(crate) fn decode_stats(r: &mut ByteReader) -> Result<EngineStats> {
         budget_exhausted: r.u64()?,
         tuples_routed: r.u64()?,
         eval_ns: r.u64()?,
-        wal_bytes: r.u64()?,
-        wal_appends: r.u64()?,
-        fsyncs: r.u64()?,
-        checkpoints_written: r.u64()?,
-        last_recovery_ms: r.u64()?,
         delta_nodes_live: r.u64()?,
         delta_capacity: r.u64()?,
         compactions: r.u64()?,
@@ -539,8 +519,8 @@ mod tests {
     #[test]
     fn write_load_prune_round_trip() {
         let dir = tmpdir("roundtrip");
-        write(&dir, 1, CheckpointStrategy::Logical, 10, b"alpha").unwrap();
-        write(&dir, 1, CheckpointStrategy::Full, 20, b"beta").unwrap();
+        write(&dir, CheckpointStrategy::Logical, 10, b"alpha").unwrap();
+        write(&dir, CheckpointStrategy::Full, 20, b"beta").unwrap();
         let (hdr, payload) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(hdr.seq, 20);
         assert_eq!(hdr.strategy, CheckpointStrategy::Full);
@@ -553,7 +533,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_detected() {
         let dir = tmpdir("corrupt");
-        let path = write(&dir, 1, CheckpointStrategy::Logical, 5, b"payload").unwrap();
+        let path = write(&dir, CheckpointStrategy::Logical, 5, b"payload").unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[30] ^= 1;
         fs::write(&path, &bytes).unwrap();
@@ -577,7 +557,7 @@ mod tests {
         encode_config(&mut w, &c);
         let s = EngineStats {
             tuples_processed: 9,
-            last_recovery_ms: 3,
+            eval_ns: 3,
             delta_nodes_live: 4,
             delta_capacity: 6,
             compactions: 2,
@@ -593,7 +573,7 @@ mod tests {
         assert!(!c2.dedup_results);
         let s2 = decode_stats(&mut r).unwrap();
         assert_eq!(s2.tuples_processed, 9);
-        assert_eq!(s2.last_recovery_ms, 3);
+        assert_eq!(s2.eval_ns, 3);
         assert_eq!(s2.delta_nodes_live, 4);
         assert_eq!(s2.delta_capacity, 6);
         assert_eq!(s2.compactions, 2);

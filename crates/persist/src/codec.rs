@@ -16,8 +16,8 @@ pub enum PersistError {
     /// Stored bytes failed validation (bad magic, checksum mismatch,
     /// truncated structure, out-of-range value).
     Corrupt(String),
-    /// The stored state is well-formed but cannot be applied (wrong
-    /// engine kind, unknown version, query fails to recompile).
+    /// The stored state is well-formed but cannot be applied (unknown
+    /// version, query fails to recompile, directory already in use).
     Incompatible(String),
 }
 

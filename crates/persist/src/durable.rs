@@ -1,7 +1,8 @@
-//! The durability hook threaded through every engine layer.
+//! The durability hook around the one engine every host runs.
 //!
-//! [`Durable<E>`] wraps an engine with write-ahead logging and periodic
-//! checkpointing: `process_batch` appends the batch to the WAL (and
+//! [`Durable`] wraps a [`MultiQueryEngine`] — `serve`'s registry, or the
+//! one-query engine behind `srpq run` — with write-ahead logging and
+//! periodic checkpointing: `process_batch` appends the batch to the WAL (and
 //! fsyncs per the [`SyncPolicy`]) **before** the engine mutates any
 //! state, then checkpoints whenever the window has slid
 //! `checkpoint_every` times since the last checkpoint, then truncates
@@ -17,6 +18,12 @@
 //! stream with the same results at the same stream timestamps as an
 //! uninterrupted run (`tests/recovery_equivalence.rs` pins this with a
 //! crash-injection matrix).
+//!
+//! There is **one checkpoint layout**, and it is logical: it stores no
+//! worker count and nothing about the evaluation schedule, so a
+//! directory written at any `--workers` recovers at any other, and a
+//! directory `srpq run` wrote is the one-query case of what `serve`
+//! writes.
 //!
 //! # Recovery guarantees
 //!
@@ -42,11 +49,9 @@ use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
 use crate::wal::{SyncPolicy, Wal, WalBatch, WalInfo};
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp};
-use srpq_core::delta::Forest;
 use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::multi::{MultiQueryEngine, MultiSink, NullMultiSink};
-use srpq_core::sink::{NullSink, ResultSink};
-use srpq_core::{EngineStats, ParallelRapqEngine, QueryId};
+use srpq_core::{EngineStats, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_obs::{Counter, EventKind, Gauge, Histogram, Obs};
 use std::path::{Path, PathBuf};
@@ -93,11 +98,14 @@ pub struct RecoveryReport {
     pub elapsed_ms: u64,
 }
 
-/// Durability counters (mirrored into [`EngineStats`] when the wrapped
-/// engine exposes one).
+/// Durability counters: lifetime totals of one durable directory. The
+/// four totals are checkpointed at the head of [`Durable`]'s payload, so
+/// a recovered instance continues from what its anchoring checkpoint
+/// recorded (WAL traffic after that checkpoint is replayed, not
+/// re-logged, and is not re-counted).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurabilityCounters {
-    /// Bytes appended to the WAL over the engine's lifetime.
+    /// Bytes appended to the WAL over the directory's lifetime.
     pub wal_bytes: u64,
     /// Records appended to the WAL.
     pub wal_appends: u64,
@@ -105,47 +113,9 @@ pub struct DurabilityCounters {
     pub fsyncs: u64,
     /// Checkpoints written.
     pub checkpoints_written: u64,
-    /// Milliseconds the most recent recovery took.
+    /// Milliseconds the most recent recovery took (describes this
+    /// process, not the directory: never checkpointed).
     pub last_recovery_ms: u64,
-}
-
-/// An engine that can be checkpointed and restored by [`Durable`].
-///
-/// Implemented for [`Engine`] (covering `RapqEngine` and `RspqEngine`
-/// via [`PathSemantics`]), [`MultiQueryEngine`], and
-/// [`ParallelRapqEngine`].
-pub trait PersistEngine: Sized {
-    /// Discriminant stored in checkpoint headers so a directory cannot
-    /// be recovered as the wrong engine kind.
-    const KIND: u8;
-
-    /// Stream time of the last processed tuple.
-    fn clock(&self) -> Timestamp;
-
-    /// The engine's window policy (drives checkpoint cadence and WAL
-    /// truncation).
-    fn window_policy(&self) -> WindowPolicy;
-
-    /// Serializes the engine state under `strategy`.
-    fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter);
-
-    /// Rebuilds an engine from serialized state. `labels` must be the
-    /// same interner (or an equal clone) the original run compiled its
-    /// queries against — checkpoints store query *text*, and label ids
-    /// are interner-relative.
-    fn decode_state(
-        r: &mut ByteReader,
-        strategy: CheckpointStrategy,
-        labels: &mut LabelInterner,
-    ) -> Result<Self>;
-
-    /// Feeds `batch` through normal processing with a discarding sink
-    /// (recovery replay: state advances, outputs are not re-delivered).
-    fn replay(&mut self, batch: &[StreamTuple]);
-
-    /// Mutable statistics, when this engine keeps a single
-    /// [`EngineStats`] (the durability counters are mirrored there).
-    fn durability_stats_mut(&mut self) -> Option<&mut EngineStats>;
 }
 
 /// Cached observability handles (see [`Durable::set_obs`]). Metric
@@ -163,9 +133,12 @@ struct ObsHooks {
     recovery_ms: Gauge,
 }
 
-/// A durable engine: WAL + checkpoints wrapped around `E`.
+/// A durable engine: WAL + checkpoints wrapped around a
+/// [`MultiQueryEngine`]. The type parameter is inert — it exists, with
+/// its one possible value as the default, only so callers that spell
+/// `Durable<MultiQueryEngine>` keep compiling.
 #[derive(Debug)]
-pub struct Durable<E: PersistEngine> {
+pub struct Durable<E = MultiQueryEngine> {
     inner: E,
     wal: Wal,
     dir: PathBuf,
@@ -180,11 +153,11 @@ pub struct Durable<E: PersistEngine> {
     obs: Option<ObsHooks>,
 }
 
-impl<E: PersistEngine> Durable<E> {
+impl Durable<MultiQueryEngine> {
     /// Wraps a fresh engine, initializing `dir` with an empty WAL and a
     /// manifest checkpoint at sequence 0. Refuses a directory that
     /// already holds durable state (use [`Self::recover`] for those).
-    pub fn create(inner: E, dir: &Path, cfg: DurabilityConfig) -> Result<Durable<E>> {
+    pub fn create(inner: MultiQueryEngine, dir: &Path, cfg: DurabilityConfig) -> Result<Durable> {
         std::fs::create_dir_all(dir)?;
         // A corrupt existing checkpoint must surface as an error, not
         // read as "fresh directory" — proceeding would prune the very
@@ -223,20 +196,21 @@ impl<E: PersistEngine> Durable<E> {
         dir: &Path,
         labels: &mut LabelInterner,
         cfg: DurabilityConfig,
-    ) -> Result<(Durable<E>, RecoveryReport)> {
+    ) -> Result<(Durable, RecoveryReport)> {
         let t0 = Instant::now();
         let (header, payload) = checkpoint::load_latest(dir)?.ok_or_else(|| {
             PersistError::Incompatible(format!("{}: no checkpoint to recover from", dir.display()))
         })?;
-        if header.kind != E::KIND {
-            return Err(PersistError::Incompatible(format!(
-                "checkpoint holds engine kind {}, expected {}",
-                header.kind,
-                E::KIND
-            )));
-        }
         let mut r = ByteReader::new(&payload);
-        let mut inner = E::decode_state(&mut r, header.strategy, labels)?;
+        // Lifetime counters continue from what the checkpoint recorded.
+        let mut counters = DurabilityCounters {
+            wal_bytes: r.u64()?,
+            wal_appends: r.u64()?,
+            fsyncs: r.u64()?,
+            checkpoints_written: r.u64()?,
+            last_recovery_ms: 0,
+        };
+        let mut inner = decode_engine(&mut r, header.strategy, labels)?;
         if !r.is_exhausted() {
             return Err(corrupt(format!(
                 "checkpoint payload has {} trailing bytes",
@@ -258,25 +232,15 @@ impl<E: PersistEngine> Durable<E> {
                 )));
             }
             let skip = (applied - seq) as usize;
-            inner.replay(&tuples[skip..]);
+            // State advances; outputs are not re-delivered.
+            inner.process_batch(&tuples[skip..], &mut NullMultiSink);
             replayed += (tuples.len() - skip) as u64;
             applied = end;
         }
 
         let elapsed_ms = t0.elapsed().as_millis() as u64;
-        // Lifetime counters continue from what the checkpoint recorded.
-        let mut counters = match inner.durability_stats_mut() {
-            Some(s) => DurabilityCounters {
-                wal_bytes: s.wal_bytes,
-                wal_appends: s.wal_appends,
-                fsyncs: s.fsyncs,
-                checkpoints_written: s.checkpoints_written,
-                last_recovery_ms: 0,
-            },
-            None => DurabilityCounters::default(),
-        };
         counters.last_recovery_ms = elapsed_ms;
-        let we = window_end_opt(inner.window_policy(), inner.clock());
+        let we = window_end_opt(inner.window(), inner.now());
         let report = RecoveryReport {
             checkpoint_seq: header.seq,
             strategy: header.strategy,
@@ -284,7 +248,7 @@ impl<E: PersistEngine> Durable<E> {
             resume_seq: applied,
             elapsed_ms,
         };
-        let mut me = Durable {
+        let me = Durable {
             inner,
             wal,
             dir: dir.to_path_buf(),
@@ -295,7 +259,6 @@ impl<E: PersistEngine> Durable<E> {
             last_recovery: Some(report),
             obs: None,
         };
-        me.mirror_counters();
         Ok((me, report))
     }
 
@@ -339,18 +302,18 @@ impl<E: PersistEngine> Durable<E> {
     }
 
     /// The wrapped engine.
-    pub fn inner(&self) -> &E {
+    pub fn inner(&self) -> &MultiQueryEngine {
         &self.inner
     }
 
     /// Mutable access to the wrapped engine. Mutating engine *state*
     /// through this bypasses the WAL; use it for sinks/statistics only.
-    pub fn inner_mut(&mut self) -> &mut E {
+    pub fn inner_mut(&mut self) -> &mut MultiQueryEngine {
         &mut self.inner
     }
 
     /// Unwraps the engine, dropping durability.
-    pub fn into_inner(self) -> E {
+    pub fn into_inner(self) -> MultiQueryEngine {
         self.inner
     }
 
@@ -372,6 +335,21 @@ impl<E: PersistEngine> Durable<E> {
     /// Sequence number of the most recent checkpoint.
     pub fn last_checkpoint_seq(&self) -> u64 {
         self.last_ckpt_seq
+    }
+
+    /// WAL-append then process: the durable ingestion entry point
+    /// (evaluation runs on whichever schedule the engine is set to).
+    pub fn process_batch<S: MultiSink>(
+        &mut self,
+        batch: &[StreamTuple],
+        sink: &mut S,
+    ) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.log_batch(batch)?;
+        self.inner.process_batch(batch, sink);
+        self.after_batch()
     }
 
     /// Appends `batch` to the WAL under the configured [`SyncPolicy`].
@@ -419,11 +397,10 @@ impl<E: PersistEngine> Durable<E> {
         Ok(())
     }
 
-    /// Post-batch bookkeeping: checkpoint if the window slid far enough,
-    /// mirror counters into the engine's statistics.
+    /// Post-batch bookkeeping: checkpoint if the window slid far enough.
     fn after_batch(&mut self) -> Result<()> {
-        let window = self.inner.window_policy();
-        let clock = self.inner.clock();
+        let window = self.inner.window();
+        let clock = self.inner.now();
         if clock != Timestamp::NEG_INFINITY {
             let we = window.window_end(clock);
             match self.last_ckpt_window_end {
@@ -441,7 +418,6 @@ impl<E: PersistEngine> Durable<E> {
                 Some(_) => {}
             }
         }
-        self.mirror_counters();
         Ok(())
     }
 
@@ -458,19 +434,30 @@ impl<E: PersistEngine> Durable<E> {
         }
         let seq = self.wal.next_seq();
         let mut w = ByteWriter::new();
-        self.inner.encode_state(self.cfg.strategy, &mut w);
+        // The lifetime totals lead the payload, counting the checkpoint
+        // being written: a recovered instance resumes exactly where
+        // this one stood once the write below succeeded.
+        let c = self.counters;
+        for v in [
+            c.wal_bytes,
+            c.wal_appends,
+            c.fsyncs,
+            c.checkpoints_written + 1,
+        ] {
+            w.u64(v);
+        }
+        encode_engine(&self.inner, self.cfg.strategy, &mut w);
         let bytes = w.into_bytes();
         let payload_bytes = bytes.len();
-        checkpoint::write(&self.dir, E::KIND, self.cfg.strategy, seq, &bytes)?;
+        checkpoint::write(&self.dir, self.cfg.strategy, seq, &bytes)?;
         self.counters.checkpoints_written += 1;
         self.last_ckpt_seq = seq;
-        let window = self.inner.window_policy();
-        let clock = self.inner.clock();
+        let window = self.inner.window();
+        let clock = self.inner.now();
         self.last_ckpt_window_end = window_end_opt(window, clock);
         if clock != Timestamp::NEG_INFINITY {
             self.wal.truncate_older(seq, window.watermark(clock))?;
         }
-        self.mirror_counters();
         if let Some(hooks) = &self.obs {
             let elapsed = t0.elapsed();
             hooks.checkpoint_ns.record(elapsed.as_nanos() as u64);
@@ -487,17 +474,6 @@ impl<E: PersistEngine> Durable<E> {
         }
         Ok(seq)
     }
-
-    fn mirror_counters(&mut self) {
-        let c = self.counters;
-        if let Some(s) = self.inner.durability_stats_mut() {
-            s.wal_bytes = c.wal_bytes;
-            s.wal_appends = c.wal_appends;
-            s.fsyncs = c.fsyncs;
-            s.checkpoints_written = c.checkpoints_written;
-            s.last_recovery_ms = c.last_recovery_ms;
-        }
-    }
 }
 
 fn window_end_opt(window: WindowPolicy, clock: Timestamp) -> Option<Timestamp> {
@@ -508,57 +484,8 @@ fn window_end_opt(window: WindowPolicy, clock: Timestamp) -> Option<Timestamp> {
     }
 }
 
-impl Durable<Engine> {
-    /// WAL-append then process: the durable ingestion entry point.
-    pub fn process_batch<S: ResultSink>(
-        &mut self,
-        batch: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.log_batch(batch)?;
-        self.inner.process_batch(batch, sink);
-        self.after_batch()
-    }
-}
-
-impl Durable<ParallelRapqEngine> {
-    /// WAL-append then process: the durable ingestion entry point.
-    pub fn process_batch<S: ResultSink>(
-        &mut self,
-        batch: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.log_batch(batch)?;
-        self.inner.process_batch(batch, sink);
-        self.after_batch()
-    }
-}
-
-impl Durable<MultiQueryEngine> {
-    /// WAL-append then process: the durable ingestion entry point
-    /// (evaluation runs on whichever schedule the engine is set to).
-    pub fn process_batch<S: MultiSink>(
-        &mut self,
-        batch: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.log_batch(batch)?;
-        self.inner.process_batch(batch, sink);
-        self.after_batch()
-    }
-}
-
 // ---------------------------------------------------------------------
-// PersistEngine implementations
+// The engine-state section of the payload
 // ---------------------------------------------------------------------
 
 fn encode_semantics(w: &mut ByteWriter, s: PathSemantics) {
@@ -590,349 +517,171 @@ fn edges_to_tuples(edges: &checkpoint::EdgeList) -> Vec<StreamTuple> {
         .collect()
 }
 
-impl PersistEngine for Engine {
-    const KIND: u8 = 1;
-
-    fn clock(&self) -> Timestamp {
-        self.now()
+/// Serializes the engine's logical state under `strategy`. Nothing
+/// here depends on the evaluation schedule: a durable directory written
+/// at any worker count recovers at any other (switch `--workers` freely
+/// across restarts).
+fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut ByteWriter) {
+    checkpoint::encode_config(w, multi.config());
+    w.i64(multi.now().0);
+    let (seen, routed) = multi.routing_stats();
+    w.u64(seen);
+    w.u64(routed);
+    checkpoint::encode_graph(w, multi.graph());
+    // Registration slots, vacated ones included: query ids are slot
+    // indexes and subscribers hold them across restarts, so a
+    // deregistered slot is checkpointed as an explicit tombstone
+    // rather than compacted away. A slot stores only its name and
+    // its group id — evaluation state lives in the group table.
+    w.u32(multi.n_slots() as u32);
+    for qi in 0..multi.n_slots() as u32 {
+        let id = QueryId(qi);
+        let Some(g) = multi.group_of(id) else {
+            w.u8(0); // vacant slot
+            continue;
+        };
+        w.u8(1);
+        w.str(multi.name(id).unwrap_or(""));
+        w.u32(g);
     }
-
-    fn window_policy(&self) -> WindowPolicy {
-        self.config().window
-    }
-
-    fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter) {
-        encode_semantics(w, self.semantics());
-        w.str(&self.query().regex().to_string());
-        checkpoint::encode_config(w, self.config());
-        w.i64(self.now().0);
-        checkpoint::encode_pairs(w, &self.emitted_pairs());
-        checkpoint::encode_stats(w, self.stats());
-        checkpoint::encode_graph(w, self.graph());
+    // Evaluation groups, freed ones included (group ids in the
+    // slot entries above are positional). Shared state — the Δ
+    // forest, emitted-pair set, statistics — is checkpointed once
+    // per group, not once per subscriber; recovery re-attaches
+    // subscribers from the encoded membership, never by signature
+    // re-matching.
+    w.u32(multi.n_group_slots() as u32);
+    for g in 0..multi.n_group_slots() as u32 {
+        let Some(engine) = multi.group_engine(g) else {
+            w.u8(0); // freed group
+            continue;
+        };
+        w.u8(1);
+        encode_semantics(w, engine.semantics());
+        w.str(&engine.query().regex().to_string());
+        w.u8(multi.group_is_complete(g).unwrap_or(false) as u8);
+        w.i64(engine.now().0);
+        checkpoint::encode_pairs(w, &engine.emitted_pairs());
+        checkpoint::encode_stats(w, engine.stats());
         if strategy == CheckpointStrategy::Full {
-            match self {
+            match engine {
                 Engine::Arbitrary(e) => checkpoint::encode_forest(w, e.delta()),
                 Engine::Simple(e) => checkpoint::encode_forest(w, e.delta()),
             }
         }
     }
+}
 
-    fn decode_state(
-        r: &mut ByteReader,
-        strategy: CheckpointStrategy,
-        labels: &mut LabelInterner,
-    ) -> Result<Engine> {
+/// Rebuilds an engine from [`encode_engine`]'s bytes. `labels` must be
+/// the same interner (or an equal clone) the original run compiled its
+/// queries against — checkpoints store query *text*, and label ids are
+/// interner-relative.
+fn decode_engine(
+    r: &mut ByteReader,
+    strategy: CheckpointStrategy,
+    labels: &mut LabelInterner,
+) -> Result<MultiQueryEngine> {
+    let config = checkpoint::decode_config(r)?;
+    let now = Timestamp(r.i64()?);
+    let seen = r.u64()?;
+    let routed = r.u64()?;
+    let edges = checkpoint::decode_graph(r)?;
+
+    // Slot table first (membership), then the group table
+    // (evaluation state), then attach subscribers in slot order
+    // so ids keep their meaning.
+    let n_slots = r.count(1)?;
+    let mut slot_meta: Vec<Option<(String, u32)>> = Vec::with_capacity(n_slots);
+    for _ in 0..n_slots {
+        if r.u8()? == 0 {
+            slot_meta.push(None);
+            continue;
+        }
+        let name = r.str()?;
+        let group = r.u32()?;
+        slot_meta.push(Some((name, group)));
+    }
+
+    struct GroupState {
+        g: u32,
+        now: Timestamp,
+        emitted: Vec<srpq_common::ResultPair>,
+        stats: EngineStats,
+    }
+    // The checkpoint deliberately stores no worker count —
+    // parallelism is runtime configuration, not logical state — so
+    // the rebuilt engine starts on the inline schedule and hosts
+    // call `set_workers` once after recovery.
+    let mut multi = MultiQueryEngine::with_config(config);
+    let n_groups = r.count(1)?;
+    let mut cursors = Vec::with_capacity(n_groups);
+    for slot in 0..n_groups as u32 {
+        if r.u8()? == 0 {
+            // Tombstone of a freed group: burn the id so the slot
+            // entries above keep their meaning.
+            multi.push_vacant_group();
+            continue;
+        }
         let semantics = decode_semantics(r)?;
         let regex = r.str()?;
-        let config = checkpoint::decode_config(r)?;
-        let now = Timestamp(r.i64()?);
+        let complete = r.u8()? != 0;
+        let gnow = Timestamp(r.i64()?);
         let emitted = checkpoint::decode_pairs(r)?;
         let stats = checkpoint::decode_stats(r)?;
-        let edges = checkpoint::decode_graph(r)?;
         let query = compile(&regex, labels)?;
-        let mut engine = Engine::new(query, config, semantics);
-        match strategy {
-            CheckpointStrategy::Logical => {
-                engine.process_batch(&edges_to_tuples(&edges), &mut NullSink);
-            }
-            CheckpointStrategy::Full => {
-                let graph = engine.graph_mut();
-                for &(u, v, l, ts) in &edges {
-                    graph.insert(u, v, l, ts);
-                }
-                match &mut engine {
-                    Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                    Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                }
+        let g = multi.restore_push_group(query, semantics, complete);
+        if g != slot {
+            return Err(corrupt(format!(
+                "checkpoint group {slot} restored as group id {g}"
+            )));
+        }
+        if strategy == CheckpointStrategy::Full {
+            let engine = multi.group_engine_mut(g).expect("just restored");
+            match engine {
+                Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
+                Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
             }
         }
-        engine.restore_cursor(now, emitted, stats);
-        Ok(engine)
+        cursors.push(GroupState {
+            g,
+            now: gnow,
+            emitted,
+            stats,
+        });
     }
-
-    fn replay(&mut self, batch: &[StreamTuple]) {
-        self.process_batch(batch, &mut NullSink);
-    }
-
-    fn durability_stats_mut(&mut self) -> Option<&mut EngineStats> {
-        Some(self.stats_mut())
-    }
-}
-
-/// KIND 2 is the multi-query host's logical state, independent of the
-/// evaluation schedule: a durable directory written at any worker count
-/// recovers at any other (switch `--workers` freely across restarts).
-impl PersistEngine for MultiQueryEngine {
-    const KIND: u8 = 2;
-
-    fn clock(&self) -> Timestamp {
-        self.now()
-    }
-
-    fn window_policy(&self) -> WindowPolicy {
-        self.window()
-    }
-
-    fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter) {
-        checkpoint::encode_config(w, self.config());
-        w.i64(self.now().0);
-        let (seen, routed) = self.routing_stats();
-        w.u64(seen);
-        w.u64(routed);
-        checkpoint::encode_graph(w, self.graph());
-        // Registration slots, vacated ones included: query ids are slot
-        // indexes and subscribers hold them across restarts, so a
-        // deregistered slot is checkpointed as an explicit tombstone
-        // rather than compacted away. A slot stores only its name and
-        // its group id — evaluation state lives in the group table.
-        w.u32(self.n_slots() as u32);
-        for qi in 0..self.n_slots() as u32 {
-            let id = QueryId(qi);
-            let Some(g) = self.group_of(id) else {
-                w.u8(0); // vacant slot
-                continue;
-            };
-            w.u8(1);
-            w.str(self.name(id).unwrap_or(""));
-            w.u32(g);
-        }
-        // Evaluation groups, freed ones included (group ids in the
-        // slot entries above are positional). Shared state — the Δ
-        // forest, emitted-pair set, statistics — is checkpointed once
-        // per group, not once per subscriber; recovery re-attaches
-        // subscribers from the encoded membership, never by signature
-        // re-matching.
-        w.u32(self.n_group_slots() as u32);
-        for g in 0..self.n_group_slots() as u32 {
-            let Some(engine) = self.group_engine(g) else {
-                w.u8(0); // freed group
-                continue;
-            };
-            w.u8(1);
-            encode_semantics(w, engine.semantics());
-            w.str(&engine.query().regex().to_string());
-            w.u8(self.group_is_complete(g).unwrap_or(false) as u8);
-            w.i64(engine.now().0);
-            checkpoint::encode_pairs(w, &engine.emitted_pairs());
-            checkpoint::encode_stats(w, engine.stats());
-            if strategy == CheckpointStrategy::Full {
-                match engine {
-                    Engine::Arbitrary(e) => checkpoint::encode_forest(w, e.delta()),
-                    Engine::Simple(e) => checkpoint::encode_forest(w, e.delta()),
+    for (slot, meta) in slot_meta.into_iter().enumerate() {
+        match meta {
+            None => multi.push_vacant_slot(),
+            Some((name, group)) => {
+                if multi.group_engine(group).is_none() {
+                    return Err(corrupt(format!(
+                        "checkpoint slot {slot} rides missing group {group}"
+                    )));
+                }
+                let id = multi.restore_subscriber(name, group);
+                if id.0 as usize != slot {
+                    return Err(corrupt(format!(
+                        "checkpoint slot {slot} restored as query id {id}"
+                    )));
                 }
             }
         }
     }
-
-    fn decode_state(
-        r: &mut ByteReader,
-        strategy: CheckpointStrategy,
-        labels: &mut LabelInterner,
-    ) -> Result<MultiQueryEngine> {
-        let config = checkpoint::decode_config(r)?;
-        let now = Timestamp(r.i64()?);
-        let seen = r.u64()?;
-        let routed = r.u64()?;
-        let edges = checkpoint::decode_graph(r)?;
-
-        // Slot table first (membership), then the group table
-        // (evaluation state), then attach subscribers in slot order
-        // so ids keep their meaning.
-        let n_slots = r.count(1)?;
-        let mut slot_meta: Vec<Option<(String, u32)>> = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            if r.u8()? == 0 {
-                slot_meta.push(None);
-                continue;
-            }
-            let name = r.str()?;
-            let group = r.u32()?;
-            slot_meta.push(Some((name, group)));
+    match strategy {
+        CheckpointStrategy::Logical => {
+            multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
         }
-
-        struct GroupState {
-            g: u32,
-            now: Timestamp,
-            emitted: Vec<srpq_common::ResultPair>,
-            stats: EngineStats,
-        }
-        // The checkpoint deliberately stores no worker count —
-        // parallelism is runtime configuration, not logical state — so
-        // the rebuilt engine starts on the inline schedule and hosts
-        // call `set_workers` once after recovery.
-        let mut multi = MultiQueryEngine::with_config(config);
-        let n_groups = r.count(1)?;
-        let mut cursors = Vec::with_capacity(n_groups);
-        for slot in 0..n_groups as u32 {
-            if r.u8()? == 0 {
-                // Tombstone of a freed group: burn the id so the slot
-                // entries above keep their meaning.
-                multi.push_vacant_group();
-                continue;
-            }
-            let semantics = decode_semantics(r)?;
-            let regex = r.str()?;
-            let complete = r.u8()? != 0;
-            let gnow = Timestamp(r.i64()?);
-            let emitted = checkpoint::decode_pairs(r)?;
-            let stats = checkpoint::decode_stats(r)?;
-            let query = compile(&regex, labels)?;
-            let g = multi.restore_push_group(query, semantics, complete);
-            if g != slot {
-                return Err(corrupt(format!(
-                    "checkpoint group {slot} restored as group id {g}"
-                )));
-            }
-            if strategy == CheckpointStrategy::Full {
-                let engine = multi.group_engine_mut(g).expect("just restored");
-                match engine {
-                    Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                    Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                }
-            }
-            cursors.push(GroupState {
-                g,
-                now: gnow,
-                emitted,
-                stats,
-            });
-        }
-        for (slot, meta) in slot_meta.into_iter().enumerate() {
-            match meta {
-                None => multi.push_vacant_slot(),
-                Some((name, group)) => {
-                    if multi.group_engine(group).is_none() {
-                        return Err(corrupt(format!(
-                            "checkpoint slot {slot} rides missing group {group}"
-                        )));
-                    }
-                    let id = multi.restore_subscriber(name, group);
-                    if id.0 as usize != slot {
-                        return Err(corrupt(format!(
-                            "checkpoint slot {slot} restored as query id {id}"
-                        )));
-                    }
-                }
-            }
-        }
-        match strategy {
-            CheckpointStrategy::Logical => {
-                multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
-            }
-            CheckpointStrategy::Full => {
-                let graph = multi.graph_mut();
-                for &(u, v, l, ts) in &edges {
-                    graph.insert(u, v, l, ts);
-                }
-            }
-        }
-        for cur in cursors {
-            let engine = multi.group_engine_mut(cur.g).expect("restored above");
-            engine.restore_cursor(cur.now, cur.emitted, cur.stats);
-        }
-        multi.restore_cursor(now, seen, routed);
-        Ok(multi)
-    }
-
-    fn replay(&mut self, batch: &[StreamTuple]) {
-        self.process_batch(batch, &mut NullMultiSink);
-    }
-
-    fn durability_stats_mut(&mut self) -> Option<&mut EngineStats> {
-        None
-    }
-}
-
-impl PersistEngine for ParallelRapqEngine {
-    const KIND: u8 = 3;
-
-    fn clock(&self) -> Timestamp {
-        self.now()
-    }
-
-    fn window_policy(&self) -> WindowPolicy {
-        self.config().window
-    }
-
-    fn encode_state(&self, strategy: CheckpointStrategy, w: &mut ByteWriter) {
-        w.str(&self.query().regex().to_string());
-        checkpoint::encode_config(w, self.config());
-        w.u32(self.n_shards() as u32);
-        w.u32(self.batch_capacity() as u32);
-        w.i64(self.now().0);
-        checkpoint::encode_graph(w, self.graph());
-        for i in 0..self.n_shards() {
-            checkpoint::encode_pairs(w, &self.shard_emitted(i));
-            checkpoint::encode_stats(w, self.shard_stats(i));
-            if strategy == CheckpointStrategy::Full {
-                checkpoint::encode_forest(w, self.shard_delta(i));
+        CheckpointStrategy::Full => {
+            let graph = multi.graph_mut();
+            for &(u, v, l, ts) in &edges {
+                graph.insert(u, v, l, ts);
             }
         }
     }
-
-    fn decode_state(
-        r: &mut ByteReader,
-        strategy: CheckpointStrategy,
-        labels: &mut LabelInterner,
-    ) -> Result<ParallelRapqEngine> {
-        let regex = r.str()?;
-        let config = checkpoint::decode_config(r)?;
-        let n_shards = r.u32()? as usize;
-        let batch_capacity = r.u32()? as usize;
-        if n_shards == 0 || n_shards > 1 << 16 {
-            return Err(corrupt(format!("implausible shard count {n_shards}")));
-        }
-        let now = Timestamp(r.i64()?);
-        let edges = checkpoint::decode_graph(r)?;
-        let query = compile(&regex, labels)?;
-        let mut engine = ParallelRapqEngine::new(query, config, n_shards, batch_capacity);
-
-        struct ShardState {
-            emitted: Vec<srpq_common::ResultPair>,
-            stats: EngineStats,
-            delta: Option<Forest<srpq_core::delta::Unique>>,
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let emitted = checkpoint::decode_pairs(r)?;
-            let stats = checkpoint::decode_stats(r)?;
-            let delta = if strategy == CheckpointStrategy::Full {
-                Some(checkpoint::decode_forest(r)?)
-            } else {
-                None
-            };
-            shards.push(ShardState {
-                emitted,
-                stats,
-                delta,
-            });
-        }
-        match strategy {
-            CheckpointStrategy::Logical => {
-                engine.process_batch(&edges_to_tuples(&edges), &mut NullSink);
-            }
-            CheckpointStrategy::Full => {
-                let graph = engine.graph_mut();
-                for &(u, v, l, ts) in &edges {
-                    graph.insert(u, v, l, ts);
-                }
-            }
-        }
-        for (i, s) in shards.into_iter().enumerate() {
-            if let Some(delta) = s.delta {
-                engine.set_shard_delta(i, delta);
-            }
-            engine.restore_shard_cursor(i, s.emitted, s.stats);
-        }
-        engine.restore_clock(now);
-        Ok(engine)
+    for cur in cursors {
+        let engine = multi.group_engine_mut(cur.g).expect("restored above");
+        engine.restore_cursor(cur.now, cur.emitted, cur.stats);
     }
-
-    fn replay(&mut self, batch: &[StreamTuple]) {
-        self.process_batch(batch, &mut NullSink);
-    }
-
-    fn durability_stats_mut(&mut self) -> Option<&mut EngineStats> {
-        None
-    }
+    multi.restore_cursor(now, seen, routed);
+    Ok(multi)
 }

@@ -19,36 +19,42 @@
 //!   [`CheckpointStrategy::Logical`] (live window + engine cursor;
 //!   recovery rebuilds Δ by replay) and [`CheckpointStrategy::Full`]
 //!   (exact Δ-forest arenas and result sets for near-instant restart);
-//! * [`durable`] — [`Durable<E>`], the hook threaded through
-//!   [`srpq_core::Engine`], [`srpq_core::MultiQueryEngine`], and
-//!   [`srpq_core::ParallelRapqEngine`]: WAL-append *before* mutation,
+//! * [`durable`] — [`Durable`], the hook around
+//!   [`srpq_core::MultiQueryEngine`]: WAL-append *before* mutation,
 //!   checkpoint every N slides, and [`Durable::recover`] restoring a
 //!   crashed instance that continues the stream with the same results
 //!   at the same stream timestamps as an uninterrupted run.
 //!
+//! There is one engine to persist and therefore **one checkpoint
+//! layout**: every host — `serve`'s registry, `srpq run`'s single query
+//! — is a `MultiQueryEngine`, and the layout is its logical state
+//! (window content, registration slots, evaluation groups), independent
+//! of how many worker threads execute or replay it. A directory written
+//! at any `--workers` recovers at any other. Root-sharding one group's
+//! forest across workers (the paper's §5.1.1) is not in the tree; if a
+//! workload needs it, it returns as the pool's work unit, not as a
+//! second engine with a second layout.
+//!
 //! ```no_run
-//! use srpq_core::{Engine, PathSemantics, CollectSink};
+//! use srpq_automata::CompiledQuery;
 //! use srpq_common::LabelInterner;
+//! use srpq_core::{CollectSink, MultiQueryEngine, PathSemantics, UntagSink};
 //! use srpq_graph::WindowPolicy;
 //! use srpq_persist::{Durable, DurabilityConfig};
 //! use std::path::Path;
 //!
 //! let mut labels = LabelInterner::new();
-//! let engine = Engine::from_str(
-//!     "(follows mentions)+",
-//!     &mut labels,
-//!     WindowPolicy::new(15, 1),
-//!     PathSemantics::Arbitrary,
-//! )
-//! .unwrap();
+//! let query = CompiledQuery::compile("(follows mentions)+", &mut labels).unwrap();
+//! let mut engine = MultiQueryEngine::new(WindowPolicy::new(15, 1));
+//! engine.register("q", query, PathSemantics::Arbitrary).unwrap();
 //! let mut durable =
 //!     Durable::create(engine, Path::new("state/"), DurabilityConfig::default()).unwrap();
 //! let mut sink = CollectSink::default();
-//! // durable.process_batch(&tuples, &mut sink)?;   // WAL-append, then evaluate
+//! // WAL-append, then evaluate (one query: drop the tag off its results).
+//! // durable.process_batch(&tuples, &mut UntagSink(&mut sink))?;
 //! // ... crash ...
 //! let (durable, report) =
-//!     Durable::<Engine>::recover(Path::new("state/"), &mut labels, DurabilityConfig::default())
-//!         .unwrap();
+//!     Durable::recover(Path::new("state/"), &mut labels, DurabilityConfig::default()).unwrap();
 //! assert!(report.resume_seq >= report.checkpoint_seq);
 //! # let _ = (durable, sink);
 //! ```
@@ -63,5 +69,5 @@ pub mod wal;
 
 pub use checkpoint::CheckpointStrategy;
 pub use codec::PersistError;
-pub use durable::{DurabilityConfig, DurabilityCounters, Durable, PersistEngine, RecoveryReport};
+pub use durable::{DurabilityConfig, DurabilityCounters, Durable, RecoveryReport};
 pub use wal::{SyncPolicy, Wal, WalBatch, WalInfo};

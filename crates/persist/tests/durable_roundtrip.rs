@@ -1,11 +1,15 @@
 //! Durable-engine lifecycle: create → ingest → checkpoint → crash →
-//! recover → continue, for both checkpoint strategies.
+//! recover → continue, for both checkpoint strategies. The single-query
+//! cases run the host `srpq run` runs — a one-query `MultiQueryEngine`
+//! behind `UntagSink` — against a plain `Engine` reference.
 
+use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::multi::{MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
 use std::path::PathBuf;
@@ -23,12 +27,32 @@ fn make_labels() -> LabelInterner {
     labels
 }
 
-fn make_engine(labels: &mut LabelInterner, refresh: RefreshPolicy) -> Engine {
-    let query = srpq_automata::CompiledQuery::compile("a b*", labels).unwrap();
+fn make_query(labels: &mut LabelInterner, refresh: RefreshPolicy) -> (CompiledQuery, EngineConfig) {
+    let query = CompiledQuery::compile("a b*", labels).unwrap();
     let mut config = EngineConfig::with_window(WindowPolicy::new(40, 5));
     config.refresh = refresh;
+    (query, config)
+}
+
+/// The sequential reference engine.
+fn make_engine(labels: &mut LabelInterner, refresh: RefreshPolicy) -> Engine {
+    let (query, config) = make_query(labels, refresh);
     Engine::new(query, config, PathSemantics::Arbitrary)
 }
+
+/// [`make_engine`]'s query as the only registration of a host engine;
+/// its id is [`ONLY`].
+fn make_host(labels: &mut LabelInterner, refresh: RefreshPolicy) -> MultiQueryEngine {
+    let (query, config) = make_query(labels, refresh);
+    let mut multi = MultiQueryEngine::with_config(config);
+    let id = multi
+        .register("q", query, PathSemantics::Arbitrary)
+        .unwrap();
+    assert_eq!(id, ONLY);
+    multi
+}
+
+const ONLY: QueryId = QueryId(0);
 
 fn stream(n: usize) -> Vec<StreamTuple> {
     let mut out = Vec::new();
@@ -73,13 +97,15 @@ fn run_strategy(strategy: CheckpointStrategy, refresh: RefreshPolicy, name: &str
         checkpoint_every: 2,
         segment_bytes: 1 << 12,
     };
-    let engine = make_engine(&mut labels.clone(), refresh);
-    let mut durable = Durable::create(engine, &dir, cfg).unwrap();
+    let host = make_host(&mut labels.clone(), refresh);
+    let mut durable = Durable::create(host, &dir, cfg).unwrap();
     let mut pre_sink = CollectSink::default();
     for chunk in tuples[..cut].chunks(32) {
-        durable.process_batch(chunk, &mut pre_sink).unwrap();
+        durable
+            .process_batch(chunk, &mut UntagSink(&mut pre_sink))
+            .unwrap();
     }
-    let stats = durable.inner().stats();
+    let stats = durable.counters();
     assert!(stats.wal_appends > 0);
     assert!(stats.fsyncs > 0);
     assert!(
@@ -89,15 +115,16 @@ fn run_strategy(strategy: CheckpointStrategy, refresh: RefreshPolicy, name: &str
     drop(durable); // crash
 
     let mut recovery_labels = labels.clone();
-    let (mut recovered, report) =
-        Durable::<Engine>::recover(&dir, &mut recovery_labels, cfg).unwrap();
+    let (mut recovered, report) = Durable::recover(&dir, &mut recovery_labels, cfg).unwrap();
     assert_eq!(
         report.resume_seq, cut as u64,
         "WAL must cover the full prefix"
     );
     let mut post_sink = CollectSink::default();
     for chunk in tuples[cut..].chunks(32) {
-        recovered.process_batch(chunk, &mut post_sink).unwrap();
+        recovered
+            .process_batch(chunk, &mut UntagSink(&mut post_sink))
+            .unwrap();
     }
 
     // The combined crashed run must match the uninterrupted one:
@@ -118,13 +145,14 @@ fn run_strategy(strategy: CheckpointStrategy, refresh: RefreshPolicy, name: &str
     got_inv.sort_unstable_by_key(|&(p, ts)| (ts, p));
     assert_eq!(expect_inv, got_inv, "{name}: invalidation streams diverge");
 
-    assert_eq!(recovered.inner().result_count(), reference.result_count());
-    let (r, e) = (recovered.inner().stats(), reference.stats());
+    let engine = recovered.inner().engine(ONLY).unwrap();
+    assert_eq!(engine.result_count(), reference.result_count());
+    let (r, e) = (engine.stats(), reference.stats());
     assert_eq!(r.tuples_processed, e.tuples_processed);
     assert_eq!(r.results_emitted, e.results_emitted);
     assert_eq!(r.results_invalidated, e.results_invalidated);
     assert_eq!(r.deletions_processed, e.deletions_processed);
-    assert!(r.last_recovery_ms < 60_000);
+    assert!(recovered.counters().last_recovery_ms < 60_000);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -147,11 +175,11 @@ fn full_checkpoint_round_trip() {
 fn create_refuses_existing_state() {
     let dir = tmpdir("refuse");
     let mut labels = make_labels();
-    let engine = make_engine(&mut labels, RefreshPolicy::Node);
-    let durable = Durable::create(engine, &dir, DurabilityConfig::default()).unwrap();
+    let host = make_host(&mut labels, RefreshPolicy::Node);
+    let durable = Durable::create(host, &dir, DurabilityConfig::default()).unwrap();
     drop(durable);
-    let engine = make_engine(&mut labels, RefreshPolicy::Node);
-    assert!(Durable::create(engine, &dir, DurabilityConfig::default()).is_err());
+    let host = make_host(&mut labels, RefreshPolicy::Node);
+    assert!(Durable::create(host, &dir, DurabilityConfig::default()).is_err());
 
     // A *corrupt* checkpoint must also refuse creation (not read as a
     // fresh directory and get silently pruned).
@@ -163,8 +191,8 @@ fn create_refuses_existing_state() {
             std::fs::write(&path, &bytes).unwrap();
         }
     }
-    let engine = make_engine(&mut labels, RefreshPolicy::Node);
-    assert!(Durable::create(engine, &dir, DurabilityConfig::default()).is_err());
+    let host = make_host(&mut labels, RefreshPolicy::Node);
+    assert!(Durable::create(host, &dir, DurabilityConfig::default()).is_err());
     assert!(
         std::fs::read_dir(&dir).unwrap().any(|e| e
             .unwrap()
@@ -181,7 +209,7 @@ fn create_refuses_existing_state() {
 fn recover_without_state_is_an_error() {
     let dir = tmpdir("nostate");
     let mut labels = make_labels();
-    assert!(Durable::<Engine>::recover(&dir, &mut labels, DurabilityConfig::default()).is_err());
+    assert!(Durable::recover(&dir, &mut labels, DurabilityConfig::default()).is_err());
 }
 
 #[test]
@@ -206,11 +234,13 @@ fn truncation_keeps_recovery_sound() {
         checkpoint_every: 1,
         segment_bytes: 512,
     };
-    let engine = make_engine(&mut labels.clone(), RefreshPolicy::Subtree);
-    let mut durable = Durable::create(engine, &dir, cfg).unwrap();
+    let host = make_host(&mut labels.clone(), RefreshPolicy::Subtree);
+    let mut durable = Durable::create(host, &dir, cfg).unwrap();
     let mut pre_sink = CollectSink::default();
     for chunk in tuples[..cut].chunks(16) {
-        durable.process_batch(chunk, &mut pre_sink).unwrap();
+        durable
+            .process_batch(chunk, &mut UntagSink(&mut pre_sink))
+            .unwrap();
     }
     let info = durable.wal_info();
     assert!(
@@ -219,10 +249,12 @@ fn truncation_keeps_recovery_sound() {
     );
     drop(durable);
 
-    let (mut recovered, _) = Durable::<Engine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
+    let (mut recovered, _) = Durable::recover(&dir, &mut labels.clone(), cfg).unwrap();
     let mut post_sink = CollectSink::default();
     for chunk in tuples[cut..].chunks(16) {
-        recovered.process_batch(chunk, &mut post_sink).unwrap();
+        recovered
+            .process_batch(chunk, &mut UntagSink(&mut post_sink))
+            .unwrap();
     }
     let mut expect: Vec<_> = ref_sink.emitted().to_vec();
     let mut got: Vec<_> = pre_sink.emitted().to_vec();
@@ -230,6 +262,60 @@ fn truncation_keeps_recovery_sound() {
     expect.sort_unstable_by_key(|&(p, ts)| (ts, p));
     got.sort_unstable_by_key(|&(p, ts)| (ts, p));
     assert_eq!(expect, got);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durability_counters_survive_restart() {
+    // `set_obs` promises "a recovered instance reports its pre-crash
+    // history": the lifetime totals ride at the head of the checkpoint
+    // payload, so a restart continues them instead of starting at zero
+    // — for a multi-query host (what `serve` runs) at either schedule.
+    let dir = tmpdir("counters");
+    let mut labels = make_labels();
+    let tuples = stream(200);
+    let qa = srpq_automata::CompiledQuery::compile("a b*", &mut labels).unwrap();
+    let qb = srpq_automata::CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
+    let mut multi =
+        MultiQueryEngine::with_config(EngineConfig::with_window(WindowPolicy::new(40, 5)));
+    multi.register("qa", qa, PathSemantics::Arbitrary).unwrap();
+    multi.register("qb", qb, PathSemantics::Arbitrary).unwrap();
+    let cfg = DurabilityConfig {
+        sync: SyncPolicy::Batch,
+        strategy: CheckpointStrategy::Logical,
+        checkpoint_every: 2,
+        segment_bytes: 4 << 20,
+    };
+    let mut durable = Durable::create(multi, &dir, cfg).unwrap();
+    let mut sink = srpq_core::multi::NullMultiSink;
+    for chunk in tuples[..150].chunks(16) {
+        durable.process_batch(chunk, &mut sink).unwrap();
+    }
+    durable.checkpoint().unwrap();
+    let before = durable.counters();
+    assert!(before.wal_bytes > 0 && before.wal_appends > 0 && before.fsyncs > 0);
+    assert!(
+        before.checkpoints_written >= 3,
+        "manifest + cadence + manual"
+    );
+    drop(durable); // crash
+
+    let (mut recovered, _) = Durable::recover(&dir, &mut labels.clone(), cfg).unwrap();
+    let after = recovered.counters();
+    assert_eq!(after.wal_bytes, before.wal_bytes);
+    assert_eq!(after.wal_appends, before.wal_appends);
+    assert_eq!(after.fsyncs, before.fsyncs);
+    assert_eq!(after.checkpoints_written, before.checkpoints_written);
+
+    // And they keep counting from there, on the other schedule too.
+    recovered.inner_mut().set_workers(2);
+    for chunk in tuples[150..].chunks(16) {
+        recovered.process_batch(chunk, &mut sink).unwrap();
+    }
+    let later = recovered.counters();
+    assert!(later.wal_bytes > before.wal_bytes);
+    assert!(later.wal_appends > before.wal_appends);
+    assert!(later.fsyncs > before.fsyncs);
     std::fs::remove_dir_all(&dir).ok();
 }
 

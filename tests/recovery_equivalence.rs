@@ -1,15 +1,16 @@
-//! Crash-injection matrix: for each engine layer (RAPQ, RSPQ,
-//! multi-query, parallel) × each checkpoint strategy (logical, full),
-//! cut the run at randomized tuple indexes, recover from the durable
-//! directory, finish the stream, and assert the combined result stream
-//! and the engine statistics match an uninterrupted run.
+//! Crash-injection matrix: for each shape of the one durable host (a
+//! single RAPQ query, a single RSPQ query, several queries, a single
+//! query on the worker pool) × each checkpoint strategy (logical,
+//! full), cut the run at randomized tuple indexes, recover from the
+//! durable directory, finish the stream, and assert the combined result
+//! stream and the engine statistics match an uninterrupted run. The
+//! single-query shapes are what `srpq run` hosts — a one-query
+//! `MultiQueryEngine` behind `UntagSink` — and their reference is a
+//! plain sequential `Engine`.
 //!
 //! Equality contract: the same results and invalidations at the same
 //! stream timestamps (within-timestamp ordering is hash-iteration
-//! private and not pinned). The parallel engine additionally reorders
-//! discovery *within a micro-batch* when batch boundaries move, so its
-//! comparison is on result sets and final engine state — the same
-//! contract its own `matches_sequential_engine` test uses.
+//! private across an engine rebuild and not pinned).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -17,9 +18,9 @@ use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
+use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, EngineStats, ParallelRapqEngine};
+use srpq_core::{EngineConfig, EngineStats, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
 use std::path::PathBuf;
@@ -121,7 +122,122 @@ fn assert_safe_stats_eq(got: &EngineStats, expect: &EngineStats, ctx: &str) {
     );
 }
 
-/// RAPQ / RSPQ through the `Engine` facade.
+/// The one-query host `srpq run` drives: `expr` registered alone on a
+/// fresh engine with `workers` pool threads (0 = inline).
+fn one_query_host(
+    expr: &str,
+    labels: &mut LabelInterner,
+    semantics: PathSemantics,
+    workers: usize,
+) -> (MultiQueryEngine, QueryId) {
+    let query = CompiledQuery::compile(expr, labels).unwrap();
+    let mut multi = MultiQueryEngine::with_config(config(WINDOW));
+    multi.set_workers(workers);
+    let id = multi.register("q", query, semantics).unwrap();
+    (multi, id)
+}
+
+/// What one crashed-and-recovered single-query run produced.
+struct Crashed {
+    pre: CollectSink,
+    post: CollectSink,
+    recovered: Durable,
+    id: QueryId,
+}
+
+impl Crashed {
+    /// The matrix contract against the uninterrupted `reference` run.
+    fn assert_matches(&self, name: &str, reference: &Engine, ref_sink: &CollectSink) {
+        let engine = self.recovered.inner().engine(self.id).unwrap();
+        assert_eq!(
+            sorted_stream(&[ref_sink.emitted()]),
+            sorted_stream(&[self.pre.emitted(), self.post.emitted()]),
+            "{name}: emissions diverge"
+        );
+        assert_eq!(
+            sorted_stream(&[ref_sink.invalidated()]),
+            sorted_stream(&[self.pre.invalidated(), self.post.invalidated()]),
+            "{name}: invalidations diverge"
+        );
+        assert_eq!(
+            engine.result_count(),
+            reference.result_count(),
+            "{name}: live result counts diverge"
+        );
+        for &(pair, _) in ref_sink.emitted() {
+            assert_eq!(
+                engine.has_result(pair),
+                reference.has_result(pair),
+                "{name}: liveness of {pair} diverges"
+            );
+        }
+        assert_safe_stats_eq(engine.stats(), reference.stats(), name);
+    }
+}
+
+/// Writes `tuples[..cut]` durably at `write_workers`, crashes, recovers
+/// at `recover_workers`, and finishes the stream.
+fn crash_and_recover(
+    name: &str,
+    semantics: PathSemantics,
+    strategy: CheckpointStrategy,
+    tuples: &[StreamTuple],
+    cut: usize,
+    (write_workers, recover_workers): (usize, usize),
+) -> Crashed {
+    let dir = tmpdir(name);
+    let labels = labels_ab();
+    let (multi, id) = one_query_host(EXPR, &mut labels.clone(), semantics, write_workers);
+    let mut durable = Durable::create(multi, &dir, durability(strategy)).unwrap();
+    let mut pre = CollectSink::default();
+    for chunk in tuples[..cut].chunks(BATCH) {
+        durable
+            .process_batch(chunk, &mut UntagSink(&mut pre))
+            .unwrap();
+    }
+    drop(durable); // crash at `cut`
+
+    let (mut recovered, report) =
+        Durable::recover(&dir, &mut labels.clone(), durability(strategy)).unwrap();
+    assert_eq!(
+        report.resume_seq, cut as u64,
+        "{name}: prefix not fully recovered"
+    );
+    assert_eq!(recovered.inner().query_ids(), [id], "{name}: registration");
+    recovered.inner_mut().set_workers(recover_workers);
+    let mut post = CollectSink::default();
+    for chunk in tuples[cut..].chunks(BATCH) {
+        recovered
+            .process_batch(chunk, &mut UntagSink(&mut post))
+            .unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    Crashed {
+        pre,
+        post,
+        recovered,
+        id,
+    }
+}
+
+const EXPR: &str = "a b* a?";
+const WINDOW: WindowPolicy = WindowPolicy {
+    window_size: 30,
+    slide: 6,
+};
+
+/// The uninterrupted reference: a plain sequential `Engine`.
+fn reference_run(semantics: PathSemantics, tuples: &[StreamTuple]) -> (Engine, CollectSink) {
+    let query = CompiledQuery::compile(EXPR, &mut labels_ab()).unwrap();
+    let mut reference = Engine::new(query, config(WINDOW), semantics);
+    let mut sink = CollectSink::default();
+    for chunk in tuples.chunks(BATCH) {
+        reference.process_batch(chunk, &mut sink);
+    }
+    (reference, sink)
+}
+
+/// RAPQ / RSPQ as the single query of the inline host.
 fn single_engine_case(semantics: PathSemantics, strategy: CheckpointStrategy, seed: u64) {
     let name = format!(
         "{}-{strategy}-{seed}",
@@ -130,61 +246,13 @@ fn single_engine_case(semantics: PathSemantics, strategy: CheckpointStrategy, se
             PathSemantics::Simple => "rspq",
         }
     );
-    let dir = tmpdir(&name);
-    let labels = labels_ab();
     let tuples = random_stream(450, 12, seed);
-    let window = WindowPolicy::new(30, 6);
-    let expr = "a b* a?";
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
     let cut = rng.gen_range(60..tuples.len() - 60);
 
-    let make = |labels: &mut LabelInterner| {
-        let query = CompiledQuery::compile(expr, labels).unwrap();
-        Engine::new(query, config(window), semantics)
-    };
-
-    let mut reference = make(&mut labels.clone());
-    let mut ref_sink = CollectSink::default();
-    for chunk in tuples.chunks(BATCH) {
-        reference.process_batch(chunk, &mut ref_sink);
-    }
-
-    let mut durable =
-        Durable::create(make(&mut labels.clone()), &dir, durability(strategy)).unwrap();
-    let mut pre = CollectSink::default();
-    for chunk in tuples[..cut].chunks(BATCH) {
-        durable.process_batch(chunk, &mut pre).unwrap();
-    }
-    drop(durable); // crash at `cut`
-
-    let (mut recovered, report) =
-        Durable::<Engine>::recover(&dir, &mut labels.clone(), durability(strategy)).unwrap();
-    assert_eq!(
-        report.resume_seq, cut as u64,
-        "{name}: prefix not fully recovered"
-    );
-    let mut post = CollectSink::default();
-    for chunk in tuples[cut..].chunks(BATCH) {
-        recovered.process_batch(chunk, &mut post).unwrap();
-    }
-
-    assert_eq!(
-        sorted_stream(&[ref_sink.emitted()]),
-        sorted_stream(&[pre.emitted(), post.emitted()]),
-        "{name}: emissions diverge"
-    );
-    assert_eq!(
-        sorted_stream(&[ref_sink.invalidated()]),
-        sorted_stream(&[pre.invalidated(), post.invalidated()]),
-        "{name}: invalidations diverge"
-    );
-    assert_eq!(
-        recovered.inner().result_count(),
-        reference.result_count(),
-        "{name}"
-    );
-    assert_safe_stats_eq(recovered.inner().stats(), reference.stats(), &name);
-    std::fs::remove_dir_all(&dir).ok();
+    let (reference, ref_sink) = reference_run(semantics, &tuples);
+    crash_and_recover(&name, semantics, strategy, &tuples, cut, (0, 0))
+        .assert_matches(&name, &reference, &ref_sink);
 }
 
 #[test]
@@ -298,70 +366,46 @@ fn multi_crash_matrix() {
     }
 }
 
-/// Parallel RAPQ: sharded trees + micro-batches. Moving the crash point
-/// moves micro-batch boundaries, which legally reorders discovery
-/// within a batch — so the contract here is result-set equality plus
-/// final engine state, as in `parallel::tests::matches_sequential_engine`.
+/// The single query on the worker pool: written at 2 workers, crashed,
+/// recovered onto 1 and onto 4. The pool's stream is the sequential
+/// one, so besides the matrix contract against the plain `Engine` the
+/// two recoveries must agree with each other byte for byte (both
+/// rebuild the same state from the same directory contents).
 fn parallel_case(strategy: CheckpointStrategy, seed: u64) {
     let name = format!("parallel-{strategy}-{seed}");
-    let dir = tmpdir(&name);
-    let labels = labels_ab();
     let tuples = random_stream(450, 12, seed);
-    let window = WindowPolicy::new(30, 6);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFACE);
     let cut = rng.gen_range(60..tuples.len() - 60);
+    let semantics = PathSemantics::Arbitrary;
 
-    let make = |labels: &mut LabelInterner| {
-        let query = CompiledQuery::compile("a b* a?", labels).unwrap();
-        ParallelRapqEngine::new(query, config(window), 4, 16)
-    };
-
-    let mut reference = make(&mut labels.clone());
-    let mut ref_sink = CollectSink::default();
-    for chunk in tuples.chunks(BATCH) {
-        reference.process_batch(chunk, &mut ref_sink);
+    let (reference, ref_sink) = reference_run(semantics, &tuples);
+    let runs = [1, 4].map(|workers| {
+        let name = format!("{name}-onto-{workers}");
+        crash_and_recover(&name, semantics, strategy, &tuples, cut, (2, workers))
+    });
+    for (run, workers) in runs.iter().zip([1, 4]) {
+        let name = format!("{name} onto {workers} workers");
+        run.assert_matches(&name, &reference, &ref_sink);
     }
-
-    let mut durable =
-        Durable::create(make(&mut labels.clone()), &dir, durability(strategy)).unwrap();
-    let mut pre = CollectSink::default();
-    for chunk in tuples[..cut].chunks(BATCH) {
-        durable.process_batch(chunk, &mut pre).unwrap();
-    }
-    drop(durable);
-
-    let (mut recovered, report) =
-        Durable::<ParallelRapqEngine>::recover(&dir, &mut labels.clone(), durability(strategy))
-            .unwrap();
-    assert_eq!(report.resume_seq, cut as u64, "{name}");
-    let mut post = CollectSink::default();
-    for chunk in tuples[cut..].chunks(BATCH) {
-        recovered.process_batch(chunk, &mut post).unwrap();
-    }
-
-    let mut combined = pre.pairs();
-    combined.extend(post.pairs());
+    // Before the crash nothing was rebuilt: the pooled writer's stream
+    // is the sequential engine's, in order.
+    let [onto_1, onto_4] = &runs;
     assert_eq!(
-        ref_sink.pairs(),
-        combined,
-        "{name}: discovered pair sets diverge"
+        onto_1.pre.emitted(),
+        &ref_sink.emitted()[..onto_1.pre.emitted().len()],
+        "{name}: pooled pre-crash stream is not the sequential prefix"
+    );
+    assert_eq!(onto_1.pre.emitted(), onto_4.pre.emitted(), "{name}");
+    assert_eq!(
+        onto_1.post.emitted(),
+        onto_4.post.emitted(),
+        "{name}: worker count changed the recovered stream"
     );
     assert_eq!(
-        recovered.inner().result_count(),
-        reference.result_count(),
-        "{name}: live result counts diverge"
+        onto_1.post.invalidated(),
+        onto_4.post.invalidated(),
+        "{name}: worker count changed the recovered invalidations"
     );
-    for &(pair, _) in ref_sink.emitted() {
-        assert_eq!(
-            recovered.inner().has_result(pair),
-            reference.has_result(pair),
-            "{name}: liveness of {pair} diverges"
-        );
-    }
-    let (r, e) = (recovered.inner().stats(), reference.stats());
-    assert_eq!(r.tuples_processed, e.tuples_processed, "{name}");
-    assert_eq!(r.deletions_processed, e.deletions_processed, "{name}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -379,23 +423,11 @@ fn parallel_crash_matrix() {
 fn edge_cuts_recover() {
     let dir = tmpdir("edge-manifest");
     let labels = labels_ab();
-    let make = |labels: &mut LabelInterner| {
-        let query = CompiledQuery::compile("a b*", labels).unwrap();
-        Engine::new(
-            query,
-            config(WindowPolicy::new(30, 6)),
-            PathSemantics::Arbitrary,
-        )
-    };
     // Manifest-only: no tuple ever processed.
-    let durable = Durable::create(
-        make(&mut labels.clone()),
-        &dir,
-        durability(CheckpointStrategy::Logical),
-    )
-    .unwrap();
+    let (multi, id) = one_query_host("a b*", &mut labels.clone(), PathSemantics::Arbitrary, 0);
+    let durable = Durable::create(multi, &dir, durability(CheckpointStrategy::Logical)).unwrap();
     drop(durable);
-    let (mut recovered, report) = Durable::<Engine>::recover(
+    let (mut recovered, report) = Durable::recover(
         &dir,
         &mut labels.clone(),
         durability(CheckpointStrategy::Logical),
@@ -406,20 +438,25 @@ fn edge_cuts_recover() {
     let tuples = random_stream(80, 8, 11);
     let mut sink = CollectSink::default();
     for chunk in tuples.chunks(BATCH) {
-        recovered.process_batch(chunk, &mut sink).unwrap();
+        recovered
+            .process_batch(chunk, &mut UntagSink(&mut sink))
+            .unwrap();
     }
     // Checkpoint boundary: checkpoint manually, crash, recover — the
     // suffix replay is empty.
     recovered.checkpoint().unwrap();
-    let count_before = recovered.inner().result_count();
+    let count_before = recovered.inner().engine(id).unwrap().result_count();
     drop(recovered);
-    let (recovered, report) = Durable::<Engine>::recover(
+    let (recovered, report) = Durable::recover(
         &dir,
         &mut labels.clone(),
         durability(CheckpointStrategy::Logical),
     )
     .unwrap();
     assert_eq!(report.replayed_tuples, 0, "checkpoint covers the whole log");
-    assert_eq!(recovered.inner().result_count(), count_before);
+    assert_eq!(
+        recovered.inner().engine(id).unwrap().result_count(),
+        count_before
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
