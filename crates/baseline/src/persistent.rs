@@ -112,8 +112,11 @@ mod tests {
         let window = WindowPolicy::new(100, 10);
 
         let mut reeval = ReevalEngine::new(query.clone(), window);
-        let mut incremental =
-            srpq_core::rapq::RapqEngine::new(query, srpq_core::EngineConfig::with_window(window));
+        let mut incremental = srpq_core::Engine::new(
+            query,
+            srpq_core::EngineConfig::with_window(window),
+            srpq_core::PathSemantics::Arbitrary,
+        );
 
         let stream = [
             StreamTuple::insert(Timestamp(1), VertexId(0), VertexId(1), a),

@@ -15,7 +15,6 @@
 use srpq_bench::{build_dataset, compile_query, default_window, run_engine, scale_from_args};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::rapq::RapqEngine;
 use srpq_core::EngineConfig;
 use srpq_datagen::{queries_for, DatasetKind};
 use std::time::Duration;
@@ -35,8 +34,7 @@ fn main() {
             let query = compile_query(&expr, &ds.labels);
             let mut config = EngineConfig::with_window(window);
             config.refresh = policy;
-            let mut engine = Engine::Arbitrary(RapqEngine::new(query, config));
-            let _ = PathSemantics::Arbitrary; // semantic marker
+            let mut engine = Engine::new(query, config, PathSemantics::Arbitrary);
             let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(60));
             println!(
                 "{pname},{qname},{:.0},{:.1},{:.1},{}",

@@ -22,7 +22,9 @@ pub mod stage {
     /// Routing tuples to per-query engines (includes shared window
     /// maintenance).
     pub const ROUTE: u8 = 1;
-    /// Per-query Δ-tree extension (`process_with_graph`).
+    /// Per-group Δ-tree extension: for each routed group,
+    /// `Engine::advance_with_graph` then `Engine::dispatch_with_graph`
+    /// (a pool worker calls the pair as `Engine::extend_with_graph`).
     pub const EXTEND: u8 = 2;
     /// Expiry pass over Δ trees / shared graph purge.
     pub const EXPIRY: u8 = 3;

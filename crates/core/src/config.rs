@@ -24,7 +24,7 @@ pub enum RefreshPolicy {
     Subtree,
 }
 
-/// Tunables shared by the RAPQ and RSPQ engines.
+/// Tunables of an engine, under either path semantics.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Sliding-window size and slide interval.

@@ -1,6 +1,6 @@
 //! The shared Δ spanning-forest index.
 //!
-//! Both streaming engines of the paper maintain the same core data
+//! Both streaming algorithms of the paper maintain the same core data
 //! structure: a collection of spanning trees of the product graph
 //! `G × A`, one per vertex `x` that roots a node `(x, s0)`, where a
 //! node `(u, s)` witnesses a path `x ⇝ u` driving the automaton from
@@ -27,8 +27,14 @@
 //!   per-tuple work by the number of *relevant* trees);
 //! * [`Unique`] — the RAPQ instantiation: enforces (and exposes a keyed
 //!   API around) the one-occurrence invariant of Lemma 1;
-//! * the RSPQ engine layers markings on top via its own semantics type
-//!   (see `crate::rspq::markings`).
+//! * [`Markings`](crate::rspq::markings::Markings) — the RSPQ
+//!   instantiation: the marking set `M_x` layered on the occurrence
+//!   index through the same hooks.
+//!
+//! One shell — [`crate::engine::Engine`] — owns either forest and
+//! reaches it through three per-tree procedures (extend one tree with
+//! an edge, sever a deleted edge's victims, expire one tree); see the
+//! table in its module docs.
 //!
 //! # Invariants
 //!

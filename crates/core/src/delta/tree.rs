@@ -1,4 +1,4 @@
-//! The arena-backed spanning tree shared by both engines, stored
+//! The arena-backed spanning tree shared by both path semantics, stored
 //! **struct-of-arrays**.
 //!
 //! Node attributes live in parallel columns indexed by [`NodeId`]:

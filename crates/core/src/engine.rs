@@ -1,19 +1,42 @@
-//! A uniform front-end over the RAPQ and RSPQ engines.
+//! The one Δ-engine shell.
 //!
-//! The paper studies the design space along two dimensions — path
-//! semantics (arbitrary vs simple) and result semantics (append-only vs
-//! explicit deletions). [`Engine`] selects the path semantics at query
-//! registration; both engines handle negative tuples natively, covering
-//! the second dimension without further dispatch.
+//! The paper evaluates arbitrary- and simple-path RPQs "in a uniform
+//! manner": both keep a Δ spanning forest over a sliding-window graph,
+//! extend it eagerly per tuple, expire it lazily per slide, and turn an
+//! explicit deletion into the expiry of a `-∞`-stamped subtree.
+//! [`Engine`] holds everything that does not depend on the path
+//! semantics exactly once — the registered query, the configuration,
+//! the (owned) window graph, the reported-result set, the stream clock,
+//! the statistics, the slide-crossing check, the expiry metering and
+//! the *for each tree: expire, drop if trivial, refresh the gauges*
+//! loop. What the paper actually varies is reached through three
+//! per-tree procedures, implemented in `rapq/` (§3) and `rspq/` (§4):
+//!
+//! | procedure | arbitrary paths (§3) | simple paths (§4) |
+//! |---|---|---|
+//! | `extend_tree` — extend one tree with an inserted edge | Algorithm RAPQ lines 4–12 (line 6 parent-liveness guard, line 7 insert-or-improve test), draining into Algorithm Insert: lines 2–3 timestamp refresh ([`RefreshPolicy`](crate::config::RefreshPolicy)), lines 8–11 expansion through valid window edges | Algorithm RSPQ lines 4–12 (line 8 cycle and marking guards), draining into Algorithm Extend: line 2 conflict detection by suffix containment, lines 5–13 report / mark (line 11) / attach, lines 14–18 expansion (line 15 marking guard); a conflict runs Algorithm Unmark and replays the traversals the removed marks had pruned |
+//! | `sever_edge` — stamp a deleted edge's tree-edge victims | Algorithm Delete: where the edge is a tree edge (Definition 13), the child's subtree is stamped `-∞` | the same, for every occurrence of the child pair |
+//! | `expire_tree` — expire one tree at a watermark | ExpiryRAPQ: lines 2–3 candidate set and prune, lines 4–10 reconnection through surviving in-edges, lines 11–15 invalidation of results that lost their last witness | ExpiryRSPQ: lines 2–3 prune, lines 6–11 reconnection of expired *marked* pairs, lines 12–15 re-marking of unblocked parents, then invalidations |
+//!
+//! The shell calls `expire_tree` right after a `sever_edge` that found
+//! a victim (§3.2: deletions reuse the expiry machinery, invalidations
+//! on) and for every tree when a slide boundary is crossed
+//! (invalidations off — implicit windows keep results monotone). The
+//! semantics are matched on once per tuple and once per expiry pass;
+//! everything below those two points is monomorphic.
+//!
+//! The second dimension of the paper's design space — append-only vs
+//! explicit deletions — needs no dispatch at all: both semantics handle
+//! negative tuples natively.
 
 use crate::config::EngineConfig;
-use crate::delta::{Forest, TreeSemantics};
-use crate::rapq::RapqEngine;
-use crate::rspq::RspqEngine;
+use crate::delta::{Forest, NodeId, TreeSemantics, TreeSnap};
+use crate::rapq::Rapq;
+use crate::rspq::Rspq;
 use crate::sink::ResultSink;
 use crate::stats::{DeltaProfile, EngineStats, IndexSize};
-use srpq_automata::{CompiledQuery, ParseError};
-use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp};
+use srpq_automata::{CompiledQuery, Dfa, ParseError};
+use srpq_common::{FxHashSet, LabelInterner, Op, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
 
 /// Which path semantics a registered query evaluates under (§1).
@@ -26,24 +49,108 @@ pub enum PathSemantics {
     Simple,
 }
 
-/// A persistent streaming RPQ evaluator.
-// The variants differ in size (the RSPQ engine carries marking state
-// and several bitsets), but one long-lived engine exists per query, so
-// boxing would buy nothing and cost a pointer chase per tuple.
+/// A persistent streaming RPQ evaluator: one registered query, its Δ
+/// index, and the window it is evaluated over.
+pub struct Engine {
+    query: CompiledQuery,
+    config: EngineConfig,
+    /// The window graph (snapshot `G_{W,τ}` plus not-yet-purged
+    /// tuples). Stays empty when a multi-query host drives the engine
+    /// through the `*_with_graph` methods.
+    graph: WindowGraph,
+    /// Deduplication set: pairs currently reported as results.
+    emitted: FxHashSet<ResultPair>,
+    now: Timestamp,
+    stats: EngineStats,
+    /// Scratch: roots of the trees one tuple or one expiry pass visits.
+    roots_scratch: Vec<VertexId>,
+    /// Scratch: the per-tree compaction remap table.
+    compact_scratch: Vec<NodeId>,
+    delta: Delta,
+}
+
+/// The Δ index under either semantics — the forest plus the scratch
+/// only that semantics needs.
+// The simple-path side is larger (three bitsets), but one long-lived
+// engine exists per query, so boxing it would buy nothing and cost a
+// pointer chase per tuple.
 #[allow(clippy::large_enum_variant)]
-pub enum Engine {
-    /// Arbitrary path semantics.
-    Arbitrary(RapqEngine),
-    /// Simple path semantics.
-    Simple(RspqEngine),
+enum Delta {
+    Arbitrary(Rapq),
+    Simple(Rspq),
+}
+
+/// What a per-tree procedure borrows from the shell for the duration of
+/// one tuple or one expiry pass.
+pub(crate) struct TreeCx<'a, S> {
+    pub query: &'a CompiledQuery,
+    pub config: &'a EngineConfig,
+    /// The graph to traverse: it has already absorbed the tuple's
+    /// mutation (and, on the pooled schedule, its whole micro-batch's).
+    pub graph: &'a WindowGraph,
+    /// Hides in-batch edges a sequential run would not have seen yet.
+    pub vis: Visibility,
+    /// Validity watermark: nodes and edges at or below it are expired.
+    pub wm: Timestamp,
+    pub now: Timestamp,
+    pub emitted: &'a mut FxHashSet<ResultPair>,
+    pub stats: &'a mut EngineStats,
+    pub sink: &'a mut S,
+    pub compact_scratch: &'a mut Vec<NodeId>,
+    /// `Extend` invocations left before the traversal is abandoned
+    /// ([`EngineConfig::rspq_extend_budget`]); one allowance per tuple
+    /// and per expired tree. Arbitrary-path evaluation ignores it.
+    pub budget: u64,
+}
+
+/// The per-tree plug: the three procedures of the module-level table,
+/// over a forest the shell can walk.
+pub(crate) trait PerTree {
+    /// The forest's semantics hook type.
+    type Sem: TreeSemantics;
+
+    fn forest(&self) -> &Forest<Self::Sem>;
+
+    fn forest_mut(&mut self) -> &mut Forest<Self::Sem>;
+
+    /// Extends the tree rooted at `root` with the inserted `edge`.
+    fn extend_tree<S: ResultSink>(
+        &mut self,
+        cx: &mut TreeCx<'_, S>,
+        root: VertexId,
+        edge: StreamTuple,
+    );
+
+    /// Stamps `-∞` on every subtree of the tree rooted at `root` that
+    /// hangs off the deleted `edge`. Returns whether there was one.
+    fn sever_edge(&mut self, dfa: &Dfa, root: VertexId, edge: StreamTuple) -> bool;
+
+    /// Expires the tree rooted at `root` at `cx.wm`, reporting
+    /// invalidations only if `invalidate`.
+    fn expire_tree<S: ResultSink>(
+        &mut self,
+        cx: &mut TreeCx<'_, S>,
+        root: VertexId,
+        invalidate: bool,
+    );
 }
 
 impl Engine {
     /// Registers `query` under the given semantics.
     pub fn new(query: CompiledQuery, config: EngineConfig, semantics: PathSemantics) -> Engine {
-        match semantics {
-            PathSemantics::Arbitrary => Engine::Arbitrary(RapqEngine::new(query, config)),
-            PathSemantics::Simple => Engine::Simple(RspqEngine::new(query, config)),
+        Engine {
+            query,
+            config,
+            graph: WindowGraph::new(),
+            emitted: FxHashSet::default(),
+            now: Timestamp::NEG_INFINITY,
+            stats: EngineStats::default(),
+            roots_scratch: Vec::new(),
+            compact_scratch: Vec::new(),
+            delta: match semantics {
+                PathSemantics::Arbitrary => Delta::Arbitrary(Rapq::new()),
+                PathSemantics::Simple => Delta::Simple(Rspq::new()),
+            },
         }
     }
 
@@ -62,64 +169,200 @@ impl Engine {
         ))
     }
 
-    /// Processes one tuple (non-decreasing timestamps), pushing results
-    /// into `sink`.
+    /// The registered query.
+    pub fn query(&self) -> &CompiledQuery {
+        &self.query
+    }
+
+    /// The path semantics this engine evaluates under.
+    pub fn semantics(&self) -> PathSemantics {
+        match self.delta {
+            Delta::Arbitrary(_) => PathSemantics::Arbitrary,
+            Delta::Simple(_) => PathSemantics::Simple,
+        }
+    }
+
+    /// Engine statistics.
+    pub fn stats(&self) -> &EngineStats {
+        &self.stats
+    }
+
+    /// Mutable statistics (a multi-query host attributes routing hits
+    /// and evaluation time here).
+    pub fn stats_mut(&mut self) -> &mut EngineStats {
+        &mut self.stats
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// The window graph.
+    pub fn graph(&self) -> &WindowGraph {
+        &self.graph
+    }
+
+    /// Stream time of the last processed tuple.
+    pub fn now(&self) -> Timestamp {
+        self.now
+    }
+
+    /// Number of distinct result pairs currently reported.
+    pub fn result_count(&self) -> usize {
+        self.emitted.len()
+    }
+
+    /// Whether `pair` has been reported (and not invalidated).
+    pub fn has_result(&self, pair: ResultPair) -> bool {
+        self.emitted.contains(&pair)
+    }
+
+    /// The currently reported result pairs, sorted (persistence support:
+    /// checkpoints serialize the deduplication set).
+    pub fn emitted_pairs(&self) -> Vec<ResultPair> {
+        let mut out: Vec<ResultPair> = self.emitted.iter().copied().collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Overwrites the engine cursor — clock, result-deduplication set,
+    /// and statistics — with checkpointed values (persistence support;
+    /// called after the recovery replay rebuilt graph and Δ).
+    pub fn restore_cursor(
+        &mut self,
+        now: Timestamp,
+        emitted: impl IntoIterator<Item = ResultPair>,
+        stats: EngineStats,
+    ) {
+        self.now = now;
+        self.emitted = emitted.into_iter().collect();
+        self.stats = stats;
+    }
+
+    /// Current Δ index size (Figure 5 / Figure 9).
+    pub fn index_size(&self) -> IndexSize {
+        fn size<X: TreeSemantics>(forest: &Forest<X>) -> IndexSize {
+            IndexSize {
+                trees: forest.n_trees(),
+                nodes: forest.n_nodes(),
+                arena_bytes: forest.arena_bytes(),
+            }
+        }
+        match &self.delta {
+            Delta::Arbitrary(p) => size(p.forest()),
+            Delta::Simple(p) => size(p.forest()),
+        }
+    }
+
+    /// A structural profile of the Δ forest (live nodes per DFA state,
+    /// depth histogram, arena occupancy) for introspection surfaces
+    /// like `ctl explain`. O(|Δ|) — do not call on the tuple path.
+    pub fn delta_profile(&self) -> DeltaProfile {
+        match &self.delta {
+            Delta::Arbitrary(p) => profile_forest(p.forest()),
+            Delta::Simple(p) => profile_forest(p.forest()),
+        }
+    }
+
+    /// Checks every structural invariant of the Δ index: tree shape,
+    /// the semantics' own (occurrence uniqueness or markings), and the
+    /// reverse index. O(|Δ|) — tests and debugging only.
+    pub fn validate_delta(&self) -> Result<(), String> {
+        match &self.delta {
+            Delta::Arbitrary(p) => p.forest().validate(),
+            Delta::Simple(p) => p.forest().validate(),
+        }
+    }
+
+    /// A faithful snapshot of every Δ tree, sorted by root (persistence
+    /// support: `Full` checkpoints).
+    pub fn delta_snapshot(&self) -> Vec<TreeSnap> {
+        match &self.delta {
+            Delta::Arbitrary(p) => p.forest().to_snapshot(),
+            Delta::Simple(p) => p.forest().to_snapshot(),
+        }
+    }
+
+    /// Replaces the Δ index wholesale with a validated
+    /// [`Self::delta_snapshot`] (persistence support: `Full` recovery
+    /// restores the exact checkpointed forest).
+    pub fn restore_delta(&mut self, snaps: Vec<TreeSnap>) -> Result<(), String> {
+        match &mut self.delta {
+            Delta::Arbitrary(p) => *p.forest_mut() = Forest::from_snapshot(snaps)?,
+            Delta::Simple(p) => *p.forest_mut() = Forest::from_snapshot(snaps)?,
+        }
+        Ok(())
+    }
+
+    /// Processes one streaming graph tuple, pushing any new results (and
+    /// invalidations) into `sink`. Tuples must arrive in non-decreasing
+    /// timestamp order.
     pub fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        match self {
-            Engine::Arbitrary(e) => e.process(tuple, sink),
-            Engine::Simple(e) => e.process(tuple, sink),
+        if let Some(wm) = self.advance_clock(tuple.ts) {
+            self.run_expiry(wm, sink);
         }
+        self.apply_and_dispatch(tuple, sink);
     }
 
-    /// Processes a batch of tuples (non-decreasing timestamps) with one
-    /// slide-boundary check and at most one expiry pass per slide
-    /// interval covered, instead of per tuple. Produces a result stream
-    /// byte-identical to per-tuple [`Self::process`].
+    /// Processes a slide's worth of tuples at once: the batch is grouped
+    /// by slide interval, so the boundary check and the (at most one)
+    /// expiry pass run once per group instead of once per tuple. The
+    /// result stream is byte-identical to feeding the same tuples
+    /// through [`Self::process`] one at a time.
     pub fn process_batch<S: ResultSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
-        match self {
-            Engine::Arbitrary(e) => e.process_batch(batch, sink),
-            Engine::Simple(e) => e.process_batch(batch, sink),
+        let window = self.config.window;
+        let mut i = 0;
+        while i < batch.len() {
+            let (len, group_now) = window.slide_group(self.now, &batch[i..], |t| t.ts);
+            if let Some(wm) = self.advance_clock(group_now) {
+                self.run_expiry(wm, sink);
+            }
+            for &t in &batch[i..i + len] {
+                if t.ts > self.now {
+                    self.now = t.ts;
+                }
+                self.apply_and_dispatch(t, sink);
+            }
+            i += len;
         }
     }
 
-    /// Forces an expiry pass at the current eager watermark.
+    /// Forces an expiry pass at the current eager watermark (harness
+    /// hook; normally expiry is driven by slide crossings).
     pub fn expire_now<S: ResultSink>(&mut self, sink: &mut S) {
-        match self {
-            Engine::Arbitrary(e) => e.expire_now(sink),
-            Engine::Simple(e) => e.expire_now(sink),
-        }
+        let wm = self.config.window.watermark(self.now);
+        self.run_expiry(wm, sink);
     }
 
-    /// Processes a tuple against an external shared window graph (see
-    /// [`crate::multi::MultiQueryEngine`]). Do not mix with
-    /// [`Self::process`] on the same engine.
+    /// Processes a tuple against an **external, shared** window graph
+    /// (multi-query evaluation: one graph, many Δ indexes), mutating it
+    /// as [`Self::process`] would mutate the engine's own. The engine's
+    /// own graph must stay untouched between shared calls — do not mix
+    /// [`Self::process`] and this method on one engine.
     pub fn process_with_graph<S: ResultSink>(
         &mut self,
         graph: &mut WindowGraph,
         tuple: StreamTuple,
         sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.process_with_graph(graph, tuple, sink),
-            Engine::Simple(e) => e.process_with_graph(graph, tuple, sink),
-        }
+        std::mem::swap(&mut self.graph, graph);
+        self.process(tuple, sink);
+        std::mem::swap(&mut self.graph, graph);
     }
 
-    /// [`Self::expire_now`] against an external shared graph.
-    pub fn expire_now_with_graph<S: ResultSink>(&mut self, graph: &mut WindowGraph, sink: &mut S) {
-        match self {
-            Engine::Arbitrary(e) => e.expire_now_with_graph(graph, sink),
-            Engine::Simple(e) => e.expire_now_with_graph(graph, sink),
-        }
-    }
-
-    /// The **read-only traversal path** over a shared graph whose
-    /// mutations (for this tuple, and possibly its whole micro-batch)
-    /// were already applied by a coordinator: extends/expires this
-    /// engine's Δ without touching the graph. `vis` hides in-batch
-    /// edges a sequential per-tuple run would not have seen yet — the
-    /// pooled schedule's workers of [`crate::multi::MultiQueryEngine`]
-    /// traverse one `&WindowGraph` concurrently through this.
+    /// The **read-only traversal path**: extends/expires Δ for one
+    /// tuple against an external shared graph that has *already*
+    /// absorbed this tuple's mutation (and possibly its whole
+    /// micro-batch's — `vis` hides in-batch edges a sequential run
+    /// would not have seen yet). The shared graph's slide-boundary
+    /// purge is the coordinator's job; this path only maintains Δ, so
+    /// the pooled schedule's workers of
+    /// [`crate::multi::MultiQueryEngine`] traverse one `&WindowGraph`
+    /// concurrently through it. Convenience over
+    /// [`Self::advance_with_graph`] (expiry hidden one position
+    /// earlier, as for a *first* routing target) followed by
+    /// [`Self::dispatch_with_graph`].
     pub fn extend_with_graph<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
@@ -127,17 +370,15 @@ impl Engine {
         tuple: StreamTuple,
         sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.extend_with_graph(graph, vis, tuple, sink),
-            Engine::Simple(e) => e.extend_with_graph(graph, vis, tuple, sink),
-        }
+        self.advance_with_graph(graph, vis.before(), tuple.ts, sink);
+        self.dispatch_with_graph(graph, vis, tuple, sink);
     }
 
     /// Advances the clock to `ts` and, on a slide-boundary crossing,
     /// runs the lazy Δ-expiry pass against the shared graph at
-    /// visibility `vis`. A multi-query coordinator uses this (with
-    /// [`Self::dispatch_with_graph`]) to reproduce the sequential
-    /// order: every routed group expires against the pre-mutation
+    /// visibility `vis`. Split from [`Self::dispatch_with_graph`] so a
+    /// multi-query coordinator can reproduce the sequential order
+    /// exactly: every routed group expires against the pre-mutation
     /// graph, then the coordinator applies the mutation once, then
     /// every routed group dispatches the tuple.
     pub fn advance_with_graph<S: ResultSink>(
@@ -147,14 +388,15 @@ impl Engine {
         ts: Timestamp,
         sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.advance_with_graph(graph, vis, ts, sink),
-            Engine::Simple(e) => e.advance_with_graph(graph, vis, ts, sink),
+        if let Some(wm) = self.advance_clock(ts) {
+            self.metered(|e| e.expire_delta(graph, vis, wm, sink));
         }
     }
 
-    /// Δ-side handling of one tuple against the shared graph (no clock
-    /// movement — call [`Self::advance_with_graph`] first).
+    /// Δ-side handling of one tuple against a graph that has already
+    /// absorbed its mutation: tree extension for an insert, subtree
+    /// severing + expiry for a deletion. No clock movement — call
+    /// [`Self::advance_with_graph`] first.
     pub fn dispatch_with_graph<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
@@ -162,138 +404,210 @@ impl Engine {
         tuple: StreamTuple,
         sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.dispatch_with_graph(graph, vis, tuple, sink),
-            Engine::Simple(e) => e.dispatch_with_graph(graph, vis, tuple, sink),
+        if !self.query.dfa().knows_label(tuple.label) {
+            self.stats.tuples_discarded += 1;
+            return;
+        }
+        self.stats.tuples_processed += 1;
+        let wm = self.config.window.watermark(self.now);
+        let (delta, roots, mut cx) = self.split(graph, vis, wm, sink);
+        match delta {
+            Delta::Arbitrary(p) => dispatch_tuple(p, &mut cx, roots, tuple),
+            Delta::Simple(p) => dispatch_tuple(p, &mut cx, roots, tuple),
         }
     }
 
-    /// Read-only eager Δ-expiry against a shared graph the caller has
-    /// already purged (the shared counterpart of [`Self::expire_now`]).
+    /// Read-only eager expiry against an external shared graph (the
+    /// shared counterpart of [`Self::expire_now`]; the caller purges
+    /// the graph itself).
     pub fn expire_delta_with_graph<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.expire_delta_with_graph(graph, vis, sink),
-            Engine::Simple(e) => e.expire_delta_with_graph(graph, vis, sink),
-        }
+        let wm = self.config.window.watermark(self.now);
+        self.metered(|e| e.expire_delta(graph, vis, wm, sink));
     }
 
-    /// The registered query.
-    pub fn query(&self) -> &CompiledQuery {
-        match self {
-            Engine::Arbitrary(e) => e.query(),
-            Engine::Simple(e) => e.query(),
+    /// Moves the clock to `ts` (late tuples never regress it). Returns
+    /// the lazy watermark to expire at if the move crossed a slide
+    /// boundary (§3.1: expiry fires once per crossed boundary).
+    fn advance_clock(&mut self, ts: Timestamp) -> Option<Timestamp> {
+        let prev = self.now;
+        if ts > self.now {
+            self.now = ts;
         }
+        let window = &self.config.window;
+        (prev != Timestamp::NEG_INFINITY && window.crosses_slide(prev, self.now))
+            .then(|| window.lazy_watermark(self.now))
     }
 
-    /// The path semantics this engine evaluates under.
-    pub fn semantics(&self) -> PathSemantics {
-        match self {
-            Engine::Arbitrary(_) => PathSemantics::Arbitrary,
-            Engine::Simple(_) => PathSemantics::Simple,
+    /// Owned-graph tuple handling: mutate the graph, then run the
+    /// read-only Δ traversal against it (the same split a shared-graph
+    /// coordinator performs once per micro-batch).
+    fn apply_and_dispatch<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
+        if self.query.dfa().knows_label(tuple.label) {
+            let (u, v) = (tuple.edge.src, tuple.edge.dst);
+            match tuple.op {
+                Op::Insert => {
+                    self.graph.insert(u, v, tuple.label, tuple.ts);
+                }
+                Op::Delete => {
+                    self.graph.remove(u, v, tuple.label);
+                }
+            }
         }
+        let graph = std::mem::take(&mut self.graph);
+        self.dispatch_with_graph(&graph, Visibility::ALL, tuple, sink);
+        self.graph = graph;
     }
 
-    /// Engine statistics.
-    pub fn stats(&self) -> &EngineStats {
-        match self {
-            Engine::Arbitrary(e) => e.stats(),
-            Engine::Simple(e) => e.stats(),
-        }
+    /// One owned-graph expiry pass: purge the graph, then expire Δ
+    /// against it.
+    fn run_expiry<S: ResultSink>(&mut self, wm: Timestamp, sink: &mut S) {
+        self.metered(|e| {
+            e.graph.purge_expired(wm);
+            let graph = std::mem::take(&mut e.graph);
+            e.expire_delta(&graph, Visibility::ALL, wm, sink);
+            e.graph = graph;
+        });
     }
 
-    /// Mutable statistics (a multi-query host attributes routing hits
-    /// and evaluation time here).
-    pub fn stats_mut(&mut self) -> &mut EngineStats {
-        match self {
-            Engine::Arbitrary(e) => e.stats_mut(),
-            Engine::Simple(e) => e.stats_mut(),
-        }
+    /// Counts and times one expiry pass (window-management time,
+    /// Figure 6b).
+    fn metered(&mut self, pass: impl FnOnce(&mut Engine)) {
+        let t0 = std::time::Instant::now();
+        self.stats.expiry_runs += 1;
+        pass(self);
+        self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &crate::config::EngineConfig {
-        match self {
-            Engine::Arbitrary(e) => e.config(),
-            Engine::Simple(e) => e.config(),
-        }
-    }
-
-    /// The currently reported result pairs, sorted (persistence support).
-    pub fn emitted_pairs(&self) -> Vec<ResultPair> {
-        match self {
-            Engine::Arbitrary(e) => e.emitted_pairs(),
-            Engine::Simple(e) => e.emitted_pairs(),
-        }
-    }
-
-    /// Overwrites the engine cursor with checkpointed values
-    /// (persistence support; see `RapqEngine::restore_cursor`).
-    pub fn restore_cursor(
+    /// The Δ-only part of a window-expiry pass, over a borrowed
+    /// (possibly shared) graph: every tree is expired at `wm`,
+    /// reconnecting what surviving window edges still reach; trees
+    /// reduced to their root are dropped.
+    fn expire_delta<S: ResultSink>(
         &mut self,
-        now: Timestamp,
-        emitted: impl IntoIterator<Item = ResultPair>,
-        stats: EngineStats,
+        graph: &WindowGraph,
+        vis: Visibility,
+        wm: Timestamp,
+        sink: &mut S,
     ) {
-        match self {
-            Engine::Arbitrary(e) => e.restore_cursor(now, emitted, stats),
-            Engine::Simple(e) => e.restore_cursor(now, emitted, stats),
+        fn sweep<P: PerTree, S: ResultSink>(
+            plug: &mut P,
+            cx: &mut TreeCx<'_, S>,
+            roots: &mut Vec<VertexId>,
+        ) {
+            plug.forest().collect_roots(roots);
+            for &root in roots.iter() {
+                plug.expire_tree(cx, root, false);
+                plug.forest_mut().drop_if_trivial(root);
+            }
+            refresh_delta_gauges(plug.forest(), cx.stats);
+        }
+        let (delta, roots, mut cx) = self.split(graph, vis, wm, sink);
+        match delta {
+            Delta::Arbitrary(p) => sweep(p, &mut cx, roots),
+            Delta::Simple(p) => sweep(p, &mut cx, roots),
         }
     }
 
-    /// Current Δ index size.
-    pub fn index_size(&self) -> IndexSize {
-        match self {
-            Engine::Arbitrary(e) => e.index_size(),
-            Engine::Simple(e) => e.index_size(),
+    /// Splits the shell into the Δ index, the roots scratch, and the
+    /// context the per-tree procedures borrow.
+    fn split<'a, S>(
+        &'a mut self,
+        graph: &'a WindowGraph,
+        vis: Visibility,
+        wm: Timestamp,
+        sink: &'a mut S,
+    ) -> (&'a mut Delta, &'a mut Vec<VertexId>, TreeCx<'a, S>) {
+        let cx = TreeCx {
+            query: &self.query,
+            config: &self.config,
+            graph,
+            vis,
+            wm,
+            now: self.now,
+            emitted: &mut self.emitted,
+            stats: &mut self.stats,
+            sink,
+            compact_scratch: &mut self.compact_scratch,
+            budget: self.config.rspq_extend_budget.unwrap_or(u64::MAX),
+        };
+        (&mut self.delta, &mut self.roots_scratch, cx)
+    }
+
+    /// The arbitrary-path forest (unit-test fixtures inspect tree
+    /// shapes through the keyed [`crate::delta::Unique`] API).
+    #[cfg(test)]
+    pub(crate) fn rapq_forest(&self) -> &Forest<crate::delta::Unique> {
+        match &self.delta {
+            Delta::Arbitrary(p) => p.forest(),
+            Delta::Simple(_) => panic!("not an arbitrary-path engine"),
         }
     }
 
-    /// A structural profile of the Δ forest (live nodes per DFA state,
-    /// depth histogram, arena occupancy) for introspection surfaces
-    /// like `ctl explain`. O(|Δ|) — do not call on the tuple path.
-    pub fn delta_profile(&self) -> DeltaProfile {
-        match self {
-            Engine::Arbitrary(e) => profile_forest(e.delta()),
-            Engine::Simple(e) => profile_forest(e.delta()),
+    /// The simple-path forest (unit-test fixtures inspect occurrences
+    /// and markings).
+    #[cfg(test)]
+    pub(crate) fn rspq_forest(&self) -> &Forest<crate::rspq::markings::Markings> {
+        match &self.delta {
+            Delta::Simple(p) => p.forest(),
+            Delta::Arbitrary(_) => panic!("not a simple-path engine"),
         }
     }
+}
 
-    /// The window graph.
-    pub fn graph(&self) -> &WindowGraph {
-        match self {
-            Engine::Arbitrary(e) => e.graph(),
-            Engine::Simple(e) => e.graph(),
+/// Δ-side handling of one in-alphabet tuple, over the trees the reverse
+/// index says it can touch.
+fn dispatch_tuple<P: PerTree, S: ResultSink>(
+    plug: &mut P,
+    cx: &mut TreeCx<'_, S>,
+    roots: &mut Vec<VertexId>,
+    tuple: StreamTuple,
+) {
+    let dfa = cx.query.dfa();
+    match tuple.op {
+        Op::Insert => {
+            // Materialize T_u lazily: only a tuple with δ(s0, l) defined
+            // can seed a tree rooted at its source vertex.
+            let (u, s0) = (tuple.edge.src, dfa.start());
+            if dfa
+                .transitions_for(tuple.label)
+                .iter()
+                .any(|&(s, _)| s == s0)
+            {
+                plug.forest_mut().ensure_tree(u, s0);
+            }
+            plug.forest().collect_trees_containing(u, roots);
+            for &root in roots.iter() {
+                plug.extend_tree(cx, root, tuple);
+            }
+        }
+        Op::Delete => {
+            // Algorithm Delete: where the edge is a tree edge, stamp the
+            // severed subtree -∞, then let the expiry machinery prune
+            // and reconnect it (§3.2).
+            cx.stats.deletions_processed += 1;
+            plug.forest()
+                .collect_trees_containing(tuple.edge.dst, roots);
+            for &root in roots.iter() {
+                if plug.sever_edge(dfa, root, tuple) {
+                    plug.expire_tree(cx, root, true);
+                    plug.forest_mut().drop_if_trivial(root);
+                }
+            }
+            refresh_delta_gauges(plug.forest(), cx.stats);
         }
     }
+}
 
-    /// Stream time of the last processed tuple.
-    pub fn now(&self) -> Timestamp {
-        match self {
-            Engine::Arbitrary(e) => e.now(),
-            Engine::Simple(e) => e.now(),
-        }
-    }
-
-    /// Number of distinct result pairs currently reported.
-    pub fn result_count(&self) -> usize {
-        match self {
-            Engine::Arbitrary(e) => e.result_count(),
-            Engine::Simple(e) => e.result_count(),
-        }
-    }
-
-    /// Whether `pair` is currently reported.
-    pub fn has_result(&self, pair: ResultPair) -> bool {
-        match self {
-            Engine::Arbitrary(e) => e.has_result(pair),
-            Engine::Simple(e) => e.has_result(pair),
-        }
-    }
+/// Refreshes the arena-occupancy gauges, sampled once per expiry sweep
+/// / deletion (the natural per-slide observation points).
+fn refresh_delta_gauges<X: TreeSemantics>(forest: &Forest<X>, stats: &mut EngineStats) {
+    stats.delta_nodes_live = forest.n_nodes() as u64;
+    stats.delta_capacity = forest.n_slots() as u64;
 }
 
 /// Walks every live node of `forest` into a [`DeltaProfile`]. Depths
@@ -337,6 +651,7 @@ fn profile_forest<X: TreeSemantics>(forest: &Forest<X>) -> DeltaProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RefreshPolicy;
     use crate::sink::CollectSink;
     use srpq_common::{StreamTuple, VertexInterner};
 
@@ -361,6 +676,7 @@ mod tests {
             assert!(engine.index_size().nodes >= 2);
             assert_eq!(engine.now(), Timestamp(2));
             engine.expire_now(&mut sink);
+            engine.validate_delta().unwrap();
         }
     }
 
@@ -411,5 +727,47 @@ mod tests {
             PathSemantics::Arbitrary
         )
         .is_err());
+    }
+
+    #[test]
+    fn nodes_expired_excludes_reconnected_nodes() {
+        // a+ (conflict-free) over an acyclic stream, |W| = 10, slide 1.
+        // T_r holds (v, s1) via r→v@1 and (q, s1) via r→q@1; the later
+        // path r→w@5, w→v@6 leaves v an alternative in-edge whose
+        // parent (w, s1) outlives the t = 12 expiry. Expiry removes
+        // both ts-1 nodes; reconnection re-attaches v through w→v, so
+        // only q is "removed by expiry (not reconnected)" — under both
+        // semantics. (`RefreshPolicy::None` keeps RAPQ from re-pointing
+        // v at arrival time; RSPQ prunes the re-reach on v's marking.)
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let mut labels = LabelInterner::new();
+            let query = CompiledQuery::compile("a+", &mut labels).unwrap();
+            let a = labels.get("a").unwrap();
+            let mut config = EngineConfig::with_window(WindowPolicy::new(10, 1));
+            config.refresh = RefreshPolicy::None;
+            let mut engine = Engine::new(query, config, semantics);
+            let [r, v, q, w, far, away] = [0, 1, 2, 3, 4, 5].map(VertexId);
+            let mut sink = CollectSink::default();
+            for (ts, src, dst) in [(1, r, v), (1, r, q), (5, r, w), (6, w, v)] {
+                engine.process(StreamTuple::insert(Timestamp(ts), src, dst, a), &mut sink);
+            }
+            assert_eq!(engine.stats().nodes_expired, 0, "{semantics:?}");
+            assert_eq!(engine.stats().conflicts_detected, 0, "{semantics:?}");
+            let before = engine.index_size().nodes;
+            // Crossing to t = 12 expires everything stamped ≤ 2.
+            engine.process(StreamTuple::insert(Timestamp(12), far, away, a), &mut sink);
+            engine.validate_delta().unwrap();
+            let t_r = engine
+                .delta_snapshot()
+                .into_iter()
+                .find(|t| t.root == r)
+                .expect("T_r survives");
+            let ts_of = |x: VertexId| t_r.nodes.iter().find(|n| n.vertex == x).map(|n| n.ts);
+            assert_eq!(ts_of(v), Some(Timestamp(5)), "{semantics:?}: v reconnected");
+            assert_eq!(ts_of(q), None, "{semantics:?}: q expired for good");
+            // T_far adds two nodes, q's removal takes one away.
+            assert_eq!(engine.index_size().nodes, before + 2 - 1, "{semantics:?}");
+            assert_eq!(engine.stats().nodes_expired, 1, "{semantics:?}");
+        }
     }
 }

@@ -3,17 +3,19 @@
 //! This crate implements the algorithms of *Regular Path Query Evaluation
 //! on Streaming Graphs* (Pacaci, Bonifati, Özsu — SIGMOD 2020):
 //!
-//! * [`rapq::RapqEngine`] — incremental RPQ evaluation under **arbitrary
-//!   path semantics** (§3): Algorithm RAPQ with the Δ spanning-tree
-//!   index, `Insert`, lazy `ExpiryRAPQ`, and `Delete` for explicit
-//!   deletions via negative tuples.
-//! * [`rspq::RspqEngine`] — incremental RPQ evaluation under **simple
-//!   path semantics** (§4): Algorithm RSPQ with markings, conflict
-//!   detection through suffix-language containment, `Extend`, `Unmark`,
-//!   and `ExpiryRSPQ`.
-//! * [`engine::Engine`] — a uniform front-end over both, driving the
-//!   sliding-window policy (eager evaluation, lazy expiry) and the
-//!   result stream.
+//! * [`engine::Engine`] — the one Δ-engine shell: the registered query,
+//!   the sliding-window policy (eager evaluation, lazy expiry), the
+//!   window graph, the result stream, the clock and the statistics,
+//!   under either [`engine::PathSemantics`]. The semantics only decide
+//!   which three per-tree procedures it calls:
+//! * `rapq` — **arbitrary path semantics** (§3): Algorithm RAPQ with
+//!   `Insert` (extend one tree), `Delete`'s `-∞` marking (sever an
+//!   edge) and `ExpiryRAPQ` (expire one tree) over the Δ spanning-tree
+//!   index;
+//! * [`rspq`] — **simple path semantics** (§4): Algorithm RSPQ with
+//!   markings, conflict detection through suffix-language containment,
+//!   `Extend` + `Unmark`, the same marking step per occurrence, and
+//!   `ExpiryRSPQ`.
 //!
 //! # Quick start
 //!
@@ -53,7 +55,7 @@ pub mod delta;
 pub mod engine;
 pub mod multi;
 mod parallel_multi;
-pub mod rapq;
+mod rapq;
 pub mod reorder;
 pub mod rspq;
 pub mod sink;

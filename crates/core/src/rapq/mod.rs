@@ -1,5 +1,7 @@
 //! Algorithm RAPQ: streaming RPQ evaluation under arbitrary path
-//! semantics (§3 of the paper).
+//! semantics (§3 of the paper) — the per-tree procedures the
+//! [`Engine`](crate::engine::Engine) shell plugs in for
+//! [`PathSemantics::Arbitrary`](crate::engine::PathSemantics).
 //!
 //! For each incoming tuple `(τ, (u,v), l, +)` the engine simultaneously
 //! traverses the snapshot graph and the query DFA — emulating a traversal
@@ -10,25 +12,24 @@
 //! edges; explicit deletions (`Delete`) mark the severed subtree with
 //! `-∞` timestamps and reuse the very same expiry machinery (§3.2).
 
-use crate::config::{EngineConfig, RefreshPolicy};
+use crate::config::RefreshPolicy;
 use crate::delta::{Forest, NodeId, RevIndex, Unique};
+use crate::engine::{PerTree, TreeCx};
 use crate::sink::ResultSink;
-use crate::stats::{EngineStats, IndexSize};
-use srpq_automata::{CompiledQuery, Dfa};
-use srpq_common::{FxHashSet, Label, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_graph::{Visibility, WindowGraph};
+use srpq_automata::Dfa;
+use srpq_common::{Label, ResultPair, StreamTuple, Timestamp, VertexId};
 
 /// A tree node key: `(vertex, automaton state)`. With RAPQ's
 /// one-occurrence invariant the pair identifies the node.
-pub type NodeKey = crate::delta::PairKey;
+type NodeKey = crate::delta::PairKey;
 
 /// An RAPQ spanning tree: the shared arena instantiated with the
 /// [`Unique`] (one occurrence per pair) semantics.
-pub type Tree = crate::delta::Tree<Unique>;
+type Tree = crate::delta::Tree<Unique>;
 
 /// The RAPQ Δ index (Definition 12): the shared forest under [`Unique`]
 /// semantics.
-pub type Delta = Forest<Unique>;
+type Delta = Forest<Unique>;
 
 /// A unit of deferred `Insert` work: attach the node for `child` under
 /// the live node at `parent_id` via a graph edge labeled `via` with
@@ -43,543 +44,126 @@ struct WorkItem {
     edge_ts: Timestamp,
 }
 
-/// The streaming RAPQ engine (Algorithm RAPQ + Insert + ExpiryRAPQ +
-/// Delete).
-pub struct RapqEngine {
-    query: CompiledQuery,
-    config: EngineConfig,
-    graph: WindowGraph,
-    delta: Delta,
-    /// Deduplication set: pairs currently reported as results.
-    emitted: FxHashSet<ResultPair>,
-    now: Timestamp,
-    stats: EngineStats,
+/// The arbitrary-path Δ index: the forest under [`Unique`] semantics
+/// plus the scratch Insert and ExpiryRAPQ reuse across calls.
+pub(crate) struct Rapq {
+    forest: Delta,
     /// Reusable work stack (avoids reallocating per tuple).
     work: Vec<WorkItem>,
-    /// Per-tuple scratch: roots of the trees a tuple can extend.
-    roots_scratch: Vec<VertexId>,
-    /// Per-slide scratch: all tree roots during an expiry sweep.
-    expire_roots_scratch: Vec<VertexId>,
     /// Per-slide scratch: the expiry candidate set of one tree.
-    expired_scratch: Vec<NodeKey>,
-    /// Per-slide scratch: the compaction remap table.
-    compact_scratch: Vec<NodeId>,
+    expired: Vec<NodeKey>,
 }
 
-impl RapqEngine {
-    /// Creates an engine for a registered query.
-    pub fn new(query: CompiledQuery, config: EngineConfig) -> RapqEngine {
-        RapqEngine {
-            query,
-            config,
-            graph: WindowGraph::new(),
-            delta: Delta::new(),
-            emitted: FxHashSet::default(),
-            now: Timestamp::NEG_INFINITY,
-            stats: EngineStats::default(),
+impl Rapq {
+    pub(crate) fn new() -> Rapq {
+        Rapq {
+            forest: Delta::new(),
             work: Vec::new(),
-            roots_scratch: Vec::new(),
-            expire_roots_scratch: Vec::new(),
-            expired_scratch: Vec::new(),
-            compact_scratch: Vec::new(),
+            expired: Vec::new(),
         }
     }
+}
 
-    /// The registered query.
-    pub fn query(&self) -> &CompiledQuery {
-        &self.query
+/// The line-7 condition of Algorithm RAPQ: insert if the child is
+/// absent or its timestamp can be improved.
+#[inline]
+fn should_insert(tree: &Tree, child: NodeKey, parent_ts: Timestamp, edge_ts: Timestamp) -> bool {
+    match tree.ts(child) {
+        None => true,
+        Some(cts) => cts < parent_ts.min(edge_ts),
+    }
+}
+
+impl PerTree for Rapq {
+    type Sem = Unique;
+
+    fn forest(&self) -> &Delta {
+        &self.forest
     }
 
-    /// Engine statistics.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+    fn forest_mut(&mut self) -> &mut Delta {
+        &mut self.forest
     }
 
-    /// Current Δ index size (Figure 5 / Figure 9).
-    pub fn index_size(&self) -> IndexSize {
-        IndexSize {
-            trees: self.delta.n_trees(),
-            nodes: self.delta.n_nodes(),
-            arena_bytes: self.delta.arena_bytes(),
-        }
-    }
-
-    /// The window graph (snapshot `G_{W,τ}` plus not-yet-purged tuples).
-    pub fn graph(&self) -> &WindowGraph {
-        &self.graph
-    }
-
-    /// Direct access to the Δ index (tests, Figure 5 instrumentation).
-    pub fn delta(&self) -> &Delta {
-        &self.delta
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Mutable statistics (a multi-query host attributes routing hits
-    /// and evaluation time here).
-    pub fn stats_mut(&mut self) -> &mut EngineStats {
-        &mut self.stats
-    }
-
-    /// The currently reported result pairs, sorted (persistence support:
-    /// checkpoints serialize the deduplication set).
-    pub fn emitted_pairs(&self) -> Vec<ResultPair> {
-        let mut out: Vec<ResultPair> = self.emitted.iter().copied().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Overwrites the engine cursor — clock, result-deduplication set,
-    /// and statistics — with checkpointed values (persistence support;
-    /// called after the recovery replay rebuilt graph and Δ).
-    pub fn restore_cursor(
+    /// Lines 4–12 of Algorithm RAPQ for one tree: try every DFA
+    /// transition `(s, t)` on the edge's label with parent `(u, s)` and
+    /// child `(v, t)`.
+    fn extend_tree<S: ResultSink>(
         &mut self,
-        now: Timestamp,
-        emitted: impl IntoIterator<Item = ResultPair>,
-        stats: EngineStats,
-    ) {
-        self.now = now;
-        self.emitted = emitted.into_iter().collect();
-        self.stats = stats;
-    }
-
-    /// Replaces the Δ index wholesale (persistence support: `Full`
-    /// recovery restores the exact checkpointed forest).
-    pub fn set_delta(&mut self, delta: Delta) {
-        self.delta = delta;
-    }
-
-    /// Stream time of the last processed tuple.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Number of distinct result pairs currently reported.
-    pub fn result_count(&self) -> usize {
-        self.emitted.len()
-    }
-
-    /// Whether `pair` has been reported (and not invalidated).
-    pub fn has_result(&self, pair: ResultPair) -> bool {
-        self.emitted.contains(&pair)
-    }
-
-    /// Processes one streaming graph tuple, pushing any new results (and
-    /// invalidations) into `sink`. Tuples must arrive in non-decreasing
-    /// timestamp order.
-    pub fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        let prev = self.now;
-        if tuple.ts > self.now {
-            self.now = tuple.ts;
-        }
-        // Lazy expiry: fire once per crossed slide boundary (§3.1).
-        if prev != Timestamp::NEG_INFINITY && self.config.window.crosses_slide(prev, self.now) {
-            let wm = self.config.window.lazy_watermark(self.now);
-            self.run_expiry(wm, false, sink);
-        }
-        self.apply_and_dispatch(tuple, sink);
-    }
-
-    /// Owned-graph tuple handling: mutate the graph, then run the
-    /// read-only Δ traversal against it (the same split a shared-graph
-    /// coordinator performs once per micro-batch).
-    fn apply_and_dispatch<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        if self.query.dfa().knows_label(tuple.label) {
-            match tuple.op {
-                srpq_common::Op::Insert => {
-                    self.graph
-                        .insert(tuple.edge.src, tuple.edge.dst, tuple.label, tuple.ts);
-                }
-                srpq_common::Op::Delete => {
-                    self.graph
-                        .remove(tuple.edge.src, tuple.edge.dst, tuple.label);
-                }
-            }
-        }
-        let graph = std::mem::take(&mut self.graph);
-        self.dispatch(&graph, Visibility::ALL, tuple, sink);
-        self.graph = graph;
-    }
-
-    /// Processes a slide's worth of tuples at once: the batch is grouped
-    /// by slide interval, so the boundary check and the (at most one)
-    /// expiry pass run once per group instead of once per tuple. The
-    /// result stream is byte-identical to feeding the same tuples
-    /// through [`Self::process`] one at a time.
-    pub fn process_batch<S: ResultSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
-        let window = self.config.window;
-        let mut i = 0;
-        while i < batch.len() {
-            let (len, group_now) = window.slide_group(self.now, &batch[i..], |t| t.ts);
-            if self.now != Timestamp::NEG_INFINITY && window.crosses_slide(self.now, group_now) {
-                self.now = group_now;
-                let wm = window.lazy_watermark(group_now);
-                self.run_expiry(wm, false, sink);
-            }
-            for &t in &batch[i..i + len] {
-                if t.ts > self.now {
-                    self.now = t.ts;
-                }
-                self.apply_and_dispatch(t, sink);
-            }
-            i += len;
-        }
-    }
-
-    /// Forces an expiry pass at the current eager watermark (harness
-    /// hook; normally expiry is driven by slide crossings).
-    pub fn expire_now<S: ResultSink>(&mut self, sink: &mut S) {
-        let wm = self.config.window.watermark(self.now);
-        self.run_expiry(wm, false, sink);
-    }
-
-    /// The **read-only traversal path**: extends/expires Δ for one
-    /// tuple against an external shared graph that has *already*
-    /// absorbed this tuple's mutation (and possibly the whole
-    /// micro-batch's — `vis` hides in-batch edges a sequential run
-    /// would not have seen yet). The shared graph's slide-boundary
-    /// purge is the coordinator's job; this path only maintains Δ.
-    /// Convenience over [`Self::advance_with_graph`] (expiry hidden one
-    /// position earlier, as for a *first* routing target) followed by
-    /// [`Self::dispatch_with_graph`].
-    pub fn extend_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        self.advance_with_graph(graph, vis.before(), tuple.ts, sink);
-        self.dispatch_with_graph(graph, vis, tuple, sink);
-    }
-
-    /// Advances the clock to `ts` and, on a slide-boundary crossing,
-    /// runs the lazy Δ-expiry pass against the shared graph at
-    /// visibility `vis`. Split from [`Self::dispatch_with_graph`] so a
-    /// multi-query coordinator can reproduce the sequential order
-    /// exactly: the *first* routing target of a tuple expires before
-    /// the tuple's graph mutation is visible, later targets after it.
-    pub fn advance_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        ts: Timestamp,
-        sink: &mut S,
-    ) {
-        let prev = self.now;
-        if ts > self.now {
-            self.now = ts;
-        }
-        if prev != Timestamp::NEG_INFINITY && self.config.window.crosses_slide(prev, self.now) {
-            let t0 = std::time::Instant::now();
-            self.stats.expiry_runs += 1;
-            let wm = self.config.window.lazy_watermark(self.now);
-            self.expire_delta(graph, vis, wm, false, sink);
-            self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Δ-side handling of one tuple against the shared graph (no clock
-    /// movement — call [`Self::advance_with_graph`] first).
-    pub fn dispatch_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        self.dispatch(graph, vis, tuple, sink);
-    }
-
-    /// Read-only eager expiry against an external shared graph (the
-    /// shared counterpart of [`Self::expire_now`]; the caller purges
-    /// the graph itself).
-    pub fn expire_delta_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        sink: &mut S,
-    ) {
-        let t0 = std::time::Instant::now();
-        self.stats.expiry_runs += 1;
-        let wm = self.config.window.watermark(self.now);
-        self.expire_delta(graph, vis, wm, false, sink);
-        self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Δ-side handling of one tuple: tree extension for inserts,
-    /// subtree severing + reconnection for deletions. The graph
-    /// mutation has already happened (owned path or coordinator).
-    fn dispatch<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        if !self.query.dfa().knows_label(tuple.label) {
-            self.stats.tuples_discarded += 1;
-            return;
-        }
-        match tuple.op {
-            srpq_common::Op::Insert => self.dispatch_insert(graph, vis, tuple, sink),
-            srpq_common::Op::Delete => self.dispatch_delete(graph, vis, tuple, sink),
-        }
-    }
-
-    /// Processes a tuple against an **external, shared** window graph
-    /// (multi-query evaluation: one graph, many Δ indexes). The engine's
-    /// own graph must stay untouched between shared calls — do not mix
-    /// [`Self::process`] and this method on one engine.
-    pub fn process_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &mut WindowGraph,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        std::mem::swap(&mut self.graph, graph);
-        self.process(tuple, sink);
-        std::mem::swap(&mut self.graph, graph);
-    }
-
-    /// [`Self::expire_now`] against an external shared graph.
-    pub fn expire_now_with_graph<S: ResultSink>(&mut self, graph: &mut WindowGraph, sink: &mut S) {
-        std::mem::swap(&mut self.graph, graph);
-        self.expire_now(sink);
-        std::mem::swap(&mut self.graph, graph);
-    }
-
-    fn dispatch_insert<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        let label = tuple.label;
-        self.stats.tuples_processed += 1;
-        let (u, v) = (tuple.edge.src, tuple.edge.dst);
-        let wm = self.config.window.watermark(self.now);
-
-        // Materialize T_u lazily: only a tuple with δ(s0, l) defined can
-        // seed a tree rooted at its source vertex.
-        let s0 = self.query.dfa().start();
-        if self
-            .query
-            .dfa()
-            .transitions_for(label)
-            .iter()
-            .any(|&(s, _)| s == s0)
-        {
-            self.delta.ensure_tree(u, s0);
-        }
-
-        // Lines 4–12 of Algorithm RAPQ, restricted to trees that can
-        // actually extend (reverse index).
-        let mut roots = std::mem::take(&mut self.roots_scratch);
-        self.delta.collect_trees_containing(u, &mut roots);
-        for &root in &roots {
-            self.extend_tree_with_edge(graph, vis, root, u, v, label, tuple.ts, wm, sink);
-        }
-        self.roots_scratch = roots;
-    }
-
-    /// For one tree: try every DFA transition `(s, t)` on `label` with
-    /// parent `(u, s)` and child `(v, t)`.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_tree_with_edge<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
+        cx: &mut TreeCx<'_, S>,
         root: VertexId,
-        u: VertexId,
-        v: VertexId,
-        label: Label,
-        edge_ts: Timestamp,
-        wm: Timestamp,
-        sink: &mut S,
+        edge: StreamTuple,
     ) {
-        let mut work = std::mem::take(&mut self.work);
+        let Some((tree, idx)) = self.forest.tree_with_index(root) else {
+            return;
+        };
+        let (u, v) = (edge.edge.src, edge.edge.dst);
+        let work = &mut self.work;
         work.clear();
-        {
-            let Some(tree) = self.delta.tree(root) else {
-                self.work = work;
-                return;
+        for &(s, t) in cx.query.dfa().transitions_for(edge.label) {
+            let child = (v, t);
+            let Some(pid) = tree.first_occurrence((u, s)) else {
+                continue;
             };
-            for &(s, t) in self.query.dfa().transitions_for(label) {
-                let child = (v, t);
-                let Some(pid) = tree.first_occurrence((u, s)) else {
-                    continue;
-                };
-                let Some(pts) = tree.ts_of(pid) else { continue };
-                if pts <= wm {
-                    continue; // parent expired (line 6 guard)
-                }
-                if Self::should_insert(tree, child, pts, edge_ts) {
-                    work.push(WorkItem {
-                        parent_id: pid,
-                        child,
-                        via: label,
-                        edge_ts,
-                    });
-                }
+            let Some(pts) = tree.ts_of(pid) else { continue };
+            if pts <= cx.wm {
+                continue; // parent expired (line 6 guard)
+            }
+            if should_insert(tree, child, pts, edge.ts) {
+                work.push(WorkItem {
+                    parent_id: pid,
+                    child,
+                    via: edge.label,
+                    edge_ts: edge.ts,
+                });
             }
         }
         if !work.is_empty() {
-            let (tree, idx) = self
-                .delta
-                .tree_with_index(root)
-                .expect("tree checked above");
-            run_insert(
-                tree,
-                idx,
-                &mut work,
-                self.query.dfa(),
-                graph,
-                vis,
-                self.config.refresh,
-                self.config.dedup_results,
-                wm,
-                self.now,
-                &mut self.emitted,
-                &mut self.stats,
-                sink,
-            );
-        }
-        self.work = work;
-    }
-
-    /// The line-7 condition of Algorithm RAPQ: insert if the child is
-    /// absent or its timestamp can be improved.
-    #[inline]
-    fn should_insert(
-        tree: &Tree,
-        child: NodeKey,
-        parent_ts: Timestamp,
-        edge_ts: Timestamp,
-    ) -> bool {
-        match tree.ts(child) {
-            None => true,
-            Some(cts) => cts < parent_ts.min(edge_ts),
+            run_insert(tree, idx, work, cx);
         }
     }
 
-    fn dispatch_delete<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        let label = tuple.label;
-        self.stats.tuples_processed += 1;
-        self.stats.deletions_processed += 1;
-        let (u, v) = (tuple.edge.src, tuple.edge.dst);
-        let wm = self.config.window.watermark(self.now);
-
-        // Algorithm Delete: find trees where (u,s) → (v,t) is a
-        // tree-edge (Definition 13), mark the severed subtree with -∞,
-        // then run the expiry machinery to prune/reconnect.
-        let mut roots = std::mem::take(&mut self.roots_scratch);
-        self.delta.collect_trees_containing(v, &mut roots);
-        for &root in &roots {
-            let mut dirty = false;
-            if let Some(tree) = self.delta.tree_mut(root) {
-                for &(s, t) in self.query.dfa().transitions_for(label) {
-                    let key = (v, t);
-                    if let Some(node) = tree.get(key) {
-                        if node.via_label == label && tree.parent_key(key) == Some((u, s)) {
-                            tree.set_subtree_ts_key(key, Timestamp::NEG_INFINITY);
-                            dirty = true;
-                        }
-                    }
+    /// Algorithm Delete's marking step: where `(u,s) → (v,t)` is a
+    /// tree edge (Definition 13), stamp the severed subtree `-∞`.
+    fn sever_edge(&mut self, dfa: &Dfa, root: VertexId, edge: StreamTuple) -> bool {
+        let Some(tree) = self.forest.tree_mut(root) else {
+            return false;
+        };
+        let (u, v) = (edge.edge.src, edge.edge.dst);
+        let mut dirty = false;
+        for &(s, t) in dfa.transitions_for(edge.label) {
+            let key = (v, t);
+            if let Some(node) = tree.get(key) {
+                if node.via_label == edge.label && tree.parent_key(key) == Some((u, s)) {
+                    tree.set_subtree_ts_key(key, Timestamp::NEG_INFINITY);
+                    dirty = true;
                 }
             }
-            if dirty {
-                self.expire_tree(graph, vis, root, wm, true, sink);
-                self.delta.drop_if_trivial(root);
-            }
         }
-        self.roots_scratch = roots;
-        self.refresh_delta_gauges();
-    }
-
-    /// Runs `ExpiryRAPQ` over every tree (owned-graph path): purge the
-    /// graph, prune expired nodes, attempt reconnection via surviving
-    /// window edges, optionally invalidate results that lost their last
-    /// witness.
-    fn run_expiry<S: ResultSink>(&mut self, wm: Timestamp, invalidate: bool, sink: &mut S) {
-        let t0 = std::time::Instant::now();
-        self.stats.expiry_runs += 1;
-        self.graph.purge_expired(wm);
-        let graph = std::mem::take(&mut self.graph);
-        self.expire_delta(&graph, Visibility::ALL, wm, invalidate, sink);
-        self.graph = graph;
-        self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// The Δ-only part of `ExpiryRAPQ`, over a borrowed (possibly
-    /// shared) graph.
-    fn expire_delta<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        wm: Timestamp,
-        invalidate: bool,
-        sink: &mut S,
-    ) {
-        let mut roots = std::mem::take(&mut self.expire_roots_scratch);
-        self.delta.collect_roots(&mut roots);
-        for &root in &roots {
-            self.expire_tree(graph, vis, root, wm, invalidate, sink);
-            self.delta.drop_if_trivial(root);
-        }
-        self.expire_roots_scratch = roots;
-        self.refresh_delta_gauges();
-    }
-
-    /// Refreshes the arena-occupancy gauges, sampled once per expiry
-    /// sweep / deletion (the natural per-slide observation points).
-    fn refresh_delta_gauges(&mut self) {
-        self.stats.delta_nodes_live = self.delta.n_nodes() as u64;
-        self.stats.delta_capacity = self.delta.n_slots() as u64;
+        dirty
     }
 
     /// `ExpiryRAPQ` for a single tree.
-    #[allow(clippy::too_many_arguments)]
     fn expire_tree<S: ResultSink>(
         &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
+        cx: &mut TreeCx<'_, S>,
         root: VertexId,
-        wm: Timestamp,
         invalidate: bool,
-        sink: &mut S,
     ) {
-        let mut work = std::mem::take(&mut self.work);
-        work.clear();
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-
-        let Some((tree, idx)) = self.delta.tree_with_index(root) else {
-            self.work = work;
-            self.expired_scratch = expired;
+        let Some((tree, idx)) = self.forest.tree_with_index(root) else {
             return;
         };
+        let (work, expired) = (&mut self.work, &mut self.expired);
+        work.clear();
         // Lines 2–3: candidate set P (downward-closed by the timestamp
         // monotonicity invariant) and prune, fused into one threshold
         // scan over the contiguous timestamp column (the keys land in a
         // reusable scratch buffer for the reconnection pass below).
-        tree.remove_expired_keys(wm, &mut expired);
+        tree.remove_expired_keys(cx.wm, expired);
         if expired.is_empty() {
-            self.work = work;
-            self.expired_scratch = expired;
             return;
         }
-        for &(ev, _) in &expired {
+        for &(ev, _) in expired.iter() {
             idx.note_removed(root, ev);
         }
 
@@ -588,9 +172,10 @@ impl RapqEngine {
         // Insert then re-expands its former subtree from graph edges.
         // `transitions_into` × the label-partitioned in-lists visit only
         // the in-edges whose label can actually reach state `et`.
-        for &(ev, et) in &expired {
-            let adj = graph.in_view_at(ev, vis);
-            for &(s, label) in self.query.dfa().transitions_into(et) {
+        let (dfa, wm) = (cx.query.dfa(), cx.wm);
+        for &(ev, et) in expired.iter() {
+            let adj = cx.graph.in_view_at(ev, cx.vis);
+            for &(s, label) in dfa.transitions_into(et) {
                 for e in adj.edges(label, wm) {
                     let Some(pid) = tree.first_occurrence((e.other, s)) else {
                         continue;
@@ -599,28 +184,14 @@ impl RapqEngine {
                     if pts <= wm {
                         continue;
                     }
-                    if Self::should_insert(tree, (ev, et), pts, e.ts) {
+                    if should_insert(tree, (ev, et), pts, e.ts) {
                         work.push(WorkItem {
                             parent_id: pid,
                             child: (ev, et),
                             via: label,
                             edge_ts: e.ts,
                         });
-                        run_insert(
-                            tree,
-                            idx,
-                            &mut work,
-                            self.query.dfa(),
-                            graph,
-                            vis,
-                            self.config.refresh,
-                            self.config.dedup_results,
-                            wm,
-                            self.now,
-                            &mut self.emitted,
-                            &mut self.stats,
-                            sink,
-                        );
+                        run_insert(tree, idx, work, cx);
                     }
                 }
             }
@@ -630,65 +201,47 @@ impl RapqEngine {
         // invalidate results (only meaningful for explicit deletions;
         // window expiry keeps implicit-window monotonicity).
         let mut permanently_removed = 0u64;
-        for &(ev, et) in &expired {
+        for &(ev, et) in expired.iter() {
             if !tree.contains((ev, et)) {
                 permanently_removed += 1;
-                if invalidate
-                    && self.config.report_invalidations
-                    && self.query.dfa().is_accepting(et)
-                {
+                if invalidate && cx.config.report_invalidations && dfa.is_accepting(et) {
                     // Another accepting occurrence of `ev` may survive.
-                    let witnessed = self
-                        .query
-                        .dfa()
-                        .accepting_states()
-                        .any(|f| tree.contains((ev, f)));
+                    let witnessed = dfa.accepting_states().any(|f| tree.contains((ev, f)));
                     if !witnessed {
                         let pair = ResultPair::new(root, ev);
-                        if self.emitted.remove(&pair) {
-                            self.stats.results_invalidated += 1;
-                            sink.invalidate(pair, self.now);
+                        if cx.emitted.remove(&pair) {
+                            cx.stats.results_invalidated += 1;
+                            cx.sink.invalidate(pair, cx.now);
                         }
                     }
                 }
             }
         }
-        self.stats.nodes_expired += permanently_removed;
+        cx.stats.nodes_expired += permanently_removed;
 
         // Per-slide compaction: defragment the arena once occupancy
         // drops to half, so long-running windows keep the timestamp
         // scan dense.
-        let mut remap = std::mem::take(&mut self.compact_scratch);
-        if tree.maybe_compact(&mut remap) {
-            self.stats.compactions += 1;
+        if tree.maybe_compact(cx.compact_scratch) {
+            cx.stats.compactions += 1;
         }
-        self.compact_scratch = remap;
-        self.work = work;
-        self.expired_scratch = expired;
     }
 }
 
 /// The iterative core of Algorithm Insert: drains `work`, attaching or
 /// refreshing nodes and expanding fresh nodes through valid window edges.
 ///
-/// Free function (rather than a method) so the engine can hold disjoint
-/// borrows of the tree, the reverse index, and the graph.
-#[allow(clippy::too_many_arguments)]
+/// Free function (rather than a method) so the caller can hold disjoint
+/// borrows of the tree, the reverse index, and the work stack.
 fn run_insert<S: ResultSink>(
     tree: &mut Tree,
     idx: &mut RevIndex,
     work: &mut Vec<WorkItem>,
-    dfa: &Dfa,
-    graph: &WindowGraph,
-    vis: Visibility,
-    refresh: RefreshPolicy,
-    dedup: bool,
-    wm: Timestamp,
-    now: Timestamp,
-    emitted: &mut FxHashSet<ResultPair>,
-    stats: &mut EngineStats,
-    sink: &mut S,
+    cx: &mut TreeCx<'_, S>,
 ) {
+    let (dfa, graph, vis, wm, now) = (cx.query.dfa(), cx.graph, cx.vis, cx.wm, cx.now);
+    let (refresh, dedup) = (cx.config.refresh, cx.config.dedup_results);
+    let (emitted, stats, sink) = (&mut *cx.emitted, &mut *cx.stats, &mut *cx.sink);
     let root = tree.root();
     while let Some(WorkItem {
         parent_id,
@@ -801,14 +354,21 @@ fn run_insert<S: ResultSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, PathSemantics};
     use crate::sink::CollectSink;
+    use crate::EngineConfig;
+    use srpq_automata::CompiledQuery;
     use srpq_common::{LabelInterner, VertexInterner};
     use srpq_graph::WindowPolicy;
+
+    fn rapq(query: CompiledQuery, config: EngineConfig) -> Engine {
+        Engine::new(query, config, PathSemantics::Arbitrary)
+    }
 
     /// Builds the Figure 1(a) stream: Q1 = (follows ◦ mentions)+,
     /// |W| = 15. Returns (engine, sink-ready vertex ids, labels).
     struct Fixture {
-        engine: RapqEngine,
+        engine: Engine,
         verts: VertexInterner,
         labels: LabelInterner,
     }
@@ -818,7 +378,7 @@ mod tests {
         let query = CompiledQuery::compile("(follows mentions)+", &mut labels).unwrap();
         let mut config = EngineConfig::with_window(WindowPolicy::new(15, slide));
         config.refresh = refresh;
-        let engine = RapqEngine::new(query, config);
+        let engine = rapq(query, config);
         let mut verts = VertexInterner::new();
         for name in ["x", "y", "z", "u", "v", "w"] {
             verts.intern(name);
@@ -857,7 +417,7 @@ mod tests {
         vertex: &str,
         state: u32,
     ) -> Option<(Option<NodeKey>, Timestamp)> {
-        let tree = f.engine.delta.tree(f.verts.get(root).unwrap())?;
+        let tree = f.engine.rapq_forest().tree(f.verts.get(root).unwrap())?;
         let key = (f.verts.get(vertex).unwrap(), srpq_common::StateId(state));
         tree.get(key).map(|n| (tree.parent_key(key), n.ts))
     }
@@ -901,7 +461,7 @@ mod tests {
         );
         // Result (x, y) reported at t=18 (Example in §1).
         assert!(f.engine.has_result(ResultPair::new(v("x"), v("y"))));
-        f.engine.delta.validate().unwrap();
+        f.engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -926,7 +486,7 @@ mod tests {
             node(&f, "x", "v", 1),
             Some((Some((v("u"), s(2))), Timestamp(4)))
         );
-        f.engine.delta.validate().unwrap();
+        f.engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -972,7 +532,7 @@ mod tests {
             node(&f, "x", "w", 2),
             Some((Some((v("z"), s(1))), Timestamp(6)))
         );
-        f.engine.delta.validate().unwrap();
+        f.engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -1010,7 +570,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a b", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(5, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let b = labels.get("b").unwrap();
         let (v0, v1, v2) = (VertexId(0), VertexId(1), VertexId(2));
@@ -1031,7 +591,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a+", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(10, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let mut sink = CollectSink::default();
         // Chain 0→1→2 with a gap: 0→1 at t=1, 1→2 at t=20.
@@ -1054,7 +614,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a b", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(100, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let b = labels.get("b").unwrap();
         let (v0, v1, v2) = (VertexId(0), VertexId(1), VertexId(2));
@@ -1067,7 +627,7 @@ mod tests {
         assert!(!engine.has_result(ResultPair::new(v0, v2)));
         assert_eq!(sink.invalidated().len(), 1);
         assert_eq!(engine.stats().deletions_processed, 1);
-        engine.delta.validate().unwrap();
+        engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -1078,7 +638,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a b", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(100, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let b = labels.get("b").unwrap();
         let (v0, v1, v2, v3) = (VertexId(0), VertexId(1), VertexId(2), VertexId(3));
@@ -1106,7 +666,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a+", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(100, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let (v0, v1) = (VertexId(0), VertexId(1));
         let mut sink = CollectSink::default();
@@ -1120,7 +680,7 @@ mod tests {
         engine.process(StreamTuple::delete(Timestamp(3), v1, v0, a), &mut sink);
         assert!(engine.has_result(ResultPair::new(v0, v1)));
         assert!(!engine.has_result(ResultPair::new(v0, v0)));
-        engine.delta.validate().unwrap();
+        engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -1128,7 +688,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a+", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(10, 5));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let mut sink = CollectSink::default();
         for i in 0..20u32 {
@@ -1148,7 +708,7 @@ mod tests {
         engine.expire_now(&mut sink);
         let size = engine.index_size();
         assert!(size.nodes <= 3, "stale nodes linger: {size:?}");
-        engine.delta.validate().unwrap();
+        engine.validate_delta().unwrap();
     }
 
     #[test]
@@ -1156,7 +716,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(100, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let mut sink = CollectSink::default();
         let t = StreamTuple::insert(Timestamp(1), VertexId(0), VertexId(1), a);
@@ -1182,7 +742,7 @@ mod tests {
             for t in fig1_stream(&f, 19) {
                 f.engine.process(t, &mut sink);
             }
-            f.engine.delta.validate().unwrap();
+            f.engine.validate_delta().unwrap();
             let mut pairs: Vec<_> = sink.pairs().into_iter().collect();
             pairs.sort_unstable();
             all_pairs.push(pairs);
@@ -1196,7 +756,7 @@ mod tests {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("a+", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(100, 1));
-        let mut engine = RapqEngine::new(query, config);
+        let mut engine = rapq(query, config);
         let a = labels.get("a").unwrap();
         let mut sink = CollectSink::default();
         engine.process(

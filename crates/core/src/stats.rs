@@ -36,7 +36,10 @@ pub struct EngineStats {
     pub results_invalidated: u64,
     /// Expiry passes executed.
     pub expiry_runs: u64,
-    /// Nodes removed by expiry passes (not reconnected).
+    /// Nodes removed by expiry passes (not reconnected): a removed node
+    /// counts only if the reconnection pass of the same `expire_tree`
+    /// call did not re-attach its `(vertex, state)` pair — the same
+    /// definition under both path semantics.
     pub nodes_expired: u64,
     /// Nanoseconds spent inside expiry passes (window management time,
     /// Figure 6b).

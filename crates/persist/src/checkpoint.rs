@@ -34,7 +34,7 @@
 use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
 use srpq_common::{crc32, Label, ResultPair, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
-use srpq_core::delta::{Forest, NodeSnap, SnapshotExt, TreeSnap};
+use srpq_core::delta::{NodeSnap, TreeSnap};
 use srpq_core::{EngineConfig, EngineStats};
 use srpq_graph::{WindowGraph, WindowPolicy};
 use std::fs;
@@ -377,10 +377,9 @@ pub(crate) fn decode_graph(r: &mut ByteReader) -> Result<EdgeList> {
 }
 
 /// Encodes a Δ forest exactly (see [`srpq_core::delta::TreeSnap`]).
-pub(crate) fn encode_forest<X: SnapshotExt>(w: &mut ByteWriter, forest: &Forest<X>) {
-    let snaps = forest.to_snapshot();
+pub(crate) fn encode_forest(w: &mut ByteWriter, snaps: &[TreeSnap]) {
     w.u32(snaps.len() as u32);
-    for s in &snaps {
+    for s in snaps {
         w.u32(s.root.0);
         w.u32(s.root_state.0);
         w.u32(s.root_id);
@@ -426,8 +425,9 @@ pub(crate) fn encode_forest<X: SnapshotExt>(w: &mut ByteWriter, forest: &Forest<
 }
 
 /// Decodes a Δ forest written by [`encode_forest`]; structural
-/// validation runs inside `Forest::from_snapshot`.
-pub(crate) fn decode_forest<X: SnapshotExt>(r: &mut ByteReader) -> Result<Forest<X>> {
+/// validation runs when the engine restores it
+/// (`Engine::restore_delta`).
+pub(crate) fn decode_forest(r: &mut ByteReader) -> Result<Vec<TreeSnap>> {
     let n_trees = r.count(16)?;
     let mut snaps = Vec::with_capacity(n_trees);
     for _ in 0..n_trees {
@@ -503,7 +503,7 @@ pub(crate) fn decode_forest<X: SnapshotExt>(r: &mut ByteReader) -> Result<Forest
             dead_marks,
         });
     }
-    Forest::from_snapshot(snaps).map_err(|e| corrupt(format!("forest snapshot: {e}")))
+    Ok(snaps)
 }
 
 #[cfg(test)]
@@ -583,6 +583,7 @@ mod tests {
     #[test]
     fn compacted_forest_round_trips_through_codec() {
         use srpq_common::StateId;
+        use srpq_core::delta::Forest;
         use srpq_core::rspq::markings::Markings;
 
         // Build a forest whose tree has been through batch removal and
@@ -621,10 +622,11 @@ mod tests {
         forest.validate().unwrap();
 
         let mut w = ByteWriter::new();
-        encode_forest(&mut w, &forest);
+        encode_forest(&mut w, &forest.to_snapshot());
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let restored: Forest<Markings> = decode_forest(&mut r).unwrap();
+        let restored: Forest<Markings> =
+            Forest::from_snapshot(decode_forest(&mut r).unwrap()).unwrap();
         assert!(r.is_exhausted());
         restored.validate().unwrap();
         assert_eq!(restored.to_snapshot(), forest.to_snapshot());

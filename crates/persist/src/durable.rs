@@ -49,7 +49,7 @@ use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
 use crate::wal::{SyncPolicy, Wal, WalBatch, WalInfo};
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp};
-use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiQueryEngine, MultiSink, NullMultiSink};
 use srpq_core::{EngineStats, QueryId};
 use srpq_graph::WindowPolicy;
@@ -564,10 +564,7 @@ fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut
         checkpoint::encode_pairs(w, &engine.emitted_pairs());
         checkpoint::encode_stats(w, engine.stats());
         if strategy == CheckpointStrategy::Full {
-            match engine {
-                Engine::Arbitrary(e) => checkpoint::encode_forest(w, e.delta()),
-                Engine::Simple(e) => checkpoint::encode_forest(w, e.delta()),
-            }
+            checkpoint::encode_forest(w, &engine.delta_snapshot());
         }
     }
 }
@@ -637,10 +634,9 @@ fn decode_engine(
         }
         if strategy == CheckpointStrategy::Full {
             let engine = multi.group_engine_mut(g).expect("just restored");
-            match engine {
-                Engine::Arbitrary(e) => e.set_delta(checkpoint::decode_forest(r)?),
-                Engine::Simple(e) => e.set_delta(checkpoint::decode_forest(r)?),
-            }
+            engine
+                .restore_delta(checkpoint::decode_forest(r)?)
+                .map_err(|e| corrupt(format!("forest snapshot: {e}")))?;
         }
         cursors.push(GroupState {
             g,

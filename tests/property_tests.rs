@@ -9,7 +9,6 @@ use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, Op, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::rapq::RapqEngine;
 use srpq_core::sink::CollectSink;
 use srpq_core::EngineConfig;
 use srpq_graph::{WindowGraph, WindowPolicy};
@@ -140,7 +139,10 @@ fn rspq_eager_equals_bruteforce() {
 /// catches — so the policies form a subset chain, with equality
 /// guaranteed only under eager expiry (covered by
 /// `rapq_eager_equals_oracle`). The Δ index must validate after
-/// every tuple for all policies.
+/// every tuple for all policies — and, as a fourth input, under
+/// simple-path semantics (which ignore the policy): occurrence index,
+/// markings and reverse index stay consistent through every extend,
+/// unmark, delete and expiry.
 #[test]
 fn refresh_policies_form_subset_chain() {
     for seed in 0..64u64 {
@@ -148,21 +150,21 @@ fn refresh_policies_form_subset_chain() {
         let (tuples, query) = materialize(&spec);
         let window = WindowPolicy::new(spec.window, spec.slide);
         let mut results = Vec::new();
-        for policy in [
-            RefreshPolicy::None,
-            RefreshPolicy::Node,
-            RefreshPolicy::Subtree,
+        for (policy, semantics) in [
+            (RefreshPolicy::None, PathSemantics::Arbitrary),
+            (RefreshPolicy::Node, PathSemantics::Arbitrary),
+            (RefreshPolicy::Subtree, PathSemantics::Arbitrary),
+            (RefreshPolicy::Node, PathSemantics::Simple),
         ] {
             let mut config = EngineConfig::with_window(window);
             config.refresh = policy;
-            let mut engine = RapqEngine::new(query.clone(), config);
+            let mut engine = Engine::new(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
                 engine.process(t, &mut sink);
                 engine
-                    .delta()
-                    .validate()
-                    .unwrap_or_else(|e| panic!("seed {seed}, {policy:?}: {e}"));
+                    .validate_delta()
+                    .unwrap_or_else(|e| panic!("seed {seed}, {policy:?}, {semantics:?}: {e}"));
             }
             // Force a final expiry so late discoveries land.
             engine.expire_now(&mut sink);
@@ -184,30 +186,31 @@ fn refresh_policies_form_subset_chain() {
 }
 
 /// The Δ timestamps always lie within the window (Lemma 1 invariant 1)
-/// right after an eager expiry pass.
+/// right after an eager expiry pass, under both semantics.
 #[test]
 fn delta_timestamps_within_window_after_expiry() {
     for seed in 0..64u64 {
         let spec = random_spec(seed, 50);
         let (tuples, query) = materialize(&spec);
         let window = WindowPolicy::new(spec.window, 1);
-        let mut engine = RapqEngine::new(query, EngineConfig::with_window(window));
-        let mut sink = CollectSink::default();
-        for &t in &tuples {
-            engine.process(t, &mut sink);
-            let wm = window.watermark(engine.now());
-            for root in engine.delta().roots() {
-                let tree = engine.delta().tree(root).unwrap();
-                for (id, node) in tree.iter() {
-                    if id == tree.root_id() {
-                        continue;
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let config = EngineConfig::with_window(window);
+            let mut engine = Engine::new(query.clone(), config, semantics);
+            let mut sink = CollectSink::default();
+            for &t in &tuples {
+                engine.process(t, &mut sink);
+                let wm = window.watermark(engine.now());
+                for tree in engine.delta_snapshot() {
+                    for node in tree.nodes.iter().filter(|n| n.id != tree.root_id) {
+                        assert!(
+                            node.ts > wm,
+                            "seed {seed}, {semantics:?}: stale node ({}, {:?})@{} survives \
+                             eager expiry (wm {wm})",
+                            node.vertex,
+                            node.state,
+                            node.ts
+                        );
                     }
-                    assert!(
-                        node.ts > wm,
-                        "seed {seed}: stale node {:?}@{} survives eager expiry (wm {wm})",
-                        node.key(),
-                        node.ts
-                    );
                 }
             }
         }
