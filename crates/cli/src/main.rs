@@ -17,11 +17,11 @@
 //! srpq ctl drain|checkpoint|shutdown|stats --connect ADDR
 //! ```
 //!
-//! Stream files are the `srpq_common::wire` format: a label-name header
-//! (count + newline-separated names) followed by fixed-width tuples and
-//! a CRC32 footer. With `--wal-dir`, `run` logs every batch to a
-//! write-ahead log and checkpoints periodically; `recover` restores the
-//! engine after a crash and resumes the stream where durable state ends.
+//! Stream files are the `SRPQ2` layout of the `srpq_common::wire` format
+//! reference (label table, fixed-width tuples, CRC32 footer). With
+//! `--wal-dir`, `run` logs every batch to a write-ahead log and
+//! checkpoints periodically; `recover` restores the engine after a crash
+//! and resumes the stream where durable state ends.
 
 mod args;
 mod commands;

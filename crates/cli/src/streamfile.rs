@@ -1,123 +1,48 @@
-//! Stream-file format: label header + wire-encoded tuples + CRC footer.
-//!
-//! ```text
-//! magic  "SRPQ2\n"
-//! u32le  label count
-//! label names, one per line (id order)
-//! wire-encoded tuples (srpq_common::wire, 21 bytes each)
-//! footer "SQCR" + u32le crc32 of everything before the footer
-//! ```
-//!
-//! The footer shares the WAL's checksum module
-//! ([`srpq_common::crc32::crc32`]), so corrupt stream files are detected
-//! instead of silently mis-decoded. Legacy `SRPQ1` files (no footer,
-//! no checksum) are still read.
+//! Stream files: label table + wire-encoded tuples + CRC footer — the
+//! `SRPQ2` layout, section 6 of the format reference in
+//! [`srpq_common::wire`]. The footer shares the WAL's checksum, so
+//! corrupt stream files are detected instead of silently mis-decoded.
 
-use srpq_common::{crc32, wire, LabelInterner, StreamTuple, Timestamp};
+use srpq_common::wire::{self, Reader, Stream, Wire, WireError, Writer};
+use srpq_common::{LabelInterner, StreamTuple, Timestamp};
 use srpq_datagen::Dataset;
 use std::fs;
 use std::path::Path;
 
-const MAGIC_V2: &[u8] = b"SRPQ2\n";
-const MAGIC_V1: &[u8] = b"SRPQ1\n";
+const MAGIC: &[u8] = b"SRPQ2\n";
 const FOOTER_MAGIC: &[u8] = b"SQCR";
-const FOOTER_BYTES: usize = 4 + 4;
 
-/// Serializes a dataset to a stream file (always the checksummed v2
-/// format).
+/// Serializes a dataset to a stream file.
 pub fn save(ds: &Dataset, path: &Path) -> Result<(), String> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC_V2);
-    let mut names = Vec::new();
-    let mut i = 0u32;
-    while let Some(name) = ds.labels.resolve(srpq_common::Label(i)) {
-        names.push(name.to_string());
-        i += 1;
-    }
-    buf.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    for n in &names {
-        buf.extend_from_slice(n.as_bytes());
-        buf.push(b'\n');
-    }
-    for t in &ds.tuples {
-        wire::encode_tuple(&mut buf, t);
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(FOOTER_MAGIC);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    fs::write(path, &buf).map_err(|e| format!("write {}: {e}", path.display()))
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    ds.labels.put(&mut w);
+    Stream::put(&ds.tuples, &mut w);
+    w.seal(FOOTER_MAGIC);
+    fs::write(path, w.as_bytes()).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-/// Loads a stream file (v2 with checksum verification, legacy v1
-/// without). Rejects truncated or garbled headers, label tables,
-/// tuples, checksum mismatches, and tuples carrying negative event
-/// timestamps (the wire codec itself is sign-agnostic; this is the
-/// boundary where garbage stops).
+/// Loads a stream file. Rejects anything but a whole, checksummed
+/// `SRPQ2` file — truncated or garbled headers, label tables or tuples
+/// — and tuples carrying negative event timestamps (the wire codec
+/// itself is sign-agnostic; this is the boundary where garbage stops).
 pub fn load(path: &Path) -> Result<(LabelInterner, Vec<StreamTuple>), String> {
     let data = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut buf: &[u8] = match () {
-        _ if data.starts_with(MAGIC_V2) => {
-            // Verify and strip the footer before parsing anything else.
-            if data.len() < MAGIC_V2.len() + FOOTER_BYTES {
-                return Err("truncated stream file (no footer)".into());
-            }
-            let body_len = data.len() - FOOTER_BYTES;
-            let (body, footer) = data.split_at(body_len);
-            if &footer[..4] != FOOTER_MAGIC {
-                return Err("corrupt stream file: bad footer magic".into());
-            }
-            let stored = u32::from_le_bytes(
-                footer[4..]
-                    .try_into()
-                    .map_err(|_| "corrupt stream file: short footer".to_string())?,
-            );
-            if crc32(body) != stored {
-                return Err("corrupt stream file: checksum mismatch".into());
-            }
-            &body[MAGIC_V2.len()..]
-        }
-        _ if data.starts_with(MAGIC_V1) => &data[MAGIC_V1.len()..],
-        _ => return Err("not a SRPQ stream file".into()),
+    if !data.starts_with(MAGIC) {
+        return Err("not a SRPQ stream file".into());
+    }
+    let open = || -> Result<(LabelInterner, Vec<StreamTuple>), WireError> {
+        let mut r = Reader::new(wire::unseal(&data, FOOTER_MAGIC)?);
+        r.magic(MAGIC)?;
+        Ok((r.get()?, Stream::get(&mut r)?))
     };
-
-    let Some(count_bytes) = buf.get(..4) else {
-        return Err("truncated header (label count)".into());
-    };
-    let n_labels = u32::from_le_bytes(count_bytes.try_into().unwrap()) as usize;
-    buf = &buf[4..];
-    if n_labels > buf.len() {
-        return Err(format!("implausible label count {n_labels}"));
-    }
-    let mut labels = LabelInterner::new();
-    for i in 0..n_labels {
-        let end = buf
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or(format!("truncated label table at entry {i}"))?;
-        let name =
-            std::str::from_utf8(&buf[..end]).map_err(|_| format!("label {i} is not UTF-8"))?;
-        labels.intern(name);
-        buf = &buf[end + 1..];
-    }
-    if !buf.len().is_multiple_of(wire::TUPLE_WIRE_SIZE) {
-        return Err(format!(
-            "tuple section is {} bytes, not a multiple of {}",
-            buf.len(),
-            wire::TUPLE_WIRE_SIZE
-        ));
-    }
-    let mut tuples = Vec::with_capacity(buf.len() / wire::TUPLE_WIRE_SIZE);
-    while !buf.is_empty() {
-        let t = wire::decode_tuple(&mut buf)
-            .ok_or(format!("malformed tuple at index {}", tuples.len()))?;
-        if t.ts < Timestamp::ZERO {
-            return Err(format!(
-                "tuple {} carries negative timestamp {}",
-                tuples.len(),
-                t.ts
-            ));
-        }
-        tuples.push(t);
+    let (labels, tuples) = open().map_err(|e| format!("corrupt stream file: {e}"))?;
+    if let Some((i, t)) = tuples
+        .iter()
+        .enumerate()
+        .find(|(_, t)| t.ts < Timestamp::ZERO)
+    {
+        return Err(format!("tuple {i} carries negative timestamp {}", t.ts));
     }
     Ok((labels, tuples))
 }
@@ -126,6 +51,8 @@ pub fn load(path: &Path) -> Result<(LabelInterner, Vec<StreamTuple>), String> {
 mod tests {
     use super::*;
     use srpq_datagen::so;
+
+    const FOOTER_BYTES: usize = FOOTER_MAGIC.len() + 4;
 
     fn testdir() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("srpq-cli-test");
@@ -179,17 +106,18 @@ mod tests {
 
     #[test]
     fn reads_legacy_footerless_files() {
-        // A v1 file is a v2 file with the old magic and no footer.
+        // The footerless, unchecksummed `SRPQ1` predecessor — a `SRPQ2`
+        // file with the old magic and no footer — is no longer a stream
+        // file: nothing writes it, and nothing could vouch for it.
         let ds = sample_dataset();
         let path = testdir().join("legacy.srpq");
         save(&ds, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let mut legacy = Vec::from(MAGIC_V1);
-        legacy.extend_from_slice(&bytes[MAGIC_V2.len()..bytes.len() - FOOTER_BYTES]);
+        let mut legacy = Vec::from(b"SRPQ1\n".as_slice());
+        legacy.extend_from_slice(&bytes[MAGIC.len()..bytes.len() - FOOTER_BYTES]);
         std::fs::write(&path, &legacy).unwrap();
-        let (labels, tuples) = load(&path).unwrap();
-        assert_eq!(tuples, ds.tuples);
-        assert_eq!(labels.len(), ds.labels.len());
+        let err = load(&path).unwrap_err();
+        assert_eq!(err, "not a SRPQ stream file");
         std::fs::remove_file(path).ok();
     }
 
@@ -210,19 +138,17 @@ mod tests {
 
     #[test]
     fn negative_timestamps_rejected_at_boundary() {
-        // Craft a legacy (no-checksum) file holding a negative-ts tuple.
-        let mut buf = Vec::from(MAGIC_V1);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(b"a\n");
-        let t = StreamTuple::insert(
+        // A well-formed, correctly checksummed file holding a
+        // negative-ts tuple: only the boundary check can refuse it.
+        let mut ds = sample_dataset();
+        ds.tuples = vec![StreamTuple::insert(
             Timestamp(-3),
             srpq_common::VertexId(0),
             srpq_common::VertexId(1),
             srpq_common::Label(0),
-        );
-        wire::encode_tuple(&mut buf, &t);
+        )];
         let path = testdir().join("negts.srpq");
-        std::fs::write(&path, &buf).unwrap();
+        save(&ds, &path).unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.contains("negative timestamp"), "got: {err}");
         std::fs::remove_file(path).ok();

@@ -1,12 +1,6 @@
 //! Length-prefixed, CRC32-guarded message frames — the unit of the
-//! `srpq_server` network protocol.
-//!
-//! A frame carries one opaque payload tagged with a one-byte kind:
-//!
-//! ```text
-//! frame := u8 kind | u32le payload_len | payload | u32le crc
-//! crc   := crc32(kind | payload_len_le | payload)
-//! ```
+//! `srpq_server` network protocol. The layout is section 1 of the
+//! format reference in [`crate::wire`].
 //!
 //! The checksum is the same [`mod@crate::crc32`] that guards the WAL,
 //! checkpoint, and stream-file formats, so a flipped bit anywhere in a
@@ -23,7 +17,7 @@
 //!   EOF *between* frames reads as `None` (peer hung up); an EOF inside
 //!   a frame is an error (torn frame).
 
-use crate::crc32::Crc32;
+use crate::wire::{Reader, Wire, WireError, Writer};
 use std::io::{self, Read, Write};
 
 /// Header bytes before the payload (kind + length).
@@ -36,22 +30,37 @@ pub const FRAME_TRAILER_BYTES: usize = 4;
 /// allocating gigabytes off a corrupt or hostile length field.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 << 20;
 
-/// Checksum over the covered region of one frame.
-fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(&[kind]);
-    h.update(&(payload.len() as u32).to_le_bytes());
-    h.update(payload);
-    h.finish()
+/// Lays one frame out at the end of `w`, in one buffer: the header with
+/// a placeholder length, whatever payload `body` appends, then the real
+/// length and the checksum over both. Refuses payloads over
+/// [`MAX_FRAME_PAYLOAD`] with `InvalidInput` — the peer would reject
+/// the frame anyway, and a clear local error beats a killed session.
+fn build(w: &mut Writer, kind: u8, body: impl FnOnce(&mut Writer)) -> io::Result<()> {
+    let at = w.len();
+    (kind, 0u32).put(w);
+    body(w);
+    let len = w.len() - at - FRAME_HEADER_BYTES;
+    if len > MAX_FRAME_PAYLOAD as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap; \
+                 send smaller batches"
+            ),
+        ));
+    }
+    w.patch_u32(at + 1, len as u32);
+    let crc = w.crc_since(at);
+    crc.put(w);
+    Ok(())
 }
 
 /// Appends one frame to `buf`.
 pub fn encode_frame(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD as usize);
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    let mut w = Writer::from(std::mem::take(buf));
+    let fits = build(&mut w, kind, |w| w.bytes(payload));
+    debug_assert!(fits.is_ok(), "frame payload over the cap");
+    *buf = w.into_bytes();
 }
 
 /// Why a buffered frame failed to decode.
@@ -76,57 +85,83 @@ impl std::fmt::Display for FrameError {
     }
 }
 
+impl From<FrameError> for io::Error {
+    fn from(e: FrameError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
+/// The header/CRC check both readers share: parses the header, then —
+/// handed everything after it — splits payload from trailer and
+/// verifies the checksum over header + payload.
+struct Header {
+    bytes: [u8; FRAME_HEADER_BYTES],
+    kind: u8,
+    /// Payload length, already checked against [`MAX_FRAME_PAYLOAD`].
+    len: usize,
+}
+
+impl Header {
+    fn parse(bytes: [u8; FRAME_HEADER_BYTES]) -> Result<Header, FrameError> {
+        let (kind, len) = Reader::new(&bytes)
+            .get::<(u8, u32)>()
+            .map_err(|_| FrameError::Truncated)?;
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(FrameError::Oversized(len));
+        }
+        Ok(Header {
+            bytes,
+            kind,
+            len: len as usize,
+        })
+    }
+
+    /// `rest` starts right after the header; returns the payload.
+    fn check<'a>(&self, rest: &'a [u8]) -> Result<&'a [u8], FrameError> {
+        let torn = |_: WireError| FrameError::Truncated;
+        let mut r = Reader::new(rest);
+        let payload = r.bytes(self.len).map_err(torn)?;
+        let stored = r.get::<u32>().map_err(torn)?;
+        let mut crc = crate::crc32::Crc32::new();
+        crc.update(&self.bytes);
+        crc.update(payload);
+        if crc.finish() != stored {
+            return Err(FrameError::BadChecksum);
+        }
+        Ok(payload)
+    }
+}
+
 /// Decodes one frame from the front of `buf`. On success returns the
 /// kind, the payload, and the total encoded size (so callers can
 /// advance their cursor).
 pub fn decode_frame(buf: &[u8]) -> Result<(u8, &[u8], usize), FrameError> {
-    if buf.len() < FRAME_HEADER_BYTES {
-        return Err(FrameError::Truncated);
-    }
-    let kind = buf[0];
-    let len = u32::from_le_bytes(buf[1..5].try_into().unwrap());
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::Oversized(len));
-    }
-    let total = FRAME_HEADER_BYTES + len as usize + FRAME_TRAILER_BYTES;
-    if buf.len() < total {
-        return Err(FrameError::Truncated);
-    }
-    let payload = &buf[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len as usize];
-    let stored = u32::from_le_bytes(buf[total - 4..total].try_into().unwrap());
-    if stored != frame_crc(kind, payload) {
-        return Err(FrameError::BadChecksum);
-    }
-    Ok((kind, payload, total))
+    let mut r = Reader::new(buf);
+    let header = Header::parse(r.array().map_err(|_| FrameError::Truncated)?)?;
+    let payload = header.check(r.rest())?;
+    let total = FRAME_HEADER_BYTES + header.len + FRAME_TRAILER_BYTES;
+    Ok((header.kind, payload, total))
 }
 
-/// Writes one frame to `w` (no flush — callers batch and flush).
-/// Refuses payloads over [`MAX_FRAME_PAYLOAD`] with `InvalidInput` —
-/// the peer would reject the frame anyway, and a clear local error
-/// beats a killed session (release builds compile the encode-side
-/// assert out).
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_PAYLOAD as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {}-byte cap; send smaller batches",
-                payload.len(),
-                MAX_FRAME_PAYLOAD
-            ),
-        ));
-    }
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len() + FRAME_TRAILER_BYTES);
-    encode_frame(&mut buf, kind, payload);
-    w.write_all(&buf)
+/// Writes one frame to `out` (no flush — callers batch and flush) whose
+/// payload is whatever `body` appends. Refuses payloads over
+/// [`MAX_FRAME_PAYLOAD`] with `InvalidInput`.
+pub fn write_frame(
+    out: &mut impl Write,
+    kind: u8,
+    body: impl FnOnce(&mut Writer),
+) -> io::Result<()> {
+    let mut frame = Writer::new();
+    build(&mut frame, kind, body)?;
+    out.write_all(frame.as_bytes())
 }
 
 /// Reads one frame from `r`. Returns `Ok(None)` on a clean EOF before
 /// any byte of a frame; a torn frame, oversized length, or checksum
 /// mismatch is an `InvalidData` error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    match read_exact_or_eof(r, &mut header)? {
+    let mut bytes = [0u8; FRAME_HEADER_BYTES];
+    match read_exact_or_eof(r, &mut bytes)? {
         ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Torn => {
             return Err(io::Error::new(
@@ -136,15 +171,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
         }
         ReadOutcome::Full => {}
     }
-    let kind = header[0];
-    let len = u32::from_le_bytes(header[1..5].try_into().unwrap());
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::Oversized(len).to_string(),
-        ));
-    }
-    let mut rest = vec![0u8; len as usize + FRAME_TRAILER_BYTES];
+    let header = Header::parse(bytes)?;
+    let mut rest = vec![0u8; header.len + FRAME_TRAILER_BYTES];
     r.read_exact(&mut rest).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             io::Error::new(
@@ -155,16 +183,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
             e
         }
     })?;
-    let payload_len = len as usize;
-    let stored = u32::from_le_bytes(rest[payload_len..].try_into().unwrap());
-    rest.truncate(payload_len);
-    if stored != frame_crc(kind, &rest) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::BadChecksum.to_string(),
-        ));
-    }
-    Ok(Some((kind, rest)))
+    header.check(&rest)?;
+    rest.truncate(header.len);
+    Ok(Some((header.kind, rest)))
 }
 
 enum ReadOutcome {
@@ -179,17 +200,18 @@ enum ReadOutcome {
 /// `read_exact` that distinguishes a clean EOF at offset 0 from a torn
 /// read mid-buffer.
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Torn
-                })
+    let wanted = buf.len();
+    let mut unfilled = buf;
+    while !unfilled.is_empty() {
+        match r.read(unfilled) {
+            Ok(0) if unfilled.len() == wanted => return Ok(ReadOutcome::Eof),
+            Ok(0) => return Ok(ReadOutcome::Torn),
+            Ok(n) => {
+                unfilled = std::mem::take(&mut unfilled)
+                    .split_at_mut_checked(n)
+                    .ok_or_else(|| io::Error::other("reader overran its buffer"))?
+                    .1;
             }
-            Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -238,7 +260,7 @@ mod tests {
     #[test]
     fn write_frame_matches_encode() {
         let mut via_writer = Vec::new();
-        write_frame(&mut via_writer, 9, b"abc").unwrap();
+        write_frame(&mut via_writer, 9, |w| w.bytes(b"abc")).unwrap();
         let mut via_encode = Vec::new();
         encode_frame(&mut via_encode, 9, b"abc");
         assert_eq!(via_writer, via_encode);

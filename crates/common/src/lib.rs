@@ -11,8 +11,10 @@
 //!   paper) and result-pair types.
 //! * [`histogram`] — a log-bucketed latency histogram used by the
 //!   experiment harnesses to report p50/p99/p999.
-//! * [`wire`] — a tiny length-prefixed binary codec for persisting streams
-//!   of sgts (used by the benchmark harness to snapshot datasets).
+//! * [`wire`] — the one byte-format layer: a bounds-checked reader/writer
+//!   pair, the `Wire` put/get trait every record's layout is stated
+//!   through once, and the reference grammar of all six formats (frames,
+//!   messages, WAL, checkpoints, label tables, stream files).
 //! * [`mod@crc32`] — the shared CRC32 checksum guarding every on-disk artifact
 //!   (WAL records, checkpoints, stream files).
 //! * [`frame`] — length-prefixed, CRC32-guarded message frames, the unit

@@ -18,21 +18,14 @@
 //!   recovery skips the rebuild and restarts near-instantly at the cost
 //!   of larger checkpoint files.
 //!
-//! # On-disk format
-//!
-//! `ckpt-{seq:016x}.ck`, written to a temporary name and renamed into
-//! place (atomic on POSIX), older checkpoints pruned after a successful
-//! write:
-//!
-//! ```text
-//! file   := body crc32(body)
-//! body   := magic "SRPQCKP1" | u32 version = 5 | u8 strategy | u64 seq
-//!           | payload (durability counters, then the engine's logical
-//!           state; see `srpq_persist::durable`)
-//! ```
+//! `ckpt-{seq:016x}.ck` is published atomically
+//! ([`srpq_common::wire::publish`]) and older checkpoints are pruned
+//! after a successful write. The file and payload layouts are section 4
+//! of the format reference in [`srpq_common::wire`].
 
-use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
-use srpq_common::{crc32, Label, ResultPair, Timestamp, VertexId};
+use crate::codec::{corrupt, PersistError, Result};
+use srpq_common::wire::{self, Reader, Wire, WireError, Writer};
+use srpq_common::{wire_fields, wire_struct, wire_tags, Label, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
 use srpq_core::delta::{NodeSnap, TreeSnap};
 use srpq_core::{EngineConfig, EngineStats};
@@ -40,14 +33,19 @@ use srpq_graph::{WindowGraph, WindowPolicy};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const CKPT_MAGIC: &[u8; 8] = b"SRPQCKP1";
-// v5: one layout — no engine-kind byte, `Durable`'s counters lead the
-// payload instead of riding in every `EngineStats`. Any other version
-// is refused rather than misdecoded.
+const CKPT_MAGIC: [u8; 8] = *b"SRPQCKP1";
+/// Checked by exact equality; both binaries come from this repository.
 const CKPT_VERSION: u32 = 5;
 
-/// Bytes of `body` ahead of the payload: magic, version, strategy, seq.
-const HEADER_LEN: usize = 8 + 4 + 1 + 8;
+wire_struct! {
+    /// Everything in a checkpoint file ahead of the payload.
+    struct FileHeader {
+        magic: [u8; 8],
+        version: u32,
+        strategy: u8,
+        seq: u64,
+    }
+}
 
 /// What a checkpoint stores beyond the engine cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,32 +113,20 @@ pub fn write(
     payload: &[u8],
 ) -> Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let mut body = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    body.extend_from_slice(CKPT_MAGIC);
-    body.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    body.push(strategy.to_u8());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(payload);
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-
+    let mut w = Writer::with_capacity(FileHeader::MIN_SIZE + payload.len() + 4);
+    FileHeader {
+        magic: CKPT_MAGIC,
+        version: CKPT_VERSION,
+        strategy: strategy.to_u8(),
+        seq,
+    }
+    .put(&mut w);
+    w.bytes(payload);
+    w.seal(b"");
+    // Older checkpoints are pruned and WAL segments truncated against
+    // this file, so it must be whole and on disk before it is visible.
     let final_path = dir.join(format!("ckpt-{seq:016x}.ck"));
-    let tmp_path = dir.join(format!("ckpt-{seq:016x}.ck.tmp"));
-    {
-        use std::io::Write as _;
-        let mut f = fs::File::create(&tmp_path)?;
-        f.write_all(&body)?;
-        // The data must be on disk *before* the rename publishes it —
-        // older checkpoints are pruned and WAL segments truncated
-        // against this file, so a torn new checkpoint after power loss
-        // would otherwise destroy the only recovery anchor.
-        f.sync_all()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
-    // Best-effort directory sync so the rename itself is durable.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    wire::publish(&final_path, w.as_bytes())?;
     for old in list_checkpoints(dir)? {
         if old != final_path {
             let _ = fs::remove_file(old);
@@ -192,318 +178,151 @@ pub fn load_latest(dir: &Path) -> Result<Option<(CheckpointHeader, Vec<u8>)>> {
 fn load_one(path: &Path) -> Result<(CheckpointHeader, Vec<u8>)> {
     let data = fs::read(path)?;
     let name = path.display();
-    if data.len() < HEADER_LEN + 4 {
-        return Err(corrupt(format!("checkpoint {name}: truncated")));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(corrupt(format!("checkpoint {name}: checksum mismatch")));
-    }
-    if &body[..8] != CKPT_MAGIC {
+    let open = || -> std::result::Result<(FileHeader, &[u8]), WireError> {
+        let mut r = Reader::new(wire::unseal(&data, b"")?);
+        Ok((r.get()?, r.rest()))
+    };
+    let (header, payload) = open().map_err(|e| corrupt(format!("checkpoint {name}: {e}")))?;
+    if header.magic != CKPT_MAGIC {
         return Err(corrupt(format!("checkpoint {name}: bad magic")));
     }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
-    if version != CKPT_VERSION {
+    if header.version != CKPT_VERSION {
         return Err(PersistError::Incompatible(format!(
-            "checkpoint {name}: unknown version {version}"
+            "checkpoint {name}: unknown version {}",
+            header.version
         )));
     }
-    let strategy = CheckpointStrategy::from_u8(body[12])?;
-    let seq = u64::from_le_bytes(body[13..HEADER_LEN].try_into().unwrap());
-    Ok((
-        CheckpointHeader { strategy, seq },
-        body[HEADER_LEN..].to_vec(),
-    ))
+    let strategy = CheckpointStrategy::from_u8(header.strategy)?;
+    let seq = header.seq;
+    Ok((CheckpointHeader { strategy, seq }, payload.to_vec()))
 }
 
 // ---------------------------------------------------------------------
-// Sub-structure codecs used by the engine-state encoder in `durable`.
+// Sub-structure layouts used by the engine-state codec in `durable`.
 // ---------------------------------------------------------------------
 
-/// Encodes an [`EngineConfig`].
-pub(crate) fn encode_config(w: &mut ByteWriter, c: &EngineConfig) {
-    w.i64(c.window.window_size);
-    w.i64(c.window.slide);
-    w.u8(c.dedup_results as u8);
-    w.u8(c.report_invalidations as u8);
-    w.u8(match c.refresh {
-        RefreshPolicy::None => 0,
-        RefreshPolicy::Node => 1,
-        RefreshPolicy::Subtree => 2,
-    });
-    match c.rspq_extend_budget {
-        None => w.u8(0),
-        Some(b) => {
-            w.u8(1);
-            w.u64(b);
+/// `i64 window_size | i64 slide`, both positive.
+struct Window;
+
+impl Window {
+    fn put(p: &WindowPolicy, w: &mut Writer) {
+        (p.window_size, p.slide).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> std::result::Result<WindowPolicy, WireError> {
+        let (window_size, slide): (i64, i64) = r.get()?;
+        if window_size <= 0 || slide <= 0 {
+            return Err(WireError::Invalid("non-positive window policy"));
         }
-    }
-    w.u8(c.shared_groups as u8);
-}
-
-/// Decodes an [`EngineConfig`].
-pub(crate) fn decode_config(r: &mut ByteReader) -> Result<EngineConfig> {
-    let window_size = r.i64()?;
-    let slide = r.i64()?;
-    if window_size <= 0 || slide <= 0 {
-        return Err(corrupt("non-positive window policy"));
-    }
-    let dedup_results = r.u8()? != 0;
-    let report_invalidations = r.u8()? != 0;
-    let refresh = match r.u8()? {
-        0 => RefreshPolicy::None,
-        1 => RefreshPolicy::Node,
-        2 => RefreshPolicy::Subtree,
-        other => return Err(corrupt(format!("unknown refresh policy {other}"))),
-    };
-    let rspq_extend_budget = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        other => return Err(corrupt(format!("bad budget tag {other}"))),
-    };
-    let shared_groups = r.u8()? != 0;
-    Ok(EngineConfig {
-        window: WindowPolicy::new(window_size, slide),
-        dedup_results,
-        report_invalidations,
-        refresh,
-        rspq_extend_budget,
-        shared_groups,
-    })
-}
-
-/// Encodes [`EngineStats`] (all counters, declaration order).
-pub(crate) fn encode_stats(w: &mut ByteWriter, s: &EngineStats) {
-    for v in [
-        s.tuples_processed,
-        s.tuples_discarded,
-        s.deletions_processed,
-        s.insert_calls,
-        s.results_emitted,
-        s.results_invalidated,
-        s.expiry_runs,
-        s.nodes_expired,
-        s.expiry_nanos,
-        s.conflicts_detected,
-        s.nodes_unmarked,
-        s.budget_exhausted,
-        s.tuples_routed,
-        s.eval_ns,
-        s.delta_nodes_live,
-        s.delta_capacity,
-        s.compactions,
-    ] {
-        w.u64(v);
+        Ok(WindowPolicy::new(window_size, slide))
     }
 }
 
-/// Decodes [`EngineStats`].
-pub(crate) fn decode_stats(r: &mut ByteReader) -> Result<EngineStats> {
-    Ok(EngineStats {
-        tuples_processed: r.u64()?,
-        tuples_discarded: r.u64()?,
-        deletions_processed: r.u64()?,
-        insert_calls: r.u64()?,
-        results_emitted: r.u64()?,
-        results_invalidated: r.u64()?,
-        expiry_runs: r.u64()?,
-        nodes_expired: r.u64()?,
-        expiry_nanos: r.u64()?,
-        conflicts_detected: r.u64()?,
-        nodes_unmarked: r.u64()?,
-        budget_exhausted: r.u64()?,
-        tuples_routed: r.u64()?,
-        eval_ns: r.u64()?,
-        delta_nodes_live: r.u64()?,
-        delta_capacity: r.u64()?,
-        compactions: r.u64()?,
-    })
-}
+wire_tags!(Refresh for RefreshPolicy as "refresh policy" { None = 0, Node = 1, Subtree = 2 });
 
-/// Encodes a sorted result-pair list.
-pub(crate) fn encode_pairs(w: &mut ByteWriter, pairs: &[ResultPair]) {
-    w.u32(pairs.len() as u32);
-    for p in pairs {
-        w.u32(p.src.0);
-        w.u32(p.dst.0);
-    }
-}
+wire_fields!(pub(crate) ConfigWire for EngineConfig {
+    window as Window,
+    dedup_results,
+    report_invalidations,
+    refresh as Refresh,
+    rspq_extend_budget,
+    shared_groups,
+});
 
-/// Decodes a result-pair list.
-pub(crate) fn decode_pairs(r: &mut ByteReader) -> Result<Vec<ResultPair>> {
-    let n = r.count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(ResultPair::new(VertexId(r.u32()?), VertexId(r.u32()?)));
-    }
-    Ok(out)
-}
+wire_fields!(pub(crate) StatsWire for EngineStats {
+    tuples_processed,
+    tuples_discarded,
+    deletions_processed,
+    insert_calls,
+    results_emitted,
+    results_invalidated,
+    expiry_runs,
+    nodes_expired,
+    expiry_nanos,
+    conflicts_detected,
+    nodes_unmarked,
+    budget_exhausted,
+    tuples_routed,
+    eval_ns,
+    delta_nodes_live,
+    delta_capacity,
+    compactions,
+});
+
+/// A window graph's edge list, `(ts, u, v, l)`-ascending.
+pub(crate) type EdgeList = Vec<(VertexId, VertexId, Label, Timestamp)>;
 
 /// Encodes a window graph's full edge set, sorted by `(ts, u, v, l)` so
 /// logical recovery replays edges in stream-time order.
-pub(crate) fn encode_graph(w: &mut ByteWriter, g: &WindowGraph) {
+pub(crate) fn encode_graph(w: &mut Writer, g: &WindowGraph) {
     let mut edges = g.edges(Timestamp::NEG_INFINITY);
     edges.sort_unstable_by_key(|&(u, v, l, ts)| (ts, u, v, l));
-    w.u32(edges.len() as u32);
-    for (u, v, l, ts) in edges {
-        w.u32(u.0);
-        w.u32(v.0);
-        w.u32(l.0);
-        w.i64(ts.0);
-    }
+    edges.put(w);
 }
-
-/// Decodes a graph edge list (ts-ascending).
-pub(crate) type EdgeList = Vec<(VertexId, VertexId, Label, Timestamp)>;
 
 /// Decodes the edge list written by [`encode_graph`].
-pub(crate) fn decode_graph(r: &mut ByteReader) -> Result<EdgeList> {
-    let n = r.count(20)?;
-    let mut out: EdgeList = Vec::with_capacity(n);
-    let mut prev = Timestamp::NEG_INFINITY;
-    for _ in 0..n {
-        let u = VertexId(r.u32()?);
-        let v = VertexId(r.u32()?);
-        let l = Label(r.u32()?);
-        let ts = Timestamp(r.i64()?);
-        if ts < prev {
-            return Err(corrupt("graph edges out of timestamp order"));
-        }
-        prev = ts;
-        out.push((u, v, l, ts));
+pub(crate) fn decode_graph(r: &mut Reader<'_>) -> Result<EdgeList> {
+    let edges: EdgeList = r.get()?;
+    if !edges.is_sorted_by_key(|&(_, _, _, ts)| ts) {
+        return Err(corrupt("graph edges out of timestamp order"));
     }
-    Ok(out)
+    Ok(edges)
 }
 
-/// Encodes a Δ forest exactly (see [`srpq_core::delta::TreeSnap`]).
-pub(crate) fn encode_forest(w: &mut ByteWriter, snaps: &[TreeSnap]) {
-    w.u32(snaps.len() as u32);
-    for s in snaps {
-        w.u32(s.root.0);
-        w.u32(s.root_state.0);
-        w.u32(s.root_id);
-        w.u32(s.arena_len);
-        w.u32(s.free.len() as u32);
-        for &f in &s.free {
-            w.u32(f);
-        }
-        w.u32(s.nodes.len() as u32);
-        for n in &s.nodes {
-            w.u32(n.id);
-            w.u32(n.vertex.0);
-            w.u32(n.state.0);
-            w.u32(n.parent.unwrap_or(u32::MAX));
-            w.u32(n.via_label.0);
-            w.i64(n.ts.0);
-            w.u32(n.children.len() as u32);
-            for &c in &n.children {
-                w.u32(c);
-            }
-        }
-        w.u32(s.occurrences.len() as u32);
-        for ((v, st), ids) in &s.occurrences {
-            w.u32(v.0);
-            w.u32(st.0);
-            w.u32(ids.len() as u32);
-            for &id in ids {
-                w.u32(id);
-            }
-        }
-        w.u32(s.marks.len() as u32);
-        for ((v, st), id) in &s.marks {
-            w.u32(v.0);
-            w.u32(st.0);
-            w.u32(*id);
-        }
-        w.u32(s.dead_marks.len() as u32);
-        for (v, st) in &s.dead_marks {
-            w.u32(v.0);
-            w.u32(st.0);
-        }
+/// `u32 parent`, all-ones for the root's `None`.
+struct ParentSlot;
+
+impl ParentSlot {
+    fn put(p: &Option<u32>, w: &mut Writer) {
+        p.unwrap_or(u32::MAX).put(w);
     }
+
+    fn get(r: &mut Reader<'_>) -> std::result::Result<Option<u32>, WireError> {
+        Ok(Some(r.get::<u32>()?).filter(|&p| p != u32::MAX))
+    }
+}
+
+wire_fields!(NodeWire for NodeSnap { id, vertex, state, parent as ParentSlot, via_label, ts, children });
+
+/// `seq<node>`.
+struct Nodes;
+
+impl Nodes {
+    /// The fixed-width fields plus an empty `children`.
+    const MIN_NODE: usize = 5 * 4 + 8 + 4;
+
+    fn put(nodes: &[NodeSnap], w: &mut Writer) {
+        w.seq(nodes, |w, n| NodeWire::put(n, w));
+    }
+
+    fn get(r: &mut Reader<'_>) -> std::result::Result<Vec<NodeSnap>, WireError> {
+        r.seq(Self::MIN_NODE, NodeWire::get)
+    }
+}
+
+wire_fields!(TreeWire for TreeSnap {
+    root,
+    root_state,
+    root_id,
+    arena_len,
+    free,
+    nodes as Nodes,
+    occurrences,
+    marks,
+    dead_marks,
+});
+
+/// Encodes a Δ forest exactly (see [`srpq_core::delta::TreeSnap`]).
+pub(crate) fn encode_forest(w: &mut Writer, snaps: &[TreeSnap]) {
+    w.seq(snaps, |w, s| TreeWire::put(s, w));
 }
 
 /// Decodes a Δ forest written by [`encode_forest`]; structural
 /// validation runs when the engine restores it
 /// (`Engine::restore_delta`).
-pub(crate) fn decode_forest(r: &mut ByteReader) -> Result<Vec<TreeSnap>> {
-    let n_trees = r.count(16)?;
-    let mut snaps = Vec::with_capacity(n_trees);
-    for _ in 0..n_trees {
-        let root = VertexId(r.u32()?);
-        let root_state = srpq_common::StateId(r.u32()?);
-        let root_id = r.u32()?;
-        let arena_len = r.u32()?;
-        let n_free = r.count(4)?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(r.u32()?);
-        }
-        let n_nodes = r.count(28)?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let id = r.u32()?;
-            let vertex = VertexId(r.u32()?);
-            let state = srpq_common::StateId(r.u32()?);
-            let parent = match r.u32()? {
-                u32::MAX => None,
-                p => Some(p),
-            };
-            let via_label = Label(r.u32()?);
-            let ts = Timestamp(r.i64()?);
-            let n_children = r.count(4)?;
-            let mut children = Vec::with_capacity(n_children);
-            for _ in 0..n_children {
-                children.push(r.u32()?);
-            }
-            nodes.push(NodeSnap {
-                id,
-                vertex,
-                state,
-                parent,
-                via_label,
-                ts,
-                children,
-            });
-        }
-        let n_occ = r.count(12)?;
-        let mut occurrences = Vec::with_capacity(n_occ);
-        for _ in 0..n_occ {
-            let key = (VertexId(r.u32()?), srpq_common::StateId(r.u32()?));
-            let n_ids = r.count(4)?;
-            let mut ids = Vec::with_capacity(n_ids);
-            for _ in 0..n_ids {
-                ids.push(r.u32()?);
-            }
-            occurrences.push((key, ids));
-        }
-        let n_marks = r.count(12)?;
-        let mut marks = Vec::with_capacity(n_marks);
-        for _ in 0..n_marks {
-            marks.push((
-                (VertexId(r.u32()?), srpq_common::StateId(r.u32()?)),
-                r.u32()?,
-            ));
-        }
-        let n_dead = r.count(8)?;
-        let mut dead_marks = Vec::with_capacity(n_dead);
-        for _ in 0..n_dead {
-            dead_marks.push((VertexId(r.u32()?), srpq_common::StateId(r.u32()?)));
-        }
-        snaps.push(TreeSnap {
-            root,
-            root_state,
-            root_id,
-            arena_len,
-            free,
-            nodes,
-            occurrences,
-            marks,
-            dead_marks,
-        });
-    }
-    Ok(snaps)
+pub(crate) fn decode_forest(r: &mut Reader<'_>) -> Result<Vec<TreeSnap>> {
+    // Four fixed-width fields plus five empty sequences.
+    Ok(r.seq(9 * 4, TreeWire::get)?)
 }
 
 #[cfg(test)]
@@ -553,8 +372,8 @@ mod tests {
         c.refresh = RefreshPolicy::Subtree;
         c.rspq_extend_budget = Some(42);
         c.dedup_results = false;
-        let mut w = ByteWriter::new();
-        encode_config(&mut w, &c);
+        let mut w = Writer::new();
+        ConfigWire::put(&c, &mut w);
         let s = EngineStats {
             tuples_processed: 9,
             eval_ns: 3,
@@ -563,15 +382,15 @@ mod tests {
             compactions: 2,
             ..Default::default()
         };
-        encode_stats(&mut w, &s);
+        StatsWire::put(&s, &mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let c2 = decode_config(&mut r).unwrap();
+        let mut r = Reader::new(&bytes);
+        let c2 = ConfigWire::get(&mut r).unwrap();
         assert_eq!(c2.window, c.window);
         assert_eq!(c2.refresh, RefreshPolicy::Subtree);
         assert_eq!(c2.rspq_extend_budget, Some(42));
         assert!(!c2.dedup_results);
-        let s2 = decode_stats(&mut r).unwrap();
+        let s2 = StatsWire::get(&mut r).unwrap();
         assert_eq!(s2.tuples_processed, 9);
         assert_eq!(s2.eval_ns, 3);
         assert_eq!(s2.delta_nodes_live, 4);
@@ -621,10 +440,10 @@ mod tests {
         }
         forest.validate().unwrap();
 
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         encode_forest(&mut w, &forest.to_snapshot());
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let restored: Forest<Markings> =
             Forest::from_snapshot(decode_forest(&mut r).unwrap()).unwrap();
         assert!(r.is_exhausted());

@@ -1,11 +1,9 @@
-//! Little-endian byte codec shared by the WAL and checkpoint formats,
-//! plus the crate error type.
-//!
-//! Deliberately minimal: fixed-width integers, length-prefixed byte
-//! strings, and nothing self-describing — every on-disk structure is
-//! versioned by its file magic and guarded by a trailing CRC32
-//! ([`srpq_common::crc32::crc32`]), so the decoder can be strict and simple.
+//! The crate error type. The byte formats themselves — and the one
+//! reader/writer every one of them goes through — live in
+//! [`srpq_common::wire`]; a [`WireError`] from stored bytes surfaces
+//! here as [`PersistError::Corrupt`].
 
+use srpq_common::wire::WireError;
 use std::fmt;
 
 /// Errors produced by the durability subsystem.
@@ -39,6 +37,12 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+impl From<WireError> for PersistError {
+    fn from(e: WireError) -> Self {
+        PersistError::Corrupt(e.to_string())
+    }
+}
+
 /// Shorthand result type.
 pub type Result<T> = std::result::Result<T, PersistError>;
 
@@ -47,180 +51,55 @@ pub fn corrupt(msg: impl Into<String>) -> PersistError {
     PersistError::Corrupt(msg.into())
 }
 
-/// An append-only byte writer.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// Creates an empty writer.
-    pub fn new() -> ByteWriter {
-        ByteWriter::default()
-    }
-
-    /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Writes raw bytes verbatim.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `i64`, little-endian.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
-    }
-}
-
-/// A strict cursor over stored bytes; every read is bounds-checked.
-#[derive(Debug, Clone, Copy)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Creates a reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Whether the cursor consumed everything.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "truncated: wanted {n} bytes at offset {}, {} left",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    /// Reads a `u32`, little-endian.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64`, little-endian.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `i64`, little-endian.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let b = self.bytes(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| corrupt("string is not UTF-8"))
-    }
-
-    /// Reads a `u32` element count, validating it against the bytes
-    /// actually available (`min_elem_bytes` each) so a corrupt length
-    /// cannot trigger a huge allocation.
-    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if min_elem_bytes > 0 && n > self.remaining() / min_elem_bytes {
-            return Err(corrupt(format!(
-                "implausible element count {n} for {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srpq_common::wire::{Reader, Wire, Writer};
 
     #[test]
     fn round_trip_scalars() {
-        let mut w = ByteWriter::new();
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.i64(i64::MIN);
-        w.str("hello δ");
+        let mut w = Writer::new();
+        7u8.put(&mut w);
+        0xDEAD_BEEFu32.put(&mut w);
+        u64::MAX.put(&mut w);
+        i64::MIN.put(&mut w);
+        "hello δ".to_string().put(&mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i64().unwrap(), i64::MIN);
-        assert_eq!(r.str().unwrap(), "hello δ");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.get::<u8>().unwrap(), 7);
+        assert_eq!(r.get::<u32>().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.get::<u64>().unwrap(), u64::MAX);
+        assert_eq!(r.get::<i64>().unwrap(), i64::MIN);
+        assert_eq!(r.get::<String>().unwrap(), "hello δ");
         assert!(r.is_exhausted());
     }
 
     #[test]
     fn truncated_reads_error() {
-        let mut r = ByteReader::new(&[1, 2]);
-        assert!(r.u32().is_err());
-        let mut r = ByteReader::new(&[5, 0, 0, 0, b'a']);
-        assert!(r.str().is_err(), "length past end must error");
+        // Through `?`, the way every stored-bytes reader in this crate
+        // sees them: as corruption.
+        fn read<T: Wire>(bytes: &[u8]) -> Result<T> {
+            Ok(Reader::new(bytes).get()?)
+        }
+        assert!(matches!(
+            read::<u32>(&[1, 2]),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert!(
+            matches!(
+                read::<String>(&[5, 0, 0, 0, b'a']),
+                Err(PersistError::Corrupt(_))
+            ),
+            "length past end must error"
+        );
     }
 
     #[test]
     fn implausible_counts_rejected() {
-        let mut w = ByteWriter::new();
-        w.u32(1_000_000);
+        let mut w = Writer::new();
+        1_000_000u32.put(&mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         assert!(r.count(8).is_err());
     }
 }

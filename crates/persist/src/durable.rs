@@ -44,11 +44,12 @@
 //!   performs — which can shift *when* a re-derived result surfaces by
 //!   at most one slide; the result set is unaffected.
 
-use crate::checkpoint::{self, CheckpointStrategy};
-use crate::codec::{corrupt, ByteReader, ByteWriter, PersistError, Result};
+use crate::checkpoint::{self, CheckpointStrategy, ConfigWire, StatsWire};
+use crate::codec::{corrupt, PersistError, Result};
 use crate::wal::{SyncPolicy, Wal, WalBatch, WalInfo};
 use srpq_automata::CompiledQuery;
-use srpq_common::{LabelInterner, StreamTuple, Timestamp};
+use srpq_common::wire::{Reader, Wire, WireError, Writer};
+use srpq_common::{wire_fields, wire_tags, LabelInterner, ResultPair, StreamTuple, Timestamp};
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiQueryEngine, MultiSink, NullMultiSink};
 use srpq_core::{EngineStats, QueryId};
@@ -201,22 +202,19 @@ impl Durable<MultiQueryEngine> {
         let (header, payload) = checkpoint::load_latest(dir)?.ok_or_else(|| {
             PersistError::Incompatible(format!("{}: no checkpoint to recover from", dir.display()))
         })?;
-        let mut r = ByteReader::new(&payload);
+        let mut r = Reader::new(&payload);
         // Lifetime counters continue from what the checkpoint recorded.
+        let (wal_bytes, wal_appends, fsyncs, checkpoints_written) = r.get()?;
         let mut counters = DurabilityCounters {
-            wal_bytes: r.u64()?,
-            wal_appends: r.u64()?,
-            fsyncs: r.u64()?,
-            checkpoints_written: r.u64()?,
+            wal_bytes,
+            wal_appends,
+            fsyncs,
+            checkpoints_written,
             last_recovery_ms: 0,
         };
         let mut inner = decode_engine(&mut r, header.strategy, labels)?;
-        if !r.is_exhausted() {
-            return Err(corrupt(format!(
-                "checkpoint payload has {} trailing bytes",
-                r.remaining()
-            )));
-        }
+        r.finish()
+            .map_err(|e| corrupt(format!("checkpoint payload has {e}")))?;
 
         let (wal, batches) = Wal::open(dir, cfg.segment_bytes)?;
         let mut applied = header.seq;
@@ -433,19 +431,18 @@ impl Durable<MultiQueryEngine> {
             self.counters.fsyncs += 1;
         }
         let seq = self.wal.next_seq();
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         // The lifetime totals lead the payload, counting the checkpoint
         // being written: a recovered instance resumes exactly where
         // this one stood once the write below succeeded.
         let c = self.counters;
-        for v in [
+        (
             c.wal_bytes,
             c.wal_appends,
             c.fsyncs,
             c.checkpoints_written + 1,
-        ] {
-            w.u64(v);
-        }
+        )
+            .put(&mut w);
         encode_engine(&self.inner, self.cfg.strategy, &mut w);
         let bytes = w.into_bytes();
         let payload_bytes = bytes.len();
@@ -488,20 +485,35 @@ fn window_end_opt(window: WindowPolicy, clock: Timestamp) -> Option<Timestamp> {
 // The engine-state section of the payload
 // ---------------------------------------------------------------------
 
-fn encode_semantics(w: &mut ByteWriter, s: PathSemantics) {
-    w.u8(match s {
-        PathSemantics::Arbitrary => 0,
-        PathSemantics::Simple => 1,
-    });
+wire_tags!(Semantics for PathSemantics as "path semantics" { Arbitrary = 0, Simple = 1 });
+
+/// The registration-slot table, vacated slots included: query ids are
+/// slot indexes and subscribers hold them across restarts, so a
+/// deregistered slot is checkpointed as an explicit `None` rather than
+/// compacted away. A slot stores only its name and its group id —
+/// evaluation state lives in the group table.
+type SlotTable = Vec<Option<(String, u32)>>;
+
+/// One evaluation group's shared state — checkpointed once per group,
+/// not once per subscriber. Under [`CheckpointStrategy::Full`] the
+/// group's Δ forest follows.
+struct GroupState {
+    semantics: PathSemantics,
+    regex: String,
+    complete: bool,
+    now: Timestamp,
+    emitted: Vec<ResultPair>,
+    stats: EngineStats,
 }
 
-fn decode_semantics(r: &mut ByteReader) -> Result<PathSemantics> {
-    match r.u8()? {
-        0 => Ok(PathSemantics::Arbitrary),
-        1 => Ok(PathSemantics::Simple),
-        other => Err(corrupt(format!("unknown path semantics {other}"))),
-    }
-}
+wire_fields!(GroupWire for GroupState {
+    semantics as Semantics,
+    regex,
+    complete,
+    now,
+    emitted,
+    stats as StatsWire,
+});
 
 fn compile(regex: &str, labels: &mut LabelInterner) -> Result<CompiledQuery> {
     CompiledQuery::compile(regex, labels)
@@ -521,48 +533,38 @@ fn edges_to_tuples(edges: &checkpoint::EdgeList) -> Vec<StreamTuple> {
 /// here depends on the evaluation schedule: a durable directory written
 /// at any worker count recovers at any other (switch `--workers` freely
 /// across restarts).
-fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut ByteWriter) {
-    checkpoint::encode_config(w, multi.config());
-    w.i64(multi.now().0);
+fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut Writer) {
+    ConfigWire::put(multi.config(), w);
     let (seen, routed) = multi.routing_stats();
-    w.u64(seen);
-    w.u64(routed);
+    (multi.now(), seen, routed).put(w);
     checkpoint::encode_graph(w, multi.graph());
-    // Registration slots, vacated ones included: query ids are slot
-    // indexes and subscribers hold them across restarts, so a
-    // deregistered slot is checkpointed as an explicit tombstone
-    // rather than compacted away. A slot stores only its name and
-    // its group id — evaluation state lives in the group table.
-    w.u32(multi.n_slots() as u32);
-    for qi in 0..multi.n_slots() as u32 {
-        let id = QueryId(qi);
-        let Some(g) = multi.group_of(id) else {
-            w.u8(0); // vacant slot
-            continue;
-        };
-        w.u8(1);
-        w.str(multi.name(id).unwrap_or(""));
-        w.u32(g);
-    }
-    // Evaluation groups, freed ones included (group ids in the
-    // slot entries above are positional). Shared state — the Δ
-    // forest, emitted-pair set, statistics — is checkpointed once
-    // per group, not once per subscriber; recovery re-attaches
-    // subscribers from the encoded membership, never by signature
-    // re-matching.
-    w.u32(multi.n_group_slots() as u32);
+    let slots: SlotTable = (0..multi.n_slots() as u32)
+        .map(|qi| {
+            let id = QueryId(qi);
+            let group = multi.group_of(id)?;
+            Some((multi.name(id).unwrap_or("").to_string(), group))
+        })
+        .collect();
+    slots.put(w);
+    // Evaluation groups, freed ones included (group ids in the slot
+    // entries above are positional); recovery re-attaches subscribers
+    // from the encoded membership, never by signature re-matching.
+    (multi.n_group_slots() as u32).put(w);
     for g in 0..multi.n_group_slots() as u32 {
         let Some(engine) = multi.group_engine(g) else {
-            w.u8(0); // freed group
+            0u8.put(w); // freed group
             continue;
         };
-        w.u8(1);
-        encode_semantics(w, engine.semantics());
-        w.str(&engine.query().regex().to_string());
-        w.u8(multi.group_is_complete(g).unwrap_or(false) as u8);
-        w.i64(engine.now().0);
-        checkpoint::encode_pairs(w, &engine.emitted_pairs());
-        checkpoint::encode_stats(w, engine.stats());
+        1u8.put(w);
+        let state = GroupState {
+            semantics: engine.semantics(),
+            regex: engine.query().regex().to_string(),
+            complete: multi.group_is_complete(g).unwrap_or(false),
+            now: engine.now(),
+            emitted: engine.emitted_pairs(),
+            stats: *engine.stats(),
+        };
+        GroupWire::put(&state, w);
         if strategy == CheckpointStrategy::Full {
             checkpoint::encode_forest(w, &engine.delta_snapshot());
         }
@@ -574,62 +576,46 @@ fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut
 /// queries against — checkpoints store query *text*, and label ids are
 /// interner-relative.
 fn decode_engine(
-    r: &mut ByteReader,
+    r: &mut Reader<'_>,
     strategy: CheckpointStrategy,
     labels: &mut LabelInterner,
 ) -> Result<MultiQueryEngine> {
-    let config = checkpoint::decode_config(r)?;
-    let now = Timestamp(r.i64()?);
-    let seen = r.u64()?;
-    let routed = r.u64()?;
+    let config = ConfigWire::get(r)?;
+    let (now, seen, routed): (Timestamp, u64, u64) = r.get()?;
     let edges = checkpoint::decode_graph(r)?;
+    let slots: SlotTable = r.get()?;
 
-    // Slot table first (membership), then the group table
-    // (evaluation state), then attach subscribers in slot order
-    // so ids keep their meaning.
-    let n_slots = r.count(1)?;
-    let mut slot_meta: Vec<Option<(String, u32)>> = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        if r.u8()? == 0 {
-            slot_meta.push(None);
-            continue;
-        }
-        let name = r.str()?;
-        let group = r.u32()?;
-        slot_meta.push(Some((name, group)));
-    }
-
-    struct GroupState {
-        g: u32,
-        now: Timestamp,
-        emitted: Vec<srpq_common::ResultPair>,
-        stats: EngineStats,
-    }
+    // The group table (evaluation state) is restored first, then
+    // subscribers attach in slot order so ids keep their meaning.
     // The checkpoint deliberately stores no worker count —
     // parallelism is runtime configuration, not logical state — so
     // the rebuilt engine starts on the inline schedule and hosts
     // call `set_workers` once after recovery.
     let mut multi = MultiQueryEngine::with_config(config);
-    let n_groups = r.count(1)?;
-    let mut cursors = Vec::with_capacity(n_groups);
-    for slot in 0..n_groups as u32 {
-        if r.u8()? == 0 {
-            // Tombstone of a freed group: burn the id so the slot
-            // entries above keep their meaning.
-            multi.push_vacant_group();
-            continue;
+    let mut slot = 0u32;
+    let cursors = r.seq(1, |r| -> Result<Option<(u32, GroupState)>> {
+        let expect = slot;
+        slot += 1;
+        match r.get::<u8>()? {
+            0 => {
+                // Tombstone of a freed group: burn the id so the slot
+                // entries above keep their meaning.
+                multi.push_vacant_group();
+                return Ok(None);
+            }
+            1 => {}
+            other => {
+                let what = "group tag";
+                let value = other.into();
+                return Err(WireError::Tag { what, value }.into());
+            }
         }
-        let semantics = decode_semantics(r)?;
-        let regex = r.str()?;
-        let complete = r.u8()? != 0;
-        let gnow = Timestamp(r.i64()?);
-        let emitted = checkpoint::decode_pairs(r)?;
-        let stats = checkpoint::decode_stats(r)?;
-        let query = compile(&regex, labels)?;
-        let g = multi.restore_push_group(query, semantics, complete);
-        if g != slot {
+        let state = GroupWire::get(r)?;
+        let query = compile(&state.regex, labels)?;
+        let g = multi.restore_push_group(query, state.semantics, state.complete);
+        if g != expect {
             return Err(corrupt(format!(
-                "checkpoint group {slot} restored as group id {g}"
+                "checkpoint group {expect} restored as group id {g}"
             )));
         }
         if strategy == CheckpointStrategy::Full {
@@ -638,14 +624,9 @@ fn decode_engine(
                 .restore_delta(checkpoint::decode_forest(r)?)
                 .map_err(|e| corrupt(format!("forest snapshot: {e}")))?;
         }
-        cursors.push(GroupState {
-            g,
-            now: gnow,
-            emitted,
-            stats,
-        });
-    }
-    for (slot, meta) in slot_meta.into_iter().enumerate() {
+        Ok(Some((g, state)))
+    })?;
+    for (slot, meta) in slots.into_iter().enumerate() {
         match meta {
             None => multi.push_vacant_slot(),
             Some((name, group)) => {
@@ -674,9 +655,9 @@ fn decode_engine(
             }
         }
     }
-    for cur in cursors {
-        let engine = multi.group_engine_mut(cur.g).expect("restored above");
-        engine.restore_cursor(cur.now, cur.emitted, cur.stats);
+    for (g, state) in cursors.into_iter().flatten() {
+        let engine = multi.group_engine_mut(g).expect("restored above");
+        engine.restore_cursor(state.now, state.emitted, state.stats);
     }
     multi.restore_cursor(now, seen, routed);
     Ok(multi)

@@ -9,7 +9,8 @@
 //! of the live window, and the live window is a bounded suffix of the
 //! input log.
 //!
-//! Three pieces compose (see each module's docs for formats):
+//! Three pieces compose (every on-disk layout is in the format reference
+//! of [`srpq_common::wire`], sections 3 and 4):
 //!
 //! * [`wal`] — a segmented, CRC32-checksummed write-ahead log of stream
 //!   tuples in the 21-byte `srpq_common::wire` encoding, with an

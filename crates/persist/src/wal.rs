@@ -11,36 +11,53 @@
 //! cost by window size rather than stream length (the design point of
 //! Wu et al.'s parallel-recovery recipe applied to our setting).
 //!
-//! # On-disk format
-//!
-//! A log directory holds segment files named `wal-{base_seq:016x}.seg`:
-//!
-//! ```text
-//! segment  := header record*
-//! header   := magic "SRPQWAL1" | u32 version = 1 | u32 reserved | u64 base_seq
-//! record   := u32 payload_len | u64 seq | u32 crc32(payload) | payload
-//! payload  := wire-encoded tuples (srpq_common::wire, 21 bytes each)
-//! ```
-//!
-//! `seq` numbers tuples globally across segments (a record's `seq` is
-//! the index of its first tuple). Records are validated on recovery by
-//! length sanity, sequence continuity, and CRC32; a torn record at the
-//! tail of the *last* segment is truncated away (the crash interrupted
-//! that write), while corruption anywhere else is reported as an error.
+//! A log directory holds segment files named `wal-{base_seq:016x}.seg`;
+//! the segment and record layouts are section 3 of the format reference
+//! in [`srpq_common::wire`]. `seq` numbers tuples globally across
+//! segments (a record's `seq` is the index of its first tuple). Records
+//! are validated on recovery by length sanity, sequence continuity, and
+//! CRC32; a torn record at the tail of the *last* segment is truncated
+//! away (the crash interrupted that write), while corruption anywhere
+//! else is reported as an error.
 
 use crate::codec::{corrupt, PersistError, Result};
-use srpq_common::{crc32, wire, StreamTuple, Timestamp};
+use srpq_common::wire::{self, Reader, Wire, Writer};
+use srpq_common::{wire_struct, StreamTuple, Timestamp};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-const SEGMENT_MAGIC: &[u8; 8] = b"SRPQWAL1";
+const SEGMENT_MAGIC: [u8; 8] = *b"SRPQWAL1";
+/// Checked by exact equality; both binaries come from this repository.
 const SEGMENT_VERSION: u32 = 1;
-const SEGMENT_HEADER_BYTES: u64 = 8 + 4 + 4 + 8;
-const RECORD_HEADER_BYTES: usize = 4 + 8 + 4;
 /// Upper bound on one record's payload (sanity guard against corrupt
 /// length fields).
 const MAX_RECORD_PAYLOAD: u32 = 64 << 20;
+
+wire_struct! {
+    /// What every segment file starts with.
+    struct SegmentHeader {
+        magic: [u8; 8],
+        version: u32,
+        reserved: u32,
+        base_seq: u64,
+    }
+}
+
+wire_struct! {
+    /// What precedes every record's payload.
+    struct RecordHeader {
+        /// Payload bytes that follow.
+        len: u32,
+        /// Global index of the payload's first tuple.
+        seq: u64,
+        /// CRC32 of the payload.
+        crc: u32,
+    }
+}
+
+const SEGMENT_HEADER_BYTES: u64 = SegmentHeader::MIN_SIZE as u64;
+const RECORD_HEADER_BYTES: usize = RecordHeader::MIN_SIZE;
 
 /// When the WAL issues `fsync` (durability vs throughput knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,15 +234,25 @@ impl Wal {
             self.open_fresh_segment()?;
         }
 
-        let payload = wire::encode_stream(tuples);
-        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&self.next_seq.to_le_bytes());
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+        // Header, payload and checksum are laid out in one buffer: the
+        // checksum slot is patched once the payload it covers exists.
+        let len = tuples.len() * wire::TUPLE_WIRE_SIZE;
+        let mut record = Writer::with_capacity(RECORD_HEADER_BYTES + len);
+        RecordHeader {
+            len: len as u32,
+            seq: self.next_seq,
+            crc: 0,
+        }
+        .put(&mut record);
+        wire::Stream::put(tuples, &mut record);
+        record.patch_u32(
+            RECORD_HEADER_BYTES - 4,
+            record.crc_since(RECORD_HEADER_BYTES),
+        );
+        let record = record.as_bytes();
 
         let (file, meta) = self.active.as_mut().expect("active segment ensured");
-        file.write_all(&record)?;
+        file.write_all(record)?;
         meta.bytes += record.len() as u64;
         meta.records += 1;
         meta.end_seq += tuples.len() as u64;
@@ -268,12 +295,15 @@ impl Wal {
             .create_new(true)
             .append(true)
             .open(&path)?;
-        let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-        header.extend_from_slice(SEGMENT_MAGIC);
-        header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&base.to_le_bytes());
-        file.write_all(&header)?;
+        let mut header = Writer::with_capacity(SegmentHeader::MIN_SIZE);
+        SegmentHeader {
+            magic: SEGMENT_MAGIC,
+            version: SEGMENT_VERSION,
+            reserved: 0,
+            base_seq: base,
+        }
+        .put(&mut header);
+        file.write_all(header.as_bytes())?;
         self.active = Some((file, SegMeta::empty(path, base)));
         Ok(())
     }
@@ -413,7 +443,8 @@ fn scan_segment(
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
     let name = path.display();
-    if data.len() < SEGMENT_HEADER_BYTES as usize {
+    let mut r = Reader::new(&data);
+    let Ok(header) = r.get::<SegmentHeader>() else {
         if last {
             // The crash interrupted segment creation: nothing was logged
             // into it yet, so dropping it loses nothing.
@@ -423,21 +454,21 @@ fn scan_segment(
             return Ok(None);
         }
         return Err(corrupt(format!("segment {name}: torn header")));
-    }
-    if &data[..8] != SEGMENT_MAGIC {
+    };
+    if header.magic != SEGMENT_MAGIC {
         // A full-length header with the wrong magic is *corruption* of
         // data that was once valid — deleting the segment here would
         // silently discard every acknowledged record in it. Report it,
         // even for the last segment.
         return Err(corrupt(format!("segment {name}: bad magic")));
     }
-    let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    if version != SEGMENT_VERSION {
+    if header.version != SEGMENT_VERSION {
         return Err(PersistError::Incompatible(format!(
-            "segment {name}: unknown version {version}"
+            "segment {name}: unknown version {}",
+            header.version
         )));
     }
-    let base_seq = u64::from_le_bytes(data[16..24].try_into().unwrap());
+    let base_seq = header.base_seq;
     if let Some(expected) = expected_seq {
         if base_seq != expected {
             return Err(corrupt(format!(
@@ -447,21 +478,20 @@ fn scan_segment(
     }
 
     let mut meta = SegMeta::empty(path.to_path_buf(), base_seq);
-    let mut offset = SEGMENT_HEADER_BYTES as usize;
-    while offset < data.len() {
-        match scan_record(&data[offset..], meta.end_seq) {
-            Ok((tuples, consumed)) => {
+    while !r.is_exhausted() {
+        let offset = data.len() - r.remaining();
+        let mut record = r;
+        match scan_record(&mut record, meta.end_seq) {
+            Ok(tuples) => {
+                r = record;
                 for t in &tuples {
                     meta.min_ts = meta.min_ts.min(t.ts);
                     meta.max_ts = meta.max_ts.max(t.ts);
                 }
-                batches.push(WalBatch {
-                    seq: meta.end_seq,
-                    tuples,
-                });
-                meta.end_seq += batches.last().unwrap().tuples.len() as u64;
+                let seq = meta.end_seq;
+                meta.end_seq += tuples.len() as u64;
                 meta.records += 1;
-                offset += consumed;
+                batches.push(WalBatch { seq, tuples });
             }
             Err(e) => {
                 if last {
@@ -479,19 +509,13 @@ fn scan_segment(
             }
         }
     }
-    meta.bytes = offset as u64;
+    meta.bytes = (data.len() - r.remaining()) as u64;
     Ok(Some(meta))
 }
 
-/// Validates and decodes one record at the start of `data`. Returns the
-/// tuples and the total bytes consumed.
-fn scan_record(data: &[u8], expected_seq: u64) -> Result<(Vec<StreamTuple>, usize)> {
-    if data.len() < RECORD_HEADER_BYTES {
-        return Err(corrupt("torn record header"));
-    }
-    let len = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    let seq = u64::from_le_bytes(data[4..12].try_into().unwrap());
-    let stored_crc = u32::from_le_bytes(data[12..16].try_into().unwrap());
+/// Validates and decodes the record at the cursor, consuming it.
+fn scan_record(r: &mut Reader<'_>, expected_seq: u64) -> Result<Vec<StreamTuple>> {
+    let RecordHeader { len, seq, crc } = r.get().map_err(|_| corrupt("torn record header"))?;
     if len == 0 || len > MAX_RECORD_PAYLOAD || !(len as usize).is_multiple_of(wire::TUPLE_WIRE_SIZE)
     {
         return Err(corrupt(format!("implausible record length {len}")));
@@ -501,22 +525,19 @@ fn scan_record(data: &[u8], expected_seq: u64) -> Result<(Vec<StreamTuple>, usiz
             "record seq {seq}, expected {expected_seq}"
         )));
     }
-    let end = RECORD_HEADER_BYTES + len as usize;
-    if data.len() < end {
-        return Err(corrupt("torn record payload"));
-    }
-    let payload = &data[RECORD_HEADER_BYTES..end];
-    if crc32(payload) != stored_crc {
-        return Err(corrupt("record checksum mismatch"));
-    }
-    let tuples = wire::decode_stream(payload).ok_or_else(|| corrupt("malformed tuple payload"))?;
+    let payload = r
+        .bytes(len as usize)
+        .map_err(|_| corrupt("torn record payload"))?;
+    wire::verify_crc(payload, crc).map_err(|_| corrupt("record checksum mismatch"))?;
+    let tuples = wire::Stream::get(&mut Reader::new(payload))
+        .map_err(|_| corrupt("malformed tuple payload"))?;
     if let Some(t) = tuples.iter().find(|t| t.ts < Timestamp::ZERO) {
         return Err(corrupt(format!(
             "logged tuple with negative timestamp {}",
             t.ts
         )));
     }
-    Ok((tuples, end))
+    Ok(tuples)
 }
 
 #[cfg(test)]

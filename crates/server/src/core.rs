@@ -10,9 +10,7 @@
 //! full channel, which backpressures their clients through TCP.
 
 use crate::labels;
-use crate::protocol::{
-    EventWire, ExplainWire, LabelRoute, Msg, QueryInfo, StatsSnapshot, SubPolicy,
-};
+use crate::protocol::{EventWire, ExplainWire, LabelRoute, Msg, QueryInfo, StatsSnapshot};
 use crate::subscriber::{push_to_msg, BatchStamp, FanoutSink, Push, Subscriber};
 use srpq_automata::CompiledQuery;
 use srpq_common::beacon::stage;
@@ -98,70 +96,19 @@ fn worker_ledger(engine: &MultiQueryEngine) -> Vec<(u64, u64)> {
     ledger
 }
 
-/// One request to the engine thread. Every command carries a reply
-/// sender; the engine always answers with exactly one [`Msg`].
-pub(crate) enum Cmd {
-    Hello {
-        reply: Sender<Msg>,
-    },
-    MapLabels {
-        names: Vec<String>,
-        reply: Sender<Msg>,
-    },
-    Ingest {
-        tuples: Vec<StreamTuple>,
-        /// Sampling marks (e2e latency and/or causal trace) when a
-        /// sampler picked this batch; ride every result frame it
-        /// produces.
-        stamp: Option<BatchStamp>,
-        reply: Sender<Msg>,
-    },
-    AddQuery {
-        name: String,
-        regex: String,
-        simple: bool,
-        backfill: bool,
-        reply: Sender<Msg>,
-    },
-    RemoveQuery {
-        name: String,
-        reply: Sender<Msg>,
-    },
-    ListQueries {
-        reply: Sender<Msg>,
-    },
-    Subscribe {
-        queries: Vec<String>,
-        policy: SubPolicy,
-        tx: SyncSender<Push>,
-        /// Drop-tally counter shared with the session thread, which
-        /// sweeps it into a final `Dropped` when the queue closes.
-        pending: Arc<AtomicU64>,
-        reply: Sender<Msg>,
-    },
-    Drain {
-        reply: Sender<Msg>,
-    },
-    Checkpoint {
-        reply: Sender<Msg>,
-    },
-    Stats {
-        reply: Sender<Msg>,
-    },
-    Metrics {
-        reply: Sender<Msg>,
-    },
-    Events {
-        since: u64,
-        reply: Sender<Msg>,
-    },
-    Explain {
-        name: String,
-        reply: Sender<Msg>,
-    },
-    Shutdown {
-        reply: Sender<Msg>,
-    },
+/// One request to the engine thread: the client's own [`Msg`] plus what
+/// the session adds to it. The engine always answers with exactly one
+/// [`Msg`] on `reply`.
+pub(crate) struct Cmd {
+    pub(crate) msg: Msg,
+    pub(crate) reply: Sender<Msg>,
+    /// Sampling marks (e2e latency and/or causal trace) when a sampler
+    /// picked this ingest batch; ride every result frame it produces.
+    pub(crate) stamp: Option<BatchStamp>,
+    /// A `Subscribe`'s push channel, and the drop-tally counter shared
+    /// with the session thread, which sweeps it into a final `Dropped`
+    /// when the queue closes.
+    pub(crate) push: Option<(SyncSender<Push>, Arc<AtomicU64>)>,
 }
 
 /// Handles into the always-hot metric families, registered once at
@@ -413,7 +360,7 @@ impl EngineCore {
     /// subscriber queues are closed) or until every sender is gone.
     pub(crate) fn run(mut self, rx: Receiver<Cmd>) {
         while let Ok(cmd) = rx.recv() {
-            if let Cmd::Shutdown { reply } = cmd {
+            if matches!(cmd.msg, Msg::Shutdown) {
                 if let Some(Err(e)) = self.host.checkpoint() {
                     eprintln!("srpq-server: shutdown checkpoint failed: {e}");
                 }
@@ -424,51 +371,47 @@ impl EngineCore {
                 // accounting guarantee ("delivered or tallied, never
                 // silently lost") holds through shutdown.
                 self.subscribers.clear();
-                let _ = reply.send(Msg::ShuttingDown);
+                let _ = cmd.reply.send(Msg::ShuttingDown);
                 return;
             }
-            self.handle(cmd);
+            let reply = self.handle(cmd.msg, cmd.stamp, cmd.push);
+            let _ = cmd.reply.send(reply);
         }
     }
 
-    fn handle(&mut self, cmd: Cmd) {
-        match cmd {
-            Cmd::Hello { reply } => {
-                let _ = reply.send(Msg::HelloAck {
-                    proto: crate::protocol::PROTO_VERSION,
-                    seq: self.seq,
-                    durable: self.host.is_durable(),
-                });
-            }
-            Cmd::MapLabels { names, reply } => {
+    /// Answers one request. `Shutdown` ends [`Self::run`] before it gets
+    /// here, `Trace` and mismatched `Hello`s are answered by the session
+    /// without a trip through this thread; server-to-client kinds are
+    /// not requests.
+    fn handle(
+        &mut self,
+        msg: Msg,
+        stamp: Option<BatchStamp>,
+        push: Option<(SyncSender<Push>, Arc<AtomicU64>)>,
+    ) -> Msg {
+        match msg {
+            Msg::Hello { .. } => Msg::HelloAck {
+                proto: crate::protocol::PROTO_VERSION,
+                seq: self.seq,
+                durable: self.host.is_durable(),
+            },
+            Msg::MapLabels { names } => {
                 let before = self.labels.len();
                 let ids: Vec<u32> = names.iter().map(|n| self.labels.intern(n).0).collect();
-                let msg = match self.persist_labels_if_grown(before) {
+                match self.persist_labels_if_grown(before) {
                     Ok(()) => Msg::LabelIds { ids },
                     Err(e) => Msg::Error { msg: e },
-                };
-                let _ = reply.send(msg);
+                }
             }
-            Cmd::Ingest {
-                tuples,
-                stamp,
-                reply,
-            } => {
-                let _ = reply.send(self.ingest(tuples, stamp));
-            }
-            Cmd::AddQuery {
+            Msg::Ingest { tuples } => self.ingest(tuples, stamp),
+            Msg::AddQuery {
                 name,
                 regex,
                 simple,
                 backfill,
-                reply,
-            } => {
-                let _ = reply.send(self.add_query(name, regex, simple, backfill));
-            }
-            Cmd::RemoveQuery { name, reply } => {
-                let _ = reply.send(self.remove_query(name));
-            }
-            Cmd::ListQueries { reply } => {
+            } => self.add_query(name, regex, simple, backfill),
+            Msg::RemoveQuery { name } => self.remove_query(name),
+            Msg::ListQueries => {
                 let engine = self.host.engine();
                 let queries = engine
                     .query_ids()
@@ -488,15 +431,16 @@ impl EngineCore {
                         }
                     })
                     .collect();
-                let _ = reply.send(Msg::QueryList { queries });
+                Msg::QueryList { queries }
             }
-            Cmd::Subscribe {
-                queries,
-                policy,
-                tx,
-                pending,
-                reply,
+            Msg::Subscribe {
+                queries, policy, ..
             } => {
+                let Some((tx, pending)) = push else {
+                    return Msg::Error {
+                        msg: "subscribe request arrived without its push channel".into(),
+                    };
+                };
                 let engine = self.host.engine();
                 let all = queries.is_empty();
                 let mut resolved = FxHashSet::default();
@@ -522,23 +466,20 @@ impl EngineCore {
                 self.metrics
                     .gauge_subscribers
                     .set(self.subscribers.len() as u64);
-                let _ = reply.send(Msg::SubAck { matched });
+                Msg::SubAck { matched }
             }
-            Cmd::Drain { reply } => {
+            Msg::Drain => {
                 self.drain();
-                let _ = reply.send(Msg::Drained { seq: self.seq });
+                Msg::Drained { seq: self.seq }
             }
-            Cmd::Checkpoint { reply } => {
-                let msg = match self.host.checkpoint() {
-                    None => Msg::Error {
-                        msg: "server runs without --wal-dir; nothing to checkpoint".into(),
-                    },
-                    Some(Ok(seq)) => Msg::CheckpointDone { seq },
-                    Some(Err(e)) => Msg::Error { msg: e },
-                };
-                let _ = reply.send(msg);
-            }
-            Cmd::Stats { reply } => {
+            Msg::Checkpoint => match self.host.checkpoint() {
+                None => Msg::Error {
+                    msg: "server runs without --wal-dir; nothing to checkpoint".into(),
+                },
+                Some(Ok(seq)) => Msg::CheckpointDone { seq },
+                Some(Err(e)) => Msg::Error { msg: e },
+            },
+            Msg::Stats => {
                 let engine = self.host.engine();
                 let (mut eval_ns, mut delta_nodes_live, mut delta_capacity, mut compactions) =
                     (0u64, 0u64, 0u64, 0u64);
@@ -552,7 +493,7 @@ impl EngineCore {
                         compactions += s.compactions;
                     }
                 }
-                let _ = reply.send(Msg::ServerStats(StatsSnapshot {
+                Msg::ServerStats(StatsSnapshot {
                     seq: self.seq,
                     live_queries: engine.n_queries() as u32,
                     slots: engine.n_slots() as u32,
@@ -568,15 +509,15 @@ impl EngineCore {
                     compactions,
                     worker_ns: worker_ledger(engine),
                     groups_live: engine.groups_live() as u32,
-                }));
+                })
             }
-            Cmd::Metrics { reply } => {
+            Msg::Metrics => {
                 self.refresh_gauges();
-                let _ = reply.send(Msg::MetricsText {
+                Msg::MetricsText {
                     text: self.obs.render_prometheus(),
-                });
+                }
             }
-            Cmd::Events { since, reply } => {
+            Msg::Events { since } => {
                 let (events, dropped) = self.obs.journal().since_with_dropped(since);
                 let events = events
                     .into_iter()
@@ -587,12 +528,12 @@ impl EngineCore {
                         detail: e.detail,
                     })
                     .collect();
-                let _ = reply.send(Msg::EventList { events, dropped });
+                Msg::EventList { events, dropped }
             }
-            Cmd::Explain { name, reply } => {
-                let _ = reply.send(self.explain(&name));
-            }
-            Cmd::Shutdown { .. } => unreachable!("handled by run()"),
+            Msg::Explain { name } => self.explain(&name),
+            other => Msg::Error {
+                msg: format!("unexpected message {other:?} on a request session"),
+            },
         }
     }
 

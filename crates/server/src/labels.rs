@@ -4,16 +4,13 @@
 //! recovered server must re-intern names to exactly the ids the crashed
 //! instance used. This module persists the server's [`LabelInterner`]
 //! alongside the WAL directory: a name list in id order, guarded by the
-//! shared CRC32, rewritten atomically (tmp + rename) whenever a label
-//! is first interned — which the serving loop does *before* any tuple
-//! or query referencing the new label becomes durable.
-//!
-//! ```text
-//! file := magic "SRPQLBL1" | u32le count | name "\n" ... | u32le crc
-//! crc  := crc32(everything before the trailer)
-//! ```
+//! shared CRC32, republished atomically whenever a label is first
+//! interned — which the serving loop does *before* any tuple or query
+//! referencing the new label becomes durable. The file layout is
+//! section 5 of the format reference in [`srpq_common::wire`].
 
-use srpq_common::{crc32, LabelInterner};
+use srpq_common::wire::{self, Reader, Wire, WireError, Writer};
+use srpq_common::LabelInterner;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -25,38 +22,17 @@ pub fn label_path(dir: &Path) -> PathBuf {
     dir.join(FILE_NAME)
 }
 
-/// Writes the interner to `dir` atomically.
+/// Writes the interner to `dir` atomically. The table is on disk
+/// *before* it becomes visible: tuples and checkpointed query text
+/// logged after this call reference the new ids, and an acked batch
+/// must never outlive the label table it depends on.
 pub fn save(labels: &LabelInterner, dir: &Path) -> Result<(), String> {
-    let mut buf = Vec::from(MAGIC);
-    buf.extend_from_slice(&(labels.len() as u32).to_le_bytes());
-    for i in 0..labels.len() as u32 {
-        let name = labels
-            .resolve(srpq_common::Label(i))
-            .ok_or_else(|| format!("label table has a hole at id {i}"))?;
-        buf.extend_from_slice(name.as_bytes());
-        buf.push(b'\n');
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    labels.put(&mut w);
+    w.seal(b"");
     let path = label_path(dir);
-    let tmp = path.with_extension("srpq.tmp");
-    {
-        use std::io::Write as _;
-        let mut f = fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-        f.write_all(&buf)
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        // The table must be on disk *before* the rename publishes it:
-        // tuples and checkpointed query text logged after this call
-        // reference the new ids, and an acked batch must never outlive
-        // the label table it depends on.
-        f.sync_all()
-            .map_err(|e| format!("sync {}: {e}", tmp.display()))?;
-    }
-    fs::rename(&tmp, &path).map_err(|e| format!("publish {}: {e}", path.display()))?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    wire::publish(&path, w.as_bytes()).map_err(|e| format!("publish {}: {e}", path.display()))
 }
 
 /// Loads the label table from `dir`; an absent file is an empty
@@ -68,35 +44,14 @@ pub fn load(dir: &Path) -> Result<LabelInterner, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LabelInterner::new()),
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
-    if data.len() < MAGIC.len() + 4 + 4 || !data.starts_with(MAGIC) {
-        return Err(format!("{}: not a label table", path.display()));
-    }
-    let (body, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(format!("{}: checksum mismatch", path.display()));
-    }
-    let mut buf = &body[MAGIC.len()..];
-    let count = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    buf = &buf[4..];
-    let mut labels = LabelInterner::new();
-    for i in 0..count {
-        let end = buf
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| format!("{}: truncated at entry {i}", path.display()))?;
-        let name = std::str::from_utf8(&buf[..end])
-            .map_err(|_| format!("{}: label {i} is not UTF-8", path.display()))?;
-        labels.intern(name);
-        buf = &buf[end + 1..];
-    }
-    if !buf.is_empty() {
-        return Err(format!(
-            "{}: trailing bytes after label table",
-            path.display()
-        ));
-    }
-    Ok(labels)
+    let open = || -> Result<LabelInterner, WireError> {
+        let mut r = Reader::new(wire::unseal(&data, b"")?);
+        r.magic(MAGIC)?;
+        let labels = r.get()?;
+        r.finish()?;
+        Ok(labels)
+    };
+    open().map_err(|e| format!("{}: not a label table: {e}", path.display()))
 }
 
 #[cfg(test)]

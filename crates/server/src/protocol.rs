@@ -1,12 +1,14 @@
 //! The message vocabulary of the serving protocol.
 //!
 //! Every message travels as one [`srpq_common::frame`] frame: the frame
-//! kind byte is the message discriminant, the payload is the message
-//! body in the same little-endian conventions as the WAL and checkpoint
-//! formats ([`srpq_persist::codec`]), and tuple batches reuse the
-//! 21-byte stream codec ([`srpq_common::wire`]) verbatim — an ingest
-//! payload is bit-identical to a WAL record payload carrying the same
-//! batch. Frame-level CRC32 covers kind, length, and payload, so a
+//! kind byte is the message discriminant and the payload is the message
+//! body. Kinds and body layouts are section 2 of the format reference
+//! in [`srpq_common::wire`]; this module states each of them once — a
+//! record's struct declaration is its field order, and the table behind
+//! [`Msg::encode`] / [`Msg::decode`] names every kind's fields in wire
+//! order. Tuple batches reuse the 21-byte tuple codec verbatim — an
+//! ingest payload is bit-identical to a WAL record payload carrying the
+//! same batch. Frame-level CRC32 covers kind, length, and payload, so a
 //! corrupt message is refused by the frame layer before this module
 //! ever parses it (`frame_corruption` tests below pin that).
 //!
@@ -15,14 +17,13 @@
 //! choreography (which requests are valid when, and what they elicit).
 
 use srpq_common::frame;
-use srpq_common::wire;
-use srpq_common::StreamTuple;
-use srpq_persist::codec::{ByteReader, ByteWriter};
+use srpq_common::wire::{Reader, Stream, Wide, Wire, WireError, Writer};
+use srpq_common::{wire_get, wire_put, wire_struct, wire_tags, StreamTuple};
 use std::io::{self, Read, Write};
 
 /// Protocol revision spoken by this build. [`Msg::Hello`] carries the
-/// client's revision; the server refuses mismatches outright (no
-/// negotiation — both binaries come from this repository).
+/// client's revision. Checked by exact equality; both binaries come
+/// from this repository.
 pub const PROTO_VERSION: u16 = 6;
 
 /// What a subscriber wants done when its queue is full.
@@ -48,226 +49,227 @@ impl SubPolicy {
             _ => None,
         }
     }
+}
 
-    fn to_u8(self) -> u8 {
-        match self {
-            SubPolicy::Block => 0,
-            SubPolicy::DropNewest => 1,
-        }
+wire_tags!(PolicyTag for SubPolicy as "subscription policy" { Block = 0, DropNewest = 1 });
+
+wire_struct! {
+    /// One pushed result: query `query` (dis)covered `(src, dst)` at stream
+    /// time `ts`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ResultEntry {
+        /// Slot id of the emitting query.
+        pub query: u32,
+        /// `false` = newly discovered pair, `true` = invalidation (the pair
+        /// lost its last witness path to an explicit deletion).
+        pub invalidated: bool,
+        /// Source vertex.
+        pub src: u32,
+        /// Destination vertex.
+        pub dst: u32,
+        /// Stream time of the (in)validation.
+        pub ts: i64,
     }
+}
 
-    fn from_u8(v: u8) -> Result<SubPolicy, String> {
-        match v {
-            0 => Ok(SubPolicy::Block),
-            1 => Ok(SubPolicy::DropNewest),
-            other => Err(format!("unknown subscription policy {other}")),
-        }
+wire_struct! {
+    /// One row of a [`Msg::QueryList`] response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QueryInfo {
+        /// Slot id.
+        pub id: u32,
+        /// Registration name.
+        pub name: String,
+        /// The query expression.
+        pub regex: String,
+        /// `true` = simple-path semantics, `false` = arbitrary.
+        pub simple: bool,
+        /// Tuples label-routed to this query since registration.
+        pub tuples_routed: u64,
+        /// Results this query has emitted (post-dedup).
+        pub results_emitted: u64,
+        /// Nanoseconds spent inside this query's evaluation calls — the
+        /// hot-query indicator (`srpq query list`). Comparable within one
+        /// server lifetime only.
+        pub eval_ns: u64,
+        /// The shared-evaluation group this query subscribes to. Queries
+        /// with the same group id share one Δ forest; their routed/eval
+        /// counters are the group's, not per-subscriber slices.
+        pub group: u32,
     }
 }
 
-/// One pushed result: query `query` (dis)covered `(src, dst)` at stream
-/// time `ts`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultEntry {
-    /// Slot id of the emitting query.
-    pub query: u32,
-    /// `false` = newly discovered pair, `true` = invalidation (the pair
-    /// lost its last witness path to an explicit deletion).
-    pub invalidated: bool,
-    /// Source vertex.
-    pub src: u32,
-    /// Destination vertex.
-    pub dst: u32,
-    /// Stream time of the (in)validation.
-    pub ts: i64,
+wire_struct! {
+    /// One structured event from the server's bounded journal
+    /// ([`Msg::EventList`]). `kind` is the journal's stable `u8`
+    /// discriminant (`srpq_obs::EventKind`), carried raw so older clients
+    /// can still display events newer servers journal.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EventWire {
+        /// Monotonic journal sequence number.
+        pub seq: u64,
+        /// Wall-clock milliseconds since the Unix epoch at record time.
+        pub unix_ms: u64,
+        /// Event-kind discriminant.
+        pub kind: u8,
+        /// Free-form detail.
+        pub detail: String,
+    }
 }
 
-/// One row of a [`Msg::QueryList`] response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryInfo {
-    /// Slot id.
-    pub id: u32,
-    /// Registration name.
-    pub name: String,
-    /// The query expression.
-    pub regex: String,
-    /// `true` = simple-path semantics, `false` = arbitrary.
-    pub simple: bool,
-    /// Tuples label-routed to this query since registration.
-    pub tuples_routed: u64,
-    /// Results this query has emitted (post-dedup).
-    pub results_emitted: u64,
-    /// Nanoseconds spent inside this query's evaluation calls — the
-    /// hot-query indicator (`srpq query list`). Comparable within one
-    /// server lifetime only.
-    pub eval_ns: u64,
-    /// The shared-evaluation group this query subscribes to. Queries
-    /// with the same group id share one Δ forest; their routed/eval
-    /// counters are the group's, not per-subscriber slices.
-    pub group: u32,
+wire_struct! {
+    /// One causal-trace span ([`Msg::TraceList`]): a named interval on one
+    /// pipeline stage, attributed to a sampled ingest batch. The field
+    /// layout mirrors `srpq_obs::Span`; timestamps are microseconds since
+    /// the server's trace epoch (its start), so spans from one response are
+    /// mutually comparable but not wall-clock.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SpanWire {
+        /// The sampled batch this span belongs to.
+        pub trace_id: u64,
+        /// Unique id of this span within the trace buffer.
+        pub span_id: u64,
+        /// Parent span id (0 = root).
+        pub parent: u64,
+        /// Stage name (`ingest`, `decode`, `wal`, `route`, `extend:<q>`,
+        /// `expiry`, `emit`, `write`).
+        pub name: String,
+        /// Start, microseconds since the trace epoch.
+        pub start_us: u64,
+        /// Duration in microseconds.
+        pub dur_us: u64,
+        /// Thread the stage ran on.
+        pub thread: String,
+        /// Free-form detail (tuple counts, subscriber, …).
+        pub detail: String,
+    }
 }
 
-/// One structured event from the server's bounded journal
-/// ([`Msg::EventList`]). `kind` is the journal's stable `u8`
-/// discriminant (`srpq_obs::EventKind`), carried raw so older clients
-/// can still display events newer servers journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventWire {
-    /// Monotonic journal sequence number.
-    pub seq: u64,
-    /// Wall-clock milliseconds since the Unix epoch at record time.
-    pub unix_ms: u64,
-    /// Event-kind discriminant.
-    pub kind: u8,
-    /// Free-form detail.
-    pub detail: String,
+wire_struct! {
+    /// How one label of a query's alphabet is routed
+    /// ([`Msg::ExplainReport`]).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LabelRoute {
+        /// The label name.
+        pub name: String,
+        /// DFA transitions consuming this label.
+        pub transitions: u32,
+        /// Live evaluation groups (this query's included) whose alphabet
+        /// contains the label — the routing fan-in: a matching tuple is
+        /// handed to this many shared Δ forests.
+        pub sharing_queries: u32,
+    }
 }
 
-/// One causal-trace span ([`Msg::TraceList`]): a named interval on one
-/// pipeline stage, attributed to a sampled ingest batch. The field
-/// layout mirrors `srpq_obs::Span`; timestamps are microseconds since
-/// the server's trace epoch (its start), so spans from one response are
-/// mutually comparable but not wall-clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanWire {
-    /// The sampled batch this span belongs to.
-    pub trace_id: u64,
-    /// Unique id of this span within the trace buffer.
-    pub span_id: u64,
-    /// Parent span id (0 = root).
-    pub parent: u64,
-    /// Stage name (`ingest`, `decode`, `wal`, `route`, `extend:<q>`,
-    /// `expiry`, `emit`, `write`).
-    pub name: String,
-    /// Start, microseconds since the trace epoch.
-    pub start_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-    /// Thread the stage ran on.
-    pub thread: String,
-    /// Free-form detail (tuple counts, subscriber, …).
-    pub detail: String,
+wire_struct! {
+    /// The introspection report behind `ctl explain <query>`
+    /// ([`Msg::ExplainReport`]): minimized-DFA shape, Δ-forest profile, and
+    /// time share since registration. Computing it walks the query's whole
+    /// Δ forest — it never runs on the tuple path.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct ExplainWire {
+        /// Slot id of the query.
+        pub id: u32,
+        /// Registration name.
+        pub name: String,
+        /// The query expression.
+        pub regex: String,
+        /// `true` = simple-path semantics.
+        pub simple: bool,
+        /// States in the minimized DFA.
+        pub dfa_states: u32,
+        /// Start state.
+        pub dfa_start: u32,
+        /// Accepting states, ascending.
+        pub dfa_accepting: Vec<u32>,
+        /// Per-label DFA transition counts and routing fan-in, in alphabet
+        /// order.
+        pub labels: Vec<LabelRoute>,
+        /// Spanning trees in Δ.
+        pub delta_trees: u64,
+        /// Live Δ nodes over all trees.
+        pub delta_nodes: u64,
+        /// Arena slots (live + free-listed); the gap to `delta_nodes` is
+        /// fragmentation awaiting per-slide compaction.
+        pub delta_slots: u64,
+        /// Resident bytes of the node arenas.
+        pub delta_arena_bytes: u64,
+        /// Arena compactions performed for this query.
+        pub compactions: u64,
+        /// Live node count per DFA state, sorted by state id; empty states
+        /// omitted.
+        pub nodes_per_state: Vec<(u32, u64)>,
+        /// Node count by depth (root = 0); the last bucket accumulates
+        /// everything at or beyond it.
+        pub depth_hist: Vec<u64>,
+        /// Tuples label-routed to this query since registration.
+        pub tuples_routed: u64,
+        /// Nanoseconds inside this query's evaluation calls.
+        pub eval_ns: u64,
+        /// The expiry (window-management) slice of `eval_ns`.
+        pub expiry_ns: u64,
+        /// Evaluation nanoseconds summed over all evaluation groups — the
+        /// denominator of this query's time share. Groups, not queries:
+        /// a shared forest's time counts once however many subscribers
+        /// ride it.
+        pub total_eval_ns: u64,
+        /// Results emitted (post-dedup).
+        pub results_emitted: u64,
+        /// The shared-evaluation group this query subscribes to.
+        pub group: u32,
+        /// Hash of the canonical (minimized, BFS-renumbered) DFA form —
+        /// the key equal-language registrations collapse under.
+        pub signature_hash: u64,
+        /// Names of the *other* queries subscribed to the same group —
+        /// empty means this query's Δ forest is private; non-empty means
+        /// the Δ counts above are shared with these co-subscribers.
+        pub co_subscribers: Vec<String>,
+    }
 }
 
-/// How one label of a query's alphabet is routed
-/// ([`Msg::ExplainReport`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelRoute {
-    /// The label name.
-    pub name: String,
-    /// DFA transitions consuming this label.
-    pub transitions: u32,
-    /// Live evaluation groups (this query's included) whose alphabet
-    /// contains the label — the routing fan-in: a matching tuple is
-    /// handed to this many shared Δ forests.
-    pub sharing_queries: u32,
-}
-
-/// The introspection report behind `ctl explain <query>`
-/// ([`Msg::ExplainReport`]): minimized-DFA shape, Δ-forest profile, and
-/// time share since registration. Computing it walks the query's whole
-/// Δ forest — it never runs on the tuple path.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExplainWire {
-    /// Slot id of the query.
-    pub id: u32,
-    /// Registration name.
-    pub name: String,
-    /// The query expression.
-    pub regex: String,
-    /// `true` = simple-path semantics.
-    pub simple: bool,
-    /// States in the minimized DFA.
-    pub dfa_states: u32,
-    /// Start state.
-    pub dfa_start: u32,
-    /// Accepting states, ascending.
-    pub dfa_accepting: Vec<u32>,
-    /// Per-label DFA transition counts and routing fan-in, in alphabet
-    /// order.
-    pub labels: Vec<LabelRoute>,
-    /// Spanning trees in Δ.
-    pub delta_trees: u64,
-    /// Live Δ nodes over all trees.
-    pub delta_nodes: u64,
-    /// Arena slots (live + free-listed); the gap to `delta_nodes` is
-    /// fragmentation awaiting per-slide compaction.
-    pub delta_slots: u64,
-    /// Resident bytes of the node arenas.
-    pub delta_arena_bytes: u64,
-    /// Arena compactions performed for this query.
-    pub compactions: u64,
-    /// Live node count per DFA state, sorted by state id; empty states
-    /// omitted.
-    pub nodes_per_state: Vec<(u32, u64)>,
-    /// Node count by depth (root = 0); the last bucket accumulates
-    /// everything at or beyond it.
-    pub depth_hist: Vec<u64>,
-    /// Tuples label-routed to this query since registration.
-    pub tuples_routed: u64,
-    /// Nanoseconds inside this query's evaluation calls.
-    pub eval_ns: u64,
-    /// The expiry (window-management) slice of `eval_ns`.
-    pub expiry_ns: u64,
-    /// Evaluation nanoseconds summed over all evaluation groups — the
-    /// denominator of this query's time share. Groups, not queries:
-    /// a shared forest's time counts once however many subscribers
-    /// ride it.
-    pub total_eval_ns: u64,
-    /// Results emitted (post-dedup).
-    pub results_emitted: u64,
-    /// The shared-evaluation group this query subscribes to.
-    pub group: u32,
-    /// Hash of the canonical (minimized, BFS-renumbered) DFA form —
-    /// the key equal-language registrations collapse under.
-    pub signature_hash: u64,
-    /// Names of the *other* queries subscribed to the same group —
-    /// empty means this query's Δ forest is private; non-empty means
-    /// the Δ counts above are shared with these co-subscribers.
-    pub co_subscribers: Vec<String>,
-}
-
-/// A snapshot of server-wide counters ([`Msg::ServerStats`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Tuples accepted (and, when durable, WAL-logged) so far.
-    pub seq: u64,
-    /// Live registered queries.
-    pub live_queries: u32,
-    /// Registration slots ever allocated (vacated ones included).
-    pub slots: u32,
-    /// Attached subscriber sessions.
-    pub subscribers: u32,
-    /// Interned labels.
-    pub labels: u32,
-    /// Result entries pushed to subscribers (drops excluded).
-    pub results_pushed: u64,
-    /// Result entries dropped across all drop-policy subscribers.
-    pub results_dropped: u64,
-    /// Evaluation threads (1 = the inline schedule on the engine
-    /// thread, otherwise the pool size).
-    pub workers: u32,
-    /// Total nanoseconds spent in per-query evaluation across all live
-    /// queries.
-    pub eval_ns: u64,
-    /// Live Δ nodes across all live queries (gauge).
-    pub delta_nodes_live: u64,
-    /// Total Δ arena slots across all live queries (gauge); the gap to
-    /// `delta_nodes_live` is arena fragmentation awaiting compaction.
-    pub delta_capacity: u64,
-    /// Δ arena compactions performed across all live queries.
-    pub compactions: u64,
-    /// Per-worker `(eval_ns, expiry_ns)`: the wall-clock each
-    /// evaluation worker thread spent inside per-query evaluation calls
-    /// and the expiry slice thereof. Empty under the inline schedule;
-    /// with a pool, the coordinator's inline time rides as one final
-    /// synthetic entry, so the entries sum to the per-query `eval_ns`
-    /// total (while no query has been deregistered).
-    pub worker_ns: Vec<(u64, u64)>,
-    /// Live shared-evaluation groups (Δ forests). The gap to
-    /// `live_queries` is the consolidation win: queries minus groups
-    /// forests never built.
-    pub groups_live: u32,
+wire_struct! {
+    /// A snapshot of server-wide counters ([`Msg::ServerStats`]).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StatsSnapshot {
+        /// Tuples accepted (and, when durable, WAL-logged) so far.
+        pub seq: u64,
+        /// Live registered queries.
+        pub live_queries: u32,
+        /// Registration slots ever allocated (vacated ones included).
+        pub slots: u32,
+        /// Attached subscriber sessions.
+        pub subscribers: u32,
+        /// Interned labels.
+        pub labels: u32,
+        /// Result entries pushed to subscribers (drops excluded).
+        pub results_pushed: u64,
+        /// Result entries dropped across all drop-policy subscribers.
+        pub results_dropped: u64,
+        /// Evaluation threads (1 = the inline schedule on the engine
+        /// thread, otherwise the pool size).
+        pub workers: u32,
+        /// Total nanoseconds spent in per-query evaluation across all live
+        /// queries.
+        pub eval_ns: u64,
+        /// Live Δ nodes across all live queries (gauge).
+        pub delta_nodes_live: u64,
+        /// Total Δ arena slots across all live queries (gauge); the gap to
+        /// `delta_nodes_live` is arena fragmentation awaiting compaction.
+        pub delta_capacity: u64,
+        /// Δ arena compactions performed across all live queries.
+        pub compactions: u64,
+        /// Per-worker `(eval_ns, expiry_ns)`: the wall-clock each
+        /// evaluation worker thread spent inside per-query evaluation calls
+        /// and the expiry slice thereof. Empty under the inline schedule;
+        /// with a pool, the coordinator's inline time rides as one final
+        /// synthetic entry, so the entries sum to the per-query `eval_ns`
+        /// total (while no query has been deregistered).
+        pub worker_ns: Vec<(u64, u64)>,
+        /// Live shared-evaluation groups (Δ forests). The gap to
+        /// `live_queries` is the consolidation win: queries minus groups
+        /// forests never built.
+        pub groups_live: u32,
+    }
 }
 
 /// A protocol message (client requests < 0x80 ≤ server responses).
@@ -461,524 +463,109 @@ pub enum Msg {
     ExplainReport(ExplainWire),
 }
 
-// Frame kinds (one per message).
-const K_HELLO: u8 = 0x01;
-const K_MAP_LABELS: u8 = 0x02;
-const K_INGEST: u8 = 0x03;
-const K_ADD_QUERY: u8 = 0x04;
-const K_REMOVE_QUERY: u8 = 0x05;
-const K_LIST_QUERIES: u8 = 0x06;
-const K_SUBSCRIBE: u8 = 0x07;
-const K_DRAIN: u8 = 0x08;
-const K_CHECKPOINT: u8 = 0x09;
-const K_SHUTDOWN: u8 = 0x0A;
-const K_STATS: u8 = 0x0B;
-const K_METRICS: u8 = 0x0C;
-const K_EVENTS: u8 = 0x0D;
-const K_TRACE: u8 = 0x0E;
-const K_EXPLAIN: u8 = 0x0F;
-const K_HELLO_ACK: u8 = 0x81;
-const K_LABEL_IDS: u8 = 0x82;
-const K_INGEST_ACK: u8 = 0x83;
-const K_QUERY_ADDED: u8 = 0x84;
-const K_QUERY_REMOVED: u8 = 0x85;
-const K_QUERY_LIST: u8 = 0x86;
-const K_SUB_ACK: u8 = 0x87;
-const K_RESULTS: u8 = 0x88;
-const K_DROPPED: u8 = 0x89;
-const K_DRAINED: u8 = 0x8A;
-const K_CHECKPOINT_DONE: u8 = 0x8B;
-const K_SHUTTING_DOWN: u8 = 0x8C;
-const K_SERVER_STATS: u8 = 0x8D;
-const K_ERROR: u8 = 0x8E;
-const K_METRICS_TEXT: u8 = 0x8F;
-const K_EVENT_LIST: u8 = 0x90;
-const K_TRACE_LIST: u8 = 0x91;
-const K_EXPLAIN_REPORT: u8 = 0x92;
+/// States every message body once: `kind Variant { fields in wire
+/// order }` (or `Variant(inner)` / bare `Variant`). A field goes through
+/// [`Wire`] unless it names an adapter (`field as Adapter`). The frame
+/// kind, the encoder and the decoder all derive from this one table.
+macro_rules! msg_table {
+    ($($kind:literal $name:ident
+        $({ $($field:ident $(as $via:ty)?),* })?
+        $(( $inner:ident ))?,
+    )*) => {
+        impl Msg {
+            /// The frame kind byte of this message.
+            fn kind(&self) -> u8 {
+                match self {
+                    $(Msg::$name { .. } => $kind,)*
+                }
+            }
 
-fn strings(w: &mut ByteWriter, items: &[String]) {
-    w.u32(items.len() as u32);
-    for s in items {
-        w.str(s);
-    }
+            /// Appends the message body.
+            fn put_body(&self, w: &mut Writer) {
+                match self {
+                    $(Msg::$name $({ $($field),* })? $(( $inner ))? => {
+                        $($(wire_put!(w, $field $(, $via)?);)*)?
+                        $(Wire::put($inner, w);)?
+                    })*
+                }
+            }
+
+            /// Reads the body of a `kind` message.
+            fn get_body(kind: u8, r: &mut Reader<'_>) -> Result<Msg, WireError> {
+                Ok(match kind {
+                    $($kind => Msg::$name
+                        $({ $($field: wire_get!(r $(, $via)?)),* })?
+                        $(({ let $inner = Wire::get(r)?; $inner }))?,
+                    )*
+                    other => {
+                        return Err(WireError::Tag {
+                            what: "message kind",
+                            value: other.into(),
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
-fn read_strings(r: &mut ByteReader) -> Result<Vec<String>, String> {
-    let n = r.count(4).map_err(|e| e.to_string())?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.str().map_err(|e| e.to_string())?);
-    }
-    Ok(out)
+msg_table! {
+    0x01 Hello { proto as Wide },
+    0x02 MapLabels { names },
+    0x03 Ingest { tuples as Stream },
+    0x04 AddQuery { name, regex, simple, backfill },
+    0x05 RemoveQuery { name },
+    0x06 ListQueries,
+    0x07 Subscribe { queries, policy as PolicyTag, capacity },
+    0x08 Drain,
+    0x09 Checkpoint,
+    0x0A Shutdown,
+    0x0B Stats,
+    0x0C Metrics,
+    0x0D Events { since },
+    0x0E Trace,
+    0x0F Explain { name },
+    0x81 HelloAck { proto as Wide, seq, durable },
+    0x82 LabelIds { ids },
+    0x83 IngestAck { seq, durable },
+    0x84 QueryAdded { id },
+    0x85 QueryRemoved { id },
+    0x86 QueryList { queries },
+    0x87 SubAck { matched },
+    0x88 Results { entries },
+    0x89 Dropped { count },
+    0x8A Drained { seq },
+    0x8B CheckpointDone { seq },
+    0x8C ShuttingDown,
+    0x8D ServerStats(stats),
+    0x8E Error { msg },
+    0x8F MetricsText { text },
+    0x90 EventList { dropped, events },
+    0x91 TraceList { spans },
+    0x92 ExplainReport(report),
 }
 
 impl Msg {
     /// Encodes this message as `(frame kind, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = ByteWriter::new();
-        let kind = match self {
-            Msg::Hello { proto } => {
-                w.u32(*proto as u32);
-                K_HELLO
-            }
-            Msg::MapLabels { names } => {
-                strings(&mut w, names);
-                K_MAP_LABELS
-            }
-            Msg::Ingest { tuples } => {
-                w.bytes(&wire::encode_stream(tuples));
-                K_INGEST
-            }
-            Msg::AddQuery {
-                name,
-                regex,
-                simple,
-                backfill,
-            } => {
-                w.str(name);
-                w.str(regex);
-                w.u8(*simple as u8);
-                w.u8(*backfill as u8);
-                K_ADD_QUERY
-            }
-            Msg::RemoveQuery { name } => {
-                w.str(name);
-                K_REMOVE_QUERY
-            }
-            Msg::ListQueries => K_LIST_QUERIES,
-            Msg::Subscribe {
-                queries,
-                policy,
-                capacity,
-            } => {
-                strings(&mut w, queries);
-                w.u8(policy.to_u8());
-                w.u32(*capacity);
-                K_SUBSCRIBE
-            }
-            Msg::Drain => K_DRAIN,
-            Msg::Checkpoint => K_CHECKPOINT,
-            Msg::Shutdown => K_SHUTDOWN,
-            Msg::Stats => K_STATS,
-            Msg::Metrics => K_METRICS,
-            Msg::Events { since } => {
-                w.u64(*since);
-                K_EVENTS
-            }
-            Msg::Trace => K_TRACE,
-            Msg::Explain { name } => {
-                w.str(name);
-                K_EXPLAIN
-            }
-            Msg::HelloAck {
-                proto,
-                seq,
-                durable,
-            } => {
-                w.u32(*proto as u32);
-                w.u64(*seq);
-                w.u8(*durable as u8);
-                K_HELLO_ACK
-            }
-            Msg::LabelIds { ids } => {
-                w.u32(ids.len() as u32);
-                for id in ids {
-                    w.u32(*id);
-                }
-                K_LABEL_IDS
-            }
-            Msg::IngestAck { seq, durable } => {
-                w.u64(*seq);
-                w.u8(*durable as u8);
-                K_INGEST_ACK
-            }
-            Msg::QueryAdded { id } => {
-                w.u32(*id);
-                K_QUERY_ADDED
-            }
-            Msg::QueryRemoved { id } => {
-                w.u32(*id);
-                K_QUERY_REMOVED
-            }
-            Msg::QueryList { queries } => {
-                w.u32(queries.len() as u32);
-                for q in queries {
-                    w.u32(q.id);
-                    w.str(&q.name);
-                    w.str(&q.regex);
-                    w.u8(q.simple as u8);
-                    w.u64(q.tuples_routed);
-                    w.u64(q.results_emitted);
-                    w.u64(q.eval_ns);
-                    w.u32(q.group);
-                }
-                K_QUERY_LIST
-            }
-            Msg::SubAck { matched } => {
-                w.u32(*matched);
-                K_SUB_ACK
-            }
-            Msg::Results { entries } => {
-                w.u32(entries.len() as u32);
-                for e in entries {
-                    w.u32(e.query);
-                    w.u8(e.invalidated as u8);
-                    w.u32(e.src);
-                    w.u32(e.dst);
-                    w.i64(e.ts);
-                }
-                K_RESULTS
-            }
-            Msg::Dropped { count } => {
-                w.u64(*count);
-                K_DROPPED
-            }
-            Msg::Drained { seq } => {
-                w.u64(*seq);
-                K_DRAINED
-            }
-            Msg::CheckpointDone { seq } => {
-                w.u64(*seq);
-                K_CHECKPOINT_DONE
-            }
-            Msg::ShuttingDown => K_SHUTTING_DOWN,
-            Msg::ServerStats(s) => {
-                w.u64(s.seq);
-                w.u32(s.live_queries);
-                w.u32(s.slots);
-                w.u32(s.subscribers);
-                w.u32(s.labels);
-                w.u64(s.results_pushed);
-                w.u64(s.results_dropped);
-                w.u32(s.workers);
-                w.u64(s.eval_ns);
-                w.u64(s.delta_nodes_live);
-                w.u64(s.delta_capacity);
-                w.u64(s.compactions);
-                w.u32(s.worker_ns.len() as u32);
-                for &(eval, expiry) in &s.worker_ns {
-                    w.u64(eval);
-                    w.u64(expiry);
-                }
-                w.u32(s.groups_live);
-                K_SERVER_STATS
-            }
-            Msg::Error { msg } => {
-                w.str(msg);
-                K_ERROR
-            }
-            Msg::MetricsText { text } => {
-                w.str(text);
-                K_METRICS_TEXT
-            }
-            Msg::EventList { events, dropped } => {
-                w.u64(*dropped);
-                w.u32(events.len() as u32);
-                for ev in events {
-                    w.u64(ev.seq);
-                    w.u64(ev.unix_ms);
-                    w.u8(ev.kind);
-                    w.str(&ev.detail);
-                }
-                K_EVENT_LIST
-            }
-            Msg::TraceList { spans } => {
-                w.u32(spans.len() as u32);
-                for s in spans {
-                    w.u64(s.trace_id);
-                    w.u64(s.span_id);
-                    w.u64(s.parent);
-                    w.str(&s.name);
-                    w.u64(s.start_us);
-                    w.u64(s.dur_us);
-                    w.str(&s.thread);
-                    w.str(&s.detail);
-                }
-                K_TRACE_LIST
-            }
-            Msg::ExplainReport(x) => {
-                w.u32(x.id);
-                w.str(&x.name);
-                w.str(&x.regex);
-                w.u8(x.simple as u8);
-                w.u32(x.dfa_states);
-                w.u32(x.dfa_start);
-                w.u32(x.dfa_accepting.len() as u32);
-                for s in &x.dfa_accepting {
-                    w.u32(*s);
-                }
-                w.u32(x.labels.len() as u32);
-                for l in &x.labels {
-                    w.str(&l.name);
-                    w.u32(l.transitions);
-                    w.u32(l.sharing_queries);
-                }
-                w.u64(x.delta_trees);
-                w.u64(x.delta_nodes);
-                w.u64(x.delta_slots);
-                w.u64(x.delta_arena_bytes);
-                w.u64(x.compactions);
-                w.u32(x.nodes_per_state.len() as u32);
-                for &(state, n) in &x.nodes_per_state {
-                    w.u32(state);
-                    w.u64(n);
-                }
-                w.u32(x.depth_hist.len() as u32);
-                for d in &x.depth_hist {
-                    w.u64(*d);
-                }
-                w.u64(x.tuples_routed);
-                w.u64(x.eval_ns);
-                w.u64(x.expiry_ns);
-                w.u64(x.total_eval_ns);
-                w.u64(x.results_emitted);
-                w.u32(x.group);
-                w.u64(x.signature_hash);
-                strings(&mut w, &x.co_subscribers);
-                K_EXPLAIN_REPORT
-            }
-        };
-        (kind, w.into_bytes())
+        let mut w = Writer::new();
+        self.put_body(&mut w);
+        (self.kind(), w.into_bytes())
     }
 
     /// Decodes a message from a frame `(kind, payload)`. Errors on
     /// unknown kinds, malformed bodies, and trailing bytes.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, String> {
-        let mut r = ByteReader::new(payload);
-        let e = |x: srpq_persist::PersistError| x.to_string();
-        let msg = match kind {
-            K_HELLO => Msg::Hello {
-                proto: r.u32().map_err(e)? as u16,
-            },
-            K_MAP_LABELS => Msg::MapLabels {
-                names: read_strings(&mut r)?,
-            },
-            K_INGEST => {
-                let tuples = wire::decode_stream(payload)
-                    .ok_or_else(|| "malformed tuple batch".to_string())?;
-                return Ok(Msg::Ingest { tuples });
-            }
-            K_ADD_QUERY => Msg::AddQuery {
-                name: r.str().map_err(e)?,
-                regex: r.str().map_err(e)?,
-                simple: r.u8().map_err(e)? != 0,
-                backfill: r.u8().map_err(e)? != 0,
-            },
-            K_REMOVE_QUERY => Msg::RemoveQuery {
-                name: r.str().map_err(e)?,
-            },
-            K_LIST_QUERIES => Msg::ListQueries,
-            K_SUBSCRIBE => Msg::Subscribe {
-                queries: read_strings(&mut r)?,
-                policy: SubPolicy::from_u8(r.u8().map_err(e)?)?,
-                capacity: r.u32().map_err(e)?,
-            },
-            K_DRAIN => Msg::Drain,
-            K_CHECKPOINT => Msg::Checkpoint,
-            K_SHUTDOWN => Msg::Shutdown,
-            K_STATS => Msg::Stats,
-            K_METRICS => Msg::Metrics,
-            K_EVENTS => Msg::Events {
-                since: r.u64().map_err(e)?,
-            },
-            K_TRACE => Msg::Trace,
-            K_EXPLAIN => Msg::Explain {
-                name: r.str().map_err(e)?,
-            },
-            K_HELLO_ACK => Msg::HelloAck {
-                proto: r.u32().map_err(e)? as u16,
-                seq: r.u64().map_err(e)?,
-                durable: r.u8().map_err(e)? != 0,
-            },
-            K_LABEL_IDS => {
-                let n = r.count(4).map_err(e)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.u32().map_err(e)?);
-                }
-                Msg::LabelIds { ids }
-            }
-            K_INGEST_ACK => Msg::IngestAck {
-                seq: r.u64().map_err(e)?,
-                durable: r.u8().map_err(e)? != 0,
-            },
-            K_QUERY_ADDED => Msg::QueryAdded {
-                id: r.u32().map_err(e)?,
-            },
-            K_QUERY_REMOVED => Msg::QueryRemoved {
-                id: r.u32().map_err(e)?,
-            },
-            K_QUERY_LIST => {
-                let n = r.count(10).map_err(e)?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queries.push(QueryInfo {
-                        id: r.u32().map_err(e)?,
-                        name: r.str().map_err(e)?,
-                        regex: r.str().map_err(e)?,
-                        simple: r.u8().map_err(e)? != 0,
-                        tuples_routed: r.u64().map_err(e)?,
-                        results_emitted: r.u64().map_err(e)?,
-                        eval_ns: r.u64().map_err(e)?,
-                        group: r.u32().map_err(e)?,
-                    });
-                }
-                Msg::QueryList { queries }
-            }
-            K_SUB_ACK => Msg::SubAck {
-                matched: r.u32().map_err(e)?,
-            },
-            K_RESULTS => {
-                let n = r.count(21).map_err(e)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(ResultEntry {
-                        query: r.u32().map_err(e)?,
-                        invalidated: r.u8().map_err(e)? != 0,
-                        src: r.u32().map_err(e)?,
-                        dst: r.u32().map_err(e)?,
-                        ts: r.i64().map_err(e)?,
-                    });
-                }
-                Msg::Results { entries }
-            }
-            K_DROPPED => Msg::Dropped {
-                count: r.u64().map_err(e)?,
-            },
-            K_DRAINED => Msg::Drained {
-                seq: r.u64().map_err(e)?,
-            },
-            K_CHECKPOINT_DONE => Msg::CheckpointDone {
-                seq: r.u64().map_err(e)?,
-            },
-            K_SHUTTING_DOWN => Msg::ShuttingDown,
-            K_SERVER_STATS => {
-                let mut s = StatsSnapshot {
-                    seq: r.u64().map_err(e)?,
-                    live_queries: r.u32().map_err(e)?,
-                    slots: r.u32().map_err(e)?,
-                    subscribers: r.u32().map_err(e)?,
-                    labels: r.u32().map_err(e)?,
-                    results_pushed: r.u64().map_err(e)?,
-                    results_dropped: r.u64().map_err(e)?,
-                    workers: r.u32().map_err(e)?,
-                    eval_ns: r.u64().map_err(e)?,
-                    delta_nodes_live: r.u64().map_err(e)?,
-                    delta_capacity: r.u64().map_err(e)?,
-                    compactions: r.u64().map_err(e)?,
-                    worker_ns: Vec::new(),
-                    groups_live: 0,
-                };
-                let n = r.count(16).map_err(e)?;
-                s.worker_ns.reserve(n);
-                for _ in 0..n {
-                    s.worker_ns.push((r.u64().map_err(e)?, r.u64().map_err(e)?));
-                }
-                s.groups_live = r.u32().map_err(e)?;
-                Msg::ServerStats(s)
-            }
-            K_ERROR => Msg::Error {
-                msg: r.str().map_err(e)?,
-            },
-            K_METRICS_TEXT => Msg::MetricsText {
-                text: r.str().map_err(e)?,
-            },
-            K_EVENT_LIST => {
-                let dropped = r.u64().map_err(e)?;
-                let n = r.count(21).map_err(e)?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(EventWire {
-                        seq: r.u64().map_err(e)?,
-                        unix_ms: r.u64().map_err(e)?,
-                        kind: r.u8().map_err(e)?,
-                        detail: r.str().map_err(e)?,
-                    });
-                }
-                Msg::EventList { events, dropped }
-            }
-            K_TRACE_LIST => {
-                let n = r.count(48).map_err(e)?;
-                let mut spans = Vec::with_capacity(n);
-                for _ in 0..n {
-                    spans.push(SpanWire {
-                        trace_id: r.u64().map_err(e)?,
-                        span_id: r.u64().map_err(e)?,
-                        parent: r.u64().map_err(e)?,
-                        name: r.str().map_err(e)?,
-                        start_us: r.u64().map_err(e)?,
-                        dur_us: r.u64().map_err(e)?,
-                        thread: r.str().map_err(e)?,
-                        detail: r.str().map_err(e)?,
-                    });
-                }
-                Msg::TraceList { spans }
-            }
-            K_EXPLAIN_REPORT => {
-                let mut x = ExplainWire {
-                    id: r.u32().map_err(e)?,
-                    name: r.str().map_err(e)?,
-                    regex: r.str().map_err(e)?,
-                    simple: r.u8().map_err(e)? != 0,
-                    dfa_states: r.u32().map_err(e)?,
-                    dfa_start: r.u32().map_err(e)?,
-                    ..ExplainWire::default()
-                };
-                let n = r.count(4).map_err(e)?;
-                x.dfa_accepting.reserve(n);
-                for _ in 0..n {
-                    x.dfa_accepting.push(r.u32().map_err(e)?);
-                }
-                let n = r.count(12).map_err(e)?;
-                x.labels.reserve(n);
-                for _ in 0..n {
-                    x.labels.push(LabelRoute {
-                        name: r.str().map_err(e)?,
-                        transitions: r.u32().map_err(e)?,
-                        sharing_queries: r.u32().map_err(e)?,
-                    });
-                }
-                x.delta_trees = r.u64().map_err(e)?;
-                x.delta_nodes = r.u64().map_err(e)?;
-                x.delta_slots = r.u64().map_err(e)?;
-                x.delta_arena_bytes = r.u64().map_err(e)?;
-                x.compactions = r.u64().map_err(e)?;
-                let n = r.count(12).map_err(e)?;
-                x.nodes_per_state.reserve(n);
-                for _ in 0..n {
-                    x.nodes_per_state
-                        .push((r.u32().map_err(e)?, r.u64().map_err(e)?));
-                }
-                let n = r.count(8).map_err(e)?;
-                x.depth_hist.reserve(n);
-                for _ in 0..n {
-                    x.depth_hist.push(r.u64().map_err(e)?);
-                }
-                x.tuples_routed = r.u64().map_err(e)?;
-                x.eval_ns = r.u64().map_err(e)?;
-                x.expiry_ns = r.u64().map_err(e)?;
-                x.total_eval_ns = r.u64().map_err(e)?;
-                x.results_emitted = r.u64().map_err(e)?;
-                x.group = r.u32().map_err(e)?;
-                x.signature_hash = r.u64().map_err(e)?;
-                x.co_subscribers = read_strings(&mut r)?;
-                Msg::ExplainReport(x)
-            }
-            other => return Err(format!("unknown message kind 0x{other:02x}")),
-        };
-        if !r.is_exhausted() {
-            return Err(format!(
-                "message kind 0x{kind:02x} has {} trailing bytes",
-                r.remaining()
-            ));
-        }
+    pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
+        let mut r = Reader::new(payload);
+        let msg = Msg::get_body(kind, &mut r)?;
+        r.finish()?;
         Ok(msg)
     }
 
-    /// Writes this message as one frame (no flush).
+    /// Writes this message as one frame (no flush): header, body and
+    /// checksum are laid out in one buffer.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let (kind, payload) = self.encode();
-        frame::write_frame(w, kind, &payload)
+        frame::write_frame(w, self.kind(), |body| self.put_body(body))
     }
 
     /// Reads one message; `Ok(None)` on clean EOF between frames.
@@ -1270,6 +857,7 @@ mod tests {
         payload.push(0);
         assert!(Msg::decode(kind, &payload)
             .unwrap_err()
+            .to_string()
             .contains("trailing"));
     }
 }

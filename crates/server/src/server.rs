@@ -171,10 +171,7 @@ impl ServerHandle {
     /// waits for the server to exit. Idempotent with a client-issued
     /// `Shutdown` racing it.
     pub fn shutdown(mut self) {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.cmd_tx.send(Cmd::Shutdown { reply: reply_tx }).is_ok() {
-            let _ = reply_rx.recv();
-        }
+        let _ = roundtrip(&self.cmd_tx, Msg::Shutdown, None, None);
         self.stop_accepting();
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
@@ -330,13 +327,22 @@ pub fn accept_session(listener: &TcpListener) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Sends one command and waits for the engine's reply. `None` means the
+/// Sends one request and waits for the engine's reply. `None` means the
 /// engine is gone (shutdown).
-fn roundtrip(cmd_tx: &SyncSender<Cmd>, make: impl FnOnce(mpsc::Sender<Msg>) -> Cmd) -> Option<Msg> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if cmd_tx.send(make(reply_tx)).is_err() {
-        return None;
-    }
+fn roundtrip(
+    cmd_tx: &SyncSender<Cmd>,
+    msg: Msg,
+    stamp: Option<BatchStamp>,
+    push: Option<(SyncSender<Push>, Arc<AtomicU64>)>,
+) -> Option<Msg> {
+    let (reply, reply_rx) = mpsc::channel();
+    let cmd = Cmd {
+        msg,
+        reply,
+        stamp,
+        push,
+    };
+    cmd_tx.send(cmd).ok()?;
     reply_rx.recv().ok()
 }
 
@@ -350,19 +356,10 @@ fn run_session(
     let mut writer = BufWriter::new(stream);
     while let Some((msg, decode_ns)) = Msg::read_from_timed(&mut reader)? {
         let reply = match msg {
-            Msg::Hello { proto } => {
-                if proto != PROTO_VERSION {
-                    Some(Msg::Error {
-                        msg: format!(
-                            "protocol mismatch: client speaks v{proto}, server v{PROTO_VERSION}"
-                        ),
-                    })
-                } else {
-                    roundtrip(&cmd_tx, |reply| Cmd::Hello { reply })
-                }
-            }
-            Msg::MapLabels { names } => roundtrip(&cmd_tx, |reply| Cmd::MapLabels { names, reply }),
-            Msg::Ingest { tuples } => {
+            Msg::Hello { proto } if proto != PROTO_VERSION => Some(Msg::Error {
+                msg: format!("protocol mismatch: client speaks v{proto}, server v{PROTO_VERSION}"),
+            }),
+            Msg::Ingest { ref tuples } => {
                 ctx.decode_hist.record(decode_ns);
                 let stamp = ctx.stamp();
                 if let Some(BatchStamp {
@@ -389,11 +386,7 @@ fn run_session(
                         format!("tuples={}", tuples.len()),
                     );
                 }
-                let reply = roundtrip(&cmd_tx, |reply| Cmd::Ingest {
-                    tuples,
-                    stamp,
-                    reply,
-                });
+                let reply = roundtrip(&cmd_tx, msg, stamp, None);
                 if let Some(BatchStamp {
                     t0,
                     trace: Some((trace_id, root)),
@@ -413,27 +406,6 @@ fn run_session(
                 }
                 reply
             }
-            Msg::AddQuery {
-                name,
-                regex,
-                simple,
-                backfill,
-            } => roundtrip(&cmd_tx, |reply| Cmd::AddQuery {
-                name,
-                regex,
-                simple,
-                backfill,
-                reply,
-            }),
-            Msg::RemoveQuery { name } => {
-                roundtrip(&cmd_tx, |reply| Cmd::RemoveQuery { name, reply })
-            }
-            Msg::ListQueries => roundtrip(&cmd_tx, |reply| Cmd::ListQueries { reply }),
-            Msg::Drain => roundtrip(&cmd_tx, |reply| Cmd::Drain { reply }),
-            Msg::Checkpoint => roundtrip(&cmd_tx, |reply| Cmd::Checkpoint { reply }),
-            Msg::Stats => roundtrip(&cmd_tx, |reply| Cmd::Stats { reply }),
-            Msg::Metrics => roundtrip(&cmd_tx, |reply| Cmd::Metrics { reply }),
-            Msg::Events { since } => roundtrip(&cmd_tx, |reply| Cmd::Events { since, reply }),
             // The trace buffer is process-shared; answer without a
             // trip through the engine thread.
             Msg::Trace => Some(Msg::TraceList {
@@ -454,13 +426,7 @@ fn run_session(
                     })
                     .collect(),
             }),
-            Msg::Explain { name } => roundtrip(&cmd_tx, |reply| Cmd::Explain { name, reply }),
-            Msg::Shutdown => roundtrip(&cmd_tx, |reply| Cmd::Shutdown { reply }),
-            Msg::Subscribe {
-                queries,
-                policy,
-                capacity,
-            } => {
+            Msg::Subscribe { capacity, .. } => {
                 let cap = if capacity == 0 {
                     DEFAULT_CAPACITY
                 } else {
@@ -468,14 +434,8 @@ fn run_session(
                 };
                 let (push_tx, push_rx) = mpsc::sync_channel::<Push>(cap);
                 let pending = Arc::new(AtomicU64::new(0));
-                let ack = roundtrip(&cmd_tx, |reply| Cmd::Subscribe {
-                    queries,
-                    policy,
-                    tx: push_tx,
-                    pending: Arc::clone(&pending),
-                    reply,
-                });
-                match ack {
+                let push = Some((push_tx, Arc::clone(&pending)));
+                match roundtrip(&cmd_tx, msg, None, push) {
                     Some(ack) => {
                         ack.write_to(&mut writer)?;
                         writer.flush()?;
@@ -498,10 +458,9 @@ fn run_session(
                     }),
                 }
             }
-            // Server-to-client message kinds are not valid requests.
-            other => Some(Msg::Error {
-                msg: format!("unexpected message {other:?} on a request session"),
-            }),
+            // Everything else goes to the engine as it arrived; it
+            // refuses server-to-client kinds.
+            other => roundtrip(&cmd_tx, other, None, None),
         };
         match reply {
             Some(reply) => {
