@@ -3,7 +3,7 @@
 
 use super::snapshot::{SnapshotExt, TreeSnap};
 use super::{Tree, TreeSemantics};
-use srpq_common::{FxHashMap, StateId, VertexId};
+use srpq_common::{FxHashMap, StateId, Timestamp, VertexId};
 
 /// The reverse index of Δ: which trees contain a given vertex, plus the
 /// global node count (Figure 5's "# of nodes"). Shared verbatim by both
@@ -167,11 +167,20 @@ impl<X: TreeSemantics> Forest<X> {
         self.trees.keys().copied().collect()
     }
 
-    /// Clears `out` and fills it with the roots of all trees
-    /// (allocation-free variant for per-slide expiry sweeps).
-    pub fn collect_roots(&self, out: &mut Vec<VertexId>) {
+    /// Clears `out` and fills it with the roots of the trees an expiry
+    /// sweep at `watermark` must visit, in map order: those whose
+    /// [`Tree::min_ts`] bound is at or below it (anything else would
+    /// scan its timestamp column and find nothing) and the root-only
+    /// ones ([`Forest::drop_if_trivial`] drops them). Allocation-free
+    /// once `out` has warmed.
+    pub fn collect_due_roots(&self, watermark: Timestamp, out: &mut Vec<VertexId>) {
         out.clear();
-        out.extend(self.trees.keys().copied());
+        out.extend(
+            self.trees
+                .iter()
+                .filter(|(_, t)| t.min_ts() <= watermark || t.is_trivial())
+                .map(|(&root, _)| root),
+        );
     }
 
     /// Total arena slots (live + free-listed) over all trees.

@@ -24,7 +24,9 @@
 //!   ([`Tree::maybe_compact`]), and path queries;
 //! * [`Forest`]`<X>` — the Δ index: all trees plus the [`RevIndex`]
 //!   mapping vertices to the trees containing them (what bounds
-//!   per-tuple work by the number of *relevant* trees);
+//!   per-tuple work by the number of *relevant* trees), and the due-tree
+//!   filter that bounds per-slide work by the trees with something to
+//!   expire;
 //! * [`Unique`] — the RAPQ instantiation: enforces (and exposes a keyed
 //!   API around) the one-occurrence invariant of Lemma 1;
 //! * [`Markings`](crate::rspq::markings::Markings) — the RSPQ
@@ -55,6 +57,16 @@
 //!    semantics extension ([`TreeSemantics::on_compact`]) are remapped
 //!    together, so observable behaviour (and therefore recovery
 //!    equivalence) is unchanged.
+//! 4. **Expiry bound**: [`Tree::min_ts`] is at most the timestamp of
+//!    every live non-root node. Every timestamp write lowers it
+//!    (`add_child`, `reparent`, `set_ts`, and `set_subtree_ts` — which
+//!    covers Delete's `-∞` stamp); the two fused expiry sweeps recompute
+//!    it exactly over their survivors; `new`, `reset_root` and
+//!    `from_snapshot` set it; removals and compaction keep it valid.
+//!    It is derived state, never persisted. [`Forest::collect_due_roots`]
+//!    skips every non-trivial tree whose bound lies above the
+//!    watermark — by the invariant, its sweep would remove nothing —
+//!    and [`Tree::validate`] checks the bound.
 
 mod forest;
 mod snapshot;

@@ -31,6 +31,7 @@ fn new_tree_has_immortal_root() {
     assert!(t.is_trivial());
     assert!(!t.is_empty());
     assert_eq!(t.ts((v(0), s(0))), Some(Timestamp::INFINITY));
+    assert_eq!(t.min_ts(), Timestamp::INFINITY);
     let mut expired = Vec::new();
     t.collect_expired_keys(Timestamp(i64::MAX - 1), &mut expired);
     assert!(expired.is_empty());
@@ -91,6 +92,14 @@ fn reparent_moves_subtree() {
     t.reparent_key((v(3), s(2)), (v(2), s(1)), l(1), Timestamp(7));
     assert_eq!(t.parent_key((v(3), s(2))), Some((v(2), s(1))));
     t.validate().unwrap();
+    // A refresh never raises the expiry bound ((v1,s1)@2 still holds
+    // it); the fused sweep makes it exact over the survivors.
+    assert_eq!(t.min_ts(), Timestamp(2));
+    let mut expired = Vec::new();
+    t.remove_expired_keys(Timestamp(2), &mut expired);
+    assert_eq!(expired, vec![(v(1), s(1))]);
+    assert_eq!(t.min_ts(), Timestamp(7));
+    t.validate().unwrap();
 }
 
 #[test]
@@ -139,6 +148,10 @@ fn set_subtree_ts_marks_whole_subtree() {
     assert_eq!(t.ts((v(1), s(1))), Some(Timestamp::NEG_INFINITY));
     assert_eq!(t.ts((v(2), s(2))), Some(Timestamp::NEG_INFINITY));
     assert_eq!(t.ts((v(3), s(1))), Some(Timestamp(5)));
+    // Delete's stamp lowers the expiry bound, so the sweep that
+    // follows it visits this tree at any watermark.
+    assert_eq!(t.min_ts(), Timestamp::NEG_INFINITY);
+    t.validate().unwrap();
 }
 
 // ---------------------------------------------------------------------

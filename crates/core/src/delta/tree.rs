@@ -16,7 +16,11 @@
 //! it without a liveness branch (the root is immortal for the same
 //! reason: its timestamp is `INFINITY` per Definition 9, under which a
 //! node's timestamp is the minimum edge timestamp along its root
-//! path). Long-running windows are defragmented by [`Tree::maybe_compact`],
+//! path). Beside the column, each tree keeps [`Tree::min_ts`], a lower
+//! bound on every live non-root timestamp: writes lower it, the fused
+//! expiry sweeps recompute it exactly, so an expiry pass can skip a
+//! tree whose bound lies above the watermark without scanning it.
+//! Long-running windows are defragmented by [`Tree::maybe_compact`],
 //! which packs live slots to the front (preserving relative slot
 //! order), remaps every link and the occurrence index, and hands the
 //! remap table to the semantics extension.
@@ -152,6 +156,12 @@ pub struct Tree<X: TreeSemantics> {
     /// Dead slots hold `Timestamp::INFINITY` so the scan needs no
     /// liveness branch.
     ts: Vec<Timestamp>,
+    /// Lower bound on `ts` over every live non-root node (`INFINITY`
+    /// when there is none). Lowered by every timestamp write
+    /// (`add_child`, `reparent`, `set_ts`, `set_subtree_ts`), recomputed
+    /// exactly by the fused sweeps, set by `new` / `reset_root` /
+    /// `from_snapshot`; removals and compaction leave it a valid bound.
+    min_ts: Timestamp,
     // Intrusive tree links (children = singly-walked doubly-linked
     // sibling chain; `prev_sib` buys O(1) unlink).
     first_child: Vec<NodeId>,
@@ -180,6 +190,7 @@ impl<X: TreeSemantics> Tree<X> {
             parent: vec![NIL],
             via_label: vec![Label(u32::MAX)],
             ts: vec![Timestamp::INFINITY],
+            min_ts: Timestamp::INFINITY,
             first_child: vec![NIL],
             next_sib: vec![NIL],
             prev_sib: vec![NIL],
@@ -203,6 +214,7 @@ impl<X: TreeSemantics> Tree<X> {
         self.parent.clear();
         self.via_label.clear();
         self.ts.clear();
+        self.min_ts = Timestamp::INFINITY;
         self.first_child.clear();
         self.next_sib.clear();
         self.prev_sib.clear();
@@ -254,6 +266,15 @@ impl<X: TreeSemantics> Tree<X> {
     /// Whether only the root remains.
     pub fn is_trivial(&self) -> bool {
         self.len == 1
+    }
+
+    /// A lower bound on the timestamp of every live non-root node
+    /// (`Timestamp::INFINITY` for a fresh tree). Exact right after an
+    /// expiry sweep; an expiry pass at a watermark below it would
+    /// remove nothing.
+    #[inline]
+    pub fn min_ts(&self) -> Timestamp {
+        self.min_ts
     }
 
     /// Number of arena slots (live + free-listed).
@@ -474,6 +495,7 @@ impl<X: TreeSemantics> Tree<X> {
             }
         };
         self.link_under(parent, id);
+        self.min_ts = self.min_ts.min(ts);
         let first = match self.occurrences.entry((vertex, state)) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(OccSet::One(id));
@@ -498,6 +520,7 @@ impl<X: TreeSemantics> Tree<X> {
         assert!(self.live(new_parent as usize), "new parent must be alive");
         self.via_label[i] = via_label;
         self.ts[i] = ts;
+        self.min_ts = self.min_ts.min(ts);
         let old = self.parent[i];
         if old == new_parent || old == NIL {
             return;
@@ -511,6 +534,7 @@ impl<X: TreeSemantics> Tree<X> {
     pub fn set_ts(&mut self, id: NodeId, ts: Timestamp) {
         assert!(self.live(id as usize), "node must be alive");
         self.ts[id as usize] = ts;
+        self.min_ts = self.min_ts.min(ts);
     }
 
     /// Removes the node at `id`, if alive. Cleans the occurrence index,
@@ -597,6 +621,7 @@ impl<X: TreeSemantics> Tree<X> {
         if !self.live(id as usize) {
             return;
         }
+        self.min_ts = self.min_ts.min(ts);
         let mut cur = id;
         loop {
             self.ts[cur as usize] = ts;
@@ -652,30 +677,40 @@ impl<X: TreeSemantics> Tree<X> {
     /// [`Tree::collect_expired_keys`] followed by per-key removal, but
     /// one threshold scan over the contiguous `ts` column — no
     /// occurrence-map probe to resolve each key back to its id, and no
-    /// sibling unlinking inside subtrees that die wholesale.
+    /// sibling unlinking inside subtrees that die wholesale. The same
+    /// pass leaves [`Tree::min_ts`] exact: the minimum over survivors.
     pub fn remove_expired_keys(&mut self, watermark: Timestamp, out: &mut Vec<PairKey>) {
         out.clear();
+        let mut min_ts = Timestamp::INFINITY;
         for i in 0..self.ts.len() {
-            if self.ts[i] <= watermark {
+            let ts = self.ts[i];
+            if ts <= watermark {
                 out.push((self.vertex[i], self.state[i]));
                 self.remove_swept(i as NodeId, watermark);
+            } else {
+                min_ts = min_ts.min(ts);
             }
         }
+        self.min_ts = min_ts;
     }
 
     /// Like [`Tree::remove_expired_keys`] but records, per removed
     /// node, its parent id when that parent **survives** the sweep
     /// (`None` when the parent is swept away too) — exactly the
     /// information Algorithm RSPQ's re-marking pass needs, captured
-    /// here so the engine needs no pre-removal snapshot pass.
+    /// here so the engine needs no pre-removal snapshot pass. Leaves
+    /// [`Tree::min_ts`] exact, as that sweep does.
     pub fn remove_expired_with_parents(
         &mut self,
         watermark: Timestamp,
         out: &mut Vec<(PairKey, Option<NodeId>)>,
     ) {
         out.clear();
+        let mut min_ts = Timestamp::INFINITY;
         for i in 0..self.ts.len() {
-            if self.ts[i] > watermark {
+            let ts = self.ts[i];
+            if ts > watermark {
+                min_ts = min_ts.min(ts);
                 continue;
             }
             let p = self.parent[i];
@@ -683,6 +718,7 @@ impl<X: TreeSemantics> Tree<X> {
             out.push(((self.vertex[i], self.state[i]), parent));
             self.remove_swept(i as NodeId, watermark);
         }
+        self.min_ts = min_ts;
     }
 
     /// Whether the node in slot `id` outlives a sweep at `watermark`:
@@ -932,6 +968,12 @@ impl<X: TreeSemantics> Tree<X> {
                         self.ts[p as usize], self.ts[i]
                     ));
                 }
+                if self.ts[i] < self.min_ts {
+                    return Err(format!(
+                        "timestamp bound {} above node {id}@{}",
+                        self.min_ts, self.ts[i]
+                    ));
+                }
                 let prev = self.prev_sib[i];
                 if prev == NIL {
                     if self.first_child[p as usize] != id {
@@ -1147,6 +1189,9 @@ impl<X: SnapshotExt> Tree<X> {
             state,
             parent,
             via_label,
+            // The root and dead slots hold `INFINITY`, so the column
+            // minimum is the exact bound of a well-formed snapshot.
+            min_ts: ts.iter().copied().min().unwrap_or(Timestamp::INFINITY),
             ts,
             first_child,
             next_sib,

@@ -8,7 +8,7 @@
 //! semantics exactly once — the registered query, the configuration,
 //! the (owned) window graph, the reported-result set, the stream clock,
 //! the statistics, the slide-crossing check, the expiry metering and
-//! the *for each tree: expire, drop if trivial, refresh the gauges*
+//! the *for each due tree: expire, drop if trivial, refresh the gauges*
 //! loop. What the paper actually varies is reached through three
 //! per-tree procedures, implemented in `rapq/` (§3) and `rspq/` (§4):
 //!
@@ -20,10 +20,12 @@
 //!
 //! The shell calls `expire_tree` right after a `sever_edge` that found
 //! a victim (§3.2: deletions reuse the expiry machinery, invalidations
-//! on) and for every tree when a slide boundary is crossed
-//! (invalidations off — implicit windows keep results monotone). The
-//! semantics are matched on once per tuple and once per expiry pass;
-//! everything below those two points is monomorphic.
+//! on) and, when a slide boundary is crossed, for every tree whose
+//! timestamp bound is at or below the watermark (invalidations off —
+//! implicit windows keep results monotone); the other trees have
+//! nothing to expire and are not visited. The semantics are matched on
+//! once per tuple and once per expiry pass; everything below those two
+//! points is monomorphic.
 //!
 //! The second dimension of the paper's design space — append-only vs
 //! explicit deletions — needs no dispatch at all: both semantics handle
@@ -67,6 +69,10 @@ pub struct Engine {
     /// Scratch: the per-tree compaction remap table.
     compact_scratch: Vec<NodeId>,
     delta: Delta,
+    /// Every root an expiry sweep ran `expire_tree` on, in visit order
+    /// (tests count sweep work with it; never persisted).
+    #[cfg(test)]
+    swept: Vec<VertexId>,
 }
 
 /// The Δ index under either semantics — the forest plus the scratch
@@ -151,6 +157,8 @@ impl Engine {
                 PathSemantics::Arbitrary => Delta::Arbitrary(Rapq::new()),
                 PathSemantics::Simple => Delta::Simple(Rspq::new()),
             },
+            #[cfg(test)]
+            swept: Vec::new(),
         }
     }
 
@@ -484,9 +492,12 @@ impl Engine {
     }
 
     /// The Δ-only part of a window-expiry pass, over a borrowed
-    /// (possibly shared) graph: every tree is expired at `wm`,
-    /// reconnecting what surviving window edges still reach; trees
-    /// reduced to their root are dropped.
+    /// (possibly shared) graph: every tree whose timestamp bound is at
+    /// or below `wm` is expired, reconnecting what surviving window
+    /// edges still reach; trees reduced to their root — and trees that
+    /// never grew past it — are dropped. Any other tree is skipped: its
+    /// expiry would remove nothing and return before reconnection and
+    /// compaction, so the pass is unchanged but for the work.
     fn expire_delta<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
@@ -499,7 +510,7 @@ impl Engine {
             cx: &mut TreeCx<'_, S>,
             roots: &mut Vec<VertexId>,
         ) {
-            plug.forest().collect_roots(roots);
+            plug.forest().collect_due_roots(cx.wm, roots);
             for &root in roots.iter() {
                 plug.expire_tree(cx, root, false);
                 plug.forest_mut().drop_if_trivial(root);
@@ -511,6 +522,8 @@ impl Engine {
             Delta::Arbitrary(p) => sweep(p, &mut cx, roots),
             Delta::Simple(p) => sweep(p, &mut cx, roots),
         }
+        #[cfg(test)]
+        self.swept.extend_from_slice(&self.roots_scratch);
     }
 
     /// Splits the shell into the Δ index, the roots scratch, and the
@@ -768,6 +781,101 @@ mod tests {
             // T_far adds two nodes, q's removal takes one away.
             assert_eq!(engine.index_size().nodes, before + 2 - 1, "{semantics:?}");
             assert_eq!(engine.stats().nodes_expired, 1, "{semantics:?}");
+        }
+    }
+
+    #[test]
+    fn sweeps_visit_only_trees_with_an_expired_node() {
+        // K disjoint two-node `a+` trees r_i →a c_i, edge timestamps
+        // spread over the window (|W| = 128, β = 32). The slides crossed
+        // while the trees are built expire nothing, so they visit no
+        // tree; the slide at t = 160 (lazy watermark 32) visits exactly
+        // the trees holding a node at or below 32 — not all K.
+        const K: u32 = 64;
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let mut labels = LabelInterner::new();
+            let mut engine =
+                Engine::from_str("a+", &mut labels, WindowPolicy::new(128, 32), semantics).unwrap();
+            let a = labels.get("a").unwrap();
+            let mut sink = CollectSink::default();
+            for i in 0..K {
+                let (r, c) = (VertexId(2 * i), VertexId(2 * i + 1));
+                let t = StreamTuple::insert(Timestamp(i64::from(2 * i)), r, c, a);
+                engine.process(t, &mut sink);
+            }
+            assert_eq!(engine.index_size().trees, K as usize, "{semantics:?}");
+            assert!(engine.stats().expiry_runs >= 3, "{semantics:?}");
+            assert_eq!(engine.swept, [], "{semantics:?}: nothing was due");
+
+            let now = Timestamp(160);
+            let wm = engine.config().window.lazy_watermark(now);
+            let mut due: Vec<VertexId> = engine
+                .delta_snapshot()
+                .into_iter()
+                .filter(|t| t.nodes.iter().any(|n| n.ts <= wm))
+                .map(|t| t.root)
+                .collect();
+            assert_eq!(due.len(), 17, "{semantics:?}: edges at ts 0, 2, …, 32");
+            let far = StreamTuple::insert(now, VertexId(1000), VertexId(1001), a);
+            engine.process(far, &mut sink);
+            engine.swept.sort_unstable();
+            due.sort_unstable();
+            assert_eq!(engine.swept, due, "{semantics:?}");
+            assert_eq!(engine.stats().nodes_expired, 17, "{semantics:?}");
+            let trees = engine.index_size().trees;
+            assert_eq!(trees, (K - 17 + 1) as usize, "{semantics:?}");
+            engine.validate_delta().unwrap();
+        }
+    }
+
+    #[test]
+    fn trivial_trees_are_dropped_at_the_next_sweep() {
+        // Two ways a tree stays root-only, both under `a*` (|W| = 10,
+        // β = 5): a self-loop x →a x, whose child key is the root key,
+        // and a late tuple u →a v at or below the eager watermark, whose
+        // child is already expired. Neither tree holds a node the sweep
+        // could expire, yet the next slide must drop both exactly as a
+        // full sweep would: the engine then matches a fresh one fed the
+        // stream without them. Also across a `Full` snapshot restore
+        // taken between the seeding and the slide.
+        let [p, q, r, s, x, u, v, y, z] = [0, 1, 2, 3, 4, 5, 6, 7, 8].map(VertexId);
+        let base = [(1, p, q), (2, q, r), (12, r, s)];
+        let seeds = [(13, x, x), (3, u, v)];
+        let slide = (16, y, z);
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            for restore in [false, true] {
+                let mut labels = LabelInterner::new();
+                let window = WindowPolicy::new(10, 5);
+                let mut fresh = Engine::from_str("a*", &mut labels, window, semantics).unwrap();
+                let mut engine = Engine::from_str("a*", &mut labels, window, semantics).unwrap();
+                let a = labels.get("a").unwrap();
+                let mut sink = CollectSink::default();
+                let mut feed = |e: &mut Engine, (ts, src, dst): (i64, VertexId, VertexId)| {
+                    e.process(StreamTuple::insert(Timestamp(ts), src, dst, a), &mut sink);
+                };
+                for t in base {
+                    feed(&mut fresh, t);
+                    feed(&mut engine, t);
+                }
+                for t in seeds {
+                    feed(&mut engine, t);
+                }
+                let label = format!("{semantics:?}, restore {restore}");
+                let seeded = engine.index_size().trees;
+                assert_eq!(seeded, fresh.index_size().trees + 2, "{label}");
+                if restore {
+                    engine.restore_delta(engine.delta_snapshot()).unwrap();
+                }
+                feed(&mut fresh, slide);
+                feed(&mut engine, slide);
+                assert_eq!(
+                    engine.index_size().trees,
+                    fresh.index_size().trees,
+                    "{label}"
+                );
+                assert_eq!(engine.delta_snapshot(), fresh.delta_snapshot(), "{label}");
+                engine.validate_delta().unwrap();
+            }
         }
     }
 }
