@@ -14,7 +14,7 @@ use std::time::Duration;
 fn main() {
     let scale = scale_from_args();
     println!("# Figure 5: Δ index size on the SO graph (scale {scale})");
-    println!("query,final_trees,final_nodes,peak_nodes,arena_bytes,bytes_per_node,throughput_eps");
+    println!("query,final_trees,final_nodes,peak_nodes,arena_bytes,bytes_per_node,result_bytes,throughput_eps");
     let ds = build_dataset(DatasetKind::So, scale);
     let window = default_window(DatasetKind::So, &ds);
     for (qname, expr) in queries_for(DatasetKind::So) {
@@ -22,12 +22,13 @@ fn main() {
         let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(120));
         let bytes_per_node = r.index.arena_bytes as f64 / (r.index.nodes.max(1)) as f64;
         println!(
-            "{qname},{},{},{},{},{:.1},{:.0}",
+            "{qname},{},{},{},{},{:.1},{},{:.0}",
             r.index.trees,
             r.index.nodes,
             r.peak_nodes,
             r.index.arena_bytes,
             bytes_per_node,
+            r.index.result_bytes,
             r.throughput()
         );
     }

@@ -634,6 +634,7 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
         ("index_trees", index.trees as u64),
         ("index_nodes", index.nodes as u64),
         ("index_arena_bytes", index.arena_bytes as u64),
+        ("index_result_bytes", index.result_bytes as u64),
         ("tuples_driven", outcome.processed as u64),
         ("tuples_relevant", outcome.relevant),
         ("results_live", host.engine().result_count() as u64),
@@ -724,6 +725,7 @@ fn print_summary(
         eprintln!("  delta_nodes_live     {}", stats.delta_nodes_live);
         eprintln!("  delta_capacity       {}", stats.delta_capacity);
         eprintln!("  compactions          {}", stats.compactions);
+        eprintln!("  index_result_bytes   {}", engine.result_bytes());
         eprintln!("  wal_bytes            {}", wal.wal_bytes);
         eprintln!("  wal_appends          {}", wal.wal_appends);
         eprintln!("  fsyncs               {}", wal.fsyncs);
@@ -804,6 +806,7 @@ mod tests {
             "tuples_processed",
             "results_emitted",
             "index_arena_bytes",
+            "index_result_bytes",
             "elapsed_ns",
             "latency_p99_ns",
         ] {

@@ -97,6 +97,14 @@ impl DenseBitSet {
         DenseBitSet { blocks: Vec::new() }
     }
 
+    /// Creates an empty set whose block array already spans bits
+    /// `0..=max`, allocated to exactly that size.
+    pub fn with_max(max: u32) -> DenseBitSet {
+        DenseBitSet {
+            blocks: Vec::with_capacity((max >> 6) as usize + 1),
+        }
+    }
+
     /// Inserts `bit`, growing on demand. Returns `true` when the bit
     /// was not yet set.
     #[inline]

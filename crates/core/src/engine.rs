@@ -34,11 +34,12 @@
 use crate::config::EngineConfig;
 use crate::delta::{Forest, NodeId, TreeSemantics, TreeSnap};
 use crate::rapq::Rapq;
+use crate::results::ResultSet;
 use crate::rspq::Rspq;
 use crate::sink::ResultSink;
 use crate::stats::{DeltaProfile, EngineStats, IndexSize};
 use srpq_automata::{CompiledQuery, Dfa, ParseError};
-use srpq_common::{FxHashSet, LabelInterner, Op, ResultPair, StreamTuple, Timestamp, VertexId};
+use srpq_common::{LabelInterner, Op, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
 
 /// Which path semantics a registered query evaluates under (§1).
@@ -60,8 +61,10 @@ pub struct Engine {
     /// tuples). Stays empty when a multi-query host drives the engine
     /// through the `*_with_graph` methods.
     graph: WindowGraph,
-    /// Deduplication set: pairs currently reported as results.
-    emitted: FxHashSet<ResultPair>,
+    /// Deduplication set: pairs ever reported, minus invalidations.
+    /// Window expiry removes none, so it grows with the distinct pairs
+    /// seen since the stream began.
+    emitted: ResultSet,
     now: Timestamp,
     stats: EngineStats,
     /// Scratch: roots of the trees one tuple or one expiry pass visits.
@@ -99,7 +102,7 @@ pub(crate) struct TreeCx<'a, S> {
     /// Validity watermark: nodes and edges at or below it are expired.
     pub wm: Timestamp,
     pub now: Timestamp,
-    pub emitted: &'a mut FxHashSet<ResultPair>,
+    pub emitted: &'a mut ResultSet,
     pub stats: &'a mut EngineStats,
     pub sink: &'a mut S,
     pub compact_scratch: &'a mut Vec<NodeId>,
@@ -148,7 +151,7 @@ impl Engine {
             query,
             config,
             graph: WindowGraph::new(),
-            emitted: FxHashSet::default(),
+            emitted: ResultSet::default(),
             now: Timestamp::NEG_INFINITY,
             stats: EngineStats::default(),
             roots_scratch: Vec::new(),
@@ -223,15 +226,19 @@ impl Engine {
 
     /// Whether `pair` has been reported (and not invalidated).
     pub fn has_result(&self, pair: ResultPair) -> bool {
-        self.emitted.contains(&pair)
+        self.emitted.contains(pair)
     }
 
     /// The currently reported result pairs, sorted (persistence support:
     /// checkpoints serialize the deduplication set).
     pub fn emitted_pairs(&self) -> Vec<ResultPair> {
-        let mut out: Vec<ResultPair> = self.emitted.iter().copied().collect();
-        out.sort_unstable();
-        out
+        self.emitted.sorted_pairs()
+    }
+
+    /// Heap bytes of the result-deduplication set, in O(1) (the
+    /// [`IndexSize::result_bytes`] of [`Self::index_size`]).
+    pub fn result_bytes(&self) -> usize {
+        self.emitted.heap_bytes()
     }
 
     /// Overwrites the engine cursor — clock, result-deduplication set,
@@ -248,18 +255,20 @@ impl Engine {
         self.stats = stats;
     }
 
-    /// Current Δ index size (Figure 5 / Figure 9).
+    /// Current Δ index size (Figure 5 / Figure 9) and result-set size.
     pub fn index_size(&self) -> IndexSize {
-        fn size<X: TreeSemantics>(forest: &Forest<X>) -> IndexSize {
+        fn size<X: TreeSemantics>(forest: &Forest<X>, result_bytes: usize) -> IndexSize {
             IndexSize {
                 trees: forest.n_trees(),
                 nodes: forest.n_nodes(),
                 arena_bytes: forest.arena_bytes(),
+                result_bytes,
             }
         }
+        let result_bytes = self.result_bytes();
         match &self.delta {
-            Delta::Arbitrary(p) => size(p.forest()),
-            Delta::Simple(p) => size(p.forest()),
+            Delta::Arbitrary(p) => size(p.forest(), result_bytes),
+            Delta::Simple(p) => size(p.forest(), result_bytes),
         }
     }
 
@@ -728,6 +737,37 @@ mod tests {
             assert_eq!(p.depth_histogram[0], p.trees as u64);
             assert!(p.max_depth() >= 1);
         }
+    }
+
+    #[test]
+    fn dense_results_cost_under_a_byte_each() {
+        // `(a|b)+` over an `a`-ring of N vertices with `b`-chords: every
+        // vertex reaches every vertex, so N² results in N rows of N
+        // destinations. Bitset rows hold them in under a byte per
+        // result; a hash set of pairs needs at least nine.
+        const N: u32 = 300;
+        let mut labels = LabelInterner::new();
+        let window = WindowPolicy::new(1_000, 1_000);
+        let mut engine =
+            Engine::from_str("(a|b)+", &mut labels, window, PathSemantics::Arbitrary).unwrap();
+        let (a, b) = (labels.get("a").unwrap(), labels.get("b").unwrap());
+        let batch: Vec<StreamTuple> = (0..N)
+            .flat_map(|i| [(i, (i + 1) % N, a), (i, (i * 7 + 3) % N, b)])
+            .map(|(src, dst, l)| StreamTuple::insert(Timestamp(1), VertexId(src), VertexId(dst), l))
+            .collect();
+        let mut sink = CollectSink::default();
+        engine.process_batch(&batch, &mut sink);
+        let reference = sink.pairs();
+        assert_eq!(reference.len(), (N * N) as usize);
+        assert_eq!(engine.result_count(), reference.len());
+        assert!(reference.iter().all(|&p| engine.has_result(p)));
+        assert!(!engine.has_result(ResultPair::new(VertexId(0), VertexId(N))));
+        let bytes = engine.index_size().result_bytes;
+        assert!(
+            bytes < engine.result_count(),
+            "{bytes} B for {} results",
+            engine.result_count()
+        );
     }
 
     #[test]

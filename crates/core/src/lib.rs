@@ -57,6 +57,7 @@ pub mod multi;
 mod parallel_multi;
 mod rapq;
 pub mod reorder;
+mod results;
 pub mod rspq;
 pub mod sink;
 pub mod stats;

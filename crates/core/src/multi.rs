@@ -882,6 +882,7 @@ impl MultiQueryEngine {
             total.trees += s.trees;
             total.nodes += s.nodes;
             total.arena_bytes += s.arena_bytes;
+            total.result_bytes += s.result_bytes;
         }
         total
     }

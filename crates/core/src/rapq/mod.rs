@@ -209,7 +209,7 @@ impl PerTree for Rapq {
                     let witnessed = dfa.accepting_states().any(|f| tree.contains((ev, f)));
                     if !witnessed {
                         let pair = ResultPair::new(root, ev);
-                        if cx.emitted.remove(&pair) {
+                        if cx.emitted.remove(pair) {
                             cx.stats.results_invalidated += 1;
                             cx.sink.invalidate(pair, cx.now);
                         }
@@ -243,6 +243,9 @@ fn run_insert<S: ResultSink>(
     let (refresh, dedup) = (cx.config.refresh, cx.config.dedup_results);
     let (emitted, stats, sink) = (&mut *cx.emitted, &mut *cx.stats, &mut *cx.sink);
     let root = tree.root();
+    // Every pair this drain reports has the root as its source: its
+    // result row is looked up on the first accepting attach, then reused.
+    let mut row = emitted.row(root);
     while let Some(WorkItem {
         parent_id,
         child,
@@ -317,11 +320,10 @@ fn run_insert<S: ResultSink>(
                 idx.note_added(root, child.0);
                 let (cv, cs) = child;
                 if dfa.is_accepting(cs) {
-                    let pair = ResultPair::new(root, cv);
-                    let fresh = emitted.insert(pair);
+                    let fresh = row.insert(cv);
                     if fresh || !dedup {
                         stats.results_emitted += 1;
-                        sink.emit(pair, now);
+                        sink.emit(ResultPair::new(root, cv), now);
                     }
                 }
                 // Lines 8–11 of Insert: expand through valid window

@@ -26,6 +26,7 @@ use crate::sink::ResultSink;
 use markings::Markings;
 use srpq_automata::Dfa;
 use srpq_common::{Label, ResultPair, StateId, StreamTuple, Timestamp, VertexId};
+use srpq_graph::{Visibility, WindowGraph};
 
 /// An RSPQ spanning tree `T_x` with markings `M_x`: the shared arena
 /// instantiated with the [`Markings`] semantics.
@@ -289,7 +290,7 @@ impl PerTree for Rspq {
                 let witnessed = dfa.accepting_states().any(|f| tree.has_pair((v, f)));
                 if !witnessed {
                     let pair = ResultPair::new(root, v);
-                    if cx.emitted.remove(&pair) {
+                    if cx.emitted.remove(pair) {
                         cx.stats.results_invalidated += 1;
                         cx.sink.invalidate(pair, cx.now);
                     }
@@ -328,6 +329,9 @@ fn run_extend<S: ResultSink>(
     let dedup = cx.config.dedup_results;
     let stride = dfa.n_states() as u64;
     let root = tree.root();
+    // Every pair this drain reports has the root as its source: its
+    // result row is looked up on the first accepting attach, then reused.
+    let mut row = cx.emitted.row(root);
     while let Some(ExtendItem {
         parent_id,
         vertex,
@@ -378,7 +382,8 @@ fn run_extend<S: ResultSink>(
         if let Some(q) = first_state {
             if !containment.contains(q, state) {
                 cx.stats.conflicts_detected += 1;
-                unmark_and_replay(tree, parent_id, work, cx);
+                cx.stats.nodes_unmarked +=
+                    unmark_and_replay(tree, parent_id, work, dfa, graph, vis, wm);
                 continue;
             }
         }
@@ -397,11 +402,10 @@ fn run_extend<S: ResultSink>(
         }
         // Lines 5–13 of Extend: report, mark if first occurrence, attach.
         if dfa.is_accepting(state) {
-            let pair = ResultPair::new(root, vertex);
-            let fresh = cx.emitted.insert(pair);
+            let fresh = row.insert(vertex);
             if fresh || !dedup {
                 cx.stats.results_emitted += 1;
-                cx.sink.emit(pair, now);
+                cx.sink.emit(ResultPair::new(root, vertex), now);
             }
         }
         // Extend line 11: `add_child` marks first occurrences through
@@ -436,14 +440,17 @@ fn run_extend<S: ResultSink>(
 /// Algorithm Unmark: walk up from the conflict predecessor, removing
 /// marks while present; then replay, for every unmarked pair, the
 /// traversals that were previously pruned by that mark (all valid
-/// in-edges landing in the pair from live occurrences).
-fn unmark_and_replay<S>(
+/// in-edges landing in the pair from live occurrences). Returns the
+/// number of marks removed.
+fn unmark_and_replay(
     tree: &mut SpTree,
     conflict_pred: NodeId,
     work: &mut Vec<ExtendItem>,
-    cx: &mut TreeCx<'_, S>,
-) {
-    let (dfa, graph, vis, wm) = (cx.query.dfa(), cx.graph, cx.vis, cx.wm);
+    dfa: &Dfa,
+    graph: &WindowGraph,
+    vis: Visibility,
+    wm: Timestamp,
+) -> u64 {
     // Phase 1 (Unmark): walk up from the conflict predecessor along the
     // parent links, removing marks while present. No path
     // materialization — the deepest-first order of the old explicit
@@ -454,7 +461,6 @@ fn unmark_and_replay<S>(
         if !tree.unmark((v, s)) {
             break;
         }
-        cx.stats.nodes_unmarked += 1;
         unmarked += 1;
         match parent {
             Some(p) => cur = p,
@@ -497,6 +503,7 @@ fn unmark_and_replay<S>(
             None => break,
         }
     }
+    unmarked as u64
 }
 
 #[cfg(test)]

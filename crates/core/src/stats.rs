@@ -15,6 +15,9 @@ pub struct IndexSize {
     /// Resident bytes of the struct-of-arrays node arenas (live slots
     /// plus not-yet-compacted dead slots; excludes occurrence maps).
     pub arena_bytes: usize,
+    /// Heap bytes of the result-deduplication set (every pair reported
+    /// since the stream began, minus invalidations).
+    pub result_bytes: usize,
 }
 
 /// Cumulative operation counters maintained by the engines.

@@ -3,13 +3,18 @@
 //! The WAL makes the engines' input durable: every batch is appended —
 //! and, depending on the [`SyncPolicy`], fsynced — *before* the engine
 //! mutates any state, so a crash can lose at most the outputs of the
-//! torn batch, never its inputs. Because the engines' state is a
-//! function of the live window (see `srpq_persist::checkpoint`), the
-//! log does not need to retain the whole stream: segments that lie
-//! entirely before the latest checkpoint *and* entirely outside the
-//! window are deleted by [`Wal::truncate_older`], bounding recovery
-//! cost by window size rather than stream length (the design point of
-//! Wu et al.'s parallel-recovery recipe applied to our setting).
+//! torn batch, never its inputs. Because the engines' graph and Δ
+//! state are a function of the live window (see
+//! `srpq_persist::checkpoint`), the log does not need to retain the
+//! whole stream: segments that lie entirely before the latest
+//! checkpoint *and* entirely outside the window are deleted by
+//! [`Wal::truncate_older`], bounding the *replay* by window size rather
+//! than stream length (the design point of Wu et al.'s
+//! parallel-recovery recipe applied to our setting). The checkpoint
+//! itself is not so bounded: it carries each group's result set whole,
+//! and that set holds every distinct pair reported since the stream
+//! began (minus invalidations), because window expiry never removes a
+//! pair from it. How long a pair should stay there is ROADMAP item 10c.
 //!
 //! A log directory holds segment files named `wal-{base_seq:016x}.seg`;
 //! the segment and record layouts are section 3 of the format reference

@@ -149,6 +149,7 @@ impl CoreMetrics {
 /// Cached per-query gauge handles.
 struct QueryGauges {
     delta_nodes: Gauge,
+    result_bytes: Gauge,
     delta_capacity: Gauge,
     compactions: Gauge,
     routed: Gauge,
@@ -162,6 +163,7 @@ impl QueryGauges {
         let l: &[(&str, &str)] = &[("query", name)];
         QueryGauges {
             delta_nodes: r.gauge("srpq_query_delta_nodes", l),
+            result_bytes: r.gauge("srpq_query_result_bytes", l),
             delta_capacity: r.gauge("srpq_query_delta_capacity", l),
             compactions: r.gauge("srpq_query_compactions_total", l),
             routed: r.gauge("srpq_query_routed_total", l),
@@ -269,16 +271,17 @@ impl EngineCore {
         let host = &self.host;
         let engine = host.engine();
         for id in engine.query_ids() {
-            let Some(stats) = engine.stats(id) else {
+            let Some(group) = engine.engine(id) else {
                 continue;
             };
-            let stats = *stats;
+            let (stats, result_bytes) = (*group.stats(), group.result_bytes());
             let name = engine.name(id).unwrap_or("").to_string();
             let g = self
                 .query_gauges
                 .entry(id.0)
                 .or_insert_with(|| QueryGauges::new(&self.obs, &name));
             g.delta_nodes.set(stats.delta_nodes_live);
+            g.result_bytes.set(result_bytes as u64);
             g.delta_capacity.set(stats.delta_capacity);
             g.compactions.set(stats.compactions);
             g.routed.set(stats.tuples_routed);

@@ -475,6 +475,10 @@ fn metrics_events_and_exact_e2e_histogram() {
         text.contains("srpq_query_delta_nodes{query=\"ab\"}"),
         "{text}"
     );
+    assert!(
+        text.contains("srpq_query_result_bytes{query=\"ab\"}"),
+        "{text}"
+    );
     assert!(text.contains("srpq_ingest_tuples_total 256"), "{text}");
     assert!(text.contains("srpq_subscribers 1"), "{text}");
 
