@@ -635,6 +635,8 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
         ("index_nodes", index.nodes as u64),
         ("index_arena_bytes", index.arena_bytes as u64),
         ("index_result_bytes", index.result_bytes as u64),
+        ("index_reverse_bytes", index.reverse_index_bytes as u64),
+        ("graph_heap_bytes", host.multi().graph().heap_bytes() as u64),
         ("tuples_driven", outcome.processed as u64),
         ("tuples_relevant", outcome.relevant),
         ("results_live", host.engine().result_count() as u64),
@@ -726,6 +728,11 @@ fn print_summary(
         eprintln!("  delta_capacity       {}", stats.delta_capacity);
         eprintln!("  compactions          {}", stats.compactions);
         eprintln!("  index_result_bytes   {}", engine.result_bytes());
+        eprintln!("  index_reverse_bytes  {}", engine.reverse_index_bytes());
+        eprintln!(
+            "  graph_heap_bytes     {}",
+            host.multi().graph().heap_bytes()
+        );
         eprintln!("  wal_bytes            {}", wal.wal_bytes);
         eprintln!("  wal_appends          {}", wal.wal_appends);
         eprintln!("  fsyncs               {}", wal.fsyncs);
@@ -807,6 +814,8 @@ mod tests {
             "results_emitted",
             "index_arena_bytes",
             "index_result_bytes",
+            "index_reverse_bytes",
+            "graph_heap_bytes",
             "elapsed_ns",
             "latency_p99_ns",
         ] {

@@ -83,6 +83,22 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// Heap bytes of a `HashMap<K, V>` table whose `capacity()` is
+/// `capacity`: std keeps the capacity at 7/8 of a power-of-two bucket
+/// count (all but one of the buckets below eight), and a table holds one
+/// entry and one control byte per bucket plus one group of trailing
+/// control bytes.
+pub fn table_bytes<K, V>(capacity: usize) -> usize {
+    const GROUP_WIDTH: usize = 16;
+    let buckets = match capacity {
+        0 => return 0,
+        1..=3 => 4,
+        4..=7 => 8,
+        cap => (cap * 8 / 7).next_power_of_two(),
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + GROUP_WIDTH
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,8 @@
 //!   of the `srpq_server` network protocol.
 //! * [`beacon`] — relaxed-atomic stage beacons published by engine and
 //!   worker threads, sampled by the std-only profiler in `srpq_obs`.
+//! * [`pool`] — the one bounded free-list rule for containers emptied
+//!   and refilled by window churn.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -32,13 +34,15 @@ pub mod hash;
 pub mod histogram;
 pub mod ids;
 pub mod interner;
+pub mod pool;
 pub mod tuple;
 pub mod wire;
 
 pub use beacon::StageBeacon;
 pub use crc32::{crc32, Crc32};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{table_bytes, FxBuildHasher, FxHashMap, FxHashSet};
 pub use histogram::LatencyHistogram;
 pub use ids::{Label, StateId, Timestamp, VertexId};
 pub use interner::{Interner, LabelInterner, VertexInterner};
+pub use pool::{Pool, POOL_MAX_ENTRIES, POOL_MAX_ENTRY_BYTES};
 pub use tuple::{Edge, Op, ResultPair, StreamTuple};

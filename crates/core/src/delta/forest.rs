@@ -3,16 +3,41 @@
 
 use super::snapshot::{SnapshotExt, TreeSnap};
 use super::{Tree, TreeSemantics};
-use srpq_common::{FxHashMap, StateId, Timestamp, VertexId};
+use srpq_common::{
+    table_bytes, FxHashMap, Pool, StateId, Timestamp, VertexId, POOL_MAX_ENTRY_BYTES,
+};
+
+/// One vertex's reverse-index entry: `root → number of (vertex, ·)
+/// nodes in that tree`.
+type Roots = FxHashMap<VertexId, u32>;
+
+/// Heap bytes of a [`Roots`] table of capacity `cap`.
+fn roots_bytes(cap: usize) -> usize {
+    table_bytes::<VertexId, u32>(cap)
+}
 
 /// The reverse index of Δ: which trees contain a given vertex, plus the
 /// global node count (Figure 5's "# of nodes"). Shared verbatim by both
 /// engines — it only counts `(vertex, tree)` incidences and never looks
 /// at states or occurrence multiplicity.
+///
+/// A vertex has an entry exactly while some tree holds a node for it,
+/// so the index is sized by Δ, not by every vertex the stream has
+/// touched. A recycled entry iterates its roots in a different order
+/// than a never-freed one would, so the order in which one tuple visits
+/// its trees — and with it the order of results within one timestamp —
+/// depends on this recycling; the set of results does not.
 #[derive(Debug, Default)]
 pub struct RevIndex {
-    /// `vertex → (root → number of (vertex, ·) nodes in that tree)`.
-    occurrence: FxHashMap<VertexId, FxHashMap<VertexId, u32>>,
+    /// `vertex → roots`; no entry is empty.
+    occurrence: FxHashMap<VertexId, Roots>,
+    /// Emptied entries awaiting a vertex; one of more than
+    /// [`POOL_MAX_ENTRY_BYTES`] (about fifty roots) is freed instead.
+    pool: Pool<Roots, POOL_MAX_ENTRY_BYTES>,
+    /// `roots_bytes(capacity)` summed over every entry, in `occurrence`
+    /// or pooled: updated wherever a capacity can move, so
+    /// [`Self::heap_bytes`] is O(1).
+    roots_bytes: usize,
     total_nodes: usize,
 }
 
@@ -39,31 +64,59 @@ impl RevIndex {
         self.total_nodes
     }
 
-    /// Bookkeeping: a node for `vertex` was added to tree `root`.
+    /// Heap bytes held: the vertex table and every entry's table, pooled
+    /// ones included, estimated from their capacities. O(1).
+    pub fn heap_bytes(&self) -> usize {
+        table_bytes::<VertexId, Roots>(self.occurrence.capacity())
+            + self.roots_bytes
+            + self.pool.heap_bytes()
+    }
+
+    /// Bookkeeping: a node for `vertex` was added to tree `root`. A
+    /// vertex without an entry takes a pooled one when there is one.
     pub fn note_added(&mut self, root: VertexId, vertex: VertexId) {
-        *self
+        let pool = &mut self.pool;
+        let roots = self
             .occurrence
             .entry(vertex)
-            .or_default()
-            .entry(root)
-            .or_insert(0) += 1;
+            .or_insert_with(|| pool.take().unwrap_or_default());
+        let cap = roots.capacity();
+        *roots.entry(root).or_insert(0) += 1;
+        if roots.capacity() != cap {
+            self.roots_bytes = self.roots_bytes + roots_bytes(roots.capacity()) - roots_bytes(cap);
+        }
         self.total_nodes += 1;
     }
 
     /// Bookkeeping: a node for `vertex` was removed from tree `root`.
-    /// A vertex's outer entry is retained even when its last incidence
-    /// goes — window churn re-adds the same vertices, and an empty
-    /// inner map with warm capacity makes the re-add allocation-free.
+    /// When the vertex's last incidence goes, its entry leaves the index:
+    /// into the pool if small (window churn re-adds vertices, and a warm
+    /// entry makes the re-add allocation-free), freed otherwise.
     pub fn note_removed(&mut self, root: VertexId, vertex: VertexId) {
-        if let Some(m) = self.occurrence.get_mut(&vertex) {
-            if let Some(c) = m.get_mut(&root) {
-                *c -= 1;
-                if *c == 0 {
-                    m.remove(&root);
-                }
+        self.total_nodes -= 1;
+        let Some(roots) = self.occurrence.get_mut(&vertex) else {
+            return;
+        };
+        let Some(c) = roots.get_mut(&root) else {
+            return;
+        };
+        *c -= 1;
+        if *c > 0 {
+            return;
+        }
+        let cap = roots.capacity();
+        roots.remove(&root);
+        if roots.capacity() != cap {
+            // The removal left a tombstone, which lowers the capacity.
+            self.roots_bytes = self.roots_bytes + roots_bytes(roots.capacity()) - roots_bytes(cap);
+        }
+        if roots.is_empty() {
+            let emptied = self.occurrence.remove(&vertex).expect("entry just emptied");
+            let bytes = roots_bytes(emptied.capacity());
+            if !self.pool.put(emptied, bytes) {
+                self.roots_bytes -= bytes;
             }
         }
-        self.total_nodes -= 1;
     }
 
     fn counts(&self, vertex: VertexId, root: VertexId) -> u32 {
@@ -72,6 +125,45 @@ impl RevIndex {
             .and_then(|m| m.get(&root))
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Checks what the index keeps about itself: no empty entry and no
+    /// zero count, the node count against the per-tree counts, and the
+    /// tracked table bytes against a recount.
+    fn validate(&self) -> Result<(), String> {
+        let mut incidences = 0usize;
+        for (&v, roots) in &self.occurrence {
+            if roots.is_empty() {
+                return Err(format!("reverse index keeps an empty entry for {v}"));
+            }
+            for (&root, &n) in roots {
+                if n == 0 {
+                    return Err(format!(
+                        "reverse index counts 0 nodes of {v} in tree {root}"
+                    ));
+                }
+                incidences += n as usize;
+            }
+        }
+        if incidences != self.total_nodes {
+            return Err(format!(
+                "reverse index counts {incidences} incidences for {} nodes",
+                self.total_nodes
+            ));
+        }
+        let recount: usize = self
+            .occurrence
+            .values()
+            .chain(self.pool.iter())
+            .map(|m| roots_bytes(m.capacity()))
+            .sum();
+        if recount != self.roots_bytes {
+            return Err(format!(
+                "reverse index tracks {} table bytes, holds {recount}",
+                self.roots_bytes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -87,7 +179,7 @@ pub struct Forest<X: TreeSemantics> {
     /// recreates trees constantly; re-rooting a pooled tree reuses its
     /// arena columns and occurrence map at their high-water capacity,
     /// keeping the steady-state slide path allocation-free.
-    pool: Vec<Tree<X>>,
+    pool: Pool<Tree<X>, POOL_MAX_SLOTS>,
 }
 
 /// Trees whose arenas grew beyond this many slots are dropped instead
@@ -101,7 +193,7 @@ impl<X: TreeSemantics> Forest<X> {
         Forest {
             trees: FxHashMap::default(),
             index: RevIndex::default(),
-            pool: Vec::new(),
+            pool: Pool::default(),
         }
     }
 
@@ -120,7 +212,7 @@ impl<X: TreeSemantics> Forest<X> {
     pub fn ensure_tree(&mut self, x: VertexId, s0: StateId) -> &mut Tree<X> {
         let pool = &mut self.pool;
         if let std::collections::hash_map::Entry::Vacant(e) = self.trees.entry(x) {
-            let tree = match pool.pop() {
+            let tree = match pool.take() {
                 Some(mut t) => {
                     t.reset_root(x, s0);
                     t
@@ -203,9 +295,8 @@ impl<X: TreeSemantics> Forest<X> {
         let trivial = self.trees.get(&x).map(|t| t.is_trivial()).unwrap_or(false);
         if trivial {
             if let Some(t) = self.trees.remove(&x) {
-                if t.capacity() <= POOL_MAX_SLOTS {
-                    self.pool.push(t);
-                }
+                let slots = t.capacity();
+                self.pool.put(t, slots);
             }
             self.index.note_removed(x, x);
             true
@@ -214,8 +305,15 @@ impl<X: TreeSemantics> Forest<X> {
         }
     }
 
+    /// Heap bytes of the reverse index, in O(1) (see
+    /// [`RevIndex::heap_bytes`]).
+    pub fn index_bytes(&self) -> usize {
+        self.index.heap_bytes()
+    }
+
     /// Debug validation of every tree plus reverse-index consistency.
     pub fn validate(&self) -> Result<(), String> {
+        self.index.validate()?;
         let mut counted = 0usize;
         for (&root, tree) in &self.trees {
             tree.validate().map_err(|e| format!("tree {root}: {e}"))?;
@@ -270,5 +368,55 @@ impl<X: SnapshotExt> Forest<X> {
         }
         forest.validate()?;
         Ok(forest)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::delta::Unique;
+    use srpq_common::POOL_MAX_ENTRIES;
+
+    #[test]
+    fn validate_rejects_an_empty_reverse_index_entry() {
+        let mut f: Forest<Unique> = Forest::new();
+        f.ensure_tree(VertexId(0), StateId(0));
+        f.validate().unwrap();
+        f.index.occurrence.insert(VertexId(9), Roots::default());
+        let err = f.validate().unwrap_err();
+        assert!(err.contains("empty entry for v9"), "{err}");
+    }
+
+    #[test]
+    fn reverse_index_entries_leave_with_their_last_incidence() {
+        // More vertices than the pool holds each join two trees and leave
+        // them; a hub in 200 trees leaves too. The index ends empty, the
+        // pool full of small entries, and the tracked bytes exact.
+        const N: u32 = POOL_MAX_ENTRIES as u32 + 1000;
+        let mut idx = RevIndex::default();
+        for v in 1..=N {
+            for root in [VertexId(0), VertexId(v)] {
+                idx.note_added(root, VertexId(v));
+            }
+        }
+        for root in 0..200 {
+            idx.note_added(VertexId(root), VertexId(N + 1));
+        }
+        idx.validate().unwrap();
+        for v in 1..=N {
+            for root in [VertexId(0), VertexId(v)] {
+                idx.note_removed(root, VertexId(v));
+            }
+        }
+        for root in 0..200 {
+            idx.note_removed(VertexId(root), VertexId(N + 1));
+        }
+        assert!(idx.occurrence.is_empty());
+        assert_eq!(idx.pool.iter().count(), POOL_MAX_ENTRIES);
+        assert!(idx
+            .pool
+            .iter()
+            .all(|m| roots_bytes(m.capacity()) <= POOL_MAX_ENTRY_BYTES));
+        idx.validate().unwrap();
     }
 }

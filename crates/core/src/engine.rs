@@ -241,6 +241,15 @@ impl Engine {
         self.emitted.heap_bytes()
     }
 
+    /// Heap bytes of the Δ reverse index, in O(1) (the
+    /// [`IndexSize::reverse_index_bytes`] of [`Self::index_size`]).
+    pub fn reverse_index_bytes(&self) -> usize {
+        match &self.delta {
+            Delta::Arbitrary(p) => p.forest().index_bytes(),
+            Delta::Simple(p) => p.forest().index_bytes(),
+        }
+    }
+
     /// Overwrites the engine cursor — clock, result-deduplication set,
     /// and statistics — with checkpointed values (persistence support;
     /// called after the recovery replay rebuilt graph and Δ).
@@ -263,6 +272,7 @@ impl Engine {
                 nodes: forest.n_nodes(),
                 arena_bytes: forest.arena_bytes(),
                 result_bytes,
+                reverse_index_bytes: forest.index_bytes(),
             }
         }
         let result_bytes = self.result_bytes();
@@ -768,6 +778,44 @@ mod tests {
             "{bytes} B for {} results",
             engine.result_count()
         );
+    }
+
+    #[test]
+    fn graph_and_reverse_index_stay_window_sized() {
+        // Ten windows (|W| = 100, β = 10) of fresh vertices, one `a`/`b`
+        // chain per window. A vertex's adjacency and reverse-index
+        // entries leave with its last edge and last Δ node, so the bytes
+        // both hold after the tenth window stay within a quarter of those
+        // after the second; entries kept for every vertex ever seen would
+        // hold all ten windows' vertices.
+        const WINDOWS: u32 = 10;
+        const PER_WINDOW: u32 = 100;
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let mut labels = LabelInterner::new();
+            let window = WindowPolicy::new(i64::from(PER_WINDOW), 10);
+            let mut engine = Engine::from_str("a b*", &mut labels, window, semantics).unwrap();
+            let (a, b) = (labels.get("a").unwrap(), labels.get("b").unwrap());
+            let bytes = |e: &Engine| e.graph().heap_bytes() + e.reverse_index_bytes();
+            let mut sink = CollectSink::default();
+            let mut after_two = 0;
+            for w in 0..WINDOWS {
+                for i in 0..PER_WINDOW {
+                    let (src, dst) = (VertexId(w * 1000 + i), VertexId(w * 1000 + i + 1));
+                    let label = if i % 4 == 0 { a } else { b };
+                    let ts = Timestamp(i64::from(w * PER_WINDOW + i));
+                    engine.process(StreamTuple::insert(ts, src, dst, label), &mut sink);
+                }
+                if w == 1 {
+                    after_two = bytes(&engine);
+                }
+            }
+            engine.validate_delta().unwrap();
+            let after_ten = bytes(&engine);
+            assert!(
+                after_ten <= after_two * 5 / 4,
+                "{semantics:?}: {after_ten} B after {WINDOWS} windows, {after_two} B after 2"
+            );
+        }
     }
 
     #[test]

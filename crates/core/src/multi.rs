@@ -883,6 +883,7 @@ impl MultiQueryEngine {
             total.nodes += s.nodes;
             total.arena_bytes += s.arena_bytes;
             total.result_bytes += s.result_bytes;
+            total.reverse_index_bytes += s.reverse_index_bytes;
         }
         total
     }

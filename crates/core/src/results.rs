@@ -23,7 +23,7 @@
 //! without sorting the pairs themselves.
 
 use crate::bitset::DenseBitSet;
-use srpq_common::{FxHashMap, ResultPair, VertexId};
+use srpq_common::{table_bytes, FxHashMap, ResultPair, VertexId};
 use std::mem::size_of;
 
 /// Destinations a row holds in its map entry (the most that fit beside
@@ -225,16 +225,9 @@ impl ResultSet {
         out
     }
 
-    /// Heap bytes held: the map's table and the rows' buffers. The table
-    /// is estimated from the map's capacity, which std's hash map keeps
-    /// at 7/8 of a power-of-two bucket count, each bucket holding one
-    /// entry and one control byte.
+    /// Heap bytes held: the map's table and the rows' buffers.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let buckets = match self.rows.capacity() {
-            0 => 0,
-            cap => (cap * 8 / 7).next_power_of_two(),
-        };
-        buckets * (size_of::<(VertexId, Row)>() + 1) + self.row_bytes
+        table_bytes::<VertexId, Row>(self.rows.capacity()) + self.row_bytes
     }
 }
 

@@ -18,6 +18,9 @@ pub struct IndexSize {
     /// Heap bytes of the result-deduplication set (every pair reported
     /// since the stream began, minus invalidations).
     pub result_bytes: usize,
+    /// Heap bytes of the reverse index (vertex → trees containing it),
+    /// pooled entries included.
+    pub reverse_index_bytes: usize,
 }
 
 /// Cumulative operation counters maintained by the engines.

@@ -30,9 +30,16 @@
 //! single indexed load and generation compare — no hash lookups at all
 //! for skipped entries, keeping [`WindowGraph::purge_expired`] amortized
 //! O(#expired) even under refresh-heavy streams.
+//!
+//! Per-vertex state is bounded by the window, not by the stream: a
+//! vertex's adjacency entry in one direction exists exactly while it
+//! holds a stored posting there, so the vertex maps hold the live
+//! vertices only; a bounded [`Pool`] keeps emptied entries for reuse.
 
-use srpq_common::{FxHashMap, Label, Timestamp, VertexId};
+use srpq_common::{table_bytes, FxHashMap, Label, Pool, Timestamp, VertexId, POOL_MAX_ENTRY_BYTES};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// A per-micro-batch visibility horizon for shared-graph traversal.
 ///
@@ -167,9 +174,9 @@ impl<'g> AdjView<'g> {
     }
 
     /// Whether the vertex has no stored edges in this direction at all
-    /// (emptied posting lists are retained, so each must be checked).
+    /// (a vertex's entry leaves the graph with its last posting).
     pub fn is_empty(&self) -> bool {
-        self.map.is_none_or(|m| m.values().all(Vec::is_empty))
+        self.map.is_none()
     }
 }
 
@@ -181,16 +188,46 @@ struct QueueEntry {
     gen: u32,
 }
 
-/// One direction of a vertex's label-partitioned adjacency. Emptied
-/// posting lists and label entries are *retained* (capacity at high
-/// water) rather than pruned: sliding-window churn re-adds the same
-/// `(vertex, label)` keys over and over, and reuse of warm containers
-/// keeps the steady-state insert path allocation-free. Presence is
-/// tracked by `len`, the live posting count across all labels.
+/// One direction of a vertex's label-partitioned adjacency. It is in
+/// [`WindowGraph`]'s map exactly while `len`, the stored posting count
+/// across all labels, is non-zero: when the last posting goes, the entry
+/// leaves the map. An entry of at most [`POOL_MAX_ENTRY_BYTES`] (about
+/// fifty postings) then goes to the graph's [`Pool`] with its emptied lists and label keys, so a
+/// vertex that comes back — sliding-window churn re-adds vertices over
+/// and over — reuses warm capacity and the steady-state insert path
+/// stays allocation-free; a larger one (a hub's) is freed. A label's
+/// list that empties while the vertex keeps other postings is retained.
 #[derive(Debug, Default)]
 struct Adj {
     by_label: FxHashMap<Label, Vec<Posting>>,
     len: usize,
+}
+
+impl Adj {
+    /// Heap bytes held: the label table and every posting buffer.
+    fn heap_bytes(&self) -> usize {
+        let lists: usize = self.by_label.values().map(Vec::capacity).sum();
+        table_bytes::<Label, Vec<Posting>>(self.by_label.capacity()) + lists * size_of::<Posting>()
+    }
+
+    /// Heap bytes the label table grew by since its capacity was
+    /// `before`.
+    #[inline]
+    fn table_growth(&self, before: usize) -> usize {
+        let table = |cap| table_bytes::<Label, Vec<Posting>>(cap);
+        match self.by_label.capacity() {
+            now if now == before => 0,
+            now => table(now) - table(before),
+        }
+    }
+}
+
+/// Appends `posting` to `list`; returns the heap bytes that grew it by.
+#[inline]
+fn push_posting(list: &mut Vec<Posting>, posting: Posting) -> usize {
+    let before = list.capacity();
+    list.push(posting);
+    (list.capacity() - before) * size_of::<Posting>()
 }
 
 /// The snapshot graph `G_{W,τ}` of a sliding window over a streaming
@@ -201,6 +238,12 @@ pub struct WindowGraph {
     out: FxHashMap<VertexId, Adj>,
     /// `inc[v][l]` → posting list of `(u, ts)`.
     inc: FxHashMap<VertexId, Adj>,
+    /// Emptied adjacency entries awaiting a vertex (both directions).
+    adj_pool: Pool<Adj, POOL_MAX_ENTRY_BYTES>,
+    /// Heap bytes every [`Adj`] holds, in the maps or pooled: kept up to
+    /// date where an entry grows or is freed, so [`Self::heap_bytes`]
+    /// is O(1).
+    adj_bytes: usize,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Slots stamped with a batch position this micro-batch (drained by
@@ -249,6 +292,27 @@ impl WindowGraph {
         self.queue.len()
     }
 
+    /// Adjacency entries stored as `(out, inc)`: exactly the vertices
+    /// with a stored (possibly expired, not yet purged) out-edge and
+    /// in-edge respectively.
+    pub fn adjacency_entries(&self) -> (usize, usize) {
+        (self.out.len(), self.inc.len())
+    }
+
+    /// Heap bytes the graph holds: both vertex maps, every adjacency
+    /// entry (pooled ones included), the slot arena, its free and stamp
+    /// lists, and the expiry queue. O(1); the hash tables are estimated
+    /// from their capacities.
+    pub fn heap_bytes(&self) -> usize {
+        table_bytes::<VertexId, Adj>(self.out.capacity())
+            + table_bytes::<VertexId, Adj>(self.inc.capacity())
+            + self.adj_bytes
+            + self.adj_pool.heap_bytes()
+            + self.slots.capacity() * size_of::<Slot>()
+            + (self.free.capacity() + self.stamped.capacity()) * size_of::<u32>()
+            + self.queue.capacity() * size_of::<QueueEntry>()
+    }
+
     /// Inserts (or refreshes) edge `u →l v` at time `ts`. Returns `true`
     /// if the edge was not present before.
     ///
@@ -294,8 +358,13 @@ impl WindowGraph {
         ts: Timestamp,
         vis_from: u32,
     ) -> bool {
-        let out_outer = self.out.entry(u).or_default();
+        let pool = &mut self.adj_pool;
+        let out_outer = self
+            .out
+            .entry(u)
+            .or_insert_with(|| pool.take().unwrap_or_default());
         let u_first_out = out_outer.len == 0;
+        let out_table = out_outer.by_label.capacity();
         let out_list = out_outer.by_label.entry(label).or_default();
         if let Some(pos) = out_list.iter().position(|p| p.other == v) {
             // Refresh: rewrite the timestamp in both postings through
@@ -348,32 +417,46 @@ impl WindowGraph {
         if vis_from != 0 {
             self.stamped.push(id);
         }
-        out_list.push(Posting {
-            other: v,
-            ts,
-            slot: id,
-        });
+        let mut grown = push_posting(
+            out_list,
+            Posting {
+                other: v,
+                ts,
+                slot: id,
+            },
+        );
         out_outer.len += 1;
+        grown += out_outer.table_growth(out_table);
         // Presence transitions: a vertex joins the graph exactly when
-        // both directions hold no live posting. The outer entries are
-        // touched here anyway, so the maintained vertex count costs at
-        // most one extra lookup per *first* edge.
-        if u_first_out && self.inc.get(&u).is_none_or(|a| a.len == 0) {
+        // neither direction has an entry. The outer entries are touched
+        // here anyway, so the maintained vertex count costs at most one
+        // extra lookup per *first* edge.
+        if u_first_out && !self.inc.contains_key(&u) {
             self.n_vertices += 1;
         }
-        let inc_outer = self.inc.entry(v).or_default();
+        let pool = &mut self.adj_pool;
+        let inc_outer = self
+            .inc
+            .entry(v)
+            .or_insert_with(|| pool.take().unwrap_or_default());
         let v_first_inc = inc_outer.len == 0;
+        let inc_table = inc_outer.by_label.capacity();
         let inc_list = inc_outer.by_label.entry(label).or_default();
         let inc_pos = inc_list.len() as u32;
-        inc_list.push(Posting {
-            other: u,
-            ts,
-            slot: id,
-        });
+        grown += push_posting(
+            inc_list,
+            Posting {
+                other: u,
+                ts,
+                slot: id,
+            },
+        );
         inc_outer.len += 1;
-        if v_first_inc && self.out.get(&v).is_none_or(|a| a.len == 0) {
+        grown += inc_outer.table_growth(inc_table);
+        if v_first_inc && !self.out.contains_key(&v) {
             self.n_vertices += 1;
         }
+        self.adj_bytes += grown;
         self.slots[id as usize].inc_pos = inc_pos;
         self.queue.push_back(QueueEntry { ts, slot: id, gen });
         self.n_edges += 1;
@@ -393,64 +476,64 @@ impl WindowGraph {
     /// positions — no scans, no edge-key hashing. The slot must be live.
     fn remove_slot(&mut self, id: u32) -> Timestamp {
         let slot = self.slots[id as usize];
-        let (u_out_gone, ts) = Self::detach_posting(
-            &mut self.out,
-            &mut self.slots,
-            slot.src,
-            slot.label,
-            slot.out_pos,
-            false,
-        );
-        let (v_inc_gone, _) = Self::detach_posting(
-            &mut self.inc,
-            &mut self.slots,
-            slot.dst,
-            slot.label,
-            slot.inc_pos,
-            true,
-        );
+        let (u_out_gone, ts) = self.detach_posting(slot.src, slot.label, slot.out_pos, false);
+        let (v_inc_gone, _) = self.detach_posting(slot.dst, slot.label, slot.inc_pos, true);
         self.slots[id as usize].gen = slot.gen.wrapping_add(1);
         self.free.push(id);
         self.n_edges -= 1;
         // Presence transitions (see `insert`): a vertex leaves the graph
-        // when its last live posting in one direction goes and the
-        // opposite direction holds nothing either.
-        if u_out_gone && self.inc.get(&slot.src).is_none_or(|a| a.len == 0) {
+        // when its entry in one direction goes and the opposite
+        // direction has none either.
+        if u_out_gone && !self.inc.contains_key(&slot.src) {
             self.n_vertices -= 1;
         }
-        if slot.dst != slot.src && v_inc_gone && self.out.get(&slot.dst).is_none_or(|a| a.len == 0)
-        {
+        if slot.dst != slot.src && v_inc_gone && !self.out.contains_key(&slot.dst) {
             self.n_vertices -= 1;
         }
         ts
     }
 
-    /// Swap-removes the posting at `pos` from `adj[vertex][label]`,
-    /// repairing the displaced edge's stored position. Emptied lists
-    /// and entries are retained with their capacity (see [`Adj`]).
-    /// Returns whether this was the vertex's last live posting in this
-    /// direction, and the removed posting's timestamp.
+    /// Swap-removes the posting at `pos` from `out[vertex][label]` (or
+    /// `inc[…]`), repairing the displaced edge's stored position. The
+    /// vertex's last posting in this direction takes its entry out of
+    /// the map, into the pool or freed (see [`Adj`]). Returns whether it
+    /// was the last, and the removed posting's timestamp.
     fn detach_posting(
-        adj: &mut FxHashMap<VertexId, Adj>,
-        slots: &mut [Slot],
+        &mut self,
         vertex: VertexId,
         label: Label,
         pos: u32,
         inc_side: bool,
     ) -> (bool, Timestamp) {
-        let entry = adj.get_mut(&vertex).expect("posting parent exists");
-        let list = entry.by_label.get_mut(&label).expect("posting list exists");
+        let adj = if inc_side {
+            &mut self.inc
+        } else {
+            &mut self.out
+        };
+        let Entry::Occupied(mut entry) = adj.entry(vertex) else {
+            panic!("posting parent exists");
+        };
+        let outer = entry.get_mut();
+        let list = outer.by_label.get_mut(&label).expect("posting list exists");
         let removed = list.swap_remove(pos as usize);
         if let Some(moved) = list.get(pos as usize) {
-            let ms = &mut slots[moved.slot as usize];
+            let ms = &mut self.slots[moved.slot as usize];
             if inc_side {
                 ms.inc_pos = pos;
             } else {
                 ms.out_pos = pos;
             }
         }
-        entry.len -= 1;
-        (entry.len == 0, removed.ts)
+        outer.len -= 1;
+        let gone = outer.len == 0;
+        if gone {
+            let emptied = entry.remove();
+            let bytes = emptied.heap_bytes();
+            if !self.adj_pool.put(emptied, bytes) {
+                self.adj_bytes -= bytes;
+            }
+        }
+        (gone, removed.ts)
     }
 
     /// The current timestamp of edge `u →l v`, if present.
@@ -640,6 +723,7 @@ impl WindowGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srpq_common::POOL_MAX_ENTRIES;
 
     const NEG: Timestamp = Timestamp(i64::MIN);
 
@@ -927,6 +1011,78 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    /// The heap bytes `adj_bytes` maintains, recounted.
+    fn recount_adj_bytes(g: &WindowGraph) -> usize {
+        g.out
+            .values()
+            .chain(g.inc.values())
+            .chain(g.adj_pool.iter())
+            .map(Adj::heap_bytes)
+            .sum()
+    }
+
+    #[test]
+    fn adjacency_is_bounded_by_the_live_window() {
+        // K disjoint batches of B fresh vertices, each a three-label
+        // chain, each batch expiring as the next arrives: the vertex maps
+        // hold the live batch only, the pool recycles what the previous
+        // batch emptied, and the heap stays within an eighth of its size
+        // after three batches however many vertices the stream touches
+        // (a recycled entry keeps the label keys of every vertex it
+        // served, at most one per label).
+        const K: u32 = 40;
+        const B: u32 = 200;
+        let mut g = WindowGraph::new();
+        let mut warm_bytes = 0;
+        for k in 0..K {
+            for i in 0..B - 1 {
+                let (src, dst) = (v(k * B + i), v(k * B + i + 1));
+                g.insert(src, dst, l(i % 3), Timestamp(i64::from(k)));
+            }
+            g.purge_expired(Timestamp(i64::from(k) - 1));
+            let (out, inc) = g.adjacency_entries();
+            assert_eq!(g.n_vertices(), B as usize, "batch {k}");
+            assert_eq!((out, inc), (B as usize - 1, B as usize - 1), "batch {k}");
+            assert!(out + inc + g.adj_pool.iter().count() <= 2 * g.n_vertices() + POOL_MAX_ENTRIES);
+            assert_eq!(g.adj_bytes, recount_adj_bytes(&g), "batch {k}");
+            if k == 2 {
+                warm_bytes = g.heap_bytes();
+            }
+        }
+        assert!(
+            g.heap_bytes() <= warm_bytes * 9 / 8,
+            "{} B after {K} batches, {warm_bytes} B after 3",
+            g.heap_bytes()
+        );
+        g.purge_expired(Timestamp(i64::from(K)));
+        assert_eq!(g.adjacency_entries(), (0, 0));
+        assert_eq!(g.adj_bytes, recount_adj_bytes(&g));
+    }
+
+    #[test]
+    fn large_emptied_entries_are_freed_not_pooled() {
+        // A hub's out-entry holds more than the pool's size cap when it
+        // empties, so its buffers go back to the allocator; its leaves'
+        // one-posting in-entries are pooled.
+        let mut g = WindowGraph::new();
+        for i in 1..=100 {
+            g.insert(v(0), v(i), l(0), Timestamp(1));
+        }
+        assert!(g.out[&v(0)].heap_bytes() > POOL_MAX_ENTRY_BYTES);
+        g.purge_expired(Timestamp(1));
+        assert_eq!(g.adjacency_entries(), (0, 0));
+        assert_eq!(g.adj_pool.iter().count(), 100);
+        assert!(g
+            .adj_pool
+            .iter()
+            .all(|a| a.heap_bytes() <= POOL_MAX_ENTRY_BYTES));
+        assert_eq!(g.adj_bytes, recount_adj_bytes(&g));
+        // A returning vertex takes a pooled entry back.
+        g.insert(v(7), v(8), l(1), Timestamp(2));
+        assert_eq!(g.adj_pool.iter().count(), 98);
+        assert_eq!(g.adj_bytes, recount_adj_bytes(&g));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! few operations the full observable surface is compared — edge
 //! counts, the maintained vertex count, point lookups, label-partitioned
 //! traversal in both directions under a random watermark, and the
-//! sorted snapshot export.
+//! sorted snapshot export. After every operation the store's adjacency
+//! entries must be exactly the model's vertices with a stored out- and
+//! in-edge: an entry outliving its vertex's last edge is a leak.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +48,17 @@ impl Model {
         vs.sort_unstable();
         vs.dedup();
         vs.len()
+    }
+
+    /// Distinct edge sources and distinct edge targets.
+    fn endpoints(&self) -> (usize, usize) {
+        let distinct = |end: fn(&(V, V, L)) -> V| {
+            let mut vs: Vec<V> = self.edges.keys().map(end).collect();
+            vs.sort_unstable();
+            vs.dedup();
+            vs.len()
+        };
+        (distinct(|e| e.0), distinct(|e| e.1))
     }
 
     fn out_of(&self, u: V, l: L, wm: T) -> Vec<(V, T)> {
@@ -163,6 +176,11 @@ fn random_ops_match_reference_model() {
             }
             assert_eq!(g.n_edges(), m.edges.len(), "seed {seed} step {step}");
             assert_eq!(g.n_vertices(), m.n_vertices(), "seed {seed} step {step}");
+            assert_eq!(
+                g.adjacency_entries(),
+                m.endpoints(),
+                "adjacency entries seed {seed} step {step}"
+            );
             if step % 29 == 0 {
                 let wm = T(ts - rng.gen_range(0..40i64));
                 check_full(
@@ -189,5 +207,6 @@ fn random_ops_match_reference_model() {
         assert_eq!(removed_g, removed_m, "seed {seed} final purge");
         assert_eq!(g.n_edges(), 0);
         assert_eq!(g.n_vertices(), 0);
+        assert_eq!(g.adjacency_entries(), (0, 0));
     }
 }

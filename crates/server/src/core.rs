@@ -125,6 +125,7 @@ struct CoreMetrics {
     gauge_subscribers: Gauge,
     gauge_live_queries: Gauge,
     gauge_live_groups: Gauge,
+    gauge_graph_bytes: Gauge,
 }
 
 impl CoreMetrics {
@@ -142,6 +143,7 @@ impl CoreMetrics {
             gauge_subscribers: r.gauge("srpq_subscribers", &[]),
             gauge_live_queries: r.gauge("srpq_live_queries", &[]),
             gauge_live_groups: r.gauge("srpq_live_groups", &[]),
+            gauge_graph_bytes: r.gauge("srpq_graph_heap_bytes", &[]),
         }
     }
 }
@@ -150,6 +152,7 @@ impl CoreMetrics {
 struct QueryGauges {
     delta_nodes: Gauge,
     result_bytes: Gauge,
+    reverse_index_bytes: Gauge,
     delta_capacity: Gauge,
     compactions: Gauge,
     routed: Gauge,
@@ -164,6 +167,7 @@ impl QueryGauges {
         QueryGauges {
             delta_nodes: r.gauge("srpq_query_delta_nodes", l),
             result_bytes: r.gauge("srpq_query_result_bytes", l),
+            reverse_index_bytes: r.gauge("srpq_query_reverse_index_bytes", l),
             delta_capacity: r.gauge("srpq_query_delta_capacity", l),
             compactions: r.gauge("srpq_query_compactions_total", l),
             routed: r.gauge("srpq_query_routed_total", l),
@@ -274,14 +278,16 @@ impl EngineCore {
             let Some(group) = engine.engine(id) else {
                 continue;
             };
-            let (stats, result_bytes) = (*group.stats(), group.result_bytes());
+            let stats = *group.stats();
             let name = engine.name(id).unwrap_or("").to_string();
             let g = self
                 .query_gauges
                 .entry(id.0)
                 .or_insert_with(|| QueryGauges::new(&self.obs, &name));
             g.delta_nodes.set(stats.delta_nodes_live);
-            g.result_bytes.set(result_bytes as u64);
+            g.result_bytes.set(group.result_bytes() as u64);
+            g.reverse_index_bytes
+                .set(group.reverse_index_bytes() as u64);
             g.delta_capacity.set(stats.delta_capacity);
             g.compactions.set(stats.compactions);
             g.routed.set(stats.tuples_routed);
@@ -312,6 +318,9 @@ impl EngineCore {
         self.metrics
             .gauge_live_groups
             .set(engine.groups_live() as u64);
+        self.metrics
+            .gauge_graph_bytes
+            .set(engine.graph().heap_bytes() as u64);
         self.metrics
             .gauge_subscribers
             .set(self.subscribers.len() as u64);

@@ -479,6 +479,15 @@ fn metrics_events_and_exact_e2e_histogram() {
         text.contains("srpq_query_result_bytes{query=\"ab\"}"),
         "{text}"
     );
+    assert!(
+        text.contains("srpq_query_reverse_index_bytes{query=\"ab\"}"),
+        "{text}"
+    );
+    let graph_bytes = text
+        .lines()
+        .find_map(|l| l.strip_prefix("srpq_graph_heap_bytes "))
+        .and_then(|v| v.parse::<u64>().ok());
+    assert!(graph_bytes.is_some_and(|b| b > 0), "{text}");
     assert!(text.contains("srpq_ingest_tuples_total 256"), "{text}");
     assert!(text.contains("srpq_subscribers 1"), "{text}");
 
