@@ -112,11 +112,10 @@ mod tests {
         let window = WindowPolicy::new(100, 10);
 
         let mut reeval = ReevalEngine::new(query.clone(), window);
-        let mut incremental = srpq_core::Engine::new(
-            query,
-            srpq_core::EngineConfig::with_window(window),
-            srpq_core::PathSemantics::Arbitrary,
-        );
+        let mut incremental = srpq_core::MultiQueryEngine::new(window);
+        incremental
+            .register("q", query, srpq_core::PathSemantics::Arbitrary)
+            .unwrap();
 
         let stream = [
             StreamTuple::insert(Timestamp(1), VertexId(0), VertexId(1), a),
@@ -129,7 +128,7 @@ mod tests {
         let mut s2 = CollectSink::default();
         for t in stream {
             reeval.process(t, &mut s1);
-            incremental.process(t, &mut s2);
+            incremental.process(t, &mut srpq_core::UntagSink(&mut s2));
         }
         assert_eq!(s1.pairs(), s2.pairs());
         assert!(reeval.result_count() > 0);

@@ -2,7 +2,7 @@
 //! numbers, on a dependency-free timing loop (run with `cargo bench`).
 //!
 //! * `tuple_insert/*` — per-tuple RAPQ cost on each dataset family
-//!   (the quantity Figure 4 aggregates);
+//!   (the quantity Figure 4 aggregates), through a one-query engine;
 //! * `window_management/expiry_pass` — one full expiry pass (Figure
 //!   6b's unit of work);
 //! * `compile/*` — query registration: regex → minimal DFA +
@@ -14,10 +14,9 @@
 //! first argument to run a subset: `cargo bench --bench microbench -- compile`.
 
 use srpq_automata::CompiledQuery;
+use srpq_bench::make_engine;
 use srpq_common::LabelInterner;
-use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::sink::NullSink;
-use srpq_core::EngineConfig;
+use srpq_core::{MultiQueryEngine, NullMultiSink, PathSemantics};
 use srpq_datagen::{ldbc, so, yago, Dataset, DatasetKind};
 use srpq_graph::WindowPolicy;
 use std::time::{Duration, Instant};
@@ -89,17 +88,10 @@ fn query_for(kind: DatasetKind) -> &'static str {
     }
 }
 
-fn loaded_engine(ds: &Dataset, kind: DatasetKind, window: WindowPolicy) -> Engine {
-    let mut labels = ds.labels.clone();
-    let q = CompiledQuery::compile(query_for(kind), &mut labels).unwrap();
-    let mut engine = Engine::new(
-        q,
-        EngineConfig::with_window(window),
-        PathSemantics::Arbitrary,
-    );
-    let mut sink = NullSink;
+fn loaded_engine(ds: &Dataset, kind: DatasetKind, window: WindowPolicy) -> MultiQueryEngine {
+    let mut engine = make_engine(query_for(kind), ds, window, PathSemantics::Arbitrary);
     for &t in &ds.tuples {
-        engine.process(t, &mut sink);
+        engine.process(t, &mut NullMultiSink);
     }
     engine
 }
@@ -116,19 +108,10 @@ fn bench_tuple_insert() {
         bench(
             &format!("tuple_insert/{name}"),
             10,
-            || {
-                let mut labels = ds.labels.clone();
-                let q = CompiledQuery::compile(query_for(kind), &mut labels).unwrap();
-                Engine::new(
-                    q,
-                    EngineConfig::with_window(window),
-                    PathSemantics::Arbitrary,
-                )
-            },
+            || make_engine(query_for(kind), &ds, window, PathSemantics::Arbitrary),
             |mut engine| {
-                let mut sink = NullSink;
                 for &t in &ds.tuples {
-                    engine.process(t, &mut sink);
+                    engine.process(t, &mut NullMultiSink);
                 }
                 engine
             },
@@ -147,8 +130,7 @@ fn bench_expiry() {
         10,
         || loaded_engine(&ds, DatasetKind::Yago, window),
         |mut engine| {
-            let mut sink = NullSink;
-            engine.expire_now(&mut sink);
+            engine.expire_now(&mut NullMultiSink);
             engine
         },
     );

@@ -14,8 +14,7 @@
 
 use srpq_bench::{build_dataset, compile_query, default_window, run_engine, scale_from_args};
 use srpq_core::config::RefreshPolicy;
-use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, MultiQueryEngine, PathSemantics};
 use srpq_datagen::{queries_for, DatasetKind};
 use std::time::Duration;
 
@@ -34,13 +33,16 @@ fn main() {
             let query = compile_query(&expr, &ds.labels);
             let mut config = EngineConfig::with_window(window);
             config.refresh = policy;
-            let mut engine = Engine::new(query, config, PathSemantics::Arbitrary);
+            let mut engine = MultiQueryEngine::with_config(config);
+            engine
+                .register(qname, query, PathSemantics::Arbitrary)
+                .expect("fresh engine");
             let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(60));
             println!(
                 "{pname},{qname},{:.0},{:.1},{:.1},{}",
                 r.throughput(),
                 r.p99_us(),
-                r.expiry_nanos as f64 / 1e6,
+                r.stats.expiry_nanos as f64 / 1e6,
                 r.results
             );
         }

@@ -27,7 +27,7 @@ fn main() {
                 r.p99_us(),
                 r.mean_us(),
                 r.throughput(),
-                engine.stats().deletions_processed
+                r.stats.deletions_processed
             );
         }
     }

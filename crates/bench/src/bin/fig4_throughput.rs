@@ -8,7 +8,7 @@
 //!
 //! Each (dataset, query) runs twice: `single` drives the engine one
 //! tuple at a time; `batched` drives it through
-//! [`srpq_core::engine::Engine::process_batch`] in 256-tuple chunks
+//! [`srpq_core::MultiQueryEngine::process_batch`] in 256-tuple chunks
 //! (same result stream, amortized window maintenance). Pass
 //! `--json FILE` to additionally write the rows as a JSON array (the CI
 //! perf artifact).

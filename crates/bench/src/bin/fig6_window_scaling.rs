@@ -29,13 +29,13 @@ fn main() {
         for (qname, expr) in &queries {
             let mut engine = make_engine(expr, &ds, w, PathSemantics::Arbitrary);
             let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(120));
-            let passes = engine.stats().expiry_runs.max(1);
+            let passes = r.stats.expiry_runs.max(1);
             println!(
                 "window,{qname},{},{},{:.1},{:.3},{:.0}",
                 w.window_size,
                 w.slide,
                 r.p99_us(),
-                r.expiry_nanos as f64 / passes as f64 / 1e6,
+                r.stats.expiry_nanos as f64 / passes as f64 / 1e6,
                 r.throughput()
             );
         }
@@ -47,13 +47,13 @@ fn main() {
         for (qname, expr) in &queries {
             let mut engine = make_engine(expr, &ds, w, PathSemantics::Arbitrary);
             let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(120));
-            let passes = engine.stats().expiry_runs.max(1);
+            let passes = r.stats.expiry_runs.max(1);
             println!(
                 "slide,{qname},{},{},{:.1},{:.3},{:.0}",
                 w.window_size,
                 w.slide,
                 r.p99_us(),
-                r.expiry_nanos as f64 / passes as f64 / 1e6,
+                r.stats.expiry_nanos as f64 / passes as f64 / 1e6,
                 r.throughput()
             );
         }

@@ -5,7 +5,7 @@
 //! identical k differ by up to ~6× (explained by Δ index size — see
 //! Figure 9).
 
-use srpq_bench::{gmark_fixture, make_engine, run_engine, scale_from_args};
+use srpq_bench::{compile_query, gmark_fixture, make_engine, run_engine, scale_from_args};
 use srpq_core::engine::PathSemantics;
 use srpq_graph::WindowPolicy;
 use std::time::Duration;
@@ -18,8 +18,8 @@ fn main() {
     println!("# Figure 8: throughput vs k on the gMark graph (scale {scale})");
     println!("k,query_size,throughput_eps,peak_nodes,completed,expr");
     for q in &queries {
+        let k = compile_query(&q.expr, &ds.labels).k();
         let mut engine = make_engine(&q.expr, &ds, window, PathSemantics::Arbitrary);
-        let k = engine.query().k();
         let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(20));
         println!(
             "{k},{},{:.0},{},{},\"{}\"",

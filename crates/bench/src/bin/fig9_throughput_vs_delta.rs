@@ -5,7 +5,7 @@
 //! of partial results maintained) is what determines throughput, not
 //! the automaton size.
 
-use srpq_bench::{gmark_fixture, make_engine, run_engine, scale_from_args};
+use srpq_bench::{compile_query, gmark_fixture, make_engine, run_engine, scale_from_args};
 use srpq_core::engine::PathSemantics;
 use srpq_graph::WindowPolicy;
 use std::time::Duration;
@@ -21,14 +21,14 @@ fn main() {
     println!("peak_nodes,throughput_eps,completed,expr");
     let mut kept = 0;
     for q in &queries {
-        let mut engine = make_engine(&q.expr, &ds, window, PathSemantics::Arbitrary);
-        if engine.query().k() != 5 {
+        if compile_query(&q.expr, &ds.labels).k() != 5 {
             continue;
         }
         kept += 1;
         if kept > 60 {
             break;
         }
+        let mut engine = make_engine(&q.expr, &ds, window, PathSemantics::Arbitrary);
         let r = run_engine(&mut engine, &ds.tuples, Duration::from_secs(20));
         println!(
             "{},{:.0},{},\"{}\"",

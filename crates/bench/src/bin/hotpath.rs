@@ -1,11 +1,14 @@
 //! Hot-path microbenchmark: interleaved A/B of the extend/expire fast
 //! path against a pre-change baseline binary.
 //!
-//! Three timed rows plus one allocation-count row, all on the gMark
-//! smoke fixture:
+//! Four timed rows plus one allocation-count row. Every row drives
+//! `MultiQueryEngine`, the one engine every host runs; all but
+//! `multi_agg` and `alloc_steady` run each query alone on a one-query
+//! engine (`make_engine`), tuple by tuple (`run_engine`), over the
+//! gMark smoke fixture:
 //!
-//! - `aggregate`    — the 8-query single-thread smoke workload (the
-//!   perf-trajectory anchor; acceptance gates on this row's speedup).
+//! - `aggregate`    — the 8-query single-thread smoke workload, one
+//!   query at a time (the perf-trajectory anchor).
 //! - `multi_agg`    — the same 8 queries through the shared-window
 //!   `MultiQueryEngine`, the multi-query hot path the serving layer
 //!   drives. This row pins the cost of the per-stage accounting
@@ -14,9 +17,10 @@
 //!   window slide: dominated by the Δ-arena threshold scan.
 //! - `extend_loop`  — window larger than the stream, so nothing ever
 //!   expires: dominated by tree extension and its membership guards.
-//! - `alloc_steady` — replays the same stream three times (shifted in
-//!   time); heap allocations are counted during the third cycle only,
-//!   when every arena, scratch vector, and hash table is warm.
+//! - `alloc_steady` — replays a ring stream five times (shifted in
+//!   time) through a one-query engine; heap allocations are counted
+//!   during the last cycle only, when every arena, scratch vector, and
+//!   hash table is warm.
 //!
 //! Modes:
 //!
@@ -29,13 +33,16 @@
 //!
 //! Raw mode prints `ROW <name> <relevant_tuples> <elapsed_ns> <allocs>`
 //! so the orchestrator (and CI) can parse results from either binary.
-//! The source intentionally sticks to bench-lib APIs that predate the
-//! arena rework, so the identical file builds in the baseline worktree.
+//! The source intentionally sticks to APIs the baseline also has —
+//! `make_engine`/`run_engine` with the engine type left to inference,
+//! `MultiQueryEngine`, `UntagSink` — so the identical file builds in
+//! the baseline worktree.
 
 use srpq_bench::{compile_query, gmark_fixture, jsonout, make_engine, run_engine};
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::multi::{MultiQueryEngine, UntagSink};
 use srpq_core::sink::CountSink;
+use srpq_core::PathSemantics;
 use srpq_datagen::Dataset;
 use srpq_graph::WindowPolicy;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -273,9 +280,10 @@ fn row_extend_loop() -> Row {
 }
 
 /// Streams a ring graph (`i →a i+1 mod N`, one edge per tick) through
-/// `a+` with a window of half the ring: every slide expires old edges,
-/// kills the trees rooted at them, and re-grows identical trees at the
-/// younger vertices. By symmetry every spanning tree has the same
+/// `a+`, alone on a one-query engine, with a window of half the ring:
+/// every slide expires old edges, kills the trees rooted at them, and
+/// re-grows identical trees at the younger vertices. By symmetry every
+/// spanning tree has the same
 /// shape, so after a few warm cycles every arena, pooled tree, scratch
 /// vector, and hash table sits at its high-water mark and the cycle
 /// repeats an identical operation sequence. Any allocation counted in
@@ -287,8 +295,14 @@ fn row_alloc_steady(assert_zero: bool) -> Row {
     let mut labels = LabelInterner::default();
     let a = labels.intern("a");
     let window = WindowPolicy::new(i64::from(N) / 2, i64::from(N) / 8);
-    let mut engine = Engine::from_str("a+", &mut labels, window, PathSemantics::Arbitrary)
-        .expect("ring query compiles");
+    let mut engine = MultiQueryEngine::new(window);
+    engine
+        .register(
+            "ring",
+            compile_query("a+", &labels),
+            PathSemantics::Arbitrary,
+        )
+        .expect("ring query registers");
     let mut sink = CountSink::default();
     let (mut tuples, mut ns, mut allocs) = (0u64, 0u64, 0u64);
     for cycle in 0..CYCLES {
@@ -300,7 +314,7 @@ fn row_alloc_steady(assert_zero: bool) -> Row {
         for i in 0..N {
             let ts = Timestamp(cycle * i64::from(N) + i64::from(i));
             let t = StreamTuple::insert(ts, VertexId(i), VertexId((i + 1) % N), a);
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
         }
         if cycle == CYCLES - 1 {
             COUNTING.store(false, Relaxed);

@@ -10,8 +10,7 @@
 use srpq_bench::{
     build_dataset, compile_query, default_window, make_engine, run_engine, scale_from_args,
 };
-use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, MultiQueryEngine, PathSemantics};
 use srpq_datagen::{queries_for, DatasetKind};
 use std::time::Duration;
 
@@ -39,10 +38,12 @@ fn main() {
             let query = compile_query(&expr, &ds.labels);
             let mut config = EngineConfig::with_window(window);
             config.rspq_extend_budget = Some(300_000);
-            let mut rspq = Engine::new(query, config, PathSemantics::Simple);
-            let has_prop = rspq.query().has_containment_property();
+            let has_prop = query.has_containment_property();
+            let mut rspq = MultiQueryEngine::with_config(config);
+            rspq.register(qname, query, PathSemantics::Simple)
+                .expect("fresh engine");
             let rs = run_engine(&mut rspq, &ds.tuples, budget);
-            let ok = rs.completed && rspq.stats().budget_exhausted == 0;
+            let ok = rs.completed && rs.stats.budget_exhausted == 0;
             let overhead = if ra.p99_us() > 0.0 {
                 rs.p99_us() / ra.p99_us()
             } else {
@@ -52,7 +53,7 @@ fn main() {
                 "{name},{qname},{},{},{},{:.2},{:.1},{:.1}",
                 ok,
                 has_prop,
-                rspq.stats().conflicts_detected,
+                rs.stats.conflicts_detected,
                 overhead,
                 ra.p99_us(),
                 rs.p99_us()

@@ -12,9 +12,10 @@
 
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, LatencyHistogram, StreamTuple};
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::sink::CountSink;
-use srpq_core::{EngineConfig, IndexSize};
+use srpq_core::{
+    Engine, EngineConfig, EngineStats, IndexSize, MultiQueryEngine, PathSemantics, UntagSink,
+};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset, DatasetKind};
 use srpq_graph::WindowPolicy;
 use std::time::{Duration, Instant};
@@ -109,8 +110,9 @@ pub struct RunReport {
     pub index: IndexSize,
     /// Peak Δ node count observed (sampled).
     pub peak_nodes: usize,
-    /// Nanoseconds spent in expiry passes (window management time).
-    pub expiry_nanos: u64,
+    /// The query's final statistics (`expiry_nanos` is the window
+    /// management time).
+    pub stats: EngineStats,
     /// Whether the run finished within its budget.
     pub completed: bool,
 }
@@ -135,11 +137,25 @@ impl RunReport {
     }
 }
 
-/// Drives `engine` over `tuples`, measuring per-tuple latency for tuples
-/// whose label is in the query alphabet. `budget` bounds wall-clock time
-/// (RSPQ runs can be exponential); on expiry the run stops early with
+/// The one query of a [`make_engine`] engine.
+fn the_query(engine: &MultiQueryEngine) -> &Engine {
+    let [id] = engine.query_ids()[..] else {
+        panic!("make_engine builds one-query engines");
+    };
+    engine.engine(id).expect("live query")
+}
+
+/// Drives the one-query `engine` over `tuples` tuple by tuple,
+/// measuring per-tuple latency for tuples whose label is in the query
+/// alphabet. `budget` bounds wall-clock time (RSPQ runs can be
+/// exponential); on expiry the run stops early with
 /// `completed = false`.
-pub fn run_engine(engine: &mut Engine, tuples: &[StreamTuple], budget: Duration) -> RunReport {
+pub fn run_engine(
+    engine: &mut MultiQueryEngine,
+    tuples: &[StreamTuple],
+    budget: Duration,
+) -> RunReport {
+    let dfa = the_query(engine).query().dfa().clone();
     let mut sink = CountSink::default();
     let mut latency = LatencyHistogram::new();
     let mut relevant = 0u64;
@@ -147,17 +163,16 @@ pub fn run_engine(engine: &mut Engine, tuples: &[StreamTuple], budget: Duration)
     let started = Instant::now();
     let mut completed = true;
     for (i, &t) in tuples.iter().enumerate() {
-        let is_relevant = engine.query().dfa().knows_label(t.label);
-        if is_relevant {
+        if dfa.knows_label(t.label) {
             relevant += 1;
             let t0 = Instant::now();
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
             latency.record(t0.elapsed().as_nanos() as u64);
         } else {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
         }
         if i % 64 == 0 {
-            peak_nodes = peak_nodes.max(engine.index_size().nodes);
+            peak_nodes = peak_nodes.max(the_query(engine).index_size().nodes);
             if started.elapsed() > budget {
                 completed = false;
                 break;
@@ -165,31 +180,33 @@ pub fn run_engine(engine: &mut Engine, tuples: &[StreamTuple], budget: Duration)
         }
     }
     let elapsed = started.elapsed();
-    peak_nodes = peak_nodes.max(engine.index_size().nodes);
+    let query = the_query(engine);
     RunReport {
         tuples_total: tuples.len() as u64,
         tuples_relevant: relevant,
         elapsed,
         latency,
         results: sink.emitted,
-        index: engine.index_size(),
-        peak_nodes,
-        expiry_nanos: engine.stats().expiry_nanos,
+        index: query.index_size(),
+        peak_nodes: peak_nodes.max(query.index_size().nodes),
+        stats: *query.stats(),
         completed,
     }
 }
 
-/// Drives `engine` over `tuples` through [`Engine::process_batch`] in
-/// `batch_size`-sized chunks. The latency histogram records, per chunk,
-/// the mean per-relevant-tuple cost (so `latency.count()` equals the
-/// number of measured chunks, not tuples). Budget and peak sampling are
-/// checked once per chunk.
+/// Drives the one-query `engine` over `tuples` through
+/// [`MultiQueryEngine::process_batch`] in `batch_size`-sized chunks.
+/// The latency histogram records, per chunk, the mean
+/// per-relevant-tuple cost (so `latency.count()` equals the number of
+/// measured chunks, not tuples). Budget and peak sampling are checked
+/// once per chunk.
 pub fn run_engine_batched(
-    engine: &mut Engine,
+    engine: &mut MultiQueryEngine,
     tuples: &[StreamTuple],
     batch_size: usize,
     budget: Duration,
 ) -> RunReport {
+    let dfa = the_query(engine).query().dfa().clone();
     let batch_size = batch_size.max(1);
     let mut sink = CountSink::default();
     let mut latency = LatencyHistogram::new();
@@ -198,33 +215,30 @@ pub fn run_engine_batched(
     let started = Instant::now();
     let mut completed = true;
     for chunk in tuples.chunks(batch_size) {
-        let chunk_relevant = chunk
-            .iter()
-            .filter(|t| engine.query().dfa().knows_label(t.label))
-            .count() as u64;
+        let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
         relevant += chunk_relevant;
         let t0 = Instant::now();
-        engine.process_batch(chunk, &mut sink);
+        engine.process_batch(chunk, &mut UntagSink(&mut sink));
         if let Some(per_tuple) = (t0.elapsed().as_nanos() as u64).checked_div(chunk_relevant) {
             latency.record(per_tuple);
         }
-        peak_nodes = peak_nodes.max(engine.index_size().nodes);
+        peak_nodes = peak_nodes.max(the_query(engine).index_size().nodes);
         if started.elapsed() > budget {
             completed = false;
             break;
         }
     }
     let elapsed = started.elapsed();
-    peak_nodes = peak_nodes.max(engine.index_size().nodes);
+    let query = the_query(engine);
     RunReport {
         tuples_total: tuples.len() as u64,
         tuples_relevant: relevant,
         elapsed,
         latency,
         results: sink.emitted,
-        index: engine.index_size(),
-        peak_nodes,
-        expiry_nanos: engine.stats().expiry_nanos,
+        index: query.index_size(),
+        peak_nodes: peak_nodes.max(query.index_size().nodes),
+        stats: *query.stats(),
         completed,
     }
 }
@@ -235,15 +249,19 @@ pub fn compile_query(expr: &str, labels: &LabelInterner) -> CompiledQuery {
     CompiledQuery::compile(expr, &mut labels).expect("workload query compiles")
 }
 
-/// Builds an engine for a dataset + query + window.
+/// Builds the engine for a dataset + query + window: `expr` registered
+/// alone on a [`MultiQueryEngine`], as every host runs a lone query.
 pub fn make_engine(
     expr: &str,
     ds: &Dataset,
     window: WindowPolicy,
     semantics: PathSemantics,
-) -> Engine {
-    let query = compile_query(expr, &ds.labels);
-    Engine::new(query, EngineConfig::with_window(window), semantics)
+) -> MultiQueryEngine {
+    let mut engine = MultiQueryEngine::with_config(EngineConfig::with_window(window));
+    engine
+        .register(expr, compile_query(expr, &ds.labels), semantics)
+        .expect("a fresh engine has no name to clash with");
+    engine
 }
 
 /// Convenience: the gMark graph + synthetic workload of Figures 7–9.

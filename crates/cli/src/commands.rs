@@ -475,7 +475,7 @@ impl EngineHost {
         chunk: &[StreamTuple],
         sink: &mut S,
     ) -> Result<(), String> {
-        // One query: drop its tag so the output is a private engine's.
+        // One query: drop its tag so the output is its plain stream.
         match self {
             EngineHost::Plain(m, _) => {
                 m.process_batch(chunk, &mut UntagSink(sink));

@@ -23,8 +23,8 @@ pub mod stage {
     /// maintenance).
     pub const ROUTE: u8 = 1;
     /// Per-group Δ-tree extension: for each routed group,
-    /// `Engine::advance_with_graph` then `Engine::dispatch_with_graph`
-    /// (a pool worker calls the pair as `Engine::extend_with_graph`).
+    /// `Engine::advance` then `Engine::dispatch` (a pool worker calls
+    /// the pair as `Engine::extend`).
     pub const EXTEND: u8 = 2;
     /// Expiry pass over Δ trees / shared graph purge.
     pub const EXPIRY: u8 = 3;

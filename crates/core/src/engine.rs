@@ -6,10 +6,14 @@
 //! explicit deletion into the expiry of a `-∞`-stamped subtree.
 //! [`Engine`] holds everything that does not depend on the path
 //! semantics exactly once — the registered query, the configuration,
-//! the (owned) window graph, the reported-result set, the stream clock,
-//! the statistics, the slide-crossing check, the expiry metering and
-//! the *for each due tree: expire, drop if trivial, refresh the gauges*
-//! loop. What the paper actually varies is reached through three
+//! the reported-result set, the stream clock, the statistics, the
+//! slide-crossing check, the expiry metering and the *for each due
+//! tree: expire, drop if trivial, refresh the gauges* loop. It owns no
+//! graph: it is one evaluation group of a
+//! [`MultiQueryEngine`](crate::multi::MultiQueryEngine), which owns the
+//! window graph, applies every mutation to it once and purges it at
+//! slide crossings; the engine only reads that graph, borrowed per
+//! call. What the paper actually varies is reached through three
 //! per-tree procedures, implemented in `rapq/` (§3) and `rspq/` (§4):
 //!
 //! | procedure | arbitrary paths (§3) | simple paths (§4) |
@@ -38,9 +42,9 @@ use crate::results::ResultSet;
 use crate::rspq::Rspq;
 use crate::sink::ResultSink;
 use crate::stats::{DeltaProfile, EngineStats, IndexSize};
-use srpq_automata::{CompiledQuery, Dfa, ParseError};
-use srpq_common::{LabelInterner, Op, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
+use srpq_automata::{CompiledQuery, Dfa};
+use srpq_common::{Op, ResultPair, StreamTuple, Timestamp, VertexId};
+use srpq_graph::{Visibility, WindowGraph};
 
 /// Which path semantics a registered query evaluates under (§1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,15 +56,15 @@ pub enum PathSemantics {
     Simple,
 }
 
-/// A persistent streaming RPQ evaluator: one registered query, its Δ
-/// index, and the window it is evaluated over.
+/// The evaluator of one shared evaluation group: one registered query,
+/// its Δ index, its reported-result set, its clock and its statistics.
+/// Only [`MultiQueryEngine`](crate::multi::MultiQueryEngine) drives it;
+/// elsewhere an engine is read
+/// ([`MultiQueryEngine::engine`](crate::multi::MultiQueryEngine::engine))
+/// or restored (persistence).
 pub struct Engine {
     query: CompiledQuery,
     config: EngineConfig,
-    /// The window graph (snapshot `G_{W,τ}` plus not-yet-purged
-    /// tuples). Stays empty when a multi-query host drives the engine
-    /// through the `*_with_graph` methods.
-    graph: WindowGraph,
     /// Deduplication set: pairs ever reported, minus invalidations.
     /// Window expiry removes none, so it grows with the distinct pairs
     /// seen since the stream began.
@@ -146,11 +150,14 @@ pub(crate) trait PerTree {
 
 impl Engine {
     /// Registers `query` under the given semantics.
-    pub fn new(query: CompiledQuery, config: EngineConfig, semantics: PathSemantics) -> Engine {
+    pub(crate) fn new(
+        query: CompiledQuery,
+        config: EngineConfig,
+        semantics: PathSemantics,
+    ) -> Engine {
         Engine {
             query,
             config,
-            graph: WindowGraph::new(),
             emitted: ResultSet::default(),
             now: Timestamp::NEG_INFINITY,
             stats: EngineStats::default(),
@@ -163,21 +170,6 @@ impl Engine {
             #[cfg(test)]
             swept: Vec::new(),
         }
-    }
-
-    /// Parses, compiles, and registers a query in one step.
-    pub fn from_str(
-        expr: &str,
-        labels: &mut LabelInterner,
-        window: WindowPolicy,
-        semantics: PathSemantics,
-    ) -> Result<Engine, ParseError> {
-        let query = CompiledQuery::compile(expr, labels)?;
-        Ok(Engine::new(
-            query,
-            EngineConfig::with_window(window),
-            semantics,
-        ))
     }
 
     /// The registered query.
@@ -209,12 +201,7 @@ impl Engine {
         &self.config
     }
 
-    /// The window graph.
-    pub fn graph(&self) -> &WindowGraph {
-        &self.graph
-    }
-
-    /// Stream time of the last processed tuple.
+    /// Stream time of the last tuple routed to this engine.
     pub fn now(&self) -> Timestamp {
         self.now
     }
@@ -322,93 +309,31 @@ impl Engine {
         Ok(())
     }
 
-    /// Processes one streaming graph tuple, pushing any new results (and
-    /// invalidations) into `sink`. Tuples must arrive in non-decreasing
-    /// timestamp order.
-    pub fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        if let Some(wm) = self.advance_clock(tuple.ts) {
-            self.run_expiry(wm, sink);
-        }
-        self.apply_and_dispatch(tuple, sink);
-    }
-
-    /// Processes a slide's worth of tuples at once: the batch is grouped
-    /// by slide interval, so the boundary check and the (at most one)
-    /// expiry pass run once per group instead of once per tuple. The
-    /// result stream is byte-identical to feeding the same tuples
-    /// through [`Self::process`] one at a time.
-    pub fn process_batch<S: ResultSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
-        let window = self.config.window;
-        let mut i = 0;
-        while i < batch.len() {
-            let (len, group_now) = window.slide_group(self.now, &batch[i..], |t| t.ts);
-            if let Some(wm) = self.advance_clock(group_now) {
-                self.run_expiry(wm, sink);
-            }
-            for &t in &batch[i..i + len] {
-                if t.ts > self.now {
-                    self.now = t.ts;
-                }
-                self.apply_and_dispatch(t, sink);
-            }
-            i += len;
-        }
-    }
-
-    /// Forces an expiry pass at the current eager watermark (harness
-    /// hook; normally expiry is driven by slide crossings).
-    pub fn expire_now<S: ResultSink>(&mut self, sink: &mut S) {
-        let wm = self.config.window.watermark(self.now);
-        self.run_expiry(wm, sink);
-    }
-
-    /// Processes a tuple against an **external, shared** window graph
-    /// (multi-query evaluation: one graph, many Δ indexes), mutating it
-    /// as [`Self::process`] would mutate the engine's own. The engine's
-    /// own graph must stay untouched between shared calls — do not mix
-    /// [`Self::process`] and this method on one engine.
-    pub fn process_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &mut WindowGraph,
-        tuple: StreamTuple,
-        sink: &mut S,
-    ) {
-        std::mem::swap(&mut self.graph, graph);
-        self.process(tuple, sink);
-        std::mem::swap(&mut self.graph, graph);
-    }
-
-    /// The **read-only traversal path**: extends/expires Δ for one
-    /// tuple against an external shared graph that has *already*
-    /// absorbed this tuple's mutation (and possibly its whole
-    /// micro-batch's — `vis` hides in-batch edges a sequential run
-    /// would not have seen yet). The shared graph's slide-boundary
-    /// purge is the coordinator's job; this path only maintains Δ, so
-    /// the pooled schedule's workers of
-    /// [`crate::multi::MultiQueryEngine`] traverse one `&WindowGraph`
-    /// concurrently through it. Convenience over
-    /// [`Self::advance_with_graph`] (expiry hidden one position
-    /// earlier, as for a *first* routing target) followed by
-    /// [`Self::dispatch_with_graph`].
-    pub fn extend_with_graph<S: ResultSink>(
+    /// Extends Δ by one routed tuple against the host's graph, which has
+    /// already absorbed the tuple's mutation (and, on the pooled
+    /// schedule, its whole micro-batch's — `vis` hides in-batch edges a
+    /// sequential run would not have seen yet). [`Self::advance`] with
+    /// expiry hidden one position earlier, as for a *first* routing
+    /// target, followed by [`Self::dispatch`]: what a pool worker runs
+    /// per tuple while other workers read the same graph.
+    pub(crate) fn extend<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         tuple: StreamTuple,
         sink: &mut S,
     ) {
-        self.advance_with_graph(graph, vis.before(), tuple.ts, sink);
-        self.dispatch_with_graph(graph, vis, tuple, sink);
+        self.advance(graph, vis.before(), tuple.ts, sink);
+        self.dispatch(graph, vis, tuple, sink);
     }
 
     /// Advances the clock to `ts` and, on a slide-boundary crossing,
-    /// runs the lazy Δ-expiry pass against the shared graph at
-    /// visibility `vis`. Split from [`Self::dispatch_with_graph`] so a
-    /// multi-query coordinator can reproduce the sequential order
-    /// exactly: every routed group expires against the pre-mutation
-    /// graph, then the coordinator applies the mutation once, then
+    /// runs the lazy Δ-expiry pass against `graph` at visibility `vis`.
+    /// Split from [`Self::dispatch`] so the host reproduces the
+    /// sequential order exactly: every routed group expires against the
+    /// pre-mutation graph, then the host applies the mutation once, then
     /// every routed group dispatches the tuple.
-    pub fn advance_with_graph<S: ResultSink>(
+    pub(crate) fn advance<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
@@ -416,15 +341,15 @@ impl Engine {
         sink: &mut S,
     ) {
         if let Some(wm) = self.advance_clock(ts) {
-            self.metered(|e| e.expire_delta(graph, vis, wm, sink));
+            self.metered(|e| e.expire_at(graph, vis, wm, sink));
         }
     }
 
     /// Δ-side handling of one tuple against a graph that has already
     /// absorbed its mutation: tree extension for an insert, subtree
     /// severing + expiry for a deletion. No clock movement — call
-    /// [`Self::advance_with_graph`] first.
-    pub fn dispatch_with_graph<S: ResultSink>(
+    /// [`Self::advance`] first.
+    pub(crate) fn dispatch<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
@@ -444,17 +369,11 @@ impl Engine {
         }
     }
 
-    /// Read-only eager expiry against an external shared graph (the
-    /// shared counterpart of [`Self::expire_now`]; the caller purges
-    /// the graph itself).
-    pub fn expire_delta_with_graph<S: ResultSink>(
-        &mut self,
-        graph: &WindowGraph,
-        vis: Visibility,
-        sink: &mut S,
-    ) {
+    /// An expiry pass at the current eager watermark (the host's
+    /// `expire_now`, which purges the graph itself).
+    pub(crate) fn expire_delta<S: ResultSink>(&mut self, graph: &WindowGraph, sink: &mut S) {
         let wm = self.config.window.watermark(self.now);
-        self.metered(|e| e.expire_delta(graph, vis, wm, sink));
+        self.metered(|e| e.expire_at(graph, Visibility::ALL, wm, sink));
     }
 
     /// Moves the clock to `ts` (late tuples never regress it). Returns
@@ -470,37 +389,6 @@ impl Engine {
             .then(|| window.lazy_watermark(self.now))
     }
 
-    /// Owned-graph tuple handling: mutate the graph, then run the
-    /// read-only Δ traversal against it (the same split a shared-graph
-    /// coordinator performs once per micro-batch).
-    fn apply_and_dispatch<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        if self.query.dfa().knows_label(tuple.label) {
-            let (u, v) = (tuple.edge.src, tuple.edge.dst);
-            match tuple.op {
-                Op::Insert => {
-                    self.graph.insert(u, v, tuple.label, tuple.ts);
-                }
-                Op::Delete => {
-                    self.graph.remove(u, v, tuple.label);
-                }
-            }
-        }
-        let graph = std::mem::take(&mut self.graph);
-        self.dispatch_with_graph(&graph, Visibility::ALL, tuple, sink);
-        self.graph = graph;
-    }
-
-    /// One owned-graph expiry pass: purge the graph, then expire Δ
-    /// against it.
-    fn run_expiry<S: ResultSink>(&mut self, wm: Timestamp, sink: &mut S) {
-        self.metered(|e| {
-            e.graph.purge_expired(wm);
-            let graph = std::mem::take(&mut e.graph);
-            e.expire_delta(&graph, Visibility::ALL, wm, sink);
-            e.graph = graph;
-        });
-    }
-
     /// Counts and times one expiry pass (window-management time,
     /// Figure 6b).
     fn metered(&mut self, pass: impl FnOnce(&mut Engine)) {
@@ -510,14 +398,14 @@ impl Engine {
         self.stats.expiry_nanos += t0.elapsed().as_nanos() as u64;
     }
 
-    /// The Δ-only part of a window-expiry pass, over a borrowed
-    /// (possibly shared) graph: every tree whose timestamp bound is at
-    /// or below `wm` is expired, reconnecting what surviving window
-    /// edges still reach; trees reduced to their root — and trees that
-    /// never grew past it — are dropped. Any other tree is skipped: its
-    /// expiry would remove nothing and return before reconnection and
-    /// compaction, so the pass is unchanged but for the work.
-    fn expire_delta<S: ResultSink>(
+    /// The Δ-only part of a window-expiry pass over the borrowed graph:
+    /// every tree whose timestamp bound is at or below `wm` is expired,
+    /// reconnecting what surviving window edges still reach; trees
+    /// reduced to their root — and trees that never grew past it — are
+    /// dropped. Any other tree is skipped: its expiry would remove
+    /// nothing and return before reconnection and compaction, so the
+    /// pass is unchanged but for the work.
+    fn expire_at<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
@@ -684,17 +572,28 @@ fn profile_forest<X: TreeSemantics>(forest: &Forest<X>) -> DeltaProfile {
 mod tests {
     use super::*;
     use crate::config::RefreshPolicy;
+    use crate::multi::solo::Solo;
     use crate::sink::CollectSink;
-    use srpq_common::{StreamTuple, VertexInterner};
+    use srpq_common::{LabelInterner, StreamTuple, VertexInterner};
+    use srpq_graph::WindowPolicy;
+
+    /// `expr` compiled against `labels`, alone on a host with `window`.
+    fn solo(
+        expr: &str,
+        labels: &mut LabelInterner,
+        window: WindowPolicy,
+        semantics: PathSemantics,
+    ) -> Solo {
+        let query = CompiledQuery::compile(expr, labels).unwrap();
+        Solo::new(query, EngineConfig::with_window(window), semantics)
+    }
 
     #[test]
     fn both_semantics_run_through_the_facade() {
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut labels = LabelInterner::new();
             let mut verts = VertexInterner::new();
-            let mut engine =
-                Engine::from_str("a b", &mut labels, WindowPolicy::new(100, 10), semantics)
-                    .unwrap();
+            let mut engine = solo("a b", &mut labels, WindowPolicy::new(100, 10), semantics);
             assert_eq!(engine.semantics(), semantics);
             let a = labels.get("a").unwrap();
             let b = labels.get("b").unwrap();
@@ -717,9 +616,7 @@ mod tests {
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut labels = LabelInterner::new();
             let mut verts = VertexInterner::new();
-            let mut engine =
-                Engine::from_str("a b", &mut labels, WindowPolicy::new(100, 10), semantics)
-                    .unwrap();
+            let mut engine = solo("a b", &mut labels, WindowPolicy::new(100, 10), semantics);
             let a = labels.get("a").unwrap();
             let b = labels.get("b").unwrap();
             let (x, y, z) = (verts.intern("x"), verts.intern("y"), verts.intern("z"));
@@ -758,8 +655,7 @@ mod tests {
         const N: u32 = 300;
         let mut labels = LabelInterner::new();
         let window = WindowPolicy::new(1_000, 1_000);
-        let mut engine =
-            Engine::from_str("(a|b)+", &mut labels, window, PathSemantics::Arbitrary).unwrap();
+        let mut engine = solo("(a|b)+", &mut labels, window, PathSemantics::Arbitrary);
         let (a, b) = (labels.get("a").unwrap(), labels.get("b").unwrap());
         let batch: Vec<StreamTuple> = (0..N)
             .flat_map(|i| [(i, (i + 1) % N, a), (i, (i * 7 + 3) % N, b)])
@@ -793,9 +689,9 @@ mod tests {
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut labels = LabelInterner::new();
             let window = WindowPolicy::new(i64::from(PER_WINDOW), 10);
-            let mut engine = Engine::from_str("a b*", &mut labels, window, semantics).unwrap();
+            let mut engine = solo("a b*", &mut labels, window, semantics);
             let (a, b) = (labels.get("a").unwrap(), labels.get("b").unwrap());
-            let bytes = |e: &Engine| e.graph().heap_bytes() + e.reverse_index_bytes();
+            let bytes = |e: &Solo| e.graph().heap_bytes() + e.reverse_index_bytes();
             let mut sink = CollectSink::default();
             let mut after_two = 0;
             for w in 0..WINDOWS {
@@ -821,13 +717,7 @@ mod tests {
     #[test]
     fn parse_errors_surface() {
         let mut labels = LabelInterner::new();
-        assert!(Engine::from_str(
-            "(a",
-            &mut labels,
-            WindowPolicy::new(10, 1),
-            PathSemantics::Arbitrary
-        )
-        .is_err());
+        assert!(CompiledQuery::compile("(a", &mut labels).is_err());
     }
 
     #[test]
@@ -846,7 +736,7 @@ mod tests {
             let a = labels.get("a").unwrap();
             let mut config = EngineConfig::with_window(WindowPolicy::new(10, 1));
             config.refresh = RefreshPolicy::None;
-            let mut engine = Engine::new(query, config, semantics);
+            let mut engine = Solo::new(query, config, semantics);
             let [r, v, q, w, far, away] = [0, 1, 2, 3, 4, 5].map(VertexId);
             let mut sink = CollectSink::default();
             for (ts, src, dst) in [(1, r, v), (1, r, q), (5, r, w), (6, w, v)] {
@@ -882,8 +772,7 @@ mod tests {
         const K: u32 = 64;
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut labels = LabelInterner::new();
-            let mut engine =
-                Engine::from_str("a+", &mut labels, WindowPolicy::new(128, 32), semantics).unwrap();
+            let mut engine = solo("a+", &mut labels, WindowPolicy::new(128, 32), semantics);
             let a = labels.get("a").unwrap();
             let mut sink = CollectSink::default();
             for i in 0..K {
@@ -934,11 +823,11 @@ mod tests {
             for restore in [false, true] {
                 let mut labels = LabelInterner::new();
                 let window = WindowPolicy::new(10, 5);
-                let mut fresh = Engine::from_str("a*", &mut labels, window, semantics).unwrap();
-                let mut engine = Engine::from_str("a*", &mut labels, window, semantics).unwrap();
+                let mut fresh = solo("a*", &mut labels, window, semantics);
+                let mut engine = solo("a*", &mut labels, window, semantics);
                 let a = labels.get("a").unwrap();
                 let mut sink = CollectSink::default();
-                let mut feed = |e: &mut Engine, (ts, src, dst): (i64, VertexId, VertexId)| {
+                let mut feed = |e: &mut Solo, (ts, src, dst): (i64, VertexId, VertexId)| {
                     e.process(StreamTuple::insert(Timestamp(ts), src, dst, a), &mut sink);
                 };
                 for t in base {
@@ -952,7 +841,8 @@ mod tests {
                 let seeded = engine.index_size().trees;
                 assert_eq!(seeded, fresh.index_size().trees + 2, "{label}");
                 if restore {
-                    engine.restore_delta(engine.delta_snapshot()).unwrap();
+                    let snaps = engine.delta_snapshot();
+                    engine.restore_delta(snaps).unwrap();
                 }
                 feed(&mut fresh, slide);
                 feed(&mut engine, slide);

@@ -3,11 +3,16 @@
 //! This crate implements the algorithms of *Regular Path Query Evaluation
 //! on Streaming Graphs* (Pacaci, Bonifati, Özsu — SIGMOD 2020):
 //!
-//! * [`engine::Engine`] — the one Δ-engine shell: the registered query,
-//!   the sliding-window policy (eager evaluation, lazy expiry), the
-//!   window graph, the result stream, the clock and the statistics,
-//!   under either [`engine::PathSemantics`]. The semantics only decide
-//!   which three per-tree procedures it calls:
+//! * [`multi::MultiQueryEngine`] — the one coordinator: it owns the sliding
+//!   window's graph (eager evaluation, lazy expiry), routes each tuple
+//!   by label, applies it to the graph once, purges the graph at slide
+//!   crossings, and fans results out per registered query — inline or
+//!   over a worker pool. A lone query is a one-query engine behind
+//!   [`multi::UntagSink`].
+//! * [`engine::Engine`] — the one Δ-engine shell, one per evaluation
+//!   group: the registered query, its result set, clock and statistics,
+//!   under either [`engine::PathSemantics`]. It only reads the graph.
+//!   The semantics only decide which three per-tree procedures it calls:
 //! * `rapq` — **arbitrary path semantics** (§3): Algorithm RAPQ with
 //!   `Insert` (extend one tree), `Delete`'s `-∞` marking (sever an
 //!   edge) and `ExpiryRAPQ` (expire one tree) over the Δ spanning-tree
@@ -20,9 +25,11 @@
 //! # Quick start
 //!
 //! ```
+//! use srpq_automata::CompiledQuery;
 //! use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexInterner};
-//! use srpq_core::engine::{Engine, PathSemantics};
+//! use srpq_core::multi::{MultiQueryEngine, UntagSink};
 //! use srpq_core::sink::CollectSink;
+//! use srpq_core::PathSemantics;
 //! use srpq_graph::WindowPolicy;
 //!
 //! let mut labels = LabelInterner::new();
@@ -31,19 +38,19 @@
 //! let mentions = labels.intern("mentions");
 //!
 //! // Q1 of Figure 1: (follows ◦ mentions)+ over a 15-unit window.
-//! let mut engine = Engine::from_str(
-//!     "(follows mentions)+",
-//!     &mut labels,
-//!     WindowPolicy::new(15, 1),
-//!     PathSemantics::Arbitrary,
-//! )
-//! .unwrap();
+//! let q1 = CompiledQuery::compile("(follows mentions)+", &mut labels).unwrap();
+//! let mut engine = MultiQueryEngine::new(WindowPolicy::new(15, 1));
+//! let id = engine.register("q1", q1, PathSemantics::Arbitrary).unwrap();
 //!
 //! let (x, y, u) = (verts.intern("x"), verts.intern("y"), verts.intern("u"));
 //! let mut sink = CollectSink::default();
-//! engine.process(StreamTuple::insert(Timestamp(1), x, y, follows), &mut sink);
-//! engine.process(StreamTuple::insert(Timestamp(2), y, u, mentions), &mut sink);
+//! let batch = [
+//!     StreamTuple::insert(Timestamp(1), x, y, follows),
+//!     StreamTuple::insert(Timestamp(2), y, u, mentions),
+//! ];
+//! engine.process_batch(&batch, &mut UntagSink(&mut sink));
 //! assert_eq!(sink.pairs().len(), 1); // (x, u)
+//! assert_eq!(engine.engine(id).unwrap().result_count(), 1);
 //! ```
 
 #![warn(missing_docs)]

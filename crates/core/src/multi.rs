@@ -21,6 +21,11 @@
 //! * window maintenance (graph purge) happens once per slide, not once
 //!   per query.
 //!
+//! This is the only host of an [`Engine`]: the engine owns no graph,
+//! so everything that mutates the window graph — applying each tuple
+//! once, purging it at slide crossings — happens here, on one thread,
+//! and the group engines only read it.
+//!
 //! # Groups and signatures
 //!
 //! Two registrations share a group iff their compiled automata have
@@ -35,11 +40,11 @@
 //!
 //! Sharing preserves the single-query event streams **byte-identically**:
 //! for each tuple, every routed group first advances its clock (running
-//! the pre-mutation expiry pass exactly like a solo engine), then the
-//! coordinator applies the graph mutation once, then every routed group
-//! dispatches the tuple; the buffered per-group events are finally
-//! fanned out per subscriber in ascending slot order. A subscriber
-//! cannot observe whether it shares its group.
+//! the pre-mutation expiry pass exactly as a group of its own would),
+//! then the coordinator applies the graph mutation once, then every
+//! routed group dispatches the tuple; the buffered per-group events are
+//! finally fanned out per subscriber in ascending slot order. A
+//! subscriber cannot observe whether it shares its group.
 //!
 //! # Late joiners
 //!
@@ -48,7 +53,12 @@
 //! same signature can attach to it directly — the backfill events are
 //! replayed through a throwaway scratch engine (the shared forest is
 //! not touched), after which the subscriber simply rides the shared
-//! stream. A plain mid-stream [`register`] sees only future tuples, so
+//! stream. The replay is **read-only**: the replayed edges are the
+//! graph's own window edges at their own timestamps, so the engine
+//! advances and dispatches each one against the graph as it stands and
+//! nothing is re-inserted — the graph, its expiry queue and every
+//! checkpoint of it are the same as without the registration. A plain
+//! mid-stream [`register`] sees only future tuples, so
 //! it founds a *private incomplete* group: its partial forest is not
 //! equivalent to any other registration's and is never signature-
 //! indexed. With [`EngineConfig::shared_groups`] disabled every
@@ -79,16 +89,17 @@
 //!   registration changes rebalance automatically) and each caller
 //!   batch runs as a sequence of **micro-batches** in two phases:
 //!
-//!   1. **Plan + apply** (single-threaded): the batch is cut at slide
-//!      boundaries, explicit deletions, and timestamp-changing edge
-//!      refreshes; the coordinator purges the shared graph at each
-//!      crossed boundary and applies the micro-batch's inserts once,
-//!      stamping every *new* edge with its batch position
+//!   1. **Plan + apply** (single-threaded): each slide group of the
+//!      batch — cut, and the shared graph purged at its crossed
+//!      boundary, by the one slide loop both schedules share — is cut
+//!      further at explicit deletions and timestamp-changing edge
+//!      refreshes; the coordinator applies each micro-batch's inserts
+//!      once, stamping every *new* edge with its batch position
 //!      ([`WindowGraph::insert_visible_from`]).
 //!   2. **Extend/expire** (parallel): each worker receives its groups
 //!      plus a handle on the (now read-only) graph and drives the
-//!      engines' read-only traversal path
-//!      ([`Engine::extend_with_graph`]) tuple by tuple. A
+//!      engines' read-only traversal (`Engine::extend`) tuple by
+//!      tuple. A
 //!      [`Visibility`] horizon per tuple hides in-batch edges a
 //!      per-tuple run would not have seen yet — and makes each group's
 //!      slide-expiry run against the pre-mutation graph — so each group
@@ -138,7 +149,7 @@ use crate::parallel_multi::Pool;
 use crate::sink::ResultSink;
 use crate::stats::{EngineStats, IndexSize, StageTotals};
 use srpq_automata::{CompiledQuery, DfaSignature};
-use srpq_common::{FxHashMap, Label, Op, ResultPair, StreamTuple, Timestamp};
+use srpq_common::{FxHashMap, Label, Op, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
 
 /// Identifies a registered query within a [`MultiQueryEngine`].
@@ -224,8 +235,8 @@ impl<S: MultiSink> ResultSink for TagSink<'_, S> {
 
 /// The inverse of the engine's tagging: drops the query tag off a
 /// **one-query** engine's events, so a host driving a single query
-/// (`srpq run`, the equivalence suites) sees exactly the untagged
-/// stream a private [`Engine`] would have produced.
+/// (`srpq run`, the examples, the oracle tests) sees that query's plain
+/// result stream.
 pub struct UntagSink<'a, S: ResultSink>(pub &'a mut S);
 
 impl<S: ResultSink> MultiSink for UntagSink<'_, S> {
@@ -261,6 +272,24 @@ fn semantics_tag(semantics: PathSemantics) -> u8 {
     match semantics {
         PathSemantics::Arbitrary => 0,
         PathSemantics::Simple => 1,
+    }
+}
+
+/// Replays window edges, in timestamp order, into `engine` for a
+/// backfilled registration. The edges are the graph's own, already
+/// stored at their timestamps, so the engine advances to each one and
+/// dispatches it against the graph as it stands; the graph is only
+/// read.
+fn replay_window<S: ResultSink>(
+    engine: &mut Engine,
+    graph: &WindowGraph,
+    replay: Vec<(VertexId, VertexId, Label, Timestamp)>,
+    sink: &mut S,
+) {
+    for (u, v, label, ts) in replay {
+        engine.advance(graph, Visibility::ALL, ts, sink);
+        let tuple = StreamTuple::insert(ts, u, v, label);
+        engine.dispatch(graph, Visibility::ALL, tuple, sink);
     }
 }
 
@@ -443,9 +472,7 @@ impl MultiQueryEngine {
     /// partitions the batch path's evaluation time by the thread that
     /// actually spent it: summing `eval_ns` over the *group* engines
     /// equals worker totals plus coordinator totals (while no group has
-    /// been freed — dropping a group drops its side of the ledger — and
-    /// no tuple went through the unmetered per-tuple inline
-    /// [`Self::process`]).
+    /// been freed — dropping a group drops its side of the ledger).
     pub fn worker_totals(&self) -> &[(u64, u64)] {
         self.pool.ledger()
     }
@@ -548,7 +575,7 @@ impl MultiQueryEngine {
     /// automaton is language-equivalent to an existing one **joins its
     /// shared group** (when [`EngineConfig::shared_groups`] is on):
     /// evaluation happens once, and the subscriber receives the exact
-    /// event stream a private engine would produce. Queries can also be
+    /// event stream a group of its own would produce. Queries can also be
     /// registered mid-stream; with plain `register` they only see
     /// tuples from their registration point onward (standard
     /// persistent-query semantics), so they found a private group — use
@@ -597,8 +624,8 @@ impl MultiQueryEngine {
     /// touched. Otherwise a new complete group is founded and the
     /// window is replayed into it for real — and it becomes the join
     /// target for future equivalent registrations. Either replay runs
-    /// on the calling thread under both schedules: registration is a
-    /// control-plane operation.
+    /// on the calling thread under both schedules (registration is a
+    /// control-plane operation) and only reads the shared graph.
     ///
     /// Name uniqueness follows [`Self::register`]: a duplicate live name
     /// is refused with [`QueryError::DuplicateName`] *before* any state
@@ -636,21 +663,12 @@ impl MultiQueryEngine {
             if let Some(&g) = self.sig_index.get(&key) {
                 // Join: the shared forest already covers the window.
                 // Replay through a scratch engine for the backfill
-                // events only (graph mutations are idempotent
-                // re-inserts at identical timestamps; its purges run at
-                // the lazy watermark, which never exceeds the eager
-                // one).
+                // events only.
                 let id = self.attach(name, g);
                 let mut scratch = Engine::new(query, self.config, semantics);
                 let mut tagged = TagSink { id, inner: sink };
                 let t0 = std::time::Instant::now();
-                for (u, v, label, ts) in replay {
-                    scratch.process_with_graph(
-                        &mut self.graph,
-                        StreamTuple::insert(ts, u, v, label),
-                        &mut tagged,
-                    );
-                }
+                replay_window(&mut scratch, &self.graph, replay, &mut tagged);
                 let elapsed = t0.elapsed().as_nanos() as u64;
                 self.groups[g as usize]
                     .as_mut()
@@ -675,12 +693,7 @@ impl MultiQueryEngine {
         &mut self,
         name: String,
         g: u32,
-        replay: Vec<(
-            srpq_common::VertexId,
-            srpq_common::VertexId,
-            Label,
-            Timestamp,
-        )>,
+        replay: Vec<(VertexId, VertexId, Label, Timestamp)>,
         sink: &mut S,
     ) -> QueryId {
         let id = self.attach(name, g);
@@ -688,13 +701,7 @@ impl MultiQueryEngine {
         let mut tagged = TagSink { id, inner: sink };
         let expiry0 = grp.engine.stats().expiry_nanos;
         let t0 = std::time::Instant::now();
-        for (u, v, label, ts) in replay {
-            grp.engine.process_with_graph(
-                &mut self.graph,
-                StreamTuple::insert(ts, u, v, label),
-                &mut tagged,
-            );
-        }
+        replay_window(&mut grp.engine, &self.graph, replay, &mut tagged);
         // Attribute the replay to the group's evaluation time, like any
         // other dispatch into its engine, and to the coordinator's
         // ledger.
@@ -990,10 +997,10 @@ impl MultiQueryEngine {
     /// expiry_ns)` spent inside group engines (batch stage accounting).
     ///
     /// Every routed group advances against the **pre-mutation** graph —
-    /// exactly the solo engine's expiry-before-mutation order — then the
-    /// coordinator applies the mutation once, then every routed group
-    /// dispatches the tuple. Each subscriber's event stream is
-    /// therefore byte-identical to a private engine's.
+    /// each group's expiry-before-mutation order — then the coordinator
+    /// applies the mutation once, then every routed group dispatches the
+    /// tuple. Each subscriber's event stream is therefore byte-identical
+    /// to that of a group of its own.
     fn dispatch_routed<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) -> (u64, u64) {
         let mut targets = std::mem::take(&mut self.route_scratch);
         targets.clear();
@@ -1021,7 +1028,7 @@ impl MultiQueryEngine {
             grp.buffer.clear();
             let expiry0 = grp.engine.stats().expiry_nanos;
             let t0 = std::time::Instant::now();
-            grp.engine.advance_with_graph(
+            grp.engine.advance(
                 &self.graph,
                 Visibility::ALL,
                 tuple.ts,
@@ -1035,8 +1042,7 @@ impl MultiQueryEngine {
             eval += elapsed;
             expiry += stats.expiry_nanos - expiry0;
         }
-        // The coordinator applies the mutation once (idempotent under
-        // the old per-engine scheme; exactly-once here).
+        // The coordinator applies the mutation, once for all groups.
         match tuple.op {
             Op::Insert => {
                 self.graph
@@ -1053,7 +1059,7 @@ impl MultiQueryEngine {
                 .as_mut()
                 .expect("routed groups are live");
             let t0 = std::time::Instant::now();
-            grp.engine.dispatch_with_graph(
+            grp.engine.dispatch(
                 &self.graph,
                 Visibility::ALL,
                 tuple,
@@ -1097,37 +1103,20 @@ impl MultiQueryEngine {
         (eval, expiry)
     }
 
-    /// Processes one tuple: route to the groups that speak its label.
-    /// Shares [`Self::process_batch`]'s panic contract. Under the
-    /// pooled schedule this is a singleton batch — prefer
-    /// [`Self::process_batch`] there, per-tuple fan-out cannot amortize
-    /// the worker hand-off.
+    /// Processes one tuple: a batch of one (see
+    /// [`Self::process_batch`]). Per-tuple fan-out cannot amortize the
+    /// pooled schedule's worker hand-off — prefer batches there.
     pub fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-        if !self.pool.is_empty() {
-            return self.process_batch(std::slice::from_ref(&tuple), sink);
-        }
-        self.assert_usable();
-        self.poisoned = true; // cleared on orderly completion
-        self.tuples_seen += 1;
-        let prev = self.now;
-        if tuple.ts > self.now {
-            self.now = tuple.ts;
-        }
-        // Shared window maintenance: purge once per slide crossing.
-        if prev != Timestamp::NEG_INFINITY && self.window.crosses_slide(prev, self.now) {
-            self.graph
-                .purge_expired(self.window.lazy_watermark(self.now));
-        }
-        self.dispatch_routed(tuple, sink);
-        self.poisoned = false;
+        self.process_batch(std::slice::from_ref(&tuple), sink);
     }
 
     /// Processes a batch of tuples on the schedule [`Self::n_workers`]
-    /// selects: shared window maintenance (the slide-boundary check and
-    /// graph purge) runs once per slide interval covered instead of
-    /// once per tuple, and group engines still see their tuples in
-    /// stream order, so the tagged result stream is byte-identical to
-    /// per-tuple processing — inline or pooled.
+    /// selects. The batch is walked slide group by slide group: shared
+    /// window maintenance (the slide-boundary check and graph purge)
+    /// runs once per slide interval covered instead of once per tuple,
+    /// and group engines still see their tuples in stream order, so the
+    /// tagged result stream is byte-identical to per-tuple processing —
+    /// inline or pooled.
     ///
     /// A panic from an engine, worker or sink mid-batch **poisons**
     /// this engine (see the module docs; pinned by
@@ -1142,11 +1131,23 @@ impl MultiQueryEngine {
         // Batch time the coordinator did not spend routing: inline
         // evaluation, or blocked on worker replies (whose time the
         // worker ledgers own).
-        let off_route = if self.pool.is_empty() {
-            self.run_inline(batch, sink)
-        } else {
-            self.run_pooled(batch, sink)
-        };
+        let mut off_route = 0;
+        let mut i = 0;
+        while i < batch.len() {
+            let (len, group_now) = self.window.slide_group(self.now, &batch[i..], |t| t.ts);
+            if self.now != Timestamp::NEG_INFINITY && self.window.crosses_slide(self.now, group_now)
+            {
+                self.graph
+                    .purge_expired(self.window.lazy_watermark(group_now));
+            }
+            let slide = &batch[i..i + len];
+            off_route += if self.pool.is_empty() {
+                self.run_inline(slide, sink)
+            } else {
+                self.run_pooled(slide, sink)
+            };
+            i += len;
+        }
         self.poisoned = false;
         let total = t_batch.elapsed().as_nanos() as u64;
         self.stage.batches += 1;
@@ -1157,28 +1158,20 @@ impl MultiQueryEngine {
         }
     }
 
-    /// The inline schedule of [`Self::process_batch`]; returns the time
-    /// spent inside group engines.
-    fn run_inline<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) -> u64 {
-        let window = self.window;
+    /// The inline schedule of one slide group of
+    /// [`Self::process_batch`]; returns the time spent inside group
+    /// engines.
+    fn run_inline<S: MultiSink>(&mut self, slide: &[StreamTuple], sink: &mut S) -> u64 {
         let mut batch_eval = 0u64;
         let mut batch_expiry = 0u64;
-        let mut i = 0;
-        while i < batch.len() {
-            let (len, group_now) = window.slide_group(self.now, &batch[i..], |t| t.ts);
-            if self.now != Timestamp::NEG_INFINITY && window.crosses_slide(self.now, group_now) {
-                self.graph.purge_expired(window.lazy_watermark(group_now));
+        for &t in slide {
+            self.tuples_seen += 1;
+            if t.ts > self.now {
+                self.now = t.ts;
             }
-            for &t in &batch[i..i + len] {
-                self.tuples_seen += 1;
-                if t.ts > self.now {
-                    self.now = t.ts;
-                }
-                let (eval, expiry) = self.dispatch_routed(t, sink);
-                batch_eval += eval;
-                batch_expiry += expiry;
-            }
-            i += len;
+            let (eval, expiry) = self.dispatch_routed(t, sink);
+            batch_eval += eval;
+            batch_expiry += expiry;
         }
         self.coord_ns.0 += batch_eval;
         self.coord_ns.1 += batch_expiry;
@@ -1225,9 +1218,8 @@ impl MultiQueryEngine {
             grp.buffer.clear();
             let expiry0 = grp.engine.stats().expiry_nanos;
             let t0 = std::time::Instant::now();
-            grp.engine.expire_delta_with_graph(
+            grp.engine.expire_delta(
                 &self.graph,
-                Visibility::ALL,
                 &mut BufSink {
                     buf: &mut grp.buffer,
                 },
@@ -1258,8 +1250,64 @@ impl MultiQueryEngine {
     }
 }
 
+/// The unit tests' one-query host: a [`MultiQueryEngine`] with a single
+/// registration, fed per tuple behind [`UntagSink`], that reads as the
+/// query's [`Engine`].
+#[cfg(test)]
+pub(crate) mod solo {
+    use super::*;
+
+    pub(crate) struct Solo {
+        pub(crate) multi: MultiQueryEngine,
+        id: QueryId,
+    }
+
+    impl Solo {
+        pub(crate) fn new(
+            query: CompiledQuery,
+            config: EngineConfig,
+            semantics: PathSemantics,
+        ) -> Solo {
+            let mut multi = MultiQueryEngine::with_config(config);
+            let id = multi.register("q", query, semantics).unwrap();
+            Solo { multi, id }
+        }
+
+        pub(crate) fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
+            self.multi.process(tuple, &mut UntagSink(sink));
+        }
+
+        pub(crate) fn process_batch<S: ResultSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
+            self.multi.process_batch(batch, &mut UntagSink(sink));
+        }
+
+        pub(crate) fn expire_now<S: ResultSink>(&mut self, sink: &mut S) {
+            self.multi.expire_now(&mut UntagSink(sink));
+        }
+
+        pub(crate) fn graph(&self) -> &WindowGraph {
+            self.multi.graph()
+        }
+    }
+
+    impl std::ops::Deref for Solo {
+        type Target = Engine;
+
+        fn deref(&self) -> &Engine {
+            self.multi.engine(self.id).unwrap()
+        }
+    }
+
+    impl std::ops::DerefMut for Solo {
+        fn deref_mut(&mut self) -> &mut Engine {
+            self.multi.engine_mut(self.id).unwrap()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::solo::Solo;
     use super::*;
     use srpq_common::{LabelInterner, VertexId};
 
@@ -1346,16 +1394,9 @@ mod tests {
             .register("qb", qb.clone(), PathSemantics::Arbitrary)
             .unwrap();
 
-        let mut solo_a = Engine::new(
-            qa,
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut solo_b = Engine::new(
-            qb,
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
+        let config = EngineConfig::with_window(window);
+        let mut solo_a = Solo::new(qa, config, PathSemantics::Arbitrary);
+        let mut solo_b = Solo::new(qb, config, PathSemantics::Arbitrary);
 
         let a = labels.get("a").unwrap();
         let b = labels.get("b").unwrap();
@@ -1826,5 +1867,58 @@ mod tests {
             .unwrap();
         assert_eq!(multi.group_of(id3), Some(g));
         assert_eq!(multi.n_group_slots(), 1);
+    }
+
+    #[test]
+    fn backfill_leaves_the_shared_graph_as_it_was() {
+        // An `a`-ring of 300 vertices, one edge per tick, |W| = 100,
+        // β = 10: the window holds 100 edges. At t = 1000 one backfilled
+        // registration joins the `a+` group and one founds a group of
+        // its own. Their replays only read the graph, so from then on it
+        // matches, edge for edge and byte for byte, a twin run without
+        // them (a replay that re-inserted the window's edges queued each
+        // a second time and kept it up to one more window), and the
+        // original query's stream is unchanged.
+        let mut labels = LabelInterner::new();
+        let a = labels.intern("a");
+        let window = WindowPolicy::new(100, 10);
+        let mut compile = |expr: &str| CompiledQuery::compile(expr, &mut labels).unwrap();
+        let (mut twin, mut multi) = (MultiQueryEngine::new(window), MultiQueryEngine::new(window));
+        let base = twin
+            .register("base", compile("a+"), PathSemantics::Arbitrary)
+            .unwrap();
+        multi
+            .register("base", compile("a+"), PathSemantics::Arbitrary)
+            .unwrap();
+        let (mut twin_sink, mut sink) = (MultiCollectSink::default(), MultiCollectSink::default());
+        for i in 0..1500u32 {
+            if i == 1000 {
+                let (joiner, founder) = (compile("a a*"), compile("a a"));
+                let joiner = multi
+                    .register_backfilled("joiner", joiner, PathSemantics::Arbitrary, &mut sink)
+                    .unwrap();
+                let founder = multi
+                    .register_backfilled("founder", founder, PathSemantics::Arbitrary, &mut sink)
+                    .unwrap();
+                assert_eq!(multi.group_of(joiner), multi.group_of(base));
+                assert_ne!(multi.group_of(founder), multi.group_of(base));
+            }
+            let (u, v) = (VertexId(i % 300), VertexId((i + 1) % 300));
+            let t = StreamTuple::insert(Timestamp(i64::from(i)), u, v, a);
+            twin.process(t, &mut twin_sink);
+            multi.process(t, &mut sink);
+            let (got, want) = (multi.graph(), twin.graph());
+            assert_eq!(got.n_edges(), want.n_edges(), "after t = {i}");
+            assert_eq!(got.heap_bytes(), want.heap_bytes(), "after t = {i}");
+        }
+        let of_base = |log: &[(QueryId, ResultPair, Timestamp)]| {
+            log.iter()
+                .filter(|&&(id, ..)| id == base)
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert!(!of_base(&twin_sink.emitted).is_empty());
+        assert_eq!(of_base(&sink.emitted), of_base(&twin_sink.emitted));
+        assert_eq!(of_base(&sink.invalidated), of_base(&twin_sink.invalidated));
     }
 }

@@ -128,7 +128,7 @@ fn worker_loop(
                         // dispatch at `upto(pos)`, which admits the
                         // tuple's own edge.
                         grp.engine
-                            .extend_with_graph(&graph, Visibility::upto(pos), *t, &mut sink);
+                            .extend(&graph, Visibility::upto(pos), *t, &mut sink);
                         let elapsed = t0.elapsed().as_nanos() as u64;
                         let stats = grp.engine.stats_mut();
                         stats.tuples_routed += 1;
@@ -162,8 +162,7 @@ fn worker_loop(
                         pos: u32::MAX,
                         group: *gi,
                     };
-                    grp.engine
-                        .expire_delta_with_graph(&graph, Visibility::ALL, &mut sink);
+                    grp.engine.expire_delta(&graph, &mut sink);
                     let elapsed = t0.elapsed().as_nanos() as u64;
                     let stats = grp.engine.stats_mut();
                     stats.eval_ns += elapsed;
@@ -281,20 +280,21 @@ impl Drop for Pool {
 }
 
 impl MultiQueryEngine {
-    /// The pooled schedule of `process_batch`: split into micro-batches
-    /// (cut at slide boundaries, deletions, and timestamp-changing
-    /// refreshes), each run in the two-phase scheme. Returns the time
-    /// spent blocked on worker replies.
-    pub(crate) fn run_pooled<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) -> u64 {
+    /// The pooled schedule of one slide group of `process_batch` (the
+    /// caller already purged the graph at its boundary): split into
+    /// micro-batches, cut at deletions and timestamp-changing refreshes,
+    /// each run in the two-phase scheme. Returns the time spent blocked
+    /// on worker replies.
+    pub(crate) fn run_pooled<S: MultiSink>(&mut self, slide: &[StreamTuple], sink: &mut S) -> u64 {
         self.pool.wait_ns = 0;
         let mut i = 0;
-        while i < batch.len() {
-            let (len, two_stage) = self.plan_group(&batch[i..]);
+        while i < slide.len() {
+            let (len, two_stage) = self.plan_group(&slide[i..]);
             if two_stage {
                 debug_assert_eq!(len, 1);
-                self.run_singleton(batch[i], sink);
+                self.run_singleton(slide[i], sink);
             } else {
-                self.run_group(&batch[i..i + len], sink);
+                self.run_group(&slide[i..i + len], sink);
             }
             i += len;
         }
@@ -310,15 +310,15 @@ impl MultiQueryEngine {
         self.collect_and_emit(pending, graph, events, sink);
     }
 
-    /// Cuts the leading micro-batch out of `rest`: within one slide
-    /// interval, stopping before any graph mutation a batched traversal
-    /// must not see early — explicit deletions and timestamp-*changing*
-    /// refreshes of existing edges (phase 1 applying them up front
-    /// would retroactively change what earlier positions observe).
-    /// Those run alone through the two-stage [`Self::run_singleton`]
-    /// path (`true` in the return), which sequences every routed
-    /// group's slide-expiry *before* the mutation, as the inline
-    /// schedule does.
+    /// Cuts the leading micro-batch out of `rest`, the remainder of one
+    /// slide group, stopping before any graph mutation a batched
+    /// traversal must not see early — explicit deletions and
+    /// timestamp-*changing* refreshes of existing edges (phase 1
+    /// applying them up front would retroactively change what earlier
+    /// positions observe). Those run alone through the two-stage
+    /// [`Self::run_singleton`] path (`true` in the return), which
+    /// sequences every routed group's slide-expiry *before* the
+    /// mutation, as the inline schedule does.
     fn plan_group(&mut self, rest: &[StreamTuple]) -> (usize, bool) {
         let t0 = &rest[0];
         if self.routing.contains_key(&t0.label) {
@@ -331,11 +331,10 @@ impl MultiQueryEngine {
                 return (1, true);
             }
         }
-        let (slide_len, _) = self.window().slide_group(self.now, rest, |t| t.ts);
         let mut edges = std::mem::take(&mut self.pool.group_edges);
         edges.clear();
-        let mut len = slide_len;
-        for (j, t) in rest[..slide_len].iter().enumerate() {
+        let mut len = rest.len();
+        for (j, t) in rest.iter().enumerate() {
             if !self.routing.contains_key(&t.label) {
                 continue; // inert: touches neither graph nor engines
             }
@@ -372,13 +371,6 @@ impl MultiQueryEngine {
     /// dispatch the tuple against the post-mutation graph, which is
     /// unstamped and therefore visible at every horizon.
     fn run_singleton<S: MultiSink>(&mut self, t: StreamTuple, sink: &mut S) {
-        let entry_now = t.ts.max(self.now);
-        let crossing =
-            self.now != Timestamp::NEG_INFINITY && self.window().crosses_slide(self.now, entry_now);
-        if crossing {
-            self.graph
-                .purge_expired(self.window().lazy_watermark(entry_now));
-        }
         self.tuples_seen += 1;
         let mut targets = std::mem::take(&mut self.route_scratch);
         targets.clear();
@@ -406,7 +398,7 @@ impl MultiQueryEngine {
             let expiry0 = grp.engine.stats().expiry_nanos;
             let t0 = std::time::Instant::now();
             grp.engine
-                .advance_with_graph(&self.graph, Visibility::ALL, t.ts, &mut ev);
+                .advance(&self.graph, Visibility::ALL, t.ts, &mut ev);
             let elapsed = t0.elapsed().as_nanos() as u64;
             let stats = grp.engine.stats_mut();
             stats.eval_ns += elapsed;
@@ -437,16 +429,9 @@ impl MultiQueryEngine {
 
     /// Runs one insert-only micro-batch through the two-phase scheme.
     fn run_group<S: MultiSink>(&mut self, group: &[StreamTuple], sink: &mut S) {
-        // Phase 1 — shared window maintenance and graph application,
-        // once, single-threaded (exactly what the inline schedule does
-        // per slide group, with position stamps added).
-        let entry_now = group[0].ts.max(self.now);
-        let crossing =
-            self.now != Timestamp::NEG_INFINITY && self.window().crosses_slide(self.now, entry_now);
-        if crossing {
-            self.graph
-                .purge_expired(self.window().lazy_watermark(entry_now));
-        }
+        // Phase 1 — graph application, once, single-threaded (exactly
+        // what the inline schedule does tuple by tuple, with position
+        // stamps added).
         for (pos, t) in group.iter().enumerate() {
             self.tuples_seen += 1;
             if t.ts > self.now {

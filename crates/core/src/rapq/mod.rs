@@ -356,21 +356,22 @@ fn run_insert<S: ResultSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, PathSemantics};
+    use crate::engine::PathSemantics;
+    use crate::multi::solo::Solo;
     use crate::sink::CollectSink;
     use crate::EngineConfig;
     use srpq_automata::CompiledQuery;
     use srpq_common::{LabelInterner, VertexInterner};
     use srpq_graph::WindowPolicy;
 
-    fn rapq(query: CompiledQuery, config: EngineConfig) -> Engine {
-        Engine::new(query, config, PathSemantics::Arbitrary)
+    fn rapq(query: CompiledQuery, config: EngineConfig) -> Solo {
+        Solo::new(query, config, PathSemantics::Arbitrary)
     }
 
     /// Builds the Figure 1(a) stream: Q1 = (follows ◦ mentions)+,
     /// |W| = 15. Returns (engine, sink-ready vertex ids, labels).
     struct Fixture {
-        engine: Engine,
+        engine: Solo,
         verts: VertexInterner,
         labels: LabelInterner,
     }
@@ -561,7 +562,8 @@ mod tests {
         let y = f.verts.get("y").unwrap();
         f.engine
             .process(StreamTuple::insert(Timestamp(1), x, y, likes), &mut sink);
-        assert_eq!(f.engine.stats().tuples_discarded, 1);
+        // The router drops the tuple: seen, never routed to the group.
+        assert_eq!(f.engine.multi.routing_stats(), (1, 0));
         assert_eq!(f.engine.stats().tuples_processed, 0);
         assert_eq!(f.engine.graph().n_edges(), 0);
     }

@@ -199,21 +199,20 @@ mod tests {
 
     #[test]
     fn feeds_engine_in_order() {
-        use crate::engine::{Engine, PathSemantics};
+        use crate::engine::PathSemantics;
+        use crate::multi::solo::Solo;
         use crate::sink::CollectSink;
+        use crate::EngineConfig;
+        use srpq_automata::CompiledQuery;
         use srpq_common::LabelInterner;
         use srpq_graph::WindowPolicy;
 
         let mut labels = LabelInterner::new();
         let a = labels.intern("a");
         let b = labels.intern("b");
-        let mut engine = Engine::from_str(
-            "a b",
-            &mut labels,
-            WindowPolicy::new(100, 10),
-            PathSemantics::Arbitrary,
-        )
-        .unwrap();
+        let query = CompiledQuery::compile("a b", &mut labels).unwrap();
+        let config = EngineConfig::with_window(WindowPolicy::new(100, 10));
+        let mut engine = Solo::new(query, config, PathSemantics::Arbitrary);
         let mut sink = CollectSink::default();
         let mut buf = ReorderBuffer::new(5);
         // Arrive out of order: (b @3) before (a @1).

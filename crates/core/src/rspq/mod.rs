@@ -509,7 +509,8 @@ fn unmark_and_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, PathSemantics};
+    use crate::engine::PathSemantics;
+    use crate::multi::solo::Solo;
     use crate::sink::CollectSink;
     use crate::EngineConfig;
     use srpq_automata::CompiledQuery;
@@ -517,7 +518,7 @@ mod tests {
     use srpq_graph::WindowPolicy;
 
     struct Fixture {
-        engine: Engine,
+        engine: Solo,
         verts: VertexInterner,
         labels: LabelInterner,
     }
@@ -527,7 +528,7 @@ mod tests {
         let query = CompiledQuery::compile(query, &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(window, slide));
         Fixture {
-            engine: Engine::new(query, config, PathSemantics::Simple),
+            engine: Solo::new(query, config, PathSemantics::Simple),
             verts: VertexInterner::new(),
             labels,
         }
@@ -680,7 +681,8 @@ mod tests {
         let z = labels.intern("zz");
         f.engine
             .process(StreamTuple::insert(Timestamp(1), x, y, z), &mut sink);
-        assert_eq!(f.engine.stats().tuples_discarded, 1);
+        // The router drops the tuple: seen, never routed to the group.
+        assert_eq!(f.engine.multi.routing_stats(), (1, 0));
         assert_eq!(f.engine.index_size().nodes, 0);
     }
 
@@ -693,7 +695,7 @@ mod tests {
         let query = CompiledQuery::compile("(a b)+", &mut labels).unwrap();
         let mut config = EngineConfig::with_window(WindowPolicy::new(100_000, 100_000));
         config.rspq_extend_budget = Some(50);
-        let mut engine = Engine::new(query, config, PathSemantics::Simple);
+        let mut engine = Solo::new(query, config, PathSemantics::Simple);
         let a = labels.get("a").unwrap();
         let b = labels.get("b").unwrap();
         let mut sink = CollectSink::default();

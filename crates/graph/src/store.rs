@@ -52,7 +52,7 @@ use std::mem::size_of;
 /// exactly as it would not yet exist in a sequential per-tuple run.
 /// Stamps are transient — [`WindowGraph::clear_stamps`] resets them
 /// after the batch — so a default-constructed slot (`vis_from == 0`) is
-/// always visible and owned single-engine traversal pays nothing.
+/// always visible and inline (per-tuple) traversal pays nothing.
 ///
 /// `horizon` counts visible stamped positions: an edge stamped with
 /// `vis_from = pos + 1` (batch position `pos`) is visible iff
@@ -63,8 +63,9 @@ pub struct Visibility {
 }
 
 impl Visibility {
-    /// Everything in the graph is visible (owned-graph engines, and the
-    /// degenerate shared case of a fully applied batch).
+    /// Everything in the graph is visible (inline per-tuple evaluation,
+    /// backfill replay, and the degenerate case of a fully applied
+    /// batch).
     pub const ALL: Visibility = Visibility { horizon: u32::MAX };
 
     /// Visibility for *extending* on the tuple at batch position `pos`:

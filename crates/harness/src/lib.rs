@@ -4,14 +4,33 @@
 //! The substantive code lives in the other crates; this crate exists so
 //! that workspace-level `examples/` and `tests/` directories compile
 //! against all of them, plus a couple of tiny helpers shared by the
-//! oracle-comparison tests.
+//! oracle-comparison tests: the independent [`Oracle`], and [`solo`],
+//! the one-query engine the tests hold up against it.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use srpq_automata::CompiledQuery;
 use srpq_baseline::{batch, simple};
 use srpq_common::{FxHashSet, ResultPair, StreamTuple, Timestamp};
+use srpq_core::{EngineConfig, MultiQueryEngine, PathSemantics, QueryId};
 use srpq_graph::{WindowGraph, WindowPolicy};
+
+/// A lone query as every host evaluates it: `query` registered on a
+/// fresh [`MultiQueryEngine`], returned with its id. Feed it through
+/// [`UntagSink`](srpq_core::UntagSink) for the query's plain result
+/// stream; read its engine through [`MultiQueryEngine::engine`].
+pub fn solo(
+    query: CompiledQuery,
+    config: EngineConfig,
+    semantics: PathSemantics,
+) -> (MultiQueryEngine, QueryId) {
+    let mut engine = MultiQueryEngine::with_config(config);
+    let id = engine
+        .register("q", query, semantics)
+        .expect("a fresh engine has no name to clash with");
+    (engine, id)
+}
 
 /// An eager-window oracle: after each tuple it recomputes the batch
 /// result set over the current snapshot (watermark `τ − |W|`) and

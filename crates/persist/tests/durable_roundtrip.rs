@@ -1,15 +1,14 @@
 //! Durable-engine lifecycle: create → ingest → checkpoint → crash →
 //! recover → continue, for both checkpoint strategies. The single-query
 //! cases run the host `srpq run` runs — a one-query `MultiQueryEngine`
-//! behind `UntagSink` — against a plain `Engine` reference.
+//! behind `UntagSink` — against the same host run without a crash.
 
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::multi::{MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, QueryId};
+use srpq_core::{EngineConfig, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
 use std::path::PathBuf;
@@ -34,13 +33,7 @@ fn make_query(labels: &mut LabelInterner, refresh: RefreshPolicy) -> (CompiledQu
     (query, config)
 }
 
-/// The sequential reference engine.
-fn make_engine(labels: &mut LabelInterner, refresh: RefreshPolicy) -> Engine {
-    let (query, config) = make_query(labels, refresh);
-    Engine::new(query, config, PathSemantics::Arbitrary)
-}
-
-/// [`make_engine`]'s query as the only registration of a host engine;
+/// [`make_query`]'s query as the only registration of a host engine;
 /// its id is [`ONLY`].
 fn make_host(labels: &mut LabelInterner, refresh: RefreshPolicy) -> MultiQueryEngine {
     let (query, config) = make_query(labels, refresh);
@@ -84,11 +77,12 @@ fn run_strategy(strategy: CheckpointStrategy, refresh: RefreshPolicy, name: &str
     let cut = 201;
 
     // Uninterrupted reference.
-    let mut reference = make_engine(&mut labels.clone(), refresh);
+    let mut reference = make_host(&mut labels.clone(), refresh);
     let mut ref_sink = CollectSink::default();
     for chunk in tuples.chunks(32) {
-        reference.process_batch(chunk, &mut ref_sink);
+        reference.process_batch(chunk, &mut UntagSink(&mut ref_sink));
     }
+    let reference = reference.engine(ONLY).unwrap();
 
     // Durable run, crashed at `cut`.
     let cfg = DurabilityConfig {
@@ -222,10 +216,10 @@ fn truncation_keeps_recovery_sound() {
     let tuples = stream(600);
     let cut = 557;
 
-    let mut reference = make_engine(&mut labels.clone(), RefreshPolicy::Subtree);
+    let mut reference = make_host(&mut labels.clone(), RefreshPolicy::Subtree);
     let mut ref_sink = CollectSink::default();
     for chunk in tuples.chunks(16) {
-        reference.process_batch(chunk, &mut ref_sink);
+        reference.process_batch(chunk, &mut UntagSink(&mut ref_sink));
     }
 
     let cfg = DurabilityConfig {

@@ -11,21 +11,21 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::multi::{MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
+use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
 
 fn main() {
     let mut labels = LabelInterner::new();
     let transfer = labels.intern("transfer");
-    let mut engine = Engine::from_str(
-        "transfer+",
-        &mut labels,
-        WindowPolicy::new(500, 50),
-        PathSemantics::Arbitrary,
-    )
-    .unwrap();
+    let query = CompiledQuery::compile("transfer+", &mut labels).unwrap();
+    let mut engine = MultiQueryEngine::new(WindowPolicy::new(500, 50));
+    let id = engine
+        .register("cycles", query, PathSemantics::Arbitrary)
+        .unwrap();
 
     // Synthetic payment stream: 200 accounts, mostly tree-like payments
     // with occasional back-edges that close cycles, plus 3% chargebacks.
@@ -47,7 +47,7 @@ fn main() {
             StreamTuple::insert(Timestamp(ts), src, dst, transfer)
         };
         let before = sink.emitted().len();
-        engine.process(tuple, &mut sink);
+        engine.process(tuple, &mut UntagSink(&mut sink));
         for &(pair, at) in &sink.emitted()[before..] {
             if pair.src == pair.dst {
                 cycles_seen += 1;
@@ -58,8 +58,9 @@ fn main() {
         }
     }
 
+    let cycles = engine.engine(id).unwrap();
     let live_cycles = (0..n_accounts)
-        .filter(|&a| engine.has_result(ResultPair::new(VertexId(a), VertexId(a))))
+        .filter(|&a| cycles.has_result(ResultPair::new(VertexId(a), VertexId(a))))
         .count();
     let alerts_retracted = sink
         .invalidated()
@@ -76,7 +77,7 @@ fn main() {
     println!("accounts currently on a live cycle:   {live_cycles}");
     println!(
         "chargebacks processed:                {}",
-        engine.stats().deletions_processed
+        cycles.stats().deletions_processed
     );
-    println!("Δ index: {:?}", engine.index_size());
+    println!("Δ index: {:?}", cycles.index_size());
 }

@@ -2,13 +2,17 @@
 //!
 //! Registers Q1 = `(follows mentions)+` over a 15-time-unit sliding
 //! window, replays the social-network stream of Figure 1(a), and prints
-//! every result pair as it is discovered.
+//! every result pair as it is discovered. A lone query runs the way
+//! every host runs it: registered on a `MultiQueryEngine`, with
+//! `UntagSink` dropping the query tag off its results.
 //!
 //! Run with: `cargo run -p srpq_harness --example quickstart`
 
+use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexInterner};
-use srpq_core::engine::{Engine, PathSemantics};
+use srpq_core::multi::{MultiQueryEngine, UntagSink};
 use srpq_core::sink::FnSink;
+use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
 
 fn main() {
@@ -21,17 +25,15 @@ fn main() {
     // 2. Register the persistent query: users connected by an
     //    even-length path of alternating follows/mentions edges, over a
     //    sliding window of 15 time units sliding every time unit.
-    let mut engine = Engine::from_str(
-        "(follows mentions)+",
-        &mut labels,
-        WindowPolicy::new(15, 1),
-        PathSemantics::Arbitrary,
-    )
-    .expect("valid query");
+    let q1 = CompiledQuery::compile("(follows mentions)+", &mut labels).expect("valid query");
     println!(
         "registered Q1 = (follows mentions)+  — minimal DFA has {} states",
-        engine.query().k()
+        q1.k()
     );
+    let mut engine = MultiQueryEngine::new(WindowPolicy::new(15, 1));
+    let id = engine
+        .register("Q1", q1, PathSemantics::Arbitrary)
+        .expect("first registration");
 
     // 3. The Figure 1(a) stream.
     let stream = [
@@ -60,7 +62,7 @@ fn main() {
         );
         let mut found = Vec::new();
         let mut sink = FnSink(|pair, at| found.push((pair, at)));
-        engine.process(tuple, &mut sink);
+        engine.process(tuple, &mut UntagSink(&mut sink));
         if found.is_empty() {
             println!();
         } else {
@@ -73,10 +75,11 @@ fn main() {
         }
     }
 
+    let q1 = engine.engine(id).expect("registered");
     println!(
         "\nfinal state: {} results, Δ index: {:?}, {} tuples processed",
-        engine.result_count(),
-        engine.index_size(),
-        engine.stats().tuples_processed
+        q1.result_count(),
+        q1.index_size(),
+        q1.stats().tuples_processed
     );
 }

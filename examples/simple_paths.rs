@@ -4,30 +4,30 @@
 //! they diverge: the pair (x, y) is reported under arbitrary semantics
 //! through the non-simple path x→y→u→v→y as soon as (v → y) arrives,
 //! while simple path semantics needs the conflict machinery to discover
-//! the simple witness x→z→u→v→y.
+//! the simple witness x→z→u→v→y. The two registrations share one
+//! engine and one window graph; their results arrive tagged.
 //!
 //! Run with: `cargo run -p srpq_harness --example simple_paths`
 
-use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexInterner};
-use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::sink::CollectSink;
+use srpq_automata::CompiledQuery;
+use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp, VertexInterner};
+use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, QueryId};
+use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
 
 fn main() {
-    let window = WindowPolicy::new(1_000, 1_000);
-    let mk = |semantics| {
-        let mut labels = LabelInterner::new();
-        labels.intern("follows");
-        labels.intern("mentions");
-        Engine::from_str("(follows mentions)+", &mut labels, window, semantics).unwrap()
-    };
-    let mut arbitrary = mk(PathSemantics::Arbitrary);
-    let mut simple = mk(PathSemantics::Simple);
-
     let mut labels = LabelInterner::new();
     let follows = labels.intern("follows");
     let mentions = labels.intern("mentions");
     let mut verts = VertexInterner::new();
+
+    let mut engine = MultiQueryEngine::new(WindowPolicy::new(1_000, 1_000));
+    let mut register = |name: &str, semantics| {
+        let query = CompiledQuery::compile("(follows mentions)+", &mut labels).unwrap();
+        engine.register(name, query, semantics).unwrap()
+    };
+    let arbitrary = register("arbitrary", PathSemantics::Arbitrary);
+    let simple = register("simple", PathSemantics::Simple);
 
     let stream = [
         (4, "y", "u", mentions),
@@ -41,18 +41,17 @@ fn main() {
         (19, "w", "u", follows),
     ];
 
-    let mut sink_a = CollectSink::default();
-    let mut sink_s = CollectSink::default();
+    let mut sink = MultiCollectSink::default();
     println!("t   edge                arbitrary-new  simple-new");
     for (ts, src, dst, label) in stream {
         let t = StreamTuple::insert(Timestamp(ts), verts.intern(src), verts.intern(dst), label);
-        let (a0, s0) = (sink_a.emitted().len(), sink_s.emitted().len());
-        arbitrary.process(t, &mut sink_a);
-        simple.process(t, &mut sink_s);
-        let fmt = |sink: &CollectSink, from: usize| {
-            sink.emitted()[from..]
+        sink.emitted.clear();
+        engine.process(t, &mut sink);
+        let fmt = |sink: &MultiCollectSink, of: QueryId| {
+            sink.emitted
                 .iter()
-                .map(|(p, _)| {
+                .filter(|&&(id, ..)| id == of)
+                .map(|&(_, p, _): &(QueryId, ResultPair, Timestamp)| {
                     format!(
                         "({},{})",
                         verts.resolve(p.src).unwrap(),
@@ -69,11 +68,13 @@ fn main() {
             } else {
                 "mentions"
             },
-            fmt(&sink_a, a0),
-            fmt(&sink_s, s0),
+            fmt(&sink, arbitrary),
+            fmt(&sink, simple),
         );
     }
 
+    let (arbitrary, simple) = (engine.engine(arbitrary), engine.engine(simple));
+    let (arbitrary, simple) = (arbitrary.unwrap(), simple.unwrap());
     println!("\narbitrary: {} results", arbitrary.result_count());
     println!(
         "simple:    {} results, {} conflicts detected, {} nodes unmarked",

@@ -7,13 +7,13 @@
 //! incrementally while the interaction stream flows — using
 //! [`MultiQueryEngine`] (§7 future work): one shared window graph,
 //! label-routed dispatch, per-query Δ indexes, and mid-stream
-//! registration with backfill.
+//! registration with backfill (which only reads the shared graph).
 //!
 //! Run with: `cargo run --release -p srpq_harness --example social_network`
 
 use srpq_automata::CompiledQuery;
-use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
+use srpq_core::PathSemantics;
 use srpq_datagen::ldbc;
 use srpq_graph::WindowPolicy;
 use std::time::Instant;

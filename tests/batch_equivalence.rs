@@ -1,24 +1,24 @@
 //! Batch-ingestion equivalence: `process_batch` must produce streams
 //! identical to per-tuple `process` on the same input.
 //!
-//! * RAPQ and RSPQ: the emission and invalidation streams (pairs *and*
-//!   timestamps, in order) are required to be byte-identical across
-//!   arbitrary chunkings, and the Δ index and window graph must end in
-//!   the same state.
-//! * `MultiQueryEngine`: the tagged result stream is compared exactly.
+//! * One RAPQ or RSPQ query: the emission and invalidation streams
+//!   (pairs *and* timestamps, in order) are required to be
+//!   byte-identical across arbitrary chunkings, and the Δ index and
+//!   window graph must end in the same state.
+//! * Several queries: the tagged result stream is compared exactly.
 //! * One query on the worker pool (what `srpq run --workers N` hosts):
 //!   micro-batch hand-off must not show — the untagged stream is the
-//!   per-tuple sequential `Engine`'s, byte for byte.
+//!   per-tuple inline schedule's, byte for byte.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, PathSemantics};
 use srpq_graph::WindowPolicy;
+use srpq_harness::solo;
 
 /// Random stream with refreshes (duplicate edges) and explicit
 /// deletions over a small vertex/label universe.
@@ -82,13 +82,17 @@ fn chunkings(seed: u64) -> Vec<usize> {
     }
 }
 
-fn drive_batched(engine: &mut Engine, stream: &[StreamTuple], sizes: &[usize]) -> CollectSink {
+fn drive_batched(
+    engine: &mut MultiQueryEngine,
+    stream: &[StreamTuple],
+    sizes: &[usize],
+) -> CollectSink {
     let mut sink = CollectSink::default();
     let mut i = 0;
     let mut si = 0;
     while i < stream.len() {
         let take = sizes[si % sizes.len()].min(stream.len() - i);
-        engine.process_batch(&stream[i..i + take], &mut sink);
+        engine.process_batch(&stream[i..i + take], &mut UntagSink(&mut sink));
         i += take;
         si += 1;
     }
@@ -101,13 +105,13 @@ fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, see
     let query = CompiledQuery::compile(expr, &mut labels).unwrap();
     let config = EngineConfig::with_window(window);
 
-    let mut single = Engine::new(query.clone(), config, semantics);
+    let (mut single, id) = solo(query.clone(), config, semantics);
     let mut s_sink = CollectSink::default();
     for &t in &stream {
-        single.process(t, &mut s_sink);
+        single.process(t, &mut UntagSink(&mut s_sink));
     }
 
-    let mut batched = Engine::new(query, config, semantics);
+    let (mut batched, _) = solo(query, config, semantics);
     let b_sink = drive_batched(&mut batched, &stream, &chunkings(seed));
 
     let ctx = format!("query {expr}, {semantics:?}, seed {seed}");
@@ -122,8 +126,8 @@ fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, see
         "invalidations differ: {ctx}"
     );
     assert_eq!(
-        single.index_size(),
-        batched.index_size(),
+        single.index_size(id),
+        batched.index_size(id),
         "index sizes differ: {ctx}"
     );
     assert_eq!(
@@ -141,12 +145,12 @@ fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, see
     // And after a forced expiry pass both still agree.
     let mut s2 = CollectSink::default();
     let mut b2 = CollectSink::default();
-    single.expire_now(&mut s2);
-    batched.expire_now(&mut b2);
+    single.expire_now(&mut UntagSink(&mut s2));
+    batched.expire_now(&mut UntagSink(&mut b2));
     assert_eq!(s2.emitted(), b2.emitted(), "post-expiry differs: {ctx}");
     assert_eq!(
-        single.index_size(),
-        batched.index_size(),
+        single.index_size(id),
+        batched.index_size(id),
         "post-expiry index differs: {ctx}"
     );
 }
@@ -227,12 +231,12 @@ fn parallel_batch_matches_sequential_result_set() {
         let query = CompiledQuery::compile("a b*", &mut labels).unwrap();
         let config = EngineConfig::with_window(WindowPolicy::new(20, 5));
 
-        let mut sequential = Engine::new(query.clone(), config, PathSemantics::Arbitrary);
+        let (mut sequential, seq_id) = solo(query.clone(), config, PathSemantics::Arbitrary);
         let mut ss = CollectSink::default();
         for &t in &stream {
-            sequential.process(t, &mut ss);
+            sequential.process(t, &mut UntagSink(&mut ss));
         }
-        sequential.expire_now(&mut ss);
+        sequential.expire_now(&mut UntagSink(&mut ss));
 
         let mut parallel = MultiQueryEngine::with_config(config);
         parallel.set_workers(4);
@@ -248,8 +252,8 @@ fn parallel_batch_matches_sequential_result_set() {
         assert_eq!(ss.emitted(), sp.emitted(), "seed {seed}");
         assert_eq!(ss.invalidated(), sp.invalidated(), "seed {seed}");
         assert_eq!(
-            sequential.index_size(),
-            parallel.index_size(id).unwrap(),
+            sequential.index_size(seq_id),
+            parallel.index_size(id),
             "seed {seed}"
         );
         assert_eq!(

@@ -4,11 +4,11 @@
 use srpq_automata::CompiledQuery;
 use srpq_baseline::ReevalEngine;
 use srpq_common::Op;
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::sink::{CollectSink, CountSink};
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, PathSemantics, UntagSink};
 use srpq_datagen::{gmark, inject_deletions, ldbc, queries_for, so, yago, DatasetKind};
 use srpq_graph::WindowPolicy;
+use srpq_harness::solo;
 
 fn window_for(ds: &srpq_datagen::Dataset, frac: i64, slide_frac: i64) -> WindowPolicy {
     let span = ds.time_span().map(|(a, b)| (b - a).max(1)).unwrap_or(1);
@@ -29,7 +29,7 @@ fn rapq_agrees_with_reeval_on_yago_sample() {
     for (name, expr) in queries_for(DatasetKind::Yago) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let mut incremental = Engine::new(
+        let (mut incremental, _) = solo(
             query.clone(),
             EngineConfig::with_window(window),
             PathSemantics::Arbitrary,
@@ -38,12 +38,12 @@ fn rapq_agrees_with_reeval_on_yago_sample() {
         let mut s1 = CollectSink::default();
         let mut s2 = CollectSink::default();
         for &t in &ds.tuples {
-            incremental.process(t, &mut s1);
+            incremental.process(t, &mut UntagSink(&mut s1));
             reeval.process(t, &mut s2);
         }
         // The incremental engine may discover some results only at the
         // next expiry pass (lazy slides); force one before comparing.
-        incremental.expire_now(&mut s1);
+        incremental.expire_now(&mut UntagSink(&mut s1));
         assert_eq!(s1.pairs(), s2.pairs(), "query {name}");
     }
 }
@@ -61,17 +61,19 @@ fn so_stream_all_queries_run_clean() {
     for (name, expr) in queries_for(DatasetKind::So) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let mut engine = Engine::new(
+        let (mut engine, id) = solo(
             query,
             EngineConfig::with_window(window),
             PathSemantics::Arbitrary,
         );
         let mut sink = CountSink::default();
         for &t in &ds.tuples {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
         }
+        // Every tuple is either evaluated or dropped by the label router.
+        let (seen, routed) = engine.routing_stats();
         assert_eq!(
-            engine.stats().tuples_processed + engine.stats().tuples_discarded,
+            engine.stats(id).unwrap().tuples_processed + (seen - routed),
             ds.len() as u64,
             "query {name}"
         );
@@ -94,14 +96,14 @@ fn ldbc_stream_produces_results_on_recursive_relations() {
     for (name, expr) in queries_for(DatasetKind::Ldbc) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let mut engine = Engine::new(
+        let (mut engine, _) = solo(
             query,
             EngineConfig::with_window(window),
             PathSemantics::Arbitrary,
         );
         let mut sink = CountSink::default();
         for &t in &ds.tuples {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
         }
         if name == "Q1" {
             // knows* on a social graph: plenty of pairs.
@@ -125,16 +127,16 @@ fn deletion_injection_round_trip() {
     let window = window_for(&ds, 6, 60);
     let mut labels = ds.labels.clone();
     let query = CompiledQuery::compile("happenedIn hasCapital*", &mut labels).unwrap();
-    let mut engine = Engine::new(
+    let (mut engine, id) = solo(
         query,
         EngineConfig::with_window(window),
         PathSemantics::Arbitrary,
     );
     let mut sink = CollectSink::default();
     for &t in &stream {
-        engine.process(t, &mut sink);
+        engine.process(t, &mut UntagSink(&mut sink));
     }
-    assert!(engine.stats().deletions_processed > 0);
+    assert!(engine.stats(id).unwrap().deletions_processed > 0);
     // Invalidations only reference previously emitted pairs.
     let emitted: std::collections::HashSet<_> = sink.emitted().iter().map(|&(p, _)| p).collect();
     for (p, _) in sink.invalidated() {
@@ -162,13 +164,13 @@ fn gmark_workload_runs_both_semantics() {
                 // reported in stats, not an error.
                 config.rspq_extend_budget = Some(1_000);
             }
-            let mut engine = Engine::new(query.clone(), config, semantics);
+            let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CountSink::default();
             for &t in &ds.tuples {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
             }
             assert!(
-                engine.stats().tuples_processed <= ds.len() as u64,
+                engine.stats(id).unwrap().tuples_processed <= ds.len() as u64,
                 "query {}",
                 q.expr
             );
@@ -214,7 +216,7 @@ fn rspq_incompleteness_counterexample() {
         StreamTuple::insert(Timestamp(6), v(0), v(3), a),
     ];
     let window = WindowPolicy::new(1_000, 1);
-    let mut engine = Engine::new(
+    let (mut engine, id) = solo(
         query.clone(),
         EngineConfig::with_window(window),
         PathSemantics::Simple,
@@ -222,7 +224,7 @@ fn rspq_incompleteness_counterexample() {
     let mut sink = CollectSink::default();
     let mut graph = WindowGraph::new();
     for &t in &stream {
-        engine.process(t, &mut sink);
+        engine.process(t, &mut UntagSink(&mut sink));
         graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
     }
     let expected = evaluate_simple_bruteforce(&graph, Timestamp(i64::MIN), query.dfa());
@@ -239,7 +241,7 @@ fn rspq_incompleteness_counterexample() {
         "algorithm now finds (0,2) — the paper-faithful incompleteness \
          has been fixed; update DESIGN.md §8 and this test"
     );
-    assert!(engine.stats().conflicts_detected >= 1);
+    assert!(engine.stats(id).unwrap().conflicts_detected >= 1);
 }
 
 #[test]
@@ -256,21 +258,14 @@ fn rspq_subset_of_rapq_on_so_sample() {
     for expr in ["(a2q c2a)+", "a2q c2a* c2q"] {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(expr, &mut labels).unwrap();
-        let mut rapq = Engine::new(
-            query.clone(),
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut rspq = Engine::new(
-            query,
-            EngineConfig::with_window(window),
-            PathSemantics::Simple,
-        );
+        let config = EngineConfig::with_window(window);
+        let (mut rapq, _) = solo(query.clone(), config, PathSemantics::Arbitrary);
+        let (mut rspq, _) = solo(query, config, PathSemantics::Simple);
         let mut sa = CollectSink::default();
         let mut ss = CollectSink::default();
         for &t in &ds.tuples {
-            rapq.process(t, &mut sa);
-            rspq.process(t, &mut ss);
+            rapq.process(t, &mut UntagSink(&mut sa));
+            rspq.process(t, &mut UntagSink(&mut ss));
         }
         let arbitrary = sa.pairs();
         for p in ss.pairs() {

@@ -8,11 +8,10 @@ use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, Op, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::sink::CollectSink;
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, PathSemantics, UntagSink};
 use srpq_graph::{WindowGraph, WindowPolicy};
-use srpq_harness::{Oracle, OracleMode};
+use srpq_harness::{solo, Oracle, OracleMode};
 
 const QUERY_POOL: &[&str] = &[
     "a", "a*", "a b", "a b*", "(a b)+", "(a | b)*", "a b* a", "a? b+",
@@ -87,7 +86,7 @@ fn rapq_eager_equals_oracle() {
         let spec = random_spec(seed, 60);
         let (tuples, query) = materialize(&spec);
         let window = WindowPolicy::new(spec.window, 1);
-        let mut engine = Engine::new(
+        let (mut engine, _) = solo(
             query.clone(),
             EngineConfig::with_window(window),
             PathSemantics::Arbitrary,
@@ -95,7 +94,7 @@ fn rapq_eager_equals_oracle() {
         let mut oracle = Oracle::new(window);
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
             let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
             assert_eq!(&sink.pairs(), expected, "seed {seed}, spec {spec:?}");
         }
@@ -112,7 +111,7 @@ fn rspq_eager_equals_bruteforce() {
         let spec = random_spec(seed, 40);
         let (tuples, query) = materialize(&spec);
         let window = WindowPolicy::new(spec.window, 1);
-        let mut engine = Engine::new(
+        let (mut engine, id) = solo(
             query.clone(),
             EngineConfig::with_window(window),
             PathSemantics::Simple,
@@ -120,13 +119,13 @@ fn rspq_eager_equals_bruteforce() {
         let mut oracle = Oracle::new(window);
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
             let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
             let got = sink.pairs();
             for p in &got {
                 assert!(expected.contains(p), "seed {seed}: unsound result {p}");
             }
-            if engine.stats().conflicts_detected == 0 {
+            if engine.stats(id).unwrap().conflicts_detected == 0 {
                 assert_eq!(&got, expected, "seed {seed}, spec {spec:?}");
             }
         }
@@ -158,16 +157,18 @@ fn refresh_policies_form_subset_chain() {
         ] {
             let mut config = EngineConfig::with_window(window);
             config.refresh = policy;
-            let mut engine = Engine::new(query.clone(), config, semantics);
+            let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 engine
+                    .engine(id)
+                    .unwrap()
                     .validate_delta()
                     .unwrap_or_else(|e| panic!("seed {seed}, {policy:?}, {semantics:?}: {e}"));
             }
             // Force a final expiry so late discoveries land.
-            engine.expire_now(&mut sink);
+            engine.expire_now(&mut UntagSink(&mut sink));
             results.push(sink.pairs());
         }
         for p in &results[0] {
@@ -195,12 +196,13 @@ fn delta_timestamps_within_window_after_expiry() {
         let window = WindowPolicy::new(spec.window, 1);
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let config = EngineConfig::with_window(window);
-            let mut engine = Engine::new(query.clone(), config, semantics);
+            let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
-                engine.process(t, &mut sink);
-                let wm = window.watermark(engine.now());
-                for tree in engine.delta_snapshot() {
+                engine.process(t, &mut UntagSink(&mut sink));
+                let group = engine.engine(id).unwrap();
+                let wm = window.watermark(group.now());
+                for tree in group.delta_snapshot() {
                     for node in tree.nodes.iter().filter(|n| n.id != tree.root_id) {
                         assert!(
                             node.ts > wm,
@@ -254,14 +256,14 @@ fn dedup_emission_bound() {
         let spec = random_spec(seed, 60);
         let (tuples, query) = materialize(&spec);
         let window = WindowPolicy::new(spec.window, spec.slide);
-        let mut engine = Engine::new(
+        let (mut engine, _) = solo(
             query,
             EngineConfig::with_window(window),
             PathSemantics::Arbitrary,
         );
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut sink);
+            engine.process(t, &mut UntagSink(&mut sink));
         }
         let mut emitted_counts: std::collections::HashMap<_, usize> =
             std::collections::HashMap::new();

@@ -5,8 +5,8 @@
 //! durable directory, finish the stream, and assert the combined result
 //! stream and the engine statistics match an uninterrupted run. The
 //! single-query shapes are what `srpq run` hosts — a one-query
-//! `MultiQueryEngine` behind `UntagSink` — and their reference is a
-//! plain sequential `Engine`.
+//! `MultiQueryEngine` behind `UntagSink` — and their reference is the
+//! same host run inline without a crash.
 //!
 //! Equality contract: the same results and invalidations at the same
 //! stream timestamps (within-timestamp ordering is hash-iteration
@@ -17,10 +17,9 @@ use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_core::config::RefreshPolicy;
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, UntagSink};
 use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, EngineStats, QueryId};
+use srpq_core::{EngineConfig, EngineStats, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
 use std::path::PathBuf;
@@ -105,10 +104,6 @@ fn assert_safe_stats_eq(got: &EngineStats, expect: &EngineStats, ctx: &str) {
         "{ctx}: tuples_processed"
     );
     assert_eq!(
-        got.tuples_discarded, expect.tuples_discarded,
-        "{ctx}: tuples_discarded"
-    );
-    assert_eq!(
         got.deletions_processed, expect.deletions_processed,
         "{ctx}: deletions_processed"
     );
@@ -147,8 +142,10 @@ struct Crashed {
 
 impl Crashed {
     /// The matrix contract against the uninterrupted `reference` run.
-    fn assert_matches(&self, name: &str, reference: &Engine, ref_sink: &CollectSink) {
-        let engine = self.recovered.inner().engine(self.id).unwrap();
+    fn assert_matches(&self, name: &str, reference: &MultiQueryEngine, ref_sink: &CollectSink) {
+        let recovered = self.recovered.inner();
+        let engine = recovered.engine(self.id).unwrap();
+        let reference_engine = reference.engine(self.id).unwrap();
         assert_eq!(
             sorted_stream(&[ref_sink.emitted()]),
             sorted_stream(&[self.pre.emitted(), self.post.emitted()]),
@@ -161,17 +158,22 @@ impl Crashed {
         );
         assert_eq!(
             engine.result_count(),
-            reference.result_count(),
+            reference_engine.result_count(),
             "{name}: live result counts diverge"
         );
         for &(pair, _) in ref_sink.emitted() {
             assert_eq!(
                 engine.has_result(pair),
-                reference.has_result(pair),
+                reference_engine.has_result(pair),
                 "{name}: liveness of {pair} diverges"
             );
         }
-        assert_safe_stats_eq(engine.stats(), reference.stats(), name);
+        assert_safe_stats_eq(engine.stats(), reference_engine.stats(), name);
+        assert_eq!(
+            recovered.routing_stats(),
+            reference.routing_stats(),
+            "{name}: routing stats"
+        );
     }
 }
 
@@ -226,13 +228,15 @@ const WINDOW: WindowPolicy = WindowPolicy {
     slide: 6,
 };
 
-/// The uninterrupted reference: a plain sequential `Engine`.
-fn reference_run(semantics: PathSemantics, tuples: &[StreamTuple]) -> (Engine, CollectSink) {
-    let query = CompiledQuery::compile(EXPR, &mut labels_ab()).unwrap();
-    let mut reference = Engine::new(query, config(WINDOW), semantics);
+/// The uninterrupted reference: the same host, inline, never crashed.
+fn reference_run(
+    semantics: PathSemantics,
+    tuples: &[StreamTuple],
+) -> (MultiQueryEngine, CollectSink) {
+    let (mut reference, _) = one_query_host(EXPR, &mut labels_ab(), semantics, 0);
     let mut sink = CollectSink::default();
     for chunk in tuples.chunks(BATCH) {
-        reference.process_batch(chunk, &mut sink);
+        reference.process_batch(chunk, &mut UntagSink(&mut sink));
     }
     (reference, sink)
 }
@@ -368,7 +372,7 @@ fn multi_crash_matrix() {
 
 /// The single query on the worker pool: written at 2 workers, crashed,
 /// recovered onto 1 and onto 4. The pool's stream is the sequential
-/// one, so besides the matrix contract against the plain `Engine` the
+/// one, so besides the matrix contract against the inline reference the
 /// two recoveries must agree with each other byte for byte (both
 /// rebuild the same state from the same directory contents).
 fn parallel_case(strategy: CheckpointStrategy, seed: u64) {

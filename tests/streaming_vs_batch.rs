@@ -11,11 +11,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::engine::{Engine, PathSemantics};
 use srpq_core::sink::CollectSink;
-use srpq_core::EngineConfig;
+use srpq_core::{EngineConfig, PathSemantics, UntagSink};
 use srpq_graph::WindowPolicy;
-use srpq_harness::{Oracle, OracleMode};
+use srpq_harness::{solo, Oracle, OracleMode};
 
 /// Random stream: `n` tuples over `n_vertices` vertices and `n_labels`
 /// labels, timestamps advancing by 0–2 per tuple.
@@ -56,7 +55,7 @@ fn rapq_matches_oracle_exactly_with_eager_expiry() {
             let mut labels = interner_for(2);
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             let window = WindowPolicy::new(12, 1);
-            let mut engine = Engine::new(
+            let (mut engine, _) = solo(
                 query.clone(),
                 EngineConfig::with_window(window),
                 PathSemantics::Arbitrary,
@@ -64,7 +63,7 @@ fn rapq_matches_oracle_exactly_with_eager_expiry() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 let got = sink.pairs();
                 assert_eq!(&got, expected, "query {expr}, seed {seed}, tuple {i}: {t}");
@@ -83,7 +82,7 @@ fn rspq_matches_bruteforce_oracle_with_eager_expiry() {
             let mut labels = interner_for(2);
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             let window = WindowPolicy::new(10, 1);
-            let mut engine = Engine::new(
+            let (mut engine, id) = solo(
                 query.clone(),
                 EngineConfig::with_window(window),
                 PathSemantics::Simple,
@@ -91,7 +90,7 @@ fn rspq_matches_bruteforce_oracle_with_eager_expiry() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
                 let got = sink.pairs();
                 // Soundness holds unconditionally. Completeness is only
@@ -106,7 +105,7 @@ fn rspq_matches_bruteforce_oracle_with_eager_expiry() {
                         "unsound {p} for {expr}, seed {seed}, tuple {i}"
                     );
                 }
-                if engine.stats().conflicts_detected == 0 {
+                if engine.stats(id).unwrap().conflicts_detected == 0 {
                     assert_eq!(&got, expected, "query {expr}, seed {seed}, tuple {i}: {t}");
                 }
             }
@@ -123,7 +122,7 @@ fn rapq_is_sound_under_lazy_expiry() {
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             // Lazy: slide 7, so several tuples share an expiry pass.
             let window = WindowPolicy::new(12, 7);
-            let mut engine = Engine::new(
+            let (mut engine, _) = solo(
                 query.clone(),
                 EngineConfig::with_window(window),
                 PathSemantics::Arbitrary,
@@ -133,7 +132,7 @@ fn rapq_is_sound_under_lazy_expiry() {
             let mut oracle = Oracle::new(WindowPolicy::new(12 + 7, 1));
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 let relaxed = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 for p in sink.pairs() {
                     assert!(
@@ -166,7 +165,7 @@ fn rapq_with_deletions_matches_oracle() {
             let mut labels = interner_for(2);
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             let window = WindowPolicy::new(15, 1);
-            let mut engine = Engine::new(
+            let (mut engine, _) = solo(
                 query.clone(),
                 EngineConfig::with_window(window),
                 PathSemantics::Arbitrary,
@@ -174,7 +173,7 @@ fn rapq_with_deletions_matches_oracle() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 // Emission stream (distinct pairs ever emitted) must
                 // equal the cumulative oracle: deletions never remove
@@ -205,7 +204,7 @@ fn rspq_with_deletions_matches_oracle() {
             let mut labels = interner_for(2);
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             let window = WindowPolicy::new(12, 1);
-            let mut engine = Engine::new(
+            let (mut engine, id) = solo(
                 query.clone(),
                 EngineConfig::with_window(window),
                 PathSemantics::Simple,
@@ -213,7 +212,7 @@ fn rspq_with_deletions_matches_oracle() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut sink);
+                engine.process(t, &mut UntagSink(&mut sink));
                 let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
                 let got = sink.pairs();
                 for p in &got {
@@ -222,7 +221,7 @@ fn rspq_with_deletions_matches_oracle() {
                         "unsound {p} for {expr}, seed {seed}, tuple {i}"
                     );
                 }
-                if engine.stats().conflicts_detected == 0 {
+                if engine.stats(id).unwrap().conflicts_detected == 0 {
                     assert_eq!(&got, expected, "query {expr}, seed {seed}, tuple {i}");
                 }
             }
@@ -238,21 +237,14 @@ fn simple_results_subset_of_arbitrary() {
             let mut labels = interner_for(2);
             let query = CompiledQuery::compile(expr, &mut labels).unwrap();
             let window = WindowPolicy::new(15, 1);
-            let mut rapq = Engine::new(
-                query.clone(),
-                EngineConfig::with_window(window),
-                PathSemantics::Arbitrary,
-            );
-            let mut rspq = Engine::new(
-                query,
-                EngineConfig::with_window(window),
-                PathSemantics::Simple,
-            );
+            let config = EngineConfig::with_window(window);
+            let (mut rapq, _) = solo(query.clone(), config, PathSemantics::Arbitrary);
+            let (mut rspq, _) = solo(query, config, PathSemantics::Simple);
             let mut sa = CollectSink::default();
             let mut ss = CollectSink::default();
             for &t in &stream {
-                rapq.process(t, &mut sa);
-                rspq.process(t, &mut ss);
+                rapq.process(t, &mut UntagSink(&mut sa));
+                rspq.process(t, &mut UntagSink(&mut ss));
             }
             let arbitrary = sa.pairs();
             for p in ss.pairs() {
