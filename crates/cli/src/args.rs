@@ -8,6 +8,8 @@ pub struct Args {
     pub positional: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// The keys the verb reads, once [`Args::restrict`] has run.
+    known: Option<Vec<&'static str>>,
 }
 
 impl Args {
@@ -40,11 +42,36 @@ impl Args {
             positional,
             options,
             flags,
+            known: None,
         }
+    }
+
+    /// Refuses any `--key` outside `known`, the options the verb reads,
+    /// so a misspelt or inapplicable option is an error rather than a
+    /// silent no-op.
+    pub fn restrict(&mut self, verb: &str, known: Vec<&'static str>) -> Result<(), String> {
+        let given = self.options.keys().chain(&self.flags);
+        let unknown = given.filter(|k| !known.contains(&k.as_str())).min();
+        self.known = Some(known);
+        match unknown {
+            Some(key) => Err(format!("{verb} does not take --{key}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks (in debug builds) that a read key was declared to
+    /// [`Args::restrict`], so the declarations cannot fall behind the
+    /// verbs' code.
+    fn read(&self, key: &str) {
+        debug_assert!(
+            self.known.as_ref().is_none_or(|k| k.contains(&key)),
+            "--{key} is read but not declared"
+        );
     }
 
     /// Value of `--key`, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read(key);
         self.options.get(key).map(String::as_str)
     }
 
@@ -65,6 +92,7 @@ impl Args {
 
     /// Whether `--key` appeared as a bare flag.
     pub fn flag(&self, key: &str) -> bool {
+        self.read(key);
         self.flags.iter().any(|f| f == key)
     }
 }

@@ -21,16 +21,17 @@ const USAGE: &str = "usage:
   srpq run --query QUERY --stream FILE [--window W] [--slide B]
            [--semantics arbitrary|simple] [--print-results] [--limit N]
            [--batch N] [--stats] [--stats-json FILE] [--trace]
-           [--refresh none|node|subtree] [--workers N]
+           [--workers N]
            [--wal-dir DIR [--checkpoint-every N] [--sync none|batch|always]
-            [--checkpoint logical|full]]
+            [--checkpoint logical|full] [--segment-bytes N]]
   srpq recover --wal-dir DIR --stream FILE [--batch N] [--print-results]
            [--limit N] [--stats] [--stats-json FILE] [--trace] [--sync ...]
-           [--checkpoint-every N] [--workers N]
+           [--checkpoint ...] [--checkpoint-every N] [--segment-bytes N]
+           [--workers N]
   srpq wal-info --wal-dir DIR
-  srpq serve --listen ADDR --window W [--slide B] [--refresh ...]
+  srpq serve --listen ADDR --window W [--slide B]
            [--workers N] [--wal-dir DIR [--sync ...] [--checkpoint ...]
-            [--checkpoint-every N]] [--pipeline N]
+            [--checkpoint-every N] [--segment-bytes N]] [--pipeline N]
            [--metrics-addr ADDR] [--e2e-sample N] [--trace-sample N]
   srpq ingest --connect ADDR --stream FILE [--batch N] [--limit N]
            [--resume] [--drain]
@@ -44,24 +45,44 @@ const USAGE: &str = "usage:
   srpq ctl events --connect ADDR [--since SEQ]
   srpq ctl explain NAME --connect ADDR [--json]";
 
-/// Dispatches a command line.
+/// Dispatches a command line. A verb reads exactly the options its
+/// usage lines name, and any other option is refused.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv);
-    match args.positional.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args),
-        Some("info") => cmd_info(&args),
-        Some("explain") => cmd_explain(&args),
-        Some("run") => cmd_run(&args),
-        Some("recover") => cmd_recover(&args),
-        Some("wal-info") => cmd_wal_info(&args),
-        Some("serve") => crate::net::cmd_serve(&args),
-        Some("ingest") => crate::net::cmd_ingest(&args),
-        Some("subscribe") => crate::net::cmd_subscribe(&args),
-        Some("query") => crate::net::cmd_query(&args),
-        Some("ctl") => crate::net::cmd_ctl(&args),
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
-        None => Err(USAGE.to_string()),
+    let mut args = Args::parse(argv);
+    let verb = args.positional.first().cloned().unwrap_or_default();
+    let run: fn(&Args) -> Result<(), String> = match verb.as_str() {
+        "gen" => cmd_gen,
+        "info" => cmd_info,
+        "explain" => cmd_explain,
+        "run" => cmd_run,
+        "recover" => cmd_recover,
+        "wal-info" => cmd_wal_info,
+        "serve" => crate::net::cmd_serve,
+        "ingest" => crate::net::cmd_ingest,
+        "subscribe" => crate::net::cmd_subscribe,
+        "query" => crate::net::cmd_query,
+        "ctl" => crate::net::cmd_ctl,
+        "" => return Err(USAGE.to_string()),
+        other => return Err(format!("unknown command {other:?}\n{USAGE}")),
+    };
+    args.restrict(&verb, options_of(&verb))?;
+    run(&args)
+}
+
+/// Every `--key` the [`USAGE`] lines of `verb` name.
+fn options_of(verb: &str) -> Vec<&'static str> {
+    let mut current = "";
+    let mut keys = Vec::new();
+    for line in USAGE.lines().skip(1) {
+        if let Some(rest) = line.trim_start().strip_prefix("srpq ") {
+            current = rest.split(' ').next().unwrap_or_default();
+        }
+        if current == verb {
+            let words = line.split(|c: char| c.is_whitespace() || "[]|".contains(c));
+            keys.extend(words.filter_map(|w| w.strip_prefix("--")));
+        }
     }
+    keys
 }
 
 /// Parses the shared durability options.
@@ -156,11 +177,9 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let query = args
         .positional
         .get(1)
-        .cloned()
-        .or_else(|| args.get("query").map(str::to_string))
         .ok_or("explain needs a query argument")?;
     let mut labels = LabelInterner::new();
-    let compiled = CompiledQuery::compile(&query, &mut labels).map_err(|e| e.to_string())?;
+    let compiled = CompiledQuery::compile(query, &mut labels).map_err(|e| e.to_string())?;
     println!("query:       {}", compiled.regex());
     println!("size |Q|:    {}", compiled.regex().size());
     println!("recursive:   {}", compiled.regex().is_recursive());
@@ -249,8 +268,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     }
     let query = CompiledQuery::from_regex(parsed, &mut labels);
-    let mut config = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
-    config.refresh = crate::net::refresh_policy(args)?;
+    let config = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
     // The single query rides the one engine every host runs; `--workers`
     // only picks its schedule (0 = inline; byte-identical output either
     // way, see README).

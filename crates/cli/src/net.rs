@@ -19,18 +19,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Parses the shared `--refresh` option.
-pub fn refresh_policy(args: &Args) -> Result<srpq_core::config::RefreshPolicy, String> {
-    match args.get("refresh").unwrap_or("node") {
-        "none" => Ok(srpq_core::config::RefreshPolicy::None),
-        "node" => Ok(srpq_core::config::RefreshPolicy::Node),
-        // Canonical Δ timestamps: with `--wal-dir --checkpoint logical`
-        // this makes recovery timestamp-exact (see srpq_persist docs).
-        "subtree" => Ok(srpq_core::config::RefreshPolicy::Subtree),
-        other => Err(format!("unknown refresh policy {other:?}")),
-    }
-}
-
 fn connect(args: &Args) -> Result<Client, String> {
     let addr = args.require("connect")?;
     Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
@@ -44,8 +32,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         return Err("serve needs --window (there is no stream file to infer it from)".into());
     }
     let slide: i64 = args.get_num("slide", (window / 10).max(1))?;
-    let mut engine = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
-    engine.refresh = refresh_policy(args)?;
+    let engine = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
     let wal_dir = args.get("wal-dir").map(PathBuf::from);
     let workers: usize = args.get_num("workers", 0usize)?;
     let config = ServerConfig {

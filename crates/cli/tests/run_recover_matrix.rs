@@ -1,9 +1,11 @@
 //! `srpq run` / `srpq recover` across worker counts, through the real
 //! binary: a durable directory's recoverability must not depend on the
 //! `--workers` it was written or is recovered under, and the stitched
-//! stdout must be the uninterrupted run's — the same lines, compared
-//! sorted as the CI recovery smoke does (a rebuilt engine's emission
-//! order *within* one timestamp is hash-iteration private).
+//! stdout of a `--checkpoint full` run must be the uninterrupted run's
+//! — the same lines, compared sorted as the CI recovery smoke does (a
+//! rebuilt engine's emission order *within* one timestamp is
+//! hash-iteration private). Also: a verb refuses an option it does not
+//! read.
 
 use srpq_automata::CompiledQuery;
 use srpq_common::LabelInterner;
@@ -60,7 +62,7 @@ fn any_worker_count_recovers_any_other() {
         "64",
         "--print-results",
     ];
-    let run = ["run", "--query", "a2q c2a*", "--refresh", "subtree"];
+    let run = ["run", "--query", "a2q c2a*"];
     let mut reference = ok(&[&run[..], &common[..]].concat());
     assert!(!reference.is_empty(), "fixture produces no results");
     reference.sort_unstable();
@@ -68,7 +70,14 @@ fn any_worker_count_recovers_any_other() {
     for written in ["0", "2"] {
         for recovered in ["0", "2"] {
             let wal = path(&format!("wal-{written}-{recovered}"));
-            let durable = ["--wal-dir", wal.as_str(), "--checkpoint-every", "2"];
+            let durable = [
+                "--wal-dir",
+                wal.as_str(),
+                "--checkpoint-every",
+                "2",
+                "--checkpoint",
+                "full",
+            ];
             let mut stitched = ok(&[
                 &run[..],
                 &common[..],
@@ -112,4 +121,21 @@ fn any_worker_count_recovers_any_other() {
         "unexpected refusal: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verbs_refuse_options_they_do_not_read() {
+    for (args, option) in [
+        (&["run", "--refresh", "subtree"][..], "--refresh"),
+        (&["serve", "--window", "10", "--slid", "5"][..], "--slid"),
+        (&["recover", "--wal-dir", "w", "--resume"][..], "--resume"),
+    ] {
+        let out = srpq(args);
+        assert!(!out.status.success(), "srpq {args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{} does not take {option}", args[0])),
+            "srpq {args:?}: unexpected error {stderr}"
+        );
+    }
 }

@@ -78,18 +78,21 @@
 //!
 //! ```text
 //! ckpt-{seq:016x}.ck := body | u32 crc(body)
-//! body    := "SRPQCKP1" | u32 version = 6 | u8 strategy (0 logical, 1 full) | u64 seq | payload
+//! body    := "SRPQCKP1" | u32 version = 7 | u8 strategy (0 logical, 1 full) | u64 seq | payload
 //! payload := u64 wal_bytes | u64 wal_appends | u64 fsyncs | u64 checkpoints_written | engine
 //! engine  := config | i64 now | u64 tuples_seen | u64 tuples_routed
-//!            | seq<edge> | seq<opt<slot>> | seq<opt<group>>
-//! config  := i64 window_size | i64 slide | u8 refresh (0 none, 1 node, 2 subtree)
-//!            | opt<u64> rspq_extend_budget
-//! edge    := u32 src | u32 dst | u32 label | i64 ts          ts-ascending
+//!            | graph | seq<opt<slot>> | seq<opt<group>>
+//! config  := i64 window_size | i64 slide | opt<u64> rspq_extend_budget
+//! graph   := seq<edge>                                       under `logical`, ts-ascending
+//!          | seq<placed>                                     under `full`, expiry-queue order
+//! edge    := u32 src | u32 dst | u32 label | i64 ts
+//! placed  := edge | u32 out_pos | u32 inc_pos                posting-list positions
 //! slot    := str name | u32 group
 //! group   := u8 semantics (0 arbitrary, 1 simple) | str regex | bool complete | i64 now
 //!            | seq<pair> emitted | stats | forest            forest under `full` only
 //! pair    := u32 src | u32 dst
-//! stats   := 16 × u64                                        EngineStats, declaration order
+//! stats   := 14 × u64                                        EngineStats in declaration order, less
+//!                                                            the wall-clock expiry_nanos and eval_ns
 //! forest  := seq<tree>
 //! tree    := u32 root | u32 root_state | u32 root_id | u32 arena_len | seq<u32> free
 //!            | seq<node> | seq<occ> | seq<mark> | seq<dead>
@@ -490,7 +493,7 @@ macro_rules! wire_tuple {
         }
     )*};
 }
-wire_tuple!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
+wire_tuple!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3) (A 0, B 1, C 2, D 3, E 4, F 5));
 
 impl Wire for bool {
     const MIN_SIZE: usize = 1;
@@ -781,10 +784,12 @@ macro_rules! wire_struct {
 /// `wire_fields!(Codec for Foreign { a, b as Adapter, c })` declares
 /// unit struct `Codec` with `Codec::put(&Foreign, &mut Writer)` and
 /// `Codec::get(&mut Reader) -> Result<Foreign, WireError>`. A field goes
-/// through [`Wire`] unless it names an adapter of that same shape.
+/// through [`Wire`] unless it names an adapter of that same shape. A
+/// list ending in `..` (`{ a, b, .. }`) leaves the remaining fields off
+/// the wire; they decode as their `Default`.
 #[macro_export]
 macro_rules! wire_fields {
-    ($vis:vis $codec:ident for $ty:ident { $($field:ident $(as $via:ty)?),* $(,)? }) => {
+    (@impl $vis:vis $codec:ident for $ty:ident { $($field:ident $(as $via:ty)?),* } $($rest:tt)*) => {
         $vis struct $codec;
 
         impl $codec {
@@ -794,9 +799,16 @@ macro_rules! wire_fields {
             $vis fn get(
                 r: &mut $crate::wire::Reader<'_>,
             ) -> ::std::result::Result<$ty, $crate::wire::WireError> {
-                Ok($ty { $($field: $crate::wire_get!(r $(, $via)?)),* })
+                Ok($ty { $($field: $crate::wire_get!(r $(, $via)?),)* $($rest)* })
             }
         }
+    };
+    ($vis:vis $codec:ident for $ty:ident { $($field:ident $(as $via:ty)?),* $(,)? }) => {
+        $crate::wire_fields!(@impl $vis $codec for $ty { $($field $(as $via)?),* });
+    };
+    ($vis:vis $codec:ident for $ty:ident { $($field:ident $(as $via:ty)?,)* .. }) => {
+        $crate::wire_fields!(@impl $vis $codec for $ty { $($field $(as $via)?),* }
+            ..::std::default::Default::default());
     };
 }
 

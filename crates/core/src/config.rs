@@ -4,39 +4,17 @@
 //! reported once under the implicit window and invalidated only when an
 //! explicit deletion destroys its last witness path (§3.2), and
 //! registrations with equal languages always share one evaluation group
-//! (see [`crate::multi`]).
+//! (see [`crate::multi`]). Neither is the timestamp refresh of a
+//! re-reached Δ node: RAPQ follows the pseudocode of Algorithm RAPQ
+//! line 7 and re-points the node without re-expanding its subtree.
 
 use srpq_graph::WindowPolicy;
-
-/// How Algorithm RAPQ treats a Δ node that is re-reached through a path
-/// with a *fresher* timestamp (line 7 of Algorithm RAPQ).
-///
-/// The paper's pseudocode updates the node's parent pointer and
-/// timestamp without re-expanding its subtree; its worked example
-/// (Figure 2a) shows the node untouched, relying on expiry-time
-/// reconnection instead. Both are correct — stale timestamps are lower
-/// bounds that `ExpiryRAPQ` self-heals — so we expose all three points
-/// of the design space as an ablation (`ablation_refresh` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefreshPolicy {
-    /// Never refresh: matches Figure 2(a); maximum expiry work.
-    None,
-    /// Refresh the re-reached node only (parent pointer + timestamp):
-    /// matches the pseudocode of Algorithm RAPQ / Insert. Default.
-    #[default]
-    Node,
-    /// Refresh the node and propagate improved timestamps through its
-    /// subtree eagerly: minimum expiry work, extra per-tuple work.
-    Subtree,
-}
 
 /// Tunables of an engine, under either path semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Sliding-window size and slide interval.
     pub window: WindowPolicy,
-    /// Timestamp-refresh behaviour on re-reached nodes (RAPQ only).
-    pub refresh: RefreshPolicy,
     /// RSPQ safety valve: maximum `Extend` invocations a single tuple
     /// may trigger before the traversal is aborted (conflicted
     /// instances are worst-case exponential, and one tuple can run
@@ -64,7 +42,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_behaviour() {
         let c = EngineConfig::default();
-        assert_eq!(c.refresh, RefreshPolicy::Node);
+        assert_eq!(c.window, WindowPolicy::default());
         assert_eq!(c.rspq_extend_budget, None);
     }
 
@@ -73,6 +51,6 @@ mod tests {
         let c = EngineConfig::with_window(WindowPolicy::new(100, 10));
         assert_eq!(c.window.window_size, 100);
         assert_eq!(c.window.slide, 10);
-        assert_eq!(c.refresh, RefreshPolicy::Node);
+        assert_eq!(c.rspq_extend_budget, None);
     }
 }

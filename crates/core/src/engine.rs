@@ -18,7 +18,7 @@
 //!
 //! | procedure | arbitrary paths (§3) | simple paths (§4) |
 //! |---|---|---|
-//! | `extend_tree` — extend one tree with an inserted edge | Algorithm RAPQ lines 4–12 (line 6 parent-liveness guard, line 7 insert-or-improve test), draining into Algorithm Insert: lines 2–3 timestamp refresh ([`RefreshPolicy`](crate::config::RefreshPolicy)), lines 8–11 expansion through valid window edges | Algorithm RSPQ lines 4–12 (line 8 cycle and marking guards), draining into Algorithm Extend: line 2 conflict detection by suffix containment, lines 5–13 report / mark (line 11) / attach, lines 14–18 expansion (line 15 marking guard); a conflict runs Algorithm Unmark and replays the traversals the removed marks had pruned |
+//! | `extend_tree` — extend one tree with an inserted edge | Algorithm RAPQ lines 4–12 (line 6 parent-liveness guard, line 7 insert-or-improve test), draining into Algorithm Insert: lines 2–3 timestamp refresh (the re-reached node is re-pointed, its subtree is not re-expanded), lines 8–11 expansion through valid window edges | Algorithm RSPQ lines 4–12 (line 8 cycle and marking guards), draining into Algorithm Extend: line 2 conflict detection by suffix containment, lines 5–13 report / mark (line 11) / attach, lines 14–18 expansion (line 15 marking guard); a conflict runs Algorithm Unmark and replays the traversals the removed marks had pruned |
 //! | `sever_edge` — stamp a deleted edge's tree-edge victims | Algorithm Delete: where the edge is a tree edge (Definition 13), the child's subtree is stamped `-∞` | the same, for every occurrence of the child pair |
 //! | `expire_tree` — expire one tree at a watermark | ExpiryRAPQ: lines 2–3 candidate set and prune, lines 4–10 reconnection through surviving in-edges, lines 11–15 invalidation of results that lost their last witness | ExpiryRSPQ: lines 2–3 prune, lines 6–11 reconnection of expired *marked* pairs, lines 12–15 re-marking of unblocked parents, then invalidations |
 //!
@@ -572,7 +572,6 @@ fn profile_forest<X: TreeSemantics>(forest: &Forest<X>) -> DeltaProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RefreshPolicy;
     use crate::multi::solo::Solo;
     use crate::sink::CollectSink;
     use srpq_common::{LabelInterner, StreamTuple, VertexInterner};
@@ -724,39 +723,56 @@ mod tests {
     #[test]
     fn nodes_expired_excludes_reconnected_nodes() {
         // a+ (conflict-free) over an acyclic stream, |W| = 10, slide 1.
-        // T_r holds (v, s1) via r→v@1 and (q, s1) via r→q@1; the later
-        // path r→w@5, w→v@6 leaves v an alternative in-edge whose
-        // parent (w, s1) outlives the t = 12 expiry. Expiry removes
-        // both ts-1 nodes; reconnection re-attaches v through w→v, so
-        // only q is "removed by expiry (not reconnected)" — under both
-        // semantics. (`RefreshPolicy::None` keeps RAPQ from re-pointing
-        // v at arrival time; RSPQ prunes the re-reach on v's marking.)
+        // T_r holds (v, s1) via r→v@1, its child (x, s1) via v→x@4 and
+        // (q, s1) via r→q@1; the later path r→w@5, w→v@6 reaches v
+        // again. RAPQ re-points v under (w, s1) at ts 5 and leaves its
+        // descendant x stale at ts 1; RSPQ prunes the re-reach on v's
+        // marking, so v and x both keep ts 1. The t = 12 expiry removes
+        // every ts-1 node; reconnection re-attaches what v→x@4 (and,
+        // under RSPQ, w→v@6) still supports, so only q is "removed by
+        // expiry (not reconnected)" — under both semantics.
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut labels = LabelInterner::new();
             let query = CompiledQuery::compile("a+", &mut labels).unwrap();
             let a = labels.get("a").unwrap();
-            let mut config = EngineConfig::with_window(WindowPolicy::new(10, 1));
-            config.refresh = RefreshPolicy::None;
+            let config = EngineConfig::with_window(WindowPolicy::new(10, 1));
             let mut engine = Solo::new(query, config, semantics);
-            let [r, v, q, w, far, away] = [0, 1, 2, 3, 4, 5].map(VertexId);
+            let [r, v, q, w, x, far, away] = [0, 1, 2, 3, 4, 5, 6].map(VertexId);
             let mut sink = CollectSink::default();
-            for (ts, src, dst) in [(1, r, v), (1, r, q), (5, r, w), (6, w, v)] {
+            for (ts, src, dst) in [(1, r, v), (1, r, q), (4, v, x), (5, r, w), (6, w, v)] {
                 engine.process(StreamTuple::insert(Timestamp(ts), src, dst, a), &mut sink);
             }
             assert_eq!(engine.stats().nodes_expired, 0, "{semantics:?}");
             assert_eq!(engine.stats().conflicts_detected, 0, "{semantics:?}");
+            let t_r_ts = |engine: &Solo, y: VertexId| {
+                let t_r = engine.delta_snapshot().into_iter().find(|t| t.root == r);
+                let t_r = t_r.expect("T_r survives");
+                t_r.nodes.iter().find(|n| n.vertex == y).map(|n| n.ts)
+            };
+            assert_eq!(
+                t_r_ts(&engine, x),
+                Some(Timestamp(1)),
+                "{semantics:?}: x stale"
+            );
             let before = engine.index_size().nodes;
             // Crossing to t = 12 expires everything stamped ≤ 2.
             engine.process(StreamTuple::insert(Timestamp(12), far, away, a), &mut sink);
             engine.validate_delta().unwrap();
-            let t_r = engine
-                .delta_snapshot()
-                .into_iter()
-                .find(|t| t.root == r)
-                .expect("T_r survives");
-            let ts_of = |x: VertexId| t_r.nodes.iter().find(|n| n.vertex == x).map(|n| n.ts);
-            assert_eq!(ts_of(v), Some(Timestamp(5)), "{semantics:?}: v reconnected");
-            assert_eq!(ts_of(q), None, "{semantics:?}: q expired for good");
+            assert_eq!(
+                t_r_ts(&engine, v),
+                Some(Timestamp(5)),
+                "{semantics:?}: v live"
+            );
+            assert_eq!(
+                t_r_ts(&engine, x),
+                Some(Timestamp(4)),
+                "{semantics:?}: x reconnected"
+            );
+            assert_eq!(
+                t_r_ts(&engine, q),
+                None,
+                "{semantics:?}: q expired for good"
+            );
             // T_far adds two nodes, q's removal takes one away.
             assert_eq!(engine.index_size().nodes, before + 2 - 1, "{semantics:?}");
             assert_eq!(engine.stats().nodes_expired, 1, "{semantics:?}");

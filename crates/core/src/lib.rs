@@ -63,7 +63,6 @@ pub mod engine;
 pub mod multi;
 mod parallel_multi;
 mod rapq;
-pub mod reorder;
 mod results;
 pub mod rspq;
 pub mod sink;
@@ -74,6 +73,5 @@ pub use engine::{Engine, PathSemantics};
 pub use multi::{
     MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId, UntagSink,
 };
-pub use reorder::ReorderBuffer;
 pub use sink::{CollectSink, CountSink, NullSink, ResultSink};
 pub use stats::{DeltaProfile, EngineStats, IndexSize, StageTotals};

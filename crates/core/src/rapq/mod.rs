@@ -12,7 +12,6 @@
 //! edges; explicit deletions (`Delete`) mark the severed subtree with
 //! `-∞` timestamps and reuse the very same expiry machinery (§3.2).
 
-use crate::config::RefreshPolicy;
 use crate::delta::{Forest, NodeId, RevIndex, Unique};
 use crate::engine::{PerTree, TreeCx};
 use crate::sink::ResultSink;
@@ -240,7 +239,6 @@ fn run_insert<S: ResultSink>(
     cx: &mut TreeCx<'_, S>,
 ) {
     let (dfa, graph, vis, wm, now) = (cx.query.dfa(), cx.graph, cx.vis, cx.wm, cx.now);
-    let refresh = cx.config.refresh;
     let (emitted, stats, sink) = (&mut *cx.emitted, &mut *cx.stats, &mut *cx.sink);
     let root = tree.root();
     // Every pair this drain reports has the root as its source: its
@@ -271,49 +269,14 @@ fn run_insert<S: ResultSink>(
         match tree.first_occurrence(child) {
             Some(cid) => {
                 // Timestamp refresh (Algorithm RAPQ line 7 / Insert
-                // lines 2–3). The paper re-points the parent without
-                // re-expanding; `RefreshPolicy` exposes the variants.
+                // lines 2–3): re-point the parent without re-expanding.
+                // Descendants keep their older timestamps, lower bounds
+                // that `ExpiryRAPQ` heals by reconnection.
                 let Some(cts) = tree.ts_of(cid) else { continue };
                 if cts >= new_ts {
                     continue;
                 }
-                match refresh {
-                    RefreshPolicy::None => {}
-                    RefreshPolicy::Node => {
-                        tree.reparent(cid, parent_id, via, new_ts);
-                    }
-                    RefreshPolicy::Subtree => {
-                        tree.reparent(cid, parent_id, via, new_ts);
-                        // Propagate the improvement: any neighbour whose
-                        // timestamp can now improve through this node is
-                        // re-examined — both current children and nodes
-                        // that would re-parent under the fresher path.
-                        // Timestamps only ever increase, so this
-                        // fixpoint terminates.
-                        let (cv, cs) = child;
-                        let adj = graph.out_view_at(cv, vis);
-                        for &(label, q) in dfa.transitions_from(cs) {
-                            for e in adj.edges(label, wm) {
-                                let target = (e.other, q);
-                                // Absent targets matter too: an edge that
-                                // arrived while this node looked expired
-                                // was never expanded through.
-                                let improvable = match tree.ts(target) {
-                                    None => true,
-                                    Some(ts0) => ts0 < new_ts.min(e.ts),
-                                };
-                                if improvable {
-                                    work.push(WorkItem {
-                                        parent_id: cid,
-                                        child: target,
-                                        via: label,
-                                        edge_ts: e.ts,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+                tree.reparent(cid, parent_id, via, new_ts);
             }
             None => {
                 let id = tree.add_child(parent_id, child.0, child.1, via, new_ts);
@@ -373,11 +336,10 @@ mod tests {
         labels: LabelInterner,
     }
 
-    fn fig1_engine(refresh: RefreshPolicy, slide: i64) -> Fixture {
+    fn fig1_engine(slide: i64) -> Fixture {
         let mut labels = LabelInterner::new();
         let query = CompiledQuery::compile("(follows mentions)+", &mut labels).unwrap();
-        let mut config = EngineConfig::with_window(WindowPolicy::new(15, slide));
-        config.refresh = refresh;
+        let config = EngineConfig::with_window(WindowPolicy::new(15, slide));
         let engine = rapq(query, config);
         let mut verts = VertexInterner::new();
         for name in ["x", "y", "z", "u", "v", "w"] {
@@ -424,11 +386,12 @@ mod tests {
 
     #[test]
     fn figure_2a_tree_shape_without_refresh() {
-        // RefreshPolicy::None reproduces Figure 2(a) exactly: slide large
-        // enough that no expiry pass runs before t=18.
-        let mut f = fig1_engine(RefreshPolicy::None, 1000);
+        // Up to t=13 no arrival reaches an existing node with a fresher
+        // timestamp, so no refresh has fired and T_x is exactly the
+        // Figure 2(a) tree minus (y, 2), which the t=18 edge adds.
+        let mut f = fig1_engine(1000);
         let mut sink = CollectSink::default();
-        for t in fig1_stream(&f, 18) {
+        for t in fig1_stream(&f, 13) {
             f.engine.process(t, &mut sink);
         }
         let v = |n: &str| f.verts.get(n).unwrap();
@@ -452,6 +415,48 @@ mod tests {
             Some((Some((v("u"), s(2))), Timestamp(4)))
         );
         assert_eq!(
+            node(&f, "x", "w", 2),
+            Some((Some((v("z"), s(1))), Timestamp(6)))
+        );
+        assert_eq!(node(&f, "x", "y", 2), None);
+        assert!(!f.engine.has_result(ResultPair::new(v("x"), v("y"))));
+        f.engine.validate_delta().unwrap();
+    }
+
+    #[test]
+    fn pseudocode_refresh_reparents_at_t14() {
+        // The Figure 1(a) stream up to t=18 with a slide large enough
+        // that no expiry pass runs. Under the paper's pseudocode
+        // (Algorithm RAPQ line 7) the arrival of (z → u, mentions) at
+        // t=14 re-points (u, 2) under (z, 1) with timestamp 6, where
+        // Figure 2(a) draws it untouched; every other node of T_x is as
+        // drawn.
+        let mut f = fig1_engine(1000);
+        let mut sink = CollectSink::default();
+        for t in fig1_stream(&f, 18) {
+            f.engine.process(t, &mut sink);
+        }
+        let v = |n: &str| f.verts.get(n).unwrap();
+        let s = |i: u32| srpq_common::StateId(i);
+
+        assert_eq!(
+            node(&f, "x", "y", 1),
+            Some((Some((v("x"), s(0))), Timestamp(13)))
+        );
+        assert_eq!(
+            node(&f, "x", "z", 1),
+            Some((Some((v("x"), s(0))), Timestamp(6)))
+        );
+        assert_eq!(
+            node(&f, "x", "u", 2),
+            Some((Some((v("z"), s(1))), Timestamp(6)))
+        );
+        // Descendants keep their stale (smaller) timestamps.
+        assert_eq!(
+            node(&f, "x", "v", 1),
+            Some((Some((v("u"), s(2))), Timestamp(4)))
+        );
+        assert_eq!(
             node(&f, "x", "y", 2),
             Some((Some((v("v"), s(1))), Timestamp(4)))
         );
@@ -465,36 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn pseudocode_refresh_reparents_at_t14() {
-        // With the paper's pseudocode condition (RefreshPolicy::Node),
-        // the arrival of (z → u, mentions) at t=14 refreshes (u, 2) under
-        // (z, 1) with timestamp 6 — see DESIGN.md on the Figure 2(a)
-        // discrepancy.
-        let mut f = fig1_engine(RefreshPolicy::Node, 1000);
-        let mut sink = CollectSink::default();
-        for t in fig1_stream(&f, 18) {
-            f.engine.process(t, &mut sink);
-        }
-        let v = |n: &str| f.verts.get(n).unwrap();
-        let s = |i: u32| srpq_common::StateId(i);
-        assert_eq!(
-            node(&f, "x", "u", 2),
-            Some((Some((v("z"), s(1))), Timestamp(6)))
-        );
-        // Descendants keep their stale (smaller) timestamps.
-        assert_eq!(
-            node(&f, "x", "v", 1),
-            Some((Some((v("u"), s(2))), Timestamp(4)))
-        );
-        f.engine.validate_delta().unwrap();
-    }
-
-    #[test]
     fn figure_2b_after_expiry_at_t19() {
         // With slide = 1 the expiry pass at t=19 prunes the ts=4 chain
-        // and reconnects (u,2) through the valid edge (z → u, 14),
-        // yielding the Figure 2(b) tree.
-        let mut f = fig1_engine(RefreshPolicy::None, 1);
+        // and reconnects it under (u,2), which the t=14 refresh already
+        // re-pointed through the valid edge (z → u, 14), yielding the
+        // Figure 2(b) tree.
+        let mut f = fig1_engine(1);
         let mut sink = CollectSink::default();
         for t in fig1_stream(&f, 19) {
             f.engine.process(t, &mut sink);
@@ -537,7 +518,7 @@ mod tests {
 
     #[test]
     fn emits_pair_for_even_alternating_path() {
-        let mut f = fig1_engine(RefreshPolicy::Node, 1);
+        let mut f = fig1_engine(1);
         let mut sink = CollectSink::default();
         for t in fig1_stream(&f, 19) {
             f.engine.process(t, &mut sink);
@@ -551,7 +532,7 @@ mod tests {
 
     #[test]
     fn foreign_labels_are_discarded() {
-        let mut f = fig1_engine(RefreshPolicy::Node, 1);
+        let mut f = fig1_engine(1);
         let mut labels = f.labels.clone();
         let likes = labels.intern("likes");
         let mut sink = CollectSink::default();
@@ -726,30 +707,6 @@ mod tests {
         engine.process(t2, &mut sink);
         assert_eq!(sink.emitted().len(), 1);
         assert_eq!(engine.stats().results_emitted, 1);
-    }
-
-    #[test]
-    fn refresh_policies_agree_on_results() {
-        // All three refresh policies must produce the same result set on
-        // the Figure 1 stream (they only differ in tree bookkeeping).
-        let mut all_pairs = Vec::new();
-        for policy in [
-            RefreshPolicy::None,
-            RefreshPolicy::Node,
-            RefreshPolicy::Subtree,
-        ] {
-            let mut f = fig1_engine(policy, 1);
-            let mut sink = CollectSink::default();
-            for t in fig1_stream(&f, 19) {
-                f.engine.process(t, &mut sink);
-            }
-            f.engine.validate_delta().unwrap();
-            let mut pairs: Vec<_> = sink.pairs().into_iter().collect();
-            pairs.sort_unstable();
-            all_pairs.push(pairs);
-        }
-        assert_eq!(all_pairs[0], all_pairs[1]);
-        assert_eq!(all_pairs[1], all_pairs[2]);
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub struct EngineStats {
     /// definition under both path semantics.
     pub nodes_expired: u64,
     /// Nanoseconds spent inside expiry passes (window management time,
-    /// Figure 6b).
+    /// Figure 6b). Wall-clock, so not checkpointed: a recovered engine
+    /// restarts it at 0.
     pub expiry_nanos: u64,
     /// Conflicts detected (RSPQ only).
     pub conflicts_detected: u64,
@@ -65,7 +66,8 @@ pub struct EngineStats {
     /// Nanoseconds a multi-query host spent inside this engine's
     /// evaluation calls (extension, expiry, deletions). Wall-clock:
     /// operators compare queries within one run (`srpq query list`) to
-    /// find the hot one; never compare across runs or recoveries.
+    /// find the hot one; never compare across runs. Not checkpointed: a
+    /// recovered engine restarts it at 0.
     pub eval_ns: u64,
     /// Live Δ nodes (gauge, refreshed after deletions and expiry).
     pub delta_nodes_live: u64,

@@ -719,6 +719,67 @@ impl WindowGraph {
         out.sort_unstable();
         out
     }
+
+    /// Every stored edge (not-yet-purged expired ones included) in
+    /// expiry-queue order, each with its positions in its source's and
+    /// its target's posting lists. The order of a posting list is the
+    /// order traversals visit its edges, and swap-removals make it a
+    /// function of history rather than of the edge set; this is what
+    /// [`Self::restore_layout`] needs to rebuild a graph that traverses
+    /// and purges exactly as this one does.
+    pub fn layout(&self) -> Vec<(VertexId, VertexId, Label, Timestamp, u32, u32)> {
+        let live = self
+            .queue
+            .iter()
+            .filter(|e| self.slots[e.slot as usize].gen == e.gen);
+        live.map(|e| {
+            let s = self.slots[e.slot as usize];
+            (s.src, s.dst, s.label, e.ts, s.out_pos, s.inc_pos)
+        })
+        .collect()
+    }
+
+    /// Fills an empty graph with the edges of a [`Self::layout`]:
+    /// inserted in queue order, then each posting moved to its recorded
+    /// position. Refuses a duplicate edge or positions that do not
+    /// number each posting list `0..len`.
+    pub fn restore_layout(
+        &mut self,
+        layout: &[(VertexId, VertexId, Label, Timestamp, u32, u32)],
+    ) -> Result<(), String> {
+        assert!(self.slots.is_empty(), "restore_layout needs an empty graph");
+        for &(u, v, label, ts, _, _) in layout {
+            if !self.insert(u, v, label, ts) {
+                return Err(format!("edge {u} -{label:?}-> {v} appears twice"));
+            }
+        }
+        // Slot `i` holds the `i`-th edge: the arena was empty.
+        for (inc_side, adj) in [(false, &mut self.out), (true, &mut self.inc)] {
+            let wanted = |slot: u32| {
+                let (.., out_pos, inc_pos) = layout[slot as usize];
+                if inc_side {
+                    inc_pos
+                } else {
+                    out_pos
+                }
+            };
+            for list in adj.values_mut().flat_map(|a| a.by_label.values_mut()) {
+                list.sort_unstable_by_key(|p| wanted(p.slot));
+                for (pos, p) in list.iter().enumerate() {
+                    if wanted(p.slot) != pos as u32 {
+                        return Err("posting positions are not a permutation".into());
+                    }
+                    let slot = &mut self.slots[p.slot as usize];
+                    if inc_side {
+                        slot.inc_pos = pos as u32;
+                    } else {
+                        slot.out_pos = pos as u32;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -942,6 +1003,42 @@ mod tests {
         let edges = g.edges(NEG);
         assert_eq!(edges.len(), 2);
         assert_eq!(g.edges(Timestamp(5)).len(), 1);
+    }
+
+    #[test]
+    fn layout_restores_posting_order_and_purge_order() {
+        // Swap-removals leave `out[0][a]` as [9, 2, 3] and `inc[9][a]`
+        // as [0, 4]; a graph rebuilt from the layout visits and purges
+        // in the same order.
+        let mut g = WindowGraph::new();
+        for (t, u, w) in [
+            (1, 0, 1),
+            (2, 0, 2),
+            (3, 0, 3),
+            (4, 1, 9),
+            (5, 4, 9),
+            (6, 0, 4),
+        ] {
+            g.insert(v(u), v(w), l(0), Timestamp(t));
+        }
+        g.insert(v(0), v(9), l(0), Timestamp(7));
+        g.remove(v(0), v(1), l(0));
+        g.remove(v(0), v(4), l(0));
+        g.remove(v(1), v(9), l(0));
+        let mut h = WindowGraph::new();
+        h.restore_layout(&g.layout()).unwrap();
+        let order = |g: &WindowGraph| {
+            let out: Vec<_> = g.out_edges(v(0), l(0), NEG).map(|e| e.other).collect();
+            let inc: Vec<_> = g.in_edges(v(9), l(0), NEG).map(|e| e.other).collect();
+            (out, inc)
+        };
+        assert_eq!(order(&g), (vec![v(9), v(2), v(3)], vec![v(0), v(4)]));
+        assert_eq!(order(&h), order(&g));
+        assert_eq!(h.layout(), g.layout());
+        g.purge_expired(Timestamp(2));
+        h.purge_expired(Timestamp(2));
+        assert_eq!(order(&h), order(&g));
+        assert_eq!(h.edges(NEG), g.edges(NEG));
     }
 
     #[test]

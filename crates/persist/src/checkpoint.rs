@@ -12,11 +12,13 @@
 //!   content through the engine. Because the live window is a bounded
 //!   log suffix, the rebuild cost is bounded by window size, never
 //!   stream length (§5.6 setting + Wu et al.'s recovery recipe).
-//! * [`CheckpointStrategy::Full`] — additionally serialize the Δ-forest
-//!   arenas ([`srpq_core::delta::TreeSnap`]) exactly: slot assignment,
-//!   free lists, occurrence order, and RSPQ markings all survive, so
-//!   recovery skips the rebuild and restarts near-instantly at the cost
-//!   of larger checkpoint files.
+//! * [`CheckpointStrategy::Full`] — serialize the window graph with the
+//!   order of every posting list and of the expiry queue
+//!   ([`WindowGraph::layout`]) and the Δ-forest arenas
+//!   ([`srpq_core::delta::TreeSnap`]) exactly: slot assignment, free
+//!   lists, occurrence order, and RSPQ markings all survive, so recovery
+//!   skips the rebuild, restarts near-instantly and continues exactly as
+//!   the crashed run would have, at the cost of larger checkpoint files.
 //!
 //! `ckpt-{seq:016x}.ck` is published atomically
 //! ([`srpq_common::wire::publish`]) and older checkpoints are pruned
@@ -25,8 +27,7 @@
 
 use crate::codec::{corrupt, PersistError, Result};
 use srpq_common::wire::{self, Reader, Wire, WireError, Writer};
-use srpq_common::{wire_fields, wire_struct, wire_tags, Label, Timestamp, VertexId};
-use srpq_core::config::RefreshPolicy;
+use srpq_common::{wire_fields, wire_struct, Label, Timestamp, VertexId};
 use srpq_core::delta::{NodeSnap, TreeSnap};
 use srpq_core::{EngineConfig, EngineStats};
 use srpq_graph::{WindowGraph, WindowPolicy};
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: [u8; 8] = *b"SRPQCKP1";
 /// Checked by exact equality; both binaries come from this repository.
-const CKPT_VERSION: u32 = 6;
+const CKPT_VERSION: u32 = 7;
 
 wire_struct! {
     /// Everything in a checkpoint file ahead of the payload.
@@ -218,14 +219,14 @@ impl Window {
     }
 }
 
-wire_tags!(Refresh for RefreshPolicy as "refresh policy" { None = 0, Node = 1, Subtree = 2 });
-
 wire_fields!(pub(crate) ConfigWire for EngineConfig {
     window as Window,
-    refresh as Refresh,
     rspq_extend_budget,
 });
 
+// The wall-clock `expiry_nanos` and `eval_ns` stay off the wire, so a
+// checkpoint is a function of the stream alone; a recovered engine
+// starts them at 0.
 wire_fields!(pub(crate) StatsWire for EngineStats {
     tuples_processed,
     deletions_processed,
@@ -234,15 +235,14 @@ wire_fields!(pub(crate) StatsWire for EngineStats {
     results_invalidated,
     expiry_runs,
     nodes_expired,
-    expiry_nanos,
     conflicts_detected,
     nodes_unmarked,
     budget_exhausted,
     tuples_routed,
-    eval_ns,
     delta_nodes_live,
     delta_capacity,
     compactions,
+    ..
 });
 
 /// A window graph's edge list, `(ts, u, v, l)`-ascending.
@@ -264,6 +264,11 @@ pub(crate) fn decode_graph(r: &mut Reader<'_>) -> Result<EdgeList> {
     }
     Ok(edges)
 }
+
+/// A window graph's [`WindowGraph::layout`]: its edges in expiry-queue
+/// order with their posting-list positions (the graph section of a
+/// `Full` checkpoint).
+pub(crate) type Layout = Vec<(VertexId, VertexId, Label, Timestamp, u32, u32)>;
 
 /// `u32 parent`, all-ones for the root's `None`.
 struct ParentSlot;
@@ -365,7 +370,6 @@ mod tests {
     #[test]
     fn config_and_stats_round_trip() {
         let mut c = EngineConfig::with_window(WindowPolicy::new(100, 7));
-        c.refresh = RefreshPolicy::Subtree;
         c.rspq_extend_budget = Some(42);
         let mut w = Writer::new();
         ConfigWire::put(&c, &mut w);
@@ -382,11 +386,10 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let c2 = ConfigWire::get(&mut r).unwrap();
         assert_eq!(c2.window, c.window);
-        assert_eq!(c2.refresh, RefreshPolicy::Subtree);
         assert_eq!(c2.rspq_extend_budget, Some(42));
         let s2 = StatsWire::get(&mut r).unwrap();
         assert_eq!(s2.tuples_processed, 9);
-        assert_eq!(s2.eval_ns, 3);
+        assert_eq!(s2.eval_ns, 0, "wall-clock fields are not persisted");
         assert_eq!(s2.delta_nodes_live, 4);
         assert_eq!(s2.delta_capacity, 6);
         assert_eq!(s2.compactions, 2);

@@ -13,11 +13,12 @@
 //! load the newest valid checkpoint, rebuild the engine from it
 //! ([`CheckpointStrategy::Logical`] replays the checkpointed window
 //! content through the engine; [`CheckpointStrategy::Full`] restores
-//! the exact Δ-forest arenas), then replay the WAL suffix after the
-//! checkpoint with a discarding sink. The restored engine continues the
-//! stream with the same results at the same stream timestamps as an
-//! uninterrupted run (`tests/recovery_equivalence.rs` pins this with a
-//! crash-injection matrix).
+//! the window graph's posting-list and expiry-queue order and the exact
+//! Δ-forest arenas), then replay the WAL suffix after the
+//! checkpoint with a discarding sink. Under `Full` the restored engine
+//! continues the stream exactly as an uninterrupted run; under
+//! `Logical`, within the contract below (`tests/recovery_equivalence.rs`
+//! pins both with a crash-injection matrix).
 //!
 //! There is **one checkpoint layout**, and it is logical: it stores no
 //! worker count and nothing about the evaluation schedule, so a
@@ -34,15 +35,23 @@
 //!   not re-emitted (*at-most-once* delivery for the torn batch; log
 //!   the sink downstream if it must be exactly-once).
 //! * **State**: under `Full` checkpoints the restored engine state is
-//!   bit-faithful for any configuration. Under `Logical` checkpoints the
-//!   Δ forest is rebuilt from the live window; with
-//!   [`RefreshPolicy::Subtree`](srpq_core::config::RefreshPolicy) node
-//!   timestamps are canonical (a pure function of window content), so
-//!   the rebuild is exact. Under the laxer refresh policies the lost
-//!   instance may have carried *stale* (lower-bound) timestamps that the
-//!   rebuild heals to canonical values — the same healing an expiry pass
-//!   performs — which can shift *when* a re-derived result surfaces by
-//!   at most one slide; the result set is unaffected.
+//!   bit-faithful, so the continued stream is identical to an
+//!   uninterrupted run's. Under `Logical` checkpoints (the compact
+//!   default) the Δ forest is rebuilt from the live window. RAPQ's
+//!   timestamp refresh re-points a re-reached node without re-expanding
+//!   its subtree (Algorithm RAPQ line 7), so the lost instance may have
+//!   carried *stale* (lower-bound) timestamps that depend on history,
+//!   not only on window content. The rebuild heals them to canonical
+//!   values — the same healing an expiry pass performs — so a result
+//!   the uninterrupted run reports at `t` is live after recovery at some
+//!   point of `[t, t + slide]`. On rare streams the rebuilt engine also
+//!   reports a pair the crashed one would have missed, or keeps live a
+//!   pair a deletion would have invalidated and re-derived. It
+//!   invalidates nothing the uninterrupted run would not, and every pair
+//!   it reports is a result of some window up to its report.
+//! * **Determinism**: a checkpoint holds no wall-clock field and nothing
+//!   about the schedule, so the same stream writes the same checkpoint
+//!   bytes at any worker count.
 
 use crate::checkpoint::{self, CheckpointStrategy, ConfigWire, StatsWire};
 use crate::codec::{corrupt, PersistError, Result};
@@ -537,7 +546,10 @@ fn encode_engine(multi: &MultiQueryEngine, strategy: CheckpointStrategy, w: &mut
     ConfigWire::put(multi.config(), w);
     let (seen, routed) = multi.routing_stats();
     (multi.now(), seen, routed).put(w);
-    checkpoint::encode_graph(w, multi.graph());
+    match strategy {
+        CheckpointStrategy::Logical => checkpoint::encode_graph(w, multi.graph()),
+        CheckpointStrategy::Full => multi.graph().layout().put(w),
+    }
     let slots: SlotTable = (0..multi.n_slots() as u32)
         .map(|qi| {
             let id = QueryId(qi);
@@ -582,7 +594,20 @@ fn decode_engine(
 ) -> Result<MultiQueryEngine> {
     let config = ConfigWire::get(r)?;
     let (now, seen, routed): (Timestamp, u64, u64) = r.get()?;
-    let edges = checkpoint::decode_graph(r)?;
+    let mut multi = MultiQueryEngine::with_config(config);
+    // `Full` places the graph exactly now; `Logical` replays its edges
+    // through the groups once they exist.
+    let edges = match strategy {
+        CheckpointStrategy::Logical => checkpoint::decode_graph(r)?,
+        CheckpointStrategy::Full => {
+            let layout: checkpoint::Layout = r.get()?;
+            multi
+                .graph_mut()
+                .restore_layout(&layout)
+                .map_err(|e| corrupt(format!("graph layout: {e}")))?;
+            Vec::new()
+        }
+    };
     let slots: SlotTable = r.get()?;
 
     // The group table (evaluation state) is restored first, then
@@ -591,7 +616,6 @@ fn decode_engine(
     // parallelism is runtime configuration, not logical state — so
     // the rebuilt engine starts on the inline schedule and hosts
     // call `set_workers` once after recovery.
-    let mut multi = MultiQueryEngine::with_config(config);
     let mut slot = 0u32;
     let cursors = r.seq(1, |r| -> Result<Option<(u32, GroupState)>> {
         let expect = slot;
@@ -644,16 +668,8 @@ fn decode_engine(
             }
         }
     }
-    match strategy {
-        CheckpointStrategy::Logical => {
-            multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
-        }
-        CheckpointStrategy::Full => {
-            let graph = multi.graph_mut();
-            for &(u, v, l, ts) in &edges {
-                graph.insert(u, v, l, ts);
-            }
-        }
+    if strategy == CheckpointStrategy::Logical {
+        multi.process_batch(&edges_to_tuples(&edges), &mut NullMultiSink);
     }
     for (g, state) in cursors.into_iter().flatten() {
         let engine = multi.group_engine_mut(g).expect("restored above");

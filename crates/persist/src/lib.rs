@@ -18,13 +18,14 @@
 //!   segments that predate both the latest checkpoint and the window;
 //! * [`checkpoint`] — periodic snapshots under two strategies:
 //!   [`CheckpointStrategy::Logical`] (live window + engine cursor;
-//!   recovery rebuilds Δ by replay) and [`CheckpointStrategy::Full`]
-//!   (exact Δ-forest arenas and result sets for near-instant restart);
+//!   recovery rebuilds Δ by replay; the compact default) and
+//!   [`CheckpointStrategy::Full`] (exact Δ-forest arenas and result
+//!   sets for near-instant, timestamp-exact restart);
 //! * [`durable`] — [`Durable`], the hook around
 //!   [`srpq_core::MultiQueryEngine`]: WAL-append *before* mutation,
 //!   checkpoint every N slides, and [`Durable::recover`] restoring a
-//!   crashed instance that continues the stream with the same results
-//!   at the same stream timestamps as an uninterrupted run.
+//!   crashed instance that continues the stream as an uninterrupted run
+//!   (exactly under `Full`; see [`durable`]'s recovery guarantees).
 //!
 //! There is one engine to persist and therefore **one checkpoint
 //! layout**: every host — `serve`'s registry, `srpq run`'s single query

@@ -1,15 +1,15 @@
 //! Formats pinned by bytes: one WAL segment (header + two records),
 //! generated by the commit *before* the codecs moved onto
 //! `srpq_common::wire`, and one checkpoint of a two-query host under
-//! each strategy, regenerated when `CKPT_VERSION` became 6 — all
+//! each strategy, regenerated when `CKPT_VERSION` became 7 — all
 //! committed under `tests/data/`. Writing must reproduce the files
 //! exactly; reading them must return what was written. A deliberate
 //! format change regenerates the files (and bumps the version the
-//! format carries).
+//! format carries). A checkpoint is a function of the stream alone:
+//! rewriting it, at any worker count, reproduces its bytes.
 
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::config::RefreshPolicy;
 use srpq_core::multi::{MultiQueryEngine, NullMultiSink};
 use srpq_core::{EngineConfig, EngineStats, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
@@ -128,8 +128,8 @@ fn stream(n: u32) -> Vec<StreamTuple> {
     out
 }
 
-/// Every counter distinct and non-zero. The wall-clock ones
-/// (`expiry_nanos`, `eval_ns`) would otherwise differ run to run.
+/// Every counter distinct and non-zero, so the golden files pin the
+/// field order.
 fn pinned_stats(base: u64) -> EngineStats {
     EngineStats {
         tuples_processed: base + 1,
@@ -151,16 +151,30 @@ fn pinned_stats(base: u64) -> EngineStats {
     }
 }
 
+/// What [`pinned_stats`] reads back as after recovery: the wall-clock
+/// counters are not persisted and restart at 0.
+fn recovered_stats(base: u64) -> EngineStats {
+    EngineStats {
+        expiry_nanos: 0,
+        eval_ns: 0,
+        ..pinned_stats(base)
+    }
+}
+
 /// A two-query host (one arbitrary, one simple) with every config field
-/// off its default, 60-odd tuples in, and a checkpoint on top.
-fn build(dir: &Path, strategy: CheckpointStrategy) -> (Durable, DurabilityConfig) {
+/// off its default on `workers` pool threads, 60-odd tuples in.
+fn fed_host(
+    dir: &Path,
+    strategy: CheckpointStrategy,
+    workers: usize,
+) -> (Durable, DurabilityConfig) {
     let mut labels = labels();
     let config = EngineConfig {
         window: WindowPolicy::new(40, 5),
-        refresh: RefreshPolicy::Subtree,
         rspq_extend_budget: Some(100_000),
     };
     let mut engine = MultiQueryEngine::with_config(config);
+    engine.set_workers(workers);
     for (name, regex, semantics) in [
         ("arb", "a b*", PathSemantics::Arbitrary),
         ("simp", "(a b)+", PathSemantics::Simple),
@@ -178,6 +192,12 @@ fn build(dir: &Path, strategy: CheckpointStrategy) -> (Durable, DurabilityConfig
     for chunk in stream(60).chunks(16) {
         durable.process_batch(chunk, &mut NullMultiSink).unwrap();
     }
+    (durable, cfg)
+}
+
+/// [`fed_host`], inline, with [`pinned_stats`] and a checkpoint on top.
+fn build(dir: &Path, strategy: CheckpointStrategy) -> (Durable, DurabilityConfig) {
+    let (mut durable, cfg) = fed_host(dir, strategy, 0);
     for (g, base) in [(0, 100), (1, 200)] {
         let group = durable.inner_mut().group_engine_mut(g).unwrap();
         assert!(group.result_count() > 0, "group {g} reports nothing");
@@ -207,7 +227,7 @@ fn check_checkpoint(strategy: CheckpointStrategy, file: &str) {
         std::fs::read(&path).unwrap() == bytes,
         "{strategy}: the checkpoint writer drifted from the golden file"
     );
-    assert_eq!(&bytes[8..12], &6u32.to_le_bytes(), "CKPT_VERSION");
+    assert_eq!(&bytes[8..12], &7u32.to_le_bytes(), "CKPT_VERSION");
 
     // Read the committed bytes back: header, payload, and — through a
     // full recovery — the engine state they describe.
@@ -222,14 +242,13 @@ fn check_checkpoint(strategy: CheckpointStrategy, file: &str) {
     assert_eq!(engine.n_queries(), 2);
     assert_eq!(engine.name(QueryId(0)), Some("arb"));
     assert_eq!(engine.name(QueryId(1)), Some("simp"));
-    assert_eq!(engine.config().refresh, RefreshPolicy::Subtree);
     assert_eq!(engine.config().rspq_extend_budget, Some(100_000));
     for (g, base) in [(0u32, 100), (1, 200)] {
         let group = engine.group_engine(g).unwrap();
         assert_eq!(group.emitted_pairs(), emitted[g as usize]);
         assert_eq!(
             format!("{:?}", group.stats()),
-            format!("{:?}", pinned_stats(base))
+            format!("{:?}", recovered_stats(base))
         );
     }
     // Decode then encode is the identity on the engine section.
@@ -254,6 +273,26 @@ fn full_checkpoint_matches_its_golden_file() {
     check_checkpoint(CheckpointStrategy::Full, "ckpt-full.ck");
 }
 
+/// Two runs of one stream write byte-identical checkpoints, and so do
+/// the inline schedule and the worker pool: no checkpoint byte depends
+/// on the wall clock or the schedule.
+#[test]
+fn checkpoints_are_a_function_of_the_stream() {
+    for strategy in [CheckpointStrategy::Logical, CheckpointStrategy::Full] {
+        let runs = [0, 0, 2].map(|workers| {
+            let dir = tmpdir(&format!("deterministic-{strategy}-{workers}"));
+            let (mut durable, _) = fed_host(&dir, strategy, workers);
+            durable.checkpoint().unwrap();
+            drop(durable);
+            let bytes = std::fs::read(only_file(&dir, "ck")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        });
+        assert!(runs[0] == runs[1], "{strategy}: two inline runs differ");
+        assert!(runs[0] == runs[2], "{strategy}: 0 and 2 workers differ");
+    }
+}
+
 /// A checkpoint of another format version — here the previous one,
 /// with an intact CRC — is refused, and recovery fails rather than
 /// starting over from an empty engine.
@@ -264,7 +303,7 @@ fn checkpoint_of_another_version_is_refused() {
     drop(durable);
     let path = only_file(&dir, "ck");
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
     let body = bytes.len() - 4;
     let crc = srpq_common::crc32(&bytes[..body]);
     bytes[body..].copy_from_slice(&crc.to_le_bytes());

@@ -32,7 +32,7 @@ pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub listen: String,
     /// Per-query engine configuration shared by every registered query
-    /// (window, refresh policy, budgets).
+    /// (window, RSPQ extend budget).
     pub engine: EngineConfig,
     /// Durability directory; `None` serves in-memory. A directory that
     /// already holds durable state is **recovered** (checkpoint + WAL

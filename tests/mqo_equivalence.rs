@@ -15,7 +15,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, QueryId};
 use srpq_core::EngineConfig;
@@ -239,8 +238,7 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
 fn midstream_attach_and_deregister_churn() {
     let stream = random_stream(1_000, 18, 4, 0xC0DE);
     let window = WindowPolicy::new(90, 15);
-    let mut config = budgeted_config(window);
-    config.refresh = RefreshPolicy::Subtree;
+    let config = budgeted_config(window);
 
     // The scripted session, identical at every worker count: a
     // backfilled duplicate at chunk 3, a departure from the shared
@@ -406,8 +404,7 @@ fn durable_kill_recover_preserves_group_membership() {
             let dir = tmpdir(&name);
             let stream = random_stream(450, 12, 4, seed);
             let window = WindowPolicy::new(40, 8);
-            let mut config = budgeted_config(window);
-            config.refresh = RefreshPolicy::Subtree;
+            let config = budgeted_config(window);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xD00D);
             let cut = rng.gen_range(60..stream.len() - 60);
 
@@ -497,8 +494,7 @@ fn recovery_switches_engine_shape_with_groups_intact() {
     let dir = tmpdir("engine-switch");
     let stream = random_stream(400, 12, 4, 0xAB);
     let window = WindowPolicy::new(40, 8);
-    let mut config = budgeted_config(window);
-    config.refresh = RefreshPolicy::Subtree;
+    let config = budgeted_config(window);
     let cut = 220usize;
 
     let labels = interner();
@@ -542,8 +538,8 @@ fn recovery_switches_engine_shape_with_groups_intact() {
         );
     }
     // The switched engine keeps serving: byte-exact against a fresh
-    // sequential run over the full stream (Subtree refresh + Full
-    // checkpoints make recovery exact).
+    // sequential run over the full stream (Full checkpoints make
+    // recovery exact).
     let labels = interner();
     let mut fresh = MultiQueryEngine::with_config(config);
     register_all(

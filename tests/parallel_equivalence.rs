@@ -3,9 +3,9 @@
 //! The tentpole guarantee: the pooled schedule's **tagged event
 //! stream** — every `(QueryId, pair, ts)` emission and invalidation, in
 //! order — is byte-identical to the inline schedule's, for any worker
-//! count, any refresh policy, under deletions, window churn, and
-//! mid-stream registration changes (`register_backfilled` /
-//! `deregister`, which also rebalance the group partition). Plus the
+//! count, under deletions, window churn, and mid-stream registration
+//! changes (`register_backfilled` / `deregister`, which also rebalance
+//! the group partition). Plus the
 //! panic-safety contract both schedules share: a batch that panics
 //! poisons the engine, and a poisoned engine refuses reuse — processing
 //! and registry calls alike — loudly.
@@ -14,7 +14,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_core::config::RefreshPolicy;
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, MultiSink, QueryId};
 use srpq_core::EngineConfig;
@@ -163,57 +162,49 @@ fn byte_identical_stream_under_midstream_registration_changes() {
 }
 
 #[test]
-fn seeded_sweep_workers_by_refresh_policy() {
-    // Satellite pin: {0, 1, 2, 4, 8} workers × all refresh policies ×
-    // seeds, exact stream equality against the inline run (no
-    // registration churn — this sweep isolates the evaluation path
-    // itself).
-    for &refresh in &[
-        RefreshPolicy::None,
-        RefreshPolicy::Node,
-        RefreshPolicy::Subtree,
-    ] {
-        for seed in 0..2u64 {
-            let stream = random_stream(700, 16, 4, 0xA0 + seed);
-            let window = WindowPolicy::new(60, 10);
-            let mut config = EngineConfig::with_window(window);
-            config.refresh = refresh;
-            config.rspq_extend_budget = Some(20_000);
+fn seeded_sweep_workers() {
+    // Satellite pin: {0, 1, 2, 4, 8} workers × seeds, exact stream
+    // equality against the inline run (no registration churn — this
+    // sweep isolates the evaluation path itself).
+    for seed in 0..2u64 {
+        let stream = random_stream(700, 16, 4, 0xA0 + seed);
+        let window = WindowPolicy::new(60, 10);
+        let mut config = EngineConfig::with_window(window);
+        config.rspq_extend_budget = Some(20_000);
 
-            let mut seq = engine_with_queries(config, 0, &mut labels_abcd());
-            let mut seq_sink = MultiCollectSink::default();
+        let mut seq = engine_with_queries(config, 0, &mut labels_abcd());
+        let mut seq_sink = MultiCollectSink::default();
+        for chunk in stream.chunks(64) {
+            seq.process_batch(chunk, &mut seq_sink);
+        }
+        seq.expire_now(&mut seq_sink);
+
+        for workers in [1usize, 2, 4, 8] {
+            let mut par = engine_with_queries(config, workers, &mut labels_abcd());
+            let mut par_sink = MultiCollectSink::default();
             for chunk in stream.chunks(64) {
-                seq.process_batch(chunk, &mut seq_sink);
+                par.process_batch(chunk, &mut par_sink);
             }
-            seq.expire_now(&mut seq_sink);
-
-            for workers in [1usize, 2, 4, 8] {
-                let mut par = engine_with_queries(config, workers, &mut labels_abcd());
-                let mut par_sink = MultiCollectSink::default();
-                for chunk in stream.chunks(64) {
-                    par.process_batch(chunk, &mut par_sink);
-                }
-                par.expire_now(&mut par_sink);
+            par.expire_now(&mut par_sink);
+            assert_eq!(
+                par_sink.emitted, seq_sink.emitted,
+                "seed {seed}, {workers} workers: emitted"
+            );
+            assert_eq!(
+                par_sink.invalidated, seq_sink.invalidated,
+                "seed {seed}, {workers} workers: invalidated"
+            );
+            // Shared-graph state also agrees (purges + stamps reset),
+            // and so does label routing: tuples seen and logical
+            // per-subscriber dispatches.
+            assert_eq!(par.graph().n_edges(), seq.graph().n_edges());
+            assert_eq!(par.routing_stats(), seq.routing_stats());
+            for id in seq.query_ids() {
                 assert_eq!(
-                    par_sink.emitted, seq_sink.emitted,
-                    "refresh {refresh:?}, seed {seed}, {workers} workers: emitted"
+                    par.engine(id).unwrap().emitted_pairs(),
+                    seq.engine(id).unwrap().emitted_pairs(),
+                    "seed {seed}, {workers} workers: {id}"
                 );
-                assert_eq!(
-                    par_sink.invalidated, seq_sink.invalidated,
-                    "refresh {refresh:?}, seed {seed}, {workers} workers: invalidated"
-                );
-                // Shared-graph state also agrees (purges + stamps reset),
-                // and so does label routing: tuples seen and logical
-                // per-subscriber dispatches.
-                assert_eq!(par.graph().n_edges(), seq.graph().n_edges());
-                assert_eq!(par.routing_stats(), seq.routing_stats());
-                for id in seq.query_ids() {
-                    assert_eq!(
-                        par.engine(id).unwrap().emitted_pairs(),
-                        seq.engine(id).unwrap().emitted_pairs(),
-                        "refresh {refresh:?}, seed {seed}, {workers} workers: {id}"
-                    );
-                }
             }
         }
     }

@@ -7,7 +7,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, Op, StreamTuple, Timestamp, VertexId};
-use srpq_core::config::RefreshPolicy;
 use srpq_core::sink::CollectSink;
 use srpq_core::{EngineConfig, PathSemantics, UntagSink};
 use srpq_graph::{WindowGraph, WindowPolicy};
@@ -132,31 +131,16 @@ fn rspq_eager_equals_bruteforce() {
     }
 }
 
-/// Refresh-policy completeness ordering. Under *lazy* expiry a
-/// stale-timestamped node can make `None`/`Node` miss a short-lived
-/// witness that `Subtree` (which propagates refreshes eagerly)
-/// catches — so the policies form a subset chain, with equality
-/// guaranteed only under eager expiry (covered by
-/// `rapq_eager_equals_oracle`). The Δ index must validate after
-/// every tuple for all policies — and, as a fourth input, under
-/// simple-path semantics (which ignore the policy): occurrence index,
-/// markings and reverse index stay consistent through every extend,
-/// unmark, delete and expiry.
+/// The Δ index validates after every tuple, under both semantics:
+/// occurrence index, markings and reverse index stay consistent through
+/// every extend, refresh, unmark, delete and expiry.
 #[test]
-fn refresh_policies_form_subset_chain() {
+fn delta_validates_after_every_tuple() {
     for seed in 0..64u64 {
         let spec = random_spec(seed, 50);
         let (tuples, query) = materialize(&spec);
-        let window = WindowPolicy::new(spec.window, spec.slide);
-        let mut results = Vec::new();
-        for (policy, semantics) in [
-            (RefreshPolicy::None, PathSemantics::Arbitrary),
-            (RefreshPolicy::Node, PathSemantics::Arbitrary),
-            (RefreshPolicy::Subtree, PathSemantics::Arbitrary),
-            (RefreshPolicy::Node, PathSemantics::Simple),
-        ] {
-            let mut config = EngineConfig::with_window(window);
-            config.refresh = policy;
+        let config = EngineConfig::with_window(WindowPolicy::new(spec.window, spec.slide));
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
@@ -165,23 +149,8 @@ fn refresh_policies_form_subset_chain() {
                     .engine(id)
                     .unwrap()
                     .validate_delta()
-                    .unwrap_or_else(|e| panic!("seed {seed}, {policy:?}, {semantics:?}: {e}"));
+                    .unwrap_or_else(|e| panic!("seed {seed}, {semantics:?}: {e}"));
             }
-            // Force a final expiry so late discoveries land.
-            engine.expire_now(&mut UntagSink(&mut sink));
-            results.push(sink.pairs());
-        }
-        for p in &results[0] {
-            assert!(
-                results[2].contains(p),
-                "seed {seed}: None found {p}, Subtree missed it"
-            );
-        }
-        for p in &results[1] {
-            assert!(
-                results[2].contains(p),
-                "seed {seed}: Node found {p}, Subtree missed it"
-            );
         }
     }
 }
