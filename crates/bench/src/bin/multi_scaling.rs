@@ -5,10 +5,9 @@
 //! `MultiQueryEngine` at that worker count with the first `n_queries`
 //! gMark smoke queries registered, batched ingestion, results discarded
 //! (the engine is the bottleneck under measurement, not a sink).
-//! `workers = 0` rows are the inline-schedule baseline; `speedup` is
-//! relative to the 1-worker pooled schedule (which isolates
-//! coordination overhead: inline-vs-1-worker is the hand-off tax,
-//! 1-vs-N is scaling).
+//! `workers = 0` rows evaluate on the calling thread; `speedup` is
+//! relative to 1 worker (which isolates coordination overhead:
+//! 0-vs-1 workers is the hand-off tax, 1-vs-N is scaling).
 //!
 //! ```text
 //! cargo run --release -p srpq_bench --bin multi_scaling [scale] [--json OUT]
@@ -28,7 +27,7 @@ const BATCH: usize = 256;
 
 struct Row {
     queries: usize,
-    workers: usize, // 0 = the inline schedule
+    workers: usize, // 0 = the calling thread
     tuples: u64,
     tps: f64,
     speedup_vs_1: f64,

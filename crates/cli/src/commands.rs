@@ -270,8 +270,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let query = CompiledQuery::from_regex(parsed, &mut labels);
     let config = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
     // The single query rides the one engine every host runs; `--workers`
-    // only picks its schedule (0 = inline; byte-identical output either
-    // way, see README).
+    // only picks which threads evaluate (0 = this one; byte-identical
+    // output at any count, see README).
     let mut multi = MultiQueryEngine::with_config(config);
     multi.set_workers(args.get_num("workers", 0usize)?);
     let id = multi

@@ -300,8 +300,8 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
                 "delta occupancy:  {} live / {} slots ({} compactions)",
                 s.delta_nodes_live, s.delta_capacity, s.compactions
             );
-            // Per-worker eval/expiry ledgers (pooled schedule; the last
-            // entry is the coordinator's inline share).
+            // Per-worker eval/expiry ledgers (worker pool only; the last
+            // entry is the coordinator's own share).
             let n = s.worker_ns.len();
             for (i, (eval, expiry)) in s.worker_ns.iter().enumerate() {
                 let who = if i + 1 == n {

@@ -99,7 +99,8 @@ pub(crate) struct TreeCx<'a, S> {
     pub query: &'a CompiledQuery,
     pub config: &'a EngineConfig,
     /// The graph to traverse: it has already absorbed the tuple's
-    /// mutation (and, on the pooled schedule, its whole micro-batch's).
+    /// mutation, and its whole micro-batch's inserts (`vis` hides the
+    /// later ones).
     pub graph: &'a WindowGraph,
     /// Hides in-batch edges a sequential run would not have seen yet.
     pub vis: Visibility,
@@ -310,12 +311,13 @@ impl Engine {
     }
 
     /// Extends Δ by one routed tuple against the host's graph, which has
-    /// already absorbed the tuple's mutation (and, on the pooled
-    /// schedule, its whole micro-batch's — `vis` hides in-batch edges a
-    /// sequential run would not have seen yet). [`Self::advance`] with
-    /// expiry hidden one position earlier, as for a *first* routing
-    /// target, followed by [`Self::dispatch`]: what a pool worker runs
-    /// per tuple while other workers read the same graph.
+    /// already absorbed the tuple's whole micro-batch — `vis` hides the
+    /// in-batch edges a sequential run would not have seen yet.
+    /// [`Self::advance`] with expiry hidden one position earlier, before
+    /// the tuple's own edge, followed by [`Self::dispatch`]: what the
+    /// batch schedule runs per position and routed group, on a worker
+    /// or on the calling thread, while other threads may read the same
+    /// graph.
     pub(crate) fn extend<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
@@ -329,10 +331,10 @@ impl Engine {
 
     /// Advances the clock to `ts` and, on a slide-boundary crossing,
     /// runs the lazy Δ-expiry pass against `graph` at visibility `vis`.
-    /// Split from [`Self::dispatch`] so the host reproduces the
-    /// sequential order exactly: every routed group expires against the
-    /// pre-mutation graph, then the host applies the mutation once, then
-    /// every routed group dispatches the tuple.
+    /// Split from [`Self::dispatch`] for the callers that mutate the
+    /// graph, or replay it, in between: a deletion or refresh, which
+    /// every routed group must see expire against the graph before the
+    /// mutation (at [`Visibility::ALL`]), and backfill replay.
     pub(crate) fn advance<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,
@@ -348,7 +350,8 @@ impl Engine {
     /// Δ-side handling of one tuple against a graph that has already
     /// absorbed its mutation: tree extension for an insert, subtree
     /// severing + expiry for a deletion. No clock movement — call
-    /// [`Self::advance`] first.
+    /// [`Self::advance`] first. Outside [`Self::extend`], only backfill
+    /// replay calls it, at [`Visibility::ALL`].
     pub(crate) fn dispatch<S: ResultSink>(
         &mut self,
         graph: &WindowGraph,

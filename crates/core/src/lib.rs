@@ -6,9 +6,9 @@
 //! * [`multi::MultiQueryEngine`] — the one coordinator: it owns the sliding
 //!   window's graph (eager evaluation, lazy expiry), routes each tuple
 //!   by label, applies it to the graph once, purges the graph at slide
-//!   crossings, and fans results out per registered query — inline or
-//!   over a worker pool. A lone query is a one-query engine behind
-//!   [`multi::UntagSink`].
+//!   crossings, and fans results out per registered query — on the
+//!   calling thread or over a worker pool. A lone query is a one-query
+//!   engine behind [`multi::UntagSink`].
 //! * [`engine::Engine`] — the one Δ-engine shell, one per evaluation
 //!   group: the registered query, its result set, clock and statistics,
 //!   under either [`engine::PathSemantics`]. It only reads the graph.
@@ -61,10 +61,10 @@ pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod multi;
-mod parallel_multi;
 mod rapq;
 mod results;
 pub mod rspq;
+mod schedule;
 pub mod sink;
 pub mod stats;
 

@@ -39,12 +39,10 @@
 //! only when the last subscriber leaves.
 //!
 //! Sharing preserves the single-query event streams **byte-identically**:
-//! for each tuple, every routed group first advances its clock (running
-//! the pre-mutation expiry pass exactly as a group of its own would),
-//! then the coordinator applies the graph mutation once, then every
-//! routed group dispatches the tuple; the buffered per-group events are
-//! finally fanned out per subscriber in ascending slot order. A
-//! subscriber cannot observe whether it shares its group.
+//! each routed group evaluates each tuple exactly as a group of its own
+//! would (see [the schedule](#the-schedule)), and a group's events for
+//! one tuple are fanned out to its subscribers in ascending slot order.
+//! A subscriber cannot observe whether it shares its group.
 //!
 //! # Late joiners
 //!
@@ -69,47 +67,47 @@
 //! window of its consumers, so heterogeneous windows would forfeit the
 //! storage sharing this module exists for.
 //!
-//! # The two schedules
+//! # The schedule
 //!
-//! One engine type runs both evaluation schedules; the worker count —
-//! [`set_workers`], `--workers N` on the hosts — selects between them,
-//! and the tagged event stream is **byte-identical** either way, also
-//! across a mid-stream switch (pinned by
-//! `tests/parallel_equivalence.rs` at {0, 1, 2, 4, 8} workers,
-//! including mid-stream `register_backfilled`/`deregister`).
+//! Every batch runs one plan-then-execute schedule, the two-phase shape
+//! of deterministic batch execution in BOHM (Faleiro & Abadi, VLDB
+//! 2015). The engine does not mutate the graph per tuple: each slide
+//! group of the batch — cut, and the shared graph purged at its crossed
+//! boundary, by the one slide loop in [`process_batch`] — is cut further
+//! into **micro-batches** at explicit deletions and timestamp-changing
+//! edge refreshes, and each micro-batch runs in two phases:
 //!
-//! * **Inline** (no workers, the default): every tuple is routed and
-//!   evaluated on the calling thread, group by group, exactly as
-//!   described above.
-//! * **Pooled** (`n ≥ 1` long-lived worker threads; §5.1 of the paper,
-//!   lifted from trees-within-one-query to groups-within-one-host): the
-//!   unit of parallelism is the evaluation group — one Δ forest is never
-//!   touched by two threads. Live groups are hash-partitioned over the
-//!   workers (group id modulo worker count, re-derived every batch, so
-//!   registration changes rebalance automatically) and each caller
-//!   batch runs as a sequence of **micro-batches** in two phases:
+//! 1. **Plan + apply**: the calling thread applies the micro-batch's
+//!    inserts once, stamping every *new* edge with its batch position
+//!    ([`WindowGraph::insert_visible_from`]). A deletion or refresh
+//!    runs alone: every routed group first advances its clock against
+//!    the graph before the mutation, then the mutation is applied.
+//! 2. **Evaluate**: each routed group extends on each tuple in arrival
+//!    order (`Engine::extend`). A [`Visibility`] horizon per position
+//!    hides the in-batch edges a per-tuple run would not have seen yet,
+//!    and makes each group's slide-expiry run against the graph as it
+//!    stood before the tuple — so each group computes *exactly* what it
+//!    would tuple by tuple. The stamps are cleared afterwards.
 //!
-//!   1. **Plan + apply** (single-threaded): each slide group of the
-//!      batch — cut, and the shared graph purged at its crossed
-//!      boundary, by the one slide loop both schedules share — is cut
-//!      further at explicit deletions and timestamp-changing edge
-//!      refreshes; the coordinator applies each micro-batch's inserts
-//!      once, stamping every *new* edge with its batch position
-//!      ([`WindowGraph::insert_visible_from`]).
-//!   2. **Extend/expire** (parallel): each worker receives its groups
-//!      plus a handle on the (now read-only) graph and drives the
-//!      engines' read-only traversal (`Engine::extend`) tuple by
-//!      tuple. A
-//!      [`Visibility`] horizon per tuple hides in-batch edges a
-//!      per-tuple run would not have seen yet — and makes each group's
-//!      slide-expiry run against the pre-mutation graph — so each group
-//!      computes *exactly* what it would inline.
+//! The worker count — [`set_workers`], `--workers N` on the hosts —
+//! only decides which threads run phase 2, and the tagged event stream
+//! is **byte-identical** to per-tuple [`process`] at any count, also
+//! across a mid-stream switch (pinned by `tests/parallel_equivalence.rs`
+//! at {0, 1, 2, 4, 8} workers, including mid-stream
+//! `register_backfilled`/`deregister`):
 //!
-//!   Per-worker outboxes are merged in deterministic `(arrival
-//!   position, group)` order and each group's event run is fanned out
-//!   to its subscribers in ascending slot order — the inline fan-out
-//!   order. The two-phase plan-then-execute shape mirrors deterministic
-//!   batch execution in BOHM (Faleiro & Abadi, VLDB 2015).
+//! * **No workers** (the default): the calling thread evaluates the
+//!   positions in order and fans each position's events out before the
+//!   next, so results stream mid-batch.
+//! * **`n ≥ 1` workers** (§5.1 of the paper, lifted from
+//!   trees-within-one-query to groups-within-one-host): the unit of
+//!   parallelism is the evaluation group — one Δ forest is never touched
+//!   by two threads. Live groups are hash-partitioned over the workers
+//!   (group id modulo worker count, re-derived every micro-batch, so
+//!   registration changes rebalance automatically); each worker
+//!   receives its groups plus a handle on the (now read-only) graph,
+//!   and the outboxes are merged in deterministic `(arrival position,
+//!   group)` order before the fan-out.
 //!
 //! # Panic safety
 //!
@@ -141,15 +139,17 @@
 //! [`register_backfilled`]: MultiQueryEngine::register_backfilled
 //! [`deregister`]: MultiQueryEngine::deregister
 //! [`set_workers`]: MultiQueryEngine::set_workers
+//! [`process`]: MultiQueryEngine::process
+//! [`process_batch`]: MultiQueryEngine::process_batch
 
 use crate::bitset::DenseBitSet;
 use crate::config::EngineConfig;
 use crate::engine::{Engine, PathSemantics};
-use crate::parallel_multi::Pool;
+use crate::schedule::{metered, Pool};
 use crate::sink::ResultSink;
 use crate::stats::{EngineStats, IndexSize, StageTotals};
 use srpq_automata::{CompiledQuery, DfaSignature};
-use srpq_common::{FxHashMap, Label, Op, ResultPair, StreamTuple, Timestamp, VertexId};
+use srpq_common::{FxHashMap, Label, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_graph::{Visibility, WindowGraph, WindowPolicy};
 
 /// Identifies a registered query within a [`MultiQueryEngine`].
@@ -249,22 +249,6 @@ impl<S: ResultSink> MultiSink for UntagSink<'_, S> {
     }
 }
 
-/// Buffers a group engine's untagged events so they can be fanned out
-/// to every subscriber afterwards. The `bool` marks invalidations.
-struct BufSink<'a> {
-    buf: &'a mut Vec<(bool, ResultPair, Timestamp)>,
-}
-
-impl ResultSink for BufSink<'_> {
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
-        self.buf.push((false, pair, ts));
-    }
-
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
-        self.buf.push((true, pair, ts));
-    }
-}
-
 /// The group-key discriminant for path semantics ([`PathSemantics`]
 /// carries no `Hash` impl; the tag also doubles as the checkpoint
 /// encoding).
@@ -302,10 +286,10 @@ struct Slot {
 
 /// One shared evaluation group: a single engine (Δ forest, emitted-pair
 /// set, statistics) serving every subscriber whose automaton is
-/// language-equivalent to its query. Under the pooled schedule the
-/// whole entry travels to a worker thread and back every micro-batch;
-/// the subscriber tags ride along so the registry entry is whole
-/// wherever it is.
+/// language-equivalent to its query. On a worker pool the whole entry
+/// travels to a worker thread and back every micro-batch; the
+/// subscriber tags ride along so the registry entry is whole wherever
+/// it is.
 pub(crate) struct Group {
     pub(crate) engine: Engine,
     /// Live subscriber slots, ascending (slots are allocated
@@ -319,10 +303,6 @@ pub(crate) struct Group {
     complete: bool,
     /// The canonical signature of the group's automaton.
     signature: DfaSignature,
-    /// Per-tuple event buffer of the inline schedule, fanned out to
-    /// `subscribers` after each dispatch (retained across tuples to
-    /// avoid allocation).
-    buffer: Vec<(bool, ResultPair, Timestamp)>,
 }
 
 /// A [`MultiSink`] that discards everything (throughput measurements
@@ -338,22 +318,22 @@ impl MultiSink for NullMultiSink {
 /// A set of persistent RPQs evaluated together over one shared window
 /// graph, with language-equivalent registrations collapsed into shared
 /// evaluation groups, on the calling thread or over a worker pool (see
-/// the module docs). The fields the pooled schedule in
-/// `crate::parallel_multi` drives are crate-visible; the registry
-/// indexes stay private to this module.
+/// the module docs). The fields the schedule in `crate::schedule`
+/// drives are crate-visible; the registry indexes stay private to this
+/// module.
 pub struct MultiQueryEngine {
     config: EngineConfig,
     window: WindowPolicy,
-    /// The shared window graph, held plainly: the inline schedule pays
-    /// no reference count. The pooled schedule moves it into an `Arc`
-    /// for the duration of one micro-batch and back.
+    /// The shared window graph, held plainly: without workers the
+    /// schedule pays no reference count. A worker pool moves it into an
+    /// `Arc` for the duration of one micro-batch and back.
     pub(crate) graph: WindowGraph,
     /// Registration slots; `None` marks a deregistered query. Slot
     /// indexes are query ids and are never reused.
     slots: Vec<Option<Slot>>,
     /// Evaluation groups; `None` marks a freed group whose id waits on
-    /// `free_groups` for reuse (or, mid-micro-batch under the pooled
-    /// schedule, one currently shipped to a worker).
+    /// `free_groups` for reuse (or, mid-micro-batch, one currently
+    /// shipped to a worker).
     pub(crate) groups: Vec<Option<Group>>,
     /// Freed group ids, reused LIFO — the group table stays bounded by
     /// the peak number of distinct live queries.
@@ -369,22 +349,16 @@ pub struct MultiQueryEngine {
     pub(crate) now: Timestamp,
     pub(crate) tuples_seen: u64,
     pub(crate) tuples_routed: u64,
-    /// The worker threads of the pooled schedule; empty selects the
-    /// inline schedule.
+    /// The worker threads (with none, evaluation runs on the calling
+    /// thread) and the schedule's retained scratch.
     pub(crate) pool: Pool,
-    /// Reusable routing-target buffer: dispatch must release the borrow
-    /// of `routing` before touching the groups, and copying into a
-    /// retained buffer beats a fresh `Vec` per tuple.
-    pub(crate) route_scratch: Vec<u32>,
-    /// Reusable `(slot, group)` fan-out schedule per tuple.
-    fanout_scratch: Vec<(u32, u32)>,
     /// A previous call panicked mid-batch: engine state may be
     /// half-applied, so further use is refused (see the module docs).
     poisoned: bool,
     /// `(eval_ns, expiry_ns)` spent inside group engines on the calling
-    /// thread: the inline batch path, the pooled schedule's singleton
-    /// stage A, backfill replay, and the folded ledgers of retired
-    /// pools (see [`Self::coord_totals`]).
+    /// thread: evaluation without workers, a singleton's stage A,
+    /// backfill replay, and the folded ledgers of retired pools (see
+    /// [`Self::coord_totals`]).
     pub(crate) coord_ns: (u64, u64),
     /// Batch count and routing time of the batch path; the evaluation
     /// fields are derived from the ledgers (see [`Self::stage_totals`]).
@@ -403,7 +377,7 @@ impl MultiQueryEngine {
 
     /// Creates an empty multi-query engine whose registered queries all
     /// share `config` (the window comes from `config.window`). It
-    /// starts on the inline schedule; see [`Self::set_workers`].
+    /// starts without workers; see [`Self::set_workers`].
     pub fn with_config(config: EngineConfig) -> MultiQueryEngine {
         MultiQueryEngine {
             config,
@@ -419,8 +393,6 @@ impl MultiQueryEngine {
             tuples_seen: 0,
             tuples_routed: 0,
             pool: Pool::default(),
-            route_scratch: Vec::new(),
-            fanout_scratch: Vec::new(),
             poisoned: false,
             coord_ns: (0, 0),
             stage: StageTotals::default(),
@@ -439,21 +411,21 @@ impl MultiQueryEngine {
     }
 
     /// The per-worker stage beacons, index-aligned with the pool
-    /// (thread `srpq-multi-worker-{i}`); empty under the inline
-    /// schedule. Refreshed by [`Self::set_workers`] — re-fetch after it.
+    /// (thread `srpq-multi-worker-{i}`); empty without workers.
+    /// Refreshed by [`Self::set_workers`] — re-fetch after it.
     pub fn worker_beacons(&self) -> Vec<std::sync::Arc<srpq_common::StageBeacon>> {
         self.pool.beacons()
     }
 
-    /// Number of worker threads; `0` is the inline schedule.
+    /// Number of worker threads; `0` evaluates on the calling thread.
     pub fn n_workers(&self) -> usize {
         self.pool.len()
     }
 
     /// Replaces the worker pool with `n_workers` fresh threads; `0`
-    /// returns to the inline schedule. Cheap and safe at any point
-    /// between batches: workers hold no query state (groups live in
-    /// the registry and only travel out per micro-batch), so the
+    /// returns evaluation to the calling thread. Cheap and safe at any
+    /// point between batches: workers hold no query state (groups live
+    /// in the registry and only travel out per micro-batch), so the
     /// partition re-derives itself on the next batch and the event
     /// stream is unaffected.
     pub fn set_workers(&mut self, n_workers: usize) {
@@ -478,8 +450,8 @@ impl MultiQueryEngine {
     }
 
     /// `(eval_ns, expiry_ns)` spent inside group engines on the calling
-    /// thread (inline batches, mutating-singleton stage A, backfill
-    /// replay) plus the ledgers of pools retired by
+    /// thread (evaluation without workers, mutating-singleton stage A,
+    /// backfill replay) plus the ledgers of pools retired by
     /// [`Self::set_workers`].
     pub fn coord_totals(&self) -> (u64, u64) {
         self.coord_ns
@@ -487,8 +459,9 @@ impl MultiQueryEngine {
 
     /// Cumulative time spent in the batch path ([`Self::process_batch`]),
     /// split into routing and evaluation (with its expiry slice).
-    /// `route_ns` is coordinator-exclusive time (label lookup, planning,
-    /// graph application, merge — worker-wait excluded);
+    /// `route_ns` is the calling thread's time outside group engines
+    /// (label lookup, planning, graph application, merge, fan-out —
+    /// worker-wait excluded);
     /// `eval_ns`/`expiry_ns` are the sum of the coordinator and worker
     /// ledgers, so they keep counting evaluation wall-clock even when
     /// workers overlap. Monotone counters — an observability layer
@@ -527,7 +500,6 @@ impl MultiQueryEngine {
             subscribers: Vec::new(),
             complete,
             signature,
-            buffer: Vec::new(),
         });
         g
     }
@@ -621,7 +593,7 @@ impl MultiQueryEngine {
     /// touched. Otherwise a new complete group is founded and the
     /// window is replayed into it for real — and it becomes the join
     /// target for future equivalent registrations. Either replay runs
-    /// on the calling thread under both schedules (registration is a
+    /// on the calling thread at any worker count (registration is a
     /// control-plane operation) and only reads the shared graph.
     ///
     /// Name uniqueness follows [`Self::register`]: a duplicate live name
@@ -691,17 +663,11 @@ impl MultiQueryEngine {
         let id = self.attach(name, g);
         let grp = self.groups[g as usize].as_mut().expect("just founded");
         let mut tagged = TagSink { id, inner: sink };
-        let expiry0 = grp.engine.stats().expiry_nanos;
-        let t0 = std::time::Instant::now();
-        replay_window(&mut grp.engine, &self.graph, replay, &mut tagged);
         // Attribute the replay to the group's evaluation time, like any
-        // other dispatch into its engine, and to the coordinator's
-        // ledger.
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        let stats = grp.engine.stats_mut();
-        stats.eval_ns += elapsed;
-        self.coord_ns.0 += elapsed;
-        self.coord_ns.1 += stats.expiry_nanos - expiry0;
+        // other pass of its engine, and to the coordinator's ledger.
+        metered(&mut grp.engine, &mut self.coord_ns, |e| {
+            replay_window(e, &self.graph, replay, &mut tagged)
+        });
         id
     }
 
@@ -798,7 +764,6 @@ impl MultiQueryEngine {
             subscribers: Vec::new(),
             complete,
             signature,
-            buffer: Vec::new(),
         }));
         g
     }
@@ -984,146 +949,41 @@ impl MultiQueryEngine {
         (self.tuples_seen, self.tuples_routed)
     }
 
-    /// Routes one tuple into its label's group set and fans the
-    /// buffered events out per subscriber. Returns `(eval_ns,
-    /// expiry_ns)` spent inside group engines (batch stage accounting).
-    ///
-    /// Every routed group advances against the **pre-mutation** graph —
-    /// each group's expiry-before-mutation order — then the coordinator
-    /// applies the mutation once, then every routed group dispatches the
-    /// tuple. Each subscriber's event stream is therefore byte-identical
-    /// to that of a group of its own.
-    fn dispatch_routed<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) -> (u64, u64) {
-        let mut targets = std::mem::take(&mut self.route_scratch);
-        targets.clear();
-        if let Some(set) = self.routing.get(&tuple.label) {
-            targets.extend(set.iter_ones());
-        }
-        if targets.is_empty() {
-            // No registered query speaks this label: the graph is not
-            // mutated (the skip is the module's memory win).
-            self.route_scratch = targets;
-            return (0, 0);
-        }
+    /// Publishes `stage` on the attached beacon, if any.
+    pub(crate) fn set_stage(&self, stage: u8) {
         if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::EXTEND);
+            b.set(stage);
         }
-        let mut eval = 0u64;
-        let mut expiry = 0u64;
-        // Phase A — advance every routed group over the pre-mutation
-        // graph (slide-crossing Δ expiry runs here).
-        for &g in &targets {
-            let grp = self.groups[g as usize]
-                .as_mut()
-                .expect("routed groups are live");
-            self.tuples_routed += grp.subscribers.len() as u64;
-            grp.buffer.clear();
-            let expiry0 = grp.engine.stats().expiry_nanos;
-            let t0 = std::time::Instant::now();
-            grp.engine.advance(
-                &self.graph,
-                Visibility::ALL,
-                tuple.ts,
-                &mut BufSink {
-                    buf: &mut grp.buffer,
-                },
-            );
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            let stats = grp.engine.stats_mut();
-            stats.eval_ns += elapsed;
-            eval += elapsed;
-            expiry += stats.expiry_nanos - expiry0;
-        }
-        // The coordinator applies the mutation, once for all groups.
-        match tuple.op {
-            Op::Insert => {
-                self.graph
-                    .insert(tuple.edge.src, tuple.edge.dst, tuple.label, tuple.ts);
-            }
-            Op::Delete => {
-                self.graph
-                    .remove(tuple.edge.src, tuple.edge.dst, tuple.label);
-            }
-        }
-        // Phase B — dispatch the tuple into every routed group.
-        for &g in &targets {
-            let grp = self.groups[g as usize]
-                .as_mut()
-                .expect("routed groups are live");
-            let t0 = std::time::Instant::now();
-            grp.engine.dispatch(
-                &self.graph,
-                Visibility::ALL,
-                tuple,
-                &mut BufSink {
-                    buf: &mut grp.buffer,
-                },
-            );
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            let stats = grp.engine.stats_mut();
-            stats.tuples_routed += 1;
-            stats.eval_ns += elapsed;
-            eval += elapsed;
-        }
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::ROUTE);
-        }
-        // Fan-out: each subscriber of a group with events receives the
-        // group's buffer under its own tag, in ascending slot order —
-        // the order a per-query registry would have dispatched in.
-        let mut fan = std::mem::take(&mut self.fanout_scratch);
-        fan.clear();
-        for &g in &targets {
-            let grp = self.groups[g as usize].as_ref().expect("still live");
-            if !grp.buffer.is_empty() {
-                fan.extend(grp.subscribers.iter().map(|&slot| (slot, g)));
-            }
-        }
-        fan.sort_unstable();
-        for &(slot, g) in &fan {
-            let grp = self.groups[g as usize].as_ref().expect("still live");
-            for &(invalidated, pair, ts) in &grp.buffer {
-                if invalidated {
-                    sink.invalidate(QueryId(slot), pair, ts);
-                } else {
-                    sink.emit(QueryId(slot), pair, ts);
-                }
-            }
-        }
-        self.fanout_scratch = fan;
-        self.route_scratch = targets;
-        (eval, expiry)
     }
 
     /// Processes one tuple: a batch of one (see
-    /// [`Self::process_batch`]). Per-tuple fan-out cannot amortize the
-    /// pooled schedule's worker hand-off — prefer batches there.
+    /// [`Self::process_batch`]). Per-tuple fan-out cannot amortize a
+    /// worker pool's hand-off — prefer batches there.
     pub fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
         self.process_batch(std::slice::from_ref(&tuple), sink);
     }
 
-    /// Processes a batch of tuples on the schedule [`Self::n_workers`]
-    /// selects. The batch is walked slide group by slide group: shared
-    /// window maintenance (the slide-boundary check and graph purge)
-    /// runs once per slide interval covered instead of once per tuple,
-    /// and group engines still see their tuples in stream order, so the
-    /// tagged result stream is byte-identical to per-tuple processing —
-    /// inline or pooled.
+    /// Processes a batch of tuples (see [the schedule](#the-schedule)
+    /// in the module docs). The batch is walked slide group by slide
+    /// group: shared window maintenance (the slide-boundary check and
+    /// graph purge) runs once per slide interval covered instead of once
+    /// per tuple, and group engines still see their tuples in stream
+    /// order, so the tagged result stream is byte-identical to per-tuple
+    /// processing at any worker count.
     ///
     /// A panic from an engine, worker or sink mid-batch **poisons**
     /// this engine (see the module docs; pinned by
     /// `tests/parallel_equivalence.rs`).
     pub fn process_batch<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
+        use srpq_common::beacon::stage;
         self.assert_usable();
         self.poisoned = true; // cleared on orderly completion
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::ROUTE);
-        }
+        self.set_stage(stage::ROUTE);
         let t_batch = std::time::Instant::now();
-        // Batch time the coordinator did not spend routing: inline
-        // evaluation, or blocked on worker replies (whose time the
-        // worker ledgers own).
-        let mut off_route = 0;
+        // Batch time the calling thread spends inside group engines (its
+        // own ledger) or blocked on worker replies (whose time the worker
+        // ledgers own) is not routing time.
+        let off_route0 = self.coord_ns.0 + self.pool.wait_ns;
         let mut i = 0;
         while i < batch.len() {
             let (len, group_now) = self.window.slide_group(self.now, &batch[i..], |t| t.ts);
@@ -1132,42 +992,18 @@ impl MultiQueryEngine {
                 self.graph
                     .purge_expired(self.window.lazy_watermark(group_now));
             }
-            let slide = &batch[i..i + len];
-            off_route += if self.pool.is_empty() {
-                self.run_inline(slide, sink)
-            } else {
-                self.run_pooled(slide, sink)
-            };
+            self.run_slide(&batch[i..i + len], sink);
             i += len;
         }
         self.poisoned = false;
         let total = t_batch.elapsed().as_nanos() as u64;
+        let off_route = self.coord_ns.0 + self.pool.wait_ns - off_route0;
         self.stage.batches += 1;
         self.stage.route_ns += total.saturating_sub(off_route);
+        self.set_stage(stage::IDLE);
         if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::IDLE);
             b.advance();
         }
-    }
-
-    /// The inline schedule of one slide group of
-    /// [`Self::process_batch`]; returns the time spent inside group
-    /// engines.
-    fn run_inline<S: MultiSink>(&mut self, slide: &[StreamTuple], sink: &mut S) -> u64 {
-        let mut batch_eval = 0u64;
-        let mut batch_expiry = 0u64;
-        for &t in slide {
-            self.tuples_seen += 1;
-            if t.ts > self.now {
-                self.now = t.ts;
-            }
-            let (eval, expiry) = self.dispatch_routed(t, sink);
-            batch_eval += eval;
-            batch_expiry += expiry;
-        }
-        self.coord_ns.0 += batch_eval;
-        self.coord_ns.1 += batch_expiry;
-        batch_eval
     }
 
     fn assert_usable(&self) {
@@ -1180,65 +1016,21 @@ impl MultiQueryEngine {
     }
 
     /// Forces an expiry pass for every live group (and a shared graph
-    /// purge) at the current eager watermark — across the workers under
-    /// the pooled schedule; expiry events fan out to every subscriber
-    /// in ascending slot order either way.
+    /// purge) at the current eager watermark — across the workers, if
+    /// any; expiry events fan out to every subscriber in ascending slot
+    /// order.
     pub fn expire_now<S: MultiSink>(&mut self, sink: &mut S) {
+        use srpq_common::beacon::stage;
         self.assert_usable();
         self.poisoned = true; // cleared on orderly completion
-        if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::EXPIRY);
-        }
+        self.set_stage(stage::EXPIRY);
         self.graph.purge_expired(self.window.watermark(self.now));
-        if self.pool.is_empty() {
-            self.expire_inline(sink);
-        } else {
-            self.expire_pooled(sink);
-        }
+        self.expire_groups(sink);
         self.poisoned = false;
+        self.set_stage(stage::IDLE);
         if let Some(b) = &self.beacon {
-            b.set(srpq_common::beacon::stage::IDLE);
             b.advance();
         }
-    }
-
-    fn expire_inline<S: MultiSink>(&mut self, sink: &mut S) {
-        let mut fan = std::mem::take(&mut self.fanout_scratch);
-        fan.clear();
-        for (g, entry) in self.groups.iter_mut().enumerate() {
-            let Some(grp) = entry.as_mut() else { continue };
-            grp.buffer.clear();
-            let expiry0 = grp.engine.stats().expiry_nanos;
-            let t0 = std::time::Instant::now();
-            grp.engine.expire_delta(
-                &self.graph,
-                &mut BufSink {
-                    buf: &mut grp.buffer,
-                },
-            );
-            // Metered like the pooled schedule's expiry jobs, so the
-            // ledger invariant of `worker_totals` holds either way.
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            let stats = grp.engine.stats_mut();
-            stats.eval_ns += elapsed;
-            self.coord_ns.0 += elapsed;
-            self.coord_ns.1 += stats.expiry_nanos - expiry0;
-            if !grp.buffer.is_empty() {
-                fan.extend(grp.subscribers.iter().map(|&slot| (slot, g as u32)));
-            }
-        }
-        fan.sort_unstable();
-        for &(slot, g) in &fan {
-            let grp = self.groups[g as usize].as_ref().expect("still live");
-            for &(invalidated, pair, ts) in &grp.buffer {
-                if invalidated {
-                    sink.invalidate(QueryId(slot), pair, ts);
-                } else {
-                    sink.emit(QueryId(slot), pair, ts);
-                }
-            }
-        }
-        self.fanout_scratch = fan;
     }
 }
 

@@ -1,22 +1,42 @@
-//! The pooled schedule of [`MultiQueryEngine`]: the long-lived worker
-//! threads, the micro-batch planner, and the deterministic merge. What
-//! the schedule computes, why its event stream is byte-identical to the
-//! inline one, and the panic contract are documented once, in
-//! [`crate::multi`]; this module is the machinery behind
-//! `MultiQueryEngine::{process_batch, expire_now}` when
-//! `n_workers() ≥ 1`.
+//! The one batch schedule of [`MultiQueryEngine`]: the micro-batch
+//! planner, the per-position evaluation, the slot-ordered fan-out, and
+//! the worker pool that may run the evaluation off the calling thread.
+//! What the schedule computes, why its event stream equals per-tuple
+//! processing at any worker count, and the panic contract are
+//! documented once, in [`crate::multi`]; this module is the machinery
+//! behind `MultiQueryEngine::{process_batch, expire_now}`.
 
+use crate::engine::Engine;
 use crate::multi::{Group, MultiQueryEngine, MultiSink, QueryId};
 use crate::sink::ResultSink;
-use srpq_common::{FxHashMap, Op, ResultPair, StreamTuple, Timestamp};
+use srpq_common::beacon::stage;
+use srpq_common::{Op, ResultPair, StreamTuple, Timestamp};
 use srpq_graph::{Visibility, WindowGraph};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// One untagged result event staged in a worker outbox, keyed for the
-/// deterministic merge. Fan-out to subscriber tags happens on the
-/// coordinator, after the merge.
+/// `(eval_ns, expiry_ns)`: wall-clock spent inside group engines, and
+/// the expiry slice thereof.
+pub(crate) type Ledger = (u64, u64);
+
+/// Runs `pass` on a group engine, adding its wall-clock to the engine's
+/// `eval_ns` and to `ledger`, and the expiry time it spent to
+/// `ledger.1` — so the ledgers of the threads that ran the passes sum
+/// to the per-group totals.
+pub(crate) fn metered(engine: &mut Engine, ledger: &mut Ledger, pass: impl FnOnce(&mut Engine)) {
+    let expiry0 = engine.stats().expiry_nanos;
+    let t0 = std::time::Instant::now();
+    pass(engine);
+    let elapsed = t0.elapsed().as_nanos() as u64;
+    let stats = engine.stats_mut();
+    stats.eval_ns += elapsed;
+    ledger.0 += elapsed;
+    ledger.1 += stats.expiry_nanos - expiry0;
+}
+
+/// One untagged result event, keyed for the deterministic merge.
+/// Fan-out to subscriber tags happens on the calling thread.
 struct Ev {
     /// Arrival position within the micro-batch (`u32::MAX` groups the
     /// events of an explicit expiry pass, which has no driving tuple).
@@ -34,31 +54,75 @@ struct EvSink<'a> {
     group: u32,
 }
 
-impl ResultSink for EvSink<'_> {
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
+impl EvSink<'_> {
+    fn push(&mut self, invalidated: bool, pair: ResultPair, ts: Timestamp) {
         self.events.push(Ev {
             pos: self.pos,
             group: self.group,
-            invalidated: false,
-            pair,
-            ts,
-        });
-    }
-
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
-        self.events.push(Ev {
-            pos: self.pos,
-            group: self.group,
-            invalidated: true,
+            invalidated,
             pair,
             ts,
         });
     }
 }
 
+impl ResultSink for EvSink<'_> {
+    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
+        self.push(false, pair, ts);
+    }
+
+    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
+        self.push(true, pair, ts);
+    }
+}
+
+/// Group `g`'s share of micro-batch position `pos`, metered: what a
+/// worker runs for each of its groups that speaks the tuple's label, and
+/// the calling thread for each routed group when there are no workers.
+/// `extend` advances at `upto(pos).before()` — slide-expiry against the
+/// graph as it stood before the tuple's own edge — then dispatches at
+/// `upto(pos)`, which admits that edge.
+fn extend_group(
+    g: u32,
+    grp: &mut Group,
+    graph: &WindowGraph,
+    pos: usize,
+    t: StreamTuple,
+    events: &mut Vec<Ev>,
+    ledger: &mut Ledger,
+) {
+    let mut sink = EvSink {
+        events,
+        pos: pos as u32,
+        group: g,
+    };
+    metered(&mut grp.engine, ledger, |e| {
+        e.extend(graph, Visibility::upto(pos), t, &mut sink)
+    });
+    grp.engine.stats_mut().tuples_routed += 1;
+}
+
+/// Group `g`'s explicit eager expiry pass (`expire_now`), metered.
+fn expire_group(
+    g: u32,
+    grp: &mut Group,
+    graph: &WindowGraph,
+    events: &mut Vec<Ev>,
+    ledger: &mut Ledger,
+) {
+    let mut sink = EvSink {
+        events,
+        pos: u32::MAX,
+        group: g,
+    };
+    metered(&mut grp.engine, ledger, |e| {
+        e.expire_delta(graph, &mut sink)
+    });
+}
+
 /// Work shipped to a worker thread for one micro-batch.
 enum Job {
-    /// Extend/expire the shipped groups over the micro-batch.
+    /// Extend the shipped groups over the micro-batch.
     Batch {
         graph: Arc<WindowGraph>,
         tuples: Arc<Vec<StreamTuple>>,
@@ -71,16 +135,13 @@ enum Job {
     },
 }
 
-/// A worker's reply: the groups (with their Δ forests mutated) and the
-/// events they produced, in `(pos, own-groups-ascending)` order, plus
-/// the job's evaluation/expiry wall-clock so the coordinator can keep
-/// honest per-worker totals (mirroring every `eval_ns` increment the
-/// job applied to per-group stats).
+/// A worker's reply: the groups (with their Δ forests mutated), the
+/// events they produced in `(pos, own-groups-ascending)` order, and the
+/// job's ledger.
 struct JobOut {
     groups: Vec<(u32, Group)>,
     events: Vec<Ev>,
-    eval_ns: u64,
-    expiry_ns: u64,
+    ledger: Ledger,
 }
 
 struct Worker {
@@ -96,90 +157,44 @@ fn worker_loop(
     results: Sender<JobOut>,
     beacon: Arc<srpq_common::StageBeacon>,
 ) {
-    use srpq_common::beacon::stage;
     while let Ok(job) = jobs.recv() {
-        let out = match job {
+        let mut events = Vec::new();
+        let mut ledger = (0, 0);
+        // Each arm drops its graph handle before the reply: the
+        // coordinator takes the graph back out of the `Arc` once every
+        // worker has answered.
+        let groups = match job {
             Job::Batch {
                 graph,
                 tuples,
                 mut groups,
             } => {
                 beacon.set(stage::EXTEND);
-                let mut events = Vec::new();
-                let mut eval_ns = 0u64;
-                let mut expiry_ns = 0u64;
-                for (pos, t) in tuples.iter().enumerate() {
-                    for (gi, grp) in groups.iter_mut() {
+                for (pos, &t) in tuples.iter().enumerate() {
+                    for (g, grp) in groups.iter_mut() {
                         // Label routing, per group: alphabet membership
                         // is exactly the routing-table criterion.
-                        if !grp.engine.query().dfa().knows_label(t.label) {
-                            continue;
+                        if grp.engine.query().dfa().knows_label(t.label) {
+                            extend_group(*g, grp, &graph, pos, t, &mut events, &mut ledger);
                         }
-                        let expiry0 = grp.engine.stats().expiry_nanos;
-                        let t0 = std::time::Instant::now();
-                        let mut sink = EvSink {
-                            events: &mut events,
-                            pos: pos as u32,
-                            group: *gi,
-                        };
-                        // `extend` = advance at `upto(pos).before()` —
-                        // slide-expiry against the pre-mutation graph,
-                        // as the inline schedule runs it — then
-                        // dispatch at `upto(pos)`, which admits the
-                        // tuple's own edge.
-                        grp.engine
-                            .extend(&graph, Visibility::upto(pos), *t, &mut sink);
-                        let elapsed = t0.elapsed().as_nanos() as u64;
-                        let stats = grp.engine.stats_mut();
-                        stats.tuples_routed += 1;
-                        stats.eval_ns += elapsed;
-                        eval_ns += elapsed;
-                        expiry_ns += stats.expiry_nanos - expiry0;
                     }
                 }
-                // Release the graph before replying: the coordinator
-                // takes it back out of the `Arc` once every worker has
-                // answered.
-                drop(graph);
-                drop(tuples);
-                JobOut {
-                    groups,
-                    events,
-                    eval_ns,
-                    expiry_ns,
-                }
+                groups
             }
             Job::Expire { graph, mut groups } => {
                 beacon.set(stage::EXPIRY);
-                let mut events = Vec::new();
-                let mut eval_ns = 0u64;
-                let mut expiry_ns = 0u64;
-                for (gi, grp) in groups.iter_mut() {
-                    let expiry0 = grp.engine.stats().expiry_nanos;
-                    let t0 = std::time::Instant::now();
-                    let mut sink = EvSink {
-                        events: &mut events,
-                        pos: u32::MAX,
-                        group: *gi,
-                    };
-                    grp.engine.expire_delta(&graph, &mut sink);
-                    let elapsed = t0.elapsed().as_nanos() as u64;
-                    let stats = grp.engine.stats_mut();
-                    stats.eval_ns += elapsed;
-                    eval_ns += elapsed;
-                    expiry_ns += stats.expiry_nanos - expiry0;
+                for (g, grp) in groups.iter_mut() {
+                    expire_group(*g, grp, &graph, &mut events, &mut ledger);
                 }
-                drop(graph);
-                JobOut {
-                    groups,
-                    events,
-                    eval_ns,
-                    expiry_ns,
-                }
+                groups
             }
         };
         beacon.set(stage::HANDOFF);
-        let sent = results.send(out);
+        let sent = results.send(JobOut {
+            groups,
+            events,
+            ledger,
+        });
         beacon.set(stage::IDLE);
         beacon.advance();
         if sent.is_err() {
@@ -189,27 +204,22 @@ fn worker_loop(
     beacon.set(stage::IDLE);
 }
 
-/// The worker threads of the pooled schedule plus its retained
-/// scratch. Empty (the default) selects the inline schedule; workers
-/// hold no query state between micro-batches.
+/// The worker threads (with none, the calling thread evaluates every
+/// micro-batch) plus the schedule's retained scratch. Workers hold no
+/// query state between micro-batches.
 #[derive(Default)]
 pub(crate) struct Pool {
     workers: Vec<Worker>,
-    /// Per-worker `(eval_ns, expiry_ns)` totals, index-aligned with
-    /// `workers`.
-    ledger: Vec<(u64, u64)>,
-    /// Per-micro-batch `(src, dst, label) → ts` planning map (retained
-    /// scratch).
-    group_edges: FxHashMap<(u32, u32, u32), Timestamp>,
-    /// Retained merge buffer.
+    /// Per-worker ledgers, index-aligned with `workers`.
+    ledger: Vec<Ledger>,
+    /// Retained event buffer (one position's, or a merged micro-batch's).
     events_scratch: Vec<Ev>,
-    /// Reusable `(slot, run start, run end)` fan-out schedule per
-    /// merged position segment.
+    /// Reusable `(slot, run start, run end)` fan-out schedule of one
+    /// position.
     fan_scratch: Vec<(u32, usize, usize)>,
-    /// Worker-wait time of the batch in flight (reset per batch; what
-    /// the coordinator spends blocked on worker replies, excluded from
-    /// `route_ns`).
-    wait_ns: u64,
+    /// Cumulative time the coordinator spent blocked on worker replies
+    /// (the worker ledgers own that time; `route_ns` excludes it).
+    pub(crate) wait_ns: u64,
 }
 
 impl Pool {
@@ -217,22 +227,18 @@ impl Pool {
         self.workers.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
     pub(crate) fn beacons(&self) -> Vec<Arc<srpq_common::StageBeacon>> {
         self.workers.iter().map(|w| Arc::clone(&w.beacon)).collect()
     }
 
-    pub(crate) fn ledger(&self) -> &[(u64, u64)] {
+    pub(crate) fn ledger(&self) -> &[Ledger] {
         &self.ledger
     }
 
     /// Joins the current workers and starts `n_workers` fresh ones;
-    /// returns the retired workers' summed `(eval_ns, expiry_ns)`
-    /// ledger for the caller to keep.
-    pub(crate) fn respawn(&mut self, n_workers: usize) -> (u64, u64) {
+    /// returns the retired workers' summed ledger for the caller to
+    /// keep.
+    pub(crate) fn respawn(&mut self, n_workers: usize) -> Ledger {
         self.shutdown();
         let retired = self
             .ledger
@@ -280,133 +286,95 @@ impl Drop for Pool {
 }
 
 impl MultiQueryEngine {
-    /// The pooled schedule of one slide group of `process_batch` (the
-    /// caller already purged the graph at its boundary): split into
-    /// micro-batches, cut at deletions and timestamp-changing refreshes,
-    /// each run in the two-phase scheme. Returns the time spent blocked
-    /// on worker replies.
-    pub(crate) fn run_pooled<S: MultiSink>(&mut self, slide: &[StreamTuple], sink: &mut S) -> u64 {
-        self.pool.wait_ns = 0;
+    /// One slide group of `process_batch` (the caller already purged the
+    /// graph at its boundary), run as a sequence of micro-batches.
+    pub(crate) fn run_slide<S: MultiSink>(&mut self, slide: &[StreamTuple], sink: &mut S) {
         let mut i = 0;
         while i < slide.len() {
-            let (len, two_stage) = self.plan_group(&slide[i..]);
-            if two_stage {
-                debug_assert_eq!(len, 1);
-                self.run_singleton(slide[i], sink);
-            } else {
-                self.run_group(&slide[i..i + len], sink);
-            }
-            i += len;
+            i += self.run_micro_batch(&slide[i..], sink);
         }
-        self.pool.wait_ns
     }
 
-    /// The pooled schedule of `expire_now` (the caller already purged
-    /// the graph): every worker runs the eager expiry pass over its
-    /// partition.
-    pub(crate) fn expire_pooled<S: MultiSink>(&mut self, sink: &mut S) {
-        let (pending, graph) = self.ship(|graph, groups| Job::Expire { graph, groups });
-        let events = std::mem::take(&mut self.pool.events_scratch);
-        self.collect_and_emit(pending, graph, events, sink);
+    /// Whether applying routed tuple `t` up front would change what
+    /// earlier positions of its micro-batch observe: an explicit
+    /// deletion, or a refresh that changes an existing edge's timestamp.
+    fn mutates(&self, t: &StreamTuple) -> bool {
+        t.op == Op::Delete
+            || matches!(
+                self.graph.edge_ts(t.edge.src, t.edge.dst, t.label),
+                Some(ts0) if ts0 != t.ts
+            )
     }
 
-    /// Cuts the leading micro-batch out of `rest`, the remainder of one
-    /// slide group, stopping before any graph mutation a batched
-    /// traversal must not see early — explicit deletions and
-    /// timestamp-*changing* refreshes of existing edges (phase 1
-    /// applying them up front would retroactively change what earlier
-    /// positions observe). Those run alone through the two-stage
-    /// [`Self::run_singleton`] path (`true` in the return), which
-    /// sequences every routed group's slide-expiry *before* the
-    /// mutation, as the inline schedule does.
-    fn plan_group(&mut self, rest: &[StreamTuple]) -> (usize, bool) {
-        let t0 = &rest[0];
-        if self.routing.contains_key(&t0.label) {
-            let mutating = t0.op == Op::Delete
-                || matches!(
-                    self.graph.edge_ts(t0.edge.src, t0.edge.dst, t0.label),
-                    Some(ts0) if ts0 != t0.ts
-                );
-            if mutating {
-                return (1, true);
-            }
-        }
-        let mut edges = std::mem::take(&mut self.pool.group_edges);
-        edges.clear();
+    /// Plans, applies and evaluates the leading micro-batch of `rest`, a
+    /// slide group's remainder; returns its length. Phase 1 applies the
+    /// routed inserts once, stamping every *new* edge with its position
+    /// ([`WindowGraph::insert_visible_from`]), and stops before the first
+    /// routed tuple that [`Self::mutates`] the graph; leading the
+    /// micro-batch, that tuple runs alone ([`Self::run_singleton`]).
+    /// Phase 2 is [`Self::evaluate`].
+    fn run_micro_batch<S: MultiSink>(&mut self, rest: &[StreamTuple], sink: &mut S) -> usize {
         let mut len = rest.len();
-        for (j, t) in rest.iter().enumerate() {
-            if !self.routing.contains_key(&t.label) {
-                continue; // inert: touches neither graph nor engines
-            }
-            if t.op == Op::Delete {
-                len = j.max(1);
-                break;
-            }
-            let key = (t.edge.src.0, t.edge.dst.0, t.label.0);
-            let existing = edges
-                .get(&key)
-                .copied()
-                .or_else(|| self.graph.edge_ts(t.edge.src, t.edge.dst, t.label));
-            match existing {
-                Some(ts0) if ts0 != t.ts && j > 0 => {
-                    len = j;
+        for (pos, t) in rest.iter().enumerate() {
+            // An unrouted tuple touches neither graph nor engines.
+            if let Some(set) = self.routing.get(&t.label) {
+                if self.mutates(t) {
+                    if pos == 0 {
+                        self.run_singleton(*t, sink);
+                        return 1;
+                    }
+                    len = pos;
                     break;
                 }
-                _ => {
-                    edges.insert(key, t.ts);
+                for g in set.iter_ones() {
+                    self.tuples_routed += self.groups[g as usize]
+                        .as_ref()
+                        .expect("routed groups are live")
+                        .subscribers
+                        .len() as u64;
                 }
+                self.graph
+                    .insert_visible_from(t.edge.src, t.edge.dst, t.label, t.ts, pos);
+            }
+            self.tuples_seen += 1;
+            if t.ts > self.now {
+                self.now = t.ts;
             }
         }
-        self.pool.group_edges = edges;
-        (len, false)
+        let events = std::mem::take(&mut self.pool.events_scratch);
+        self.evaluate(&rest[..len], events, sink);
+        len
     }
 
-    /// Runs one mutating singleton (explicit deletion or ts-changing
-    /// refresh) in two stages, reproducing the inline interleaving
-    /// exactly: (A) **every** routed group advances its clock and runs
-    /// any due slide-expiry against the **pre-mutation** graph, inline
-    /// on the coordinator; the mutation is then applied; (B) the tuple
-    /// fans out normally — the routed groups' expiry already ran (their
-    /// clocks moved), so the workers' advance is a no-op and they only
-    /// dispatch the tuple against the post-mutation graph, which is
-    /// unstamped and therefore visible at every horizon.
+    /// Runs one mutating tuple alone, in two stages that reproduce the
+    /// per-tuple order: (A) every routed group advances its clock —
+    /// running any due slide-expiry against the graph *before* the
+    /// mutation — on the calling thread, and the mutation is applied,
+    /// unstamped; (B) the tuple is evaluated as a micro-batch of one.
+    /// The routed groups' clocks already moved, so stage B's advance is
+    /// a no-op and only the dispatch runs, against the mutated graph.
     fn run_singleton<S: MultiSink>(&mut self, t: StreamTuple, sink: &mut S) {
         self.tuples_seen += 1;
-        let mut targets = std::mem::take(&mut self.route_scratch);
-        targets.clear();
-        if let Some(set) = self.routing.get(&t.label) {
-            targets.extend(set.iter_ones());
-        }
-        debug_assert!(!targets.is_empty(), "planned as routed");
-
-        // Stage A — pre-mutation advance for every routed group,
-        // inline (ascending group order; events carry pos 0, and the
-        // stable merge keeps them ahead of the same group's stage-B
-        // events).
+        self.set_stage(stage::EXTEND);
         let mut events = std::mem::take(&mut self.pool.events_scratch);
-        events.clear();
-        for &g in &targets {
+        let set = self.routing.get(&t.label).expect("planned as routed");
+        for g in set.iter_ones() {
             let grp = self.groups[g as usize]
                 .as_mut()
-                .expect("routing targets are live");
+                .expect("routed groups are live");
             self.tuples_routed += grp.subscribers.len() as u64;
+            // Stage-A events carry position 0 and precede the group's
+            // stage-B events (see `emit`).
             let mut ev = EvSink {
                 events: &mut events,
                 pos: 0,
                 group: g,
             };
-            let expiry0 = grp.engine.stats().expiry_nanos;
-            let t0 = std::time::Instant::now();
-            grp.engine
-                .advance(&self.graph, Visibility::ALL, t.ts, &mut ev);
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            let stats = grp.engine.stats_mut();
-            stats.eval_ns += elapsed;
-            self.coord_ns.0 += elapsed;
-            self.coord_ns.1 += stats.expiry_nanos - expiry0;
+            metered(&mut grp.engine, &mut self.coord_ns, |e| {
+                e.advance(&self.graph, Visibility::ALL, t.ts, &mut ev)
+            });
         }
-
-        // Apply the mutation.
+        self.set_stage(stage::ROUTE);
         match t.op {
             Op::Insert => {
                 self.graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
@@ -418,62 +386,75 @@ impl MultiQueryEngine {
         if t.ts > self.now {
             self.now = t.ts;
         }
-        self.route_scratch = targets;
-
-        // Stage B — normal fan-out of the singleton (the mutation is
-        // unstamped, so every visibility admits it; the routed groups'
-        // clocks already advanced, so their expiry does not re-run).
-        let (pending, graph) = self.fan_out(&[t]);
-        self.collect_and_emit(pending, graph, events, sink);
+        self.evaluate(std::slice::from_ref(&t), events, sink);
     }
 
-    /// Runs one insert-only micro-batch through the two-phase scheme.
-    fn run_group<S: MultiSink>(&mut self, group: &[StreamTuple], sink: &mut S) {
-        // Phase 1 — graph application, once, single-threaded (exactly
-        // what the inline schedule does tuple by tuple, with position
-        // stamps added).
-        for (pos, t) in group.iter().enumerate() {
-            self.tuples_seen += 1;
-            if t.ts > self.now {
-                self.now = t.ts;
-            }
-            let Some(set) = self.routing.get(&t.label) else {
-                continue;
-            };
-            for g in set.iter_ones() {
-                self.tuples_routed += self.groups[g as usize]
-                    .as_ref()
-                    .expect("routed groups are live")
-                    .subscribers
-                    .len() as u64;
-            }
-            debug_assert_eq!(t.op, Op::Insert, "mutating tuples run as singletons");
-            self.graph
-                .insert_visible_from(t.edge.src, t.edge.dst, t.label, t.ts, pos);
+    /// Phase 2 of a micro-batch whose graph mutations are applied: each
+    /// position's routed groups extend at that position's visibility,
+    /// and the events fan out in slot order. `events` may hold a
+    /// singleton's stage-A events.
+    ///
+    /// Without workers, the calling thread runs the positions in order,
+    /// routed through the label bitmap, and fans each position's events
+    /// out before the next, so results stream mid-batch; the graph stays
+    /// in place and nothing is allocated. With workers, each takes its
+    /// partition of the groups and a shared handle on the graph, and
+    /// [`Self::collect`] merges their outboxes.
+    fn evaluate<S: MultiSink>(
+        &mut self,
+        tuples: &[StreamTuple],
+        mut events: Vec<Ev>,
+        sink: &mut S,
+    ) {
+        if self.pool.len() > 0 {
+            let tuples = Arc::new(tuples.to_vec());
+            let (pending, graph) = self.ship(|graph, groups| Job::Batch {
+                graph,
+                tuples: tuples.clone(),
+                groups,
+            });
+            return self.collect(pending, graph, events, sink);
         }
-
-        // Phases 2 + 3 — fan out to the long-lived workers; collect,
-        // merge deterministically, deliver.
-        let (pending, graph) = self.fan_out(group);
-        let events = std::mem::take(&mut self.pool.events_scratch);
-        self.collect_and_emit(pending, graph, events, sink);
+        for (pos, &t) in tuples.iter().enumerate() {
+            if let Some(set) = self.routing.get(&t.label) {
+                self.set_stage(stage::EXTEND);
+                for g in set.iter_ones() {
+                    let grp = self.groups[g as usize]
+                        .as_mut()
+                        .expect("routed groups are live");
+                    extend_group(g, grp, &self.graph, pos, t, &mut events, &mut self.coord_ns);
+                }
+                self.set_stage(stage::ROUTE);
+            }
+            self.emit(&mut events, sink);
+        }
+        self.graph.clear_stamps();
+        self.pool.events_scratch = events;
     }
 
-    /// Ships `group` plus each worker's group partition to the pool.
-    fn fan_out(&mut self, group: &[StreamTuple]) -> (Vec<usize>, Arc<WindowGraph>) {
-        let tuples = Arc::new(group.to_vec());
-        self.ship(|graph, groups| Job::Batch {
-            graph,
-            tuples: tuples.clone(),
-            groups,
-        })
+    /// The eager expiry pass of `expire_now` (the caller already purged
+    /// the graph): every live group expires, on the calling thread or
+    /// across the workers, and the events fan out in slot order.
+    pub(crate) fn expire_groups<S: MultiSink>(&mut self, sink: &mut S) {
+        let mut events = std::mem::take(&mut self.pool.events_scratch);
+        if self.pool.len() > 0 {
+            let (pending, graph) = self.ship(|graph, groups| Job::Expire { graph, groups });
+            return self.collect(pending, graph, events, sink);
+        }
+        for (g, entry) in self.groups.iter_mut().enumerate() {
+            if let Some(grp) = entry {
+                expire_group(g as u32, grp, &self.graph, &mut events, &mut self.coord_ns);
+            }
+        }
+        self.emit(&mut events, sink);
+        self.pool.events_scratch = events;
     }
 
     /// Moves the shared graph into an `Arc` — read-only for the
     /// duration of the micro-batch — and sends every worker with a
     /// non-empty partition the job `make` builds for it. Returns the
     /// workers owed a reply and the coordinator's graph handle, which
-    /// [`Self::collect_and_emit`] turns back into the plain graph.
+    /// [`Self::collect`] turns back into the plain graph.
     fn ship(
         &mut self,
         make: impl Fn(Arc<WindowGraph>, Vec<(u32, Group)>) -> Job,
@@ -513,13 +494,10 @@ impl MultiQueryEngine {
     }
 
     /// Receives every pending worker's reply, restores the groups and
-    /// the plain graph, merges the outboxes in `(arrival, group)` order
-    /// (appending to `events`, which may carry a singleton's stage-A
-    /// events — the stable sort keeps them ahead of the same group's
-    /// stage-B events), clears the batch's visibility stamps, and fans
-    /// each group's event run out to its subscribers in ascending slot
-    /// order — the inline schedule's fan-out order.
-    fn collect_and_emit<S: MultiSink>(
+    /// the plain graph, merges the outboxes behind `events` in
+    /// `(arrival, group)` order, clears the batch's visibility stamps,
+    /// and fans the events out.
+    fn collect<S: MultiSink>(
         &mut self,
         pending: Vec<usize>,
         graph: Arc<WindowGraph>,
@@ -534,8 +512,8 @@ impl MultiQueryEngine {
                 panic!("MultiQueryEngine worker {w} panicked; engine is poisoned");
             };
             self.pool.wait_ns += t_wait.elapsed().as_nanos() as u64;
-            self.pool.ledger[w].0 += out.eval_ns;
-            self.pool.ledger[w].1 += out.expiry_ns;
+            self.pool.ledger[w].0 += out.ledger.0;
+            self.pool.ledger[w].1 += out.ledger.1;
             for (g, grp) in out.groups {
                 self.groups[g as usize] = Some(grp);
             }
@@ -547,27 +525,31 @@ impl MultiQueryEngine {
         events.sort_by_key(|e| (e.pos, e.group));
         self.graph = Arc::into_inner(graph).expect("workers release the graph before replying");
         self.graph.clear_stamps();
-        // Fan-out: within each position, the inline schedule emits
-        // group buffers per subscriber in ascending *slot* order (a
-        // group with several subscribers appears once per subscriber,
-        // interleaved by slot) — reproduce that by scheduling each
-        // group's contiguous event run under each of its subscribers.
-        let mut fan = std::mem::take(&mut self.pool.fan_scratch);
+        self.emit(&mut events, sink);
+        self.pool.events_scratch = events;
+    }
+
+    /// Fans `events`, ordered by position, out to the subscribers and
+    /// clears them. Within a position every subscriber receives its
+    /// group's event runs under its own tag, in ascending slot order and,
+    /// per slot, in generation order (a singleton's stage-A run before
+    /// its stage-B run): the order of per-tuple processing, where each
+    /// routed group's events for one tuple go to its subscribers slot by
+    /// slot.
+    fn emit<S: MultiSink>(&mut self, events: &mut Vec<Ev>, sink: &mut S) {
+        let fan = &mut self.pool.fan_scratch;
         let mut i = 0;
         while i < events.len() {
             let pos = events[i].pos;
-            let mut seg_end = i;
-            while seg_end < events.len() && events[seg_end].pos == pos {
-                seg_end += 1;
-            }
+            let seg_end = i + events[i..].iter().take_while(|e| e.pos == pos).count();
             fan.clear();
             let mut j = i;
             while j < seg_end {
                 let g = events[j].group;
-                let mut run_end = j + 1;
-                while run_end < seg_end && events[run_end].group == g {
-                    run_end += 1;
-                }
+                let run_end = j + events[j..seg_end]
+                    .iter()
+                    .take_while(|e| e.group == g)
+                    .count();
                 let subs = &self.groups[g as usize]
                     .as_ref()
                     .expect("groups restored before emit")
@@ -575,8 +557,8 @@ impl MultiQueryEngine {
                 fan.extend(subs.iter().map(|&slot| (slot, j, run_end)));
                 j = run_end;
             }
-            fan.sort_unstable_by_key(|&(slot, ..)| slot);
-            for &(slot, s, e) in &fan {
+            fan.sort_unstable();
+            for &(slot, s, e) in fan.iter() {
                 for ev in &events[s..e] {
                     if ev.invalidated {
                         sink.invalidate(QueryId(slot), ev.pair, ev.ts);
@@ -588,8 +570,6 @@ impl MultiQueryEngine {
             i = seg_end;
         }
         events.clear();
-        self.pool.events_scratch = events;
-        self.pool.fan_scratch = fan;
     }
 }
 
@@ -623,8 +603,8 @@ mod tests {
     #[test]
     fn shared_groups_fan_out_across_workers() {
         // Language-equivalent registrations share one group; the
-        // pooled fan-out must still deliver per-subscriber streams
-        // identical to the inline schedule's, at any worker count.
+        // fan-out must still deliver per-subscriber streams identical
+        // to the calling thread's, at any worker count.
         let mut labels = LabelInterner::new();
         let window = WindowPolicy::new(20, 4);
         let exprs = ["(a | b)+", "(b | a)+", "(a | b) (a | b)*", "a b"];
@@ -682,7 +662,7 @@ mod tests {
         let mut sink = MultiCollectSink::default();
         // Insert, refresh (same edge, later ts), and delete all in one
         // caller batch: the planner must cut so the stream still equals
-        // the inline schedule's.
+        // the calling thread's.
         let batch = [
             StreamTuple::insert(Timestamp(1), v(0), v(1), a),
             StreamTuple::insert(Timestamp(2), v(1), v(2), b),
@@ -765,11 +745,10 @@ mod tests {
         assert!(multi.has_result(id1, ResultPair::new(v(0), v(2))));
         assert_eq!(multi.n_queries(), 2);
 
-        // Switching schedules mid-stream, 0 → 3 → 0 workers, with a
+        // Switching worker counts mid-stream, 0 → 3 → 0, with a
         // deletion and a ts-changing refresh after each switch (and a
         // slide crossing in between): the event stream stays
-        // byte-identical to an engine that never left the inline
-        // schedule.
+        // byte-identical to an engine that never had workers.
         let phases = [
             vec![
                 StreamTuple::insert(Timestamp(1), v(0), v(1), a),
@@ -789,22 +768,22 @@ mod tests {
             ],
         ];
         let (mut switching, ..) = setup(0);
-        let (mut inline, ..) = setup(0);
+        let (mut unpooled, ..) = setup(0);
         let mut got = MultiCollectSink::default();
         let mut want = MultiCollectSink::default();
         for (phase, n_workers) in phases.iter().zip([0, 3, 0]) {
             switching.set_workers(n_workers);
             assert_eq!(switching.n_workers(), n_workers);
             switching.process_batch(phase, &mut got);
-            inline.process_batch(phase, &mut want);
+            unpooled.process_batch(phase, &mut want);
         }
         switching.expire_now(&mut got);
-        inline.expire_now(&mut want);
+        unpooled.expire_now(&mut want);
         assert!(!want.invalidated.is_empty(), "vacuous fixture");
         assert_eq!(got.emitted, want.emitted);
         assert_eq!(got.invalidated, want.invalidated);
-        assert_eq!(switching.graph().n_edges(), inline.graph().n_edges());
-        assert_eq!(switching.routing_stats(), inline.routing_stats());
+        assert_eq!(switching.graph().n_edges(), unpooled.graph().n_edges());
+        assert_eq!(switching.routing_stats(), unpooled.routing_stats());
     }
 
     #[test]
@@ -812,9 +791,9 @@ mod tests {
         // Per-group `eval_ns` must sum to exactly what the per-worker
         // and coordinator ledgers recorded: every increment applied to
         // a group's stats is mirrored into whichever thread spent it
-        // (worker batch/expire jobs, coordinator inline batches,
-        // singleton stage A and backfill replay) — under both
-        // schedules.
+        // (worker batch/expire jobs, the calling thread's evaluation
+        // without workers, singleton stage A and backfill replay) — at
+        // any worker count.
         for n_workers in [0, 1, 2, 3] {
             let mut labels = LabelInterner::new();
             let qa = CompiledQuery::compile("a b*", &mut labels).unwrap();
@@ -882,13 +861,62 @@ mod tests {
 
             // Replacing the pool folds worker ledgers into the
             // coordinator's — the total is conserved, also on the way
-            // back to the inline schedule.
+            // back to no workers.
             for next in [2, 0] {
                 multi.set_workers(next);
                 assert_eq!(multi.worker_totals(), vec![(0, 0); next]);
                 assert_eq!(multi.coord_totals(), (ledger_eval, ledger_expiry));
                 assert_eq!(multi.stage_totals().eval_ns, ledger_eval);
             }
+        }
+    }
+
+    #[test]
+    fn route_and_engine_time_fit_in_the_batch_wall_time() {
+        // `route_ns` is the calling thread's time outside group engines
+        // and `coord_totals` its time inside them, so the two never add
+        // up to more than the wall time around the batches — also on a
+        // stream whose deletions run as singletons, whose stage A the
+        // calling thread meters, across slide crossings.
+        for n_workers in [0, 2] {
+            let (mut multi, labels, ..) = setup(n_workers);
+            let a = labels.get("a").unwrap();
+            let b = labels.get("b").unwrap();
+            let v = VertexId;
+            let mut stream = Vec::new();
+            for i in 0..3_000u32 {
+                let ts = Timestamp(i64::from(i / 3));
+                // Every tenth tuple deletes an earlier edge; every third
+                // deletion opens a new slide, so its stage A expires.
+                if i % 10 == 0 && i > 0 {
+                    let victim: StreamTuple = stream[stream.len() - 4];
+                    stream.push(StreamTuple::delete(
+                        ts,
+                        victim.edge.src,
+                        victim.edge.dst,
+                        victim.label,
+                    ));
+                } else {
+                    let label = if i % 3 == 0 { a } else { b };
+                    let (src, dst) = (i * 7 % 61, (i * 11 + i / 61) % 61);
+                    stream.push(StreamTuple::insert(ts, v(src), v(dst), label));
+                }
+            }
+            let mut sink = MultiCollectSink::default();
+            let mut wall = 0u64;
+            for chunk in stream.chunks(64) {
+                let t0 = std::time::Instant::now();
+                multi.process_batch(chunk, &mut sink);
+                wall += t0.elapsed().as_nanos() as u64;
+            }
+            assert!(!sink.invalidated.is_empty(), "vacuous fixture");
+            let route = multi.stage_totals().route_ns;
+            let engine = multi.coord_totals().0;
+            assert!(engine > 0, "{n_workers} workers: stage A was metered");
+            assert!(
+                route + engine <= wall,
+                "{n_workers} workers: route {route} + engine {engine} ns > wall {wall} ns"
+            );
         }
     }
 

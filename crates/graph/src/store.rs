@@ -43,16 +43,19 @@ use std::mem::size_of;
 
 /// A per-micro-batch visibility horizon for shared-graph traversal.
 ///
-/// The parallel multi-query coordinator applies a whole micro-batch of
-/// graph inserts up front (single-threaded), stamping each *newly
-/// created* edge with its batch position via
-/// [`WindowGraph::insert_visible_from`]. Worker threads then traverse
-/// the shared graph read-only, passing the position of the tuple they
-/// are evaluating: an edge stamped later in the batch is invisible,
-/// exactly as it would not yet exist in a sequential per-tuple run.
-/// Stamps are transient — [`WindowGraph::clear_stamps`] resets them
-/// after the batch — so a default-constructed slot (`vis_from == 0`) is
-/// always visible and inline (per-tuple) traversal pays nothing.
+/// The multi-query coordinator applies a whole micro-batch of graph
+/// inserts up front (single-threaded), stamping each *newly created*
+/// edge with its batch position via [`WindowGraph::insert_visible_from`].
+/// The evaluating threads — workers, or the calling thread itself —
+/// then traverse the graph read-only, passing the position of the tuple
+/// they are evaluating: an edge stamped later in the batch is
+/// invisible, exactly as it would not yet exist in a sequential
+/// per-tuple run. Stamps are transient — [`WindowGraph::clear_stamps`]
+/// resets them after the batch — so a default-constructed slot
+/// (`vis_from == 0`) is always visible. Only [`Visibility::ALL`] skips
+/// loading a posting's slot; the callers outside a micro-batch's
+/// evaluation pass it: a mutating singleton's pre-mutation advance,
+/// backfill replay, and the eager `expire_now` pass.
 ///
 /// `horizon` counts visible stamped positions: an edge stamped with
 /// `vis_from = pos + 1` (batch position `pos`) is visible iff
@@ -63,9 +66,8 @@ pub struct Visibility {
 }
 
 impl Visibility {
-    /// Everything in the graph is visible (inline per-tuple evaluation,
-    /// backfill replay, and the degenerate case of a fully applied
-    /// batch).
+    /// Everything in the graph is visible (work outside a micro-batch's
+    /// evaluation, which runs while no new edge is stamped).
     pub const ALL: Visibility = Visibility { horizon: u32::MAX };
 
     /// Visibility for *extending* on the tuple at batch position `pos`:
@@ -153,9 +155,9 @@ pub struct AdjView<'g> {
 impl<'g> AdjView<'g> {
     /// Edges carrying `label` with timestamps `> watermark`: a
     /// borrowing, allocation-free iterator over the posting list.
-    /// Under a restricted [`Visibility`] (shared-graph workers), edges
-    /// stamped later in the current micro-batch are skipped; under
-    /// [`Visibility::ALL`] the stamp is never even loaded.
+    /// Under a restricted [`Visibility`], edges stamped later in the
+    /// current micro-batch are skipped; under [`Visibility::ALL`] the
+    /// stamp is never even loaded.
     pub fn edges(&self, label: Label, watermark: Timestamp) -> impl Iterator<Item = EdgeRef> + 'g {
         let vis = self.vis;
         let all = vis == Visibility::ALL;
@@ -622,7 +624,7 @@ impl WindowGraph {
     }
 
     /// [`Self::out_view`] restricted to a micro-batch [`Visibility`]
-    /// horizon (shared-graph worker traversal).
+    /// horizon (the batch schedule's traversal).
     #[inline]
     pub fn out_view_at(&self, u: VertexId, vis: Visibility) -> AdjView<'_> {
         AdjView {

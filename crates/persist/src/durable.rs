@@ -614,7 +614,7 @@ fn decode_engine(
     // subscribers attach in slot order so ids keep their meaning.
     // The checkpoint deliberately stores no worker count —
     // parallelism is runtime configuration, not logical state — so
-    // the rebuilt engine starts on the inline schedule and hosts
+    // the rebuilt engine starts without workers and hosts
     // call `set_workers` once after recovery.
     let mut slot = 0u32;
     let cursors = r.seq(1, |r| -> Result<Option<(u32, GroupState)>> {

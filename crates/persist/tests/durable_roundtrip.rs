@@ -398,8 +398,8 @@ fn deregistered_slots_survive_recovery() {
 
 #[test]
 fn parallel_multi_host_shares_checkpoint_format() {
-    // A durable directory written under the pooled schedule must
-    // recover onto (a) a worker pool again and (b) the inline schedule
+    // A durable directory written on a worker pool must recover onto
+    // (a) a worker pool again and (b) no workers
     // — worker count is runtime configuration, not logical state, so
     // checkpoints store none and hosts are interchangeable across
     // restarts.
@@ -441,8 +441,8 @@ fn parallel_multi_host_shares_checkpoint_format() {
     drop(durable);
 
     // (a) Recover for a pooled host: recovery itself spawns no
-    // threads — the engine comes back inline and the host sizes the
-    // pool once, afterwards.
+    // threads — the engine comes back without workers and the host
+    // sizes the pool once, afterwards.
     let (mut rec_par, report) =
         Durable::<MultiQueryEngine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
     assert_eq!(report.resume_seq, tuples.len() as u64);
@@ -454,7 +454,7 @@ fn parallel_multi_host_shares_checkpoint_format() {
     assert_eq!(rec_par.inner().routing_stats(), (seen, routed));
     let _ = pairs_a;
 
-    // (b) Recover the same directory and stay on the inline schedule.
+    // (b) Recover the same directory and stay without workers.
     let (rec_seq, _) =
         Durable::<MultiQueryEngine>::recover(&dir, &mut labels.clone(), cfg).unwrap();
     assert_eq!(rec_seq.inner().n_slots(), 2);
@@ -472,7 +472,7 @@ fn parallel_multi_host_shares_checkpoint_format() {
         );
     }
 
-    // Every later `set_workers` — across, and back to inline — folds
+    // Every later `set_workers` — across, and back to none — folds
     // the outgoing pool's eval/expiry ledger into the coordinator's:
     // attributed time is conserved while the stream continues.
     let ledger = |e: &MultiQueryEngine| {

@@ -195,7 +195,8 @@ fn fed_host(
     (durable, cfg)
 }
 
-/// [`fed_host`], inline, with [`pinned_stats`] and a checkpoint on top.
+/// [`fed_host`] without workers, with [`pinned_stats`] and a checkpoint
+/// on top.
 fn build(dir: &Path, strategy: CheckpointStrategy) -> (Durable, DurabilityConfig) {
     let (mut durable, cfg) = fed_host(dir, strategy, 0);
     for (g, base) in [(0, 100), (1, 200)] {
@@ -274,8 +275,8 @@ fn full_checkpoint_matches_its_golden_file() {
 }
 
 /// Two runs of one stream write byte-identical checkpoints, and so do
-/// the inline schedule and the worker pool: no checkpoint byte depends
-/// on the wall clock or the schedule.
+/// runs at 0 and 2 workers: no checkpoint byte depends on the wall
+/// clock or the worker count.
 #[test]
 fn checkpoints_are_a_function_of_the_stream() {
     for strategy in [CheckpointStrategy::Logical, CheckpointStrategy::Full] {
@@ -288,7 +289,7 @@ fn checkpoints_are_a_function_of_the_stream() {
             std::fs::remove_dir_all(&dir).ok();
             bytes
         });
-        assert!(runs[0] == runs[1], "{strategy}: two inline runs differ");
+        assert!(runs[0] == runs[1], "{strategy}: two 0-worker runs differ");
         assert!(runs[0] == runs[2], "{strategy}: 0 and 2 workers differ");
     }
 }

@@ -85,8 +85,8 @@ impl Host {
 }
 
 /// Per-worker `(eval_ns, expiry_ns)` ledgers with the coordinator's
-/// inline time as one final synthetic entry; empty under the inline
-/// schedule (its whole ledger is `stage_totals`).
+/// own evaluation time as one final synthetic entry; empty without
+/// workers (the whole ledger is then `stage_totals`).
 fn worker_ledger(engine: &MultiQueryEngine) -> Vec<(u64, u64)> {
     if engine.n_workers() == 0 {
         return Vec::new();
@@ -297,7 +297,7 @@ impl EngineCore {
         let ledger = worker_ledger(engine);
         for (i, &(eval, expiry)) in ledger.iter().enumerate() {
             if self.worker_gauges.len() <= i {
-                // The final ledger entry is the coordinator's inline time.
+                // The final ledger entry is the coordinator's own time.
                 let label = if i + 1 == ledger.len() {
                     "coord".to_string()
                 } else {
@@ -513,7 +513,7 @@ impl EngineCore {
                     labels: self.labels.len() as u32,
                     results_pushed: self.results_pushed,
                     results_dropped: self.results_dropped,
-                    // The inline schedule evaluates on this thread: one worker.
+                    // Without workers this thread evaluates: one worker.
                     workers: engine.n_workers().max(1) as u32,
                     eval_ns,
                     delta_nodes_live,
@@ -799,8 +799,8 @@ impl EngineCore {
     /// only), routing, one `extend:<group>` span per routed evaluation
     /// group (labeled by its first subscriber, `+N` when shared), the
     /// pooled expiry slice, and the emit hand-off. Stage slices are
-    /// laid out sequentially from the batch start — exact for the
-    /// inline schedule; for the worker pool they are CPU-time
+    /// laid out sequentially from the batch start — exact without
+    /// workers; for the worker pool they are CPU-time
     /// attribution and may overrun the batch's wall clock.
     fn record_batch_spans(
         &self,

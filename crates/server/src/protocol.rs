@@ -245,8 +245,8 @@ wire_struct! {
         pub results_pushed: u64,
         /// Result entries dropped across all drop-policy subscribers.
         pub results_dropped: u64,
-        /// Evaluation threads (1 = the inline schedule on the engine
-        /// thread, otherwise the pool size).
+        /// Evaluation threads: the pool size, or 1 when the engine
+        /// thread evaluates itself (`--workers 0`).
         pub workers: u32,
         /// Total nanoseconds spent in per-query evaluation across all live
         /// queries.
@@ -260,10 +260,11 @@ wire_struct! {
         pub compactions: u64,
         /// Per-worker `(eval_ns, expiry_ns)`: the wall-clock each
         /// evaluation worker thread spent inside per-query evaluation calls
-        /// and the expiry slice thereof. Empty under the inline schedule;
-        /// with a pool, the coordinator's inline time rides as one final
-        /// synthetic entry, so the entries sum to the per-query `eval_ns`
-        /// total (while no query has been deregistered).
+        /// and the expiry slice thereof. Empty without workers; with a
+        /// pool, the coordinator's own evaluation time (singleton stage
+        /// A, backfill replay) rides as one final synthetic entry, so the
+        /// entries sum to the per-query `eval_ns` total (while no query
+        /// has been deregistered).
         pub worker_ns: Vec<(u64, u64)>,
         /// Live shared-evaluation groups (Δ forests). The gap to
         /// `live_queries` is the consolidation win: queries minus groups

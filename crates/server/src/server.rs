@@ -43,11 +43,13 @@ pub struct ServerConfig {
     /// Bound of the command pipeline: how many decoded batches may wait
     /// for the engine before ingest sessions block.
     pub pipeline_depth: usize,
-    /// Evaluation worker threads of the [`MultiQueryEngine`]: `0` =
-    /// the inline schedule on the engine thread; `n ≥ 1` = the pooled
-    /// schedule over `n` workers (inter-group parallel evaluation).
-    /// Durable state is schedule-agnostic — the same `wal_dir` may
-    /// restart under any value.
+    /// Evaluation worker threads of the [`MultiQueryEngine`]. Every
+    /// value runs the one micro-batch schedule: `0` evaluates on the
+    /// engine thread, streaming each position's results before the
+    /// next; `n ≥ 1` hands each micro-batch's evaluation to `n` workers
+    /// (inter-group parallel evaluation). The result stream is the same
+    /// at every value, and durable state does not depend on it — the
+    /// same `wal_dir` may restart under any value.
     pub workers: usize,
     /// Address for the plain-HTTP Prometheus `/metrics` listener;
     /// `None` disables it (`ctl metrics` still works over the frame
@@ -238,7 +240,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         }
     };
     // Checkpoints store no worker count, so fresh and recovered engines
-    // alike start inline; `--workers` may change freely across restarts.
+    // alike start without workers; `--workers` may change freely across
+    // restarts.
     host.engine_mut().set_workers(config.workers);
 
     let listener =

@@ -351,9 +351,9 @@ fn drop_policy_subscriber_reports_losses() {
 
 #[test]
 fn parallel_workers_server_matches_sequential_server() {
-    // The same session driven against an inline-schedule host and a
-    // `workers: 3` pooled host must push identical result streams —
-    // the serving-layer face of the schedule equivalence guarantee.
+    // The same session driven against a host without workers and a
+    // `workers: 3` host must push identical result streams — the
+    // serving-layer face of the worker-count equivalence guarantee.
     // Stats must also report the worker count and per-query routing
     // counters.
     fn run(workers: usize) -> Vec<(u32, u32, u32, i64, bool)> {

@@ -7,8 +7,8 @@
 //!   window graph must end in the same state.
 //! * Several queries: the tagged result stream is compared exactly.
 //! * One query on the worker pool (what `srpq run --workers N` hosts):
-//!   micro-batch hand-off must not show — the untagged stream is the
-//!   per-tuple inline schedule's, byte for byte.
+//!   micro-batch hand-off must not show — the untagged stream is
+//!   per-tuple processing's, byte for byte.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

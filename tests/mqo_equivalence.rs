@@ -7,16 +7,16 @@
 //! streams — `(QueryId, pair, ts)` emissions and invalidations in
 //! order — between an unshared reference (every registration spelled
 //! with a no-op alternative of its own, see [`spell`], so no two share
-//! a group) and shared engines, on the inline and pooled schedules, over
-//! mixed duplicate/unique query sets, mid-stream registration churn, and
-//! durable kill/recover.
+//! a group) and shared engines, fed per tuple and in batches at several
+//! worker counts, over mixed duplicate/unique query sets, mid-stream
+//! registration churn, and durable kill/recover.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::engine::PathSemantics;
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, QueryId};
+use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, MultiSink, QueryId};
 use srpq_core::EngineConfig;
 use srpq_graph::WindowPolicy;
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, SyncPolicy};
@@ -118,17 +118,49 @@ fn budgeted_config(window: WindowPolicy) -> EngineConfig {
     c
 }
 
-/// Runs the whole stream through an engine on `workers` pool threads
-/// (`0` = the inline schedule, the reference of every sweep below).
+/// How a run feeds its engine.
+#[derive(Clone, Copy, Debug)]
+enum Feed {
+    /// The sequential reference of every sweep below: per-tuple
+    /// `process` without workers. Every micro-batch then holds one
+    /// tuple, so no visibility stamp can hide anything.
+    PerTuple,
+    /// `process_batch` on this many worker threads (`0` = the calling
+    /// thread).
+    Batches(usize),
+}
+
+impl Feed {
+    fn workers(self) -> usize {
+        match self {
+            Feed::PerTuple => 0,
+            Feed::Batches(n) => n,
+        }
+    }
+
+    fn process<S: MultiSink>(
+        self,
+        engine: &mut MultiQueryEngine,
+        chunk: &[StreamTuple],
+        sink: &mut S,
+    ) {
+        match self {
+            Feed::PerTuple => chunk.iter().for_each(|&t| engine.process(t, sink)),
+            Feed::Batches(_) => engine.process_batch(chunk, sink),
+        }
+    }
+}
+
+/// Runs the whole stream through an engine fed as `feed` says.
 fn run(
     unshared: bool,
     window: WindowPolicy,
-    workers: usize,
+    feed: Feed,
     stream: &[StreamTuple],
 ) -> (MultiQueryEngine, MultiCollectSink) {
     let labels = interner();
     let mut engine = MultiQueryEngine::with_config(budgeted_config(window));
-    engine.set_workers(workers);
+    engine.set_workers(feed.workers());
     register_all(
         &mut |name, q, sem| {
             engine.register(name, q, sem).unwrap();
@@ -138,23 +170,23 @@ fn run(
     );
     let mut sink = MultiCollectSink::default();
     for chunk in stream.chunks(64) {
-        engine.process_batch(chunk, &mut sink);
+        feed.process(&mut engine, chunk, &mut sink);
     }
     engine.expire_now(&mut sink);
     (engine, sink)
 }
 
-/// Byte-identical per-subscriber streams: the unshared inline run is
-/// the reference; the shared inline run and shared/unshared pooled runs
-/// at {1, 2, 4} workers must reproduce it event-for-event — while
-/// the shared engines actually collapse 8 registrations to 5 forests.
+/// Byte-identical per-subscriber streams: the unshared per-tuple run is
+/// the reference; shared and unshared batch runs at {0, 1, 2, 4}
+/// workers must reproduce it event-for-event — while the shared engines
+/// actually collapse 8 registrations to 5 forests.
 #[test]
 fn shared_collapses_registrations_and_streams_match_unshared() {
     for seed in 0..2u64 {
         let stream = random_stream(1_200, 20, 4, 0x51A5 + seed);
         let window = WindowPolicy::new(100, 20);
 
-        let (unshared, reference) = run(true, window, 0, &stream);
+        let (unshared, reference) = run(true, window, Feed::PerTuple, &stream);
         assert!(!reference.emitted.is_empty(), "vacuous fixture");
         assert_eq!(
             unshared.groups_live(),
@@ -162,7 +194,7 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
             "the unshared reference must keep one forest per registration"
         );
 
-        let (shared, got) = run(false, window, 0, &stream);
+        let (shared, got) = run(false, window, Feed::PerTuple, &stream);
         assert_eq!(shared.n_queries(), QUERIES.len());
         assert_eq!(
             shared.groups_live(),
@@ -193,9 +225,9 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
             "co-subscribers must alias one group's stats"
         );
 
-        for workers in [1usize, 2, 4] {
+        for workers in [0usize, 1, 2, 4] {
             for (unshared, mode) in [(false, "shared"), (true, "unshared")] {
-                let (par, got) = run(unshared, window, workers, &stream);
+                let (par, got) = run(unshared, window, Feed::Batches(workers), &stream);
                 if !unshared {
                     assert_eq!(par.groups_live(), DISTINCT_GROUPS);
                 }
@@ -232,8 +264,8 @@ fn shared_collapses_registrations_and_streams_match_unshared() {
 ///    different trajectory than the group forest's true incremental
 ///    history, so post-attach streams are compared within shared mode.)
 ///
-/// The pooled schedule must match the inline shared run on the
-/// *whole* stream, attached query included, at every worker count.
+/// Batch runs at every worker count must match the shared per-tuple
+/// run on the *whole* stream, attached query included.
 #[test]
 fn midstream_attach_and_deregister_churn() {
     let stream = random_stream(1_000, 18, 4, 0xC0DE);
@@ -245,10 +277,10 @@ fn midstream_attach_and_deregister_churn() {
     // group at 5, a backfilled unique at 7, a private-group free at 9.
     // Returns the engine, the sink, and the index ranges (emitted,
     // invalidated) covering the duplicate's backfill events.
-    let run_churn = |unshared: bool, workers: usize| {
+    let run_churn = |unshared: bool, feed: Feed| {
         let mut labels = interner();
         let mut engine = MultiQueryEngine::with_config(config);
-        engine.set_workers(workers);
+        engine.set_workers(feed.workers());
         register_all(
             &mut |name, q, sem| {
                 engine.register(name, q, sem).unwrap();
@@ -259,7 +291,7 @@ fn midstream_attach_and_deregister_churn() {
         let mut sink = MultiCollectSink::default();
         let mut dup_mark = (0usize..0usize, 0usize..0usize);
         for (i, chunk) in stream.chunks(80).enumerate() {
-            engine.process_batch(chunk, &mut sink);
+            feed.process(&mut engine, chunk, &mut sink);
             if i == 3 || i == 7 {
                 let expr = if i == 3 { "(a | b)+" } else { "b (c | d)" };
                 let name = if i == 3 { "late_dup" } else { "late_uniq" };
@@ -286,12 +318,12 @@ fn midstream_attach_and_deregister_churn() {
         (engine, sink, dup_mark)
     };
 
-    let (unshared, reference, ref_mark) = run_churn(true, 0);
+    let (unshared, reference, ref_mark) = run_churn(true, Feed::PerTuple);
     assert!(!reference.emitted.is_empty(), "vacuous fixture");
     // 8 initial + 2 late − 2 departed registrations, a forest each.
     assert_eq!(unshared.groups_live(), QUERIES.len());
 
-    let (shared, got, got_mark) = run_churn(false, 0);
+    let (shared, got, got_mark) = run_churn(false, Feed::PerTuple);
     // The backfilled duplicate attached to the live alert group...
     let g = |name: &str| shared.group_of(shared.query_id(name).unwrap()).unwrap();
     assert_eq!(
@@ -362,10 +394,10 @@ fn midstream_attach_and_deregister_churn() {
         "attached subscriber must ride the shared stream (invalidated)"
     );
 
-    // The pooled schedule reproduces the shared inline stream in
-    // full — attach, departures, and backfills included.
-    for workers in [1usize, 2, 4] {
-        let (engine, par, par_mark) = run_churn(false, workers);
+    // Batches at every worker count reproduce the shared per-tuple
+    // stream in full — attach, departures, and backfills included.
+    for workers in [0usize, 1, 2, 4] {
+        let (engine, par, par_mark) = run_churn(false, Feed::Batches(workers));
         assert_eq!(engine.groups_live(), DISTINCT_GROUPS);
         assert_eq!(par_mark, got_mark, "{workers} workers: backfill extent");
         assert_eq!(par.emitted, got.emitted, "{workers} workers: emitted");
@@ -486,8 +518,8 @@ fn durable_kill_recover_preserves_group_membership() {
     }
 }
 
-/// The checkpoint layout is schedule-agnostic: state written on the
-/// inline schedule recovers onto the worker pool (a restart may change
+/// The checkpoint layout is worker-count-agnostic: state written
+/// without workers recovers onto a worker pool (a restart may change
 /// `--workers` freely) with groups intact.
 #[test]
 fn recovery_switches_engine_shape_with_groups_intact() {

@@ -1,14 +1,14 @@
-//! Pooled ⇔ inline schedule equivalence suite for `MultiQueryEngine`.
+//! Worker-count equivalence suite for `MultiQueryEngine`.
 //!
-//! The tentpole guarantee: the pooled schedule's **tagged event
-//! stream** — every `(QueryId, pair, ts)` emission and invalidation, in
-//! order — is byte-identical to the inline schedule's, for any worker
-//! count, under deletions, window churn, and mid-stream registration
-//! changes (`register_backfilled` / `deregister`, which also rebalance
-//! the group partition). Plus the
-//! panic-safety contract both schedules share: a batch that panics
-//! poisons the engine, and a poisoned engine refuses reuse — processing
-//! and registry calls alike — loudly.
+//! The guarantee: the batch schedule's **tagged event stream** — every
+//! `(QueryId, pair, ts)` emission and invalidation, in order — is
+//! byte-identical to per-tuple processing, at any worker count
+//! (including none), under deletions, window churn, and mid-stream
+//! registration changes (`register_backfilled` / `deregister`, which
+//! also rebalance the group partition). Plus the panic-safety contract
+//! every worker count shares: a batch that panics poisons the engine,
+//! and a poisoned engine refuses reuse — processing and registry calls
+//! alike — loudly.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -69,16 +69,48 @@ const QUERIES: &[(&str, &str, PathSemantics)] = &[
     ("q_any", "(a | b | c | d)+", PathSemantics::Arbitrary),
 ];
 
-/// An engine over `config` evaluating on `workers` pool threads (`0` =
-/// the inline schedule, the reference of every sweep below) with
-/// [`QUERIES`] registered.
+/// How a run feeds its engine.
+#[derive(Clone, Copy, Debug)]
+enum Feed {
+    /// The sequential reference of every sweep below: per-tuple
+    /// `process` without workers. Every micro-batch then holds one
+    /// tuple, so no visibility stamp can hide anything.
+    PerTuple,
+    /// `process_batch` on this many worker threads (`0` = the calling
+    /// thread).
+    Batches(usize),
+}
+
+impl Feed {
+    fn workers(self) -> usize {
+        match self {
+            Feed::PerTuple => 0,
+            Feed::Batches(n) => n,
+        }
+    }
+
+    fn process<S: MultiSink>(
+        self,
+        engine: &mut MultiQueryEngine,
+        chunk: &[StreamTuple],
+        sink: &mut S,
+    ) {
+        match self {
+            Feed::PerTuple => chunk.iter().for_each(|&t| engine.process(t, sink)),
+            Feed::Batches(_) => engine.process_batch(chunk, sink),
+        }
+    }
+}
+
+/// An engine over `config` fed as `feed` says, with [`QUERIES`]
+/// registered.
 fn engine_with_queries(
     config: EngineConfig,
-    workers: usize,
+    feed: Feed,
     labels: &mut LabelInterner,
 ) -> MultiQueryEngine {
     let mut engine = MultiQueryEngine::with_config(config);
-    engine.set_workers(workers);
+    engine.set_workers(feed.workers());
     for &(name, expr, sem) in QUERIES {
         let q = CompiledQuery::compile(expr, labels).unwrap();
         engine.register(name, q, sem).unwrap();
@@ -99,12 +131,12 @@ impl Script<'_> {
     /// A backfilled query joins after chunk 3, `q_c` leaves after chunk
     /// 6, and after chunk 8 the vacated name "q_c" is re-registered
     /// (fresh slot id, rebalanced partition).
-    fn run(&self, config: EngineConfig, workers: usize) -> MultiCollectSink {
+    fn run(&self, config: EngineConfig, feed: Feed) -> MultiCollectSink {
         let mut labels = self.labels.clone();
-        let mut engine = engine_with_queries(config, workers, &mut labels);
+        let mut engine = engine_with_queries(config, feed, &mut labels);
         let mut sink = MultiCollectSink::default();
         for (i, chunk) in self.stream.chunks(self.chunk).enumerate() {
-            engine.process_batch(chunk, &mut sink);
+            feed.process(&mut engine, chunk, &mut sink);
             if i == 3 {
                 let q = CompiledQuery::compile("b (c | d)", &mut labels).unwrap();
                 engine
@@ -139,7 +171,7 @@ fn byte_identical_stream_under_midstream_registration_changes() {
     let window = WindowPolicy::new(120, 20);
     let mut config = EngineConfig::with_window(window);
     config.rspq_extend_budget = Some(20_000);
-    let reference = script.run(config, 0);
+    let reference = script.run(config, Feed::PerTuple);
     assert!(
         !reference.emitted.is_empty(),
         "vacuous fixture: no results emitted"
@@ -148,8 +180,8 @@ fn byte_identical_stream_under_midstream_registration_changes() {
         reference.emitted.iter().any(|&(id, ..)| id == QueryId(8)),
         "the backfilled query never emitted"
     );
-    for workers in [1usize, 2, 4, 8] {
-        let got = script.run(config, workers);
+    for workers in [0usize, 1, 2, 4, 8] {
+        let got = script.run(config, Feed::Batches(workers));
         assert_eq!(
             got.emitted, reference.emitted,
             "{workers} workers: emission stream diverged"
@@ -163,24 +195,24 @@ fn byte_identical_stream_under_midstream_registration_changes() {
 
 #[test]
 fn seeded_sweep_workers() {
-    // Satellite pin: {0, 1, 2, 4, 8} workers × seeds, exact stream
-    // equality against the inline run (no registration churn — this
-    // sweep isolates the evaluation path itself).
+    // {0, 1, 2, 4, 8} workers × seeds, exact stream equality against
+    // per-tuple processing (no registration churn — this sweep
+    // isolates the evaluation path itself).
     for seed in 0..2u64 {
         let stream = random_stream(700, 16, 4, 0xA0 + seed);
         let window = WindowPolicy::new(60, 10);
         let mut config = EngineConfig::with_window(window);
         config.rspq_extend_budget = Some(20_000);
 
-        let mut seq = engine_with_queries(config, 0, &mut labels_abcd());
+        let mut seq = engine_with_queries(config, Feed::PerTuple, &mut labels_abcd());
         let mut seq_sink = MultiCollectSink::default();
         for chunk in stream.chunks(64) {
-            seq.process_batch(chunk, &mut seq_sink);
+            Feed::PerTuple.process(&mut seq, chunk, &mut seq_sink);
         }
         seq.expire_now(&mut seq_sink);
 
-        for workers in [1usize, 2, 4, 8] {
-            let mut par = engine_with_queries(config, workers, &mut labels_abcd());
+        for workers in [0usize, 1, 2, 4, 8] {
+            let mut par = engine_with_queries(config, Feed::Batches(workers), &mut labels_abcd());
             let mut par_sink = MultiCollectSink::default();
             for chunk in stream.chunks(64) {
                 par.process_batch(chunk, &mut par_sink);
@@ -232,7 +264,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-/// The poison contract, identical under both schedules (documented in
+/// The poison contract, identical at every worker count (documented in
 /// the `srpq_core::multi` module docs): a panic mid-batch leaves
 /// half-applied state, so the engine poisons itself and refuses reuse —
 /// processing and registry mutation alike — instead of silently

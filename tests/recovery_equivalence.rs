@@ -6,7 +6,7 @@
 //! stream and the engine statistics match an uninterrupted run. The
 //! single-query shapes are what `srpq run` hosts — a one-query
 //! `MultiQueryEngine` behind `UntagSink` — and their reference is the
-//! same host run inline without a crash.
+//! same host run without workers or a crash.
 //!
 //! The engines run the default configuration (`srpq run`'s and
 //! `serve`'s). Equality contract: the same results and invalidations at
@@ -130,7 +130,7 @@ fn assert_safe_stats_eq(got: &EngineStats, expect: &EngineStats, ctx: &str) {
 }
 
 /// The one-query host `srpq run` drives: `case` registered alone on a
-/// fresh engine with `workers` pool threads (0 = inline).
+/// fresh engine with `workers` pool threads (0 = the calling thread).
 fn one_query_host(
     case: Case,
     labels: &mut LabelInterner,
@@ -235,7 +235,8 @@ fn crash_and_recover(
     }
 }
 
-/// The uninterrupted reference: the same host, inline, never crashed.
+/// The uninterrupted reference: the same host, without workers, never
+/// crashed.
 fn reference_run(
     case: Case,
     semantics: PathSemantics,
@@ -249,7 +250,7 @@ fn reference_run(
     (reference, sink)
 }
 
-/// RAPQ / RSPQ as the single query of the inline host.
+/// RAPQ / RSPQ as the single query of the host without workers.
 fn single_engine_case(semantics: PathSemantics, strategy: CheckpointStrategy, seed: u64) {
     let name = format!(
         "{}-{strategy}-{seed}",
@@ -380,7 +381,7 @@ fn multi_crash_matrix() {
 
 /// The single query on the worker pool: written at 2 workers, crashed,
 /// recovered onto 1 and onto 4. The pool's stream is the sequential
-/// one, so besides the matrix contract against the inline reference the
+/// one, so besides the matrix contract against the reference run the
 /// two recoveries must agree with each other byte for byte (both
 /// rebuild the same state from the same directory contents).
 fn parallel_case(strategy: CheckpointStrategy, seed: u64) {
