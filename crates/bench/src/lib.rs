@@ -1,11 +1,11 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness for the `bench` driver and `hotpath`.
 //!
-//! Each `src/bin/figN_*.rs` binary reproduces one table or figure of the
-//! paper's evaluation (§5) and prints a CSV-ish table with the same rows
-//! or series the paper reports. This module hosts the common machinery:
-//! dataset construction at laptop scale, engine drivers with throughput
-//! and tail-latency measurement, and wall-clock budgets for the
-//! (worst-case exponential) RSPQ runs.
+//! Each `bench` subcommand reproduces one table or figure of the
+//! paper's evaluation (§5) and prints the rows or series the paper
+//! reports. This module hosts the common machinery: the driver's
+//! command line, the row printer, dataset construction at laptop scale,
+//! the engine drive loop with throughput and tail-latency measurement,
+//! and wall-clock budgets for the (worst-case exponential) RSPQ runs.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -18,39 +18,8 @@ use srpq_core::{
 };
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset, DatasetKind};
 use srpq_graph::WindowPolicy;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// Scale knob for all experiment binaries: 1.0 is the laptop-scale
-/// default documented in EXPERIMENTS.md; pass a number as the first CLI
-/// argument to scale streams up or down.
-pub fn scale_from_args() -> f64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            // Skip the flag and its value so a numeric path is not
-            // misread as the scale.
-            let _ = args.next();
-            continue;
-        }
-        if let Ok(v) = a.parse::<f64>() {
-            return v.clamp(0.01, 100.0);
-        }
-    }
-    1.0
-}
-
-/// The value following a `--json` argument, if any: where the binary
-/// should additionally write its rows as a JSON array (CI perf
-/// artifacts).
-pub fn json_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
 
 /// Builds the laptop-scale stand-in for one of the paper's datasets.
 pub fn build_dataset(kind: DatasetKind, scale: f64) -> Dataset {
@@ -95,8 +64,6 @@ pub fn default_window(kind: DatasetKind, ds: &Dataset) -> WindowPolicy {
 /// The outcome of driving one engine over one stream.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Tuples fed to the engine.
-    pub tuples_total: u64,
     /// Tuples whose label belongs to the query alphabet (only these are
     /// measured, following §5.2).
     pub tuples_relevant: u64,
@@ -145,33 +112,49 @@ fn the_query(engine: &MultiQueryEngine) -> &Engine {
     engine.engine(id).expect("live query")
 }
 
-/// Drives the one-query `engine` over `tuples` tuple by tuple,
-/// measuring per-tuple latency for tuples whose label is in the query
-/// alphabet. `budget` bounds wall-clock time (RSPQ runs can be
-/// exponential); on expiry the run stops early with
-/// `completed = false`.
+/// Drives the one-query `engine` over `tuples` tuple by tuple (one-tuple
+/// batches, as [`MultiQueryEngine::process`] feeds them), latency
+/// recorded for tuples whose label is in the query alphabet. `budget` bounds
+/// wall-clock time (RSPQ runs can be exponential); on expiry the run
+/// stops early with `completed = false`.
 pub fn run_engine(
     engine: &mut MultiQueryEngine,
     tuples: &[StreamTuple],
     budget: Duration,
 ) -> RunReport {
+    drive(engine, tuples, 1, budget)
+}
+
+/// Drives the one-query `engine` over `tuples` through
+/// [`MultiQueryEngine::process_batch`], `chunk` tuples per call. The
+/// latency histogram records, per chunk holding a relevant tuple, the
+/// mean cost per relevant tuple (so with `chunk = 1` it is the
+/// per-tuple latency of [`run_engine`]). Peak size and `budget` are
+/// sampled at each chunk that holds a tuple at a multiple-of-64 position.
+pub fn drive(
+    engine: &mut MultiQueryEngine,
+    tuples: &[StreamTuple],
+    chunk: usize,
+    budget: Duration,
+) -> RunReport {
     let dfa = the_query(engine).query().dfa().clone();
+    let chunk = chunk.max(1);
     let mut sink = CountSink::default();
     let mut latency = LatencyHistogram::new();
     let mut relevant = 0u64;
     let mut peak_nodes = 0usize;
     let started = Instant::now();
     let mut completed = true;
-    for (i, &t) in tuples.iter().enumerate() {
-        if dfa.knows_label(t.label) {
-            relevant += 1;
-            let t0 = Instant::now();
-            engine.process(t, &mut UntagSink(&mut sink));
-            latency.record(t0.elapsed().as_nanos() as u64);
-        } else {
-            engine.process(t, &mut UntagSink(&mut sink));
+    for (i, batch) in tuples.chunks(chunk).enumerate() {
+        let batch_relevant = batch.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
+        relevant += batch_relevant;
+        // Only batches holding a relevant tuple are timed (§5.2).
+        let t0 = (batch_relevant > 0).then(Instant::now);
+        engine.process_batch(batch, &mut UntagSink(&mut sink));
+        if let Some(t0) = t0 {
+            latency.record(t0.elapsed().as_nanos() as u64 / batch_relevant);
         }
-        if i % 64 == 0 {
+        if (i * chunk) % 64 < chunk {
             peak_nodes = peak_nodes.max(the_query(engine).index_size().nodes);
             if started.elapsed() > budget {
                 completed = false;
@@ -182,56 +165,6 @@ pub fn run_engine(
     let elapsed = started.elapsed();
     let query = the_query(engine);
     RunReport {
-        tuples_total: tuples.len() as u64,
-        tuples_relevant: relevant,
-        elapsed,
-        latency,
-        results: sink.emitted,
-        index: query.index_size(),
-        peak_nodes: peak_nodes.max(query.index_size().nodes),
-        stats: *query.stats(),
-        completed,
-    }
-}
-
-/// Drives the one-query `engine` over `tuples` through
-/// [`MultiQueryEngine::process_batch`] in `batch_size`-sized chunks.
-/// The latency histogram records, per chunk, the mean
-/// per-relevant-tuple cost (so `latency.count()` equals the number of
-/// measured chunks, not tuples). Budget and peak sampling are checked
-/// once per chunk.
-pub fn run_engine_batched(
-    engine: &mut MultiQueryEngine,
-    tuples: &[StreamTuple],
-    batch_size: usize,
-    budget: Duration,
-) -> RunReport {
-    let dfa = the_query(engine).query().dfa().clone();
-    let batch_size = batch_size.max(1);
-    let mut sink = CountSink::default();
-    let mut latency = LatencyHistogram::new();
-    let mut relevant = 0u64;
-    let mut peak_nodes = 0usize;
-    let started = Instant::now();
-    let mut completed = true;
-    for chunk in tuples.chunks(batch_size) {
-        let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
-        relevant += chunk_relevant;
-        let t0 = Instant::now();
-        engine.process_batch(chunk, &mut UntagSink(&mut sink));
-        if let Some(per_tuple) = (t0.elapsed().as_nanos() as u64).checked_div(chunk_relevant) {
-            latency.record(per_tuple);
-        }
-        peak_nodes = peak_nodes.max(the_query(engine).index_size().nodes);
-        if started.elapsed() > budget {
-            completed = false;
-            break;
-        }
-    }
-    let elapsed = started.elapsed();
-    let query = the_query(engine);
-    RunReport {
-        tuples_total: tuples.len() as u64,
         tuples_relevant: relevant,
         elapsed,
         latency,
@@ -273,13 +206,128 @@ pub fn gmark_fixture(scale: u32, n_queries: usize) -> (Dataset, Vec<gmark::Synth
     (ds, queries)
 }
 
-/// Prints a CSV header then rows via the closure (tiny shared helper so
-/// every binary formats alike).
-pub fn print_csv<R: std::fmt::Display>(header: &str, rows: impl IntoIterator<Item = R>) {
-    println!("{header}");
-    for r in rows {
-        println!("{r}");
+/// The driver's command line.
+pub const USAGE: &str = "usage: bench <subcommand> [scale] [--json FILE] [--check]";
+
+/// A parsed `bench` command line.
+#[derive(Debug)]
+pub struct Args {
+    /// The subcommand to run.
+    pub subcommand: String,
+    /// Stream scale in `[0.01, 100]`; 1.0 is the laptop-scale default.
+    pub scale: f64,
+    /// Where to also write the rows as a JSON array (CI perf artifacts).
+    pub json: Option<PathBuf>,
+    /// Whether a failed check exits non-zero.
+    pub check: bool,
+}
+
+/// Parses the arguments after the program name. `known` lists the
+/// subcommands; anything else the grammar of [`USAGE`] does not admit
+/// is refused.
+pub fn parse_args(args: &[String], known: &[&str]) -> Result<Args, String> {
+    let mut args = args.iter();
+    let subcommand = args.next().ok_or("no subcommand given")?;
+    if !known.contains(&subcommand.as_str()) {
+        return Err(format!("unknown subcommand `{subcommand}`"));
     }
+    let (mut scale, mut json, mut check) = (None, None, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = Some(args.next().ok_or("--json needs a FILE")?.into()),
+            "--check" => check = true,
+            a if a.starts_with("--") => return Err(format!("unknown option `{a}`")),
+            a if scale.is_some() => return Err(format!("unexpected argument `{a}`")),
+            a => {
+                let v: f64 = a
+                    .parse()
+                    .map_err(|_| format!("scale `{a}` is not a number"))?;
+                if !(0.01..=100.0).contains(&v) {
+                    return Err(format!("scale {a} is outside [0.01, 100]"));
+                }
+                scale = Some(v);
+            }
+        }
+    }
+    Ok(Args {
+        subcommand: subcommand.clone(),
+        scale: scale.unwrap_or(1.0),
+        json,
+        check,
+    })
+}
+
+/// One output row: `(column, value)` pairs in column order.
+pub type Row = Vec<(&'static str, jsonout::Val)>;
+
+/// Prints a subcommand's rows as CSV on stdout, the header derived from
+/// the first row, and keeps them as JSON objects (each led by a `bench`
+/// key naming the subcommand) when the command line asked for a file.
+pub struct Table {
+    bench: String,
+    json: Option<(PathBuf, Vec<String>)>,
+    header: Vec<&'static str>,
+}
+
+impl Table {
+    /// A table for `args`' subcommand.
+    pub fn new(args: &Args) -> Table {
+        Table {
+            bench: args.subcommand.clone(),
+            json: args.json.clone().map(|path| (path, Vec::new())),
+            header: Vec::new(),
+        }
+    }
+
+    /// Prints `row` (after the header, for the first) and keeps it for
+    /// the JSON file. Every row of a table has the same columns.
+    pub fn row(&mut self, row: Row) {
+        let columns: Vec<&str> = row.iter().map(|&(c, _)| c).collect();
+        if self.header.is_empty() {
+            println!("{}", columns.join(","));
+            self.header = columns;
+        } else {
+            assert_eq!(columns, self.header, "a row changed the table's columns");
+        }
+        println!("{}", csv_line(&row));
+        if let Some((_, objs)) = &mut self.json {
+            let mut fields = vec![("bench", jsonout::Val::S(self.bench.clone()))];
+            fields.extend(row);
+            objs.push(jsonout::obj(&fields));
+        }
+    }
+
+    /// Writes the JSON file, if one was asked for.
+    pub fn finish(self) -> std::io::Result<()> {
+        if let Some((path, objs)) = self.json {
+            jsonout::write_array(&path, &objs)?;
+            eprintln!("wrote {}", path.display());
+        }
+        Ok(())
+    }
+}
+
+/// A row's values as one CSV line. Text that is not a single bare word
+/// (letters, digits, `_`, `+`, `-`, `.`, `/`) is quoted, as query
+/// expressions are.
+fn csv_line(row: &[(&str, jsonout::Val)]) -> String {
+    use jsonout::Val;
+    let bare = |s: &str| {
+        s.chars()
+            .all(|c| c.is_alphanumeric() || "_+-./".contains(c))
+    };
+    let cells: Vec<String> = row
+        .iter()
+        .map(|(_, v)| match v {
+            Val::S(s) if bare(s) => s.clone(),
+            Val::S(s) => format!("\"{}\"", s.replace('"', "\"\"")),
+            Val::F(x) => format!("{x:.1}"),
+            Val::D(x, decimals) => format!("{x:.decimals$}"),
+            Val::U(x) => x.to_string(),
+            Val::B(x) => x.to_string(),
+        })
+        .collect();
+    cells.join(",")
 }
 
 /// Minimal JSON emission for perf-trajectory artifacts (the tree is
@@ -294,6 +342,9 @@ pub mod jsonout {
         S(String),
         /// A float (written with 1 decimal).
         F(f64),
+        /// A float written with the given number of decimals; JSON gets
+        /// at least one, so the value reads back as a float.
+        D(f64, usize),
         /// An unsigned integer.
         U(u64),
         /// A boolean.
@@ -325,6 +376,9 @@ pub mod jsonout {
                 }
                 Val::F(x) => {
                     let _ = write!(s, "{x:.1}");
+                }
+                Val::D(x, decimals) => {
+                    let _ = write!(s, "{x:.*}", (*decimals).max(1));
                 }
                 Val::U(x) => {
                     let _ = write!(s, "{x}");
@@ -358,6 +412,72 @@ pub mod jsonout {
 mod tests {
     use super::*;
 
+    fn parse(args: &str) -> Result<Args, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse_args(&args, &["fig4_throughput", "mqo_scaling"])
+    }
+
+    #[test]
+    fn parses_the_usage_grammar() {
+        let a = parse("mqo_scaling 0.05 --json out.json --check").unwrap();
+        assert!(a.subcommand == "mqo_scaling" && a.scale == 0.05 && a.check);
+        assert_eq!(a.json, Some("out.json".into()));
+        let a = parse("fig4_throughput").unwrap();
+        assert!(a.scale == 1.0 && a.json.is_none() && !a.check);
+    }
+
+    /// Asserts that `args` is refused with an error naming `reason`.
+    fn refused(args: &str, reason: &str) {
+        let err = parse(args).unwrap_err();
+        assert!(err.contains(reason), "{args}: {err}");
+    }
+
+    #[test]
+    fn refuses_an_unknown_subcommand() {
+        refused("", "no subcommand");
+        refused("fig99 0.01", "unknown subcommand `fig99`");
+    }
+
+    #[test]
+    fn refuses_an_unknown_option() {
+        refused("mqo_scaling 0.01 --chek", "unknown option `--chek`");
+        refused("mqo_scaling --json", "--json needs a FILE");
+        refused("mqo_scaling 0.01 0.02", "unexpected argument `0.02`");
+    }
+
+    #[test]
+    fn refuses_a_scale_that_does_not_parse() {
+        refused("fig4_throughput 0,01", "scale `0,01` is not a number");
+    }
+
+    #[test]
+    fn refuses_a_scale_outside_the_range() {
+        for scale in ["0.001", "101", "-1", "NaN", "inf"] {
+            refused(&format!("fig4_throughput {scale}"), "outside [0.01, 100]");
+        }
+        assert!(parse("fig4_throughput 0.01").is_ok());
+        assert!(parse("fig4_throughput 100").is_ok());
+    }
+
+    #[test]
+    fn rows_render_as_csv_and_json() {
+        use jsonout::Val::{B, D, F, S, U};
+        let row: Row = vec![
+            ("query", S("Q1".into())),
+            ("expr", S("(a | b)*".into())),
+            ("eps", D(1234.56, 0)),
+            ("p99_us", F(2.34)),
+            ("ratio", D(0.5, 3)),
+            ("results", U(7)),
+            ("completed", B(true)),
+        ];
+        assert_eq!(csv_line(&row), "Q1,\"(a | b)*\",1235,2.3,0.500,7,true");
+        assert_eq!(
+            jsonout::obj(&row),
+            r#"{"query": "Q1", "expr": "(a | b)*", "eps": 1234.6, "p99_us": 2.3, "ratio": 0.500, "results": 7, "completed": true}"#
+        );
+    }
+
     #[test]
     fn datasets_build_at_tiny_scale() {
         for kind in [DatasetKind::So, DatasetKind::Ldbc, DatasetKind::Yago] {
@@ -376,11 +496,18 @@ mod tests {
         let mut engine = make_engine("a2q c2a*", &ds, w, PathSemantics::Arbitrary);
         let report = run_engine(&mut engine, &ds.tuples, Duration::from_secs(30));
         assert!(report.completed);
-        assert_eq!(report.tuples_total, ds.len() as u64);
         assert!(report.tuples_relevant > 0);
-        assert!(report.tuples_relevant <= report.tuples_total);
+        assert!(report.tuples_relevant <= ds.len() as u64);
         assert!(report.throughput() > 0.0);
         assert_eq!(report.latency.count(), report.tuples_relevant);
+        // The chunked case runs the same stream to the same state.
+        let mut engine = make_engine("a2q c2a*", &ds, w, PathSemantics::Arbitrary);
+        let chunked = drive(&mut engine, &ds.tuples, 256, Duration::from_secs(30));
+        assert!(chunked.completed);
+        assert_eq!(chunked.tuples_relevant, report.tuples_relevant);
+        assert_eq!(chunked.results, report.results);
+        assert_eq!(chunked.index, report.index);
+        assert!(chunked.latency.count() <= ds.len().div_ceil(256) as u64);
     }
 
     #[test]

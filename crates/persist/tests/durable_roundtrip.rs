@@ -274,53 +274,68 @@ fn durability_counters_survive_restart() {
     // `set_obs` promises "a recovered instance reports its pre-crash
     // history": the lifetime totals ride at the head of the checkpoint
     // payload, so a restart continues them instead of starting at zero
-    // — for a multi-query host (what `serve` runs) at either schedule.
-    let dir = tmpdir("counters");
-    let mut labels = make_labels();
-    let tuples = stream(200);
-    let qa = srpq_automata::CompiledQuery::compile("a b*", &mut labels).unwrap();
-    let qb = srpq_automata::CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
-    let mut multi =
-        MultiQueryEngine::with_config(EngineConfig::with_window(WindowPolicy::new(40, 5)));
-    multi.register("qa", qa, PathSemantics::Arbitrary).unwrap();
-    multi.register("qb", qb, PathSemantics::Arbitrary).unwrap();
-    let cfg = DurabilityConfig {
-        sync: SyncPolicy::Batch,
-        strategy: CheckpointStrategy::Logical,
-        checkpoint_every: 2,
-        segment_bytes: 4 << 20,
-    };
-    let mut durable = Durable::create(multi, &dir, cfg).unwrap();
-    let mut sink = srpq_core::multi::NullMultiSink;
-    for chunk in tuples[..150].chunks(16) {
-        durable.process_batch(chunk, &mut sink).unwrap();
-    }
-    durable.checkpoint().unwrap();
-    let before = durable.counters();
-    assert!(before.wal_bytes > 0 && before.wal_appends > 0 && before.fsyncs > 0);
-    assert!(
-        before.checkpoints_written >= 3,
-        "manifest + cadence + manual"
-    );
-    drop(durable); // crash
+    // — for a multi-query host (what `serve` runs) at either schedule,
+    // under either fsync policy. `Always` appends and fsyncs once per
+    // tuple, so its slice of the stream is kept small.
+    let all = stream(200);
+    for (sync, tuples, cut) in [
+        (SyncPolicy::Batch, &all[..], 150),
+        (SyncPolicy::Always, &all[..64], 48),
+    ] {
+        let dir = tmpdir(&format!("counters-{sync:?}"));
+        let mut labels = make_labels();
+        let qa = srpq_automata::CompiledQuery::compile("a b*", &mut labels).unwrap();
+        let qb = srpq_automata::CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
+        let mut multi =
+            MultiQueryEngine::with_config(EngineConfig::with_window(WindowPolicy::new(40, 5)));
+        multi.register("qa", qa, PathSemantics::Arbitrary).unwrap();
+        multi.register("qb", qb, PathSemantics::Arbitrary).unwrap();
+        let cfg = DurabilityConfig {
+            sync,
+            strategy: CheckpointStrategy::Logical,
+            checkpoint_every: 2,
+            segment_bytes: 4 << 20,
+        };
+        let mut durable = Durable::create(multi, &dir, cfg).unwrap();
+        let mut sink = srpq_core::multi::NullMultiSink;
+        for chunk in tuples[..cut].chunks(16) {
+            durable.process_batch(chunk, &mut sink).unwrap();
+        }
+        durable.checkpoint().unwrap();
+        let before = durable.counters();
+        assert!(before.wal_bytes > 0 && before.wal_appends > 0 && before.fsyncs > 0);
+        assert!(
+            before.checkpoints_written >= 3,
+            "manifest + cadence + manual ({sync:?})"
+        );
+        if sync == SyncPolicy::Always {
+            assert_eq!(before.wal_appends, cut as u64, "one append per tuple");
+            assert!(before.fsyncs >= before.wal_appends, "one fsync per append");
+        }
+        drop(durable); // crash
 
-    let (mut recovered, _) = Durable::recover(&dir, &mut labels.clone(), cfg).unwrap();
-    let after = recovered.counters();
-    assert_eq!(after.wal_bytes, before.wal_bytes);
-    assert_eq!(after.wal_appends, before.wal_appends);
-    assert_eq!(after.fsyncs, before.fsyncs);
-    assert_eq!(after.checkpoints_written, before.checkpoints_written);
+        let (mut recovered, _) = Durable::recover(&dir, &mut labels.clone(), cfg).unwrap();
+        let after = recovered.counters();
+        assert_eq!(after.wal_bytes, before.wal_bytes);
+        assert_eq!(after.wal_appends, before.wal_appends);
+        assert_eq!(after.fsyncs, before.fsyncs);
+        assert_eq!(after.checkpoints_written, before.checkpoints_written);
 
-    // And they keep counting from there, on the other schedule too.
-    recovered.inner_mut().set_workers(2);
-    for chunk in tuples[150..].chunks(16) {
-        recovered.process_batch(chunk, &mut sink).unwrap();
+        // And they keep counting from there, on the other schedule too.
+        recovered.inner_mut().set_workers(2);
+        for chunk in tuples[cut..].chunks(16) {
+            recovered.process_batch(chunk, &mut sink).unwrap();
+        }
+        let later = recovered.counters();
+        assert!(later.wal_bytes > before.wal_bytes);
+        assert!(later.wal_appends > before.wal_appends);
+        assert!(later.fsyncs > before.fsyncs);
+        if sync == SyncPolicy::Always {
+            assert_eq!(later.wal_appends, tuples.len() as u64);
+            assert!(later.fsyncs >= later.wal_appends);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let later = recovered.counters();
-    assert!(later.wal_bytes > before.wal_bytes);
-    assert!(later.wal_appends > before.wal_appends);
-    assert!(later.fsyncs > before.fsyncs);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
