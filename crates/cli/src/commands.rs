@@ -10,7 +10,8 @@ use srpq_core::sink::{CollectSink, CountSink, ResultSink};
 use srpq_core::{EngineConfig, QueryId};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset};
 use srpq_graph::WindowPolicy;
-use srpq_persist::{CheckpointStrategy, DurabilityConfig, DurabilityCounters, Durable, SyncPolicy};
+use srpq_obs::{Journal, Obs};
+use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, Host, SyncPolicy};
 use std::path::Path;
 use std::time::Instant;
 
@@ -253,11 +254,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "simple" => PathSemantics::Simple,
         other => return Err(format!("unknown semantics {other:?}")),
     };
-    let limit: usize = args.get_num("limit", usize::MAX)?;
-    let batch: usize = args.get_num("batch", 1usize)?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
+    let (batch, workers) = drive_options(args)?;
 
     // Check the query speaks the stream's vocabulary *before* compiling
     // (compilation interns missing labels).
@@ -269,67 +266,35 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     let query = CompiledQuery::from_regex(parsed, &mut labels);
     let config = EngineConfig::with_window(WindowPolicy::new(window.max(1), slide.max(1)));
-    // The single query rides the one engine every host runs; `--workers`
-    // only picks which threads evaluate (0 = this one; byte-identical
-    // output at any count, see README).
+    // The single query rides the one engine every host runs.
     let mut multi = MultiQueryEngine::with_config(config);
-    multi.set_workers(args.get_num("workers", 0usize)?);
     let id = multi
         .register("cli", query, semantics)
         .expect("fresh engine has no duplicate names");
-    let mut host = match args.get("wal-dir") {
-        Some(dir) => EngineHost::Durable(
+    let host = match args.get("wal-dir") {
+        Some(dir) => Host::from(
             Durable::create(multi, Path::new(dir), durability_config(args)?)
                 .map_err(|e| e.to_string())?,
-            id,
         ),
-        None => EngineHost::Plain(multi, id),
+        None => Host::from(multi),
     };
-    let journal = args.flag("trace").then(srpq_obs::Journal::default);
-    let outcome = drive_stream(
-        &mut host,
-        &tuples,
-        0,
-        limit,
-        batch,
-        args.flag("print-results"),
-        journal.as_ref(),
-    )?;
-    print_summary(
-        args, &query_src, semantics, window, slide, batch, &outcome, &host,
-    );
-    if let Some(journal) = &journal {
-        print_trace(journal);
-    }
-    if let Some(path) = args.get("stats-json") {
-        write_stats_json(path, &host, &outcome)?;
-        eprintln!("stats json:   {path}");
-    }
-    Ok(())
+    drive_and_report(args, host, id, &tuples, 0, batch, workers)
 }
 
 fn cmd_recover(args: &Args) -> Result<(), String> {
     let wal_dir = args.require("wal-dir")?.to_string();
     let path = args.require("stream")?.to_string();
     let (mut labels, tuples) = streamfile::load(Path::new(&path))?;
-    let limit: usize = args.get_num("limit", usize::MAX)?;
-    let batch: usize = args.get_num("batch", 1usize)?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
+    let (batch, workers) = drive_options(args)?;
     // The directory holds the same state `serve` writes, whatever
     // `--workers` wrote it; the worker count is this run's choice.
-    let (mut durable, report) =
+    let (durable, report) =
         Durable::recover(Path::new(&wal_dir), &mut labels, durability_config(args)?)
             .map_err(|e| e.to_string())?;
-    durable
-        .inner_mut()
-        .set_workers(args.get_num("workers", 0usize)?);
     // Offline recover drives exactly one query (results print
     // untagged); a multi-query directory — e.g. one written by
     // `serve` — must be refused, not silently merged.
-    let ids = durable.inner().query_ids();
-    let id = match ids.as_slice() {
+    let id = match durable.inner().query_ids().as_slice() {
         [] => return Err("recovered multi-host state holds no live query".into()),
         [id] => *id,
         many => {
@@ -340,7 +305,6 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let mut host = EngineHost::Durable(durable, id);
     eprintln!(
         "recovered:    checkpoint @{} ({}), {} WAL tuples replayed in {} ms",
         report.checkpoint_seq, report.strategy, report.replayed_tuples, report.elapsed_ms
@@ -358,46 +322,17 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         tuples.len(),
         tuples.len() - resume
     );
-    let query_src = host.engine().query().regex().to_string();
-    let semantics = host.engine().semantics();
-    let window = host.engine().config().window;
-    let journal = args.flag("trace").then(srpq_obs::Journal::default);
-    if let Some(j) = &journal {
-        j.record(
-            srpq_obs::EventKind::Recovery,
-            format!(
-                "checkpoint_seq={} replayed={} elapsed_ms={}",
-                report.checkpoint_seq, report.replayed_tuples, report.elapsed_ms
-            ),
-        );
+    let host = Host::from(durable);
+    drive_and_report(args, host, id, &tuples, resume, batch, workers)
+}
+
+/// `(--batch, --workers)`, read before anything touches a state
+/// directory; a batch of 0 is refused.
+fn drive_options(args: &Args) -> Result<(usize, usize), String> {
+    match args.get_num("batch", 1usize)? {
+        0 => Err("--batch must be at least 1".to_string()),
+        batch => Ok((batch, args.get_num("workers", 0usize)?)),
     }
-    let outcome = drive_stream(
-        &mut host,
-        &tuples,
-        resume,
-        limit,
-        batch,
-        args.flag("print-results"),
-        journal.as_ref(),
-    )?;
-    print_summary(
-        args,
-        &query_src,
-        semantics,
-        window.window_size,
-        window.slide,
-        batch,
-        &outcome,
-        &host,
-    );
-    if let Some(journal) = &journal {
-        print_trace(journal);
-    }
-    if let Some(path) = args.get("stats-json") {
-        write_stats_json(path, &host, &outcome)?;
-        eprintln!("stats json:   {path}");
-    }
-    Ok(())
 }
 
 fn cmd_wal_info(args: &Args) -> Result<(), String> {
@@ -443,60 +378,64 @@ fn cmd_wal_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The one-query [`MultiQueryEngine`] behind `run` / `recover`, plain
-/// or durability-wrapped, with the query's id kept for the summary.
-/// (The durable variant is much bigger; exactly one host exists per
-/// process, so boxing would buy nothing.)
-#[allow(clippy::large_enum_variant)]
-enum EngineHost {
-    Plain(MultiQueryEngine, QueryId),
-    Durable(Durable, QueryId),
+/// The tail `run` and `recover` share once the host stands: drives
+/// `tuples[start..]` (capped by `--limit`) through the host's one query
+/// `id` on `--workers` threads (0 = this one; byte-identical output at
+/// any count, see README), then prints the summary, the `--trace`
+/// journal and the `--stats-json` file.
+fn drive_and_report(
+    args: &Args,
+    mut host: Host,
+    id: QueryId,
+    tuples: &[StreamTuple],
+    start: usize,
+    batch: usize,
+    workers: usize,
+) -> Result<(), String> {
+    host.engine_mut().set_workers(workers);
+    // `--trace` journals slides and compactions through `Host::observe`,
+    // the diff the server's engine thread runs, and a durable host's
+    // checkpoints and recovery through its own hooks — the offline run
+    // and a live server write one and the same event stream.
+    let obs = args.flag("trace").then(Obs::new);
+    if let Some(obs) = &obs {
+        host.set_obs(obs.clone());
+    }
+    let end = tuples
+        .len()
+        .min(start.saturating_add(args.get_num("limit", usize::MAX)?));
+    let outcome = drive_stream(
+        &mut host,
+        id,
+        &tuples[start.min(end)..end],
+        start,
+        batch,
+        args.flag("print-results"),
+        obs.as_ref().map(Obs::journal),
+    )?;
+    let stats = stats_list(&host, id, &outcome);
+    print_summary(args, &host, id, batch, &outcome, &stats);
+    if let Some(obs) = &obs {
+        for e in obs.journal().since(0) {
+            eprintln!("trace #{:<5} {:<21} {}", e.seq, e.kind.name(), e.detail);
+        }
+    }
+    if let Some(path) = args.get("stats-json") {
+        write_stats_json(path, &stats)?;
+        eprintln!("stats json:   {path}");
+    }
+    Ok(())
 }
 
-impl EngineHost {
-    fn multi(&self) -> &MultiQueryEngine {
-        match self {
-            EngineHost::Plain(m, _) => m,
-            EngineHost::Durable(d, _) => d.inner(),
-        }
-    }
+/// The group engine evaluating the host's query `id`.
+fn query_engine(host: &Host, id: QueryId) -> &Engine {
+    host.engine().engine(id).expect("query registered")
+}
 
-    /// The group engine evaluating the query.
-    fn engine(&self) -> &Engine {
-        let (EngineHost::Plain(_, id) | EngineHost::Durable(_, id)) = self;
-        self.multi().engine(*id).expect("query registered")
-    }
-
-    /// Tuples no query spoke the label of (never routed, never stored).
-    fn discarded(&self) -> u64 {
-        let (seen, routed) = self.multi().routing_stats();
-        seen - routed
-    }
-
-    /// WAL/checkpoint totals; all zero for an undurable run.
-    fn durability(&self) -> DurabilityCounters {
-        match self {
-            EngineHost::Plain(..) => DurabilityCounters::default(),
-            EngineHost::Durable(d, _) => d.counters(),
-        }
-    }
-
-    fn process_batch<S: ResultSink>(
-        &mut self,
-        chunk: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<(), String> {
-        // One query: drop its tag so the output is its plain stream.
-        match self {
-            EngineHost::Plain(m, _) => {
-                m.process_batch(chunk, &mut UntagSink(sink));
-                Ok(())
-            }
-            EngineHost::Durable(d, _) => d
-                .process_batch(chunk, &mut UntagSink(sink))
-                .map_err(|e| e.to_string()),
-        }
-    }
+/// Tuples no query spoke the label of (never routed, never stored).
+fn discarded(host: &Host) -> u64 {
+    let (seen, routed) = host.engine().routing_stats();
+    seen - routed
 }
 
 /// What one drive produced (for the summary footer).
@@ -507,96 +446,31 @@ struct RunOutcome {
     elapsed: std::time::Duration,
 }
 
-/// Drives `tuples[start..]` (capped by `limit`) through the host in
+/// Drives `slice` (stream positions from `start`) through the host in
 /// `batch`-sized chunks, measuring mean per-relevant-tuple latency per
-/// chunk, printing results when `print` is set. With `trace`, window
-/// slides, compactions, and checkpoints detected between chunks are
-/// journaled through the same [`srpq_obs::StageTracker`] the server's
-/// engine thread uses — the offline run and a live server emit one and
-/// the same event stream (replayed to stderr after the run).
+/// chunk, printing results when `print` is set, and journaling each
+/// chunk's slides and compactions into `trace`.
 fn drive_stream(
-    host: &mut EngineHost,
-    tuples: &[StreamTuple],
+    host: &mut Host,
+    id: QueryId,
+    slice: &[StreamTuple],
     start: usize,
-    limit: usize,
     batch: usize,
     print: bool,
-    trace: Option<&srpq_obs::Journal>,
+    trace: Option<&Journal>,
 ) -> Result<RunOutcome, String> {
-    let end = tuples.len().min(start.saturating_add(limit));
-    let slice = &tuples[start.min(end)..end];
-    let mut histogram = LatencyHistogram::new();
-    let mut relevant = 0u64;
     let started = Instant::now();
-    #[allow(clippy::too_many_arguments)]
-    fn chunk_loop<S: ResultSink>(
-        host: &mut EngineHost,
-        slice: &[StreamTuple],
-        start: usize,
-        batch: usize,
-        histogram: &mut LatencyHistogram,
-        relevant: &mut u64,
-        sink: &mut S,
-        trace: Option<&srpq_obs::Journal>,
-    ) -> Result<(), String> {
-        let mut pos = start;
-        // Seed the watermarks from the host's lifetime counters so a
-        // recovered engine reports deltas, not totals (exactly what the
-        // server does at startup).
-        let mut tracker = srpq_obs::StageTracker::new();
-        {
-            let stats = host.engine().stats();
-            tracker.seed(stats.expiry_runs, host.durability().checkpoints_written);
-            tracker.seed_query("cli", stats.compactions);
-        }
-        for chunk in slice.chunks(batch.max(1)) {
-            let dfa = host.engine().query().dfa();
-            let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
-            *relevant += chunk_relevant;
-            let t0 = Instant::now();
-            host.process_batch(chunk, sink)?;
-            if let Some(per_tuple) = (t0.elapsed().as_nanos() as u64).checked_div(chunk_relevant) {
-                histogram.record(per_tuple);
-            }
-            pos += chunk.len();
-            if let Some(journal) = trace {
-                let now = *host.engine().stats();
-                let at = format!("pos={pos}");
-                tracker.slide(journal, &at, now.expiry_runs);
-                tracker.compaction(journal, "cli", now.compactions);
-                tracker.checkpoint(journal, &at, host.durability().checkpoints_written);
-            }
-        }
-        Ok(())
-    }
-    if print {
+    let (histogram, relevant) = if print {
         let mut collect = CollectSink::default();
-        chunk_loop(
-            host,
-            slice,
-            start,
-            batch,
-            &mut histogram,
-            &mut relevant,
-            &mut collect,
-            trace,
-        )?;
+        let drove = chunk_loop(host, id, slice, start, batch, &mut collect, trace)?;
         for &(p, ts) in collect.emitted() {
             println!("[{ts}] + ({}, {})", p.src.0, p.dst.0);
         }
+        drove
     } else {
         let mut count = CountSink::default();
-        chunk_loop(
-            host,
-            slice,
-            start,
-            batch,
-            &mut histogram,
-            &mut relevant,
-            &mut count,
-            trace,
-        )?;
-    }
+        chunk_loop(host, id, slice, start, batch, &mut count, trace)?
+    };
     Ok(RunOutcome {
         processed: slice.len(),
         relevant,
@@ -605,23 +479,49 @@ fn drive_stream(
     })
 }
 
-/// Replays a `--trace` journal to stderr, oldest first.
-fn print_trace(journal: &srpq_obs::Journal) {
-    for e in journal.since(0) {
-        eprintln!("trace #{:<5} {:<21} {}", e.seq, e.kind.name(), e.detail);
+/// [`drive_stream`]'s loop over one sink type: the per-relevant-tuple
+/// latency histogram and the relevant-tuple count.
+fn chunk_loop<S: ResultSink>(
+    host: &mut Host,
+    id: QueryId,
+    slice: &[StreamTuple],
+    start: usize,
+    batch: usize,
+    sink: &mut S,
+    trace: Option<&Journal>,
+) -> Result<(LatencyHistogram, u64), String> {
+    let mut histogram = LatencyHistogram::new();
+    let mut relevant = 0u64;
+    let mut pos = start;
+    for chunk in slice.chunks(batch) {
+        let dfa = query_engine(host, id).query().dfa();
+        let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
+        relevant += chunk_relevant;
+        let t0 = Instant::now();
+        // One query: drop its tag so the output is its plain stream.
+        host.process_batch(chunk, &mut UntagSink(sink))
+            .map_err(|e| e.to_string())?;
+        if let Some(per_tuple) = (t0.elapsed().as_nanos() as u64).checked_div(chunk_relevant) {
+            histogram.record(per_tuple);
+        }
+        pos += chunk.len();
+        if let Some(journal) = trace {
+            host.observe(journal, &format!("pos={pos}"));
+        }
     }
+    Ok((histogram, relevant))
 }
 
-/// `--stats-json`: the final [`srpq_core::EngineStats`] and index size
-/// as one JSON object (hand-rolled — every field is an integer, so no
-/// escaping is needed).
-fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Result<(), String> {
-    let stats = host.engine().stats();
-    let wal = host.durability();
-    let index = host.engine().index_size();
-    let mut fields: Vec<(&str, u64)> = vec![
+/// Every counter `--stats` and `--stats-json` report, listed once:
+/// `--stats` prints them in this order, `--stats-json` sorted by key.
+fn stats_list(host: &Host, id: QueryId, outcome: &RunOutcome) -> Vec<(&'static str, u64)> {
+    let engine = query_engine(host, id);
+    let stats = engine.stats();
+    let index = engine.index_size();
+    let wal = host.counters();
+    vec![
         ("tuples_processed", stats.tuples_processed),
-        ("tuples_discarded", host.discarded()),
+        ("tuples_discarded", discarded(host)),
         ("deletions_processed", stats.deletions_processed),
         ("insert_calls", stats.insert_calls),
         ("results_emitted", stats.results_emitted),
@@ -634,11 +534,6 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
         ("budget_exhausted", stats.budget_exhausted),
         ("tuples_routed", stats.tuples_routed),
         ("eval_ns", stats.eval_ns),
-        ("wal_bytes", wal.wal_bytes),
-        ("wal_appends", wal.wal_appends),
-        ("fsyncs", wal.fsyncs),
-        ("checkpoints_written", wal.checkpoints_written),
-        ("last_recovery_ms", wal.last_recovery_ms),
         ("delta_nodes_live", stats.delta_nodes_live),
         ("delta_capacity", stats.delta_capacity),
         ("compactions", stats.compactions),
@@ -647,14 +542,28 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
         ("index_arena_bytes", index.arena_bytes as u64),
         ("index_result_bytes", index.result_bytes as u64),
         ("index_reverse_bytes", index.reverse_index_bytes as u64),
-        ("graph_heap_bytes", host.multi().graph().heap_bytes() as u64),
+        (
+            "graph_heap_bytes",
+            host.engine().graph().heap_bytes() as u64,
+        ),
+        ("wal_bytes", wal.wal_bytes),
+        ("wal_appends", wal.wal_appends),
+        ("fsyncs", wal.fsyncs),
+        ("checkpoints_written", wal.checkpoints_written),
+        ("last_recovery_ms", wal.last_recovery_ms),
         ("tuples_driven", outcome.processed as u64),
         ("tuples_relevant", outcome.relevant),
-        ("results_live", host.engine().result_count() as u64),
+        ("results_live", engine.result_count() as u64),
         ("elapsed_ns", outcome.elapsed.as_nanos() as u64),
         ("latency_p50_ns", outcome.histogram.quantile(0.5)),
         ("latency_p99_ns", outcome.histogram.p99()),
-    ];
+    ]
+}
+
+/// `--stats-json`: [`stats_list`] as one JSON object, sorted by key
+/// (hand-rolled — every value is an integer, so no escaping is needed).
+fn write_stats_json(path: &str, stats: &[(&str, u64)]) -> Result<(), String> {
+    let mut fields = stats.to_vec();
     fields.sort_unstable_by_key(|&(k, _)| k);
     let body: Vec<String> = fields
         .iter()
@@ -664,27 +573,29 @@ fn write_stats_json(path: &str, host: &EngineHost, outcome: &RunOutcome) -> Resu
     std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn print_summary(
     args: &Args,
-    query_src: &str,
-    semantics: PathSemantics,
-    window: i64,
-    slide: i64,
+    host: &Host,
+    id: QueryId,
     batch: usize,
     outcome: &RunOutcome,
-    host: &EngineHost,
+    stats: &[(&str, u64)],
 ) {
-    let engine = host.engine();
-    let stats = engine.stats();
+    let engine = query_engine(host, id);
+    let window = host.engine().window();
     eprintln!("--");
-    eprintln!("query:        {query_src}");
-    eprintln!("semantics:    {semantics:?}  window |W|={window} slide β={slide}  batch={batch}",);
+    eprintln!("query:        {}", engine.query().regex());
+    eprintln!(
+        "semantics:    {:?}  window |W|={} slide β={}  batch={batch}",
+        engine.semantics(),
+        window.window_size,
+        window.slide
+    );
     eprintln!(
         "tuples:       {} total, {} relevant, {} discarded",
         outcome.processed,
         outcome.relevant,
-        host.discarded()
+        discarded(host)
     );
     eprintln!("results:      {}", engine.result_count());
     eprintln!(
@@ -699,14 +610,14 @@ fn print_summary(
     eprintln!("delta index:  {:?}", engine.index_size());
     eprintln!(
         "conflicts:    {} detected, {} unmarked",
-        stats.conflicts_detected, stats.nodes_unmarked
+        engine.stats().conflicts_detected,
+        engine.stats().nodes_unmarked
     );
-    match host.multi().n_workers() {
+    match host.engine().n_workers() {
         0 => {}
         n => eprintln!("workers:      {n} evaluation threads"),
     }
-    let wal = host.durability();
-    if let EngineHost::Durable(d, _) = host {
+    if let Some(d) = host.durable() {
         let info = d.wal_info();
         eprintln!(
             "wal:          {} records / {} bytes in {} segments under {}",
@@ -718,37 +629,14 @@ fn print_summary(
         eprintln!(
             "checkpoint:   latest @{} ({} written this run)",
             d.last_checkpoint_seq(),
-            wal.checkpoints_written
+            d.counters().checkpoints_written
         );
     }
     if args.flag("stats") {
         eprintln!("stats:");
-        eprintln!("  tuples_processed     {}", stats.tuples_processed);
-        eprintln!("  tuples_discarded     {}", host.discarded());
-        eprintln!("  deletions_processed  {}", stats.deletions_processed);
-        eprintln!("  insert_calls         {}", stats.insert_calls);
-        eprintln!("  results_emitted      {}", stats.results_emitted);
-        eprintln!("  results_invalidated  {}", stats.results_invalidated);
-        eprintln!("  expiry_runs          {}", stats.expiry_runs);
-        eprintln!("  nodes_expired        {}", stats.nodes_expired);
-        eprintln!("  expiry_nanos         {}", stats.expiry_nanos);
-        eprintln!("  conflicts_detected   {}", stats.conflicts_detected);
-        eprintln!("  nodes_unmarked       {}", stats.nodes_unmarked);
-        eprintln!("  budget_exhausted     {}", stats.budget_exhausted);
-        eprintln!("  delta_nodes_live     {}", stats.delta_nodes_live);
-        eprintln!("  delta_capacity       {}", stats.delta_capacity);
-        eprintln!("  compactions          {}", stats.compactions);
-        eprintln!("  index_result_bytes   {}", engine.result_bytes());
-        eprintln!("  index_reverse_bytes  {}", engine.reverse_index_bytes());
-        eprintln!(
-            "  graph_heap_bytes     {}",
-            host.multi().graph().heap_bytes()
-        );
-        eprintln!("  wal_bytes            {}", wal.wal_bytes);
-        eprintln!("  wal_appends          {}", wal.wal_appends);
-        eprintln!("  fsyncs               {}", wal.fsyncs);
-        eprintln!("  checkpoints_written  {}", wal.checkpoints_written);
-        eprintln!("  last_recovery_ms     {}", wal.last_recovery_ms);
+        for (k, v) in stats {
+            eprintln!("  {k:<20} {v}");
+        }
     }
 }
 

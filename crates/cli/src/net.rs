@@ -364,7 +364,7 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
                 .ok_or("ctl explain needs a query name")?;
             let x = client.explain(name).map_err(|e| e.to_string())?;
             if args.flag("json") {
-                print_explain_json(&x);
+                println!("{}", explain_json(&x));
             } else {
                 print_explain(&x);
             }
@@ -442,14 +442,12 @@ fn print_explain(x: &srpq_client::ExplainWire) {
     );
 }
 
-/// Machine-readable `ctl explain --json` (hand-rolled, std-only).
-fn print_explain_json(x: &srpq_client::ExplainWire) {
+/// Machine-readable `ctl explain --json` (hand-rolled, std-only). Names
+/// arrive from the network unvalidated, so every string goes through
+/// the full JSON escape.
+fn explain_json(x: &srpq_client::ExplainWire) -> String {
+    use srpq_obs::trace::json_escape as esc;
     use std::fmt::Write as _;
-    let esc = |s: &str| {
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-    };
     let mut out = String::new();
     let _ = write!(
         out,
@@ -500,5 +498,32 @@ fn print_explain_json(x: &srpq_client::ExplainWire) {
         let _ = write!(out, "{}\"{}\"", if i > 0 { "," } else { "" }, esc(name));
     }
     let _ = write!(out, "]}}");
-    println!("{out}");
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explain_json_escapes_control_characters() {
+        let x = srpq_client::ExplainWire {
+            name: "tab\there\u{1}".into(),
+            labels: vec![srpq_client::LabelRoute {
+                name: "l\u{1}".into(),
+                transitions: 1,
+                sharing_queries: 1,
+            }],
+            co_subscribers: vec!["cr\rname".into()],
+            ..Default::default()
+        };
+        let json = explain_json(&x);
+        assert!(json.contains("\"name\":\"tab\\there\\u0001\""), "{json}");
+        assert!(json.contains("\"name\":\"l\\u0001\""), "{json}");
+        assert!(json.contains("\"cr\\rname\""), "{json}");
+        assert!(
+            !json.chars().any(|c| (c as u32) < 0x20),
+            "raw control character in {json:?}"
+        );
+    }
 }

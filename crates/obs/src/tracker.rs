@@ -1,12 +1,12 @@
 //! Shared stats→journal derivation: turns monotone engine counters
 //! into journal events.
 //!
-//! Both the server's engine thread (per ingest batch) and the offline
-//! `run` driver (per stream chunk) detect slide boundaries,
-//! compactions, and checkpoints by diffing engine counters. This type
-//! is that diff, written once: only plain integers cross the API, so
-//! the core engines stay free of any metrics dependency while the
-//! server and the CLI journal the *same* event stream.
+//! `srpq_persist::Host::observe` — the one diff behind both the
+//! server's engine thread (per ingest batch) and the offline `run`
+//! driver (per stream chunk) — detects slide boundaries and compactions
+//! through this type. Only plain integers cross the API, so the core
+//! engines stay free of any metrics dependency. Checkpoint events are
+//! not derived here: `Durable`'s own hooks journal them.
 
 use crate::journal::{EventKind, Journal};
 use srpq_common::FxHashMap;
@@ -15,7 +15,6 @@ use srpq_common::FxHashMap;
 #[derive(Debug, Default)]
 pub struct StageTracker {
     last_expiry_runs: u64,
-    last_checkpoints: u64,
     last_compactions: FxHashMap<String, u64>,
 }
 
@@ -25,12 +24,11 @@ impl StageTracker {
         Self::default()
     }
 
-    /// Seeds the expiry/checkpoint watermarks (recovered hosts come up
-    /// with non-zero lifetime counters; the first diff should report
-    /// deltas, not totals).
-    pub fn seed(&mut self, expiry_runs: u64, checkpoints: u64) {
+    /// Seeds the expiry watermark (recovered hosts come up with non-zero
+    /// lifetime counters; the first diff should report deltas, not
+    /// totals).
+    pub fn seed(&mut self, expiry_runs: u64) {
         self.last_expiry_runs = expiry_runs;
-        self.last_checkpoints = checkpoints;
     }
 
     /// Seeds one query's compaction watermark.
@@ -62,29 +60,15 @@ impl StageTracker {
     /// Journals a [`EventKind::Compaction`] if `query`'s compaction
     /// counter advanced past its watermark.
     pub fn compaction(&mut self, journal: &Journal, query: &str, compactions: u64) -> bool {
-        let last = self.last_compactions.entry(query.to_string()).or_insert(0);
-        if compactions <= *last {
+        let last = self.last_compactions.get(query).copied().unwrap_or(0);
+        if compactions <= last {
             return false;
         }
         journal.record(
             EventKind::Compaction,
-            format!("query={query} compactions+={}", compactions - *last),
+            format!("query={query} compactions+={}", compactions - last),
         );
-        *last = compactions;
-        true
-    }
-
-    /// Journals a [`EventKind::Checkpoint`] if `checkpoints` advanced
-    /// past the watermark.
-    pub fn checkpoint(&mut self, journal: &Journal, at: &str, checkpoints: u64) -> bool {
-        if checkpoints <= self.last_checkpoints {
-            return false;
-        }
-        journal.record(
-            EventKind::Checkpoint,
-            format!("{at} checkpoints+={}", checkpoints - self.last_checkpoints),
-        );
-        self.last_checkpoints = checkpoints;
+        self.last_compactions.insert(query.to_string(), compactions);
         true
     }
 }
@@ -102,27 +86,23 @@ mod tests {
         assert!(!t.slide(&j, "chunk=2", 3));
         assert!(t.compaction(&j, "reach", 1));
         assert!(!t.compaction(&j, "reach", 1));
-        assert!(t.checkpoint(&j, "chunk=3", 2));
 
         let events = j.since(0);
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::SlideBoundary);
         assert_eq!(events[0].detail, "chunk=1 expiry_runs+=3");
         assert_eq!(events[1].kind, EventKind::Compaction);
         assert_eq!(events[1].detail, "query=reach compactions+=1");
-        assert_eq!(events[2].kind, EventKind::Checkpoint);
-        assert_eq!(events[2].detail, "chunk=3 checkpoints+=2");
     }
 
     #[test]
     fn seeding_suppresses_lifetime_totals() {
         let j = Journal::default();
         let mut t = StageTracker::new();
-        t.seed(100, 5);
+        t.seed(100);
         t.seed_query("q", 7);
         assert!(!t.slide(&j, "seq=1", 100));
         assert!(!t.compaction(&j, "q", 7));
-        assert!(!t.checkpoint(&j, "seq=1", 5));
         assert!(t.slide(&j, "seq=2", 101));
         let events = j.since(0);
         assert_eq!(events.len(), 1);

@@ -9,7 +9,7 @@
 //! of the live window, and the live window is a bounded suffix of the
 //! input log.
 //!
-//! Three pieces compose (every on-disk layout is in the format reference
+//! Four pieces compose (every on-disk layout is in the format reference
 //! of [`srpq_common::wire`], sections 3 and 4):
 //!
 //! * [`wal`] — a segmented, CRC32-checksummed write-ahead log of stream
@@ -25,7 +25,10 @@
 //!   [`srpq_core::MultiQueryEngine`]: WAL-append *before* mutation,
 //!   checkpoint every N slides, and [`Durable::recover`] restoring a
 //!   crashed instance that continues the stream as an uninterrupted run
-//!   (exactly under `Full`; see [`durable`]'s recovery guarantees).
+//!   (exactly under `Full`; see [`durable`]'s recovery guarantees);
+//! * [`host`] — [`Host`], what every driver holds: the engine in memory
+//!   or behind [`Durable`], chosen once, plus the one counter→journal
+//!   diff ([`Host::observe`]) behind slide and compaction events.
 //!
 //! There is one engine to persist and therefore **one checkpoint
 //! layout**: every host — `serve`'s registry, `srpq run`'s single query
@@ -67,9 +70,11 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod durable;
+pub mod host;
 pub mod wal;
 
 pub use checkpoint::CheckpointStrategy;
 pub use codec::PersistError;
 pub use durable::{DurabilityConfig, DurabilityCounters, Durable, RecoveryReport};
+pub use host::Host;
 pub use wal::{SyncPolicy, Wal, WalBatch, WalInfo};

@@ -16,12 +16,11 @@ use srpq_automata::CompiledQuery;
 use srpq_common::beacon::stage;
 use srpq_common::{FxHashSet, LabelInterner, StageBeacon, StreamTuple, Timestamp};
 use srpq_core::engine::PathSemantics;
-use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryId};
+use srpq_core::multi::{MultiQueryEngine, QueryId};
 use srpq_core::StageTotals;
-use srpq_obs::{Counter, EventKind, Gauge, Histogram, Obs, StageTracker};
-use srpq_persist::Durable;
+use srpq_obs::{Counter, EventKind, Gauge, Histogram, Obs};
+use srpq_persist::Host;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -31,58 +30,6 @@ use std::time::{Duration, Instant};
 /// giving up on it (a subscriber stuck on a dead socket must not wedge
 /// the control plane forever).
 const DRAIN_ACK_TIMEOUT: Duration = Duration::from_secs(3);
-
-/// The evaluation state behind the command channel.
-pub(crate) enum Host {
-    /// In-memory only (no `--wal-dir`).
-    Plain(Box<MultiQueryEngine>),
-    /// WAL + checkpoints.
-    Durable(Box<Durable<MultiQueryEngine>>),
-}
-
-impl Host {
-    fn engine(&self) -> &MultiQueryEngine {
-        match self {
-            Host::Plain(e) => e,
-            Host::Durable(d) => d.inner(),
-        }
-    }
-
-    /// The engine, for registry calls and `set_workers` — ingestion
-    /// goes through [`Self::process_batch`] so durable hosts log first.
-    pub(crate) fn engine_mut(&mut self) -> &mut MultiQueryEngine {
-        match self {
-            Host::Plain(e) => e,
-            Host::Durable(d) => d.inner_mut(),
-        }
-    }
-
-    fn is_durable(&self) -> bool {
-        matches!(self, Host::Durable(_))
-    }
-
-    fn process_batch<S: MultiSink>(
-        &mut self,
-        batch: &[StreamTuple],
-        sink: &mut S,
-    ) -> Result<(), String> {
-        match self {
-            Host::Plain(e) => {
-                e.process_batch(batch, sink);
-                Ok(())
-            }
-            Host::Durable(d) => d.process_batch(batch, sink).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Checkpoints durable state; `None` when the host is in-memory.
-    fn checkpoint(&mut self) -> Option<Result<u64, String>> {
-        match self {
-            Host::Plain(_) => None,
-            Host::Durable(d) => Some(d.checkpoint().map_err(|e| e.to_string())),
-        }
-    }
-}
 
 /// Per-worker `(eval_ns, expiry_ns)` ledgers with the coordinator's
 /// own evaluation time as one final synthetic entry; empty without
@@ -180,8 +127,6 @@ impl QueryGauges {
 pub(crate) struct EngineCore {
     host: Host,
     labels: LabelInterner,
-    /// Where to persist the label table (durable hosts only).
-    label_dir: Option<PathBuf>,
     subscribers: Vec<Subscriber>,
     /// Tuples accepted (equals the WAL sequence for durable hosts).
     seq: u64,
@@ -195,27 +140,17 @@ pub(crate) struct EngineCore {
     worker_gauges: Vec<(Gauge, Gauge)>,
     /// Stage counters at the last batch (per-batch delta source).
     last_stage: StageTotals,
-    /// Watermarks behind the slide-boundary and compaction journal
-    /// events (shared with the offline runner's `--trace` mode).
-    tracker: StageTracker,
     /// The coordinator's stage beacon, shared with the engine's batch
     /// path and sampled by the profiler as thread `srpq-engine`.
     beacon: Arc<StageBeacon>,
 }
 
 impl EngineCore {
-    pub(crate) fn new(
-        host: Host,
-        labels: LabelInterner,
-        label_dir: Option<PathBuf>,
-        seq: u64,
-        obs: Obs,
-    ) -> EngineCore {
+    pub(crate) fn new(host: Host, labels: LabelInterner, seq: u64, obs: Obs) -> EngineCore {
         let metrics = CoreMetrics::new(&obs);
         let mut core = EngineCore {
             host,
             labels,
-            label_dir,
             subscribers: Vec::new(),
             seq,
             results_pushed: 0,
@@ -225,20 +160,13 @@ impl EngineCore {
             query_gauges: HashMap::new(),
             worker_gauges: Vec::new(),
             last_stage: StageTotals::default(),
-            tracker: StageTracker::new(),
             beacon: Arc::new(StageBeacon::new()),
         };
         // Recovered hosts come up with live queries and non-zero stage
-        // ledgers; seed the gauges and watermarks so the first batch
-        // reports deltas, not lifetime totals.
+        // ledgers; seed the gauges so the first batch reports deltas,
+        // not lifetime totals (the host seeds its journal watermarks).
         core.last_stage = core.host.engine().stage_totals();
         core.refresh_gauges();
-        core.tracker.seed(core.sum_expiry_runs(), 0);
-        for id in core.host.engine().query_ids() {
-            let stats = *core.host.engine().stats(id).expect("live id");
-            let name = core.host.engine().name(id).unwrap_or("").to_string();
-            core.tracker.seed_query(&name, stats.compactions);
-        }
         // Hand the batch path its beacon and register every evaluation
         // thread with the profiler (the coordinator, plus one beacon
         // per pool worker).
@@ -252,19 +180,6 @@ impl EngineCore {
                 .register(format!("srpq-multi-worker-{i}"), b.clone());
         }
         core
-    }
-
-    /// Expiry passes summed over evaluation *groups*: per-query stats
-    /// alias the owning group's, so a per-id sum would count a shared
-    /// forest once per subscriber.
-    fn sum_expiry_runs(&self) -> u64 {
-        let engine = self.host.engine();
-        engine
-            .group_ids()
-            .iter()
-            .filter_map(|&g| engine.group_engine(g))
-            .map(|e| e.stats().expiry_runs)
-            .sum()
     }
 
     /// Publishes the pull-model gauges: per-query Δ/occupancy/time,
@@ -346,24 +261,8 @@ impl EngineCore {
             self.metrics.hist_emit.record(emit_ns);
         }
         self.last_stage = stage;
-        let expiry_runs = self.sum_expiry_runs();
-        let at = format!("seq={}", self.seq);
-        self.tracker.slide(self.obs.journal(), &at, expiry_runs);
-        let per_query: Vec<(String, u64)> = {
-            let engine = self.host.engine();
-            engine
-                .query_ids()
-                .into_iter()
-                .filter_map(|id| {
-                    let stats = engine.stats(id)?;
-                    Some((engine.name(id)?.to_string(), stats.compactions))
-                })
-                .collect()
-        };
-        for (name, compactions) in per_query {
-            self.tracker
-                .compaction(self.obs.journal(), &name, compactions);
-        }
+        self.host
+            .observe(self.obs.journal(), &format!("seq={}", self.seq));
     }
 
     /// Serves commands until `Shutdown` (graceful: earlier commands in
@@ -405,7 +304,7 @@ impl EngineCore {
             Msg::Hello { .. } => Msg::HelloAck {
                 proto: crate::protocol::PROTO_VERSION,
                 seq: self.seq,
-                durable: self.host.is_durable(),
+                durable: self.host.durable().is_some(),
             },
             Msg::MapLabels { names } => {
                 let before = self.labels.len();
@@ -489,7 +388,7 @@ impl EngineCore {
                     msg: "server runs without --wal-dir; nothing to checkpoint".into(),
                 },
                 Some(Ok(seq)) => Msg::CheckpointDone { seq },
-                Some(Err(e)) => Msg::Error { msg: e },
+                Some(Err(e)) => Msg::Error { msg: e.to_string() },
             },
             Msg::Stats => {
                 let engine = self.host.engine();
@@ -553,7 +452,7 @@ impl EngineCore {
         if tuples.is_empty() {
             return Msg::IngestAck {
                 seq: self.seq,
-                durable: self.host.is_durable(),
+                durable: self.host.durable().is_some(),
             };
         }
         // Validate before anything touches the WAL or the engine: a
@@ -604,7 +503,7 @@ impl EngineCore {
                 .collect();
             (engine.stage_totals(), groups)
         });
-        if self.host.is_durable() {
+        if self.host.durable().is_some() {
             // The WAL append runs on this thread before the engine's
             // batch path takes over the beacon.
             self.beacon.set(stage::WAL);
@@ -620,7 +519,7 @@ impl EngineCore {
             self.beacon.set(stage::IDLE);
             // The WAL refused (e.g. disk trouble): the engine saw
             // nothing, so the session can report and carry on.
-            return Msg::Error { msg: e };
+            return Msg::Error { msg: e.to_string() };
         }
         let t_b1 = Instant::now();
         // The emit stage is the end-of-batch hand-off of staged frames
@@ -665,7 +564,7 @@ impl EngineCore {
         self.refresh_gauges();
         Msg::IngestAck {
             seq: self.seq,
-            durable: self.host.is_durable(),
+            durable: self.host.durable().is_some(),
         }
     }
 
@@ -690,6 +589,15 @@ impl EngineCore {
             PathSemantics::Arbitrary
         };
         let engine = self.host.engine_mut();
+        // A subscriber that declared this name must see every result,
+        // backfill included, so resolve name filters *before*
+        // registering. The id is the next slot index by construction.
+        let id_next = engine.n_slots() as u32;
+        for sub in self.subscribers.iter_mut() {
+            if sub.names.iter().any(|n| n == &name) {
+                sub.queries.insert(id_next);
+            }
+        }
         let registered = if backfill {
             let mut sink = FanoutSink {
                 subscribers: &mut self.subscribers,
@@ -697,18 +605,15 @@ impl EngineCore {
                 dropped: &mut self.results_dropped,
                 stamp: None,
             };
-            // A subscriber that declared this name must see the
-            // backfill results, so resolve name filters *before*
-            // replay. The id is the next slot index by construction.
-            let id_next = engine.n_slots() as u32;
-            for sub in sink.subscribers.iter_mut() {
-                if sub.names.iter().any(|n| n == &name) {
-                    sub.queries.insert(id_next);
-                }
-            }
             let r = engine.register_backfilled(&name, query, semantics, &mut sink);
             sink.finish();
-            if r.is_err() {
+            r
+        } else {
+            engine.register(&name, query, semantics)
+        };
+        let id = match registered {
+            Ok(id) => id,
+            Err(e) => {
                 // Nothing was registered (duplicate name), so the
                 // predicted slot id must not linger in any filter — a
                 // later unrelated query would take that id and leak its
@@ -716,22 +621,9 @@ impl EngineCore {
                 for sub in self.subscribers.iter_mut() {
                     sub.queries.remove(&id_next);
                 }
+                return Msg::Error { msg: e.to_string() };
             }
-            r
-        } else {
-            engine.register(&name, query, semantics)
         };
-        let id = match registered {
-            Ok(id) => id,
-            Err(e) => return Msg::Error { msg: e.to_string() },
-        };
-        if !backfill {
-            for sub in self.subscribers.iter_mut() {
-                if sub.names.iter().any(|n| n == &name) {
-                    sub.queries.insert(id.0);
-                }
-            }
-        }
         // Registration becomes durable with the state it applies to.
         if let Some(Err(e)) = self.host.checkpoint() {
             return Msg::Error {
@@ -747,13 +639,12 @@ impl EngineCore {
     }
 
     fn remove_query(&mut self, name: String) -> Msg {
-        let engine = self.host.engine_mut();
-        let Some(id) = engine.query_id(&name) else {
+        let Some(id) = self.host.engine().query_id(&name) else {
             return Msg::Error {
                 msg: format!("no live query named {name:?}"),
             };
         };
-        if let Err(e) = engine.deregister(id) {
+        if let Err(e) = self.host.deregister(id) {
             return Msg::Error { msg: e.to_string() };
         }
         for sub in &mut self.subscribers {
@@ -770,7 +661,6 @@ impl EngineCore {
         // Stop exporting the removed query's series; a re-registration
         // under the same name starts fresh.
         self.query_gauges.remove(&id.0);
-        self.tracker.reset_query(&name);
         self.obs.registry().remove_labeled("query", &name);
         self.refresh_gauges();
         Msg::QueryRemoved { id: id.0 }
@@ -819,7 +709,7 @@ impl EngineCore {
         let eval_ns = stage_now.eval_ns.saturating_sub(stage_pre.eval_ns);
         let batch_ns = t_b1.duration_since(t_b0).as_nanos() as u64;
         let mut cur = t_b0;
-        if self.host.is_durable() {
+        if self.host.durable().is_some() {
             let wal_ns = batch_ns.saturating_sub(route_ns + eval_ns);
             let end = cur + Duration::from_nanos(wal_ns);
             tb.record(trace_id, root, "wal", cur, end, THREAD, "");
@@ -945,8 +835,8 @@ impl EngineCore {
         if self.labels.len() == before {
             return Ok(());
         }
-        if let Some(dir) = &self.label_dir {
-            labels::save(&self.labels, dir)
+        if let Some(durable) = self.host.durable() {
+            labels::save(&self.labels, durable.dir())
                 .map_err(|e| format!("persisting the label table failed: {e}"))?;
         }
         Ok(())

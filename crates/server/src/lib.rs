@@ -47,14 +47,17 @@
 //!
 //! # Durability
 //!
-//! With a WAL directory the server wraps the engine in
+//! The engine thread holds an [`srpq_persist::Host`], the one host
+//! `srpq run` holds too. With a WAL directory it wraps the engine in
 //! [`srpq_persist::Durable`]: batches are logged before evaluation,
 //! registrations are made durable by an immediate checkpoint, and the
 //! label table is persisted next to the WAL ([`labels`]). Restarting
 //! over the same directory recovers checkpoint + WAL suffix + label
 //! table and continues at the acked sequence number — a late
 //! [`protocol::Msg::HelloAck`] tells resuming ingest clients where to
-//! pick up.
+//! pick up. Slide, compaction, checkpoint and recovery events reach
+//! the journal through the host (`Host::observe` and `Durable`'s
+//! hooks), in the same detail `run --trace` prints.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -8,7 +8,7 @@
 //! queue to the socket until the client hangs up or the server shuts
 //! down.
 
-use crate::core::{render_push, Cmd, EngineCore, Host};
+use crate::core::{render_push, Cmd, EngineCore};
 use crate::labels;
 use crate::protocol::{Msg, SpanWire, PROTO_VERSION};
 use crate::subscriber::{BatchStamp, Push, DEFAULT_CAPACITY};
@@ -16,7 +16,7 @@ use srpq_common::LabelInterner;
 use srpq_core::multi::MultiQueryEngine;
 use srpq_core::EngineConfig;
 use srpq_obs::{Counter, EventKind, Histogram, MetricsServer, Obs};
-use srpq_persist::{checkpoint, DurabilityConfig, Durable, RecoveryReport};
+use srpq_persist::{checkpoint, DurabilityConfig, Durable, Host, RecoveryReport};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -212,14 +212,14 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     let (mut host, interner, seq, recovery) = match &config.wal_dir {
         None => {
             let engine = MultiQueryEngine::with_config(config.engine);
-            (Host::Plain(Box::new(engine)), LabelInterner::new(), 0, None)
+            (Host::from(engine), LabelInterner::new(), 0, None)
         }
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             let has_state = checkpoint::load_latest(dir)
                 .map_err(|e| e.to_string())?
                 .is_some();
-            let (mut durable, interner, report) = if has_state {
+            let (durable, interner, report) = if has_state {
                 let mut interner = labels::load(dir)?;
                 let (durable, report) =
                     Durable::<MultiQueryEngine>::recover(dir, &mut interner, config.durability)
@@ -234,11 +234,11 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
                 .map_err(|e| e.to_string())?;
                 (durable, LabelInterner::new(), None)
             };
-            durable.set_obs(obs.clone());
             let seq = report.map_or(0, |r| r.resume_seq);
-            (Host::Durable(Box::new(durable)), interner, seq, report)
+            (Host::from(durable), interner, seq, report)
         }
     };
+    host.set_obs(obs.clone());
     // Checkpoints store no worker count, so fresh and recovered engines
     // alike start without workers; `--workers` may change freely across
     // restarts.
@@ -249,7 +249,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
     let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(config.pipeline_depth.max(1));
-    let core = EngineCore::new(host, interner, config.wal_dir.clone(), seq, obs.clone());
+    let core = EngineCore::new(host, interner, seq, obs.clone());
     let engine_thread = std::thread::Builder::new()
         .name("srpq-engine".into())
         .spawn(move || core.run(cmd_rx))

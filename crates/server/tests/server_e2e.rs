@@ -99,38 +99,56 @@ fn ingest_query_subscribe_roundtrip() {
 
 #[test]
 fn backfilled_add_reaches_prior_named_subscriber() {
-    let server = start_in_memory();
-    let addr = server.addr();
-    let mut control = Client::connect(addr).unwrap();
-    // The shared window only materializes labels some live query
-    // speaks, so the first query must cover `a` and `b` for the later
-    // backfill to see both (see `register_backfilled`'s docs).
-    control.add_query("first", "a | b", false, false).unwrap();
+    // A subscriber that named a query before it existed receives its
+    // results, whether the mid-stream registration is backfilled or
+    // plain (the plain one only sees tuples after it).
+    for backfill in [true, false] {
+        let server = start_in_memory();
+        let addr = server.addr();
+        let mut control = Client::connect(addr).unwrap();
+        // The shared window only materializes labels some live query
+        // speaks, so the first query must cover `a` and `b` for the later
+        // backfill to see both (see `register_backfilled`'s docs).
+        control.add_query("first", "a | b", false, false).unwrap();
 
-    // Subscribe *by name* to a query that does not exist yet.
-    let sub = Client::connect(addr)
-        .unwrap()
-        .subscribe(&["late".to_string()], SubPolicy::Block, 0)
-        .unwrap();
-    assert_eq!(sub.matched(), 0);
-    let collector = std::thread::spawn(move || sub.collect_to_end().unwrap());
+        // Subscribe *by name* to a query that does not exist yet.
+        let sub = Client::connect(addr)
+            .unwrap()
+            .subscribe(&["late".to_string()], SubPolicy::Block, 0)
+            .unwrap();
+        assert_eq!(sub.matched(), 0);
+        let collector = std::thread::spawn(move || sub.collect_to_end().unwrap());
 
-    let mut ingest = Client::connect(addr).unwrap();
-    let ids = ingest
-        .map_labels(&["a".to_string(), "b".to_string()])
-        .unwrap();
-    ingest.ingest(&chain(&ids, 6)).unwrap();
+        let mut ingest = Client::connect(addr).unwrap();
+        let ids = ingest
+            .map_labels(&["a".to_string(), "b".to_string()])
+            .unwrap();
+        let tuples = chain(&ids, 12);
+        ingest.ingest(&tuples[..6]).unwrap();
 
-    // The backfilled registration replays the live window; the named
-    // subscriber must receive those backfill results.
-    let id = control.add_query("late", "a b", false, true).unwrap();
-    assert_eq!(id, 1);
-    control.drain().unwrap();
-    control.shutdown().unwrap();
-    server.join();
-    let (entries, _) = collector.join().unwrap();
-    assert!(!entries.is_empty());
-    assert!(entries.iter().all(|e| e.query == 1));
+        // A backfilled registration replays the live window; the named
+        // subscriber must receive those backfill results, and both kinds
+        // stream what arrives after.
+        let id = control.add_query("late", "a b", false, backfill).unwrap();
+        assert_eq!(id, 1);
+        control.drain().unwrap();
+        ingest.ingest(&tuples[6..]).unwrap();
+        control.drain().unwrap();
+        control.shutdown().unwrap();
+        server.join();
+        let (entries, _) = collector.join().unwrap();
+        assert!(
+            entries.iter().any(|e| e.src >= 6),
+            "backfill={backfill}: no result of the post-registration tuples"
+        );
+        if backfill {
+            assert!(
+                entries.iter().any(|e| e.src < 6),
+                "backfill results missing"
+            );
+        }
+        assert!(entries.iter().all(|e| e.query == 1));
+    }
 }
 
 #[test]
