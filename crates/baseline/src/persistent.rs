@@ -12,7 +12,7 @@
 use crate::batch;
 use srpq_automata::CompiledQuery;
 use srpq_common::{FxHashSet, ResultPair, StreamTuple, Timestamp};
-use srpq_core::sink::ResultSink;
+use srpq_core::multi::{MultiSink, QueryId};
 use srpq_graph::{WindowGraph, WindowPolicy};
 
 /// A persistent-query engine that re-runs the batch algorithm on the
@@ -61,8 +61,9 @@ impl ReevalEngine {
 
     /// Processes one tuple: update the window, then re-evaluate the
     /// query from scratch on the snapshot, emitting newly appearing
-    /// pairs (implicit window semantics).
-    pub fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
+    /// pairs (implicit window semantics) under `QueryId(0)`, the id a
+    /// lone registration gets.
+    pub fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
         let prev = self.now;
         if tuple.ts > self.now {
             self.now = tuple.ts;
@@ -91,7 +92,7 @@ impl ReevalEngine {
         let results = batch::evaluate_arbitrary(&self.graph, wm, self.query.dfa());
         for pair in results {
             if self.emitted.insert(pair) {
-                sink.emit(pair, self.now);
+                sink.emit(QueryId(0), pair, self.now);
             }
         }
     }
@@ -128,7 +129,7 @@ mod tests {
         let mut s2 = CollectSink::default();
         for t in stream {
             reeval.process(t, &mut s1);
-            incremental.process(t, &mut srpq_core::UntagSink(&mut s2));
+            incremental.process(t, &mut s2);
         }
         assert_eq!(s1.pairs(), s2.pairs());
         assert!(reeval.result_count() > 0);

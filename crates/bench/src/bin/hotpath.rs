@@ -35,13 +35,12 @@
 //! so the orchestrator (and CI) can parse results from either binary.
 //! The source intentionally sticks to APIs the baseline also has —
 //! `make_engine`/`run_engine` with the engine type left to inference,
-//! `MultiQueryEngine`, `UntagSink` — so the identical file builds in
+//! `MultiQueryEngine`, `MultiSink` — so the identical file builds in
 //! the baseline worktree.
 
 use srpq_bench::{compile_query, gmark_fixture, jsonout, make_engine, run_engine};
-use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiQueryEngine, UntagSink};
-use srpq_core::sink::CountSink;
+use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
+use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryId};
 use srpq_core::PathSemantics;
 use srpq_datagen::Dataset;
 use srpq_graph::WindowPolicy;
@@ -178,6 +177,15 @@ fn row_aggregate() -> Row {
     }
 }
 
+/// Counts emissions, whatever the query tag.
+struct CountMultiSink(u64);
+
+impl MultiSink for CountMultiSink {
+    fn emit(&mut self, _id: QueryId, _pair: ResultPair, _ts: Timestamp) {
+        self.0 += 1;
+    }
+}
+
 /// The same 8 queries sharing one window through `MultiQueryEngine`
 /// (single thread, batched ingestion) — the multi-query hot path the
 /// serving layer drives, including the per-batch stage accounting
@@ -185,25 +193,6 @@ fn row_aggregate() -> Row {
 /// Interleaved against the merge-base binary, this row bounds the
 /// accounting overhead; CI fails if it regresses beyond noise.
 fn row_multi_agg() -> Row {
-    struct CountMultiSink(u64);
-    impl srpq_core::multi::MultiSink for CountMultiSink {
-        fn emit(
-            &mut self,
-            _id: srpq_core::QueryId,
-            _pair: srpq_common::ResultPair,
-            _ts: Timestamp,
-        ) {
-            self.0 += 1;
-        }
-
-        fn invalidate(
-            &mut self,
-            _id: srpq_core::QueryId,
-            _pair: srpq_common::ResultPair,
-            _ts: Timestamp,
-        ) {
-        }
-    }
     let (ds, queries) = gmark_fixture(1, 8);
     let span = span_of(&ds);
     let window = WindowPolicy::new((span / 4).max(4), (span / 40).max(1));
@@ -303,7 +292,7 @@ fn row_alloc_steady(assert_zero: bool) -> Row {
             PathSemantics::Arbitrary,
         )
         .expect("ring query registers");
-    let mut sink = CountSink::default();
+    let mut sink = CountMultiSink(0);
     let (mut tuples, mut ns, mut allocs) = (0u64, 0u64, 0u64);
     for cycle in 0..CYCLES {
         if cycle == CYCLES - 1 {
@@ -314,7 +303,7 @@ fn row_alloc_steady(assert_zero: bool) -> Row {
         for i in 0..N {
             let ts = Timestamp(cycle * i64::from(N) + i64::from(i));
             let t = StreamTuple::insert(ts, VertexId(i), VertexId((i + 1) % N), a);
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
         }
         if cycle == CYCLES - 1 {
             COUNTING.store(false, Relaxed);

@@ -13,9 +13,7 @@
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, LatencyHistogram, StreamTuple};
 use srpq_core::sink::CountSink;
-use srpq_core::{
-    Engine, EngineConfig, EngineStats, IndexSize, MultiQueryEngine, PathSemantics, UntagSink,
-};
+use srpq_core::{Engine, EngineConfig, EngineStats, IndexSize, MultiQueryEngine, PathSemantics};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset, DatasetKind};
 use srpq_graph::WindowPolicy;
 use std::path::PathBuf;
@@ -150,7 +148,7 @@ pub fn drive(
         relevant += batch_relevant;
         // Only batches holding a relevant tuple are timed (§5.2).
         let t0 = (batch_relevant > 0).then(Instant::now);
-        engine.process_batch(batch, &mut UntagSink(&mut sink));
+        engine.process_batch(batch, &mut sink);
         if let Some(t0) = t0 {
             latency.record(t0.elapsed().as_nanos() as u64 / batch_relevant);
         }

@@ -3,15 +3,16 @@
 use crate::args::Args;
 use crate::streamfile;
 use srpq_automata::CompiledQuery;
-use srpq_common::{LabelInterner, LatencyHistogram, StreamTuple};
+use srpq_common::{LabelInterner, LatencyHistogram, ResultPair, StreamTuple, Timestamp};
 use srpq_core::engine::{Engine, PathSemantics};
-use srpq_core::multi::{MultiQueryEngine, UntagSink};
-use srpq_core::sink::{CollectSink, CountSink, ResultSink};
+use srpq_core::multi::{MultiQueryEngine, MultiSink};
+use srpq_core::sink::CountSink;
 use srpq_core::{EngineConfig, QueryId};
 use srpq_datagen::{gmark, ldbc, so, yago, Dataset};
 use srpq_graph::WindowPolicy;
 use srpq_obs::{Journal, Obs};
 use srpq_persist::{CheckpointStrategy, DurabilityConfig, Durable, Host, SyncPolicy};
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
@@ -32,8 +33,8 @@ const USAGE: &str = "usage:
   srpq wal-info --wal-dir DIR
   srpq serve --listen ADDR --window W [--slide B]
            [--workers N] [--wal-dir DIR [--sync ...] [--checkpoint ...]
-            [--checkpoint-every N] [--segment-bytes N]] [--pipeline N]
-           [--metrics-addr ADDR] [--e2e-sample N] [--trace-sample N]
+            [--checkpoint-every N] [--segment-bytes N]]
+           [--metrics-addr ADDR] [--trace-sample N]
   srpq ingest --connect ADDR --stream FILE [--batch N] [--limit N]
            [--resume] [--drain]
   srpq subscribe --connect ADDR [--queries a,b] [--policy block|drop]
@@ -461,11 +462,16 @@ fn drive_stream(
 ) -> Result<RunOutcome, String> {
     let started = Instant::now();
     let (histogram, relevant) = if print {
-        let mut collect = CollectSink::default();
-        let drove = chunk_loop(host, id, slice, start, batch, &mut collect, trace)?;
-        for &(p, ts) in collect.emitted() {
-            println!("[{ts}] + ({}, {})", p.src.0, p.dst.0);
+        let mut out = PrintSink {
+            out: std::io::BufWriter::new(std::io::stdout()),
+            failed: None,
+        };
+        let drove = chunk_loop(host, id, slice, start, batch, &mut out, trace)?;
+        match out.failed {
+            None => out.out.flush(),
+            Some(e) => Err(e),
         }
+        .map_err(|e| format!("writing results: {e}"))?;
         drove
     } else {
         let mut count = CountSink::default();
@@ -479,9 +485,26 @@ fn drive_stream(
     })
 }
 
+/// `--print-results`: writes each emission of the one query to stdout
+/// as it arrives (invalidations are not printed). The first write error
+/// stops the output and is reported after the drive.
+struct PrintSink<W: Write> {
+    out: W,
+    failed: Option<std::io::Error>,
+}
+
+impl<W: Write> MultiSink for PrintSink<W> {
+    fn emit(&mut self, _id: QueryId, p: ResultPair, ts: Timestamp) {
+        if self.failed.is_none() {
+            let line = writeln!(self.out, "[{ts}] + ({}, {})", p.src.0, p.dst.0);
+            self.failed = line.err();
+        }
+    }
+}
+
 /// [`drive_stream`]'s loop over one sink type: the per-relevant-tuple
 /// latency histogram and the relevant-tuple count.
-fn chunk_loop<S: ResultSink>(
+fn chunk_loop<S: MultiSink>(
     host: &mut Host,
     id: QueryId,
     slice: &[StreamTuple],
@@ -498,9 +521,7 @@ fn chunk_loop<S: ResultSink>(
         let chunk_relevant = chunk.iter().filter(|t| dfa.knows_label(t.label)).count() as u64;
         relevant += chunk_relevant;
         let t0 = Instant::now();
-        // One query: drop its tag so the output is its plain stream.
-        host.process_batch(chunk, &mut UntagSink(sink))
-            .map_err(|e| e.to_string())?;
+        host.process_batch(chunk, sink).map_err(|e| e.to_string())?;
         if let Some(per_tuple) = (t0.elapsed().as_nanos() as u64).checked_div(chunk_relevant) {
             histogram.record(per_tuple);
         }
@@ -657,6 +678,41 @@ mod tests {
     #[test]
     fn unknown_command_rejected() {
         assert!(dispatch(&argv(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn print_sink_streams_emissions_and_keeps_the_first_error() {
+        let pair = ResultPair::new(srpq_common::VertexId(3), srpq_common::VertexId(7));
+        let mut sink = PrintSink {
+            out: Vec::new(),
+            failed: None,
+        };
+        sink.emit(QueryId(0), pair, Timestamp(5));
+        sink.invalidate(QueryId(0), pair, Timestamp(6));
+        sink.emit(QueryId(0), pair, Timestamp(8));
+        let text = String::from_utf8(sink.out).unwrap();
+        assert_eq!(text, "[5] + (3, 7)\n[8] + (3, 7)\n");
+
+        // A writer that failed is not written again; the error is kept.
+        struct Refuses(usize);
+        impl Write for Refuses {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = PrintSink {
+            out: Refuses(0),
+            failed: None,
+        };
+        sink.emit(QueryId(0), pair, Timestamp(5));
+        sink.emit(QueryId(0), pair, Timestamp(8));
+        assert_eq!(sink.out.0, 1);
+        let kind = sink.failed.map(|e| e.kind());
+        assert_eq!(kind, Some(std::io::ErrorKind::BrokenPipe));
     }
 
     #[test]

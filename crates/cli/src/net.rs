@@ -40,10 +40,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         engine,
         wal_dir: wal_dir.clone(),
         durability: crate::commands::durability_config(args)?,
-        pipeline_depth: args.get_num("pipeline", 16usize)?,
         workers,
         metrics_addr: args.get("metrics-addr").map(str::to_string),
-        e2e_sample: args.get_num("e2e-sample", 1u32)?,
         trace_sample: args.get_num("trace-sample", 0u32)?,
     };
     let handle = srpq_server::start(config)?;

@@ -59,7 +59,7 @@
 //!    equivalence) is unchanged.
 //! 4. **Expiry bound**: [`Tree::min_ts`] is at most the timestamp of
 //!    every live non-root node. Every timestamp write lowers it
-//!    (`add_child`, `reparent`, `set_ts`, and `set_subtree_ts` — which
+//!    (`add_child`, `reparent`, and `set_subtree_ts` — which
 //!    covers Delete's `-∞` stamp); the two fused expiry sweeps recompute
 //!    it exactly over their survivors; `new`, `reset_root` and
 //!    `from_snapshot` set it; removals and compaction keep it valid.

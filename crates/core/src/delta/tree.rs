@@ -158,7 +158,7 @@ pub struct Tree<X: TreeSemantics> {
     ts: Vec<Timestamp>,
     /// Lower bound on `ts` over every live non-root node (`INFINITY`
     /// when there is none). Lowered by every timestamp write
-    /// (`add_child`, `reparent`, `set_ts`, `set_subtree_ts`), recomputed
+    /// (`add_child`, `reparent`, `set_subtree_ts`), recomputed
     /// exactly by the fused sweeps, set by `new` / `reset_root` /
     /// `from_snapshot`; removals and compaction leave it a valid bound.
     min_ts: Timestamp,
@@ -528,13 +528,6 @@ impl<X: TreeSemantics> Tree<X> {
         self.unlink(id);
         self.parent[i] = new_parent;
         self.link_under(new_parent, id);
-    }
-
-    /// Updates only the timestamp of the live node `id`.
-    pub fn set_ts(&mut self, id: NodeId, ts: Timestamp) {
-        assert!(self.live(id as usize), "node must be alive");
-        self.ts[id as usize] = ts;
-        self.min_ts = self.min_ts.min(ts);
     }
 
     /// Removes the node at `id`, if alive. Cleans the occurrence index,

@@ -40,7 +40,7 @@ use crate::delta::{Forest, NodeId, TreeSemantics, TreeSnap};
 use crate::rapq::Rapq;
 use crate::results::ResultSet;
 use crate::rspq::Rspq;
-use crate::sink::ResultSink;
+use crate::schedule::EvSink;
 use crate::stats::{DeltaProfile, EngineStats, IndexSize};
 use srpq_automata::{CompiledQuery, Dfa};
 use srpq_common::{Op, ResultPair, StreamTuple, Timestamp, VertexId};
@@ -95,7 +95,7 @@ enum Delta {
 
 /// What a per-tree procedure borrows from the shell for the duration of
 /// one tuple or one expiry pass.
-pub(crate) struct TreeCx<'a, S> {
+pub(crate) struct TreeCx<'a> {
     pub query: &'a CompiledQuery,
     pub config: &'a EngineConfig,
     /// The graph to traverse: it has already absorbed the tuple's
@@ -109,7 +109,7 @@ pub(crate) struct TreeCx<'a, S> {
     pub now: Timestamp,
     pub emitted: &'a mut ResultSet,
     pub stats: &'a mut EngineStats,
-    pub sink: &'a mut S,
+    pub sink: EvSink<'a>,
     pub compact_scratch: &'a mut Vec<NodeId>,
     /// `Extend` invocations left before the traversal is abandoned
     /// ([`EngineConfig::rspq_extend_budget`]); one allowance per tuple
@@ -128,12 +128,7 @@ pub(crate) trait PerTree {
     fn forest_mut(&mut self) -> &mut Forest<Self::Sem>;
 
     /// Extends the tree rooted at `root` with the inserted `edge`.
-    fn extend_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        edge: StreamTuple,
-    );
+    fn extend_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, edge: StreamTuple);
 
     /// Stamps `-∞` on every subtree of the tree rooted at `root` that
     /// hangs off the deleted `edge`. Returns whether there was one.
@@ -141,12 +136,7 @@ pub(crate) trait PerTree {
 
     /// Expires the tree rooted at `root` at `cx.wm`, reporting
     /// invalidations only if `invalidate`.
-    fn expire_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        invalidate: bool,
-    );
+    fn expire_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, invalidate: bool);
 }
 
 impl Engine {
@@ -318,12 +308,12 @@ impl Engine {
     /// batch schedule runs per position and routed group, on a worker
     /// or on the calling thread, while other threads may read the same
     /// graph.
-    pub(crate) fn extend<S: ResultSink>(
+    pub(crate) fn extend(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         tuple: StreamTuple,
-        sink: &mut S,
+        sink: &mut EvSink<'_>,
     ) {
         self.advance(graph, vis.before(), tuple.ts, sink);
         self.dispatch(graph, vis, tuple, sink);
@@ -335,12 +325,12 @@ impl Engine {
     /// graph, or replay it, in between: a deletion or refresh, which
     /// every routed group must see expire against the graph before the
     /// mutation (at [`Visibility::ALL`]), and backfill replay.
-    pub(crate) fn advance<S: ResultSink>(
+    pub(crate) fn advance(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         ts: Timestamp,
-        sink: &mut S,
+        sink: &mut EvSink<'_>,
     ) {
         if let Some(wm) = self.advance_clock(ts) {
             self.metered(|e| e.expire_at(graph, vis, wm, sink));
@@ -352,12 +342,12 @@ impl Engine {
     /// severing + expiry for a deletion. No clock movement — call
     /// [`Self::advance`] first. Outside [`Self::extend`], only backfill
     /// replay calls it, at [`Visibility::ALL`].
-    pub(crate) fn dispatch<S: ResultSink>(
+    pub(crate) fn dispatch(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         tuple: StreamTuple,
-        sink: &mut S,
+        sink: &mut EvSink<'_>,
     ) {
         // The host routes only Σ_Q labels here, but a backfill replay
         // feeds every window edge.
@@ -375,7 +365,7 @@ impl Engine {
 
     /// An expiry pass at the current eager watermark (the host's
     /// `expire_now`, which purges the graph itself).
-    pub(crate) fn expire_delta<S: ResultSink>(&mut self, graph: &WindowGraph, sink: &mut S) {
+    pub(crate) fn expire_delta(&mut self, graph: &WindowGraph, sink: &mut EvSink<'_>) {
         let wm = self.config.window.watermark(self.now);
         self.metered(|e| e.expire_at(graph, Visibility::ALL, wm, sink));
     }
@@ -409,18 +399,14 @@ impl Engine {
     /// dropped. Any other tree is skipped: its expiry would remove
     /// nothing and return before reconnection and compaction, so the
     /// pass is unchanged but for the work.
-    fn expire_at<S: ResultSink>(
+    fn expire_at(
         &mut self,
         graph: &WindowGraph,
         vis: Visibility,
         wm: Timestamp,
-        sink: &mut S,
+        sink: &mut EvSink<'_>,
     ) {
-        fn sweep<P: PerTree, S: ResultSink>(
-            plug: &mut P,
-            cx: &mut TreeCx<'_, S>,
-            roots: &mut Vec<VertexId>,
-        ) {
+        fn sweep<P: PerTree>(plug: &mut P, cx: &mut TreeCx<'_>, roots: &mut Vec<VertexId>) {
             plug.forest().collect_due_roots(cx.wm, roots);
             for &root in roots.iter() {
                 plug.expire_tree(cx, root, false);
@@ -439,13 +425,13 @@ impl Engine {
 
     /// Splits the shell into the Δ index, the roots scratch, and the
     /// context the per-tree procedures borrow.
-    fn split<'a, S>(
+    fn split<'a>(
         &'a mut self,
         graph: &'a WindowGraph,
         vis: Visibility,
         wm: Timestamp,
-        sink: &'a mut S,
-    ) -> (&'a mut Delta, &'a mut Vec<VertexId>, TreeCx<'a, S>) {
+        sink: &'a mut EvSink<'_>,
+    ) -> (&'a mut Delta, &'a mut Vec<VertexId>, TreeCx<'a>) {
         let cx = TreeCx {
             query: &self.query,
             config: &self.config,
@@ -455,7 +441,7 @@ impl Engine {
             now: self.now,
             emitted: &mut self.emitted,
             stats: &mut self.stats,
-            sink,
+            sink: sink.reborrow(),
             compact_scratch: &mut self.compact_scratch,
             budget: self.config.rspq_extend_budget.unwrap_or(u64::MAX),
         };
@@ -485,9 +471,9 @@ impl Engine {
 
 /// Δ-side handling of one in-alphabet tuple, over the trees the reverse
 /// index says it can touch.
-fn dispatch_tuple<P: PerTree, S: ResultSink>(
+fn dispatch_tuple<P: PerTree>(
     plug: &mut P,
-    cx: &mut TreeCx<'_, S>,
+    cx: &mut TreeCx<'_>,
     roots: &mut Vec<VertexId>,
     tuple: StreamTuple,
 ) {

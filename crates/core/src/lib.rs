@@ -7,8 +7,10 @@
 //!   window's graph (eager evaluation, lazy expiry), routes each tuple
 //!   by label, applies it to the graph once, purges the graph at slide
 //!   crossings, and fans results out per registered query — on the
-//!   calling thread or over a worker pool. A lone query is a one-query
-//!   engine behind [`multi::UntagSink`].
+//!   calling thread or over a worker pool. Results leave through the
+//!   one sink trait, [`multi::MultiSink`], tagged with the query's
+//!   [`multi::QueryId`]; a lone query is a one-query engine whose sink
+//!   ignores the tag ([`sink::CollectSink`], [`sink::CountSink`]).
 //! * [`engine::Engine`] — the one Δ-engine shell, one per evaluation
 //!   group: the registered query, its result set, clock and statistics,
 //!   under either [`engine::PathSemantics`]. It only reads the graph.
@@ -27,7 +29,7 @@
 //! ```
 //! use srpq_automata::CompiledQuery;
 //! use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexInterner};
-//! use srpq_core::multi::{MultiQueryEngine, UntagSink};
+//! use srpq_core::multi::MultiQueryEngine;
 //! use srpq_core::sink::CollectSink;
 //! use srpq_core::PathSemantics;
 //! use srpq_graph::WindowPolicy;
@@ -48,7 +50,7 @@
 //!     StreamTuple::insert(Timestamp(1), x, y, follows),
 //!     StreamTuple::insert(Timestamp(2), y, u, mentions),
 //! ];
-//! engine.process_batch(&batch, &mut UntagSink(&mut sink));
+//! engine.process_batch(&batch, &mut sink);
 //! assert_eq!(sink.pairs().len(), 1); // (x, u)
 //! assert_eq!(engine.engine(id).unwrap().result_count(), 1);
 //! ```
@@ -71,7 +73,7 @@ pub mod stats;
 pub use config::EngineConfig;
 pub use engine::{Engine, PathSemantics};
 pub use multi::{
-    MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId, UntagSink,
+    MultiCollectSink, MultiQueryEngine, MultiSink, NullMultiSink, QueryError, QueryId,
 };
-pub use sink::{CollectSink, CountSink, NullSink, ResultSink};
+pub use sink::{CollectSink, CountSink};
 pub use stats::{DeltaProfile, EngineStats, IndexSize, StageTotals};

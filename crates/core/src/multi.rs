@@ -145,8 +145,7 @@
 use crate::bitset::DenseBitSet;
 use crate::config::EngineConfig;
 use crate::engine::{Engine, PathSemantics};
-use crate::schedule::{metered, Pool};
-use crate::sink::ResultSink;
+use crate::schedule::{metered, Ev, EvSink, Pool};
 use crate::stats::{EngineStats, IndexSize, StageTotals};
 use srpq_automata::{CompiledQuery, DfaSignature};
 use srpq_common::{FxHashMap, Label, ResultPair, StreamTuple, Timestamp, VertexId};
@@ -187,7 +186,10 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Receives the tagged result streams of a multi-query engine.
+/// The one result sink: receives the tagged result streams of a
+/// multi-query engine. A consumer of a lone query's plain stream
+/// ignores the tag ([`CollectSink`](crate::sink::CollectSink),
+/// [`CountSink`](crate::sink::CountSink)).
 pub trait MultiSink {
     /// Query `id` discovered `pair` at stream time `ts`.
     fn emit(&mut self, id: QueryId, pair: ResultPair, ts: Timestamp);
@@ -217,38 +219,6 @@ impl MultiSink for MultiCollectSink {
     }
 }
 
-/// Adapts a per-query [`ResultSink`] view onto a [`MultiSink`].
-struct TagSink<'a, S: MultiSink> {
-    id: QueryId,
-    inner: &'a mut S,
-}
-
-impl<S: MultiSink> ResultSink for TagSink<'_, S> {
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
-        self.inner.emit(self.id, pair, ts);
-    }
-
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
-        self.inner.invalidate(self.id, pair, ts);
-    }
-}
-
-/// The inverse of the engine's tagging: drops the query tag off a
-/// **one-query** engine's events, so a host driving a single query
-/// (`srpq run`, the examples, the oracle tests) sees that query's plain
-/// result stream.
-pub struct UntagSink<'a, S: ResultSink>(pub &'a mut S);
-
-impl<S: ResultSink> MultiSink for UntagSink<'_, S> {
-    fn emit(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
-        self.0.emit(pair, ts);
-    }
-
-    fn invalidate(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
-        self.0.invalidate(pair, ts);
-    }
-}
-
 /// The group-key discriminant for path semantics ([`PathSemantics`]
 /// carries no `Hash` impl; the tag also doubles as the checkpoint
 /// encoding).
@@ -259,21 +229,31 @@ fn semantics_tag(semantics: PathSemantics) -> u8 {
     }
 }
 
-/// Replays window edges, in timestamp order, into `engine` for a
-/// backfilled registration. The edges are the graph's own, already
+/// Replays window edges, in timestamp order, into `engine` for
+/// backfilled registration `id`. The edges are the graph's own, already
 /// stored at their timestamps, so the engine advances to each one and
 /// dispatches it against the graph as it stands; the graph is only
-/// read.
-fn replay_window<S: ResultSink>(
+/// read. Each edge's events pass through `events` to `sink` under `id`.
+fn replay_window<S: MultiSink>(
     engine: &mut Engine,
     graph: &WindowGraph,
     replay: Vec<(VertexId, VertexId, Label, Timestamp)>,
+    events: &mut Vec<Ev>,
+    id: QueryId,
     sink: &mut S,
 ) {
     for (u, v, label, ts) in replay {
-        engine.advance(graph, Visibility::ALL, ts, sink);
+        let mut out = EvSink {
+            events: &mut *events,
+            pos: 0,
+            group: 0,
+        };
+        engine.advance(graph, Visibility::ALL, ts, &mut out);
         let tuple = StreamTuple::insert(ts, u, v, label);
-        engine.dispatch(graph, Visibility::ALL, tuple, sink);
+        engine.dispatch(graph, Visibility::ALL, tuple, &mut out);
+        for ev in events.drain(..) {
+            ev.deliver(id, sink);
+        }
     }
 }
 
@@ -633,9 +613,9 @@ impl MultiQueryEngine {
             // through a scratch engine for the backfill events only.
             let id = self.attach(name, g);
             let mut scratch = Engine::new(query, self.config, semantics);
-            let mut tagged = TagSink { id, inner: sink };
+            let events = &mut self.pool.events_scratch;
             let t0 = std::time::Instant::now();
-            replay_window(&mut scratch, &self.graph, replay, &mut tagged);
+            replay_window(&mut scratch, &self.graph, replay, events, id, sink);
             let elapsed = t0.elapsed().as_nanos() as u64;
             self.groups[g as usize]
                 .as_mut()
@@ -662,11 +642,11 @@ impl MultiQueryEngine {
     ) -> QueryId {
         let id = self.attach(name, g);
         let grp = self.groups[g as usize].as_mut().expect("just founded");
-        let mut tagged = TagSink { id, inner: sink };
+        let events = &mut self.pool.events_scratch;
         // Attribute the replay to the group's evaluation time, like any
         // other pass of its engine, and to the coordinator's ledger.
         metered(&mut grp.engine, &mut self.coord_ns, |e| {
-            replay_window(e, &self.graph, replay, &mut tagged)
+            replay_window(e, &self.graph, replay, events, id, sink)
         });
         id
     }
@@ -1035,8 +1015,7 @@ impl MultiQueryEngine {
 }
 
 /// The unit tests' one-query host: a [`MultiQueryEngine`] with a single
-/// registration, fed per tuple behind [`UntagSink`], that reads as the
-/// query's [`Engine`].
+/// registration that reads as the query's [`Engine`].
 #[cfg(test)]
 pub(crate) mod solo {
     use super::*;
@@ -1057,16 +1036,16 @@ pub(crate) mod solo {
             Solo { multi, id }
         }
 
-        pub(crate) fn process<S: ResultSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
-            self.multi.process(tuple, &mut UntagSink(sink));
+        pub(crate) fn process<S: MultiSink>(&mut self, tuple: StreamTuple, sink: &mut S) {
+            self.multi.process(tuple, sink);
         }
 
-        pub(crate) fn process_batch<S: ResultSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
-            self.multi.process_batch(batch, &mut UntagSink(sink));
+        pub(crate) fn process_batch<S: MultiSink>(&mut self, batch: &[StreamTuple], sink: &mut S) {
+            self.multi.process_batch(batch, sink);
         }
 
-        pub(crate) fn expire_now<S: ResultSink>(&mut self, sink: &mut S) {
-            self.multi.expire_now(&mut UntagSink(sink));
+        pub(crate) fn expire_now<S: MultiSink>(&mut self, sink: &mut S) {
+            self.multi.expire_now(sink);
         }
 
         pub(crate) fn graph(&self) -> &WindowGraph {

@@ -14,7 +14,6 @@
 
 use crate::delta::{Forest, NodeId, RevIndex, Unique};
 use crate::engine::{PerTree, TreeCx};
-use crate::sink::ResultSink;
 use srpq_automata::Dfa;
 use srpq_common::{Label, ResultPair, StreamTuple, Timestamp, VertexId};
 
@@ -87,12 +86,7 @@ impl PerTree for Rapq {
     /// Lines 4–12 of Algorithm RAPQ for one tree: try every DFA
     /// transition `(s, t)` on the edge's label with parent `(u, s)` and
     /// child `(v, t)`.
-    fn extend_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        edge: StreamTuple,
-    ) {
+    fn extend_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, edge: StreamTuple) {
         let Some((tree, idx)) = self.forest.tree_with_index(root) else {
             return;
         };
@@ -143,12 +137,7 @@ impl PerTree for Rapq {
     }
 
     /// `ExpiryRAPQ` for a single tree.
-    fn expire_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        invalidate: bool,
-    ) {
+    fn expire_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, invalidate: bool) {
         let Some((tree, idx)) = self.forest.tree_with_index(root) else {
             return;
         };
@@ -232,14 +221,9 @@ impl PerTree for Rapq {
 ///
 /// Free function (rather than a method) so the caller can hold disjoint
 /// borrows of the tree, the reverse index, and the work stack.
-fn run_insert<S: ResultSink>(
-    tree: &mut Tree,
-    idx: &mut RevIndex,
-    work: &mut Vec<WorkItem>,
-    cx: &mut TreeCx<'_, S>,
-) {
+fn run_insert(tree: &mut Tree, idx: &mut RevIndex, work: &mut Vec<WorkItem>, cx: &mut TreeCx<'_>) {
     let (dfa, graph, vis, wm, now) = (cx.query.dfa(), cx.graph, cx.vis, cx.wm, cx.now);
-    let (emitted, stats, sink) = (&mut *cx.emitted, &mut *cx.stats, &mut *cx.sink);
+    let (emitted, stats, sink) = (&mut *cx.emitted, &mut *cx.stats, &mut cx.sink);
     let root = tree.root();
     // Every pair this drain reports has the root as its source: its
     // result row is looked up on the first accepting attach, then reused.

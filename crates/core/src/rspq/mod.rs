@@ -22,7 +22,6 @@ pub mod markings;
 use crate::bitset::GenBitSet;
 use crate::delta::{Forest, NodeId, PairKey, RevIndex};
 use crate::engine::{PerTree, TreeCx};
-use crate::sink::ResultSink;
 use markings::Markings;
 use srpq_automata::Dfa;
 use srpq_common::{Label, ResultPair, StateId, StreamTuple, Timestamp, VertexId};
@@ -104,12 +103,7 @@ impl PerTree for Rspq {
     /// Lines 4–12 of Algorithm RSPQ for one tree: each live occurrence
     /// of `(u, s)` may extend with `(v, t)` unless pruned by the
     /// path-cycle or marking guards.
-    fn extend_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        edge: StreamTuple,
-    ) {
+    fn extend_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, edge: StreamTuple) {
         let Some((tree, idx)) = self.forest.tree_with_index(root) else {
             return;
         };
@@ -175,12 +169,7 @@ impl PerTree for Rspq {
     /// already replayed by `Unmark` when their mark was removed), then
     /// restore markings that are no longer blocked and report
     /// invalidations.
-    fn expire_tree<S: ResultSink>(
-        &mut self,
-        cx: &mut TreeCx<'_, S>,
-        root: VertexId,
-        invalidate: bool,
-    ) {
+    fn expire_tree(&mut self, cx: &mut TreeCx<'_>, root: VertexId, invalidate: bool) {
         let Some((tree, idx)) = self.forest.tree_with_index(root) else {
             return;
         };
@@ -317,12 +306,12 @@ impl PerTree for Rspq {
 /// test — the re-checked caller guard, the conflict probe, and the
 /// per-out-edge cycle guard — is then a single bit read instead of a
 /// pointer chase up the path.
-fn run_extend<S: ResultSink>(
+fn run_extend(
     tree: &mut SpTree,
     idx: &mut RevIndex,
     work: &mut Vec<ExtendItem>,
     path_bits: &mut GenBitSet,
-    cx: &mut TreeCx<'_, S>,
+    cx: &mut TreeCx<'_>,
 ) {
     let (dfa, containment) = (cx.query.dfa(), cx.query.containment());
     let (graph, vis, wm, now) = (cx.graph, cx.vis, cx.wm, cx.now);

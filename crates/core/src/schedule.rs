@@ -8,7 +8,6 @@
 
 use crate::engine::Engine;
 use crate::multi::{Group, MultiQueryEngine, MultiSink, QueryId};
-use crate::sink::ResultSink;
 use srpq_common::beacon::stage;
 use srpq_common::{Op, ResultPair, StreamTuple, Timestamp};
 use srpq_graph::{Visibility, WindowGraph};
@@ -37,7 +36,7 @@ pub(crate) fn metered(engine: &mut Engine, ledger: &mut Ledger, pass: impl FnOnc
 
 /// One untagged result event, keyed for the deterministic merge.
 /// Fan-out to subscriber tags happens on the calling thread.
-struct Ev {
+pub(crate) struct Ev {
     /// Arrival position within the micro-batch (`u32::MAX` groups the
     /// events of an explicit expiry pass, which has no driving tuple).
     pos: u32,
@@ -47,11 +46,23 @@ struct Ev {
     ts: Timestamp,
 }
 
-/// Buffers one group engine's events under a fixed `(pos, group)` key.
-struct EvSink<'a> {
-    events: &'a mut Vec<Ev>,
-    pos: u32,
-    group: u32,
+impl Ev {
+    /// Hands the event to `sink` under subscriber tag `id`.
+    pub(crate) fn deliver<S: MultiSink>(&self, id: QueryId, sink: &mut S) {
+        if self.invalidated {
+            sink.invalidate(id, self.pair, self.ts);
+        } else {
+            sink.emit(id, self.pair, self.ts);
+        }
+    }
+}
+
+/// The one place a group engine writes results: its events are
+/// buffered under a fixed `(pos, group)` key.
+pub(crate) struct EvSink<'a> {
+    pub(crate) events: &'a mut Vec<Ev>,
+    pub(crate) pos: u32,
+    pub(crate) group: u32,
 }
 
 impl EvSink<'_> {
@@ -64,15 +75,27 @@ impl EvSink<'_> {
             ts,
         });
     }
-}
 
-impl ResultSink for EvSink<'_> {
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
+    /// A new result pair `(x, y)` discovered at stream time `ts`.
+    #[inline]
+    pub(crate) fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
         self.push(false, pair, ts);
     }
 
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
+    /// A previously reported pair lost its last witness path at `ts`
+    /// (explicit deletions only).
+    #[inline]
+    pub(crate) fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
         self.push(true, pair, ts);
+    }
+
+    /// The same buffer and key under a shorter borrow.
+    pub(crate) fn reborrow(&mut self) -> EvSink<'_> {
+        EvSink {
+            events: self.events,
+            pos: self.pos,
+            group: self.group,
+        }
     }
 }
 
@@ -212,8 +235,9 @@ pub(crate) struct Pool {
     workers: Vec<Worker>,
     /// Per-worker ledgers, index-aligned with `workers`.
     ledger: Vec<Ledger>,
-    /// Retained event buffer (one position's, or a merged micro-batch's).
-    events_scratch: Vec<Ev>,
+    /// Retained event buffer (one position's, a merged micro-batch's,
+    /// or one backfill-replayed edge's).
+    pub(crate) events_scratch: Vec<Ev>,
     /// Reusable `(slot, run start, run end)` fan-out schedule of one
     /// position.
     fan_scratch: Vec<(u32, usize, usize)>,
@@ -560,11 +584,7 @@ impl MultiQueryEngine {
             fan.sort_unstable();
             for &(slot, s, e) in fan.iter() {
                 for ev in &events[s..e] {
-                    if ev.invalidated {
-                        sink.invalidate(QueryId(slot), ev.pair, ev.ts);
-                    } else {
-                        sink.emit(QueryId(slot), ev.pair, ev.ts);
-                    }
+                    ev.deliver(QueryId(slot), sink);
                 }
             }
             i = seg_end;

@@ -1,33 +1,16 @@
-//! Result sinks: where the append-only result stream goes.
+//! Untagged result sinks: one query's plain result stream.
 //!
 //! Under the implicit window model the result of a streaming RPQ is an
-//! append-only stream of vertex pairs (Definition 9). Engines push pairs
-//! into a [`ResultSink`] as they are discovered; when explicit deletions
-//! are enabled, previously reported pairs whose every witness path died
-//! can additionally be *invalidated* (§3.2, explicit window semantics).
+//! append-only stream of vertex pairs (Definition 9); when explicit
+//! deletions are enabled, previously reported pairs whose every witness
+//! path died can additionally be *invalidated* (§3.2, explicit window
+//! semantics). Every engine delivers that stream through the one sink
+//! trait, [`MultiSink`], tagged with the registration's [`QueryId`].
+//! The sinks here are for hosts that drive a lone query: they implement
+//! [`MultiSink`] and ignore the tag.
 
+use crate::multi::{MultiSink, QueryId};
 use srpq_common::{FxHashSet, ResultPair, Timestamp};
-
-/// Receives the result stream of a persistent query.
-pub trait ResultSink {
-    /// A new result pair `(x, y)` discovered at stream time `ts`.
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp);
-
-    /// A previously reported pair lost its last witness path at `ts`
-    /// (only generated for explicit deletions / explicit windows).
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
-        let _ = (pair, ts);
-    }
-}
-
-/// Discards everything (throughput measurements).
-#[derive(Debug, Default, Clone)]
-pub struct NullSink;
-
-impl ResultSink for NullSink {
-    #[inline]
-    fn emit(&mut self, _pair: ResultPair, _ts: Timestamp) {}
-}
 
 /// Counts emissions and invalidations.
 #[derive(Debug, Default, Clone)]
@@ -38,14 +21,14 @@ pub struct CountSink {
     pub invalidated: u64,
 }
 
-impl ResultSink for CountSink {
+impl MultiSink for CountSink {
     #[inline]
-    fn emit(&mut self, _pair: ResultPair, _ts: Timestamp) {
+    fn emit(&mut self, _id: QueryId, _pair: ResultPair, _ts: Timestamp) {
         self.emitted += 1;
     }
 
     #[inline]
-    fn invalidate(&mut self, _pair: ResultPair, _ts: Timestamp) {
+    fn invalidate(&mut self, _id: QueryId, _pair: ResultPair, _ts: Timestamp) {
         self.invalidated += 1;
     }
 }
@@ -104,30 +87,23 @@ impl CollectSink {
     }
 }
 
-impl ResultSink for CollectSink {
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
+impl MultiSink for CollectSink {
+    fn emit(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
         self.emitted.push((pair, ts));
     }
 
-    fn invalidate(&mut self, pair: ResultPair, ts: Timestamp) {
+    fn invalidate(&mut self, _id: QueryId, pair: ResultPair, ts: Timestamp) {
         self.invalidated.push((pair, ts));
-    }
-}
-
-/// Adapts a closure into a sink.
-pub struct FnSink<F: FnMut(ResultPair, Timestamp)>(pub F);
-
-impl<F: FnMut(ResultPair, Timestamp)> ResultSink for FnSink<F> {
-    #[inline]
-    fn emit(&mut self, pair: ResultPair, ts: Timestamp) {
-        (self.0)(pair, ts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::NullMultiSink;
     use srpq_common::VertexId;
+
+    const Q: QueryId = QueryId(0);
 
     fn p(a: u32, b: u32) -> ResultPair {
         ResultPair::new(VertexId(a), VertexId(b))
@@ -136,9 +112,9 @@ mod tests {
     #[test]
     fn count_sink_counts() {
         let mut s = CountSink::default();
-        s.emit(p(0, 1), Timestamp(1));
-        s.emit(p(0, 2), Timestamp(2));
-        s.invalidate(p(0, 1), Timestamp(3));
+        s.emit(Q, p(0, 1), Timestamp(1));
+        s.emit(Q, p(0, 2), Timestamp(2));
+        s.invalidate(Q, p(0, 1), Timestamp(3));
         assert_eq!(s.emitted, 2);
         assert_eq!(s.invalidated, 1);
     }
@@ -146,9 +122,9 @@ mod tests {
     #[test]
     fn collect_sink_orders_and_dedups() {
         let mut s = CollectSink::default();
-        s.emit(p(0, 1), Timestamp(1));
-        s.emit(p(0, 1), Timestamp(2));
-        s.emit(p(0, 2), Timestamp(2));
+        s.emit(Q, p(0, 1), Timestamp(1));
+        s.emit(Q, p(0, 1), Timestamp(2));
+        s.emit(Q, p(0, 2), Timestamp(2));
         assert_eq!(s.emitted().len(), 3);
         assert_eq!(s.pairs().len(), 2);
     }
@@ -156,28 +132,18 @@ mod tests {
     #[test]
     fn live_pairs_replays_invalidation() {
         let mut s = CollectSink::default();
-        s.emit(p(0, 1), Timestamp(1));
-        s.invalidate(p(0, 1), Timestamp(5));
+        s.emit(Q, p(0, 1), Timestamp(1));
+        s.invalidate(Q, p(0, 1), Timestamp(5));
         assert!(s.live_pairs().is_empty());
         // Re-derived after invalidation → live again.
-        s.emit(p(0, 1), Timestamp(7));
+        s.emit(Q, p(0, 1), Timestamp(7));
         assert_eq!(s.live_pairs().len(), 1);
     }
 
     #[test]
-    fn fn_sink_invokes_closure() {
-        let mut seen = Vec::new();
-        {
-            let mut s = FnSink(|pair, ts| seen.push((pair, ts)));
-            s.emit(p(1, 2), Timestamp(9));
-        }
-        assert_eq!(seen, vec![(p(1, 2), Timestamp(9))]);
-    }
-
-    #[test]
     fn null_sink_ignores() {
-        let mut s = NullSink;
-        s.emit(p(0, 1), Timestamp(1));
-        s.invalidate(p(0, 1), Timestamp(1));
+        let mut s = NullMultiSink;
+        s.emit(Q, p(0, 1), Timestamp(1));
+        s.invalidate(Q, p(0, 1), Timestamp(1));
     }
 }

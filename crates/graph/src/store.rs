@@ -666,26 +666,6 @@ impl WindowGraph {
             })
     }
 
-    /// In-edges of `v` across **all** labels with timestamps
-    /// `> watermark`.
-    pub fn in_edges_any(
-        &self,
-        v: VertexId,
-        watermark: Timestamp,
-    ) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.inc
-            .get(&v)
-            .into_iter()
-            .flat_map(|a| a.by_label.iter())
-            .flat_map(|(&label, list)| list.iter().map(move |p| (label, p)))
-            .filter(move |(_, p)| p.ts > watermark)
-            .map(|(label, p)| EdgeRef {
-                other: p.other,
-                label,
-                ts: p.ts,
-            })
-    }
-
     /// All vertices with at least one valid out- or in-edge after
     /// `watermark`.
     pub fn vertices(&self, watermark: Timestamp) -> Vec<VertexId> {

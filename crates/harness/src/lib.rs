@@ -17,9 +17,10 @@ use srpq_core::{EngineConfig, MultiQueryEngine, PathSemantics, QueryId};
 use srpq_graph::{WindowGraph, WindowPolicy};
 
 /// A lone query as every host evaluates it: `query` registered on a
-/// fresh [`MultiQueryEngine`], returned with its id. Feed it through
-/// [`UntagSink`](srpq_core::UntagSink) for the query's plain result
-/// stream; read its engine through [`MultiQueryEngine::engine`].
+/// fresh [`MultiQueryEngine`], returned with its id. Feed it into a
+/// sink that ignores the tag ([`CollectSink`](srpq_core::CollectSink))
+/// for the query's plain result stream; read its engine through
+/// [`MultiQueryEngine::engine`].
 pub fn solo(
     query: CompiledQuery,
     config: EngineConfig,

@@ -43,7 +43,7 @@
 //! ```no_run
 //! use srpq_automata::CompiledQuery;
 //! use srpq_common::LabelInterner;
-//! use srpq_core::{CollectSink, MultiQueryEngine, PathSemantics, UntagSink};
+//! use srpq_core::{CollectSink, MultiQueryEngine, PathSemantics};
 //! use srpq_graph::WindowPolicy;
 //! use srpq_persist::{Durable, DurabilityConfig};
 //! use std::path::Path;
@@ -55,8 +55,8 @@
 //! let mut durable =
 //!     Durable::create(engine, Path::new("state/"), DurabilityConfig::default()).unwrap();
 //! let mut sink = CollectSink::default();
-//! // WAL-append, then evaluate (one query: drop the tag off its results).
-//! // durable.process_batch(&tuples, &mut UntagSink(&mut sink))?;
+//! // WAL-append, then evaluate (one query: `CollectSink` ignores the tag).
+//! // durable.process_batch(&tuples, &mut sink)?;
 //! // ... crash ...
 //! let (durable, report) =
 //!     Durable::recover(Path::new("state/"), &mut labels, DurabilityConfig::default()).unwrap();

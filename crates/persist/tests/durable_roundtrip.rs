@@ -1,11 +1,11 @@
 //! Durable-engine lifecycle: create → ingest → checkpoint → crash →
 //! recover → continue, for both checkpoint strategies. The single-query
 //! cases run the host `srpq run` runs — a one-query `MultiQueryEngine`
-//! behind `UntagSink` — against the same host run without a crash.
+//! feeding a `CollectSink` — against the same host run without a crash.
 
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiQueryEngine, UntagSink};
+use srpq_core::multi::MultiQueryEngine;
 use srpq_core::sink::CollectSink;
 use srpq_core::{EngineConfig, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
@@ -80,7 +80,7 @@ fn run_strategy(strategy: CheckpointStrategy, name: &str) {
     let mut reference = make_host(&mut labels.clone());
     let mut ref_sink = CollectSink::default();
     for chunk in tuples.chunks(32) {
-        reference.process_batch(chunk, &mut UntagSink(&mut ref_sink));
+        reference.process_batch(chunk, &mut ref_sink);
     }
     let reference = reference.engine(ONLY).unwrap();
 
@@ -95,9 +95,7 @@ fn run_strategy(strategy: CheckpointStrategy, name: &str) {
     let mut durable = Durable::create(host, &dir, cfg).unwrap();
     let mut pre_sink = CollectSink::default();
     for chunk in tuples[..cut].chunks(32) {
-        durable
-            .process_batch(chunk, &mut UntagSink(&mut pre_sink))
-            .unwrap();
+        durable.process_batch(chunk, &mut pre_sink).unwrap();
     }
     let stats = durable.counters();
     assert!(stats.wal_appends > 0);
@@ -116,9 +114,7 @@ fn run_strategy(strategy: CheckpointStrategy, name: &str) {
     );
     let mut post_sink = CollectSink::default();
     for chunk in tuples[cut..].chunks(32) {
-        recovered
-            .process_batch(chunk, &mut UntagSink(&mut post_sink))
-            .unwrap();
+        recovered.process_batch(chunk, &mut post_sink).unwrap();
     }
 
     // The combined crashed run must match the uninterrupted one. Under
@@ -229,7 +225,7 @@ fn truncation_keeps_recovery_sound() {
     let mut reference = make_host(&mut labels.clone());
     let mut ref_sink = CollectSink::default();
     for chunk in tuples.chunks(16) {
-        reference.process_batch(chunk, &mut UntagSink(&mut ref_sink));
+        reference.process_batch(chunk, &mut ref_sink);
     }
 
     let cfg = DurabilityConfig {
@@ -242,9 +238,7 @@ fn truncation_keeps_recovery_sound() {
     let mut durable = Durable::create(host, &dir, cfg).unwrap();
     let mut pre_sink = CollectSink::default();
     for chunk in tuples[..cut].chunks(16) {
-        durable
-            .process_batch(chunk, &mut UntagSink(&mut pre_sink))
-            .unwrap();
+        durable.process_batch(chunk, &mut pre_sink).unwrap();
     }
     let info = durable.wal_info();
     assert!(
@@ -256,9 +250,7 @@ fn truncation_keeps_recovery_sound() {
     let (mut recovered, _) = Durable::recover(&dir, &mut labels.clone(), cfg).unwrap();
     let mut post_sink = CollectSink::default();
     for chunk in tuples[cut..].chunks(16) {
-        recovered
-            .process_batch(chunk, &mut UntagSink(&mut post_sink))
-            .unwrap();
+        recovered.process_batch(chunk, &mut post_sink).unwrap();
     }
     let mut expect: Vec<_> = ref_sink.emitted().to_vec();
     let mut got: Vec<_> = pre_sink.emitted().to_vec();

@@ -11,7 +11,7 @@
 
 use crate::labels;
 use crate::protocol::{EventWire, ExplainWire, LabelRoute, Msg, QueryInfo, StatsSnapshot};
-use crate::subscriber::{push_to_msg, BatchStamp, FanoutSink, Push, Subscriber};
+use crate::subscriber::{BatchStamp, FanoutSink, Push, Subscriber};
 use srpq_automata::CompiledQuery;
 use srpq_common::beacon::stage;
 use srpq_common::{FxHashSet, LabelInterner, StageBeacon, StreamTuple, Timestamp};
@@ -49,8 +49,8 @@ fn worker_ledger(engine: &MultiQueryEngine) -> Vec<(u64, u64)> {
 pub(crate) struct Cmd {
     pub(crate) msg: Msg,
     pub(crate) reply: Sender<Msg>,
-    /// Sampling marks (e2e latency and/or causal trace) when a sampler
-    /// picked this ingest batch; ride every result frame it produces.
+    /// An ingest batch's marks (e2e latency timestamp, causal trace when
+    /// sampled); they ride every result frame it produces.
     pub(crate) stamp: Option<BatchStamp>,
     /// A `Subscribe`'s push channel, and the drop-tally counter shared
     /// with the session thread, which sweeps it into a final `Dropped`
@@ -528,12 +528,6 @@ impl EngineCore {
         // evaluation is attributed to the extend stage.)
         let t_emit = Instant::now();
         self.beacon.set(stage::EMIT);
-        let sink = FanoutSink {
-            subscribers: &mut self.subscribers,
-            pushed: &mut self.results_pushed,
-            dropped: &mut self.results_dropped,
-            stamp,
-        };
         sink.finish();
         self.beacon.set(stage::IDLE);
         self.beacon.advance();
@@ -841,9 +835,4 @@ impl EngineCore {
         }
         Ok(())
     }
-}
-
-/// Renders one queue item (session-thread side re-export).
-pub(crate) fn render_push(push: &Push) -> Option<Msg> {
-    push_to_msg(push)
 }

@@ -26,6 +26,11 @@ use std::io::{self, Read, Write};
 /// from this repository.
 pub const PROTO_VERSION: u16 = 6;
 
+/// Largest subscriber queue bound, in result frames, a
+/// [`Msg::Subscribe`] may ask for. The server allocates every slot of
+/// the queue up front, so it refuses a larger bound before allocating.
+pub const MAX_SUB_CAPACITY: u32 = 4096;
+
 /// What a subscriber wants done when its queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SubPolicy {
@@ -325,7 +330,8 @@ pub enum Msg {
         queries: Vec<String>,
         /// Queue-full behavior.
         policy: SubPolicy,
-        /// Queue bound in result frames (0 = server default).
+        /// Queue bound in result frames (0 = server default; above
+        /// [`MAX_SUB_CAPACITY`] the server answers [`Msg::Error`]).
         capacity: u32,
     },
     /// Block until every previously accepted batch is fully processed

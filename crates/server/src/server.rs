@@ -8,10 +8,10 @@
 //! queue to the socket until the client hangs up or the server shuts
 //! down.
 
-use crate::core::{render_push, Cmd, EngineCore};
+use crate::core::{Cmd, EngineCore};
 use crate::labels;
-use crate::protocol::{Msg, SpanWire, PROTO_VERSION};
-use crate::subscriber::{BatchStamp, Push, DEFAULT_CAPACITY};
+use crate::protocol::{Msg, SpanWire, MAX_SUB_CAPACITY, PROTO_VERSION};
+use crate::subscriber::{push_to_msg, BatchStamp, Push, DEFAULT_CAPACITY};
 use srpq_common::LabelInterner;
 use srpq_core::multi::MultiQueryEngine;
 use srpq_core::EngineConfig;
@@ -40,9 +40,6 @@ pub struct ServerConfig {
     pub wal_dir: Option<PathBuf>,
     /// WAL/checkpoint tunables (used only with `wal_dir`).
     pub durability: DurabilityConfig,
-    /// Bound of the command pipeline: how many decoded batches may wait
-    /// for the engine before ingest sessions block.
-    pub pipeline_depth: usize,
     /// Evaluation worker threads of the [`MultiQueryEngine`]. Every
     /// value runs the one micro-batch schedule: `0` evaluates on the
     /// engine thread, streaming each position's results before the
@@ -55,11 +52,6 @@ pub struct ServerConfig {
     /// `None` disables it (`ctl metrics` still works over the frame
     /// protocol).
     pub metrics_addr: Option<String>,
-    /// End-to-end latency sampling: stamp 1-in-N ingest frames at
-    /// decode and observe the elapsed time when their results hit a
-    /// subscriber socket. `1` stamps everything (the histogram `count`
-    /// then equals delivered results); `0` disables stamping.
-    pub e2e_sample: u32,
     /// Causal-trace sampling: record a full span tree (decode → WAL →
     /// route → per-query extend → expiry → emit → subscriber write) for
     /// 1-in-N ingest frames, exported via `ctl trace` and `/trace`.
@@ -75,22 +67,23 @@ impl ServerConfig {
             engine,
             wal_dir: None,
             durability: DurabilityConfig::default(),
-            pipeline_depth: 16,
             workers: 0,
             metrics_addr: None,
-            e2e_sample: 1,
             trace_sample: 0,
         }
     }
 }
 
+/// Bound of the command pipeline: how many decoded batches may wait for
+/// the engine before ingest sessions block.
+const PIPELINE_DEPTH: usize = 16;
+
 /// Per-process observability context shared by every session thread.
 struct SessionCtx {
     obs: Obs,
-    e2e_sample: u32,
     trace_sample: u32,
-    /// Ingest frames seen across all sessions (shared by both
-    /// samplers, so their picks interleave deterministically).
+    /// Ingest frames seen across all sessions (the trace sampler picks
+    /// 1-in-N of them).
     ingest_frames: AtomicU64,
     decode_hist: Histogram,
     write_hist: Histogram,
@@ -100,10 +93,9 @@ struct SessionCtx {
 }
 
 impl SessionCtx {
-    fn new(obs: Obs, e2e_sample: u32, trace_sample: u32) -> SessionCtx {
+    fn new(obs: Obs, trace_sample: u32) -> SessionCtx {
         let r = obs.registry();
         SessionCtx {
-            e2e_sample,
             trace_sample,
             ingest_frames: AtomicU64::new(0),
             decode_hist: r.histogram("srpq_stage_ingest_decode_ns", &[]),
@@ -115,26 +107,20 @@ impl SessionCtx {
         }
     }
 
-    /// Independent 1-in-N sampling decisions (e2e latency, causal
-    /// trace) for an ingest frame; `None` when neither sampler picked
-    /// it — the hot-path common case costs one relaxed fetch-add.
-    fn stamp(&self) -> Option<BatchStamp> {
+    /// Stamps an ingest frame at decode: every frame carries its e2e
+    /// latency timestamp, and 1-in-`trace_sample` frames a causal-trace
+    /// root — the hot-path common case costs one relaxed fetch-add.
+    fn stamp(&self) -> BatchStamp {
         let n = self.ingest_frames.fetch_add(1, Ordering::Relaxed);
-        let picked = |every: u32| every != 0 && n.is_multiple_of(u64::from(every));
-        let e2e = picked(self.e2e_sample);
-        let traced = picked(self.trace_sample);
-        if !e2e && !traced {
-            return None;
-        }
+        let traced = self.trace_sample != 0 && n.is_multiple_of(u64::from(self.trace_sample));
         let trace = traced.then(|| {
             let tb = self.obs.trace();
             (tb.alloc_id(), tb.alloc_id())
         });
-        Some(BatchStamp {
+        BatchStamp {
             t0: Instant::now(),
-            e2e,
             trace,
-        })
+        }
     }
 }
 
@@ -248,7 +234,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
-    let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(config.pipeline_depth.max(1));
+    let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(PIPELINE_DEPTH);
     let core = EngineCore::new(host, interner, seq, obs.clone());
     let engine_thread = std::thread::Builder::new()
         .name("srpq-engine".into())
@@ -267,11 +253,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     // engine core registered above. Runs for the server's lifetime.
     obs.start_profiler();
 
-    let ctx = Arc::new(SessionCtx::new(
-        obs.clone(),
-        config.e2e_sample,
-        config.trace_sample,
-    ));
+    let ctx = Arc::new(SessionCtx::new(obs.clone(), config.trace_sample));
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = stop.clone();
     let accept_tx = cmd_tx.clone();
@@ -365,12 +347,8 @@ fn run_session(
             Msg::Ingest { ref tuples } => {
                 ctx.decode_hist.record(decode_ns);
                 let stamp = ctx.stamp();
-                if let Some(BatchStamp {
-                    t0,
-                    trace: Some((trace_id, root)),
-                    ..
-                }) = stamp
-                {
+                let t0 = stamp.t0;
+                if let Some((trace_id, root)) = stamp.trace {
                     // Back-date the decode span over the just-measured
                     // decode time and open the root at its start; the
                     // engine and subscriber pumps widen it from here.
@@ -389,13 +367,8 @@ fn run_session(
                         format!("tuples={}", tuples.len()),
                     );
                 }
-                let reply = roundtrip(&cmd_tx, msg, stamp, None);
-                if let Some(BatchStamp {
-                    t0,
-                    trace: Some((trace_id, root)),
-                    ..
-                }) = stamp
-                {
+                let reply = roundtrip(&cmd_tx, msg, Some(stamp), None);
+                if let Some((trace_id, root)) = stamp.trace {
                     // Without subscribers no covering flush ever
                     // reports delivery; the ack still closes the root.
                     ctx.obs.trace().root_candidate(
@@ -428,6 +401,14 @@ fn run_session(
                         detail: s.detail,
                     })
                     .collect(),
+            }),
+            // Refused before the queue is allocated: a bounded channel
+            // allocates every slot up front.
+            Msg::Subscribe { capacity, .. } if capacity > MAX_SUB_CAPACITY => Some(Msg::Error {
+                msg: format!(
+                    "subscriber capacity {capacity} exceeds the limit of \
+                     {MAX_SUB_CAPACITY} frames"
+                ),
             }),
             Msg::Subscribe { capacity, .. } => {
                 let cap = if capacity == 0 {
@@ -502,8 +483,8 @@ fn pump_subscription(
     ctx: &SessionCtx,
     pending: Arc<AtomicU64>,
 ) -> std::io::Result<()> {
-    // Sampled batches whose frames are written but not yet flushed;
-    // observed once the covering flush makes them visible to the client.
+    // Batches whose frames are written but not yet flushed; observed
+    // once the covering flush makes them visible to the client.
     let mut stamped: Vec<(BatchStamp, u64)> = Vec::new();
     loop {
         let Ok(first) = push_rx.recv() else {
@@ -529,36 +510,34 @@ fn pump_subscription(
                     let _ = ack.send(());
                 }
                 other => {
-                    if let Some(msg) = render_push(&other) {
+                    // Read the frame's size and marks before its entries
+                    // move into the wire message.
+                    let stamp = match &other {
+                        Push::Results {
+                            entries,
+                            stamp: Some(st),
+                        } => Some((*st, entries.len() as u64)),
+                        _ => None,
+                    };
+                    if let Some(msg) = push_to_msg(other) {
                         let t0 = Instant::now();
                         msg.write_to(&mut writer)?;
                         let t1 = Instant::now();
                         ctx.write_hist
                             .record(t1.duration_since(t0).as_nanos() as u64);
-                        if let Push::Results {
-                            stamp: Some(st), ..
-                        } = &other
-                        {
-                            if let Some((trace_id, root)) = st.trace {
-                                ctx.obs.trace().record(
-                                    trace_id,
-                                    root,
-                                    "write",
-                                    t0,
-                                    t1,
-                                    "srpq-session",
-                                    "",
-                                );
-                            }
+                        if let Some((trace_id, root)) = stamp.and_then(|(st, _)| st.trace) {
+                            ctx.obs.trace().record(
+                                trace_id,
+                                root,
+                                "write",
+                                t0,
+                                t1,
+                                "srpq-session",
+                                "",
+                            );
                         }
                     }
-                    if let Push::Results {
-                        entries,
-                        stamp: Some(st),
-                    } = &other
-                    {
-                        stamped.push((*st, entries.len() as u64));
-                    }
+                    stamped.extend(stamp);
                 }
             }
             item = push_rx.try_recv().ok();
@@ -568,7 +547,7 @@ fn pump_subscription(
     }
 }
 
-/// Observes flushed sampled batches: end-to-end latency into the
+/// Observes flushed batches: end-to-end latency into the
 /// histogram, delivery time into the trace root — both against the same
 /// decode timestamp, so span durations reconcile with the histogram.
 fn observe_delivered(ctx: &SessionCtx, stamped: &mut Vec<(BatchStamp, u64)>) {
@@ -577,10 +556,8 @@ fn observe_delivered(ctx: &SessionCtx, stamped: &mut Vec<(BatchStamp, u64)>) {
     }
     let now = Instant::now();
     for (st, n) in stamped.drain(..) {
-        if st.e2e {
-            ctx.e2e_hist
-                .record_n(now.duration_since(st.t0).as_nanos() as u64, n);
-        }
+        ctx.e2e_hist
+            .record_n(now.duration_since(st.t0).as_nanos() as u64, n);
         if let Some((trace_id, root)) = st.trace {
             ctx.obs
                 .trace()

@@ -37,20 +37,15 @@ pub(crate) const RESULTS_PER_FRAME: usize = 256;
 /// Default queue bound (frames) when the subscriber passes 0.
 pub(crate) const DEFAULT_CAPACITY: usize = 64;
 
-/// Sampling marks attached to one ingest batch at decode time, riding
-/// every result frame the batch produces: the end-to-end latency
-/// sampler's timestamp and/or the causal tracer's identifiers. The two
-/// samplers are independent knobs over the same path; a batch can
-/// carry either, both, or (the common case — then no stamp exists at
-/// all) neither.
+/// Marks attached to every ingest batch at decode time, riding every
+/// result frame the batch produces: the end-to-end latency timestamp
+/// and, when the causal-trace sampler picked the batch, the tracer's
+/// identifiers.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchStamp {
-    /// Ingest-decode completion time.
+    /// Ingest-decode completion time: the pump thread records `now -
+    /// t0` into the e2e histogram after the covering socket write.
     pub(crate) t0: Instant,
-    /// The e2e latency sampler picked this batch: the pump thread
-    /// records `now - t0` into the e2e histogram after the covering
-    /// socket write.
-    pub(crate) e2e: bool,
     /// The causal tracer picked this batch: `(trace_id,
     /// root_span_id)`; every stage the batch flows through records a
     /// child span under the root.
@@ -59,9 +54,9 @@ pub(crate) struct BatchStamp {
 
 /// One item in a subscriber queue.
 pub(crate) enum Push {
-    /// A batch of results to forward. `stamp` carries the sampling
-    /// marks of the batch that produced these entries, when a sampler
-    /// picked it — the pump thread observes it after the socket write.
+    /// A batch of results to forward. `stamp` carries the marks of the
+    /// ingest batch that produced these entries — the pump thread
+    /// observes it after the socket write.
     Results {
         entries: Vec<ResultEntry>,
         stamp: Option<BatchStamp>,
@@ -225,8 +220,8 @@ pub(crate) struct FanoutSink<'a> {
     pub(crate) pushed: &'a mut u64,
     /// Running count of entries lost to drop-policy queues.
     pub(crate) dropped: &'a mut u64,
-    /// Sampling marks of the driving batch (e2e latency and/or causal
-    /// trace), attached to every frame this sink flushes.
+    /// Marks of the driving batch (e2e latency, causal trace),
+    /// attached to every frame this sink flushes.
     pub(crate) stamp: Option<BatchStamp>,
 }
 
@@ -275,13 +270,12 @@ impl MultiSink for FanoutSink<'_> {
     }
 }
 
-/// Renders one queue item as its wire message.
-pub(crate) fn push_to_msg(push: &Push) -> Option<Msg> {
+/// Renders one queue item as its wire message, moving a results
+/// frame's entries out of the item.
+pub(crate) fn push_to_msg(push: Push) -> Option<Msg> {
     match push {
-        Push::Results { entries, .. } => Some(Msg::Results {
-            entries: entries.clone(),
-        }),
-        Push::Dropped(count) => Some(Msg::Dropped { count: *count }),
+        Push::Results { entries, .. } => Some(Msg::Results { entries }),
+        Push::Dropped(count) => Some(Msg::Dropped { count }),
         Push::Flush(_) => None,
     }
 }

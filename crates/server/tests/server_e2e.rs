@@ -7,7 +7,7 @@ use srpq_client::{Client, SubEvent};
 use srpq_common::{StreamTuple, Timestamp, VertexId};
 use srpq_core::EngineConfig;
 use srpq_graph::WindowPolicy;
-use srpq_server::protocol::SubPolicy;
+use srpq_server::protocol::{Msg, SubPolicy, MAX_SUB_CAPACITY, PROTO_VERSION};
 use srpq_server::{ServerConfig, ServerHandle};
 use std::path::PathBuf;
 
@@ -428,6 +428,44 @@ fn parallel_workers_server_matches_sequential_server() {
 }
 
 #[test]
+fn oversized_subscriber_capacity_is_refused() {
+    // A bounded queue allocates every slot up front, so a capacity
+    // taken from the wire unchecked could exhaust memory. The server
+    // refuses a bound above `MAX_SUB_CAPACITY` before allocating, and
+    // the session carries on.
+    let server = start_in_memory();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut call = |msg: Msg| {
+        msg.write_to(&mut writer).unwrap();
+        Msg::read_from(&mut reader).unwrap().expect("a reply")
+    };
+    let subscribe = |capacity| Msg::Subscribe {
+        queries: Vec::new(),
+        policy: SubPolicy::Block,
+        capacity,
+    };
+    let hello = call(Msg::Hello {
+        proto: PROTO_VERSION,
+    });
+    assert!(matches!(hello, Msg::HelloAck { .. }), "{hello:?}");
+    for capacity in [MAX_SUB_CAPACITY + 1, u32::MAX] {
+        let reply = call(subscribe(capacity));
+        assert!(
+            matches!(&reply, Msg::Error { msg } if msg.contains("capacity")),
+            "capacity {capacity}: {reply:?}"
+        );
+        let list = call(Msg::ListQueries);
+        assert!(matches!(list, Msg::QueryList { .. }), "{list:?}");
+    }
+    let ack = call(subscribe(MAX_SUB_CAPACITY));
+    assert!(matches!(ack, Msg::SubAck { matched: 0 }), "{ack:?}");
+    Client::connect(server.addr()).unwrap().shutdown().unwrap();
+    server.join();
+}
+
+#[test]
 fn accepted_session_sockets_disable_nagle() {
     // Replies and pushes are whole frames flushed through a
     // `BufWriter`; with Nagle on, an 18-byte ack waits out the peer's
@@ -452,9 +490,9 @@ fn prom_hist_count(text: &str, name: &str) -> u64 {
 
 #[test]
 fn metrics_events_and_exact_e2e_histogram() {
-    // Default in-memory config: e2e_sample == 1, so every delivered
-    // result is stamped at ingest decode and observed at the flush that
-    // makes it client-visible — the e2e histogram count must equal the
+    // Every ingest frame is stamped, so every delivered result is
+    // stamped at ingest decode and observed at the flush that makes it
+    // client-visible — the e2e histogram count must equal the
     // delivered-results count exactly.
     let mut config =
         ServerConfig::in_memory(EngineConfig::with_window(WindowPolicy::new(1000, 100)));

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiQueryEngine, UntagSink};
+use srpq_core::multi::MultiQueryEngine;
 use srpq_core::sink::CollectSink;
 use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
@@ -47,7 +47,7 @@ fn main() {
             StreamTuple::insert(Timestamp(ts), src, dst, transfer)
         };
         let before = sink.emitted().len();
-        engine.process(tuple, &mut UntagSink(&mut sink));
+        engine.process(tuple, &mut sink);
         for &(pair, at) in &sink.emitted()[before..] {
             if pair.src == pair.dst {
                 cycles_seen += 1;

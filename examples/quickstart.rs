@@ -3,15 +3,15 @@
 //! Registers Q1 = `(follows mentions)+` over a 15-time-unit sliding
 //! window, replays the social-network stream of Figure 1(a), and prints
 //! every result pair as it is discovered. A lone query runs the way
-//! every host runs it: registered on a `MultiQueryEngine`, with
-//! `UntagSink` dropping the query tag off its results.
+//! every host runs it: registered on a `MultiQueryEngine`, into a sink
+//! that ignores the query tag on its results.
 //!
 //! Run with: `cargo run -p srpq_harness --example quickstart`
 
 use srpq_automata::CompiledQuery;
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexInterner};
-use srpq_core::multi::{MultiQueryEngine, UntagSink};
-use srpq_core::sink::FnSink;
+use srpq_core::multi::MultiQueryEngine;
+use srpq_core::sink::CollectSink;
 use srpq_core::PathSemantics;
 use srpq_graph::WindowPolicy;
 
@@ -60,13 +60,12 @@ fn main() {
                 "mentions"
             }
         );
-        let mut found = Vec::new();
-        let mut sink = FnSink(|pair, at| found.push((pair, at)));
-        engine.process(tuple, &mut UntagSink(&mut sink));
-        if found.is_empty() {
+        let mut found = CollectSink::default();
+        engine.process(tuple, &mut found);
+        if found.emitted().is_empty() {
             println!();
         } else {
-            for (pair, at) in found {
+            for &(pair, at) in found.emitted() {
                 // Resolve ids back to names for display.
                 let s = verts.resolve(pair.src).unwrap_or("?");
                 let d = verts.resolve(pair.dst).unwrap_or("?");

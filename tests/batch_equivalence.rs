@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, UntagSink};
+use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
 use srpq_core::sink::CollectSink;
 use srpq_core::{EngineConfig, PathSemantics};
 use srpq_graph::WindowPolicy;
@@ -92,7 +92,7 @@ fn drive_batched(
     let mut si = 0;
     while i < stream.len() {
         let take = sizes[si % sizes.len()].min(stream.len() - i);
-        engine.process_batch(&stream[i..i + take], &mut UntagSink(&mut sink));
+        engine.process_batch(&stream[i..i + take], &mut sink);
         i += take;
         si += 1;
     }
@@ -108,7 +108,7 @@ fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, see
     let (mut single, id) = solo(query.clone(), config, semantics);
     let mut s_sink = CollectSink::default();
     for &t in &stream {
-        single.process(t, &mut UntagSink(&mut s_sink));
+        single.process(t, &mut s_sink);
     }
 
     let (mut batched, _) = solo(query, config, semantics);
@@ -145,8 +145,8 @@ fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, see
     // And after a forced expiry pass both still agree.
     let mut s2 = CollectSink::default();
     let mut b2 = CollectSink::default();
-    single.expire_now(&mut UntagSink(&mut s2));
-    batched.expire_now(&mut UntagSink(&mut b2));
+    single.expire_now(&mut s2);
+    batched.expire_now(&mut b2);
     assert_eq!(s2.emitted(), b2.emitted(), "post-expiry differs: {ctx}");
     assert_eq!(
         single.index_size(id),
@@ -234,9 +234,9 @@ fn parallel_batch_matches_sequential_result_set() {
         let (mut sequential, seq_id) = solo(query.clone(), config, PathSemantics::Arbitrary);
         let mut ss = CollectSink::default();
         for &t in &stream {
-            sequential.process(t, &mut UntagSink(&mut ss));
+            sequential.process(t, &mut ss);
         }
-        sequential.expire_now(&mut UntagSink(&mut ss));
+        sequential.expire_now(&mut ss);
 
         let mut parallel = MultiQueryEngine::with_config(config);
         parallel.set_workers(4);
@@ -245,9 +245,9 @@ fn parallel_batch_matches_sequential_result_set() {
             .unwrap();
         let mut sp = CollectSink::default();
         for chunk in stream.chunks(48) {
-            parallel.process_batch(chunk, &mut UntagSink(&mut sp));
+            parallel.process_batch(chunk, &mut sp);
         }
-        parallel.expire_now(&mut UntagSink(&mut sp));
+        parallel.expire_now(&mut sp);
 
         assert_eq!(ss.emitted(), sp.emitted(), "seed {seed}");
         assert_eq!(ss.invalidated(), sp.invalidated(), "seed {seed}");

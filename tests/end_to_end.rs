@@ -5,7 +5,7 @@ use srpq_automata::CompiledQuery;
 use srpq_baseline::ReevalEngine;
 use srpq_common::Op;
 use srpq_core::sink::{CollectSink, CountSink};
-use srpq_core::{EngineConfig, PathSemantics, UntagSink};
+use srpq_core::{EngineConfig, PathSemantics};
 use srpq_datagen::{gmark, inject_deletions, ldbc, queries_for, so, yago, DatasetKind};
 use srpq_graph::WindowPolicy;
 use srpq_harness::solo;
@@ -38,12 +38,12 @@ fn rapq_agrees_with_reeval_on_yago_sample() {
         let mut s1 = CollectSink::default();
         let mut s2 = CollectSink::default();
         for &t in &ds.tuples {
-            incremental.process(t, &mut UntagSink(&mut s1));
+            incremental.process(t, &mut s1);
             reeval.process(t, &mut s2);
         }
         // The incremental engine may discover some results only at the
         // next expiry pass (lazy slides); force one before comparing.
-        incremental.expire_now(&mut UntagSink(&mut s1));
+        incremental.expire_now(&mut s1);
         assert_eq!(s1.pairs(), s2.pairs(), "query {name}");
     }
 }
@@ -68,7 +68,7 @@ fn so_stream_all_queries_run_clean() {
         );
         let mut sink = CountSink::default();
         for &t in &ds.tuples {
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
         }
         // Every tuple is either evaluated or dropped by the label router.
         let (seen, routed) = engine.routing_stats();
@@ -103,7 +103,7 @@ fn ldbc_stream_produces_results_on_recursive_relations() {
         );
         let mut sink = CountSink::default();
         for &t in &ds.tuples {
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
         }
         if name == "Q1" {
             // knows* on a social graph: plenty of pairs.
@@ -134,7 +134,7 @@ fn deletion_injection_round_trip() {
     );
     let mut sink = CollectSink::default();
     for &t in &stream {
-        engine.process(t, &mut UntagSink(&mut sink));
+        engine.process(t, &mut sink);
     }
     assert!(engine.stats(id).unwrap().deletions_processed > 0);
     // Invalidations only reference previously emitted pairs.
@@ -167,7 +167,7 @@ fn gmark_workload_runs_both_semantics() {
             let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CountSink::default();
             for &t in &ds.tuples {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
             }
             assert!(
                 engine.stats(id).unwrap().tuples_processed <= ds.len() as u64,
@@ -224,7 +224,7 @@ fn rspq_incompleteness_counterexample() {
     let mut sink = CollectSink::default();
     let mut graph = WindowGraph::new();
     for &t in &stream {
-        engine.process(t, &mut UntagSink(&mut sink));
+        engine.process(t, &mut sink);
         graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
     }
     let expected = evaluate_simple_bruteforce(&graph, Timestamp(i64::MIN), query.dfa());
@@ -264,8 +264,8 @@ fn rspq_subset_of_rapq_on_so_sample() {
         let mut sa = CollectSink::default();
         let mut ss = CollectSink::default();
         for &t in &ds.tuples {
-            rapq.process(t, &mut UntagSink(&mut sa));
-            rspq.process(t, &mut UntagSink(&mut ss));
+            rapq.process(t, &mut sa);
+            rspq.process(t, &mut ss);
         }
         let arbitrary = sa.pairs();
         for p in ss.pairs() {

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, Op, StreamTuple, Timestamp, VertexId};
 use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, PathSemantics, UntagSink};
+use srpq_core::{EngineConfig, PathSemantics};
 use srpq_graph::{WindowGraph, WindowPolicy};
 use srpq_harness::{solo, Oracle, OracleMode};
 
@@ -93,7 +93,7 @@ fn rapq_eager_equals_oracle() {
         let mut oracle = Oracle::new(window);
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
             let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
             assert_eq!(&sink.pairs(), expected, "seed {seed}, spec {spec:?}");
         }
@@ -118,7 +118,7 @@ fn rspq_eager_equals_bruteforce() {
         let mut oracle = Oracle::new(window);
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
             let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
             let got = sink.pairs();
             for p in &got {
@@ -144,7 +144,7 @@ fn delta_validates_after_every_tuple() {
             let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 engine
                     .engine(id)
                     .unwrap()
@@ -168,7 +168,7 @@ fn delta_timestamps_within_window_after_expiry() {
             let (mut engine, id) = solo(query.clone(), config, semantics);
             let mut sink = CollectSink::default();
             for &t in &tuples {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let group = engine.engine(id).unwrap();
                 let wm = window.watermark(group.now());
                 for tree in group.delta_snapshot() {
@@ -232,7 +232,7 @@ fn dedup_emission_bound() {
         );
         let mut sink = CollectSink::default();
         for &t in &tuples {
-            engine.process(t, &mut UntagSink(&mut sink));
+            engine.process(t, &mut sink);
         }
         let mut emitted_counts: std::collections::HashMap<_, usize> =
             std::collections::HashMap::new();

@@ -5,8 +5,8 @@
 //! durable directory, finish the stream, and assert the combined result
 //! stream and the engine statistics match an uninterrupted run. The
 //! single-query shapes are what `srpq run` hosts — a one-query
-//! `MultiQueryEngine` behind `UntagSink` — and their reference is the
-//! same host run without workers or a crash.
+//! `MultiQueryEngine` feeding a `CollectSink` — and their reference is
+//! the same host run without workers or a crash.
 //!
 //! The engines run the default configuration (`srpq run`'s and
 //! `serve`'s). Equality contract: the same results and invalidations at
@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, UntagSink};
+use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
 use srpq_core::sink::CollectSink;
 use srpq_core::{EngineStats, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
@@ -206,9 +206,7 @@ fn crash_and_recover(
     let mut durable = Durable::create(multi, &dir, durability(strategy)).unwrap();
     let mut pre = CollectSink::default();
     for chunk in tuples[..cut].chunks(BATCH) {
-        durable
-            .process_batch(chunk, &mut UntagSink(&mut pre))
-            .unwrap();
+        durable.process_batch(chunk, &mut pre).unwrap();
     }
     drop(durable); // crash at `cut`
 
@@ -222,9 +220,7 @@ fn crash_and_recover(
     recovered.inner_mut().set_workers(recover_workers);
     let mut post = CollectSink::default();
     for chunk in tuples[cut..].chunks(BATCH) {
-        recovered
-            .process_batch(chunk, &mut UntagSink(&mut post))
-            .unwrap();
+        recovered.process_batch(chunk, &mut post).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
     Crashed {
@@ -245,7 +241,7 @@ fn reference_run(
     let (mut reference, _) = one_query_host(case, &mut labels_ab(), semantics, 0);
     let mut sink = CollectSink::default();
     for chunk in tuples.chunks(BATCH) {
-        reference.process_batch(chunk, &mut UntagSink(&mut sink));
+        reference.process_batch(chunk, &mut sink);
     }
     (reference, sink)
 }
@@ -570,9 +566,7 @@ fn edge_cuts_recover() {
     let tuples = random_stream(80, 8, 11);
     let mut sink = CollectSink::default();
     for chunk in tuples.chunks(BATCH) {
-        recovered
-            .process_batch(chunk, &mut UntagSink(&mut sink))
-            .unwrap();
+        recovered.process_batch(chunk, &mut sink).unwrap();
     }
     // Checkpoint boundary: checkpoint manually, crash, recover — the
     // suffix replay is empty.

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
 use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, PathSemantics, UntagSink};
+use srpq_core::{EngineConfig, PathSemantics};
 use srpq_graph::WindowPolicy;
 use srpq_harness::{solo, Oracle, OracleMode};
 
@@ -63,7 +63,7 @@ fn rapq_matches_oracle_exactly_with_eager_expiry() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 let got = sink.pairs();
                 assert_eq!(&got, expected, "query {expr}, seed {seed}, tuple {i}: {t}");
@@ -90,7 +90,7 @@ fn rspq_matches_bruteforce_oracle_with_eager_expiry() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
                 let got = sink.pairs();
                 // Soundness holds unconditionally. Completeness is only
@@ -132,7 +132,7 @@ fn rapq_is_sound_under_lazy_expiry() {
             let mut oracle = Oracle::new(WindowPolicy::new(12 + 7, 1));
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let relaxed = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 for p in sink.pairs() {
                     assert!(
@@ -173,7 +173,7 @@ fn rapq_with_deletions_matches_oracle() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
                 // Emission stream (distinct pairs ever emitted) must
                 // equal the cumulative oracle: deletions never remove
@@ -212,7 +212,7 @@ fn rspq_with_deletions_matches_oracle() {
             let mut oracle = Oracle::new(window);
             let mut sink = CollectSink::default();
             for (i, &t) in stream.iter().enumerate() {
-                engine.process(t, &mut UntagSink(&mut sink));
+                engine.process(t, &mut sink);
                 let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
                 let got = sink.pairs();
                 for p in &got {
@@ -243,8 +243,8 @@ fn simple_results_subset_of_arbitrary() {
             let mut sa = CollectSink::default();
             let mut ss = CollectSink::default();
             for &t in &stream {
-                rapq.process(t, &mut UntagSink(&mut sa));
-                rspq.process(t, &mut UntagSink(&mut ss));
+                rapq.process(t, &mut sa);
+                rspq.process(t, &mut ss);
             }
             let arbitrary = sa.pairs();
             for p in ss.pairs() {
