@@ -47,12 +47,23 @@ const USAGE: &str = "usage:
   srpq ctl events --connect ADDR [--since SEQ]
   srpq ctl explain NAME --connect ADDR [--json]";
 
-/// Dispatches a command line. A verb reads exactly the options its
-/// usage lines name, and any other option is refused.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// A verb's standard output: every verb writes through this one
+/// fallible writer, never `println!`.
+pub(crate) type Out<'a> = &'a mut dyn Write;
+
+/// The error a failed write to a verb's output ends it with (a reader
+/// that closed the pipe early is one).
+pub(crate) fn output_error(e: std::io::Error) -> String {
+    format!("writing output: {e}")
+}
+
+/// Dispatches a command line, writing its output to `out`. A verb reads
+/// exactly the options its usage lines name, and any other option is
+/// refused.
+pub fn dispatch(argv: &[String], out: Out) -> Result<(), String> {
     let mut args = Args::parse(argv);
     let verb = args.positional.first().cloned().unwrap_or_default();
-    let run: fn(&Args) -> Result<(), String> = match verb.as_str() {
+    let run: fn(&Args, Out) -> Result<(), String> = match verb.as_str() {
         "gen" => cmd_gen,
         "info" => cmd_info,
         "explain" => cmd_explain,
@@ -68,7 +79,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown command {other:?}\n{USAGE}")),
     };
     args.restrict(&verb, options_of(&verb))?;
-    run(&args)
+    run(&args, out)
 }
 
 /// Every `--key` the [`USAGE`] lines of `verb` name.
@@ -106,9 +117,9 @@ pub(crate) fn durability_config(args: &Args) -> Result<DurabilityConfig, String>
     })
 }
 
-fn cmd_gen(args: &Args) -> Result<(), String> {
+fn cmd_gen(args: &Args, out: Out) -> Result<(), String> {
     let kind = args.require("dataset")?;
-    let out = args.require("out")?.to_string();
+    let path = args.require("out")?.to_string();
     let edges: usize = args.get_num("edges", 50_000usize)?;
     let seed: u64 = args.get_num("seed", 42u64)?;
     let ds: Dataset = match kind {
@@ -139,10 +150,11 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown dataset {other:?}")),
     };
-    streamfile::save(&ds, Path::new(&out))?;
-    println!(
-        "wrote {}: {} tuples, {} labels, {} vertices",
+    streamfile::save(&ds, Path::new(&path))?;
+    outln!(
         out,
+        "wrote {}: {} tuples, {} labels, {} vertices",
+        path,
         ds.len(),
         ds.labels.len(),
         ds.n_vertices
@@ -150,7 +162,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
+fn cmd_info(args: &Args, out: Out) -> Result<(), String> {
     let path = args.require("stream")?.to_string();
     let (labels, tuples) = streamfile::load(Path::new(&path))?;
     let (first, last) = match (tuples.first(), tuples.last()) {
@@ -158,37 +170,37 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         _ => (0, 0),
     };
     let deletions = tuples.iter().filter(|t| !t.is_insert()).count();
-    println!("stream:    {path}");
-    println!("tuples:    {} ({} deletions)", tuples.len(), deletions);
-    println!("labels:    {}", labels.len());
-    println!("timespan:  [{first}, {last}]");
+    outln!(out, "stream:    {path}");
+    outln!(out, "tuples:    {} ({} deletions)", tuples.len(), deletions);
+    outln!(out, "labels:    {}", labels.len());
+    outln!(out, "timespan:  [{first}, {last}]");
     let mut counts: Vec<(usize, String)> = Vec::new();
     for (label, name) in labels.iter() {
         let c = tuples.iter().filter(|t| t.label == label).count();
         counts.push((c, name.to_string()));
     }
     counts.sort_unstable_by(|a, b| b.cmp(a));
-    println!("top labels:");
+    outln!(out, "top labels:");
     for (c, name) in counts.iter().take(10) {
-        println!("  {name:<24} {c}");
+        outln!(out, "  {name:<24} {c}");
     }
     Ok(())
 }
 
-fn cmd_explain(args: &Args) -> Result<(), String> {
+fn cmd_explain(args: &Args, out: Out) -> Result<(), String> {
     let query = args
         .positional
         .get(1)
         .ok_or("explain needs a query argument")?;
     let mut labels = LabelInterner::new();
     let compiled = CompiledQuery::compile(query, &mut labels).map_err(|e| e.to_string())?;
-    println!("query:       {}", compiled.regex());
-    println!("size |Q|:    {}", compiled.regex().size());
-    println!("recursive:   {}", compiled.regex().is_recursive());
-    println!("DFA states:  {}", compiled.k());
-    println!("containment: {}", compiled.has_containment_property());
-    println!("accepts ε:   {}", compiled.dfa().accepts_empty());
-    println!("\ntransitions (minimal DFA):");
+    outln!(out, "query:       {}", compiled.regex());
+    outln!(out, "size |Q|:    {}", compiled.regex().size());
+    outln!(out, "recursive:   {}", compiled.regex().is_recursive());
+    outln!(out, "DFA states:  {}", compiled.k());
+    outln!(out, "containment: {}", compiled.has_containment_property());
+    outln!(out, "accepts ε:   {}", compiled.dfa().accepts_empty());
+    outln!(out, "\ntransitions (minimal DFA):");
     for (s, l, t) in compiled.dfa().transitions() {
         let marker = |x: srpq_common::StateId| {
             let mut m = String::new();
@@ -200,7 +212,8 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             }
             m
         };
-        println!(
+        outln!(
+            out,
             "  s{}{} --{}--> s{}{}",
             s.0,
             marker(s),
@@ -209,8 +222,8 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             marker(t),
         );
     }
-    println!("\ndot:");
-    println!("{}", dfa_dot(&compiled, &labels));
+    outln!(out, "\ndot:");
+    outln!(out, "{}", dfa_dot(&compiled, &labels));
     Ok(())
 }
 
@@ -240,7 +253,7 @@ fn dfa_dot(q: &CompiledQuery, labels: &LabelInterner) -> String {
     out
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args, out: Out) -> Result<(), String> {
     let query_src = args.require("query")?.to_string();
     let path = args.require("stream")?.to_string();
     let (mut labels, tuples) = streamfile::load(Path::new(&path))?;
@@ -279,10 +292,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         ),
         None => Host::from(multi),
     };
-    drive_and_report(args, host, id, &tuples, 0, batch, workers)
+    drive_and_report(args, out, host, id, &tuples, 0, batch, workers)
 }
 
-fn cmd_recover(args: &Args) -> Result<(), String> {
+fn cmd_recover(args: &Args, out: Out) -> Result<(), String> {
     let wal_dir = args.require("wal-dir")?.to_string();
     let path = args.require("stream")?.to_string();
     let (mut labels, tuples) = streamfile::load(Path::new(&path))?;
@@ -324,7 +337,7 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         tuples.len() - resume
     );
     let host = Host::from(durable);
-    drive_and_report(args, host, id, &tuples, resume, batch, workers)
+    drive_and_report(args, out, host, id, &tuples, resume, batch, workers)
 }
 
 /// `(--batch, --workers)`, read before anything touches a state
@@ -336,45 +349,55 @@ fn drive_options(args: &Args) -> Result<(usize, usize), String> {
     }
 }
 
-fn cmd_wal_info(args: &Args) -> Result<(), String> {
+fn cmd_wal_info(args: &Args, out: Out) -> Result<(), String> {
     let dir = Path::new(args.require("wal-dir")?);
     // Strictly read-only: no directory creation, no torn-tail repair —
     // inspecting post-crash state must not alter it.
     let (info, batches) = srpq_persist::Wal::inspect(dir).map_err(|e| e.to_string())?;
-    println!("wal dir:     {}", dir.display());
-    println!("segments:    {}", info.segments);
-    println!("records:     {}", info.records);
-    println!("tuples:      {}", info.tuples);
-    println!("bytes:       {}", info.bytes);
-    println!("seq range:   [{}, {})", info.seq_range.0, info.seq_range.1);
+    outln!(out, "wal dir:     {}", dir.display());
+    outln!(out, "segments:    {}", info.segments);
+    outln!(out, "records:     {}", info.records);
+    outln!(out, "tuples:      {}", info.tuples);
+    outln!(out, "bytes:       {}", info.bytes);
+    outln!(
+        out,
+        "seq range:   [{}, {})",
+        info.seq_range.0,
+        info.seq_range.1
+    );
     match info.ts_range {
-        Some((lo, hi)) => println!("ts range:    [{lo}, {hi}]"),
-        None => println!("ts range:    (empty)"),
+        Some((lo, hi)) => outln!(out, "ts range:    [{lo}, {hi}]"),
+        None => outln!(out, "ts range:    (empty)"),
     }
     let deletions: u64 = batches
         .iter()
         .flat_map(|b| &b.tuples)
         .filter(|t| !t.is_insert())
         .count() as u64;
-    println!("deletions:   {deletions}");
+    outln!(out, "deletions:   {deletions}");
     match srpq_persist::checkpoint::load_latest(dir).map_err(|e| e.to_string())? {
         Some((header, payload)) => {
-            println!(
+            outln!(
+                out,
                 "checkpoint:  seq {} ({}, {} bytes)",
                 header.seq,
                 header.strategy,
                 payload.len()
             );
             if header.seq < info.seq_range.1 {
-                println!(
+                outln!(
+                    out,
                     "recovery:    would replay {} tuples on top of the checkpoint",
                     info.seq_range.1 - header.seq
                 );
             } else {
-                println!("recovery:    checkpoint covers the whole log");
+                outln!(out, "recovery:    checkpoint covers the whole log");
             }
         }
-        None => println!("checkpoint:  (none — this directory is not recoverable)"),
+        None => outln!(
+            out,
+            "checkpoint:  (none — this directory is not recoverable)"
+        ),
     }
     Ok(())
 }
@@ -384,8 +407,10 @@ fn cmd_wal_info(args: &Args) -> Result<(), String> {
 /// `id` on `--workers` threads (0 = this one; byte-identical output at
 /// any count, see README), then prints the summary, the `--trace`
 /// journal and the `--stats-json` file.
+#[allow(clippy::too_many_arguments)]
 fn drive_and_report(
     args: &Args,
+    out: Out,
     mut host: Host,
     id: QueryId,
     tuples: &[StreamTuple],
@@ -411,7 +436,7 @@ fn drive_and_report(
         &tuples[start.min(end)..end],
         start,
         batch,
-        args.flag("print-results"),
+        args.flag("print-results").then_some(out),
         obs.as_ref().map(Obs::journal),
     )?;
     let stats = stats_list(&host, id, &outcome);
@@ -449,7 +474,7 @@ struct RunOutcome {
 
 /// Drives `slice` (stream positions from `start`) through the host in
 /// `batch`-sized chunks, measuring mean per-relevant-tuple latency per
-/// chunk, printing results when `print` is set, and journaling each
+/// chunk, printing results into `print` when given, and journaling each
 /// chunk's slides and compactions into `trace`.
 fn drive_stream(
     host: &mut Host,
@@ -457,21 +482,16 @@ fn drive_stream(
     slice: &[StreamTuple],
     start: usize,
     batch: usize,
-    print: bool,
+    print: Option<Out>,
     trace: Option<&Journal>,
 ) -> Result<RunOutcome, String> {
     let started = Instant::now();
-    let (histogram, relevant) = if print {
-        let mut out = PrintSink {
-            out: std::io::BufWriter::new(std::io::stdout()),
-            failed: None,
-        };
-        let drove = chunk_loop(host, id, slice, start, batch, &mut out, trace)?;
-        match out.failed {
-            None => out.out.flush(),
-            Some(e) => Err(e),
+    let (histogram, relevant) = if let Some(out) = print {
+        let mut sink = PrintSink { out, failed: None };
+        let drove = chunk_loop(host, id, slice, start, batch, &mut sink, trace)?;
+        if let Some(e) = sink.failed {
+            return Err(output_error(e));
         }
-        .map_err(|e| format!("writing results: {e}"))?;
         drove
     } else {
         let mut count = CountSink::default();
@@ -665,6 +685,11 @@ fn print_summary(
 mod tests {
     use super::*;
 
+    /// Runs a command line, its output into a buffer.
+    fn dispatch(argv: &[String]) -> Result<(), String> {
+        super::dispatch(argv, &mut Vec::new())
+    }
+
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
     }
@@ -713,6 +738,34 @@ mod tests {
         assert_eq!(sink.out.0, 1);
         let kind = sink.failed.map(|e| e.kind());
         assert_eq!(kind, Some(std::io::ErrorKind::BrokenPipe));
+    }
+
+    /// A reader that closed the pipe.
+    struct BrokenPipe;
+
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_output_fails_the_verb_without_a_panic() {
+        let dir = std::env::temp_dir().join(format!("srpq-cli-pipe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        srpq_persist::Wal::open(&dir, 1 << 20).unwrap();
+        let wal = dir.to_str().unwrap();
+        for verb in [
+            argv(&["explain", "(a | b)+ c"]),
+            argv(&["wal-info", "--wal-dir", wal]),
+        ] {
+            let err = super::dispatch(&verb, &mut BrokenPipe).unwrap_err();
+            assert!(err.starts_with("writing output: "), "{verb:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

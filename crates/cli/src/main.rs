@@ -23,16 +23,27 @@
 //! checkpoints periodically; `recover` restores the engine after a crash
 //! and resumes the stream where durable state ends.
 
+/// `writeln!` into a verb's output `out`; the first write error fails
+/// the verb (`srpq: writing output: …`, exit 1) instead of panicking.
+macro_rules! outln {
+    ($out:expr $(, $arg:expr)* $(,)?) => {
+        writeln!($out $(, $arg)*).map_err(crate::commands::output_error)?
+    };
+}
+
 mod args;
 mod commands;
 mod net;
 mod streamfile;
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let ran = commands::dispatch(&argv, &mut out);
+    match ran.and_then(|()| out.flush().map_err(commands::output_error)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("srpq: {e}");

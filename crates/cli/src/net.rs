@@ -8,6 +8,7 @@
 //! that across a kill + recovery.
 
 use crate::args::Args;
+use crate::commands::{output_error, Out};
 use crate::streamfile;
 use srpq_client::{Client, SubEvent};
 use srpq_common::{Label, StreamTuple};
@@ -25,7 +26,7 @@ fn connect(args: &Args) -> Result<Client, String> {
 }
 
 /// `srpq serve`: bind, serve until a client sends `shutdown`.
-pub fn cmd_serve(args: &Args) -> Result<(), String> {
+pub fn cmd_serve(args: &Args, out: Out) -> Result<(), String> {
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878").to_string();
     let window: i64 = args.get_num("window", 0i64)?.max(0);
     if window == 0 {
@@ -68,7 +69,9 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         "serving:      {} (window |W|={window} slide β={slide})",
         handle.addr()
     );
-    println!("{}", handle.addr());
+    // Scripts read the address off stdout while the server runs.
+    outln!(out, "{}", handle.addr());
+    out.flush().map_err(output_error)?;
     handle.join();
     eprintln!("serve:        shut down cleanly");
     Ok(())
@@ -95,7 +98,7 @@ fn load_remapped(client: &mut Client, path: &Path) -> Result<Vec<StreamTuple>, S
 }
 
 /// `srpq ingest`: stream a file into a server in acked batches.
-pub fn cmd_ingest(args: &Args) -> Result<(), String> {
+pub fn cmd_ingest(args: &Args, _out: Out) -> Result<(), String> {
     let path = args.require("stream")?.to_string();
     let batch: usize = args.get_num("batch", 512usize)?;
     if batch == 0 {
@@ -156,7 +159,7 @@ pub fn cmd_ingest(args: &Args) -> Result<(), String> {
 }
 
 /// `srpq subscribe`: attach and print the pushed result stream.
-pub fn cmd_subscribe(args: &Args) -> Result<(), String> {
+pub fn cmd_subscribe(args: &Args, out: Out) -> Result<(), String> {
     let queries: Vec<String> = args
         .get("queries")
         .map(|s| s.split(',').map(str::to_string).collect())
@@ -183,9 +186,6 @@ pub fn cmd_subscribe(args: &Args) -> Result<(), String> {
         .subscribe(&queries, policy, capacity)
         .map_err(|e| format!("subscribe: {e}"))?;
     eprintln!("subscribed:   {} matching queries", sub.matched());
-    use std::io::Write as _;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
     while let Some(event) = sub.next_event().map_err(|e| e.to_string())? {
         match event {
             SubEvent::Results(entries) => {
@@ -200,20 +200,19 @@ pub fn cmd_subscribe(args: &Args) -> Result<(), String> {
                     } else {
                         writeln!(out, "[{}] {sign} ({}, {})", e.ts, e.src, e.dst)
                     }
-                    .map_err(|e| e.to_string())?;
+                    .map_err(output_error)?;
                 }
-                out.flush().map_err(|e| e.to_string())?;
+                out.flush().map_err(output_error)?;
             }
             SubEvent::Dropped(n) => eprintln!("(dropped {n} results)"),
         }
     }
-    out.flush().map_err(|e| e.to_string())?;
     eprintln!("subscription ended (server shut down or connection closed)");
     Ok(())
 }
 
 /// `srpq query add|remove|list`.
-pub fn cmd_query(args: &Args) -> Result<(), String> {
+pub fn cmd_query(args: &Args, out: Out) -> Result<(), String> {
     let mut client = connect(args)?;
     match args.positional.get(1).map(String::as_str) {
         Some("add") => {
@@ -227,20 +226,21 @@ pub fn cmd_query(args: &Args) -> Result<(), String> {
             let id = client
                 .add_query(name, regex, simple, args.flag("backfill"))
                 .map_err(|e| e.to_string())?;
-            println!("added {name} as q{id}");
+            outln!(out, "added {name} as q{id}");
             Ok(())
         }
         Some("remove") => {
             let name = args.require("name")?;
             let id = client.remove_query(name).map_err(|e| e.to_string())?;
-            println!("removed {name} (was q{id})");
+            outln!(out, "removed {name} (was q{id})");
             Ok(())
         }
         Some("list") => {
             let list = client.list_queries().map_err(|e| e.to_string())?;
             for q in list {
                 let semantics = if q.simple { "simple" } else { "arbitrary" };
-                println!(
+                outln!(
+                    out,
                     "q{}  {}  {}  [{}]  group=g{} routed={} results={} eval={:.1}ms",
                     q.id,
                     q.name,
@@ -261,42 +261,55 @@ pub fn cmd_query(args: &Args) -> Result<(), String> {
 }
 
 /// `srpq ctl drain|checkpoint|shutdown|stats`.
-pub fn cmd_ctl(args: &Args) -> Result<(), String> {
+pub fn cmd_ctl(args: &Args, out: Out) -> Result<(), String> {
     let mut client = connect(args)?;
     match args.positional.get(1).map(String::as_str) {
         Some("drain") => {
             let seq = client.drain().map_err(|e| e.to_string())?;
-            println!("drained at seq {seq}");
+            outln!(out, "drained at seq {seq}");
             Ok(())
         }
         Some("checkpoint") => {
             let seq = client.checkpoint().map_err(|e| e.to_string())?;
-            println!("checkpointed at seq {seq}");
+            outln!(out, "checkpointed at seq {seq}");
             Ok(())
         }
         Some("shutdown") => {
             client.shutdown().map_err(|e| e.to_string())?;
-            println!("server shutting down");
+            outln!(out, "server shutting down");
             Ok(())
         }
         Some("stats") => {
             let s = client.stats().map_err(|e| e.to_string())?;
-            println!("seq:              {}", s.seq);
-            println!("live queries:     {} ({} slots)", s.live_queries, s.slots);
-            println!(
+            outln!(out, "seq:              {}", s.seq);
+            outln!(
+                out,
+                "live queries:     {} ({} slots)",
+                s.live_queries,
+                s.slots
+            );
+            outln!(
+                out,
                 "eval groups:      {} ({} shared away)",
                 s.groups_live,
                 (s.live_queries).saturating_sub(s.groups_live)
             );
-            println!("subscribers:      {}", s.subscribers);
-            println!("labels:           {}", s.labels);
-            println!("results pushed:   {}", s.results_pushed);
-            println!("results dropped:  {}", s.results_dropped);
-            println!("workers:          {}", s.workers);
-            println!("eval time:        {:.1}ms total", s.eval_ns as f64 / 1e6);
-            println!(
+            outln!(out, "subscribers:      {}", s.subscribers);
+            outln!(out, "labels:           {}", s.labels);
+            outln!(out, "results pushed:   {}", s.results_pushed);
+            outln!(out, "results dropped:  {}", s.results_dropped);
+            outln!(out, "workers:          {}", s.workers);
+            outln!(
+                out,
+                "eval time:        {:.1}ms total",
+                s.eval_ns as f64 / 1e6
+            );
+            outln!(
+                out,
                 "delta occupancy:  {} live / {} slots ({} compactions)",
-                s.delta_nodes_live, s.delta_capacity, s.compactions
+                s.delta_nodes_live,
+                s.delta_capacity,
+                s.compactions
             );
             // Per-worker eval/expiry ledgers (worker pool only; the last
             // entry is the coordinator's own share).
@@ -307,7 +320,8 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
                 } else {
                     format!("w{i}")
                 };
-                println!(
+                outln!(
+                    out,
                     "  {who:<6} eval {:.1}ms  expiry {:.1}ms",
                     *eval as f64 / 1e6,
                     *expiry as f64 / 1e6
@@ -317,7 +331,7 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
         }
         Some("metrics") => {
             let text = client.metrics().map_err(|e| e.to_string())?;
-            print!("{text}");
+            write!(out, "{text}").map_err(output_error)?;
             Ok(())
         }
         Some("events") => {
@@ -330,7 +344,14 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
                 let kind = srpq_obs::EventKind::from_u8(e.kind)
                     .map(|k| k.name())
                     .unwrap_or("unknown");
-                println!("#{:<6} {:>13}  {:<21} {}", e.seq, e.unix_ms, kind, e.detail);
+                outln!(
+                    out,
+                    "#{:<6} {:>13}  {:<21} {}",
+                    e.seq,
+                    e.unix_ms,
+                    kind,
+                    e.detail
+                );
             }
             Ok(())
         }
@@ -343,7 +364,8 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
             // under their trace's root.
             for s in &spans {
                 let indent = if s.parent == 0 { "" } else { "  " };
-                println!(
+                outln!(
+                    out,
                     "t{:<5} {indent}{:<16} {:>9.3}ms @{:<10} [{}] {}",
                     s.trace_id,
                     s.name,
@@ -362,9 +384,9 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
                 .ok_or("ctl explain needs a query name")?;
             let x = client.explain(name).map_err(|e| e.to_string())?;
             if args.flag("json") {
-                println!("{}", explain_json(&x));
+                outln!(out, "{}", explain_json(&x));
             } else {
-                print_explain(&x);
+                print_explain(out, &x)?;
             }
             Ok(())
         }
@@ -376,28 +398,41 @@ pub fn cmd_ctl(args: &Args) -> Result<(), String> {
 }
 
 /// Human-readable `ctl explain` report.
-fn print_explain(x: &srpq_client::ExplainWire) {
+fn print_explain(out: Out, x: &srpq_client::ExplainWire) -> Result<(), String> {
     let semantics = if x.simple { "simple" } else { "arbitrary" };
-    println!("query q{}: {}  {}  [{semantics}]", x.id, x.name, x.regex);
+    outln!(
+        out,
+        "query q{}: {}  {}  [{semantics}]",
+        x.id,
+        x.name,
+        x.regex
+    );
     if x.co_subscribers.is_empty() {
-        println!(
+        outln!(
+            out,
             "group:            g{} (private), signature {:016x}",
-            x.group, x.signature_hash
+            x.group,
+            x.signature_hash
         );
     } else {
-        println!(
+        outln!(
+            out,
             "group:            g{} shared with {}, signature {:016x}",
             x.group,
             x.co_subscribers.join(", "),
             x.signature_hash
         );
     }
-    println!(
+    outln!(
+        out,
         "dfa:              {} states, start {}, accepting {:?}",
-        x.dfa_states, x.dfa_start, x.dfa_accepting
+        x.dfa_states,
+        x.dfa_start,
+        x.dfa_accepting
     );
     for l in &x.labels {
-        println!(
+        outln!(
+            out,
             "  label {:<12} {} transition(s), routed to {} group{}",
             l.name,
             l.transitions,
@@ -410,34 +445,43 @@ fn print_explain(x: &srpq_client::ExplainWire) {
     } else {
         "shared"
     };
-    println!(
+    outln!(
+        out,
         "delta forest:     {} trees, {} nodes / {} slots, {} bytes, {} compactions [{delta_kind}]",
-        x.delta_trees, x.delta_nodes, x.delta_slots, x.delta_arena_bytes, x.compactions
+        x.delta_trees,
+        x.delta_nodes,
+        x.delta_slots,
+        x.delta_arena_bytes,
+        x.compactions
     );
     for &(state, n) in &x.nodes_per_state {
-        println!("  state {state:<4} {n} node(s)");
+        outln!(out, "  state {state:<4} {n} node(s)");
     }
     let max_depth = x.depth_hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-    println!("  depth histogram (max {max_depth}):");
+    outln!(out, "  depth histogram (max {max_depth}):");
     for (d, &n) in x.depth_hist.iter().enumerate().take(max_depth + 1) {
         if n > 0 {
-            println!("    depth {d:<3} {n}");
+            outln!(out, "    depth {d:<3} {n}");
         }
     }
-    println!(
+    outln!(
+        out,
         "routing:          {} tuples routed, {} results emitted",
-        x.tuples_routed, x.results_emitted
+        x.tuples_routed,
+        x.results_emitted
     );
     let share = if x.total_eval_ns > 0 {
         100.0 * x.eval_ns as f64 / x.total_eval_ns as f64
     } else {
         0.0
     };
-    println!(
+    outln!(
+        out,
         "time:             eval {:.1}ms (expiry {:.1}ms) — {share:.1}% of all evaluation",
         x.eval_ns as f64 / 1e6,
         x.expiry_ns as f64 / 1e6,
     );
+    Ok(())
 }
 
 /// Machine-readable `ctl explain --json` (hand-rolled, std-only). Names

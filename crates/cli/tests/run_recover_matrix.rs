@@ -2,10 +2,8 @@
 //! binary: a durable directory's recoverability must not depend on the
 //! `--workers` it was written or is recovered under, and the stitched
 //! stdout of a `--checkpoint full` run must be the uninterrupted run's
-//! — the same lines, compared sorted as the CI recovery smoke does (a
-//! rebuilt engine's emission order *within* one timestamp is
-//! hash-iteration private). Also: a verb refuses an option it does not
-//! read.
+//! — the same lines, compared sorted as the CI recovery smoke does.
+//! Also: a verb refuses an option it does not read.
 
 use srpq_automata::CompiledQuery;
 use srpq_common::LabelInterner;

@@ -203,11 +203,6 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Clears all samples.
     pub fn reset(&mut self) {
         self.buckets.fill(0);

@@ -10,7 +10,7 @@
 //! * [`mod@tuple`] — the streaming graph tuple (*sgt*, Definition 2 of the
 //!   paper) and result-pair types.
 //! * [`histogram`] — a log-bucketed latency histogram used by the
-//!   experiment harnesses to report p50/p99/p999.
+//!   experiment harnesses to report p50/p99.
 //! * [`wire`] — the one byte-format layer: a bounds-checked reader/writer
 //!   pair, the `Wire` put/get trait every record's layout is stated
 //!   through once, and the reference grammar of all six formats (frames,

@@ -23,10 +23,12 @@ fn roots_bytes(cap: usize) -> usize {
 ///
 /// A vertex has an entry exactly while some tree holds a node for it,
 /// so the index is sized by Δ, not by every vertex the stream has
-/// touched. A recycled entry iterates its roots in a different order
-/// than a never-freed one would, so the order in which one tuple visits
-/// its trees — and with it the order of results within one timestamp —
-/// depends on this recycling; the set of results does not.
+/// touched. An entry's map order is a function of its history (a
+/// recycled entry iterates differently from a never-freed one, a
+/// recovered one differently from the one it was checkpointed from), so
+/// the index hands out roots sorted: the order in which one tuple
+/// visits its trees — and with it the order of results within one
+/// timestamp — is a function of Δ's content alone.
 #[derive(Debug, Default)]
 pub struct RevIndex {
     /// `vertex → roots`; no entry is empty.
@@ -42,7 +44,8 @@ pub struct RevIndex {
 }
 
 impl RevIndex {
-    /// Roots of all trees containing at least one `(v, ·)` node.
+    /// Roots of all trees containing at least one `(v, ·)` node,
+    /// ascending.
     pub fn trees_containing(&self, v: VertexId) -> Vec<VertexId> {
         let mut out = Vec::new();
         self.collect_trees_containing(v, &mut out);
@@ -50,12 +53,15 @@ impl RevIndex {
     }
 
     /// Clears `out` and fills it with the roots of all trees containing
-    /// at least one `(v, ·)` node — the allocation-free variant for the
-    /// per-tuple hot path (same order as [`RevIndex::trees_containing`]).
+    /// at least one `(v, ·)` node, ascending — the allocation-free
+    /// variant for the per-tuple hot path.
     pub fn collect_trees_containing(&self, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
         if let Some(m) = self.occurrence.get(&v) {
             out.extend(m.keys().copied());
+            if out.len() > 1 {
+                out.sort_unstable();
+            }
         }
     }
 
@@ -243,7 +249,8 @@ impl<X: TreeSemantics> Forest<X> {
         self.trees.get_mut(&x).map(|t| (t, index))
     }
 
-    /// Roots of all trees containing at least one `(v, ·)` node.
+    /// Roots of all trees containing at least one `(v, ·)` node,
+    /// ascending.
     pub fn trees_containing(&self, v: VertexId) -> Vec<VertexId> {
         self.index.trees_containing(v)
     }
@@ -260,7 +267,8 @@ impl<X: TreeSemantics> Forest<X> {
     }
 
     /// Clears `out` and fills it with the roots of the trees an expiry
-    /// sweep at `watermark` must visit, in map order: those whose
+    /// sweep at `watermark` must visit, ascending (the map's order is a
+    /// function of its history, see [`RevIndex`]): those whose
     /// [`Tree::min_ts`] bound is at or below it (anything else would
     /// scan its timestamp column and find nothing) and the root-only
     /// ones ([`Forest::drop_if_trivial`] drops them). Allocation-free
@@ -273,6 +281,7 @@ impl<X: TreeSemantics> Forest<X> {
                 .filter(|(_, t)| t.min_ts() <= watermark || t.is_trivial())
                 .map(|(&root, _)| root),
         );
+        out.sort_unstable();
     }
 
     /// Total arena slots (live + free-listed) over all trees.

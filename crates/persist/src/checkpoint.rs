@@ -105,16 +105,11 @@ pub struct CheckpointHeader {
     pub seq: u64,
 }
 
-/// Writes a checkpoint file for `seq`, atomically, and prunes older
-/// checkpoint files on success. Returns the final path.
-pub fn write(
-    dir: &Path,
-    strategy: CheckpointStrategy,
-    seq: u64,
-    payload: &[u8],
-) -> Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let mut w = Writer::with_capacity(FileHeader::MIN_SIZE + payload.len() + 4);
+/// Starts the checkpoint file for `seq`: a buffer holding its header.
+/// The caller writes the payload into the same buffer and hands it to
+/// [`publish`], so the payload is built once and never copied.
+pub fn begin(strategy: CheckpointStrategy, seq: u64) -> Writer {
+    let mut w = Writer::new();
     FileHeader {
         magic: CKPT_MAGIC,
         version: CKPT_VERSION,
@@ -122,7 +117,14 @@ pub fn write(
         seq,
     }
     .put(&mut w);
-    w.bytes(payload);
+    w
+}
+
+/// Seals the checkpoint file `w` holds (from [`begin`] for `seq`),
+/// writes it atomically, and prunes older checkpoint files on success.
+/// Returns the final path.
+pub fn publish(dir: &Path, seq: u64, mut w: Writer) -> Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     w.seal(b"");
     // Older checkpoints are pruned and WAL segments truncated against
     // this file, so it must be whole and on disk before it is visible.
@@ -334,6 +336,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("srpq-ckpt-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn write(
+        dir: &Path,
+        strategy: CheckpointStrategy,
+        seq: u64,
+        payload: &[u8],
+    ) -> Result<PathBuf> {
+        let mut w = begin(strategy, seq);
+        w.bytes(payload);
+        publish(dir, seq, w)
     }
 
     #[test]

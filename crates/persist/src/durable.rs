@@ -440,7 +440,8 @@ impl Durable<MultiQueryEngine> {
             self.counters.fsyncs += 1;
         }
         let seq = self.wal.next_seq();
-        let mut w = Writer::new();
+        let mut w = checkpoint::begin(self.cfg.strategy, seq);
+        let header_bytes = w.len();
         // The lifetime totals lead the payload, counting the checkpoint
         // being written: a recovered instance resumes exactly where
         // this one stood once the write below succeeded.
@@ -453,9 +454,8 @@ impl Durable<MultiQueryEngine> {
         )
             .put(&mut w);
         encode_engine(&self.inner, self.cfg.strategy, &mut w);
-        let bytes = w.into_bytes();
-        let payload_bytes = bytes.len();
-        checkpoint::write(&self.dir, self.cfg.strategy, seq, &bytes)?;
+        let payload_bytes = w.len() - header_bytes;
+        checkpoint::publish(&self.dir, seq, w)?;
         self.counters.checkpoints_written += 1;
         self.last_ckpt_seq = seq;
         let window = self.inner.window();

@@ -153,7 +153,6 @@ pub struct Wal {
     sealed: Vec<SegMeta>,
     active: Option<(File, SegMeta)>,
     next_seq: u64,
-    appended_records: u64,
     appended_bytes: u64,
     fsyncs: u64,
 }
@@ -180,7 +179,6 @@ impl Wal {
                 sealed,
                 active,
                 next_seq,
-                appended_records: 0,
                 appended_bytes: 0,
                 fsyncs: 0,
             },
@@ -196,11 +194,6 @@ impl Wal {
     /// The sequence number the next appended tuple will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Records appended through this handle.
-    pub fn appended_records(&self) -> u64 {
-        self.appended_records
     }
 
     /// Bytes appended through this handle.
@@ -266,7 +259,6 @@ impl Wal {
             meta.max_ts = meta.max_ts.max(t.ts);
         }
         self.next_seq = meta.end_seq;
-        self.appended_records += 1;
         self.appended_bytes += record.len() as u64;
         Ok(record.len() as u64)
     }

@@ -118,9 +118,9 @@ fn run_strategy(strategy: CheckpointStrategy, name: &str) {
     }
 
     // The combined crashed run must match the uninterrupted one. Under
-    // `Full`: identical results at identical stream timestamps (ordering
-    // within one timestamp is not part of the contract — hash iteration
-    // order is engine-instance private). Under `Logical` the rebuilt Δ
+    // `Full`: identical results at identical stream timestamps (the order
+    // within one timestamp is pinned by `srpq_harness`'s property tests,
+    // not here). Under `Logical` the rebuilt Δ
     // carries fresher timestamps than the crashed one did: here the same
     // results, each surfacing at most one slide from the reference.
     let mut expect: Vec<_> = ref_sink.emitted().to_vec();

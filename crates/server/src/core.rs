@@ -130,8 +130,6 @@ pub(crate) struct EngineCore {
     subscribers: Vec<Subscriber>,
     /// Tuples accepted (equals the WAL sequence for durable hosts).
     seq: u64,
-    results_pushed: u64,
-    results_dropped: u64,
     obs: Obs,
     metrics: CoreMetrics,
     /// Per-query gauge handles, keyed by slot id.
@@ -153,8 +151,6 @@ impl EngineCore {
             labels,
             subscribers: Vec::new(),
             seq,
-            results_pushed: 0,
-            results_dropped: 0,
             obs,
             metrics,
             query_gauges: HashMap::new(),
@@ -239,12 +235,6 @@ impl EngineCore {
         self.metrics
             .gauge_subscribers
             .set(self.subscribers.len() as u64);
-        // Counters mirror the engine-thread tallies; only this thread
-        // writes them, so catching up by delta is race-free.
-        let delivered = &self.metrics.results_delivered;
-        delivered.add(self.results_pushed.saturating_sub(delivered.get()));
-        let dropped = &self.metrics.results_dropped;
-        dropped.add(self.results_dropped.saturating_sub(dropped.get()));
     }
 
     /// Journals slide boundaries and compactions detected since the
@@ -410,8 +400,8 @@ impl EngineCore {
                     slots: engine.n_slots() as u32,
                     subscribers: self.subscribers.len() as u32,
                     labels: self.labels.len() as u32,
-                    results_pushed: self.results_pushed,
-                    results_dropped: self.results_dropped,
+                    results_pushed: self.metrics.results_delivered.get(),
+                    results_dropped: self.metrics.results_dropped.get(),
                     // Without workers this thread evaluates: one worker.
                     workers: engine.n_workers().max(1) as u32,
                     eval_ns,
@@ -474,7 +464,7 @@ impl EngineCore {
                 };
             }
         }
-        let dropped_before = self.results_dropped;
+        let dropped_before = self.metrics.results_dropped.get();
         // Pre-batch snapshot for sampled batches: stage totals and
         // per-group counters, diffed after the batch to attribute its
         // evaluation time to causal-trace spans. Groups, not query
@@ -511,8 +501,8 @@ impl EngineCore {
         let t_b0 = Instant::now();
         let mut sink = FanoutSink {
             subscribers: &mut self.subscribers,
-            pushed: &mut self.results_pushed,
-            dropped: &mut self.results_dropped,
+            pushed: &self.metrics.results_delivered,
+            dropped: &self.metrics.results_dropped,
             stamp,
         };
         if let Err(e) = self.host.process_batch(&tuples, &mut sink) {
@@ -544,14 +534,11 @@ impl EngineCore {
         self.seq += tuples.len() as u64;
         self.metrics.ingest_tuples.add(tuples.len() as u64);
         self.metrics.ingest_batches.inc();
-        if self.results_dropped > dropped_before {
+        let dropped = self.metrics.results_dropped.get() - dropped_before;
+        if dropped > 0 {
             self.obs.journal().record(
                 EventKind::BackpressureDrop,
-                format!(
-                    "seq={} dropped+={}",
-                    self.seq,
-                    self.results_dropped - dropped_before
-                ),
+                format!("seq={} dropped+={dropped}", self.seq),
             );
         }
         self.observe_batch(emit_ns);
@@ -595,8 +582,8 @@ impl EngineCore {
         let registered = if backfill {
             let mut sink = FanoutSink {
                 subscribers: &mut self.subscribers,
-                pushed: &mut self.results_pushed,
-                dropped: &mut self.results_dropped,
+                pushed: &self.metrics.results_delivered,
+                dropped: &self.metrics.results_dropped,
                 stamp: None,
             };
             let r = engine.register_backfilled(&name, query, semantics, &mut sink);

@@ -26,6 +26,7 @@
 use crate::protocol::{Msg, ResultEntry, SubPolicy};
 use srpq_common::{FxHashSet, ResultPair, Timestamp};
 use srpq_core::multi::{MultiSink, QueryId};
+use srpq_obs::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -121,8 +122,8 @@ impl Subscriber {
     /// never both).
     pub(crate) fn flush_buf(
         &mut self,
-        pushed_total: &mut u64,
-        dropped_total: &mut u64,
+        pushed_total: &Counter,
+        dropped_total: &Counter,
         stamp: Option<BatchStamp>,
     ) {
         if self.dead {
@@ -144,17 +145,17 @@ impl Subscriber {
                     {
                         self.dead = true;
                     } else {
-                        *pushed_total += n;
+                        pushed_total.add(n);
                     }
                 }
                 SubPolicy::DropNewest => match self.tx.try_send(Push::Results {
                     entries: frame,
                     stamp,
                 }) {
-                    Ok(()) => *pushed_total += n,
+                    Ok(()) => pushed_total.add(n),
                     Err(TrySendError::Full(_)) => {
                         self.dropped_pending.fetch_add(n, Ordering::Relaxed);
-                        *dropped_total += n;
+                        dropped_total.add(n);
                     }
                     Err(TrySendError::Disconnected(_)) => self.dead = true,
                 },
@@ -217,9 +218,9 @@ impl Subscriber {
 pub(crate) struct FanoutSink<'a> {
     pub(crate) subscribers: &'a mut Vec<Subscriber>,
     /// Running count of entries handed to session threads.
-    pub(crate) pushed: &'a mut u64,
+    pub(crate) pushed: &'a Counter,
     /// Running count of entries lost to drop-policy queues.
-    pub(crate) dropped: &'a mut u64,
+    pub(crate) dropped: &'a Counter,
     /// Marks of the driving batch (e2e latency, causal trace),
     /// attached to every frame this sink flushes.
     pub(crate) stamp: Option<BatchStamp>,
@@ -305,8 +306,7 @@ mod tests {
             SubPolicy::Block,
             Arc::new(AtomicU64::new(0)),
         )];
-        let mut pushed = 0;
-        let mut dropped = 0;
+        let (pushed, dropped) = (Counter::default(), Counter::default());
         // Fill well past the queue bound; a consumer thread drains.
         let consumer = std::thread::spawn(move || {
             let mut got = 0usize;
@@ -320,8 +320,8 @@ mod tests {
         for round in 0..10 {
             let mut sink = FanoutSink {
                 subscribers: &mut subs,
-                pushed: &mut pushed,
-                dropped: &mut dropped,
+                pushed: &pushed,
+                dropped: &dropped,
                 stamp: None,
             };
             for i in 0..(RESULTS_PER_FRAME + 1) {
@@ -335,8 +335,8 @@ mod tests {
         }
         drop(subs);
         let got = consumer.join().unwrap();
-        assert_eq!(got as u64, pushed);
-        assert_eq!(dropped, 0);
+        assert_eq!(got as u64, pushed.get());
+        assert_eq!(dropped.get(), 0);
     }
 
     #[test]
@@ -350,21 +350,20 @@ mod tests {
             SubPolicy::DropNewest,
             Arc::clone(&pending),
         )];
-        let mut pushed = 0;
-        let mut dropped = 0;
+        let (pushed, dropped) = (Counter::default(), Counter::default());
         // Nobody drains: the first frame occupies the queue, later
         // frames drop and are tallied.
         for round in 0..3 {
             let mut sink = FanoutSink {
                 subscribers: &mut subs,
-                pushed: &mut pushed,
-                dropped: &mut dropped,
+                pushed: &pushed,
+                dropped: &dropped,
                 stamp: None,
             };
             sink.push(entry(0, round));
             sink.finish();
         }
-        assert_eq!(dropped, 2);
+        assert_eq!(dropped.get(), 2);
         assert_eq!(pending.load(Ordering::Relaxed), 2);
         // Drain the queue: the next flush (even an empty one — no new
         // results required) delivers the tally.
@@ -374,8 +373,8 @@ mod tests {
         assert_eq!(first.len(), 1);
         let sink = FanoutSink {
             subscribers: &mut subs,
-            pushed: &mut pushed,
-            dropped: &mut dropped,
+            pushed: &pushed,
+            dropped: &dropped,
             stamp: None,
         };
         sink.finish();
@@ -401,20 +400,19 @@ mod tests {
             SubPolicy::DropNewest,
             Arc::clone(&pending),
         )];
-        let mut pushed = 0;
-        let mut dropped = 0;
+        let (pushed, dropped) = (Counter::default(), Counter::default());
         for round in 0..5 {
             let mut sink = FanoutSink {
                 subscribers: &mut subs,
-                pushed: &mut pushed,
-                dropped: &mut dropped,
+                pushed: &pushed,
+                dropped: &dropped,
                 stamp: None,
             };
             sink.push(entry(0, round));
             sink.finish();
         }
-        assert_eq!(pushed, 1);
-        assert_eq!(dropped, 4);
+        assert_eq!(pushed.get(), 1);
+        assert_eq!(dropped.get(), 4);
         assert_eq!(pending.load(Ordering::Relaxed), 4);
         // Engine shutdown drops the subscriber; the buffered frame
         // survives inside the channel, and the sweep (modelled here)
@@ -453,12 +451,11 @@ mod tests {
                 Arc::new(AtomicU64::new(0)),
             ),
         ];
-        let mut pushed = 0;
-        let mut dropped = 0;
+        let (pushed, dropped) = (Counter::default(), Counter::default());
         let mut sink = FanoutSink {
             subscribers: &mut subs,
-            pushed: &mut pushed,
-            dropped: &mut dropped,
+            pushed: &pushed,
+            dropped: &dropped,
             stamp: None,
         };
         sink.push(entry(0, 1));
@@ -477,8 +474,8 @@ mod tests {
         drop(rx);
         let mut sink = FanoutSink {
             subscribers: &mut subs,
-            pushed: &mut pushed,
-            dropped: &mut dropped,
+            pushed: &pushed,
+            dropped: &dropped,
             stamp: None,
         };
         sink.push(entry(0, 3));

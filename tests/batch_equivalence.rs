@@ -10,149 +10,64 @@
 //!   micro-batch hand-off must not show — the untagged stream is
 //!   per-tuple processing's, byte for byte.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use srpq_automata::CompiledQuery;
-use srpq_common::{Label, LabelInterner, StreamTuple, Timestamp, VertexId};
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
-use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, PathSemantics};
+use srpq_core::{EngineConfig, PathSemantics, QueryId};
 use srpq_graph::WindowPolicy;
-use srpq_harness::solo;
+use srpq_harness::{
+    assert_identical, assert_same_end, Chunks, Run, Scenario, Schedule, Step, StreamSpec, REST,
+};
 
-/// Random stream with refreshes (duplicate edges) and explicit
-/// deletions over a small vertex/label universe.
-fn random_stream(n: usize, n_vertices: u32, n_labels: u32, seed: u64) -> Vec<StreamTuple> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ts = 0i64;
-    let mut live: Vec<StreamTuple> = Vec::new();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        ts += rng.gen_range(0..=2i64);
-        if !live.is_empty() && rng.gen_bool(0.12) {
-            // Explicit deletion of a previously inserted edge.
-            let e = live[rng.gen_range(0..live.len())];
-            out.push(StreamTuple::delete(
-                Timestamp(ts),
-                e.edge.src,
-                e.edge.dst,
-                e.label,
-            ));
-            continue;
-        }
-        if !live.is_empty() && rng.gen_bool(0.2) {
-            // Refresh: re-insert an existing edge at the current time.
-            let e = live[rng.gen_range(0..live.len())];
-            out.push(StreamTuple::insert(
-                Timestamp(ts),
-                e.edge.src,
-                e.edge.dst,
-                e.label,
-            ));
-            continue;
-        }
-        let src = VertexId(rng.gen_range(0..n_vertices));
-        let mut dst = VertexId(rng.gen_range(0..n_vertices));
-        if dst == src {
-            dst = VertexId((dst.0 + 1) % n_vertices);
-        }
-        let t = StreamTuple::insert(Timestamp(ts), src, dst, Label(rng.gen_range(0..n_labels)));
-        live.push(t);
-        out.push(t);
-    }
-    out
-}
-
-fn interner_for(n_labels: u32) -> LabelInterner {
-    let mut labels = LabelInterner::new();
-    for i in 0..n_labels {
-        labels.intern(&((b'a' + i as u8) as char).to_string());
-    }
-    labels
+/// `queries` registered at stream start, over a random stream with
+/// refreshes (duplicate edges) and explicit deletions on a small
+/// vertex/label universe, fed whole; then `tail`.
+fn scenario(
+    queries: &[(&str, &str, PathSemantics)],
+    window: WindowPolicy,
+    (len, vertices, seed): (usize, u32, u64),
+    tail: &[Step],
+) -> Scenario {
+    let stream = StreamSpec::new(len, vertices, 2, seed)
+        .deletes(0.12)
+        .refreshes(0.2);
+    let script = [&[REST], tail].concat();
+    Scenario::new(EngineConfig::with_window(window), &stream, queries, &script)
 }
 
 /// Deterministic irregular chunking (sizes cycle through a seed-chosen
 /// pattern, including chunks that span and chunks that split slides).
-fn chunkings(seed: u64) -> Vec<usize> {
-    match seed % 4 {
+fn chunkings(seed: u64) -> Schedule {
+    Schedule::chunks(Chunks::Sizes(match seed % 4 {
         0 => vec![1],
         1 => vec![3, 1, 7],
         2 => vec![16],
         _ => vec![64, 5],
-    }
+    }))
 }
 
-fn drive_batched(
-    engine: &mut MultiQueryEngine,
-    stream: &[StreamTuple],
-    sizes: &[usize],
-) -> CollectSink {
-    let mut sink = CollectSink::default();
-    let mut i = 0;
-    let mut si = 0;
-    while i < stream.len() {
-        let take = sizes[si % sizes.len()].min(stream.len() - i);
-        engine.process_batch(&stream[i..i + take], &mut sink);
-        i += take;
-        si += 1;
-    }
-    sink
+/// Index sizes, window graphs and clocks agree.
+fn same_index_and_graph(single: &Run, batched: &Run, ctx: &str) {
+    let state = |run: &Run| {
+        let (e, id) = (run.engine(), QueryId(0));
+        let graph = (e.graph().n_edges(), e.graph().n_vertices());
+        (e.index_size(id), graph, e.now())
+    };
+    let (s, b) = (state(single), state(batched));
+    assert_eq!(s, b, "index, graph or clock differ: {ctx}");
 }
 
 fn engines_agree(expr: &str, semantics: PathSemantics, window: WindowPolicy, seed: u64) {
-    let stream = random_stream(220, 8, 2, seed);
-    let mut labels = interner_for(2);
-    let query = CompiledQuery::compile(expr, &mut labels).unwrap();
-    let config = EngineConfig::with_window(window);
-
-    let (mut single, id) = solo(query.clone(), config, semantics);
-    let mut s_sink = CollectSink::default();
-    for &t in &stream {
-        single.process(t, &mut s_sink);
-    }
-
-    let (mut batched, _) = solo(query, config, semantics);
-    let b_sink = drive_batched(&mut batched, &stream, &chunkings(seed));
-
+    let expire = [Step::ExpireNow];
+    let sc = scenario(&[("q", expr, semantics)], window, (220, 8, seed), &expire);
+    let mut single = sc.run_to(&Schedule::per_tuple(), 2);
+    let mut batched = sc.run_to(&chunkings(seed), 2);
     let ctx = format!("query {expr}, {semantics:?}, seed {seed}");
-    assert_eq!(
-        s_sink.emitted(),
-        b_sink.emitted(),
-        "emissions differ: {ctx}"
-    );
-    assert_eq!(
-        s_sink.invalidated(),
-        b_sink.invalidated(),
-        "invalidations differ: {ctx}"
-    );
-    assert_eq!(
-        single.index_size(id),
-        batched.index_size(id),
-        "index sizes differ: {ctx}"
-    );
-    assert_eq!(
-        single.graph().n_edges(),
-        batched.graph().n_edges(),
-        "graphs differ: {ctx}"
-    );
-    assert_eq!(
-        single.graph().n_vertices(),
-        batched.graph().n_vertices(),
-        "graphs differ: {ctx}"
-    );
-    assert_eq!(single.now(), batched.now(), "clocks differ: {ctx}");
+    assert_identical(&batched, &single, &ctx);
+    same_index_and_graph(&single, &batched, &ctx);
 
     // And after a forced expiry pass both still agree.
-    let mut s2 = CollectSink::default();
-    let mut b2 = CollectSink::default();
-    single.expire_now(&mut s2);
-    batched.expire_now(&mut b2);
-    assert_eq!(s2.emitted(), b2.emitted(), "post-expiry differs: {ctx}");
-    assert_eq!(
-        single.index_size(id),
-        batched.index_size(id),
-        "post-expiry index differs: {ctx}"
-    );
+    single.steps(1);
+    batched.steps(1);
+    assert_identical(&batched, &single, &format!("post-expiry: {ctx}"));
+    same_index_and_graph(&single, &batched, &format!("post-expiry: {ctx}"));
 }
 
 #[test]
@@ -180,86 +95,29 @@ fn rspq_batch_stream_is_byte_identical() {
 #[test]
 fn multi_query_batch_stream_is_byte_identical() {
     for seed in 0..4u64 {
-        let stream = random_stream(200, 8, 2, seed);
-        let mut labels = interner_for(2);
-        let q1 = CompiledQuery::compile("a b*", &mut labels).unwrap();
-        let q2 = CompiledQuery::compile("(a | b)+", &mut labels).unwrap();
-        let window = WindowPolicy::new(18, 4);
-
-        let mut single = MultiQueryEngine::new(window);
-        single
-            .register("q1", q1.clone(), PathSemantics::Arbitrary)
-            .unwrap();
-        single
-            .register("q2", q2.clone(), PathSemantics::Arbitrary)
-            .unwrap();
-        let mut s_sink = MultiCollectSink::default();
-        for &t in &stream {
-            single.process(t, &mut s_sink);
-        }
-
-        let mut batched = MultiQueryEngine::new(window);
-        batched
-            .register("q1", q1, PathSemantics::Arbitrary)
-            .unwrap();
-        batched
-            .register("q2", q2, PathSemantics::Arbitrary)
-            .unwrap();
-        let mut b_sink = MultiCollectSink::default();
-        let sizes = chunkings(seed);
-        let mut i = 0;
-        let mut si = 0;
-        while i < stream.len() {
-            let take = sizes[si % sizes.len()].min(stream.len() - i);
-            batched.process_batch(&stream[i..i + take], &mut b_sink);
-            i += take;
-            si += 1;
-        }
-
-        assert_eq!(s_sink.emitted, b_sink.emitted, "seed {seed}");
-        assert_eq!(s_sink.invalidated, b_sink.invalidated, "seed {seed}");
-        assert_eq!(single.graph().n_edges(), batched.graph().n_edges());
-        assert_eq!(single.routing_stats(), batched.routing_stats());
+        let queries = [
+            ("q1", "a b*", PathSemantics::Arbitrary),
+            ("q2", "(a | b)+", PathSemantics::Arbitrary),
+        ];
+        let sc = scenario(&queries, WindowPolicy::new(18, 4), (200, 8, seed), &[]);
+        let single = sc.run(&Schedule::per_tuple());
+        let batched = sc.run(&chunkings(seed));
+        assert_identical(&batched, &single, &format!("seed {seed}"));
+        // Graph edges and routing stats included.
+        assert_same_end(&batched, &single, &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn parallel_batch_matches_sequential_result_set() {
     for seed in 0..3u64 {
-        let stream = random_stream(260, 10, 2, seed);
-        let mut labels = interner_for(2);
-        let query = CompiledQuery::compile("a b*", &mut labels).unwrap();
-        let config = EngineConfig::with_window(WindowPolicy::new(20, 5));
-
-        let (mut sequential, seq_id) = solo(query.clone(), config, PathSemantics::Arbitrary);
-        let mut ss = CollectSink::default();
-        for &t in &stream {
-            sequential.process(t, &mut ss);
-        }
-        sequential.expire_now(&mut ss);
-
-        let mut parallel = MultiQueryEngine::with_config(config);
-        parallel.set_workers(4);
-        let id = parallel
-            .register("q", query, PathSemantics::Arbitrary)
-            .unwrap();
-        let mut sp = CollectSink::default();
-        for chunk in stream.chunks(48) {
-            parallel.process_batch(chunk, &mut sp);
-        }
-        parallel.expire_now(&mut sp);
-
-        assert_eq!(ss.emitted(), sp.emitted(), "seed {seed}");
-        assert_eq!(ss.invalidated(), sp.invalidated(), "seed {seed}");
-        assert_eq!(
-            sequential.index_size(seq_id),
-            parallel.index_size(id),
-            "seed {seed}"
-        );
-        assert_eq!(
-            sequential.graph().n_edges(),
-            parallel.graph().n_edges(),
-            "seed {seed}"
-        );
+        let query = [("q", "a b*", PathSemantics::Arbitrary)];
+        let expire = [Step::ExpireNow];
+        let sc = scenario(&query, WindowPolicy::new(20, 5), (260, 10, seed), &expire);
+        let sequential = sc.run(&Schedule::per_tuple());
+        let parallel = sc.run(&Schedule::batches(48).workers(4));
+        let ctx = format!("seed {seed}");
+        assert_identical(&parallel, &sequential, &ctx);
+        same_index_and_graph(&sequential, &parallel, &ctx);
     }
 }

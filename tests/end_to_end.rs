@@ -4,7 +4,7 @@
 use srpq_automata::CompiledQuery;
 use srpq_baseline::ReevalEngine;
 use srpq_common::Op;
-use srpq_core::sink::{CollectSink, CountSink};
+use srpq_core::sink::CollectSink;
 use srpq_core::{EngineConfig, PathSemantics};
 use srpq_datagen::{gmark, inject_deletions, ldbc, queries_for, so, yago, DatasetKind};
 use srpq_graph::WindowPolicy;
@@ -29,16 +29,12 @@ fn rapq_agrees_with_reeval_on_yago_sample() {
     for (name, expr) in queries_for(DatasetKind::Yago) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let (mut incremental, _) = solo(
-            query.clone(),
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
+        let config = EngineConfig::with_window(window);
+        let (mut incremental, _, mut s1) =
+            solo(query.clone(), config, PathSemantics::Arbitrary, &ds.tuples);
         let mut reeval = ReevalEngine::new(query, window);
-        let mut s1 = CollectSink::default();
         let mut s2 = CollectSink::default();
         for &t in &ds.tuples {
-            incremental.process(t, &mut s1);
             reeval.process(t, &mut s2);
         }
         // The incremental engine may discover some results only at the
@@ -61,15 +57,8 @@ fn so_stream_all_queries_run_clean() {
     for (name, expr) in queries_for(DatasetKind::So) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let (mut engine, id) = solo(
-            query,
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut sink = CountSink::default();
-        for &t in &ds.tuples {
-            engine.process(t, &mut sink);
-        }
+        let config = EngineConfig::with_window(window);
+        let (engine, id, sink) = solo(query, config, PathSemantics::Arbitrary, &ds.tuples);
         // Every tuple is either evaluated or dropped by the label router.
         let (seen, routed) = engine.routing_stats();
         assert_eq!(
@@ -79,7 +68,7 @@ fn so_stream_all_queries_run_clean() {
         );
         // Recursive queries on a dense 3-label graph must produce hits.
         if name != "Q11" {
-            assert!(sink.emitted > 0, "query {name} found nothing");
+            assert!(!sink.emitted().is_empty(), "query {name} found nothing");
         }
     }
 }
@@ -96,18 +85,12 @@ fn ldbc_stream_produces_results_on_recursive_relations() {
     for (name, expr) in queries_for(DatasetKind::Ldbc) {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(&expr, &mut labels).unwrap();
-        let (mut engine, _) = solo(
-            query,
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut sink = CountSink::default();
-        for &t in &ds.tuples {
-            engine.process(t, &mut sink);
-        }
+        let config = EngineConfig::with_window(window);
+        let (_, _, sink) = solo(query, config, PathSemantics::Arbitrary, &ds.tuples);
         if name == "Q1" {
             // knows* on a social graph: plenty of pairs.
-            assert!(sink.emitted > 100, "knows* produced {}", sink.emitted);
+            let n = sink.emitted().len();
+            assert!(n > 100, "knows* produced {n}");
         }
     }
 }
@@ -127,15 +110,8 @@ fn deletion_injection_round_trip() {
     let window = window_for(&ds, 6, 60);
     let mut labels = ds.labels.clone();
     let query = CompiledQuery::compile("happenedIn hasCapital*", &mut labels).unwrap();
-    let (mut engine, id) = solo(
-        query,
-        EngineConfig::with_window(window),
-        PathSemantics::Arbitrary,
-    );
-    let mut sink = CollectSink::default();
-    for &t in &stream {
-        engine.process(t, &mut sink);
-    }
+    let config = EngineConfig::with_window(window);
+    let (engine, id, sink) = solo(query, config, PathSemantics::Arbitrary, &stream);
     assert!(engine.stats(id).unwrap().deletions_processed > 0);
     // Invalidations only reference previously emitted pairs.
     let emitted: std::collections::HashSet<_> = sink.emitted().iter().map(|&(p, _)| p).collect();
@@ -164,11 +140,7 @@ fn gmark_workload_runs_both_semantics() {
                 // reported in stats, not an error.
                 config.rspq_extend_budget = Some(1_000);
             }
-            let (mut engine, id) = solo(query.clone(), config, semantics);
-            let mut sink = CountSink::default();
-            for &t in &ds.tuples {
-                engine.process(t, &mut sink);
-            }
+            let (engine, id, _) = solo(query.clone(), config, semantics, &ds.tuples);
             assert!(
                 engine.stats(id).unwrap().tuples_processed <= ds.len() as u64,
                 "query {}",
@@ -197,10 +169,7 @@ fn rspq_incompleteness_counterexample() {
     use srpq_common::{Label, ResultPair, StreamTuple, Timestamp, VertexId};
     use srpq_graph::WindowGraph;
 
-    let mut labels = srpq_common::LabelInterner::new();
-    labels.intern("a");
-    labels.intern("b");
-    let query = CompiledQuery::compile("a b* a", &mut labels).unwrap();
+    let query = CompiledQuery::compile("a b* a", &mut srpq_harness::labels(2)).unwrap();
     let (a, b) = (Label(0), Label(1));
     let v = VertexId;
     let stream = [
@@ -216,15 +185,10 @@ fn rspq_incompleteness_counterexample() {
         StreamTuple::insert(Timestamp(6), v(0), v(3), a),
     ];
     let window = WindowPolicy::new(1_000, 1);
-    let (mut engine, id) = solo(
-        query.clone(),
-        EngineConfig::with_window(window),
-        PathSemantics::Simple,
-    );
-    let mut sink = CollectSink::default();
+    let config = EngineConfig::with_window(window);
+    let (engine, id, sink) = solo(query.clone(), config, PathSemantics::Simple, &stream);
     let mut graph = WindowGraph::new();
     for &t in &stream {
-        engine.process(t, &mut sink);
         graph.insert(t.edge.src, t.edge.dst, t.label, t.ts);
     }
     let expected = evaluate_simple_bruteforce(&graph, Timestamp(i64::MIN), query.dfa());
@@ -259,14 +223,8 @@ fn rspq_subset_of_rapq_on_so_sample() {
         let mut labels = ds.labels.clone();
         let query = CompiledQuery::compile(expr, &mut labels).unwrap();
         let config = EngineConfig::with_window(window);
-        let (mut rapq, _) = solo(query.clone(), config, PathSemantics::Arbitrary);
-        let (mut rspq, _) = solo(query, config, PathSemantics::Simple);
-        let mut sa = CollectSink::default();
-        let mut ss = CollectSink::default();
-        for &t in &ds.tuples {
-            rapq.process(t, &mut sa);
-            rspq.process(t, &mut ss);
-        }
+        let (_, _, sa) = solo(query.clone(), config, PathSemantics::Arbitrary, &ds.tuples);
+        let (_, _, ss) = solo(query, config, PathSemantics::Simple, &ds.tuples);
         let arbitrary = sa.pairs();
         for p in ss.pairs() {
             assert!(arbitrary.contains(&p), "{expr}: {p} reported only by RSPQ");

@@ -10,53 +10,15 @@
 //! and a poisoned engine refuses reuse — processing and registry calls
 //! alike — loudly.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
-use srpq_common::{Label, LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
+use srpq_common::{ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_core::engine::PathSemantics;
 use srpq_core::multi::{MultiCollectSink, MultiQueryEngine, MultiSink, QueryId};
 use srpq_core::EngineConfig;
 use srpq_graph::WindowPolicy;
-
-/// A random stream over `n_labels` labels with ~10% explicit deletions
-/// and slowly advancing timestamps (several window slides).
-fn random_stream(n: usize, n_vertices: u32, n_labels: u32, seed: u64) -> Vec<StreamTuple> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ts = 0i64;
-    let mut inserted: Vec<StreamTuple> = Vec::new();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        ts += rng.gen_range(0..=2i64);
-        if !inserted.is_empty() && rng.gen_bool(0.1) {
-            let v = inserted[rng.gen_range(0..inserted.len())];
-            out.push(StreamTuple::delete(
-                Timestamp(ts),
-                v.edge.src,
-                v.edge.dst,
-                v.label,
-            ));
-            continue;
-        }
-        let src = VertexId(rng.gen_range(0..n_vertices));
-        let mut dst = VertexId(rng.gen_range(0..n_vertices));
-        if dst == src {
-            dst = VertexId((dst.0 + 1) % n_vertices);
-        }
-        let t = StreamTuple::insert(Timestamp(ts), src, dst, Label(rng.gen_range(0..n_labels)));
-        inserted.push(t);
-        out.push(t);
-    }
-    out
-}
-
-fn labels_abcd() -> LabelInterner {
-    let mut labels = LabelInterner::new();
-    for l in ["a", "b", "c", "d"] {
-        labels.intern(l);
-    }
-    labels
-}
+use srpq_harness::{
+    assert_identical, assert_same_end, labels, Scenario, Schedule, Step, StreamSpec, REST,
+};
 
 const QUERIES: &[(&str, &str, PathSemantics)] = &[
     ("q_ab", "a b*", PathSemantics::Arbitrary),
@@ -69,127 +31,51 @@ const QUERIES: &[(&str, &str, PathSemantics)] = &[
     ("q_any", "(a | b | c | d)+", PathSemantics::Arbitrary),
 ];
 
-/// How a run feeds its engine.
-#[derive(Clone, Copy, Debug)]
-enum Feed {
-    /// The sequential reference of every sweep below: per-tuple
-    /// `process` without workers. Every micro-batch then holds one
-    /// tuple, so no visibility stamp can hide anything.
-    PerTuple,
-    /// `process_batch` on this many worker threads (`0` = the calling
-    /// thread).
-    Batches(usize),
-}
-
-impl Feed {
-    fn workers(self) -> usize {
-        match self {
-            Feed::PerTuple => 0,
-            Feed::Batches(n) => n,
-        }
-    }
-
-    fn process<S: MultiSink>(
-        self,
-        engine: &mut MultiQueryEngine,
-        chunk: &[StreamTuple],
-        sink: &mut S,
-    ) {
-        match self {
-            Feed::PerTuple => chunk.iter().for_each(|&t| engine.process(t, sink)),
-            Feed::Batches(_) => engine.process_batch(chunk, sink),
-        }
-    }
-}
-
-/// An engine over `config` fed as `feed` says, with [`QUERIES`]
-/// registered.
-fn engine_with_queries(
-    config: EngineConfig,
-    feed: Feed,
-    labels: &mut LabelInterner,
-) -> MultiQueryEngine {
-    let mut engine = MultiQueryEngine::with_config(config);
-    engine.set_workers(feed.workers());
-    for &(name, expr, sem) in QUERIES {
-        let q = CompiledQuery::compile(expr, labels).unwrap();
-        engine.register(name, q, sem).unwrap();
-    }
-    engine
-}
-
-/// Drives one engine through the scripted session: chunked batches with
-/// a backfilled registration, a deregistration, and a name-reusing
-/// re-registration at fixed chunk positions, then a final expiry pass.
-struct Script<'a> {
-    stream: &'a [StreamTuple],
-    chunk: usize,
-    labels: LabelInterner,
-}
-
-impl Script<'_> {
-    /// A backfilled query joins after chunk 3, `q_c` leaves after chunk
-    /// 6, and after chunk 8 the vacated name "q_c" is re-registered
-    /// (fresh slot id, rebalanced partition).
-    fn run(&self, config: EngineConfig, feed: Feed) -> MultiCollectSink {
-        let mut labels = self.labels.clone();
-        let mut engine = engine_with_queries(config, feed, &mut labels);
-        let mut sink = MultiCollectSink::default();
-        for (i, chunk) in self.stream.chunks(self.chunk).enumerate() {
-            feed.process(&mut engine, chunk, &mut sink);
-            if i == 3 {
-                let q = CompiledQuery::compile("b (c | d)", &mut labels).unwrap();
-                engine
-                    .register_backfilled("late", q, PathSemantics::Arbitrary, &mut sink)
-                    .unwrap();
-            }
-            if i == 8 {
-                let q = CompiledQuery::compile("c a*", &mut labels).unwrap();
-                engine
-                    .register_backfilled("q_c", q, PathSemantics::Arbitrary, &mut sink)
-                    .unwrap();
-            }
-            if i == 6 {
-                let id = engine.query_id("q_c").expect("q_c is live");
-                engine.deregister(id).unwrap();
-            }
-        }
-        engine.expire_now(&mut sink);
-        sink
-    }
-}
-
-#[test]
-fn byte_identical_stream_under_midstream_registration_changes() {
-    let labels = labels_abcd();
-    let stream = random_stream(1_500, 24, 4, 0xbeef);
-    let script = Script {
-        stream: &stream,
-        chunk: 96,
-        labels,
-    };
-    let window = WindowPolicy::new(120, 20);
+/// [`QUERIES`] registered over a random stream on labels `a`–`d` with
+/// ~10% explicit deletions and slowly advancing timestamps (several
+/// window slides), then `script`.
+fn scenario(
+    window: WindowPolicy,
+    (len, vertices, seed): (usize, u32, u64),
+    script: &[Step],
+) -> Scenario {
     let mut config = EngineConfig::with_window(window);
     config.rspq_extend_budget = Some(20_000);
-    let reference = script.run(config, Feed::PerTuple);
+    let stream = StreamSpec::new(len, vertices, 4, seed).deletes(0.1);
+    Scenario::new(config, &stream, QUERIES, script)
+}
+
+/// The scripted session, in 96-tuple batches: a backfilled query joins
+/// after chunk 3, `q_c` leaves after chunk 6, and after chunk 8 the
+/// vacated name "q_c" is re-registered (fresh slot id, rebalanced
+/// partition); then a final expiry pass. The sequential reference is
+/// per-tuple `process` without workers: every micro-batch then holds
+/// one tuple, so no visibility stamp can hide anything.
+#[test]
+fn byte_identical_stream_under_midstream_registration_changes() {
+    let script = [
+        Step::Ingest(4 * 96),
+        Step::backfill("late", "b (c | d)", PathSemantics::Arbitrary),
+        Step::Ingest(3 * 96),
+        Step::Deregister("q_c".into()),
+        Step::Ingest(2 * 96),
+        Step::backfill("q_c", "c a*", PathSemantics::Arbitrary),
+        REST,
+        Step::ExpireNow,
+    ];
+    let sc = scenario(WindowPolicy::new(120, 20), (1_500, 24, 0xbeef), &script);
+    let reference = sc.run(&Schedule::per_tuple());
     assert!(
-        !reference.emitted.is_empty(),
+        !reference.emitted().is_empty(),
         "vacuous fixture: no results emitted"
     );
     assert!(
-        reference.emitted.iter().any(|&(id, ..)| id == QueryId(8)),
+        reference.emitted().iter().any(|&(id, ..)| id == QueryId(8)),
         "the backfilled query never emitted"
     );
     for workers in [0usize, 1, 2, 4, 8] {
-        let got = script.run(config, Feed::Batches(workers));
-        assert_eq!(
-            got.emitted, reference.emitted,
-            "{workers} workers: emission stream diverged"
-        );
-        assert_eq!(
-            got.invalidated, reference.invalidated,
-            "{workers} workers: invalidation stream diverged"
-        );
+        let got = sc.run(&Schedule::batches(96).workers(workers));
+        assert_identical(&got, &reference, &format!("{workers} workers"));
     }
 }
 
@@ -199,45 +85,17 @@ fn seeded_sweep_workers() {
     // per-tuple processing (no registration churn — this sweep
     // isolates the evaluation path itself).
     for seed in 0..2u64 {
-        let stream = random_stream(700, 16, 4, 0xA0 + seed);
-        let window = WindowPolicy::new(60, 10);
-        let mut config = EngineConfig::with_window(window);
-        config.rspq_extend_budget = Some(20_000);
-
-        let mut seq = engine_with_queries(config, Feed::PerTuple, &mut labels_abcd());
-        let mut seq_sink = MultiCollectSink::default();
-        for chunk in stream.chunks(64) {
-            Feed::PerTuple.process(&mut seq, chunk, &mut seq_sink);
-        }
-        seq.expire_now(&mut seq_sink);
-
+        let tail = [REST, Step::ExpireNow];
+        let sc = scenario(WindowPolicy::new(60, 10), (700, 16, 0xA0 + seed), &tail);
+        let seq = sc.run(&Schedule::per_tuple());
         for workers in [0usize, 1, 2, 4, 8] {
-            let mut par = engine_with_queries(config, Feed::Batches(workers), &mut labels_abcd());
-            let mut par_sink = MultiCollectSink::default();
-            for chunk in stream.chunks(64) {
-                par.process_batch(chunk, &mut par_sink);
-            }
-            par.expire_now(&mut par_sink);
-            assert_eq!(
-                par_sink.emitted, seq_sink.emitted,
-                "seed {seed}, {workers} workers: emitted"
-            );
-            assert_eq!(
-                par_sink.invalidated, seq_sink.invalidated,
-                "seed {seed}, {workers} workers: invalidated"
-            );
+            let par = sc.run(&Schedule::batches(64).workers(workers));
+            let ctx = format!("seed {seed}, {workers} workers");
+            assert_identical(&par, &seq, &ctx);
             // Shared-graph state also agrees (purges + stamps reset),
-            // and so does label routing: tuples seen and logical
-            // per-subscriber dispatches.
-            assert_eq!(par.graph().n_edges(), seq.graph().n_edges());
-            assert_eq!(par.routing_stats(), seq.routing_stats());
-            for id in seq.query_ids() {
-                assert_eq!(
-                    par.engine(id).unwrap().emitted_pairs(),
-                    seq.engine(id).unwrap().emitted_pairs(),
-                    "seed {seed}, {workers} workers: {id}"
-                );
-            }
+            // and so do label routing (tuples seen and logical
+            // per-subscriber dispatches) and every query's result set.
+            assert_same_end(&par, &seq, &ctx);
         }
     }
 }
@@ -270,7 +128,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// processing and registry mutation alike — instead of silently
 /// computing on, or mutating, that state.
 fn poisoned_by_midbatch_panic_refuses_reuse(workers: usize) {
-    let mut labels = labels_abcd();
+    let mut labels = labels(4);
     let q = CompiledQuery::compile("a+", &mut labels).unwrap();
     let mut engine = MultiQueryEngine::new(WindowPolicy::new(100, 10));
     engine.set_workers(workers);
@@ -287,37 +145,26 @@ fn poisoned_by_midbatch_panic_refuses_reuse(workers: usize) {
     }));
     assert!(unwound.is_err(), "the sink panic must propagate");
 
-    let reuse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.process_batch(&batch, &mut MultiCollectSink::default());
-    }));
-    let payload = reuse.expect_err("poisoned engine must refuse reuse");
-    assert!(
-        panic_message(payload.as_ref()).contains("poisoned"),
-        "expected a poisoned-engine refusal"
-    );
-    // Per-tuple processing is refused too.
-    let reuse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.process(batch[0], &mut MultiCollectSink::default());
-    }));
-    assert!(panic_message(reuse.expect_err("refuse").as_ref()).contains("poisoned"));
-    // And so is every registry mutation: none may touch the
-    // half-applied state.
+    // Processing, batched or per tuple, is refused, and so is every
+    // registry mutation: none may touch the half-applied state.
     let slots = engine.n_slots();
-    type RegistryCall<'a> = (&'a str, &'a dyn Fn(&mut MultiQueryEngine));
-    let registry_calls: [RegistryCall; 4] = [
+    type Call<'a> = (&'a str, &'a dyn Fn(&mut MultiQueryEngine));
+    let sink = || MultiCollectSink::default();
+    let calls: [Call; 6] = [
+        ("process_batch", &|e| e.process_batch(&batch, &mut sink())),
+        ("process", &|e| e.process(batch[0], &mut sink())),
         ("register", &|e| {
             let _ = e.register("r", q.clone(), PathSemantics::Arbitrary);
         }),
         ("register_backfilled", &|e| {
-            let mut sink = MultiCollectSink::default();
-            let _ = e.register_backfilled("rb", q.clone(), PathSemantics::Arbitrary, &mut sink);
+            let _ = e.register_backfilled("rb", q.clone(), PathSemantics::Arbitrary, &mut sink());
         }),
         ("deregister", &|e| {
             let _ = e.deregister(id);
         }),
         ("set_workers", &|e| e.set_workers(1)),
     ];
-    for (what, call) in registry_calls {
+    for (what, call) in calls {
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut engine)));
         assert!(
             panic_message(refused.expect_err(what).as_ref()).contains("poisoned"),

@@ -6,25 +6,24 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srpq_automata::CompiledQuery;
-use srpq_common::{Label, LabelInterner, Op, StreamTuple, Timestamp, VertexId};
-use srpq_core::sink::CollectSink;
-use srpq_core::{EngineConfig, PathSemantics};
+use srpq_common::{Label, Op, StreamTuple, Timestamp, VertexId};
+use srpq_core::{Engine, EngineConfig, PathSemantics};
 use srpq_graph::{WindowGraph, WindowPolicy};
-use srpq_harness::{solo, Oracle, OracleMode};
+use srpq_harness::{check_oracle, labels, solo, Expect};
 
 const QUERY_POOL: &[&str] = &[
     "a", "a*", "a b", "a b*", "(a b)+", "(a | b)*", "a b* a", "a? b+",
 ];
 
 #[derive(Debug, Clone)]
-struct StreamSpec {
+struct Case {
     ops: Vec<(u8, u8, u8, bool, u8)>, // (src, dst, label, is_insert, dt)
     query: usize,
     window: i64,
     slide: i64,
 }
 
-fn random_spec(seed: u64, max_len: usize) -> StreamSpec {
+fn random_case(seed: u64, max_len: usize) -> Case {
     let mut rng = SmallRng::seed_from_u64(seed);
     let len = rng.gen_range(1..max_len);
     let ops = (0..len)
@@ -38,7 +37,7 @@ fn random_spec(seed: u64, max_len: usize) -> StreamSpec {
             )
         })
         .collect();
-    StreamSpec {
+    Case {
         ops,
         query: rng.gen_range(0..QUERY_POOL.len()),
         window: rng.gen_range(4i64..25),
@@ -46,11 +45,11 @@ fn random_spec(seed: u64, max_len: usize) -> StreamSpec {
     }
 }
 
-fn materialize(spec: &StreamSpec) -> (Vec<StreamTuple>, CompiledQuery) {
+fn materialize(case: &Case) -> (Vec<StreamTuple>, CompiledQuery) {
     let mut ts = 0i64;
     let mut inserted: Vec<(VertexId, VertexId, Label)> = Vec::new();
-    let mut tuples = Vec::with_capacity(spec.ops.len());
-    for &(src, dst, label, is_insert, dt) in &spec.ops {
+    let mut tuples = Vec::with_capacity(case.ops.len());
+    for &(src, dst, label, is_insert, dt) in &case.ops {
         ts += dt as i64;
         let (src, dst) = (VertexId(src as u32), VertexId(dst as u32));
         let src = if src == dst {
@@ -70,34 +69,48 @@ fn materialize(spec: &StreamSpec) -> (Vec<StreamTuple>, CompiledQuery) {
             tuples.push(StreamTuple::delete(Timestamp(ts), s, d, l));
         }
     }
-    let mut labels = LabelInterner::new();
-    labels.intern("a");
-    labels.intern("b");
-    let query = CompiledQuery::compile(QUERY_POOL[spec.query], &mut labels).unwrap();
+    let query = CompiledQuery::compile(QUERY_POOL[case.query], &mut labels(2)).unwrap();
     (tuples, query)
+}
+
+/// Holds each of the 64 seeded cases (streams shorter than `max_len`)
+/// to the oracle under eager expiry (β=1).
+fn eager_oracle(max_len: usize, semantics: PathSemantics, expect: Expect) {
+    for seed in 0..64u64 {
+        let case = random_case(seed, max_len);
+        let (tuples, query) = materialize(&case);
+        let window = WindowPolicy::new(case.window, 1);
+        let ctx = format!("seed {seed}, case {case:?}");
+        check_oracle(&query, semantics, (window, window), &tuples, expect, &ctx);
+    }
+}
+
+/// Feeds each of the 64 seeded cases (streams shorter than 50) per tuple
+/// to its query alone under `window(case)`, once per semantics, and
+/// calls `check` after every tuple.
+fn each_tuple(window: impl Fn(&Case) -> WindowPolicy, check: impl Fn(&str, &Engine)) {
+    for seed in 0..64u64 {
+        let case = random_case(seed, 50);
+        let (tuples, query) = materialize(&case);
+        let config = EngineConfig::with_window(window(&case));
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let (mut engine, id, mut sink) = solo(query.clone(), config, semantics, &[]);
+            for &t in &tuples {
+                engine.process(t, &mut sink);
+                check(
+                    &format!("seed {seed}, {semantics:?}"),
+                    engine.engine(id).unwrap(),
+                );
+            }
+        }
+    }
 }
 
 /// RAPQ with eager expiry (β=1) reproduces the implicit-window
 /// reference semantics exactly, on any stream, window, and query.
 #[test]
 fn rapq_eager_equals_oracle() {
-    for seed in 0..64u64 {
-        let spec = random_spec(seed, 60);
-        let (tuples, query) = materialize(&spec);
-        let window = WindowPolicy::new(spec.window, 1);
-        let (mut engine, _) = solo(
-            query.clone(),
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut oracle = Oracle::new(window);
-        let mut sink = CollectSink::default();
-        for &t in &tuples {
-            engine.process(t, &mut sink);
-            let expected = oracle.step(t, query.dfa(), OracleMode::Arbitrary);
-            assert_eq!(&sink.pairs(), expected, "seed {seed}, spec {spec:?}");
-        }
-    }
+    eager_oracle(60, PathSemantics::Arbitrary, Expect::Exact);
 }
 
 /// RSPQ with eager expiry is sound w.r.t. the exhaustive simple-path
@@ -106,29 +119,7 @@ fn rapq_eager_equals_oracle() {
 /// markings can hide witnesses — see DESIGN.md §8).
 #[test]
 fn rspq_eager_equals_bruteforce() {
-    for seed in 0..64u64 {
-        let spec = random_spec(seed, 40);
-        let (tuples, query) = materialize(&spec);
-        let window = WindowPolicy::new(spec.window, 1);
-        let (mut engine, id) = solo(
-            query.clone(),
-            EngineConfig::with_window(window),
-            PathSemantics::Simple,
-        );
-        let mut oracle = Oracle::new(window);
-        let mut sink = CollectSink::default();
-        for &t in &tuples {
-            engine.process(t, &mut sink);
-            let expected = oracle.step(t, query.dfa(), OracleMode::Simple);
-            let got = sink.pairs();
-            for p in &got {
-                assert!(expected.contains(p), "seed {seed}: unsound result {p}");
-            }
-            if engine.stats(id).unwrap().conflicts_detected == 0 {
-                assert_eq!(&got, expected, "seed {seed}, spec {spec:?}");
-            }
-        }
-    }
+    eager_oracle(40, PathSemantics::Simple, Expect::ExactUnlessConflicted);
 }
 
 /// The Δ index validates after every tuple, under both semantics:
@@ -136,56 +127,33 @@ fn rspq_eager_equals_bruteforce() {
 /// every extend, refresh, unmark, delete and expiry.
 #[test]
 fn delta_validates_after_every_tuple() {
-    for seed in 0..64u64 {
-        let spec = random_spec(seed, 50);
-        let (tuples, query) = materialize(&spec);
-        let config = EngineConfig::with_window(WindowPolicy::new(spec.window, spec.slide));
-        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
-            let (mut engine, id) = solo(query.clone(), config, semantics);
-            let mut sink = CollectSink::default();
-            for &t in &tuples {
-                engine.process(t, &mut sink);
-                engine
-                    .engine(id)
-                    .unwrap()
-                    .validate_delta()
-                    .unwrap_or_else(|e| panic!("seed {seed}, {semantics:?}: {e}"));
-            }
-        }
-    }
+    let window = |case: &Case| WindowPolicy::new(case.window, case.slide);
+    each_tuple(window, |ctx, engine| {
+        engine
+            .validate_delta()
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+    });
 }
 
 /// The Δ timestamps always lie within the window (Lemma 1 invariant 1)
 /// right after an eager expiry pass, under both semantics.
 #[test]
 fn delta_timestamps_within_window_after_expiry() {
-    for seed in 0..64u64 {
-        let spec = random_spec(seed, 50);
-        let (tuples, query) = materialize(&spec);
-        let window = WindowPolicy::new(spec.window, 1);
-        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
-            let config = EngineConfig::with_window(window);
-            let (mut engine, id) = solo(query.clone(), config, semantics);
-            let mut sink = CollectSink::default();
-            for &t in &tuples {
-                engine.process(t, &mut sink);
-                let group = engine.engine(id).unwrap();
-                let wm = window.watermark(group.now());
-                for tree in group.delta_snapshot() {
-                    for node in tree.nodes.iter().filter(|n| n.id != tree.root_id) {
-                        assert!(
-                            node.ts > wm,
-                            "seed {seed}, {semantics:?}: stale node ({}, {:?})@{} survives \
-                             eager expiry (wm {wm})",
-                            node.vertex,
-                            node.state,
-                            node.ts
-                        );
-                    }
-                }
+    let window = |case: &Case| WindowPolicy::new(case.window, 1);
+    each_tuple(window, |ctx, group| {
+        let wm = group.config().window.watermark(group.now());
+        for tree in group.delta_snapshot() {
+            for node in tree.nodes.iter().filter(|n| n.id != tree.root_id) {
+                assert!(
+                    node.ts > wm,
+                    "{ctx}: stale node ({}, {:?})@{} survives eager expiry (wm {wm})",
+                    node.vertex,
+                    node.state,
+                    node.ts
+                );
             }
         }
-    }
+    });
 }
 
 /// The window graph agrees with a straightforward replay of the
@@ -193,8 +161,8 @@ fn delta_timestamps_within_window_after_expiry() {
 #[test]
 fn window_graph_replay() {
     for seed in 0..64u64 {
-        let spec = random_spec(seed, 80);
-        let (tuples, _) = materialize(&spec);
+        let case = random_case(seed, 80);
+        let (tuples, _) = materialize(&case);
         let mut g = WindowGraph::new();
         let mut reference: std::collections::HashMap<(VertexId, VertexId, Label), Timestamp> =
             std::collections::HashMap::new();
@@ -222,30 +190,20 @@ fn window_graph_replay() {
 #[test]
 fn dedup_emission_bound() {
     for seed in 0..64u64 {
-        let spec = random_spec(seed, 60);
-        let (tuples, query) = materialize(&spec);
-        let window = WindowPolicy::new(spec.window, spec.slide);
-        let (mut engine, _) = solo(
-            query,
-            EngineConfig::with_window(window),
-            PathSemantics::Arbitrary,
-        );
-        let mut sink = CollectSink::default();
-        for &t in &tuples {
-            engine.process(t, &mut sink);
-        }
-        let mut emitted_counts: std::collections::HashMap<_, usize> =
-            std::collections::HashMap::new();
+        let case = random_case(seed, 60);
+        let (tuples, query) = materialize(&case);
+        let window = WindowPolicy::new(case.window, case.slide);
+        let config = EngineConfig::with_window(window);
+        let (_, _, sink) = solo(query, config, PathSemantics::Arbitrary, &tuples);
+        // Per pair: (emissions, invalidations).
+        let mut counts: std::collections::HashMap<_, (usize, usize)> = Default::default();
         for (p, _) in sink.emitted() {
-            *emitted_counts.entry(*p).or_default() += 1;
+            counts.entry(*p).or_default().0 += 1;
         }
-        let mut invalidated_counts: std::collections::HashMap<_, usize> =
-            std::collections::HashMap::new();
         for (p, _) in sink.invalidated() {
-            *invalidated_counts.entry(*p).or_default() += 1;
+            counts.entry(*p).or_default().1 += 1;
         }
-        for (p, &n) in &emitted_counts {
-            let inv = invalidated_counts.get(p).copied().unwrap_or(0);
+        for (p, (n, inv)) in counts {
             assert!(
                 n <= inv + 1,
                 "seed {seed}: pair {p} emitted {n} times with {inv} invalidations"

@@ -10,13 +10,12 @@
 //! *and* invalidations, with timestamps), which subsumes the ts-sorted
 //! equality the issue asks for.
 
-use srpq_automata::CompiledQuery;
 use srpq_client::{Client, ResultEntry};
 use srpq_common::{LabelInterner, StreamTuple, Timestamp, VertexId};
 use srpq_core::engine::PathSemantics;
-use srpq_core::multi::{MultiCollectSink, MultiQueryEngine};
 use srpq_core::{EngineConfig, QueryId};
 use srpq_graph::WindowPolicy;
+use srpq_harness::{Run, Scenario, Schedule, Step, REST};
 use srpq_server::protocol::SubPolicy;
 
 const PHASE: usize = 200;
@@ -57,25 +56,21 @@ fn stream(labels: &LabelInterner) -> Vec<StreamTuple> {
     out
 }
 
-/// One query's tagged event: `(invalidated, src, dst, ts)`.
+/// One query's event: `(invalidated, src, dst, ts)`.
 type Event = (bool, u32, u32, i64);
 
-fn offline_events(sink: &MultiCollectSink, id: QueryId) -> Vec<Event> {
-    // MultiCollectSink keeps separate logs; rebuild the interleaved
-    // order is impossible from it — so the comparison below collects
-    // per-phase emission/invalidations separately instead.
-    let mut events: Vec<Event> = sink
-        .emitted
-        .iter()
-        .filter(|&&(qid, ..)| qid == id)
-        .map(|&(_, p, ts)| (false, p.src.0, p.dst.0, ts.0))
+/// Query `id`'s events of `run` from its `from`th to its `to`th step
+/// (`(emitted, invalidated)` counts), sorted.
+fn offline_events(run: &Run, id: QueryId, from: usize, to: usize) -> Vec<Event> {
+    let at = |step: usize| run.marks[step];
+    let ((e0, i0), (e1, i1)) = (at(from), at(to));
+    let emitted = run.emitted()[e0..e1].iter().map(|&e| (false, e));
+    let invalidated = run.invalidated()[i0..i1].iter().map(|&e| (true, e));
+    let mut events: Vec<Event> = emitted
+        .chain(invalidated)
+        .filter(|&(_, (qid, ..))| qid == id)
+        .map(|(inv, (_, p, ts))| (inv, p.src.0, p.dst.0, ts.0))
         .collect();
-    events.extend(
-        sink.invalidated
-            .iter()
-            .filter(|&&(qid, ..)| qid == id)
-            .map(|&(_, p, ts)| (true, p.src.0, p.dst.0, ts.0)),
-    );
     events.sort_unstable();
     events
 }
@@ -92,42 +87,33 @@ fn server_events(entries: &[ResultEntry], id: u32) -> Vec<Event> {
 
 #[test]
 fn multi_client_server_matches_offline_multi_engine() {
-    let mut labels = LabelInterner::new();
-    labels.intern("a");
-    labels.intern("b");
-    labels.intern("c");
+    let labels = srpq_harness::labels(3);
     let tuples = stream(&labels);
     let config = EngineConfig::with_window(window());
 
     // ---- Offline reference: same operations, same positions -------
-    let q_alpha = CompiledQuery::compile("a b*", &mut labels).unwrap();
-    let q_cover = CompiledQuery::compile("(a | b | c) c*", &mut labels).unwrap();
-    let q_late = CompiledQuery::compile("b c", &mut labels).unwrap();
-
-    let mut offline = MultiQueryEngine::with_config(config);
-    let alpha = offline
-        .register("alpha", q_alpha.clone(), PathSemantics::Arbitrary)
-        .unwrap();
-    let cover = offline
-        .register("cover", q_cover.clone(), PathSemantics::Arbitrary)
-        .unwrap();
-    // Three sinks, one per phase, so mid-stream attachment points can
-    // be compared exactly.
-    let mut phase1 = MultiCollectSink::default();
-    let mut phase2 = MultiCollectSink::default();
-    let mut phase3 = MultiCollectSink::default();
-    offline.process_batch(&tuples[..PHASE], &mut phase1);
-    let late = offline
-        .register_backfilled(
-            "late",
-            q_late.clone(),
-            PathSemantics::Arbitrary,
-            &mut phase2,
-        )
-        .unwrap();
-    offline.process_batch(&tuples[PHASE..2 * PHASE], &mut phase2);
-    offline.deregister(alpha).unwrap();
-    offline.process_batch(&tuples[2 * PHASE..], &mut phase3);
+    // Three phases, each fed as one batch, so mid-stream attachment
+    // points can be compared exactly.
+    let sem = PathSemantics::Arbitrary;
+    let steps = vec![
+        Step::register("alpha", "a b*", sem),
+        Step::register("cover", "(a | b | c) c*", sem),
+        Step::Ingest(PHASE),
+        Step::backfill("late", "b c", sem),
+        Step::Ingest(PHASE),
+        Step::Deregister("alpha".into()),
+        REST,
+    ];
+    let offline = Scenario {
+        config,
+        labels,
+        stream: tuples.clone(),
+        steps,
+    };
+    let offline = offline.run(&Schedule::batches(PHASE));
+    // Slot ids follow registration order.
+    let (alpha, cover, late) = (QueryId(0), QueryId(1), QueryId(2));
+    let (start, phase1, phase2, end) = (0, 2, 5, 6);
 
     // ---- The server performing the same script --------------------
     let server =
@@ -222,15 +208,8 @@ fn multi_client_server_matches_offline_multi_engine() {
     // Per query, the server's full stream equals the offline phases
     // concatenated. (Events are compared as sorted multisets per query;
     // ts-sorted stream equality follows.)
-    let mut offline_all = MultiCollectSink::default();
-    for p in [&phase1, &phase2, &phase3] {
-        offline_all.emitted.extend(p.emitted.iter().copied());
-        offline_all
-            .invalidated
-            .extend(p.invalidated.iter().copied());
-    }
     for (qid, name) in [(alpha, "alpha"), (cover, "cover"), (late, "late")] {
-        let expect = offline_events(&offline_all, qid);
+        let expect = offline_events(&offline, qid, start, end);
         let got = server_events(&from_all, qid.0);
         assert_eq!(got, expect, "query {name}: server != offline");
         assert!(
@@ -242,16 +221,16 @@ fn multi_client_server_matches_offline_multi_engine() {
     // backfill included.
     assert_eq!(
         server_events(&from_late, late.0),
-        offline_events(&offline_all, late),
+        offline_events(&offline, late, start, end),
     );
     assert!(from_late.iter().all(|e| e.query == late.0));
     // The mid-stream alpha subscriber saw exactly the phase-2 alpha
     // events (alpha was deregistered before phase 3).
     assert_eq!(
         server_events(&from_alpha, alpha.0),
-        offline_events(&phase2, alpha),
+        offline_events(&offline, alpha, phase1, phase2),
     );
     // Deregistration really ended the stream: nothing tagged alpha
     // after phase 2 anywhere.
-    assert!(offline_events(&phase3, alpha).is_empty());
+    assert!(offline_events(&offline, alpha, phase2, end).is_empty());
 }
