@@ -1,11 +1,11 @@
 //! Hot-path microbenchmark: interleaved A/B of the extend/expire fast
 //! path against a pre-change baseline binary.
 //!
-//! Four timed rows plus one allocation-count row. Every row drives
+//! Five timed rows plus one allocation-count row. Every row drives
 //! `MultiQueryEngine`, the one engine every host runs; all but
-//! `multi_agg` and `alloc_steady` run each query alone on a one-query
-//! engine (`make_engine`), tuple by tuple (`run_engine`), over the
-//! gMark smoke fixture:
+//! `multi_agg`, `delete_churn` and `alloc_steady` run each query alone
+//! on a one-query engine (`make_engine`), tuple by tuple
+//! (`run_engine`), over the gMark smoke fixture:
 //!
 //! - `aggregate`    — the 8-query single-thread smoke workload, one
 //!   query at a time (the perf-trajectory anchor).
@@ -13,6 +13,9 @@
 //!   `MultiQueryEngine`, the multi-query hot path the serving layer
 //!   drives. This row pins the cost of the per-stage accounting
 //!   (`StageTotals` deltas) that feeds the observability layer.
+//! - `delete_churn` — `multi_agg` with 5 % explicit deletions injected
+//!   (`srpq_datagen::inject_deletions`): each deletion severs subtrees
+//!   in every group it routes to, then samples the arena gauges.
 //! - `expiry_scan`  — slide β = 1, so every timestamp advance runs a
 //!   window slide: dominated by the Δ-arena threshold scan.
 //! - `extend_loop`  — window larger than the stream, so nothing ever
@@ -35,13 +38,14 @@
 //! so the orchestrator (and CI) can parse results from either binary.
 //! The source intentionally sticks to APIs the baseline also has —
 //! `make_engine`/`run_engine` with the engine type left to inference,
-//! `MultiQueryEngine`, `MultiSink` — so the identical file builds in
-//! the baseline worktree.
+//! `MultiQueryEngine`, `MultiSink`, `inject_deletions` — so the
+//! identical file builds in the baseline worktree.
 
 use srpq_bench::{compile_query, gmark_fixture, jsonout, make_engine, run_engine};
 use srpq_common::{LabelInterner, ResultPair, StreamTuple, Timestamp, VertexId};
 use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryId};
 use srpq_core::PathSemantics;
+use srpq_datagen::gmark::SyntheticQuery;
 use srpq_datagen::Dataset;
 use srpq_graph::WindowPolicy;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,9 +58,10 @@ use std::time::{Duration, Instant};
 const BUDGET: Duration = Duration::from_secs(120);
 
 /// Row names in execution order.
-const ROWS: [&str; 5] = [
+const ROWS: [&str; 6] = [
     "aggregate",
     "multi_agg",
+    "delete_churn",
     "expiry_scan",
     "extend_loop",
     "alloc_steady",
@@ -150,6 +155,7 @@ fn run_row(name: &str, assert_zero_alloc: bool) -> Row {
     match name {
         "aggregate" => row_aggregate(),
         "multi_agg" => row_multi_agg(),
+        "delete_churn" => row_delete_churn(),
         "expiry_scan" => row_expiry_scan(),
         "extend_loop" => row_extend_loop(),
         "alloc_steady" => row_alloc_steady(assert_zero_alloc),
@@ -194,7 +200,22 @@ impl MultiSink for CountMultiSink {
 /// accounting overhead; CI fails if it regresses beyond noise.
 fn row_multi_agg() -> Row {
     let (ds, queries) = gmark_fixture(1, 8);
-    let span = span_of(&ds);
+    drive_multi(&ds, &queries, &ds.tuples)
+}
+
+/// `multi_agg` over the fixture with 5 % explicit deletions: every
+/// deletion runs Algorithm Delete in each group it routes to and then
+/// refreshes that group's arena-occupancy gauges.
+fn row_delete_churn() -> Row {
+    let (ds, queries) = gmark_fixture(1, 8);
+    let tuples = srpq_datagen::inject_deletions(&ds.tuples, 0.05, 0xde1);
+    drive_multi(&ds, &queries, &tuples)
+}
+
+/// Registers `queries` on one `MultiQueryEngine` over `ds`'s window
+/// and drives `tuples` through it in 256-tuple batches.
+fn drive_multi(ds: &Dataset, queries: &[SyntheticQuery], tuples: &[StreamTuple]) -> Row {
+    let span = span_of(ds);
     let window = WindowPolicy::new((span / 4).max(4), (span / 40).max(1));
     let mut multi =
         srpq_core::MultiQueryEngine::with_config(srpq_core::EngineConfig::with_window(window));
@@ -210,7 +231,7 @@ fn row_multi_agg() -> Row {
     let mut sink = CountMultiSink(0);
     let started = Instant::now();
     let mut driven = 0u64;
-    for chunk in ds.tuples.chunks(256) {
+    for chunk in tuples.chunks(256) {
         multi.process_batch(chunk, &mut sink);
         driven += chunk.len() as u64;
         if started.elapsed() > BUDGET {

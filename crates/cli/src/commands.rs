@@ -547,7 +547,7 @@ fn chunk_loop<S: MultiSink>(
         }
         pos += chunk.len();
         if let Some(journal) = trace {
-            host.observe(journal, &format!("pos={pos}"));
+            host.observe(journal, format_args!("pos={pos}"));
         }
     }
     Ok((histogram, relevant))

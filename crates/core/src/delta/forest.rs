@@ -2,9 +2,10 @@
 //! index.
 
 use super::snapshot::{SnapshotExt, TreeSnap};
-use super::{Tree, TreeSemantics};
+use super::tree::SLOT_BYTES;
+use super::{NodeId, Tree, TreeSemantics};
 use srpq_common::{
-    table_bytes, FxHashMap, Pool, StateId, Timestamp, VertexId, POOL_MAX_ENTRY_BYTES,
+    table_bytes, FxHashMap, Label, Pool, StateId, Timestamp, VertexId, POOL_MAX_ENTRY_BYTES,
 };
 
 /// One vertex's reverse-index entry: `root → number of (vertex, ·)
@@ -17,9 +18,15 @@ fn roots_bytes(cap: usize) -> usize {
 }
 
 /// The reverse index of Δ: which trees contain a given vertex, plus the
-/// global node count (Figure 5's "# of nodes"). Shared verbatim by both
-/// engines — it only counts `(vertex, tree)` incidences and never looks
-/// at states or occurrence multiplicity.
+/// global node count (Figure 5's "# of nodes") and the arena slot
+/// ledger. Shared verbatim by both engines — it only counts
+/// `(vertex, tree)` incidences and arena slots, and never looks at
+/// states or occurrence multiplicity.
+///
+/// The engines grow and compact a tree through [`Self::add_child`] and
+/// [`Self::maybe_compact`], and the [`Forest`] creates, re-roots, pools
+/// and restores trees; each notes what it moved, so both counts are
+/// field reads.
 ///
 /// A vertex has an entry exactly while some tree holds a node for it,
 /// so the index is sized by Δ, not by every vertex the stream has
@@ -41,6 +48,10 @@ pub struct RevIndex {
     /// [`Self::heap_bytes`] is O(1).
     roots_bytes: usize,
     total_nodes: usize,
+    /// Arena slots (live + free-listed) summed over every tree of the
+    /// forest, pooled ones included: updated wherever a tree's capacity
+    /// moves, so [`Forest::n_slots`] is O(1).
+    slots: usize,
 }
 
 impl RevIndex {
@@ -78,9 +89,42 @@ impl RevIndex {
             + self.pool.heap_bytes()
     }
 
+    /// Adds a child under `parent` in `tree` ([`Tree::add_child`]) and
+    /// notes it: the vertex's incidence in the tree, and a new arena
+    /// slot when no free-listed one was reused.
+    pub fn add_child<X: TreeSemantics>(
+        &mut self,
+        tree: &mut Tree<X>,
+        parent: NodeId,
+        vertex: VertexId,
+        state: StateId,
+        via_label: Label,
+        ts: Timestamp,
+    ) -> NodeId {
+        let cap = tree.capacity();
+        let id = tree.add_child(parent, vertex, state, via_label, ts);
+        self.slots += tree.capacity() - cap;
+        self.note_added(tree.root(), vertex);
+        id
+    }
+
+    /// Compacts `tree` when fragmentation warrants it
+    /// ([`Tree::maybe_compact`]) and notes the slots the compaction
+    /// released. Returns whether a compaction ran.
+    pub fn maybe_compact<X: TreeSemantics>(
+        &mut self,
+        tree: &mut Tree<X>,
+        remap_scratch: &mut Vec<NodeId>,
+    ) -> bool {
+        let cap = tree.capacity();
+        let ran = tree.maybe_compact(remap_scratch);
+        self.slots -= cap - tree.capacity();
+        ran
+    }
+
     /// Bookkeeping: a node for `vertex` was added to tree `root`. A
     /// vertex without an entry takes a pooled one when there is one.
-    pub fn note_added(&mut self, root: VertexId, vertex: VertexId) {
+    fn note_added(&mut self, root: VertexId, vertex: VertexId) {
         let pool = &mut self.pool;
         let roots = self
             .occurrence
@@ -216,17 +260,20 @@ impl<X: TreeSemantics> Forest<X> {
     /// Ensures a tree rooted at `x` exists, creating `(x, s0)` if not
     /// (re-rooting a pooled tree when one is available).
     pub fn ensure_tree(&mut self, x: VertexId, s0: StateId) -> &mut Tree<X> {
-        let pool = &mut self.pool;
+        let (pool, index) = (&mut self.pool, &mut self.index);
         if let std::collections::hash_map::Entry::Vacant(e) = self.trees.entry(x) {
             let tree = match pool.take() {
                 Some(mut t) => {
+                    // Re-rooting keeps the root's slot and drops the rest.
+                    index.slots -= t.capacity();
                     t.reset_root(x, s0);
                     t
                 }
                 None => Tree::new(x, s0),
             };
+            index.slots += tree.capacity();
             e.insert(tree);
-            self.index.note_added(x, x);
+            index.note_added(x, x);
         }
         self.trees.get_mut(&x).expect("just inserted")
     }
@@ -284,17 +331,18 @@ impl<X: TreeSemantics> Forest<X> {
         out.sort_unstable();
     }
 
-    /// Total arena slots (live + free-listed) over all trees.
+    /// Total arena slots (live + free-listed) over all trees, pooled
+    /// recycled trees included. O(1): a field read of the slot ledger.
     pub fn n_slots(&self) -> usize {
-        let live: usize = self.trees.values().map(Tree::capacity).sum();
-        live + self.pool.iter().map(|t| t.capacity()).sum::<usize>()
+        self.index.slots
     }
 
     /// Total bytes held by the column arrays over all trees, pooled
-    /// recycled trees included (their arenas stay resident).
+    /// recycled trees included (their arenas stay resident). O(1): the
+    /// slot ledger times the fixed bytes per slot, as in
+    /// [`Tree::arena_bytes`].
     pub fn arena_bytes(&self) -> usize {
-        let live: usize = self.trees.values().map(Tree::arena_bytes).sum();
-        live + self.pool.iter().map(|t| t.arena_bytes()).sum::<usize>()
+        self.index.slots * SLOT_BYTES
     }
 
     /// Drops the tree rooted at `x` if only its root remains, updating
@@ -305,7 +353,9 @@ impl<X: TreeSemantics> Forest<X> {
         if trivial {
             if let Some(t) = self.trees.remove(&x) {
                 let slots = t.capacity();
-                self.pool.put(t, slots);
+                if !self.pool.put(t, slots) {
+                    self.index.slots -= slots;
+                }
             }
             self.index.note_removed(x, x);
             true
@@ -314,15 +364,34 @@ impl<X: TreeSemantics> Forest<X> {
         }
     }
 
+    /// Arena slots and column bytes recounted tree by tree over live
+    /// and pooled trees: what [`Self::n_slots`] and
+    /// [`Self::arena_bytes`] must equal. O(trees) — validation and
+    /// tests only.
+    pub(crate) fn recount_arena(&self) -> (usize, usize) {
+        self.trees
+            .values()
+            .chain(self.pool.iter())
+            .fold((0, 0), |(n, b), t| (n + t.capacity(), b + t.arena_bytes()))
+    }
+
     /// Heap bytes of the reverse index, in O(1) (see
     /// [`RevIndex::heap_bytes`]).
     pub fn index_bytes(&self) -> usize {
         self.index.heap_bytes()
     }
 
-    /// Debug validation of every tree plus reverse-index consistency.
+    /// Debug validation of every tree plus reverse-index consistency,
+    /// and the slot ledger against a recount over live and pooled trees.
     pub fn validate(&self) -> Result<(), String> {
         self.index.validate()?;
+        let (slots, _) = self.recount_arena();
+        if slots != self.index.slots {
+            return Err(format!(
+                "slot ledger counts {} arena slots, trees hold {slots}",
+                self.index.slots
+            ));
+        }
         let mut counted = 0usize;
         for (&root, tree) in &self.trees {
             tree.validate().map_err(|e| format!("tree {root}: {e}"))?;
@@ -371,6 +440,7 @@ impl<X: SnapshotExt> Forest<X> {
             for (_, n) in tree.iter() {
                 forest.index.note_added(root, n.vertex);
             }
+            forest.index.slots += tree.capacity();
             if forest.trees.insert(root, tree).is_some() {
                 return Err(format!("duplicate tree root {root}"));
             }

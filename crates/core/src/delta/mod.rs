@@ -24,9 +24,10 @@
 //!   ([`Tree::maybe_compact`]), and path queries;
 //! * [`Forest`]`<X>` — the Δ index: all trees plus the [`RevIndex`]
 //!   mapping vertices to the trees containing them (what bounds
-//!   per-tuple work by the number of *relevant* trees), and the due-tree
-//!   filter that bounds per-slide work by the trees with something to
-//!   expire;
+//!   per-tuple work by the number of *relevant* trees) and keeping the
+//!   node count and the arena slot ledger (what makes occupancy an
+//!   O(1) read), and the due-tree filter that bounds per-slide work by
+//!   the trees with something to expire;
 //! * [`Unique`] — the RAPQ instantiation: enforces (and exposes a keyed
 //!   API around) the one-occurrence invariant of Lemma 1;
 //! * [`Markings`](crate::rspq::markings::Markings) — the RSPQ

@@ -4,7 +4,7 @@
 //! occurrence index, and the reverse index — ported from the formerly
 //! duplicated per-engine arenas so both instantiations stay pinned.
 
-use super::{Forest, NodeId, PairKey, Tree, TreeSemantics, Unique};
+use super::{Forest, NodeId, PairKey, RevIndex, Tree, TreeSemantics, Unique};
 use crate::rspq::markings::Markings;
 use srpq_common::{Label, StateId, Timestamp, VertexId};
 
@@ -18,6 +18,20 @@ fn s(i: u32) -> StateId {
 
 fn l(i: u32) -> Label {
     Label(i)
+}
+
+/// Adds `key` under `parent` in a forest's tree through its index, as
+/// the engines do.
+fn attach<X: TreeSemantics>(
+    idx: &mut RevIndex,
+    tree: &mut Tree<X>,
+    key: PairKey,
+    parent: PairKey,
+    via: Label,
+    ts: Timestamp,
+) -> NodeId {
+    let p = tree.first_occurrence(parent).expect("parent exists");
+    idx.add_child(tree, p, key.0, key.1, via, ts)
 }
 
 // ---------------------------------------------------------------------
@@ -290,10 +304,8 @@ fn forest_reverse_index_tracks_occurrences() {
     d.ensure_tree(v(0), s(0));
     {
         let (tree, idx) = d.tree_with_index(v(0)).unwrap();
-        tree.add((v(1), s(1)), (v(0), s(0)), l(0), Timestamp(1));
-        idx.note_added(v(0), v(1));
-        tree.add((v(1), s(2)), (v(1), s(1)), l(1), Timestamp(1));
-        idx.note_added(v(0), v(1));
+        attach(idx, tree, (v(1), s(1)), (v(0), s(0)), l(0), Timestamp(1));
+        attach(idx, tree, (v(1), s(2)), (v(1), s(1)), l(1), Timestamp(1));
     }
     assert_eq!(d.trees_containing(v(1)), vec![v(0)]);
     assert_eq!(d.n_nodes(), 3);
@@ -366,12 +378,9 @@ fn unique_forest_snapshot_round_trips() {
     let mut f: Forest<Unique> = Forest::new();
     f.ensure_tree(v(0), s(0));
     let (t, idx) = f.tree_with_index(v(0)).unwrap();
-    t.add((v(1), s(1)), (v(0), s(0)), l(0), Timestamp(5));
-    idx.note_added(v(0), v(1));
-    t.add((v(2), s(2)), (v(1), s(1)), l(1), Timestamp(4));
-    idx.note_added(v(0), v(2));
-    t.add((v(3), s(1)), (v(0), s(0)), l(0), Timestamp(7));
-    idx.note_added(v(0), v(3));
+    attach(idx, t, (v(1), s(1)), (v(0), s(0)), l(0), Timestamp(5));
+    attach(idx, t, (v(2), s(2)), (v(1), s(1)), l(1), Timestamp(4));
+    attach(idx, t, (v(3), s(1)), (v(0), s(0)), l(0), Timestamp(7));
     // Remove one node so the free list is non-empty.
     t.remove_all_keys(&[(v(2), s(2))]);
     idx.note_removed(v(0), v(2));

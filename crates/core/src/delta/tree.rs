@@ -36,6 +36,15 @@ const NIL: NodeId = u32::MAX;
 /// Parent-column sentinel marking a dead (free-listed) slot.
 const DEAD: NodeId = u32::MAX - 1;
 
+/// Bytes one arena slot holds across the column arrays, so an arena of
+/// `n` slots holds `n * SLOT_BYTES` (excludes the occurrence index and
+/// the free list).
+pub(super) const SLOT_BYTES: usize = std::mem::size_of::<VertexId>()
+    + std::mem::size_of::<StateId>()
+    + std::mem::size_of::<Label>()
+    + std::mem::size_of::<Timestamp>()
+    + 4 * std::mem::size_of::<NodeId>();
+
 /// A by-value view of one spanning-tree node: its product-graph pair,
 /// parent link, and the minimum edge timestamp along its root path
 /// (Definition 9). Materialized on demand from the column arrays;
@@ -286,13 +295,7 @@ impl<X: TreeSemantics> Tree<X> {
     /// Bytes held by the column arrays for the current capacity
     /// (excludes the occurrence index and the free list).
     pub fn arena_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.capacity()
-            * (size_of::<VertexId>()
-                + size_of::<StateId>()
-                + size_of::<Label>()
-                + size_of::<Timestamp>()
-                + 4 * size_of::<NodeId>())
+        self.capacity() * SLOT_BYTES
     }
 
     /// The semantics extension.
@@ -459,7 +462,9 @@ impl<X: TreeSemantics> Tree<X> {
     /// Adds a child node under `parent`. Returns the new id. Never
     /// heap-allocates once the columns have warmed up (free-listed
     /// slots are reused, the sibling chain is intrusive). Panics if
-    /// `parent` is dead.
+    /// `parent` is dead. A tree inside a [`super::Forest`] grows through
+    /// [`super::RevIndex::add_child`], which also notes the node and any
+    /// new slot.
     pub fn add_child(
         &mut self,
         parent: NodeId,
@@ -852,7 +857,9 @@ impl<X: TreeSemantics> Tree<X> {
     /// slots). `remap_scratch` is caller-owned so per-slide compaction
     /// allocates nothing once warmed. Returns whether a compaction
     /// ran. Deterministic: the outcome depends only on slot liveness,
-    /// so recovered engines re-compact identically.
+    /// so recovered engines re-compact identically. A tree inside a
+    /// [`super::Forest`] compacts through [`super::RevIndex::maybe_compact`],
+    /// which notes the released slots.
     pub fn maybe_compact(&mut self, remap_scratch: &mut Vec<NodeId>) -> bool {
         let cap = self.parent.len();
         if cap < 64 || self.len * 2 > cap {

@@ -243,6 +243,8 @@ impl Engine {
     }
 
     /// Current Δ index size (Figure 5 / Figure 9) and result-set size.
+    /// O(1): every figure is a tracked count or ledger, so samplers may
+    /// call it on the tuple path.
     pub fn index_size(&self) -> IndexSize {
         fn size<X: TreeSemantics>(forest: &Forest<X>, result_bytes: usize) -> IndexSize {
             IndexSize {
@@ -514,7 +516,9 @@ fn dispatch_tuple<P: PerTree>(
 }
 
 /// Refreshes the arena-occupancy gauges, sampled once per expiry sweep
-/// / deletion (the natural per-slide observation points).
+/// / deletion (the natural per-slide observation points). O(1): both
+/// are field reads of the forest's node count and slot ledger, so a
+/// deletion costs what it touches, not the size of the forest.
 fn refresh_delta_gauges<X: TreeSemantics>(forest: &Forest<X>, stats: &mut EngineStats) {
     stats.delta_nodes_live = forest.n_nodes() as u64;
     stats.delta_capacity = forest.n_slots() as u64;
@@ -563,7 +567,7 @@ mod tests {
     use super::*;
     use crate::multi::solo::Solo;
     use crate::sink::CollectSink;
-    use srpq_common::{LabelInterner, StreamTuple, VertexInterner};
+    use srpq_common::{LabelInterner, StreamTuple, VertexInterner, POOL_MAX_ENTRIES};
     use srpq_graph::WindowPolicy;
 
     /// `expr` compiled against `labels`, alone on a host with `window`.
@@ -700,6 +704,99 @@ mod tests {
                 after_ten <= after_two * 5 / 4,
                 "{semantics:?}: {after_ten} B after {WINDOWS} windows, {after_two} B after 2"
             );
+        }
+    }
+
+    #[test]
+    fn the_slot_ledger_matches_a_recount_at_every_step() {
+        // Every place a tree's arena capacity moves, under both
+        // semantics: tree creation and slot pushes (a hub with 100
+        // children), deletions that sever a subtree and drop a trivial
+        // tree into the pool, a slide whose sweep compacts the hub and
+        // pools two trees, a new tree re-rooted from the pool, more
+        // trivial trees than the pool keeps, and a `Full` snapshot
+        // restore. After each step the O(1) figures equal a
+        // tree-by-tree recount.
+        const WIDE: u32 = 4200;
+        for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
+            let mut labels = LabelInterner::new();
+            let mut engine = solo("a+", &mut labels, WindowPolicy::new(100, 10), semantics);
+            let a = labels.get("a").unwrap();
+            let mut sink = CollectSink::default();
+            let slots = |e: &Solo| match semantics {
+                PathSemantics::Arbitrary => e.rapq_forest().n_slots(),
+                PathSemantics::Simple => e.rspq_forest().n_slots(),
+            };
+            let check = |e: &Solo, step: &str| {
+                let (recount, bytes) = match semantics {
+                    PathSemantics::Arbitrary => e.rapq_forest().recount_arena(),
+                    PathSemantics::Simple => e.rspq_forest().recount_arena(),
+                };
+                assert_eq!(slots(e), recount, "{semantics:?}, {step}: n_slots");
+                let arena_bytes = e.index_size().arena_bytes;
+                assert_eq!(arena_bytes, bytes, "{semantics:?}, {step}: arena_bytes");
+                e.validate_delta().unwrap();
+            };
+            let (h, p, q) = (VertexId(0), VertexId(1), VertexId(2));
+            let child = |i: u32| VertexId(100 + i);
+            let mut feed = |e: &mut Solo, t: StreamTuple| e.process(t, &mut sink);
+            let ins = |ts: i64, src, dst| StreamTuple::insert(Timestamp(ts), src, dst, a);
+            let del = |ts: i64, src, dst| StreamTuple::delete(Timestamp(ts), src, dst, a);
+
+            for src in [3, 5] {
+                // Dropped by the compacting sweep, pooled for re-rooting.
+                feed(&mut engine, ins(1, VertexId(src), VertexId(src + 1)));
+            }
+            for i in 0..100 {
+                feed(&mut engine, ins(if i < 80 { 1 } else { 60 }, h, child(i)));
+            }
+            feed(&mut engine, ins(60, child(81), VertexId(300)));
+            feed(&mut engine, ins(60, p, q));
+            check(&engine, "inserts");
+
+            let trees = engine.index_size().trees;
+            feed(&mut engine, del(61, h, child(81)));
+            check(&engine, "a severed subtree");
+            feed(&mut engine, del(61, p, q));
+            assert_eq!(engine.index_size().trees, trees - 1, "{semantics:?}");
+            check(&engine, "a dropped tree");
+
+            let compactions = engine.stats().compactions;
+            feed(&mut engine, ins(130, VertexId(400), VertexId(401)));
+            assert!(engine.stats().compactions > compactions, "{semantics:?}");
+            check(&engine, "a compacting sweep");
+
+            let before = slots(&engine);
+            feed(&mut engine, ins(131, VertexId(500), VertexId(501)));
+            assert_eq!(
+                slots(&engine),
+                before,
+                "{semantics:?}: a pooled tree re-rooted"
+            );
+            check(&engine, "a re-rooted tree");
+
+            for i in 0..WIDE {
+                feed(
+                    &mut engine,
+                    ins(140, VertexId(10_000 + 2 * i), VertexId(10_001 + 2 * i)),
+                );
+            }
+            check(&engine, "wide inserts");
+            let trees = engine.index_size().trees;
+            feed(&mut engine, ins(260, VertexId(600), VertexId(601)));
+            let dropped = trees + 1 - engine.index_size().trees;
+            assert!(
+                dropped > POOL_MAX_ENTRIES,
+                "{semantics:?}: {dropped} dropped"
+            );
+            check(&engine, "trees the pool refuses");
+
+            let snaps = engine.delta_snapshot();
+            engine.restore_delta(snaps).unwrap();
+            check(&engine, "a Full restore");
+            feed(&mut engine, ins(261, VertexId(601), VertexId(602)));
+            feed(&mut engine, del(262, VertexId(600), VertexId(601)));
+            check(&engine, "after the restore");
         }
     }
 

@@ -756,11 +756,22 @@ impl MultiQueryEngine {
 
     /// Ids of all live queries, ascending.
     pub fn query_ids(&self) -> Vec<QueryId> {
+        self.queries().map(|(id, _)| id).collect()
+    }
+
+    /// Each live query's id and name, ascending, without collecting
+    /// them (the per-batch observation path walks this).
+    pub fn queries(&self) -> impl Iterator<Item = (QueryId, &str)> + '_ {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| QueryId(i as u32)))
-            .collect()
+            .filter_map(|(i, s)| Some((QueryId(i as u32), s.as_ref()?.name.as_str())))
+    }
+
+    /// Each live group's engine, ascending by group id, without
+    /// collecting them.
+    pub fn group_engines(&self) -> impl Iterator<Item = &Engine> + '_ {
+        self.groups.iter().flatten().map(|grp| &grp.engine)
     }
 
     /// Ids of all live groups, ascending.

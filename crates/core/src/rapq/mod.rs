@@ -210,7 +210,7 @@ impl PerTree for Rapq {
         // Per-slide compaction: defragment the arena once occupancy
         // drops to half, so long-running windows keep the timestamp
         // scan dense.
-        if tree.maybe_compact(cx.compact_scratch) {
+        if idx.maybe_compact(tree, cx.compact_scratch) {
             cx.stats.compactions += 1;
         }
     }
@@ -263,8 +263,7 @@ fn run_insert(tree: &mut Tree, idx: &mut RevIndex, work: &mut Vec<WorkItem>, cx:
                 tree.reparent(cid, parent_id, via, new_ts);
             }
             None => {
-                let id = tree.add_child(parent_id, child.0, child.1, via, new_ts);
-                idx.note_added(root, child.0);
+                let id = idx.add_child(tree, parent_id, child.0, child.1, via, new_ts);
                 let (cv, cs) = child;
                 if dfa.is_accepting(cs) && row.insert(cv) {
                     stats.results_emitted += 1;

@@ -290,7 +290,7 @@ impl PerTree for Rspq {
         // Per-slide compaction: once the batch removal leaves the arena
         // mostly dead, squeeze it (marks are remapped via the semantics
         // hook) so the next timestamp scan touches only live slots.
-        if tree.maybe_compact(cx.compact_scratch) {
+        if idx.maybe_compact(tree, cx.compact_scratch) {
             cx.stats.compactions += 1;
         }
         tree.recycle_dead_marks(dead_marks);
@@ -395,8 +395,7 @@ fn run_extend(
         }
         // Extend line 11: `add_child` marks first occurrences through
         // the `Markings` semantics hook.
-        let id = tree.add_child(parent_id, vertex, state, via, new_ts);
-        idx.note_added(root, vertex);
+        let id = idx.add_child(tree, parent_id, vertex, state, via, new_ts);
         // The new node's root path is its parent's plus itself — extend
         // the bitset so each out-edge's cycle guard is one bit read.
         path_bits.insert(pair_bit(vertex, state, stride));

@@ -10,6 +10,7 @@
 
 use crate::journal::{EventKind, Journal};
 use srpq_common::FxHashMap;
+use std::fmt::Display;
 
 /// Monotone-counter watermarks with journal emission on advance.
 #[derive(Debug, Default)]
@@ -44,8 +45,9 @@ impl StageTracker {
 
     /// Journals a [`EventKind::SlideBoundary`] if `expiry_runs`
     /// advanced past the watermark. `at` is a caller-side cursor
-    /// (`"seq=5"`, `"chunk=3"`) prefixed to the detail.
-    pub fn slide(&mut self, journal: &Journal, at: &str, expiry_runs: u64) -> bool {
+    /// (`"seq=5"`, `"chunk=3"`) prefixed to the detail; it is formatted
+    /// only when a line is written.
+    pub fn slide(&mut self, journal: &Journal, at: impl Display, expiry_runs: u64) -> bool {
         if expiry_runs <= self.last_expiry_runs {
             return false;
         }

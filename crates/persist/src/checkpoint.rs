@@ -426,15 +426,14 @@ mod tests {
             let root_id = tree.root_id();
             let ids: Vec<u32> = (0..100u32)
                 .map(|i| {
-                    let id = tree.add_child(
+                    idx.add_child(
+                        tree,
                         root_id,
                         VertexId(i + 1),
                         StateId(1),
                         Label(0),
                         Timestamp(10),
-                    );
-                    idx.note_added(VertexId(0), VertexId(i + 1));
-                    id
+                    )
                 })
                 .collect();
             for &id in &ids[..90] {
@@ -446,7 +445,7 @@ mod tests {
             // non-trivial.
             tree.unmark((VertexId(100), StateId(1)));
             let mut remap = Vec::new();
-            assert!(tree.maybe_compact(&mut remap), "fixture must compact");
+            assert!(idx.maybe_compact(tree, &mut remap), "fixture must compact");
         }
         forest.validate().unwrap();
 

@@ -17,6 +17,7 @@ use crate::durable::{DurabilityCounters, Durable};
 use srpq_common::StreamTuple;
 use srpq_core::multi::{MultiQueryEngine, MultiSink, QueryError, QueryId};
 use srpq_obs::{Journal, Obs, StageTracker};
+use std::fmt::Display;
 
 /// The evaluation state a driver hosts, plus the watermarks behind
 /// [`Self::observe`]. Build one with `Host::from` an engine (in memory)
@@ -140,8 +141,9 @@ impl Host {
     /// slide boundary when any group ran an expiry pass, and a
     /// compaction per live query whose Δ forest compacted. `at` is the
     /// caller's stream cursor (`seq=N`, `pos=N`), prefixed to the slide
-    /// detail.
-    pub fn observe(&mut self, journal: &Journal, at: &str) {
+    /// detail and formatted only then: a call that journals nothing
+    /// allocates nothing.
+    pub fn observe(&mut self, journal: &Journal, at: impl Display) {
         let engine = self.store.engine();
         self.tracker.slide(journal, at, expiry_runs(engine));
         for (name, compactions) in compactions(engine) {
@@ -154,18 +156,12 @@ impl Host {
 /// the owning group's, so a per-id sum would count a shared forest once
 /// per subscriber.
 fn expiry_runs(engine: &MultiQueryEngine) -> u64 {
-    engine
-        .group_ids()
-        .iter()
-        .filter_map(|&g| engine.group_engine(g))
-        .map(|e| e.stats().expiry_runs)
-        .sum()
+    engine.group_engines().map(|e| e.stats().expiry_runs).sum()
 }
 
 /// Each live query's name and lifetime compaction count.
 fn compactions(engine: &MultiQueryEngine) -> impl Iterator<Item = (&str, u64)> {
     engine
-        .query_ids()
-        .into_iter()
-        .filter_map(|id| Some((engine.name(id)?, engine.stats(id)?.compactions)))
+        .queries()
+        .filter_map(|(id, name)| Some((name, engine.stats(id)?.compactions)))
 }

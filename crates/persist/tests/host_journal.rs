@@ -80,7 +80,7 @@ fn drive(host: &mut Host, tuples: &[StreamTuple], start: usize, journal: &Journa
     for chunk in tuples.chunks(CHUNK) {
         host.process_batch(chunk, &mut NullMultiSink).unwrap();
         pos += chunk.len();
-        host.observe(journal, &format!("pos={pos}"));
+        host.observe(journal, format_args!("pos={pos}"));
     }
 }
 
@@ -193,7 +193,7 @@ fn recovered_host_journals_recovery_once_then_deltas() {
     );
     let obs = Obs::new();
     host.set_obs(obs.clone());
-    host.observe(obs.journal(), &format!("pos={cut}"));
+    host.observe(obs.journal(), format_args!("pos={cut}"));
     let events = obs.journal().since(0);
     assert_eq!(events.len(), 1, "{events:?}");
     assert_eq!(events[0].kind, EventKind::Recovery);

@@ -34,13 +34,13 @@ const DRAIN_ACK_TIMEOUT: Duration = Duration::from_secs(3);
 /// Per-worker `(eval_ns, expiry_ns)` ledgers with the coordinator's
 /// own evaluation time as one final synthetic entry; empty without
 /// workers (the whole ledger is then `stage_totals`).
-fn worker_ledger(engine: &MultiQueryEngine) -> Vec<(u64, u64)> {
-    if engine.n_workers() == 0 {
-        return Vec::new();
-    }
-    let mut ledger = engine.worker_totals().to_vec();
-    ledger.push(engine.coord_totals());
-    ledger
+fn worker_ledger(engine: &MultiQueryEngine) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let pooled = engine.n_workers() > 0;
+    let workers = if pooled { engine.worker_totals() } else { &[] };
+    workers
+        .iter()
+        .copied()
+        .chain(pooled.then(|| engine.coord_totals()))
 }
 
 /// One request to the engine thread: the client's own [`Msg`] plus what
@@ -185,16 +185,15 @@ impl EngineCore {
     fn refresh_gauges(&mut self) {
         let host = &self.host;
         let engine = host.engine();
-        for id in engine.query_ids() {
+        for (id, name) in engine.queries() {
             let Some(group) = engine.engine(id) else {
                 continue;
             };
             let stats = *group.stats();
-            let name = engine.name(id).unwrap_or("").to_string();
             let g = self
                 .query_gauges
                 .entry(id.0)
-                .or_insert_with(|| QueryGauges::new(&self.obs, &name));
+                .or_insert_with(|| QueryGauges::new(&self.obs, name));
             g.delta_nodes.set(stats.delta_nodes_live);
             g.result_bytes.set(group.result_bytes() as u64);
             g.reverse_index_bytes
@@ -205,11 +204,11 @@ impl EngineCore {
             g.eval_ns.set(stats.eval_ns);
             g.results.set(stats.results_emitted);
         }
-        let ledger = worker_ledger(engine);
-        for (i, &(eval, expiry)) in ledger.iter().enumerate() {
+        let entries = worker_ledger(engine).count();
+        for (i, (eval, expiry)) in worker_ledger(engine).enumerate() {
             if self.worker_gauges.len() <= i {
                 // The final ledger entry is the coordinator's own time.
-                let label = if i + 1 == ledger.len() {
+                let label = if i + 1 == entries {
                     "coord".to_string()
                 } else {
                     i.to_string()
@@ -252,7 +251,7 @@ impl EngineCore {
         }
         self.last_stage = stage;
         self.host
-            .observe(self.obs.journal(), &format!("seq={}", self.seq));
+            .observe(self.obs.journal(), format_args!("seq={}", self.seq));
     }
 
     /// Serves commands until `Shutdown` (graceful: earlier commands in
@@ -386,13 +385,11 @@ impl EngineCore {
                     (0u64, 0u64, 0u64, 0u64);
                 // Sum over groups, not query ids: a shared Δ forest
                 // counts once however many subscribers ride it.
-                for g in engine.group_ids() {
-                    if let Some(s) = engine.group_engine(g).map(|e| e.stats()) {
-                        eval_ns += s.eval_ns;
-                        delta_nodes_live += s.delta_nodes_live;
-                        delta_capacity += s.delta_capacity;
-                        compactions += s.compactions;
-                    }
+                for s in engine.group_engines().map(|e| e.stats()) {
+                    eval_ns += s.eval_ns;
+                    delta_nodes_live += s.delta_nodes_live;
+                    delta_capacity += s.delta_capacity;
+                    compactions += s.compactions;
                 }
                 Msg::ServerStats(StatsSnapshot {
                     seq: self.seq,
@@ -408,7 +405,7 @@ impl EngineCore {
                     delta_nodes_live,
                     delta_capacity,
                     compactions,
-                    worker_ns: worker_ledger(engine),
+                    worker_ns: worker_ledger(engine).collect(),
                     groups_live: engine.groups_live() as u32,
                 })
             }
@@ -821,5 +818,102 @@ impl EngineCore {
                 .map_err(|e| format!("persisting the label table failed: {e}"))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use srpq_common::VertexId;
+    use srpq_core::CountSink;
+    use srpq_graph::WindowPolicy;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts the calling thread's allocations while armed; other test
+    /// threads are not counted.
+    struct CountingAlloc;
+
+    fn count() {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; the
+    // bookkeeping touches only const-initialized thread-locals and never
+    // allocates.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// Allocations `f` makes on this thread.
+    fn allocs_of(f: impl FnOnce()) -> u64 {
+        ALLOCS.with(|n| n.set(0));
+        COUNTING.with(|on| on.set(true));
+        f();
+        COUNTING.with(|on| on.set(false));
+        ALLOCS.with(Cell::get)
+    }
+
+    #[test]
+    fn observing_a_warm_batch_allocates_nothing() {
+        // Four registrations over two templates, no slide inside the
+        // measured batches, with and without a worker ledger: once
+        // every gauge exists, the per-batch journal diff and gauge
+        // refresh build no name, cursor, id list or ledger copy.
+        for workers in [0, 2] {
+            let mut labels = LabelInterner::new();
+            let mut engine = MultiQueryEngine::new(WindowPolicy::new(1_000, 1_000));
+            for (name, expr) in [("r1", "a+"), ("r2", "a+"), ("s1", "a b"), ("s2", "a b")] {
+                let query = CompiledQuery::compile(expr, &mut labels).unwrap();
+                engine
+                    .register(name, query, PathSemantics::Arbitrary)
+                    .unwrap();
+            }
+            engine.set_workers(workers);
+            let a = labels.get("a").unwrap();
+            let mut core = EngineCore::new(Host::from(engine), labels, 0, Obs::new());
+            let mut sink = CountSink::default();
+            let mut batch = |core: &mut EngineCore, i: u32| {
+                let (u, v) = (VertexId(i), VertexId(i + 1));
+                let t = StreamTuple::insert(Timestamp(i64::from(i)), u, v, a);
+                core.host.process_batch(&[t], &mut sink).unwrap();
+                core.seq += 1;
+            };
+            for i in 0..4 {
+                batch(&mut core, i);
+                core.observe_batch(0);
+                core.refresh_gauges();
+            }
+            batch(&mut core, 4);
+            let n = allocs_of(|| {
+                core.observe_batch(0);
+                core.refresh_gauges();
+            });
+            assert_eq!(n, 0, "{workers} workers: the observation path allocated");
+        }
     }
 }
