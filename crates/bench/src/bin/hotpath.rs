@@ -1,11 +1,11 @@
 //! Hot-path microbenchmark: interleaved A/B of the extend/expire fast
 //! path against a pre-change baseline binary.
 //!
-//! Five timed rows plus one allocation-count row. Every row drives
+//! Six timed rows plus one allocation-count row. Every row drives
 //! `MultiQueryEngine`, the one engine every host runs; all but
-//! `multi_agg`, `delete_churn` and `alloc_steady` run each query alone
-//! on a one-query engine (`make_engine`), tuple by tuple
-//! (`run_engine`), over the gMark smoke fixture:
+//! `multi_agg`, `delete_churn`, `tree_churn` and `alloc_steady` run
+//! each query alone on a one-query engine (`make_engine`), tuple by
+//! tuple (`run_engine`), over the gMark smoke fixture:
 //!
 //! - `aggregate`    — the 8-query single-thread smoke workload, one
 //!   query at a time (the perf-trajectory anchor).
@@ -16,6 +16,12 @@
 //! - `delete_churn` — `multi_agg` with 5 % explicit deletions injected
 //!   (`srpq_datagen::inject_deletions`): each deletion severs subtrees
 //!   in every group it routes to, then samples the arena gauges.
+//! - `tree_churn`   — the eight `shared_fanout` templates of the served
+//!   benchmark, one group each, over a gMark `ldbc_like` stream whose
+//!   window holds about 1 % of the graph: nearly every vertex sits in
+//!   one tree, and every slide drops and re-roots thousands of pooled
+//!   trees. Dominated by reverse-index bookkeeping and tree re-rooting,
+//!   which the fixture-sized rows barely exercise.
 //! - `expiry_scan`  — slide β = 1, so every timestamp advance runs a
 //!   window slide: dominated by the Δ-arena threshold scan.
 //! - `extend_loop`  — window larger than the stream, so nothing ever
@@ -58,10 +64,11 @@ use std::time::{Duration, Instant};
 const BUDGET: Duration = Duration::from_secs(120);
 
 /// Row names in execution order.
-const ROWS: [&str; 6] = [
+const ROWS: [&str; 7] = [
     "aggregate",
     "multi_agg",
     "delete_churn",
+    "tree_churn",
     "expiry_scan",
     "extend_loop",
     "alloc_steady",
@@ -156,6 +163,7 @@ fn run_row(name: &str, assert_zero_alloc: bool) -> Row {
         "aggregate" => row_aggregate(),
         "multi_agg" => row_multi_agg(),
         "delete_churn" => row_delete_churn(),
+        "tree_churn" => row_tree_churn(),
         "expiry_scan" => row_expiry_scan(),
         "extend_loop" => row_extend_loop(),
         "alloc_steady" => row_alloc_steady(assert_zero_alloc),
@@ -200,7 +208,7 @@ impl MultiSink for CountMultiSink {
 /// accounting overhead; CI fails if it regresses beyond noise.
 fn row_multi_agg() -> Row {
     let (ds, queries) = gmark_fixture(1, 8);
-    drive_multi(&ds, &queries, &ds.tuples)
+    drive_multi(&ds, fixture_window(&ds), &arbitrary(&queries), &ds.tuples)
 }
 
 /// `multi_agg` over the fixture with 5 % explicit deletions: every
@@ -209,23 +217,59 @@ fn row_multi_agg() -> Row {
 fn row_delete_churn() -> Row {
     let (ds, queries) = gmark_fixture(1, 8);
     let tuples = srpq_datagen::inject_deletions(&ds.tuples, 0.05, 0xde1);
-    drive_multi(&ds, &queries, &tuples)
+    drive_multi(&ds, fixture_window(&ds), &arbitrary(&queries), &tuples)
 }
 
-/// Registers `queries` on one `MultiQueryEngine` over `ds`'s window
-/// and drives `tuples` through it in 256-tuple batches.
-fn drive_multi(ds: &Dataset, queries: &[SyntheticQuery], tuples: &[StreamTuple]) -> Row {
+/// The `shared_fanout` templates (`benchmark/src/workloads.rs`), each
+/// registered once, over the first 200 000 tuples of that workload's
+/// gMark graph (scale 300: 2.6M edges over 450k vertices) with its
+/// window of 36 000 tuples sliding by 3 600: 55 slides, the first ten
+/// filling the window. Once the window is full, the groups re-root
+/// about one pooled tree per tuple between them — some 3 600 per
+/// slide.
+fn row_tree_churn() -> Row {
+    const TEMPLATES: [(&str, PathSemantics); 8] = [
+        ("knows+", PathSemantics::Arbitrary),
+        ("hasMember knows*", PathSemantics::Arbitrary),
+        ("replyOf* replyOfPost", PathSemantics::Arbitrary),
+        ("replyOf+ hasCreator", PathSemantics::Arbitrary),
+        ("containerOf hasTag", PathSemantics::Arbitrary),
+        ("likes postedBy knows*", PathSemantics::Arbitrary),
+        ("knows*", PathSemantics::Simple),
+        ("replyOf* replyOfPost hasTag", PathSemantics::Simple),
+    ];
+    let ds = srpq_datagen::gmark::generate(&srpq_datagen::gmark::GmarkSchema::ldbc_like(300), 1);
+    let window = WindowPolicy::new(36_000, 3_600);
+    drive_multi(&ds, window, &TEMPLATES, &ds.tuples[..200_000])
+}
+
+/// The fixture rows' window: |W| = span/4, β = span/40.
+fn fixture_window(ds: &Dataset) -> WindowPolicy {
     let span = span_of(ds);
-    let window = WindowPolicy::new((span / 4).max(4), (span / 40).max(1));
+    WindowPolicy::new((span / 4).max(4), (span / 40).max(1))
+}
+
+/// `queries` under arbitrary-path semantics.
+fn arbitrary(queries: &[SyntheticQuery]) -> Vec<(&str, PathSemantics)> {
+    queries
+        .iter()
+        .map(|q| (q.expr.as_str(), PathSemantics::Arbitrary))
+        .collect()
+}
+
+/// Registers `queries` on one `MultiQueryEngine` over `window` and
+/// drives `tuples` through it in 256-tuple batches.
+fn drive_multi(
+    ds: &Dataset,
+    window: WindowPolicy,
+    queries: &[(&str, PathSemantics)],
+    tuples: &[StreamTuple],
+) -> Row {
     let mut multi =
         srpq_core::MultiQueryEngine::with_config(srpq_core::EngineConfig::with_window(window));
-    for (i, q) in queries.iter().enumerate() {
+    for (i, &(expr, semantics)) in queries.iter().enumerate() {
         multi
-            .register(
-                format!("q{i}"),
-                compile_query(&q.expr, &ds.labels),
-                PathSemantics::Arbitrary,
-            )
+            .register(format!("q{i}"), compile_query(expr, &ds.labels), semantics)
             .expect("workload query registers");
     }
     let mut sink = CountMultiSink(0);

@@ -13,12 +13,12 @@
 //! This module factors the common 90% into one arena-backed
 //! implementation, parameterized by a [`TreeSemantics`] hook type:
 //!
-//! * [`Tree`]`<X>` — one spanning tree, stored **struct-of-arrays**:
-//!   parallel columns for `(vertex, state)`, parent link, via-label,
-//!   and a dedicated contiguous timestamp column (so expiry candidate
-//!   collection is a branch-free threshold scan), with tree shape held
-//!   in intrusive first-child/next-sibling link columns instead of
-//!   per-node heap children lists; plus the
+//! * [`Tree`]`<X>` — one spanning tree, stored as an arena of two
+//!   parallel vectors: a dedicated contiguous timestamp column (so
+//!   expiry candidate collection is a branch-free threshold scan) and
+//!   one record per slot for `(vertex, state)`, parent link, via-label
+//!   and the intrusive first-child/next-sibling links that hold the
+//!   tree's shape instead of per-node heap children lists; plus the
 //!   `(vertex, state) → occurrences` side index, timestamp
 //!   maintenance, subtree detach/expiry, per-slide arena compaction
 //!   ([`Tree::maybe_compact`]), and path queries;

@@ -1,17 +1,17 @@
-//! The arena-backed spanning tree shared by both path semantics, stored
-//! **struct-of-arrays**.
+//! The arena-backed spanning tree shared by both path semantics.
 //!
-//! Node attributes live in parallel columns indexed by [`NodeId`]:
-//! `(vertex, state)` pair, parent link, via-label, and a dedicated
-//! contiguous `ts` column so expiry candidate collection is a
-//! branch-free threshold scan over one cache-friendly array instead of
-//! a pointer-chase through node structs. Tree shape is kept in
-//! intrusive `first_child`/`next_sib`/`prev_sib` link columns — no
-//! per-node heap `Vec<NodeId>` children list, so node attachment and
-//! detachment never allocate.
+//! Nodes live in an arena indexed by [`NodeId`], split in two parallel
+//! vectors: a contiguous `ts` column, so expiry candidate collection is
+//! a branch-free threshold scan over one cache-friendly array, and one
+//! 28-byte [`Slot`] record per node holding everything else — the
+//! `(vertex, state)` pair, parent link, via-label, and the intrusive
+//! `first_child`/`next_sib`/`prev_sib` links that keep the tree's shape.
+//! Attaching, re-parenting or unlinking a node edits one record (plus
+//! its neighbours' records), never a per-node heap `Vec<NodeId>`
+//! children list, so node attachment and detachment never allocate.
 //!
 //! Slots are recycled through a free list; a dead slot is marked by
-//! the sentinel [`DEAD`] in its parent column and carries
+//! the sentinel [`DEAD`] in its parent link and carries
 //! `Timestamp::INFINITY` in the `ts` column so the expiry scan skips
 //! it without a liveness branch (the root is immortal for the same
 //! reason: its timestamp is `INFINITY` per Definition 9, under which a
@@ -33,21 +33,72 @@ use srpq_common::{FxHashMap, Label, StateId, Timestamp, VertexId};
 /// parent.
 const NIL: NodeId = u32::MAX;
 
-/// Parent-column sentinel marking a dead (free-listed) slot.
+/// Parent-link sentinel marking a dead (free-listed) slot.
 const DEAD: NodeId = u32::MAX - 1;
 
-/// Bytes one arena slot holds across the column arrays, so an arena of
-/// `n` slots holds `n * SLOT_BYTES` (excludes the occurrence index and
-/// the free list).
-pub(super) const SLOT_BYTES: usize = std::mem::size_of::<VertexId>()
-    + std::mem::size_of::<StateId>()
-    + std::mem::size_of::<Label>()
-    + std::mem::size_of::<Timestamp>()
-    + 4 * std::mem::size_of::<NodeId>();
+/// One arena slot's record: every per-node field but the timestamp,
+/// which lives in the tree's separate `ts` column.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    vertex: VertexId,
+    state: StateId,
+    /// Parent link; `NIL` for the root, `DEAD` marks a free slot.
+    parent: NodeId,
+    via_label: Label,
+    // Intrusive tree links (children = singly-walked doubly-linked
+    // sibling chain; `prev_sib` buys O(1) unlink).
+    first_child: NodeId,
+    next_sib: NodeId,
+    prev_sib: NodeId,
+}
+
+impl Slot {
+    /// A free-listed slot.
+    const DEAD: Slot = Slot {
+        vertex: VertexId(0),
+        state: StateId(0),
+        parent: DEAD,
+        via_label: Label(0),
+        first_child: NIL,
+        next_sib: NIL,
+        prev_sib: NIL,
+    };
+
+    /// A childless node with the given pair, parent and via-label.
+    fn leaf(vertex: VertexId, state: StateId, parent: NodeId, via_label: Label) -> Slot {
+        Slot {
+            vertex,
+            state,
+            parent,
+            via_label,
+            first_child: NIL,
+            next_sib: NIL,
+            prev_sib: NIL,
+        }
+    }
+
+    /// The root record of a tree rooted at `(root, s0)`.
+    fn root(root: VertexId, s0: StateId) -> Slot {
+        Slot::leaf(root, s0, NIL, Label(u32::MAX))
+    }
+
+    #[inline]
+    fn key(&self) -> PairKey {
+        (self.vertex, self.state)
+    }
+}
+
+/// Bytes one arena slot holds — its [`Slot`] record and its timestamp —
+/// so an arena of `n` slots holds `n * SLOT_BYTES` (excludes the
+/// occurrence index and the free list).
+pub(super) const SLOT_BYTES: usize = std::mem::size_of::<Slot>() + std::mem::size_of::<Timestamp>();
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 28 && SLOT_BYTES == 36);
 
 /// A by-value view of one spanning-tree node: its product-graph pair,
 /// parent link, and the minimum edge timestamp along its root path
-/// (Definition 9). Materialized on demand from the column arrays;
+/// (Definition 9). Materialized on demand from the slot record and
+/// the timestamp column;
 /// child links are walked through [`Tree::children`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
@@ -145,7 +196,7 @@ impl OccSet {
 /// A spanning tree `T_x` rooted at `(x, s0)`, with semantics extension
 /// `X` observing every mutation.
 ///
-/// Nodes are identified by column index ([`NodeId`]); the
+/// Nodes are identified by arena index ([`NodeId`]); the
 /// `occurrences` side index lists all live slots holding a given pair,
 /// in attachment order (so the first entry is the oldest — the
 /// *canonical* — occurrence, and for [`super::Unique`] trees the only
@@ -155,12 +206,9 @@ pub struct Tree<X: TreeSemantics> {
     root: VertexId,
     root_key: PairKey,
     root_id: NodeId,
-    // Struct-of-arrays node storage, all columns indexed by NodeId.
-    vertex: Vec<VertexId>,
-    state: Vec<StateId>,
-    /// Parent link; `NIL` for the root, `DEAD` marks a free slot.
-    parent: Vec<NodeId>,
-    via_label: Vec<Label>,
+    // Node storage, both vectors indexed by NodeId and always of equal
+    // length: one record per slot, and the timestamps apart.
+    slots: Vec<Slot>,
     /// Contiguous timestamp column — the expiry scan reads only this.
     /// Dead slots hold `Timestamp::INFINITY` so the scan needs no
     /// liveness branch.
@@ -171,11 +219,6 @@ pub struct Tree<X: TreeSemantics> {
     /// exactly by the fused sweeps, set by `new` / `reset_root` /
     /// `from_snapshot`; removals and compaction leave it a valid bound.
     min_ts: Timestamp,
-    // Intrusive tree links (children = singly-walked doubly-linked
-    // sibling chain; `prev_sib` buys O(1) unlink).
-    first_child: Vec<NodeId>,
-    next_sib: Vec<NodeId>,
-    prev_sib: Vec<NodeId>,
     free: Vec<NodeId>,
     occurrences: FxHashMap<PairKey, OccSet>,
     len: usize,
@@ -194,15 +237,9 @@ impl<X: TreeSemantics> Tree<X> {
             root,
             root_key,
             root_id: 0,
-            vertex: vec![root],
-            state: vec![s0],
-            parent: vec![NIL],
-            via_label: vec![Label(u32::MAX)],
+            slots: vec![Slot::root(root, s0)],
             ts: vec![Timestamp::INFINITY],
             min_ts: Timestamp::INFINITY,
-            first_child: vec![NIL],
-            next_sib: vec![NIL],
-            prev_sib: vec![NIL],
             free: Vec::new(),
             occurrences,
             len: 1,
@@ -211,33 +248,22 @@ impl<X: TreeSemantics> Tree<X> {
     }
 
     /// Resets a recycled tree to a fresh single-root state rooted at
-    /// `(root, s0)`. Every column, the free list, and the occurrence
-    /// map are cleared *in place* — capacity is retained — so
-    /// forest-level tree pooling re-roots without heap allocation.
+    /// `(root, s0)`. The slot records, the timestamp column, the free
+    /// list and the occurrence map are cleared *in place* — capacity is
+    /// retained — so forest-level tree pooling re-roots without heap
+    /// allocation.
     pub fn reset_root(&mut self, root: VertexId, s0: StateId) {
         self.root = root;
         self.root_key = (root, s0);
         self.root_id = 0;
-        self.vertex.clear();
-        self.state.clear();
-        self.parent.clear();
-        self.via_label.clear();
+        self.slots.clear();
         self.ts.clear();
         self.min_ts = Timestamp::INFINITY;
-        self.first_child.clear();
-        self.next_sib.clear();
-        self.prev_sib.clear();
         self.free.clear();
         self.occurrences.clear();
         self.len = 1;
-        self.vertex.push(root);
-        self.state.push(s0);
-        self.parent.push(NIL);
-        self.via_label.push(Label(u32::MAX));
+        self.slots.push(Slot::root(root, s0));
         self.ts.push(Timestamp::INFINITY);
-        self.first_child.push(NIL);
-        self.next_sib.push(NIL);
-        self.prev_sib.push(NIL);
         self.occurrences.insert(self.root_key, OccSet::One(0));
         self.ext.reset();
         self.ext.on_add(self.root_key, 0, true);
@@ -289,11 +315,12 @@ impl<X: TreeSemantics> Tree<X> {
     /// Number of arena slots (live + free-listed).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.parent.len()
+        self.slots.len()
     }
 
-    /// Bytes held by the column arrays for the current capacity
-    /// (excludes the occurrence index and the free list).
+    /// Bytes held by the slot records and the timestamp column for the
+    /// current capacity (excludes the occurrence index and the free
+    /// list).
     pub fn arena_bytes(&self) -> usize {
         self.capacity() * SLOT_BYTES
     }
@@ -312,19 +339,20 @@ impl<X: TreeSemantics> Tree<X> {
 
     #[inline]
     fn live(&self, i: usize) -> bool {
-        i < self.parent.len() && self.parent[i] != DEAD
+        i < self.slots.len() && self.slots[i].parent != DEAD
     }
 
     #[inline]
     fn view(&self, i: usize) -> Node {
+        let slot = &self.slots[i];
         Node {
-            vertex: self.vertex[i],
-            state: self.state[i],
-            parent: match self.parent[i] {
+            vertex: slot.vertex,
+            state: slot.state,
+            parent: match slot.parent {
                 NIL => None,
                 p => Some(p),
             },
-            via_label: self.via_label[i],
+            via_label: slot.via_label,
             ts: self.ts[i],
         }
     }
@@ -353,28 +381,28 @@ impl<X: TreeSemantics> Tree<X> {
     }
 
     /// Lean upward-walk step: `(vertex, state, parent)` of the live
-    /// node `id` in three column reads. The engines' per-item path
+    /// node `id` from its slot record alone. The engines' per-item path
     /// walks are the hottest loops over the arena; this keeps them off
-    /// the full [`Node`] view (which also touches `via_label` and
-    /// `ts`).
+    /// the full [`Node`] view (which also reads the `ts` column).
     #[inline]
     pub fn step_up(&self, id: NodeId) -> Option<(VertexId, StateId, Option<NodeId>)> {
         let i = id as usize;
         if !self.live(i) {
             return None;
         }
-        let parent = match self.parent[i] {
+        let slot = &self.slots[i];
+        let parent = match slot.parent {
             NIL => None,
             p => Some(p),
         };
-        Some((self.vertex[i], self.state[i], parent))
+        Some((slot.vertex, slot.state, parent))
     }
 
     /// Iterates the child ids of `id` by walking its intrusive sibling
     /// chain (newest attachment first). Empty for a dead id.
     pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let mut cur = if self.live(id as usize) {
-            self.first_child[id as usize]
+            self.slots[id as usize].first_child
         } else {
             NIL
         };
@@ -383,7 +411,7 @@ impl<X: TreeSemantics> Tree<X> {
                 return None;
             }
             let c = cur;
-            cur = self.next_sib[c as usize];
+            cur = self.slots[c as usize].next_sib;
             Some(c)
         })
     }
@@ -414,7 +442,7 @@ impl<X: TreeSemantics> Tree<X> {
     pub fn key_of(&self, id: NodeId) -> Option<PairKey> {
         let i = id as usize;
         if self.live(i) {
-            Some((self.vertex[i], self.state[i]))
+            Some(self.slots[i].key())
         } else {
             None
         }
@@ -424,43 +452,44 @@ impl<X: TreeSemantics> Tree<X> {
     /// dead id).
     pub fn parent_key_of(&self, id: NodeId) -> Option<PairKey> {
         let i = id as usize;
-        if !self.live(i) || self.parent[i] == NIL {
+        if !self.live(i) || self.slots[i].parent == NIL {
             return None;
         }
-        self.key_of(self.parent[i])
+        self.key_of(self.slots[i].parent)
     }
 
     /// Prepends `id` to `parent`'s sibling chain.
     fn link_under(&mut self, parent: NodeId, id: NodeId) {
-        let i = id as usize;
-        let fc = self.first_child[parent as usize];
-        self.first_child[parent as usize] = id;
-        self.next_sib[i] = fc;
-        self.prev_sib[i] = NIL;
+        let fc = std::mem::replace(&mut self.slots[parent as usize].first_child, id);
+        let slot = &mut self.slots[id as usize];
+        slot.next_sib = fc;
+        slot.prev_sib = NIL;
         if fc != NIL {
-            self.prev_sib[fc as usize] = id;
+            self.slots[fc as usize].prev_sib = id;
         }
     }
 
     /// Detaches the live node `id` from its (live) parent's sibling
     /// chain in O(1).
     fn unlink(&mut self, id: NodeId) {
-        let i = id as usize;
-        let p = self.parent[i] as usize;
-        let prev = self.prev_sib[i];
-        let next = self.next_sib[i];
+        let Slot {
+            parent,
+            prev_sib: prev,
+            next_sib: next,
+            ..
+        } = self.slots[id as usize];
         if prev == NIL {
-            self.first_child[p] = next;
+            self.slots[parent as usize].first_child = next;
         } else {
-            self.next_sib[prev as usize] = next;
+            self.slots[prev as usize].next_sib = next;
         }
         if next != NIL {
-            self.prev_sib[next as usize] = prev;
+            self.slots[next as usize].prev_sib = prev;
         }
     }
 
     /// Adds a child node under `parent`. Returns the new id. Never
-    /// heap-allocates once the columns have warmed up (free-listed
+    /// heap-allocates once the arena has warmed up (free-listed
     /// slots are reused, the sibling chain is intrusive). Panics if
     /// `parent` is dead. A tree inside a [`super::Forest`] grows through
     /// [`super::RevIndex::add_child`], which also notes the node and any
@@ -474,28 +503,18 @@ impl<X: TreeSemantics> Tree<X> {
         ts: Timestamp,
     ) -> NodeId {
         assert!(self.live(parent as usize), "parent must be alive");
+        let slot = Slot::leaf(vertex, state, parent, via_label);
         let id = match self.free.pop() {
             Some(id) => {
-                let i = id as usize;
-                self.vertex[i] = vertex;
-                self.state[i] = state;
-                self.parent[i] = parent;
-                self.via_label[i] = via_label;
-                self.ts[i] = ts;
-                self.first_child[i] = NIL;
+                self.slots[id as usize] = slot;
+                self.ts[id as usize] = ts;
                 id
             }
             None => {
-                let id = self.parent.len() as NodeId;
+                let id = self.slots.len() as NodeId;
                 debug_assert!(id < DEAD, "arena overflow");
-                self.vertex.push(vertex);
-                self.state.push(state);
-                self.parent.push(parent);
-                self.via_label.push(via_label);
+                self.slots.push(slot);
                 self.ts.push(ts);
-                self.first_child.push(NIL);
-                self.next_sib.push(NIL);
-                self.prev_sib.push(NIL);
                 id
             }
         };
@@ -523,15 +542,15 @@ impl<X: TreeSemantics> Tree<X> {
         let i = id as usize;
         assert!(self.live(i), "node must be alive");
         assert!(self.live(new_parent as usize), "new parent must be alive");
-        self.via_label[i] = via_label;
+        self.slots[i].via_label = via_label;
         self.ts[i] = ts;
         self.min_ts = self.min_ts.min(ts);
-        let old = self.parent[i];
+        let old = self.slots[i].parent;
         if old == new_parent || old == NIL {
             return;
         }
         self.unlink(id);
-        self.parent[i] = new_parent;
+        self.slots[i].parent = new_parent;
         self.link_under(new_parent, id);
     }
 
@@ -545,24 +564,11 @@ impl<X: TreeSemantics> Tree<X> {
         if !self.live(i) {
             return false;
         }
-        let p = self.parent[i];
-        if p != NIL && self.parent[p as usize] != DEAD {
+        let p = self.slots[i].parent;
+        if p != NIL && self.slots[p as usize].parent != DEAD {
             self.unlink(id);
         }
-        let key = (self.vertex[i], self.state[i]);
-        self.parent[i] = DEAD;
-        self.ts[i] = Timestamp::INFINITY;
-        self.first_child[i] = NIL;
-        self.next_sib[i] = NIL;
-        self.prev_sib[i] = NIL;
-        self.len -= 1;
-        self.free.push(id);
-        if let Some(occ) = self.occurrences.get_mut(&key) {
-            if occ.remove(id) {
-                self.occurrences.remove(&key);
-            }
-        }
-        self.ext.on_remove(key, id);
+        self.kill(id);
         true
     }
 
@@ -593,7 +599,7 @@ impl<X: TreeSemantics> Tree<X> {
         let mut cur = id;
         loop {
             out.push(cur);
-            let fc = self.first_child[cur as usize];
+            let fc = self.slots[cur as usize].first_child;
             if fc != NIL {
                 cur = fc;
                 continue;
@@ -602,12 +608,12 @@ impl<X: TreeSemantics> Tree<X> {
                 if cur == id {
                     return;
                 }
-                let ns = self.next_sib[cur as usize];
-                if ns != NIL {
-                    cur = ns;
+                let slot = &self.slots[cur as usize];
+                if slot.next_sib != NIL {
+                    cur = slot.next_sib;
                     break;
                 }
-                cur = self.parent[cur as usize];
+                cur = slot.parent;
             }
         }
     }
@@ -623,7 +629,7 @@ impl<X: TreeSemantics> Tree<X> {
         let mut cur = id;
         loop {
             self.ts[cur as usize] = ts;
-            let fc = self.first_child[cur as usize];
+            let fc = self.slots[cur as usize].first_child;
             if fc != NIL {
                 cur = fc;
                 continue;
@@ -632,12 +638,12 @@ impl<X: TreeSemantics> Tree<X> {
                 if cur == id {
                     return;
                 }
-                let ns = self.next_sib[cur as usize];
-                if ns != NIL {
-                    cur = ns;
+                let slot = &self.slots[cur as usize];
+                if slot.next_sib != NIL {
+                    cur = slot.next_sib;
                     break;
                 }
-                cur = self.parent[cur as usize];
+                cur = slot.parent;
             }
         }
     }
@@ -664,7 +670,7 @@ impl<X: TreeSemantics> Tree<X> {
         out.clear();
         for (i, &ts) in self.ts.iter().enumerate() {
             if ts <= watermark {
-                out.push((self.vertex[i], self.state[i]));
+                out.push(self.slots[i].key());
             }
         }
     }
@@ -683,7 +689,7 @@ impl<X: TreeSemantics> Tree<X> {
         for i in 0..self.ts.len() {
             let ts = self.ts[i];
             if ts <= watermark {
-                out.push((self.vertex[i], self.state[i]));
+                out.push(self.slots[i].key());
                 self.remove_swept(i as NodeId, watermark);
             } else {
                 min_ts = min_ts.min(ts);
@@ -711,9 +717,9 @@ impl<X: TreeSemantics> Tree<X> {
                 min_ts = min_ts.min(ts);
                 continue;
             }
-            let p = self.parent[i];
+            let p = self.slots[i].parent;
             let parent = (p != NIL && self.survives(p, watermark)).then_some(p);
-            out.push(((self.vertex[i], self.state[i]), parent));
+            out.push((self.slots[i].key(), parent));
             self.remove_swept(i as NodeId, watermark);
         }
         self.min_ts = min_ts;
@@ -726,7 +732,7 @@ impl<X: TreeSemantics> Tree<X> {
     #[inline]
     fn survives(&self, id: NodeId, watermark: Timestamp) -> bool {
         let i = id as usize;
-        self.parent[i] != DEAD && self.ts[i] > watermark
+        self.slots[i].parent != DEAD && self.ts[i] > watermark
     }
 
     /// Removes one slot during a fused expiry sweep: as [`Tree::remove`]
@@ -734,16 +740,21 @@ impl<X: TreeSemantics> Tree<X> {
     /// survives the sweep — dying parents take their chains with them.
     fn remove_swept(&mut self, id: NodeId, watermark: Timestamp) {
         let i = id as usize;
-        let p = self.parent[i];
+        let p = self.slots[i].parent;
         if p != NIL && self.survives(p, watermark) {
             self.unlink(id);
         }
-        let key = (self.vertex[i], self.state[i]);
-        self.parent[i] = DEAD;
+        self.kill(id);
+    }
+
+    /// Frees the live, already unlinked slot `id`: marks it dead, puts
+    /// it on the free list, cleans the occurrence index and reports the
+    /// removal to the semantics extension.
+    fn kill(&mut self, id: NodeId) {
+        let i = id as usize;
+        let key = self.slots[i].key();
+        self.slots[i] = Slot::DEAD;
         self.ts[i] = Timestamp::INFINITY;
-        self.first_child[i] = NIL;
-        self.next_sib[i] = NIL;
-        self.prev_sib[i] = NIL;
         self.len -= 1;
         self.free.push(id);
         if let Some(occ) = self.occurrences.get_mut(&key) {
@@ -765,14 +776,14 @@ impl<X: TreeSemantics> Tree<X> {
             if !self.live(i) {
                 return None;
             }
-            if self.vertex[i] == vertex {
-                found = Some(self.state[i]);
+            let slot = &self.slots[i];
+            if slot.vertex == vertex {
+                found = Some(slot.state);
             }
-            let p = self.parent[i];
-            if p == NIL {
+            if slot.parent == NIL {
                 return found;
             }
-            cur = p;
+            cur = slot.parent;
         }
     }
 
@@ -785,14 +796,14 @@ impl<X: TreeSemantics> Tree<X> {
             if !self.live(i) {
                 return false;
             }
-            if self.vertex[i] == vertex && self.state[i] == state {
+            let slot = &self.slots[i];
+            if slot.key() == (vertex, state) {
                 return true;
             }
-            let p = self.parent[i];
-            if p == NIL {
+            if slot.parent == NIL {
                 return false;
             }
-            cur = p;
+            cur = slot.parent;
         }
     }
 
@@ -802,7 +813,7 @@ impl<X: TreeSemantics> Tree<X> {
         let mut cur = id;
         while let Some(key) = self.key_of(cur) {
             out.push(key);
-            match self.parent[cur as usize] {
+            match self.slots[cur as usize].parent {
                 NIL => break,
                 p => cur = p,
             }
@@ -817,7 +828,7 @@ impl<X: TreeSemantics> Tree<X> {
         let mut cur = id;
         while self.live(cur as usize) {
             out.push(cur);
-            match self.parent[cur as usize] {
+            match self.slots[cur as usize].parent {
                 NIL => break,
                 p => cur = p,
             }
@@ -831,16 +842,16 @@ impl<X: TreeSemantics> Tree<X> {
     #[inline]
     pub fn parent_id_of(&self, id: NodeId) -> Option<NodeId> {
         let i = id as usize;
-        if !self.live(i) || self.parent[i] == NIL {
+        if !self.live(i) || self.slots[i].parent == NIL {
             return None;
         }
-        Some(self.parent[i])
+        Some(self.slots[i].parent)
     }
 
     /// Iterates `(id, node)` over live nodes in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Node)> + '_ {
-        (0..self.parent.len()).filter_map(move |i| {
-            if self.parent[i] == DEAD {
+        (0..self.slots.len()).filter_map(move |i| {
+            if self.slots[i].parent == DEAD {
                 None
             } else {
                 Some((i as NodeId, self.view(i)))
@@ -861,7 +872,7 @@ impl<X: TreeSemantics> Tree<X> {
     /// [`super::Forest`] compacts through [`super::RevIndex::maybe_compact`],
     /// which notes the released slots.
     pub fn maybe_compact(&mut self, remap_scratch: &mut Vec<NodeId>) -> bool {
-        let cap = self.parent.len();
+        let cap = self.slots.len();
         if cap < 64 || self.len * 2 > cap {
             return false;
         }
@@ -870,12 +881,12 @@ impl<X: TreeSemantics> Tree<X> {
     }
 
     fn compact(&mut self, remap: &mut Vec<NodeId>) {
-        let cap = self.parent.len();
+        let cap = self.slots.len();
         remap.clear();
         remap.resize(cap, DEAD);
         let mut rank: NodeId = 0;
-        for (r, &p) in remap.iter_mut().zip(&self.parent) {
-            if p != DEAD {
+        for (r, slot) in remap.iter_mut().zip(&self.slots) {
+            if slot.parent != DEAD {
                 *r = rank;
                 rank += 1;
             }
@@ -896,27 +907,22 @@ impl<X: TreeSemantics> Tree<X> {
                 continue;
             }
             let ri = r as usize;
-            self.vertex[ri] = self.vertex[i];
-            self.state[ri] = self.state[i];
-            self.via_label[ri] = self.via_label[i];
+            let slot = self.slots[i];
+            self.slots[ri] = Slot {
+                parent: map_link(slot.parent, remap),
+                first_child: map_link(slot.first_child, remap),
+                next_sib: map_link(slot.next_sib, remap),
+                prev_sib: map_link(slot.prev_sib, remap),
+                ..slot
+            };
             self.ts[ri] = self.ts[i];
-            self.parent[ri] = map_link(self.parent[i], remap);
-            self.first_child[ri] = map_link(self.first_child[i], remap);
-            self.next_sib[ri] = map_link(self.next_sib[i], remap);
-            self.prev_sib[ri] = map_link(self.prev_sib[i], remap);
         }
         let live = rank as usize;
         debug_assert_eq!(live, self.len);
         // Vec::truncate keeps heap capacity, so regrowth after
         // compaction does not reallocate.
-        self.vertex.truncate(live);
-        self.state.truncate(live);
-        self.parent.truncate(live);
-        self.via_label.truncate(live);
+        self.slots.truncate(live);
         self.ts.truncate(live);
-        self.first_child.truncate(live);
-        self.next_sib.truncate(live);
-        self.prev_sib.truncate(live);
         self.free.clear();
         for occ in self.occurrences.values_mut() {
             occ.remap(remap);
@@ -925,27 +931,21 @@ impl<X: TreeSemantics> Tree<X> {
         self.ext.on_compact(remap);
     }
 
-    /// Debug validation: column/occurrence-index/link consistency,
+    /// Debug validation: arena/occurrence-index/link consistency,
     /// timestamp monotonicity, acyclicity, free-list hygiene, and the
     /// semantics extension's own checks.
     pub fn validate(&self) -> Result<(), String> {
-        let cap = self.parent.len();
-        if self.vertex.len() != cap
-            || self.state.len() != cap
-            || self.via_label.len() != cap
-            || self.ts.len() != cap
-            || self.first_child.len() != cap
-            || self.next_sib.len() != cap
-            || self.prev_sib.len() != cap
-        {
+        let cap = self.slots.len();
+        if self.ts.len() != cap {
             return Err("column length drift".into());
         }
+        let slot = |id: NodeId| &self.slots[id as usize];
         if !self.live(self.root_id as usize) {
             return Err("root missing".into());
         }
         let mut live = 0usize;
         for i in 0..cap {
-            if self.parent[i] == DEAD {
+            if self.slots[i].parent == DEAD {
                 if self.ts[i] != Timestamp::INFINITY {
                     return Err(format!("dead slot {i} has a finite timestamp"));
                 }
@@ -953,7 +953,13 @@ impl<X: TreeSemantics> Tree<X> {
             }
             live += 1;
             let id = i as NodeId;
-            let p = self.parent[i];
+            let Slot {
+                parent: p,
+                first_child,
+                next_sib: next,
+                prev_sib: prev,
+                ..
+            } = self.slots[i];
             if p == NIL {
                 if id != self.root_id {
                     return Err(format!("non-root {id} parentless"));
@@ -974,41 +980,39 @@ impl<X: TreeSemantics> Tree<X> {
                         self.min_ts, self.ts[i]
                     ));
                 }
-                let prev = self.prev_sib[i];
                 if prev == NIL {
-                    if self.first_child[p as usize] != id {
+                    if slot(p).first_child != id {
                         return Err(format!("{p} does not list child {id}"));
                     }
                 } else if !self.live(prev as usize)
-                    || self.next_sib[prev as usize] != id
-                    || self.parent[prev as usize] != p
+                    || slot(prev).next_sib != id
+                    || slot(prev).parent != p
                 {
                     return Err(format!("broken sibling link into {id}"));
                 }
-                let next = self.next_sib[i];
                 if next != NIL
                     && (!self.live(next as usize)
-                        || self.prev_sib[next as usize] != id
-                        || self.parent[next as usize] != p)
+                        || slot(next).prev_sib != id
+                        || slot(next).parent != p)
                 {
                     return Err(format!("broken sibling link out of {id}"));
                 }
             }
-            let occ = self.occurrences((self.vertex[i], self.state[i]));
+            let occ = self.occurrences(self.slots[i].key());
             if !occ.contains(&id) {
                 return Err(format!("occurrence index misses {id}"));
             }
-            let mut c = self.first_child[i];
+            let mut c = first_child;
             let mut steps = 0usize;
             while c != NIL {
-                if !self.live(c as usize) || self.parent[c as usize] != id {
+                if !self.live(c as usize) || slot(c).parent != id {
                     return Err(format!("stale child {c} of {id}"));
                 }
                 steps += 1;
                 if steps > self.len {
                     return Err(format!("sibling cycle under {id}"));
                 }
-                c = self.next_sib[c as usize];
+                c = slot(c).next_sib;
             }
         }
         if live != self.len {
@@ -1023,7 +1027,7 @@ impl<X: TreeSemantics> Tree<X> {
         }
         let mut seen_free = std::collections::HashSet::new();
         for &f in &self.free {
-            if (f as usize) >= cap || self.parent[f as usize] != DEAD {
+            if (f as usize) >= cap || slot(f).parent != DEAD {
                 return Err(format!("free slot {f} is live or out of bounds"));
             }
             if !seen_free.insert(f) {
@@ -1043,13 +1047,13 @@ impl<X: TreeSemantics> Tree<X> {
         }
         // Cycle check: every node must reach the root.
         for i in 0..cap {
-            if self.parent[i] == DEAD {
+            if self.slots[i].parent == DEAD {
                 continue;
             }
             let mut cur = i;
             let mut steps = 0usize;
             loop {
-                match self.parent[cur] {
+                match self.slots[cur].parent {
                     NIL => break,
                     p => {
                         cur = p as usize;
@@ -1114,31 +1118,23 @@ impl<X: SnapshotExt> Tree<X> {
             return Err(format!("arena length {} out of range", snap.arena_len));
         }
         let cap = snap.arena_len as usize;
-        let mut vertex = vec![VertexId(0); cap];
-        let mut state = vec![StateId(0); cap];
-        let mut parent = vec![DEAD; cap];
-        let mut via_label = vec![Label(0); cap];
+        let mut slots = vec![Slot::DEAD; cap];
         let mut ts = vec![Timestamp::INFINITY; cap];
-        let mut first_child = vec![NIL; cap];
-        let mut next_sib = vec![NIL; cap];
-        let mut prev_sib = vec![NIL; cap];
         for n in &snap.nodes {
             let i = n.id as usize;
             if i >= cap {
                 return Err(format!("node id {} out of arena bounds", n.id));
             }
-            if parent[i] != DEAD {
+            if slots[i].parent != DEAD {
                 return Err(format!("duplicate node id {}", n.id));
             }
-            vertex[i] = n.vertex;
-            state[i] = n.state;
-            via_label[i] = n.via_label;
-            ts[i] = n.ts;
-            parent[i] = match n.parent {
+            let parent = match n.parent {
                 None => NIL,
                 Some(p) if (p as usize) < cap => p,
                 Some(p) => return Err(format!("{} has dead parent {p}", n.id)),
             };
+            slots[i] = Slot::leaf(n.vertex, n.state, parent, n.via_label);
+            ts[i] = n.ts;
         }
         for n in &snap.nodes {
             let mut prev = NIL;
@@ -1147,19 +1143,19 @@ impl<X: SnapshotExt> Tree<X> {
                     return Err(format!("stale child {c} of {}", n.id));
                 }
                 if prev == NIL {
-                    first_child[n.id as usize] = c;
+                    slots[n.id as usize].first_child = c;
                 } else {
-                    next_sib[prev as usize] = c;
+                    slots[prev as usize].next_sib = c;
                 }
-                prev_sib[c as usize] = prev;
+                slots[c as usize].prev_sib = prev;
                 prev = c;
             }
         }
         let mut seen_free = std::collections::HashSet::new();
         for &f in &snap.free {
-            match parent.get(f as usize) {
-                Some(&DEAD) if seen_free.insert(f) => {}
-                Some(&DEAD) => return Err(format!("free slot {f} listed twice")),
+            match slots.get(f as usize).map(|slot| slot.parent) {
+                Some(DEAD) if seen_free.insert(f) => {}
+                Some(DEAD) => return Err(format!("free slot {f} listed twice")),
                 _ => return Err(format!("free slot {f} is live or out of bounds")),
             }
         }
@@ -1185,17 +1181,11 @@ impl<X: SnapshotExt> Tree<X> {
             root_key: (snap.root, snap.root_state),
             root_id: snap.root_id,
             len: snap.nodes.len(),
-            vertex,
-            state,
-            parent,
-            via_label,
+            slots,
             // The root and dead slots hold `INFINITY`, so the column
             // minimum is the exact bound of a well-formed snapshot.
             min_ts: ts.iter().copied().min().unwrap_or(Timestamp::INFINITY),
             ts,
-            first_child,
-            next_sib,
-            prev_sib,
             free: snap.free,
             occurrences,
             ext: X::import(snap.marks, snap.dead_marks),

@@ -12,8 +12,9 @@ pub struct IndexSize {
     pub trees: usize,
     /// Total number of nodes over all spanning trees (roots included).
     pub nodes: usize,
-    /// Resident bytes of the struct-of-arrays node arenas (live slots
-    /// plus not-yet-compacted dead slots; excludes occurrence maps).
+    /// Resident bytes of the node arenas — slot records plus timestamp
+    /// column — over live slots and not-yet-compacted dead slots
+    /// (excludes occurrence maps).
     pub arena_bytes: usize,
     /// Heap bytes of the result-deduplication set (every pair reported
     /// since the stream began, minus invalidations).

@@ -3,9 +3,13 @@
 //! The WAL makes the engines' input durable: every batch is appended —
 //! and, depending on the [`SyncPolicy`], fsynced — *before* the engine
 //! mutates any state, so a crash can lose at most the outputs of the
-//! torn batch, never its inputs. Because the engines' graph and Δ
-//! state are a function of the live window (see
-//! `srpq_persist::checkpoint`), the log does not need to retain the
+//! torn batch, never its inputs. The engines' window graph is a
+//! function of the live window, but their Δ state is not: which path
+//! reached a node, and so the timestamp it carries, depends on edges
+//! that have since left the window, and a fresh engine fed only the
+//! last few windows of a stream does not always rebuild the same Δ.
+//! Recovery therefore starts from a checkpoint (see
+//! `srpq_persist::checkpoint`), and the log does not need to retain the
 //! whole stream: segments that lie entirely before the latest
 //! checkpoint *and* entirely outside the window are deleted by
 //! [`Wal::truncate_older`], bounding the *replay* by window size rather
